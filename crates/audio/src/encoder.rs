@@ -21,6 +21,10 @@ pub const GRANULES: usize = FRAME_SAMPLES / BANDS;
 /// Magic number opening a stream.
 const MAGIC: u32 = 0x4157; // "AW"
 
+/// The smallest frame: granule count (8 bits), then 4 allocation and 6
+/// scalefactor bits per band.
+const MIN_FRAME_BITS: usize = 8 + BANDS * (4 + 6);
+
 /// Allocation strategy for the encoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationMode {
@@ -72,6 +76,9 @@ pub enum AudioError {
     BadMagic(u32),
     /// Stream ended prematurely.
     Truncated(OutOfBitsError),
+    /// A frame header declared fewer than the two granules synthesis
+    /// needs.
+    BadGranules(usize),
 }
 
 impl core::fmt::Display for AudioError {
@@ -85,6 +92,9 @@ impl core::fmt::Display for AudioError {
             }
             AudioError::BadMagic(m) => write!(f, "bad magic {m:#x}"),
             AudioError::Truncated(e) => write!(f, "truncated stream: {e}"),
+            AudioError::BadGranules(n) => {
+                write!(f, "frame declares {n} granules; at least 2 are needed")
+            }
         }
     }
 }
@@ -306,9 +316,12 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedAudio, AudioError> {
     let n_frames = r.read_bits(16)? as usize;
     let sample_rate = r.read_bits(32)? as f64;
     let fb = Filterbank::new();
-    let mut samples = Vec::with_capacity(n_frames * FRAME_SAMPLES);
+    let mut samples = Vec::with_capacity(frames_to_reserve(n_frames, &r) * FRAME_SAMPLES);
     for _ in 0..n_frames {
         let n_granules = r.read_bits(8)? as usize;
+        if n_granules < 2 {
+            return Err(AudioError::BadGranules(n_granules));
+        }
         let mut bits = [0u8; BANDS];
         for b in &mut bits {
             *b = r.read_bits(4)? as u8;
@@ -333,6 +346,13 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedAudio, AudioError> {
         samples,
         sample_rate,
     })
+}
+
+/// Frames to reserve sample space for: the header's frame count, which
+/// comes from the input, bounded by the frames the remaining bits can
+/// hold.
+fn frames_to_reserve(n_frames: usize, r: &BitReader<'_>) -> usize {
+    n_frames.min(r.remaining() / MIN_FRAME_BITS)
 }
 
 #[cfg(test)]
@@ -492,6 +512,53 @@ mod tests {
             decode(&[0, 0, 0, 0]),
             Err(AudioError::BadMagic(0))
         ));
+    }
+
+    /// A stream header (magic, frame count, sample rate) followed by
+    /// `frames` minimal frames that each declare `granules` granules and
+    /// allocate no bits.
+    fn crafted_stream(n_frames: u32, granules: u32, frames: usize) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.write_bits(MAGIC, 16);
+        w.write_bits(n_frames, 16);
+        w.write_bits(44_100, 32);
+        for _ in 0..frames {
+            w.write_bits(granules, 8);
+            for _ in 0..BANDS {
+                w.write_bits(0, 4);
+            }
+            for _ in 0..BANDS {
+                w.write_bits(0, 6);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn fewer_than_two_granules_is_a_typed_error() {
+        for granules in [0, 1] {
+            assert_eq!(
+                decode(&crafted_stream(1, granules, 1)).unwrap_err(),
+                AudioError::BadGranules(granules as usize)
+            );
+        }
+        // Two granules is the smallest frame synthesis accepts.
+        assert_eq!(
+            decode(&crafted_stream(1, 2, 1)).unwrap().samples.len(),
+            BANDS
+        );
+    }
+
+    #[test]
+    fn frame_count_reserves_only_what_the_input_holds() {
+        // 65,535 frames declared, one present: the decoder must not
+        // reserve 65,535 frames of samples before running out of bits.
+        let bytes = crafted_stream(u16::MAX as u32, 37, 1);
+        let mut r = BitReader::new(&bytes);
+        r.read_bits(32).unwrap();
+        r.read_bits(32).unwrap();
+        assert_eq!(frames_to_reserve(u16::MAX as usize, &r), 1);
+        assert!(matches!(decode(&bytes), Err(AudioError::Truncated(_))));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   fixed-8 butterfly — wall ns/block and multiplies per 1-D transform.
 //! * **Encoder end-to-end**: frames/s and stage tallies for the default
 //!   configuration.
+//! * **Decoder end-to-end**: ns per QCIF frame for table-driven Huffman
+//!   decode, inverse quantization, IDCT and motion compensation.
 
 use mmbench::banner;
 use mmbench::perf::{matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport};
@@ -20,6 +22,7 @@ use signal::dct1d::Dct1d;
 use signal::dct8::{fdct8, FAST8_MULS};
 use signal::metrics::{sad_u8, sad_u8_bounded_ops};
 use signal::rng::Xoroshiro128;
+use video::decoder::decode;
 use video::encoder::{Encoder, EncoderConfig};
 use video::frame::Frame;
 use video::me::{MotionEstimator, MotionVector, SearchKind, MB};
@@ -257,6 +260,33 @@ fn main() {
             .metric("dct_blocks", encoded.tally.dct_blocks as f64)
             .metric("mean_psnr_db", encoded.mean_psnr_db())
             .metric("total_bits", encoded.total_bits() as f64),
+    );
+
+    // ---- Decoder end-to-end: one QCIF GOP-12 stream (1 I + 7 P frames).
+    let frames = mmbench::test_video(176, 144, 8);
+    let stream = enc.encode(&frames).expect("encode succeeds");
+    let decoded = decode(&stream.bytes).expect("the encoder's stream decodes");
+    let decode_ns = median_ns_per_iter(|| {
+        std::hint::black_box(decode(std::hint::black_box(&stream.bytes)).unwrap());
+    });
+    let ns_per_frame = decode_ns / frames.len() as f64;
+    println!("\ndecoder end-to-end (176x144, 8 frames, default-config stream):");
+    println!(
+        "  {:.0} us/frame ({:.0} frames/s), {} IDCT blocks, {} MC pixels, {} stream bytes",
+        ns_per_frame / 1e3,
+        1e9 / ns_per_frame,
+        decoded.idct_blocks,
+        decoded.mc_pixels,
+        stream.bytes.len()
+    );
+    report.push(
+        PerfEntry::new("decoder_qcif")
+            .metric("frames", frames.len() as f64)
+            .metric("wall_ns_per_frame", ns_per_frame)
+            .metric("frames_per_second", 1e9 / ns_per_frame)
+            .metric("idct_blocks", decoded.idct_blocks as f64)
+            .metric("mc_pixels", decoded.mc_pixels as f64)
+            .metric("stream_bytes", stream.bytes.len() as f64),
     );
 
     report

@@ -62,14 +62,20 @@ impl BitWriter {
     /// Panics if `count > 32`.
     pub fn write_bits(&mut self, value: u32, count: u32) {
         assert!(count <= 32, "cannot write more than 32 bits at once");
-        for i in (0..count).rev() {
-            let bit = (value >> i) & 1;
+        // Fill the partial final byte, then whole bytes: at most five
+        // chunks per call.
+        let mut left = count;
+        while left > 0 {
             if self.bit_pos == 0 {
                 self.bytes.push(0);
             }
+            let free = 8 - self.bit_pos;
+            let take = free.min(left);
+            left -= take;
+            let chunk = (value >> left) & ((1 << take) - 1);
             let last = self.bytes.len() - 1;
-            self.bytes[last] |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
+            self.bytes[last] |= (chunk << (free - take)) as u8;
+            self.bit_pos = (self.bit_pos + take) % 8;
         }
     }
 
@@ -145,14 +151,18 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining(),
             });
         }
-        let mut out = 0u32;
-        for _ in 0..count {
-            let byte = self.bytes[self.cursor / 8];
-            let bit = (byte >> (7 - (self.cursor % 8))) & 1;
-            out = (out << 1) | bit as u32;
-            self.cursor += 1;
+        if count == 0 {
+            return Ok(0);
         }
-        Ok(out)
+        // The `count` bits start `cursor % 8` bits into a big-endian window
+        // of (at most) eight bytes: 7 + 32 bits always fit.
+        let start = self.cursor / 8;
+        let tail = &self.bytes[start..self.bytes.len().min(start + 8)];
+        let mut window = [0u8; 8];
+        window[..tail.len()].copy_from_slice(tail);
+        let word = u64::from_be_bytes(window) << (self.cursor % 8);
+        self.cursor += count as usize;
+        Ok((word >> (64 - count)) as u32)
     }
 
     /// Reads one bit.
@@ -161,13 +171,95 @@ impl<'a> BitReader<'a> {
     ///
     /// Returns [`OutOfBitsError`] at end of stream.
     pub fn read_bit(&mut self) -> Result<bool, OutOfBitsError> {
-        Ok(self.read_bits(1)? == 1)
+        let byte = *self.bytes.get(self.cursor / 8).ok_or(OutOfBitsError {
+            requested: 1,
+            remaining: 0,
+        })?;
+        let bit = (byte >> (7 - self.cursor % 8)) & 1;
+        self.cursor += 1;
+        Ok(bit == 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-bit writer that chunked [`BitWriter::write_bits`] replaced,
+    /// kept as its oracle.
+    fn write_bits_per_bit(w: &mut BitWriter, value: u32, count: u32) {
+        for i in (0..count).rev() {
+            let bit = (value >> i) & 1;
+            if w.bit_pos == 0 {
+                w.bytes.push(0);
+            }
+            let last = w.bytes.len() - 1;
+            w.bytes[last] |= (bit as u8) << (7 - w.bit_pos);
+            w.bit_pos = (w.bit_pos + 1) % 8;
+        }
+    }
+
+    /// The per-bit reader that chunked [`BitReader::read_bits`] replaced,
+    /// kept as its oracle.
+    fn read_bits_per_bit(r: &mut BitReader<'_>, count: u32) -> Result<u32, OutOfBitsError> {
+        if (count as usize) > r.remaining() {
+            return Err(OutOfBitsError {
+                requested: count,
+                remaining: r.remaining(),
+            });
+        }
+        let mut out = 0u32;
+        for _ in 0..count {
+            let byte = r.bytes[r.cursor / 8];
+            let bit = (byte >> (7 - (r.cursor % 8))) & 1;
+            out = (out << 1) | bit as u32;
+            r.cursor += 1;
+        }
+        Ok(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Chunked writes give the per-bit writer's bytes and length for
+        /// any (value, width) sequence; bits above `width` are ignored.
+        #[test]
+        fn chunked_writer_matches_per_bit_oracle(
+            ops in prop::collection::vec((any::<u32>(), 0u32..=32), 0..64),
+        ) {
+            let mut chunked = BitWriter::new();
+            let mut oracle = BitWriter::new();
+            for &(value, width) in &ops {
+                chunked.write_bits(value, width);
+                write_bits_per_bit(&mut oracle, value, width);
+                prop_assert_eq!(chunked.bit_len(), oracle.bit_len());
+            }
+            prop_assert_eq!(chunked.into_bytes(), oracle.into_bytes());
+        }
+
+        /// Chunked reads give the per-bit reader's values, errors and
+        /// cursor for any width sequence, including reads past the end.
+        /// Width 33 stands for a single [`BitReader::read_bit`].
+        #[test]
+        fn chunked_reader_matches_per_bit_oracle(
+            bytes in prop::collection::vec(any::<u8>(), 0..24),
+            widths in prop::collection::vec(0u32..=33, 0..64),
+        ) {
+            let mut chunked = BitReader::new(&bytes);
+            let mut oracle = BitReader::new(&bytes);
+            for &width in &widths {
+                if width == 33 {
+                    let expect = read_bits_per_bit(&mut oracle, 1).map(|b| b == 1);
+                    prop_assert_eq!(chunked.read_bit(), expect);
+                } else {
+                    let expect = read_bits_per_bit(&mut oracle, width);
+                    prop_assert_eq!(chunked.read_bits(width), expect);
+                }
+                prop_assert_eq!(chunked.position(), oracle.position());
+            }
+        }
+    }
 
     #[test]
     fn round_trip_mixed_widths() {

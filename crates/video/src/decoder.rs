@@ -1,13 +1,14 @@
 //! The video decoder: Figure 1 run in reverse.
 //!
 //! Variable-length decode → inverse quantizer → inverse DCT, plus the
-//! motion-compensated predictor fed by the decoded vectors. Because the
-//! encoder's reconstruction loop mirrors this code exactly, decoder output
-//! is bit-identical to the encoder's internal reference frames.
+//! motion-compensated predictor fed by the decoded vectors. The encoder's
+//! reconstruction loop and this decoder share one reconstruction step
+//! ([`crate::encoder`]'s `reconstruct_block`), so decoder output is
+//! bit-identical to the encoder's internal reference frames.
 
 use crate::bitstream::{read_amplitude, BitReader, OutOfBitsError};
 use crate::dct::{Dct2d, BLOCK};
-use crate::encoder::{FrameKind, MAGIC, MV_BITS};
+use crate::encoder::{reconstruct_block, FrameKind, INTRA_PREDICTION, MAGIC, MV_BITS};
 use crate::frame::Frame;
 use crate::huffman::{HuffmanCode, HuffmanError};
 use crate::me::{BlockMotion, MotionField, MotionVector};
@@ -27,7 +28,8 @@ pub enum DecodeError {
     Huffman(HuffmanError),
     /// A quality value outside 1..=100 appeared in a frame header.
     BadQuality(u8),
-    /// Run-length data overflowed a block.
+    /// Block data is malformed: run-length data overflowed a block, a DC
+    /// size category is out of range, or a P frame has no reference.
     BadBlock,
     /// Frame dimensions in the header are invalid.
     BadDimensions,
@@ -40,7 +42,7 @@ impl core::fmt::Display for DecodeError {
             DecodeError::Truncated(e) => write!(f, "truncated stream: {e}"),
             DecodeError::Huffman(e) => write!(f, "entropy decode failed: {e}"),
             DecodeError::BadQuality(q) => write!(f, "invalid quality {q} in stream"),
-            DecodeError::BadBlock => f.write_str("run-length data overflows a block"),
+            DecodeError::BadBlock => f.write_str("malformed block data"),
             DecodeError::BadDimensions => f.write_str("invalid dimensions in header"),
         }
     }
@@ -67,8 +69,10 @@ pub struct DecodedSequence {
     pub frames: Vec<Frame>,
     /// Frame kinds in stream order.
     pub kinds: Vec<FrameKind>,
-    /// Total operations spent in the inverse transform path (IDCT blocks),
-    /// the decoder-side cost proxy for experiment E3.
+    /// Blocks through the inverse-transform path (IDCT blocks), the
+    /// decoder-side cost proxy for experiment E3. Like the encoder's
+    /// `StageTally::idct_blocks`, an all-zero block counts although its
+    /// IDCT is skipped.
     pub idct_blocks: u64,
     /// Motion-compensated pixels produced.
     pub mc_pixels: u64,
@@ -109,9 +113,11 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
     let ac_code = HuffmanCode::read_table(&mut r)?;
 
     let dct = Dct2d::new();
-    let mut frames: Vec<Frame> = Vec::with_capacity(frame_count);
-    let mut kinds = Vec::with_capacity(frame_count);
-    let mut reference: Option<Frame> = None;
+    // Every frame header takes 8 bits: reserve no more frames than the
+    // input can hold.
+    let reserve = frame_count.min(r.remaining() / 8);
+    let mut frames: Vec<Frame> = Vec::with_capacity(reserve);
+    let mut kinds = Vec::with_capacity(reserve);
     let mut idct_blocks = 0u64;
     let mut mc_pixels = 0u64;
 
@@ -158,14 +164,15 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
         let quant = Quantizer::from_quality_with_matrix(quality, matrix)
             .map_err(|e| DecodeError::BadQuality(e.0))?;
 
-        // Borrowed views of the reference frame's planes (no copies).
-        let ref_planes = reference
-            .as_ref()
+        // Borrowed views of the reference (previous) frame's planes.
+        let ref_planes = frames
+            .last()
             .map(|f| [f.luma_plane(), f.cb_plane(), f.cr_plane()]);
 
         let mut out_planes: Vec<Plane8> = Vec::with_capacity(3);
         let mut pred = [0u8; BLOCK * BLOCK];
         let mut rec = [0u8; BLOCK * BLOCK];
+        let mut events = [RleEvent::EndOfBlock; BLOCK * BLOCK];
         for pi in 0..3 {
             let (pw, ph) = if pi == 0 { (w, h) } else { (w / 2, h / 2) };
             let chroma = pi > 0;
@@ -174,39 +181,35 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
             let mut prev_dc = 0i16;
             for by in 0..rows {
                 for bx in 0..cols {
-                    // DC.
+                    // DC: a size category of at most 15 keeps the amplitude
+                    // read within 32 bits and the difference within i16.
                     let size = dc_code.decode(&mut r)? as u32;
+                    if size > 15 {
+                        return Err(DecodeError::BadBlock);
+                    }
                     let diff = read_amplitude(&mut r, size)?;
-                    let dc = prev_dc + diff as i16;
+                    let dc = prev_dc
+                        .checked_add(diff as i16)
+                        .ok_or(DecodeError::BadBlock)?;
                     prev_dc = dc;
-                    // AC events until EOB or 63 coefficients.
-                    let mut events = Vec::new();
+                    // AC events until EOB or 63 coefficients; each event
+                    // covers at least one, so at most 63 are stored.
+                    let mut n_events = 0;
                     let mut coeffs_seen = 0usize;
                     loop {
                         let sym = ac_code.decode(&mut r)?;
-                        let ev = if sym == 0x00 {
-                            RleEvent::EndOfBlock
-                        } else if sym == 0xF0 {
-                            RleEvent::ZeroRunLength
-                        } else {
-                            let size = (sym & 0x0F) as u32;
-                            let amp = read_amplitude(&mut r, size)?;
-                            rle::event_from_symbol(sym, amp)
+                        let amp = match sym {
+                            0x00 | 0xF0 => 0,
+                            _ => read_amplitude(&mut r, (sym & 0x0F) as u32)?,
                         };
-                        match ev {
-                            RleEvent::EndOfBlock => {
-                                events.push(ev);
-                                break;
-                            }
-                            RleEvent::ZeroRunLength => {
-                                coeffs_seen += 16;
-                                events.push(ev);
-                            }
-                            RleEvent::Run { run, .. } => {
-                                coeffs_seen += run as usize + 1;
-                                events.push(ev);
-                            }
-                        }
+                        let ev = rle::event_from_symbol(sym, amp);
+                        events[n_events] = ev;
+                        n_events += 1;
+                        coeffs_seen += match ev {
+                            RleEvent::EndOfBlock => break,
+                            RleEvent::ZeroRunLength => 16,
+                            RleEvent::Run { run, .. } => run as usize + 1,
+                        };
                         if coeffs_seen > 63 {
                             return Err(DecodeError::BadBlock);
                         }
@@ -214,12 +217,12 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
                             break;
                         }
                     }
-                    let mut scanned = rle::decode_ac(&events).map_err(|_| DecodeError::BadBlock)?;
+                    let mut scanned =
+                        rle::decode_ac(&events[..n_events]).map_err(|_| DecodeError::BadBlock)?;
                     scanned[0] = dc;
                     let levels = zigzag::unscan(&scanned);
-                    let coeffs = quant.dequantize(&levels);
                     idct_blocks += 1;
-                    if predicted {
+                    let prediction = if predicted {
                         let rp = &ref_planes.as_ref().ok_or(DecodeError::BadBlock)?[pi];
                         let f = field.as_ref().expect("field exists for P frames");
                         let (mbx, mby) = if chroma { (bx, by) } else { (bx / 2, by / 2) };
@@ -236,15 +239,12 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
                             &mut pred,
                         );
                         mc_pixels += (BLOCK * BLOCK) as u64;
-                        let res = dct.inverse(&coeffs);
-                        for (o, (&p, &rv)) in rec.iter_mut().zip(pred.iter().zip(res.iter())) {
-                            *o = (p as f64 + rv).round().clamp(0.0, 255.0) as u8;
-                        }
-                        plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
+                        &pred
                     } else {
-                        let rec = dct.inverse_to_pixels(&coeffs);
-                        plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
-                    }
+                        &INTRA_PREDICTION
+                    };
+                    reconstruct_block(&dct, &quant, &levels, prediction, &mut rec);
+                    plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                 }
             }
             out_planes.push(plane);
@@ -254,7 +254,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
         let y = out_planes.pop().expect("three planes");
         let frame = Frame::from_planes(w, h, y.into_data(), cb.into_data(), cr.into_data())
             .map_err(|_| DecodeError::BadDimensions)?;
-        reference = Some(frame.clone());
         frames.push(frame);
         kinds.push(kind);
     }
@@ -279,6 +278,7 @@ fn sign_extend_6(v: u32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitWriter;
     use crate::encoder::{Encoder, EncoderConfig};
     use crate::synth::SequenceGen;
     use signal::metrics::psnr_u8;
@@ -381,6 +381,47 @@ mod tests {
             enc.tally.me_pixel_ops,
             decoder_ops
         );
+    }
+
+    /// A one-frame 16x16 intra stream with the given code tables, then
+    /// `payload(writer)` as the frame's block data.
+    fn crafted_stream(dc: Vec<u8>, ac: Vec<u8>, payload: impl Fn(&mut BitWriter)) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.write_bits(MAGIC, 16);
+        w.write_bits(1, 8);
+        w.write_bits(1, 8);
+        w.write_bits(1, 16);
+        HuffmanCode::from_lengths(dc).unwrap().write_table(&mut w);
+        HuffmanCode::from_lengths(ac).unwrap().write_table(&mut w);
+        w.write_bit(false);
+        w.write_bits(75, 7);
+        payload(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn dc_size_beyond_15_is_a_typed_error() {
+        // The only DC symbol is size category 33 (codeword "0"): reading
+        // its amplitude would ask for more than 32 bits.
+        let mut dc = vec![0; 34];
+        dc[33] = 1;
+        let bytes = crafted_stream(dc, vec![1], |w| w.write_bits(0, 8));
+        assert_eq!(decode(&bytes).unwrap_err(), DecodeError::BadBlock);
+    }
+
+    #[test]
+    fn dc_overflow_is_a_typed_error() {
+        // Two blocks each adding +32767 to the DC predictor overflow i16.
+        let mut dc = vec![0; 16];
+        dc[15] = 1;
+        let bytes = crafted_stream(dc, vec![1], |w| {
+            for _ in 0..2 {
+                w.write_bit(false); // DC size 15
+                w.write_bits(0x7FFF, 15); // +32767
+                w.write_bit(false); // EOB
+            }
+        });
+        assert_eq!(decode(&bytes).unwrap_err(), DecodeError::BadBlock);
     }
 
     #[test]

@@ -150,7 +150,9 @@ pub struct StageTally {
     pub me_pixel_ops: u64,
     /// Forward 8×8 DCTs performed.
     pub dct_blocks: u64,
-    /// Inverse 8×8 DCTs performed (reconstruction loop).
+    /// Blocks through the inverse-DCT reconstruction loop. An all-zero
+    /// block counts although its IDCT is skipped: the tally measures the
+    /// reference algorithm's work, which the MPSoC model is calibrated on.
     pub idct_blocks: u64,
     /// Coefficients quantized.
     pub quant_coeffs: u64,
@@ -287,6 +289,35 @@ pub(crate) const MAGIC: u32 = 0x5657; // "VW"
 pub(crate) const MV_BITS: u32 = 6;
 pub(crate) const DC_ALPHABET: usize = 16;
 pub(crate) const AC_ALPHABET: usize = 256;
+
+/// The flat prediction an intra block is reconstructed on: adding it is
+/// the +128 level shift that [`Dct2d::forward_pixels`] removed.
+pub(crate) const INTRA_PREDICTION: [u8; BLOCK * BLOCK] = [128; BLOCK * BLOCK];
+
+/// The reconstruction step of Figure 1's feedback loop, shared by the
+/// encoder's reference loop and the decoder so the two cannot drift:
+/// dequantize `levels` (row-major), inverse-DCT, add to `pred`, round and
+/// clamp into `out`.
+///
+/// An all-zero block skips dequantize and IDCT. That is exact: its
+/// residual is all (signed) zeros, and adding a zero leaves every
+/// prediction sample as it is.
+pub(crate) fn reconstruct_block(
+    dct: &Dct2d,
+    quant: &Quantizer,
+    levels: &[i16; BLOCK * BLOCK],
+    pred: &[u8; BLOCK * BLOCK],
+    out: &mut [u8; BLOCK * BLOCK],
+) {
+    if levels.iter().all(|&l| l == 0) {
+        *out = *pred;
+        return;
+    }
+    let residual = dct.inverse(&quant.dequantize(levels));
+    for (o, (&p, &r)) in out.iter_mut().zip(pred.iter().zip(residual.iter())) {
+        *o = (p as f64 + r).round().clamp(0.0, 255.0) as u8;
+    }
+}
 
 /// Analysis result for one plane of one frame: quantized levels per block.
 struct PlaneLevels {
@@ -527,6 +558,7 @@ impl Encoder {
         let mut recon_planes = Vec::with_capacity(3);
         // Per-block scratch, reused across every macroblock of the frame.
         let mut px = [0u8; BLOCK * BLOCK];
+        let mut rec = [0u8; BLOCK * BLOCK];
         for plane in Self::planes_of(frame) {
             let (cols, rows) = plane.blocks(BLOCK);
             let mut blocks = Vec::with_capacity(cols * rows);
@@ -541,7 +573,7 @@ impl Encoder {
                     let scanned = zigzag::scan(&levels);
                     blocks.push(scanned);
                     // Reconstruction loop (decoder mirror).
-                    let rec = self.dct.inverse_to_pixels(&quant.dequantize(&levels));
+                    reconstruct_block(&self.dct, &quant, &levels, &INTRA_PREDICTION, &mut rec);
                     tally.idct_blocks += 1;
                     recon.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                 }
@@ -632,11 +664,8 @@ impl Encoder {
                     tally.quant_coeffs += 64;
                     blocks.push(zigzag::scan(&levels));
                     // Reconstruction.
-                    let rec_res = self.dct.inverse(&quant.dequantize(&levels));
+                    reconstruct_block(&self.dct, &quant, &levels, &pred, &mut rec);
                     tally.idct_blocks += 1;
-                    for (o, (&p, &r)) in rec.iter_mut().zip(pred.iter().zip(rec_res.iter())) {
-                        *o = (p as f64 + r).round().clamp(0.0, 255.0) as u8;
-                    }
                     recon.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                 }
             }
@@ -704,6 +733,29 @@ mod tests {
         for bytes in concurrent {
             assert_eq!(bytes, baseline.bytes, "concurrent encode diverged");
         }
+    }
+
+    #[test]
+    fn zero_block_skip_equals_the_full_reconstruction() {
+        let dct = Dct2d::new();
+        let quant = Quantizer::from_quality_with_matrix(75, &FLAT_MATRIX).unwrap();
+        let zeros = [0i16; BLOCK * BLOCK];
+        let residual = dct.inverse(&quant.dequantize(&zeros));
+        let mut rng = signal::rng::Xoroshiro128::new(9);
+        let mut out = [0u8; BLOCK * BLOCK];
+        for _ in 0..50 {
+            let mut pred = [0u8; BLOCK * BLOCK];
+            pred.iter_mut().for_each(|p| *p = rng.below(256) as u8);
+            pred[0] = 0;
+            pred[1] = 255;
+            reconstruct_block(&dct, &quant, &zeros, &pred, &mut out);
+            for ((&o, &p), &r) in out.iter().zip(&pred).zip(&residual) {
+                assert_eq!(o, (p as f64 + r).round().clamp(0.0, 255.0) as u8);
+            }
+        }
+        // Intra: the unskipped path's level shift gives the 128 fill.
+        reconstruct_block(&dct, &quant, &zeros, &INTRA_PREDICTION, &mut out);
+        assert_eq!(out, dct.inverse_to_pixels(&quant.dequantize(&zeros)));
     }
 
     #[test]

@@ -49,6 +49,11 @@ const MAX_LEN: u32 = 16;
 
 /// A canonical Huffman code over symbols `0..alphabet_len`.
 ///
+/// Canonical codewords of one length are consecutive integers, assigned
+/// in symbol order, so decoding needs only, per length, the first
+/// codeword, the number of codewords, and where that length's symbols
+/// start in the symbols sorted by (length, symbol).
+///
 /// # Example
 ///
 /// ```
@@ -74,6 +79,15 @@ pub struct HuffmanCode {
     lengths: Vec<u8>,
     /// Canonical codeword per symbol (valid when length > 0).
     codes: Vec<u32>,
+    /// Decode table, indexed by code length: first codeword.
+    first: [u32; MAX_LEN as usize + 1],
+    /// Decode table, indexed by code length: number of codewords.
+    count: [u32; MAX_LEN as usize + 1],
+    /// Decode table, indexed by code length: index into `sorted` of the
+    /// symbol with codeword `first`.
+    offset: [u32; MAX_LEN as usize + 1],
+    /// Used symbols sorted by (length, symbol).
+    sorted: Vec<u16>,
 }
 
 #[derive(PartialEq, Eq)]
@@ -194,19 +208,37 @@ impl HuffmanCode {
             return Err(HuffmanError::BadLengths);
         }
         // Canonical assignment: sort by (length, symbol).
-        let mut symbols: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
-        symbols.sort_by_key(|&s| (lengths[s], s));
+        let mut sorted: Vec<u16> = (0..lengths.len())
+            .filter(|&i| lengths[i] > 0)
+            .map(|i| i as u16)
+            .collect();
+        sorted.sort_by_key(|&s| (lengths[s as usize], s));
         let mut codes = vec![0u32; lengths.len()];
+        let mut first = [0u32; MAX_LEN as usize + 1];
+        let mut count = [0u32; MAX_LEN as usize + 1];
+        let mut offset = [0u32; MAX_LEN as usize + 1];
         let mut code = 0u32;
-        let mut prev_len = lengths[symbols[0]] as u32;
-        for &s in &symbols {
-            let l = lengths[s] as u32;
+        let mut prev_len = lengths[sorted[0] as usize] as u32;
+        for (i, &s) in sorted.iter().enumerate() {
+            let l = lengths[s as usize] as u32;
             code <<= l - prev_len;
-            codes[s] = code;
+            if count[l as usize] == 0 {
+                first[l as usize] = code;
+                offset[l as usize] = i as u32;
+            }
+            count[l as usize] += 1;
+            codes[s as usize] = code;
             code += 1;
             prev_len = l;
         }
-        Ok(Self { lengths, codes })
+        Ok(Self {
+            lengths,
+            codes,
+            first,
+            count,
+            offset,
+            sorted,
+        })
     }
 
     /// The code-length table (index = symbol).
@@ -243,30 +275,26 @@ impl HuffmanCode {
         Ok(())
     }
 
-    /// Decodes one symbol.
+    /// Decodes one symbol, reading one bit and making one comparison per
+    /// code length.
     ///
     /// # Errors
     ///
     /// Returns [`HuffmanError::OutOfBits`] or [`HuffmanError::BadCode`].
+    /// A prefix that matches no codeword of up to 16 bits is `BadCode`
+    /// once a 17th bit has been read.
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, HuffmanError> {
-        // Canonical decoding: accumulate bits, compare against per-length
-        // first-code values. Linear in code length (<=16) — fine here.
         let mut code = 0u32;
-        let mut len = 0u32;
-        loop {
+        for len in 1..=MAX_LEN as usize {
             code = (code << 1) | r.read_bit()? as u32;
-            len += 1;
-            if len > MAX_LEN {
-                return Err(HuffmanError::BadCode);
-            }
-            // Scan for a symbol with this (length, code). Alphabets here
-            // are <=512 symbols; a scan per bit keeps the table simple.
-            for (s, &l) in self.lengths.iter().enumerate() {
-                if l as u32 == len && self.codes[s] == code {
-                    return Ok(s as u16);
-                }
+            // Unsigned wrap-around makes codes below `first` fail too.
+            let index = code.wrapping_sub(self.first[len]);
+            if index < self.count[len] {
+                return Ok(self.sorted[(self.offset[len] + index) as usize]);
             }
         }
+        r.read_bit()?;
+        Err(HuffmanError::BadCode)
     }
 
     /// Serializes the length table into a bit stream (8 bits alphabet-size
@@ -330,6 +358,124 @@ pub fn entropy_bits(freqs: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The alphabet-scan decoder the canonical tables replaced, kept as
+    /// their oracle: after each bit, scan every symbol for one with this
+    /// (length, codeword).
+    fn scan_decode(code: &HuffmanCode, r: &mut BitReader<'_>) -> Result<u16, HuffmanError> {
+        let mut word = 0u32;
+        let mut len = 0u32;
+        loop {
+            word = (word << 1) | r.read_bit()? as u32;
+            len += 1;
+            if len > MAX_LEN {
+                return Err(HuffmanError::BadCode);
+            }
+            for (s, &l) in code.lengths.iter().enumerate() {
+                if l as u32 == len && code.codes[s] == word {
+                    return Ok(s as u16);
+                }
+            }
+        }
+    }
+
+    /// Decodes `bytes` with the table decoder and the scan oracle side by
+    /// side until both stop, asserting equal symbols, errors and cursors.
+    fn assert_decoders_agree(code: &HuffmanCode, bytes: &[u8]) {
+        let mut table = BitReader::new(bytes);
+        let mut scan = BitReader::new(bytes);
+        loop {
+            let got = code.decode(&mut table);
+            assert_eq!(got, scan_decode(code, &mut scan));
+            assert_eq!(table.position(), scan.position());
+            if got.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Lengthens the shortest codes of `lengths` until the table obeys
+    /// the Kraft inequality; the result is often incomplete.
+    fn fit_kraft(mut lengths: Vec<u8>) -> Vec<u8> {
+        if lengths.iter().all(|&l| l == 0) {
+            lengths[0] = 1;
+        }
+        let kraft = |ls: &[u8]| -> u64 {
+            ls.iter()
+                .filter(|&&l| l > 0)
+                .map(|&l| 1u64 << (MAX_LEN - l as u32))
+                .sum()
+        };
+        while kraft(&lengths) > 1 << MAX_LEN {
+            let shortest = (0..lengths.len())
+                .filter(|&i| lengths[i] > 0 && (lengths[i] as u32) < MAX_LEN)
+                .min_by_key(|&i| lengths[i])
+                .expect("a table of <= 65536 codes fits at length 16");
+            lengths[shortest] += 1;
+        }
+        lengths
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// For arbitrary valid length tables the table decoder equals the
+        /// scan oracle: on a message of the code's own symbols, then on
+        /// arbitrary trailing bits, which for an incomplete table reach
+        /// unmatched prefixes (`BadCode`) and the end of the stream.
+        #[test]
+        fn table_decode_matches_scan_oracle(
+            raw in prop::collection::vec(0u8..=16, 1..300),
+            picks in prop::collection::vec(any::<u16>(), 0..200),
+            tail in prop::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let code = HuffmanCode::from_lengths(fit_kraft(raw)).unwrap();
+            let used: Vec<u16> = (0..code.alphabet_len() as u16)
+                .filter(|&s| code.bit_length(s).is_some())
+                .collect();
+            let mut w = BitWriter::new();
+            for &p in &picks {
+                code.encode(&mut w, used[p as usize % used.len()]).unwrap();
+            }
+            let mut bytes = w.into_bytes();
+            bytes.extend_from_slice(&tail);
+            assert_decoders_agree(&code, &bytes);
+        }
+    }
+
+    #[test]
+    fn table_decode_matches_scan_oracle_on_edge_tables() {
+        // Lengths 1, 2, ..., 16, 16: complete, with two 16-bit codes.
+        let deepest: Vec<u8> = (1..=16).chain([16]).collect();
+        for lengths in [
+            vec![0, 1, 0],         // one symbol: prefix "1" never matches
+            deepest,               // the longest codes the format allows
+            vec![2, 2, 2],         // Kraft 3/4: prefix "11" never matches
+            vec![0, 16, 3, 0, 16], // incomplete, with 16-bit codes
+        ] {
+            let code = HuffmanCode::from_lengths(lengths).unwrap();
+            for bytes in [
+                vec![],
+                vec![0x00],
+                vec![0xFF, 0xFF],
+                vec![0xFF, 0xFF, 0x80],
+                vec![0x5A, 0xFF, 0xFF, 0xFF, 0x00, 0x3C],
+            ] {
+                assert_decoders_agree(&code, &bytes);
+            }
+        }
+        // An unmatched prefix is `BadCode` once 17 bits are read, and runs
+        // out of bits when fewer remain.
+        let code = HuffmanCode::from_lengths(vec![2, 2, 2]).unwrap();
+        let mut r = BitReader::new(&[0xFF, 0xFF, 0x80]);
+        assert_eq!(code.decode(&mut r), Err(HuffmanError::BadCode));
+        let mut r = BitReader::new(&[0xFF, 0xFF]);
+        assert!(matches!(
+            code.decode(&mut r),
+            Err(HuffmanError::OutOfBits(_))
+        ));
+    }
 
     #[test]
     fn round_trip_random_symbols() {

@@ -1028,4 +1028,89 @@ proptest! {
         };
         prop_assert_eq!(link.deliver(horizon).len(), sends.len() - early);
     }
+
+    /// The video decoder faces untrusted bytes: arbitrary bytes (alone,
+    /// after a valid magic, and after a valid header whose Huffman tables
+    /// then parse garbage), truncations and bit flips of a valid stream
+    /// all decode or give a typed error, never a panic.
+    #[test]
+    fn video_decode_of_untrusted_bytes_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..400),
+        cut in any::<usize>(),
+        flips in prop::collection::vec(any::<usize>(), 1..5),
+    ) {
+        let (valid, header_len) = valid_video_stream();
+        let _ = video::decoder::decode(&noise);
+        for prefix in [&valid[..2], &valid[..header_len]] {
+            let _ = video::decoder::decode(&[prefix, &noise[..]].concat());
+        }
+        let _ = video::decoder::decode(&valid[..cut % valid.len()]);
+        let _ = video::decoder::decode(&flip_bits(valid, &flips));
+    }
+
+    /// The audio decoder faces untrusted bytes: arbitrary bytes, a valid
+    /// stream header followed by an arbitrary granule count and frame
+    /// body, truncations and bit flips of a valid stream all decode or
+    /// give a typed error, never a panic.
+    #[test]
+    fn audio_decode_of_untrusted_bytes_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..400),
+        granules in 0u8..40,
+        cut in any::<usize>(),
+        flips in prop::collection::vec(any::<usize>(), 1..5),
+    ) {
+        let valid = valid_audio_stream();
+        let _ = audio::encoder::decode(&noise);
+        // The 8-byte stream header (magic, frame count, sample rate).
+        let _ = audio::encoder::decode(&[&valid[..8], &[granules], &noise[..]].concat());
+        let _ = audio::encoder::decode(&valid[..cut % valid.len()]);
+        let _ = audio::encoder::decode(&flip_bits(valid, &flips));
+    }
+}
+
+/// A small valid video stream (two GOPs of a noisy pan), encoded once,
+/// with the number of bytes its sequence header touches.
+fn valid_video_stream() -> (&'static [u8], usize) {
+    static STREAM: std::sync::OnceLock<(Vec<u8>, usize)> = std::sync::OnceLock::new();
+    let (bytes, header_len) = STREAM.get_or_init(|| {
+        let mut gen = video::synth::SequenceGen::new(21);
+        let mut frames = gen.panning_sequence(32, 32, 5, 2, -1);
+        for f in &mut frames {
+            gen.add_noise(f, 4.0);
+        }
+        let config = video::encoder::EncoderConfig {
+            gop: 3,
+            ..video::encoder::EncoderConfig::symmetric_conference()
+        };
+        let encoded = video::encoder::Encoder::new(config)
+            .unwrap()
+            .encode(&frames)
+            .unwrap();
+        let header_len = encoded.header_bits.div_ceil(8);
+        (encoded.bytes, header_len)
+    });
+    (bytes, *header_len)
+}
+
+/// A small valid audio stream (two frames of music), encoded once.
+fn valid_audio_stream() -> &'static [u8] {
+    static STREAM: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    STREAM.get_or_init(|| {
+        let pcm = signal::gen::SignalGen::new(22).music(330.0, 44_100.0, 2 * 1152);
+        audio::encoder::AudioEncoder::new(audio::encoder::AudioConfig::default())
+            .encode(&pcm)
+            .unwrap()
+            .bytes
+    })
+}
+
+/// `bytes` with one bit flipped per entry of `at` (taken modulo the
+/// stream's bit length).
+fn flip_bits(bytes: &[u8], at: &[usize]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for &bit in at {
+        let bit = bit % (out.len() * 8);
+        out[bit / 8] ^= 0x80 >> (bit % 8);
+    }
+    out
 }
