@@ -15,9 +15,10 @@
 
 use mmbench::banner;
 use mmbench::perf::{median_ns_per_iter, PerfEntry, PerfReport};
+use mmstream::catalog::Catalog;
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::segment::{demux_segment, mux_segment_wire};
-use mmstream::serve::{capacity_curve, capacity_knee, simulate_load, LoadConfig, ServerConfig};
+use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
 use video::encoder::{Encoder, EncoderConfig};
 use video::synth::SequenceGen;
 
@@ -114,36 +115,38 @@ fn main() {
 
     // ---- Many-session load: capacity curve and knee.
     let manifest = &ladder.manifest;
-    let server = ServerConfig::default();
+    let catalog = Catalog::single(manifest.clone());
+    let server = CdnConfig::single_origin();
     let base = LoadConfig::default();
-    let counts = [50usize, 200, 500, 1_000, 2_000, 4_000];
-    let curve = capacity_curve(manifest, &server, &counts, &base);
-
-    // Determinism gate: an identical re-run of one level must agree
-    // exactly before any number is published.
-    let replay = simulate_load(
-        manifest,
-        &server,
-        &LoadConfig {
+    let at_1k = Scenario::new(
+        &catalog,
+        server,
+        LoadConfig {
             sessions: 1_000,
             ..base
         },
     );
+    let counts = [50usize, 200, 500, 1_000, 2_000, 4_000];
+    let curve = sweep(&at_1k, &counts, None);
+
+    // Determinism gate: an identical re-run of one level must agree
+    // exactly before any number is published.
     assert_eq!(
-        replay, curve[3],
+        simulate(&at_1k),
+        curve[3],
         "load simulation must be deterministic for identical seeds"
     );
 
     let lowest_rate = manifest.rungs[0].required_bits_per_tick(0, manifest.ticks_per_frame);
     println!(
         "\ncapacity curve (uplink {} B/tick, lowest rung needs {:.1} bits/tick):",
-        server.capacity_bytes_per_tick, lowest_rate
+        server.tier.edge_capacity_bytes_per_tick, lowest_rate
     );
     println!(
         "  {:>8} {:>12} {:>12} {:>10} {:>9} {:>9}",
         "sessions", "bits/tick", "goodput", "rebuffer%", "meanrung", "startup"
     );
-    for r in &curve {
+    for r in curve.iter().map(|r| &r.edge.load) {
         println!(
             "  {:>8} {:>12.1} {:>12.0} {:>9.1}% {:>9.2} {:>9.0}",
             r.sessions,
@@ -166,7 +169,7 @@ fn main() {
                 .metric("rung_switches", r.rung_switches as f64),
         );
     }
-    let knee = capacity_knee(&curve, 0.05);
+    let knee = curve_knee(&curve, 0.05);
     println!(
         "capacity knee (<=5% sessions rebuffering): {}",
         knee.map_or("none".to_string(), |k| k.to_string())
@@ -174,14 +177,7 @@ fn main() {
 
     // ---- Simulator wall rate: sessions per second at the 1000 level.
     let sim_ns = median_ns_per_iter(|| {
-        std::hint::black_box(simulate_load(
-            std::hint::black_box(manifest),
-            &server,
-            &LoadConfig {
-                sessions: 1_000,
-                ..base
-            },
-        ));
+        std::hint::black_box(simulate(std::hint::black_box(&at_1k)));
     });
     let sessions_per_s = 1_000.0 / (sim_ns / 1e9);
     println!(

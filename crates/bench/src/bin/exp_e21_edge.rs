@@ -17,12 +17,10 @@
 
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
+use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{
-    capacity_curve, capacity_knee, edge_capacity_curve, edge_capacity_knee, simulate_edge_load,
-    LoadConfig, ServerConfig,
-};
+use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
 use video::synth::SequenceGen;
 
 fn main() {
@@ -50,6 +48,8 @@ fn main() {
         .flat_map(|r| r.segments.iter().map(|s| s.bytes))
         .sum();
     let base = LoadConfig::default();
+    let catalog = Catalog::single(manifest.clone());
+    let flat = |tier, load| Scenario::new(&catalog, CdnConfig::flat(tier), load);
 
     // ---- Hit rate vs per-edge cache size (cold caches, 500 sessions).
     println!("hit rate vs cache size (4 cold edges, 500 sessions):");
@@ -75,7 +75,7 @@ fn main() {
             prewarm: false,
             ..Default::default()
         };
-        let r = simulate_edge_load(manifest, &tier, &load_500);
+        let r = simulate(&flat(tier, load_500)).edge;
         assert_eq!(r.load.completed, 500, "every session completes ({label})");
         println!(
             "  {:>12} {:>8.1}% {:>8.1}% {:>10} {:>10.1}",
@@ -100,11 +100,12 @@ fn main() {
         last_hit = r.hit_rate;
     }
 
-    // ---- Single-origin baseline knee (the PR 3 number, regenerated).
+    // ---- Single-origin baseline knee (regenerated).
     let counts = [200usize, 1_000, 2_000, 4_000, 8_000, 16_000];
     let single_counts = &counts[..4];
-    let single = capacity_curve(manifest, &ServerConfig::default(), single_counts, &base);
-    let single_knee = capacity_knee(&single, 0.05).expect("single origin sustains some level");
+    let single = Scenario::new(&catalog, CdnConfig::single_origin(), base);
+    let single_knee = curve_knee(&sweep(&single, single_counts, None), 0.05)
+        .expect("single origin sustains some level");
     println!("\nsingle-origin knee (<=5% rebuffering): {single_knee} sessions");
     report.push(
         PerfEntry::new("single_origin_knee")
@@ -122,14 +123,15 @@ fn main() {
             prewarm: true,
             ..Default::default()
         };
-        let curve = edge_capacity_curve(manifest, &tier, &counts, &base);
+        let curve = sweep(&flat(tier, base), &counts, None);
         assert!(curve
             .iter()
-            .all(|r| r.load.completed == r.load.sessions || r.load.rebuffer_fraction > 0.05));
-        let knee = edge_capacity_knee(&curve, 0.05).expect("tier sustains some level");
+            .map(|r| &r.edge.load)
+            .all(|l| l.completed == l.sessions || l.rebuffer_fraction > 0.05));
+        let knee = curve_knee(&curve, 0.05).expect("tier sustains some level");
         if edges == 4 {
             knee_4 = knee;
-            for r in &curve {
+            for r in curve.iter().map(|r| &r.edge) {
                 report.push(
                     PerfEntry::new(&format!("edge4_load_{}_sessions", r.load.sessions))
                         .metric("sessions", r.load.sessions as f64)
@@ -171,16 +173,16 @@ fn main() {
         sessions: 2_000,
         ..base
     };
-    let up = simulate_edge_load(manifest, &warm, &load_2k);
-    let down = simulate_edge_load(
-        manifest,
-        &EdgeTierConfig {
+    let up = simulate(&flat(warm, load_2k));
+    let down = simulate(&flat(
+        EdgeTierConfig {
             origin_down_after: Some(0),
             ..warm
         },
-        &load_2k,
-    );
+        load_2k,
+    ));
     assert_eq!(up, down, "warm edges never touch the origin");
+    let up = up.edge;
     assert_eq!(up.tier.origin_bytes, 0);
     println!("origin outage with warm edges: report identical, 0 origin bytes");
     report.push(
@@ -191,7 +193,7 @@ fn main() {
     );
 
     // ---- Determinism gate: an identical re-run must agree exactly.
-    let replay = simulate_edge_load(manifest, &warm, &load_2k);
+    let replay = simulate(&flat(warm, load_2k)).edge;
     assert_eq!(
         replay, up,
         "edge load simulation must be deterministic for identical seeds"

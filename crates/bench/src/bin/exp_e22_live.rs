@@ -26,11 +26,11 @@
 
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
+use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::serve::{
-    live_edge_capacity_curve, live_edge_capacity_knee, simulate_live_edge_load, simulate_live_load,
-    ChurnConfig, LiveConfig, LoadConfig, ServerConfig,
+    curve_knee, simulate, sweep, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario,
 };
 use mmstream::session::JoinMode;
 use video::synth::SequenceGen;
@@ -63,6 +63,11 @@ fn main() {
         join: JoinMode::LiveEdge,
         ..Default::default()
     };
+    let catalog = Catalog::single(manifest.clone());
+    let live = |cdn, lc, load| Scenario {
+        live: Some(lc),
+        ..Scenario::new(&catalog, cdn, load)
+    };
 
     // ---- Steady-state live knee vs edge count.
     println!("live capacity knee vs edge count (live-edge joins, 4,000 B/tick per link):");
@@ -75,8 +80,12 @@ fn main() {
             prewarm: false,
             ..Default::default()
         };
-        let curve = live_edge_capacity_curve(&manifest, &tier, &live_edge_join, &counts, &base);
-        let knee = live_edge_capacity_knee(&curve, 0.05).expect("tier sustains some live level");
+        let curve = sweep(
+            &live(CdnConfig::flat(tier), live_edge_join, base),
+            &counts,
+            None,
+        );
+        let knee = curve_knee(&curve, 0.05).expect("tier sustains some live level");
         match edges {
             1 => knee_1 = knee,
             4 => knee_4 = knee,
@@ -120,16 +129,18 @@ fn main() {
             join: JoinMode::DvrStart,
             ..Default::default()
         };
-        let r = simulate_live_load(
-            &manifest,
-            &ServerConfig::default(),
-            &lc,
-            &LoadConfig {
+        let r = simulate(&live(
+            CdnConfig::single_origin(),
+            lc,
+            LoadConfig {
                 sessions: 200,
                 ..base
             },
+        ));
+        assert_eq!(
+            r.edge.load.completed, 200,
+            "every DVR viewer reaches the end"
         );
-        assert_eq!(r.load.completed, 200, "every DVR viewer reaches the end");
         println!(
             "  dvr {dvr:>2} segments: mean latency {:>6.0} ticks, max {:>5}",
             r.live.mean_latency_ticks, r.live.max_latency_ticks
@@ -139,7 +150,7 @@ fn main() {
                 .metric("dvr_window_segments", dvr as f64)
                 .metric("mean_live_latency_ticks", r.live.mean_latency_ticks)
                 .metric("max_live_latency_ticks", r.live.max_latency_ticks as f64)
-                .metric("rebuffer_fraction", r.load.rebuffer_fraction),
+                .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction),
         );
         assert!(
             r.live.mean_latency_ticks >= last_mean,
@@ -165,15 +176,16 @@ fn main() {
         churn: ChurnConfig::default(),
         ..flashed
     };
-    let server = ServerConfig::default();
-    let single_calm = simulate_live_load(&manifest, &server, &live_edge_join, &calm);
-    let single_flash = simulate_live_load(&manifest, &server, &live_edge_join, &flashed);
+    let server = CdnConfig::single_origin();
+    let single_calm = simulate(&live(server, live_edge_join, calm)).edge;
+    let single_flash = simulate(&live(server, live_edge_join, flashed)).edge;
     let tier = EdgeTierConfig {
         edges: 4,
         prewarm: false,
         ..Default::default()
     };
-    let edge_flash = simulate_live_edge_load(&manifest, &tier, &live_edge_join, &flashed);
+    let flash_scenario = live(CdnConfig::flat(tier), live_edge_join, flashed);
+    let edge_flash = simulate(&flash_scenario);
     println!(
         "  single origin, calm:    rebuffer {:>5.1}% ({} sessions)",
         100.0 * single_calm.load.rebuffer_fraction,
@@ -228,7 +240,7 @@ fn main() {
     );
 
     // ---- Determinism gate: an identical re-run must agree exactly.
-    let replay = simulate_live_edge_load(&manifest, &tier, &live_edge_join, &flashed);
+    let replay = simulate(&flash_scenario);
     assert_eq!(
         replay, edge_flash,
         "live load simulation must be deterministic for identical seeds"

@@ -28,12 +28,11 @@ use std::time::Instant;
 
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
+use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::serve::{
-    edge_capacity_curve, edge_capacity_knee, edge_capacity_knee_bisect, live_edge_capacity_curve,
-    live_edge_capacity_knee, live_edge_capacity_knee_bisect, simulate_live_edge_load,
-    simulate_live_load, ChurnConfig, LiveConfig, LoadConfig, ServerConfig,
+    curve_knee, knee, simulate, sweep, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario,
 };
 use mmstream::session::JoinMode;
 use video::synth::SequenceGen;
@@ -60,6 +59,7 @@ fn main() {
         .expect("ladder encodes")
         .manifest;
     let base = LoadConfig::default();
+    let catalog = Catalog::single(manifest.clone());
 
     println!("knee reproduction vs BENCH_edge (warm edges, 4,000 B/tick each):");
     let counts = [200usize, 1_000, 2_000, 4_000, 8_000, 16_000];
@@ -70,10 +70,9 @@ fn main() {
             prewarm: true,
             ..Default::default()
         };
-        let curve = edge_capacity_curve(&manifest, &tier, &counts, &base);
-        let scan = edge_capacity_knee(&curve, 0.05).expect("tier sustains some level");
-        let bisect = edge_capacity_knee_bisect(&manifest, &tier, &counts, &base, 0.05)
-            .expect("bisect finds the same level");
+        let s = Scenario::new(&catalog, CdnConfig::flat(tier), base);
+        let scan = curve_knee(&sweep(&s, &counts, None), 0.05).expect("tier sustains some level");
+        let bisect = knee(&s, &counts, 0.05).expect("bisect finds the same level");
         assert_eq!(
             bisect, scan,
             "bisecting knee must equal the curve scan ({edges} edges)"
@@ -102,6 +101,11 @@ fn main() {
         join: JoinMode::LiveEdge,
         ..Default::default()
     };
+    let live_catalog = Catalog::single(live_manifest);
+    let live = |cdn, load| Scenario {
+        live: Some(live_edge_join),
+        ..Scenario::new(&live_catalog, cdn, load)
+    };
 
     println!("\nlive knee: bisect vs curve scan (live-edge joins, cold edges):");
     let live_counts = [500usize, 1_000, 2_000, 4_000, 8_000];
@@ -111,18 +115,10 @@ fn main() {
             prewarm: false,
             ..Default::default()
         };
-        let curve =
-            live_edge_capacity_curve(&live_manifest, &tier, &live_edge_join, &live_counts, &base);
-        let scan = live_edge_capacity_knee(&curve, 0.05).expect("tier sustains some live level");
-        let bisect = live_edge_capacity_knee_bisect(
-            &live_manifest,
-            &tier,
-            &live_edge_join,
-            &live_counts,
-            &base,
-            0.05,
-        )
-        .expect("bisect finds the same level");
+        let s = live(CdnConfig::flat(tier), base);
+        let scan = curve_knee(&sweep(&s, &live_counts, None), 0.05)
+            .expect("tier sustains some live level");
+        let bisect = knee(&s, &live_counts, 0.05).expect("bisect finds the same level");
         assert_eq!(
             bisect, scan,
             "live bisecting knee must equal the curve scan ({edges} edges)"
@@ -136,7 +132,7 @@ fn main() {
         );
     }
 
-    // ---- The PR 5 flash-crowd absorption bar, regenerated.
+    // ---- The flash-crowd absorption bar, regenerated.
     println!("\n10x flash crowd (300 steady viewers + 3,000 over a 1,000-tick ramp):");
     let flashed = LoadConfig {
         sessions: 300,
@@ -149,19 +145,13 @@ fn main() {
         },
         ..base
     };
-    let single_flash = simulate_live_load(
-        &live_manifest,
-        &ServerConfig::default(),
-        &live_edge_join,
-        &flashed,
-    );
+    let single_flash = simulate(&live(CdnConfig::single_origin(), flashed)).edge;
     let flash_tier = EdgeTierConfig {
         edges: 4,
         prewarm: false,
         ..Default::default()
     };
-    let edge_flash =
-        simulate_live_edge_load(&live_manifest, &flash_tier, &live_edge_join, &flashed);
+    let edge_flash = simulate(&live(CdnConfig::flat(flash_tier), flashed));
     println!(
         "  single origin: rebuffer {:>5.1}%   4-edge tier: rebuffer {:>5.1}% (hit rate {:.1}%)",
         100.0 * single_flash.load.rebuffer_fraction,
@@ -204,9 +194,9 @@ fn main() {
     let mut rate_1m = 0.0f64;
     let mut wall_ms_1m = 0.0f64;
     for sessions in [10_000usize, 100_000, 1_000_000] {
-        let load = LoadConfig { sessions, ..base };
+        let s = live(CdnConfig::flat(big_tier), LoadConfig { sessions, ..base });
         let t0 = Instant::now();
-        let r = simulate_live_edge_load(&live_manifest, &big_tier, &live_edge_join, &load);
+        let r = simulate(&s);
         let wall = t0.elapsed();
         let per_s = sessions as f64 / wall.as_secs_f64();
         println!(
@@ -233,7 +223,7 @@ fn main() {
             rate_1m = per_s;
             wall_ms_1m = wall.as_secs_f64() * 1e3;
             // Determinism gate: an identical re-run must agree exactly.
-            let replay = simulate_live_edge_load(&live_manifest, &big_tier, &live_edge_join, &load);
+            let replay = simulate(&s);
             assert_eq!(replay, r, "the 1M sweep must be seed-deterministic");
         }
     }

@@ -24,13 +24,11 @@
 
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
+use mmstream::catalog::Catalog;
 use mmstream::edge::{EdgeTierConfig, HashRing};
 use mmstream::fault::{FaultPlan, RestartMode};
 use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{
-    faulted_edge_capacity_knee_bisect, simulate_live_edge_load_faulted, ChurnConfig, LiveConfig,
-    LoadConfig,
-};
+use mmstream::serve::{knee, simulate, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario};
 use mmstream::session::JoinMode;
 use signal::rng::splitmix64;
 use video::synth::SequenceGen;
@@ -58,6 +56,7 @@ fn main() {
         .expect("ladder encodes")
         .manifest;
     let base = LoadConfig::default();
+    let catalog = Catalog::single(manifest);
     let tier = EdgeTierConfig {
         edges: 8,
         cache_capacity_bytes: usize::MAX,
@@ -73,8 +72,11 @@ fn main() {
         for edge in 0..lost {
             plan = plan.crash_edge(edge, 0, None);
         }
-        let knee = faulted_edge_capacity_knee_bisect(&manifest, &tier, &plan, &counts, &base, 0.05)
-            .expect("some level must survive");
+        let s = Scenario {
+            faults: &plan,
+            ..Scenario::new(&catalog, CdnConfig::flat(tier), base)
+        };
+        let knee = knee(&s, &counts, 0.05).expect("some level must survive");
         println!("  {lost} edges lost: knee {knee} sessions");
         assert!(
             knee <= prev_knee,
@@ -132,7 +134,13 @@ fn main() {
     let plan = FaultPlan::new(0xFA11)
         .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
         .flap_origin(2_400, 3_600);
-    let r = simulate_live_edge_load_faulted(&live_manifest, &flash_tier, &live, &plan, &load);
+    let live_catalog = Catalog::single(live_manifest);
+    let composed = Scenario {
+        live: Some(live),
+        faults: &plan,
+        ..Scenario::new(&live_catalog, CdnConfig::flat(flash_tier), load)
+    };
+    let r = simulate(&composed);
     let res = r.resilience;
     let sessions = r.edge.load.sessions;
     let impacted = res.sessions_fault_rebuffered as f64 / sessions as f64;
@@ -180,7 +188,7 @@ fn main() {
             .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction),
     );
     // Determinism gate: the composed run must replay exactly.
-    let replay = simulate_live_edge_load_faulted(&live_manifest, &flash_tier, &live, &plan, &load);
+    let replay = simulate(&composed);
     assert_eq!(
         replay, r,
         "the composed scenario must be seed-deterministic"

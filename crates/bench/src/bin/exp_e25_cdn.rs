@@ -32,10 +32,7 @@ use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::fault::{FaultPlan, RestartMode};
 use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{
-    cdn_capacity_knee_bisect, simulate_cdn_load, simulate_live_cdn_load_faulted, CdnConfig,
-    ChurnConfig, LiveConfig, LoadConfig,
-};
+use mmstream::serve::{knee, simulate, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario};
 use mmstream::session::JoinMode;
 use mmstream::shield::{AdmissionPolicy, TinyLfuConfig};
 use video::synth::SequenceGen;
@@ -89,7 +86,7 @@ fn main() {
         stagger_ticks: 0,
         ..Default::default()
     };
-    let r = simulate_cdn_load(&catalog, &offload_cdn, &load);
+    let r = simulate(&Scenario::new(&catalog, offload_cdn, load));
     let edge_local = r.edge.origin_offload;
     println!(
         "  {} sessions: {:.4}% true-origin offload ({:.4}% edge-local), \
@@ -160,7 +157,7 @@ fn main() {
             shield_capacity_bytes_per_tick: 100_000.0,
             admission,
         };
-        let r = simulate_cdn_load(&catalog, &cdn, &admission_load);
+        let r = simulate(&Scenario::new(&catalog, cdn, admission_load));
         hit_rates[i] = r.tier.hit_rate();
         let name = if i == 0 { "lru" } else { "tinylfu" };
         println!(
@@ -199,8 +196,8 @@ fn main() {
             admission: AdmissionPolicy::AdmitAll,
         };
         let counts: Vec<usize> = (1..=12).map(|i| i * edges * 125).collect();
-        let knee = cdn_capacity_knee_bisect(&catalog, &cdn, &counts, &LoadConfig::default(), 0.05)
-            .expect("a warm tier sustains some level");
+        let s = Scenario::new(&catalog, cdn, LoadConfig::default());
+        let knee = knee(&s, &counts, 0.05).expect("a warm tier sustains some level");
         println!(
             "  {edges} edges ({} per shield): knee {knee} sessions",
             edges / 4
@@ -259,7 +256,12 @@ fn main() {
         .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
         .flap_origin(2_400, 3_600)
         .crash_shield(0, 2_600, Some((4_600, RestartMode::Cold)));
-    let r = simulate_live_cdn_load_faulted(&live_catalog, &flash_cdn, &live, &plan, &flash_load);
+    let composed = Scenario {
+        live: Some(live),
+        faults: &plan,
+        ..Scenario::new(&live_catalog, flash_cdn, flash_load)
+    };
+    let r = simulate(&composed);
     let res = r.resilience;
     let sessions = r.edge.load.sessions;
     println!(
@@ -299,8 +301,7 @@ fn main() {
             .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction),
     );
     // Determinism gate: the composed run must replay exactly.
-    let replay =
-        simulate_live_cdn_load_faulted(&live_catalog, &flash_cdn, &live, &plan, &flash_load);
+    let replay = simulate(&composed);
     assert_eq!(
         replay, r,
         "the composed scenario must be seed-deterministic"

@@ -20,9 +20,9 @@
 //!   rung count per PE count, with the multi-PE mappings required to
 //!   beat the single-PE makespan.
 //! * **Parallel simulation**: exp_e23's live 1M-session sweep re-run
-//!   through `live_edge_capacity_curve_on` (whole curve points sharded
-//!   across the pool). The pooled 1M report must equal the sequential
-//!   `simulate_live_edge_load` report *exactly* — the merge is
+//!   through `serve::sweep` on the pool (whole curve points sharded
+//!   across the workers). The pooled 1M report must equal the
+//!   sequential `serve::simulate` report *exactly* — the merge is
 //!   deterministic by construction, and CI cross-checks the recorded
 //!   numbers against `BENCH_sim.json`.
 
@@ -31,12 +31,11 @@ use std::time::Instant;
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
 use mmpool::WorkerPool;
+use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::headend_spec;
 use mmstream::ladder::{encode_ladder, encode_ladder_on, Ladder, LadderConfig};
-use mmstream::serve::{
-    live_edge_capacity_curve_on, simulate_live_edge_load, LiveConfig, LoadConfig,
-};
+use mmstream::serve::{simulate, sweep, CdnConfig, LiveConfig, LoadConfig, Scenario};
 use mmstream::session::JoinMode;
 use mpsoc::{Mapping, Platform, Simulator};
 use video::synth::SequenceGen;
@@ -216,28 +215,24 @@ fn main() {
         prewarm: false,
         ..Default::default()
     };
-    let base = LoadConfig::default();
+    let catalog = Catalog::single(live_manifest);
+    let at_1m = Scenario {
+        live: Some(live_edge_join),
+        ..Scenario::new(
+            &catalog,
+            CdnConfig::flat(big_tier),
+            LoadConfig {
+                sessions: 1_000_000,
+                ..LoadConfig::default()
+            },
+        )
+    };
     let counts = [10_000usize, 100_000, 1_000_000];
     let pool = WorkerPool::new(4);
     let t0 = Instant::now();
-    let curve = live_edge_capacity_curve_on(
-        &pool,
-        &live_manifest,
-        &big_tier,
-        &live_edge_join,
-        &counts,
-        &base,
-    );
+    let curve = sweep(&at_1m, &counts, Some(&pool));
     let curve_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let seq_1m = simulate_live_edge_load(
-        &live_manifest,
-        &big_tier,
-        &live_edge_join,
-        &LoadConfig {
-            sessions: 1_000_000,
-            ..base
-        },
-    );
+    let seq_1m = simulate(&at_1m);
     assert_eq!(
         curve[2], seq_1m,
         "the pooled 1M sweep must equal the sequential run exactly"

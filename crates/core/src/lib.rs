@@ -11,7 +11,7 @@
 //!   not guesses).
 //! * [`profile`] — the five §2 consumer device classes as
 //!   application/platform pairs with real-time targets.
-//! * [`deploy`] — mapping strategies and streaming deployment on the
+//! * [`deploy`](mod@deploy) — mapping strategies and streaming deployment on the
 //!   [`mpsoc`] simulator.
 //! * [`report`] — the text tables every experiment binary prints.
 //!

@@ -13,7 +13,7 @@
 //! * [`udp`] — best-effort datagrams (the baseline of experiment E14).
 //! * [`tcplite`] — reliable streams: cumulative-ACK, adaptive-RTO,
 //!   congestion-controlled (fixed window, AIMD, or CUBIC-flavored).
-//! * [`fetch`] — named-object content access over TCP-lite (the DRM
+//! * [`fetch`](mod@fetch) — named-object content access over TCP-lite (the DRM
 //!   license path of the integration tests).
 //!
 //! # Example

@@ -1,5 +1,5 @@
-//! The event-calendar + cohort fluid engine behind `serve`'s
-//! `simulate_*` entry points.
+//! The event-calendar + cohort fluid engine behind
+//! [`crate::serve::simulate`].
 //!
 //! The retired quantum engine advanced **every** arrived session every
 //! quantum — O(ticks × population) — which capped capacity sweeps at a
@@ -1553,9 +1553,10 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::edge::{EdgeTierConfig, Sharding};
     use crate::ladder::{encode_ladder, LadderConfig};
-    use crate::serve::{oracle, ChurnConfig, LiveConfig, ServerConfig};
+    use crate::serve::{oracle, CdnConfig, ChurnConfig, LiveConfig, Scenario};
     use crate::session::JoinMode;
     use proptest::prelude::*;
     use video::synth::SequenceGen;
@@ -1572,6 +1573,16 @@ mod tests {
 
     fn rel_close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+    }
+
+    /// Engine parameters for `cdn`, optionally live, over title `m`.
+    fn params(m: &Manifest, cdn: CdnConfig, live: Option<LiveConfig>) -> TierParams {
+        let c = Catalog::single(m.clone());
+        Scenario {
+            live,
+            ..Scenario::new(&c, cdn, LoadConfig::default())
+        }
+        .params()
     }
 
     /// Cohort run vs per-session oracle: integer fields bit-exact, f64
@@ -1819,7 +1830,7 @@ mod tests {
             stagger_ticks: 0, // all six arrive at tick 0
             ..Default::default()
         };
-        let p = TierParams::single_origin(&ServerConfig::default());
+        let p = params(&m, CdnConfig::single_origin(), None);
         let mut edges = build_edges(std::slice::from_ref(&m), &p);
         // Hand-build a schedule: four stayers and two churners leaving
         // at different ticks — one cohort, three member groups.
@@ -1867,7 +1878,7 @@ mod tests {
             stagger_ticks: 64,
             ..Default::default()
         };
-        let p = TierParams::single_origin(&ServerConfig::default());
+        let p = params(&m, CdnConfig::single_origin(), None);
         assert_matches_oracle(&m, &load, &p);
     }
 
@@ -1890,7 +1901,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let p = TierParams::tier(&EdgeTierConfig::default());
+        let p = params(&m, CdnConfig::flat(EdgeTierConfig::default()), None);
         let run = run_cohorts(std::slice::from_ref(&m), &load, &p);
         assert!(run.report.departed > 0, "config must actually churn");
         assert_matches_oracle(&m, &load, &p);
@@ -1948,7 +1959,7 @@ mod tests {
                 origin_capacity_bytes_per_tick: origin_capacity,
                 ..Default::default()
             };
-            assert_matches_oracle(&m, &load, &TierParams::tier(&tier));
+            assert_matches_oracle(&m, &load, &params(&m, CdnConfig::flat(tier), None));
         }
 
         /// Live delivery: publish gating, DVR-window expiry, window
@@ -1992,7 +2003,7 @@ mod tests {
                 ..Default::default()
             };
             let tier = EdgeTierConfig { edges, ..Default::default() };
-            let p = TierParams::tier(&tier).with_live(&live, &m);
+            let p = params(&m, CdnConfig::flat(tier), Some(live));
             assert_matches_oracle(&m, &load, &p);
         }
 
@@ -2017,7 +2028,7 @@ mod tests {
                 origin_down_after: Some(down_after),
                 ..Default::default()
             };
-            assert_matches_oracle(&m, &load, &TierParams::tier(&tier));
+            assert_matches_oracle(&m, &load, &params(&m, CdnConfig::flat(tier), None));
         }
     }
 }

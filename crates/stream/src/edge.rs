@@ -14,8 +14,8 @@
 //!   it transparently ([`crate::session::run_session_via_edge`]); hits
 //!   are served from the edge's local store over the access link alone,
 //!   misses add a full origin fetch over the edge's origin link.
-//! * [`EdgeTierConfig`] parameterises the *fluid* many-session
-//!   simulator ([`crate::serve::simulate_edge_load`]), which shards
+//! * [`EdgeTierConfig`] parameterises the edge tier of the *fluid*
+//!   many-session simulator ([`crate::serve::simulate`]), which shards
 //!   thousands of sessions across edges and measures how the capacity
 //!   knee scales with edge count.
 

@@ -32,11 +32,16 @@
 //!   delay, rebuffer events, and rung switches. Live viewers
 //!   ([`session::run_live_session`]) additionally refresh the manifest,
 //!   stall on staleness, and skip content lost to DVR expiry.
-//! * [`serve`] — a deterministic fluid simulator interleaving thousands
-//!   of concurrent sessions against one segment server, measuring the
-//!   capacity knee where per-session quality starts to collapse. Load
-//!   is a *process*: Poisson-style arrivals/departures and flash-crowd
-//!   ramps ([`serve::ChurnConfig`]), plus live publish/expiry gates
+//! * [`serve`] — a deterministic fluid simulator interleaving millions
+//!   of concurrent sessions, measuring the capacity knee where
+//!   per-session quality starts to collapse. One [`Scenario`] (catalog,
+//!   [`CdnConfig`] topology, optional live gates, fault plan, load)
+//!   feeds four functions: [`simulate`] one run, [`sweep`] a curve of
+//!   populations (optionally on a worker pool), [`knee`] by bisection,
+//!   and [`curve_knee`] over a swept curve. A single origin and a flat
+//!   edge tier are [`CdnConfig`] topologies like any other. Load is a
+//!   *process*: Poisson-style arrivals/departures and flash-crowd ramps
+//!   ([`serve::ChurnConfig`]), plus live publish/expiry gates
 //!   ([`serve::LiveConfig`]), with the static VOD population as the
 //!   exact zero-churn special case.
 //! * [`edge`] — the CDN-style edge-cache tier: N edges with bounded LRU
@@ -135,15 +140,9 @@ pub use ladder::{
 };
 pub use segment::{demux_segment, mux_segment, mux_segment_wire, Segment};
 pub use serve::{
-    capacity_curve, capacity_curve_on, capacity_knee, capacity_knee_bisect,
-    cdn_capacity_knee_bisect, edge_capacity_curve, edge_capacity_curve_on, edge_capacity_knee,
-    edge_capacity_knee_bisect, faulted_edge_capacity_knee_bisect, live_edge_capacity_curve,
-    live_edge_capacity_curve_on, live_edge_capacity_knee, live_edge_capacity_knee_bisect,
-    simulate_cdn_load, simulate_cdn_load_faulted, simulate_edge_load, simulate_edge_load_faulted,
-    simulate_live_cdn_load, simulate_live_cdn_load_faulted, simulate_live_edge_load,
-    simulate_live_edge_load_faulted, simulate_live_load, simulate_load, CdnConfig, CdnLoadReport,
-    ChurnConfig, EdgeLoadReport, FaultedEdgeLoadReport, LiveConfig, LiveEdgeLoadReport,
-    LiveLoadReport, LiveStats, LoadConfig, LoadReport, ServerConfig,
+    cdn_capacity_knee_bisect, curve_knee, knee, simulate, simulate_cdn_load,
+    simulate_live_cdn_load_faulted, sweep, CdnConfig, CdnLoadReport, ChurnConfig, EdgeLoadReport,
+    LiveConfig, LiveStats, LoadConfig, LoadReport, Scenario,
 };
 pub use session::{
     run_live_session, run_live_session_via_edge, run_session, run_session_via_edge,

@@ -1,5 +1,6 @@
-//! Deterministic many-session load simulators: one origin uplink, or an
-//! edge-cache tier in front of it.
+//! Deterministic many-session load simulation: one fluid engine for
+//! every delivery topology, from a single origin uplink to a shielded,
+//! multi-title CDN under faults.
 //!
 //! The ROADMAP's north star is per-server scale: how many concurrent
 //! viewers can the delivery tier feed before quality collapses? Echoing
@@ -8,16 +9,27 @@
 //! capacity knee and fall off beyond it — this module measures that
 //! knee. Thousands of sessions are interleaved in a single-threaded
 //! fluid event loop (no OS threads, no wall clock, every number derived
-//! from seeds), each running the same [`AbrController`] and
-//! playout-buffer model as the transport-level single session.
+//! from seeds), each running the same
+//! [`AbrController`](crate::session::AbrController) and playout-buffer
+//! model as the transport-level single session.
 //!
-//! [`simulate_load`] is PR 3's single-origin model: every session shares
-//! one uplink max-min-equally. [`simulate_edge_load`] routes the same
-//! sessions through an [`EdgeTierConfig`] instead — N edge caches, each
-//! with a bounded LRU and its own downlink, misses coalesced into
-//! shared-origin fills — which is how the knee moves past the
-//! single-uplink ceiling. Both are the same engine; the single origin is
-//! literally the one-edge, everything-cached special case.
+//! A [`Scenario`] names everything one run needs: the [`Catalog`], the
+//! [`CdnConfig`] topology, optional [`LiveConfig`] gates, a
+//! [`FaultPlan`] (empty for a healthy run) and the [`LoadConfig`].
+//! Four functions consume it:
+//!
+//! * [`simulate`] runs it once and returns a [`CdnLoadReport`];
+//! * [`sweep`] runs it at several base populations, optionally fanned
+//!   out on a worker pool;
+//! * [`knee`] bisects those populations for the capacity knee;
+//! * [`curve_knee`] reads the knee off an already-swept curve.
+//!
+//! Every delivery shape is one topology: [`CdnConfig::single_origin`]
+//! is one prewarmed edge with nothing to fill (a lone uplink),
+//! [`CdnConfig::flat`] is an [`EdgeTierConfig`] with no shield tier, and
+//! the default is the full edge → shield → origin hierarchy. A VOD run
+//! is the no-live-gates case, and an empty plan runs the plan-free path
+//! bit-identically.
 
 use mmpool::WorkerPool;
 use signal::rng::Xoroshiro128;
@@ -60,26 +72,6 @@ pub(crate) fn title_for(load: &LoadConfig, sampler: Option<&ZipfSampler>, i: usi
     sampler.map_or(0, |z| {
         z.sample_hash(splitmix64(load.seed ^ TITLE_SALT ^ i as u64)) as u32
     })
-}
-
-/// Segment-server capacity model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerConfig {
-    /// Shared uplink, bytes per tick.
-    pub capacity_bytes_per_tick: f64,
-    /// Each viewer's access-link ceiling, bytes per tick (matches the
-    /// default `LinkConfig` serialization rate of 100 bytes/tick).
-    pub per_session_bytes_per_tick: f64,
-}
-
-impl Default for ServerConfig {
-    /// A 4,000 byte/tick uplink feeding 100 byte/tick access links.
-    fn default() -> Self {
-        Self {
-            capacity_bytes_per_tick: 4_000.0,
-            per_session_bytes_per_tick: 100.0,
-        }
-    }
 }
 
 /// Session churn: load as a *process* rather than a constant
@@ -255,7 +247,7 @@ struct SimSession {
 }
 
 /// Aggregate result of one load level.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadReport {
     /// Sessions simulated.
     pub sessions: usize,
@@ -282,26 +274,6 @@ pub struct LoadReport {
     pub departed: usize,
 }
 
-impl LoadReport {
-    /// The well-defined zero report for degenerate inputs (no sessions,
-    /// empty manifest, or a tier that cannot move a single byte).
-    fn degenerate(sessions: usize) -> Self {
-        Self {
-            sessions,
-            completed: 0,
-            ticks: 0,
-            total_goodput_bits_per_tick: 0.0,
-            mean_session_bits_per_tick: 0.0,
-            mean_startup_ticks: 0.0,
-            rebuffer_sessions: 0,
-            rebuffer_fraction: 0.0,
-            mean_rung: 0.0,
-            rung_switches: 0,
-            departed: 0,
-        }
-    }
-}
-
 /// What the live gates observed during one fluid run (all zero for a
 /// VOD run).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -320,38 +292,6 @@ pub struct LiveStats {
     pub window_skips: u64,
 }
 
-/// Result of one live load level against a single origin.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveLoadReport {
-    /// The session-side aggregate, directly comparable to VOD curves.
-    pub load: LoadReport,
-    /// Live-specific aggregates.
-    pub live: LiveStats,
-}
-
-/// Result of one live load level routed through an edge tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveEdgeLoadReport {
-    /// The edge-tier report (session aggregate + per-edge stats).
-    pub edge: EdgeLoadReport,
-    /// Live-specific aggregates.
-    pub live: LiveStats,
-}
-
-/// Result of one load level run under a [`FaultPlan`]: the ordinary
-/// edge-tier report plus the live gates (zero for VOD) and the
-/// resilience ledger (zero for an empty plan — bit-identically, since
-/// an empty plan runs the plan-free engine path).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultedEdgeLoadReport {
-    /// The edge-tier report (session aggregate + per-edge stats).
-    pub edge: EdgeLoadReport,
-    /// Live-specific aggregates.
-    pub live: LiveStats,
-    /// What the faults cost.
-    pub resilience: ResilienceStats,
-}
-
 /// Per-edge entry in an [`EdgeLoadReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeReportEntry {
@@ -361,11 +301,11 @@ pub struct EdgeReportEntry {
     pub stats: EdgeStats,
 }
 
-/// Result of one load level routed through an edge tier.
-#[derive(Debug, Clone, PartialEq)]
+/// The edge-tier part of a [`CdnLoadReport`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeLoadReport {
-    /// The session-side aggregate (same metrics as the single-origin
-    /// report, so curves are directly comparable).
+    /// The session-side aggregate (the same metrics for every
+    /// topology, so curves are directly comparable).
     pub load: LoadReport,
     /// Per-edge cache behaviour.
     pub per_edge: Vec<EdgeReportEntry>,
@@ -401,6 +341,32 @@ pub struct CdnConfig {
     pub admission: AdmissionPolicy,
 }
 
+impl CdnConfig {
+    /// The flat topology: `tier` filling straight from the origin, with
+    /// no shield tier in between.
+    #[must_use]
+    pub fn flat(tier: EdgeTierConfig) -> Self {
+        Self {
+            tier,
+            shields: 0,
+            ..Self::default()
+        }
+    }
+
+    /// One origin server: a single prewarmed edge with an unbounded
+    /// cache, so nothing ever fills and every viewer shares its
+    /// 4,000 byte/tick uplink max-min-equally (each capped by a
+    /// 100 byte/tick access link).
+    #[must_use]
+    pub fn single_origin() -> Self {
+        Self::flat(EdgeTierConfig {
+            edges: 1,
+            origin_capacity_bytes_per_tick: 0.0,
+            ..EdgeTierConfig::default()
+        })
+    }
+}
+
 impl Default for CdnConfig {
     /// The default edge tier behind 4 shields with unbounded caches
     /// and a 4,000 byte/tick downlink each, admitting everything.
@@ -415,10 +381,12 @@ impl Default for CdnConfig {
     }
 }
 
-/// Result of one load level through the full hierarchy: the edge-tier
-/// report plus per-shield stats, the [`TierStats`] rollup, and the
-/// live/resilience ledgers (zero when unused).
-#[derive(Debug, Clone, PartialEq)]
+/// Result of one [`simulate`] run: the edge-tier report plus
+/// per-shield stats, the [`TierStats`] rollup, and the live/resilience
+/// ledgers (zero when unused). A degenerate scenario (no sessions, an
+/// empty title, a tier that cannot move a byte) reports the default
+/// with only `edge.load.sessions` set.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CdnLoadReport {
     /// The edge-tier report (session aggregate + per-edge stats). Its
     /// `origin_offload` is the *edge-local* figure — against whatever
@@ -480,9 +448,8 @@ impl LiveSim {
     }
 }
 
-/// Internal engine parameters: the single origin is the 1-edge,
-/// everything-prewarmed, nothing-to-fill special case, and VOD is the
-/// no-live-gates special case.
+/// Internal engine parameters, resolved from a [`Scenario`] by
+/// [`Scenario::params`].
 pub(crate) struct TierParams {
     pub(crate) edges: usize,
     pub(crate) cache_capacity_bytes: usize,
@@ -511,77 +478,6 @@ pub(crate) struct TierParams {
 }
 
 impl TierParams {
-    pub(crate) fn single_origin(server: &ServerConfig) -> Self {
-        Self {
-            edges: 1,
-            cache_capacity_bytes: usize::MAX,
-            edge_capacity: server.capacity_bytes_per_tick,
-            per_session: server.per_session_bytes_per_tick,
-            origin_capacity: 0.0,
-            sharding: Sharding::RoundRobin,
-            prewarm: true,
-            origin_down_after: None,
-            shields: 0,
-            shield_cache_capacity_bytes: usize::MAX,
-            shield_capacity: 0.0,
-            admission: AdmissionPolicy::AdmitAll,
-            zipf_s: 1.0,
-            live: None,
-            faults: None,
-        }
-    }
-
-    pub(crate) fn tier(t: &EdgeTierConfig) -> Self {
-        Self {
-            edges: t.edges,
-            cache_capacity_bytes: t.cache_capacity_bytes,
-            edge_capacity: t.edge_capacity_bytes_per_tick,
-            per_session: t.per_session_bytes_per_tick,
-            origin_capacity: t.origin_capacity_bytes_per_tick,
-            sharding: t.sharding,
-            prewarm: t.prewarm,
-            origin_down_after: t.origin_down_after,
-            shields: 0,
-            shield_cache_capacity_bytes: usize::MAX,
-            shield_capacity: 0.0,
-            admission: AdmissionPolicy::AdmitAll,
-            zipf_s: 1.0,
-            live: None,
-            faults: None,
-        }
-    }
-
-    pub(crate) fn cdn(c: &CdnConfig) -> Self {
-        let mut p = Self::tier(&c.tier);
-        p.shields = c.shields;
-        p.shield_cache_capacity_bytes = c.shield_cache_capacity_bytes;
-        p.shield_capacity = c.shield_capacity_bytes_per_tick;
-        p.admission = c.admission;
-        p
-    }
-
-    pub(crate) fn with_live(mut self, live: &LiveConfig, manifest: &Manifest) -> Self {
-        self.live = Some(LiveSim::resolve(live, manifest));
-        self
-    }
-
-    pub(crate) fn with_zipf(mut self, zipf_s: f64) -> Self {
-        self.zipf_s = zipf_s;
-        self
-    }
-
-    /// Resolves `plan` against this tier. An empty resolution (empty
-    /// plan, or every event out of range/degenerate) leaves `faults`
-    /// at `None` — the plan-free path, bit-identically.
-    pub(crate) fn with_faults(mut self, plan: &FaultPlan) -> Self {
-        let resolved = plan.resolve(self.edges, self.shields);
-        self.faults = (!resolved.is_empty()).then_some(FaultSchedule {
-            seed: plan.seed,
-            actions: resolved,
-        });
-        self
-    }
-
     /// `true` when no session could ever make progress.
     pub(crate) fn degenerate(&self, titles: &[Manifest], load: &LoadConfig) -> bool {
         load.population() == 0
@@ -1291,560 +1187,128 @@ pub(crate) mod oracle {
     }
 }
 
-/// Runs `load.sessions` concurrent viewers against one origin server.
-///
-/// Entirely deterministic: identical inputs give an identical report.
-/// Degenerate inputs (zero sessions, an empty manifest, a zero- or
-/// NaN-capacity uplink) return a well-defined all-zero report instead
-/// of panicking or spinning to `max_ticks`.
-#[must_use]
-pub fn simulate_load(manifest: &Manifest, server: &ServerConfig, load: &LoadConfig) -> LoadReport {
-    let p = TierParams::single_origin(server);
-    if p.degenerate(std::slice::from_ref(manifest), load) {
-        return LoadReport::degenerate(load.population());
-    }
-    crate::calendar::run_cohorts(std::slice::from_ref(manifest), load, &p).report
+/// A plan with no events: the default of every [`Scenario`].
+static NO_FAULTS: FaultPlan = FaultPlan {
+    seed: 0,
+    events: Vec::new(),
+};
+
+/// Everything one fluid run needs. Borrowing the catalog and the plan
+/// makes a scenario `Copy`, so sweeps and knee searches re-run it at
+/// other populations without cloning either.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario<'a> {
+    /// The titles on offer; live gates apply to title 0 (a live event
+    /// *is* one title).
+    pub catalog: &'a Catalog,
+    /// The delivery topology.
+    pub cdn: CdnConfig,
+    /// Live publish/expiry gates, or `None` for VOD.
+    pub live: Option<LiveConfig>,
+    /// Faults to inject; an empty plan runs the plan-free path
+    /// bit-identically.
+    pub faults: &'a FaultPlan,
+    /// The audience. [`sweep`] and [`knee`] vary `load.sessions`.
+    pub load: LoadConfig,
 }
 
-/// Runs `load.sessions` concurrent viewers sharded across an edge tier.
-///
-/// Misses coalesce into shared origin fills; hits are served from each
-/// edge's own downlink, so tier capacity scales with edge count instead
-/// of being pinned to one uplink. Deterministic, with the same
-/// degenerate-input guarantees as [`simulate_load`].
-#[must_use]
-pub fn simulate_edge_load(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    load: &LoadConfig,
-) -> EdgeLoadReport {
-    run_edge(manifest, load, TierParams::tier(tier)).0
-}
-
-/// Runs `load` as a *live* audience against one origin server: the
-/// manifest's segments publish one per `live.ticks_per_segment`,
-/// sessions join at the live edge or the DVR start, and a rolling
-/// window bounds what is fetchable. With an infinite window, a head
-/// start covering the whole title, and `JoinMode::DvrStart`, the
-/// session-side report equals [`simulate_load`]'s *exactly* (the live
-/// gates all become vacuous — equality-pinned in the tests).
-#[must_use]
-pub fn simulate_live_load(
-    manifest: &Manifest,
-    server: &ServerConfig,
-    live: &LiveConfig,
-    load: &LoadConfig,
-) -> LiveLoadReport {
-    let p = TierParams::single_origin(server).with_live(live, manifest);
-    if p.degenerate(std::slice::from_ref(manifest), load) {
-        return LiveLoadReport {
-            load: LoadReport::degenerate(load.population()),
-            live: LiveStats::default(),
-        };
-    }
-    let run = crate::calendar::run_cohorts(std::slice::from_ref(manifest), load, &p);
-    LiveLoadReport {
-        load: run.report,
-        live: run.live,
-    }
-}
-
-/// [`simulate_live_load`] through an edge tier: the hard case an edge
-/// tier exists for — every viewer wants the same just-published
-/// live-edge segment, which is cached *nowhere* until exactly one
-/// coalesced fill per edge lands it.
-#[must_use]
-pub fn simulate_live_edge_load(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    live: &LiveConfig,
-    load: &LoadConfig,
-) -> LiveEdgeLoadReport {
-    let (edge, live_stats) = run_edge(
-        manifest,
-        load,
-        TierParams::tier(tier).with_live(live, manifest),
-    );
-    LiveEdgeLoadReport {
-        edge,
-        live: live_stats,
-    }
-}
-
-/// [`simulate_edge_load`] under a [`FaultPlan`]: edges crash and
-/// restart, the origin flaps, links degrade — all scheduled on the
-/// engine's own event calendar, so the run stays deterministic at any
-/// scale. A crashed edge's sessions re-home across the failover ring
-/// to survivors (and fail back on restart); an empty plan runs the
-/// plan-free path bit-identically.
-#[must_use]
-pub fn simulate_edge_load_faulted(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    plan: &FaultPlan,
-    load: &LoadConfig,
-) -> FaultedEdgeLoadReport {
-    let (edge, live, resilience) =
-        run_edge_resilient(manifest, load, TierParams::tier(tier).with_faults(plan));
-    FaultedEdgeLoadReport {
-        edge,
-        live,
-        resilience,
-    }
-}
-
-/// [`simulate_live_edge_load`] under a [`FaultPlan`] — the composed
-/// worst case ROADMAP item 3 asks for: a flash crowd arriving while an
-/// edge crashes and the origin flaps, in one deterministic run.
-#[must_use]
-pub fn simulate_live_edge_load_faulted(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    live: &LiveConfig,
-    plan: &FaultPlan,
-    load: &LoadConfig,
-) -> FaultedEdgeLoadReport {
-    let (edge, live_stats, resilience) = run_edge_resilient(
-        manifest,
-        load,
-        TierParams::tier(tier)
-            .with_live(live, manifest)
-            .with_faults(plan),
-    );
-    FaultedEdgeLoadReport {
-        edge,
-        live: live_stats,
-        resilience,
-    }
-}
-
-/// [`edge_capacity_knee_bisect`] under a [`FaultPlan`] — how far the
-/// knee retreats as the plan takes edges away.
-#[must_use]
-pub fn faulted_edge_capacity_knee_bisect(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    plan: &FaultPlan,
-    counts: &[usize],
-    base: &LoadConfig,
-    stall_tolerance: f64,
-) -> Option<usize> {
-    knee_bisect(
-        counts,
-        |sessions| {
-            simulate_edge_load_faulted(manifest, tier, plan, &LoadConfig { sessions, ..*base })
-                .edge
-                .load
-                .rebuffer_fraction
-        },
-        stall_tolerance,
-    )
-}
-
-/// The shared edge-report assembly.
-fn run_edge(manifest: &Manifest, load: &LoadConfig, p: TierParams) -> (EdgeLoadReport, LiveStats) {
-    let (edge, live, _) = run_edge_resilient(manifest, load, p);
-    (edge, live)
-}
-
-/// [`run_edge`] keeping the resilience ledger (all zero for a
-/// plan-free run).
-fn run_edge_resilient(
-    manifest: &Manifest,
-    load: &LoadConfig,
-    p: TierParams,
-) -> (EdgeLoadReport, LiveStats, ResilienceStats) {
-    if p.degenerate(std::slice::from_ref(manifest), load) {
-        return (
-            EdgeLoadReport {
-                load: LoadReport::degenerate(load.population()),
-                per_edge: Vec::new(),
-                tier: EdgeStats::default(),
-                hit_rate: 0.0,
-                origin_offload: 0.0,
-            },
-            LiveStats::default(),
-            ResilienceStats::default(),
-        );
-    }
-    let run = crate::calendar::run_cohorts(std::slice::from_ref(manifest), load, &p);
-    (
-        assemble_edge_report(run.report, &run.edges),
-        run.live,
-        run.resilience,
-    )
-}
-
-/// Folds per-edge counters into the tier-level report shape (shared by
-/// the shipping engine and the test oracle's equality pins).
-pub(crate) fn assemble_edge_report(load: LoadReport, edges: &[SimEdge]) -> EdgeLoadReport {
-    let per_edge: Vec<EdgeReportEntry> = edges
-        .iter()
-        .map(|e| EdgeReportEntry {
-            sessions: e.assigned,
-            stats: e.stats,
-        })
-        .collect();
-    let tier_stats = per_edge
-        .iter()
-        .fold(EdgeStats::default(), |acc, e| acc.merged(&e.stats));
-    EdgeLoadReport {
-        load,
-        per_edge,
-        hit_rate: tier_stats.hit_rate(),
-        origin_offload: tier_stats.origin_offload(),
-        tier: tier_stats,
-    }
-}
-
-/// Sweeps session counts and reports one [`LoadReport`] per level.
-#[must_use]
-pub fn capacity_curve(
-    manifest: &Manifest,
-    server: &ServerConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-) -> Vec<LoadReport> {
-    counts
-        .iter()
-        .map(|&sessions| simulate_load(manifest, server, &LoadConfig { sessions, ..*base }))
-        .collect()
-}
-
-/// Sweeps session counts through an edge tier.
-#[must_use]
-pub fn edge_capacity_curve(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-) -> Vec<EdgeLoadReport> {
-    counts
-        .iter()
-        .map(|&sessions| simulate_edge_load(manifest, tier, &LoadConfig { sessions, ..*base }))
-        .collect()
-}
-
-/// The capacity knee: the largest swept session count at which at most
-/// `stall_tolerance` of sessions rebuffered. `None` on an empty curve
-/// or when even the smallest level stalls more than that.
-#[must_use]
-pub fn capacity_knee(curve: &[LoadReport], stall_tolerance: f64) -> Option<usize> {
-    curve
-        .iter()
-        .filter(|r| r.rebuffer_fraction <= stall_tolerance)
-        .map(|r| r.sessions)
-        .max()
-}
-
-/// [`capacity_knee`] over an edge-tier curve.
-#[must_use]
-pub fn edge_capacity_knee(curve: &[EdgeLoadReport], stall_tolerance: f64) -> Option<usize> {
-    curve
-        .iter()
-        .filter(|r| r.load.rebuffer_fraction <= stall_tolerance)
-        .map(|r| r.load.sessions)
-        .max()
-}
-
-/// Sweeps live session counts through an edge tier.
-#[must_use]
-pub fn live_edge_capacity_curve(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    live: &LiveConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-) -> Vec<LiveEdgeLoadReport> {
-    counts
-        .iter()
-        .map(|&sessions| {
-            simulate_live_edge_load(manifest, tier, live, &LoadConfig { sessions, ..*base })
-        })
-        .collect()
-}
-
-/// [`capacity_knee`] over a live edge-tier curve.
-#[must_use]
-pub fn live_edge_capacity_knee(
-    curve: &[LiveEdgeLoadReport],
-    stall_tolerance: f64,
-) -> Option<usize> {
-    curve
-        .iter()
-        .filter(|r| r.edge.load.rebuffer_fraction <= stall_tolerance)
-        .map(|r| r.edge.load.sessions)
-        .max()
-}
-
-/// [`capacity_curve`] with its per-count shards fanned out on `pool`.
-///
-/// Each swept session count is one complete, independent simulator run
-/// (runs share nothing: the origin uplink, fill tables and RNG streams
-/// all live inside a run), so the points parallelise perfectly; the
-/// merge collects reports **by count index**, not completion order.
-/// Bit-identical to the sequential driver for any worker count and any
-/// completion interleaving — property-pinned in the test suite.
-#[must_use]
-pub fn capacity_curve_on(
-    pool: &WorkerPool,
-    manifest: &Manifest,
-    server: &ServerConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-) -> Vec<LoadReport> {
-    pool.map(counts, |&sessions| {
-        simulate_load(manifest, server, &LoadConfig { sessions, ..*base })
-    })
-}
-
-/// [`edge_capacity_curve`] with its per-count shards on `pool` —
-/// deterministic merge by count index, bit-identical to sequential.
-#[must_use]
-pub fn edge_capacity_curve_on(
-    pool: &WorkerPool,
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-) -> Vec<EdgeLoadReport> {
-    pool.map(counts, |&sessions| {
-        simulate_edge_load(manifest, tier, &LoadConfig { sessions, ..*base })
-    })
-}
-
-/// [`live_edge_capacity_curve`] with its per-count shards on `pool` —
-/// deterministic merge by count index, bit-identical to sequential.
-#[must_use]
-pub fn live_edge_capacity_curve_on(
-    pool: &WorkerPool,
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    live: &LiveConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-) -> Vec<LiveEdgeLoadReport> {
-    pool.map(counts, |&sessions| {
-        simulate_live_edge_load(manifest, tier, live, &LoadConfig { sessions, ..*base })
-    })
-}
-
-/// The degenerate-input guard the bisecting knees share: callers may
-/// pass unsorted or duplicated population points (sweep configs are
-/// often hand-edited); the search needs them strictly increasing.
-fn bisect_counts(counts: &[usize]) -> Vec<usize> {
-    let mut counts = counts.to_vec();
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-/// Shared bisection over a sweep's session counts: the largest count
-/// whose simulated stall fraction meets `tol`, probing O(log n) counts
-/// instead of materialising the whole curve. Assumes stalling is
-/// monotone in load — true of every BENCH sweep, and the tests pin
-/// equality with the curve-scan knee there. `None` on an empty sweep
-/// or when even the smallest count stalls.
-fn knee_bisect(counts: &[usize], mut stalls: impl FnMut(usize) -> f64, tol: f64) -> Option<usize> {
-    let counts = bisect_counts(counts);
-    if counts.is_empty() || stalls(counts[0]) > tol {
-        return None;
-    }
-    // Invariant: counts[lo] passes, everything above hi fails.
-    let (mut lo, mut hi) = (0, counts.len() - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if stalls(counts[mid]) <= tol {
-            lo = mid;
-        } else {
-            hi = mid - 1;
+impl<'a> Scenario<'a> {
+    /// A VOD scenario with no faults; set `live` and `faults` by struct
+    /// update.
+    #[must_use]
+    pub fn new(catalog: &'a Catalog, cdn: CdnConfig, load: LoadConfig) -> Self {
+        Self {
+            catalog,
+            cdn,
+            live: None,
+            faults: &NO_FAULTS,
+            load,
         }
     }
-    Some(counts[lo])
-}
 
-/// [`capacity_knee`] by bisection: simulates only the probed session
-/// counts instead of the whole [`capacity_curve`]. Input counts may be
-/// unsorted or contain duplicates.
-#[must_use]
-pub fn capacity_knee_bisect(
-    manifest: &Manifest,
-    server: &ServerConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-    stall_tolerance: f64,
-) -> Option<usize> {
-    knee_bisect(
-        counts,
-        |sessions| {
-            simulate_load(manifest, server, &LoadConfig { sessions, ..*base }).rebuffer_fraction
-        },
-        stall_tolerance,
-    )
-}
-
-/// [`edge_capacity_knee`] by bisection over an edge tier.
-#[must_use]
-pub fn edge_capacity_knee_bisect(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-    stall_tolerance: f64,
-) -> Option<usize> {
-    knee_bisect(
-        counts,
-        |sessions| {
-            simulate_edge_load(manifest, tier, &LoadConfig { sessions, ..*base })
-                .load
-                .rebuffer_fraction
-        },
-        stall_tolerance,
-    )
-}
-
-/// [`live_edge_capacity_knee`] by bisection over a live edge tier.
-#[must_use]
-pub fn live_edge_capacity_knee_bisect(
-    manifest: &Manifest,
-    tier: &EdgeTierConfig,
-    live: &LiveConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-    stall_tolerance: f64,
-) -> Option<usize> {
-    knee_bisect(
-        counts,
-        |sessions| {
-            simulate_live_edge_load(manifest, tier, live, &LoadConfig { sessions, ..*base })
-                .edge
-                .load
-                .rebuffer_fraction
-        },
-        stall_tolerance,
-    )
-}
-
-/// Runs `load.sessions` across the full hierarchical CDN: viewers pick
-/// titles by the catalog's Zipf law, shard onto edges, edge misses
-/// coalesce behind the edge's home shield, and only *shield* misses
-/// cross the true origin link. With `shields: 0` and a single-title
-/// catalog this is [`simulate_edge_load`] bit-identically (the pins in
-/// the tests hold it there).
-#[must_use]
-pub fn simulate_cdn_load(catalog: &Catalog, cdn: &CdnConfig, load: &LoadConfig) -> CdnLoadReport {
-    run_cdn(
-        catalog,
-        load,
-        TierParams::cdn(cdn).with_zipf(catalog.zipf_s),
-    )
-}
-
-/// [`simulate_cdn_load`] for a live audience: the live gates apply to
-/// title 0 (live catalogs are single-title — a live event *is* one
-/// title), and the shield tier absorbs the per-edge thundering herd on
-/// each just-published segment.
-#[must_use]
-pub fn simulate_live_cdn_load(
-    catalog: &Catalog,
-    cdn: &CdnConfig,
-    live: &LiveConfig,
-    load: &LoadConfig,
-) -> CdnLoadReport {
-    let p = TierParams::cdn(cdn)
-        .with_live(live, catalog.title(0))
-        .with_zipf(catalog.zipf_s);
-    run_cdn(catalog, load, p)
-}
-
-/// [`simulate_cdn_load`] under a [`FaultPlan`]: shields crash and
-/// restart alongside edges, with a crashed shield's child edges
-/// failing over across the shield ring to survivors (and failing back
-/// on restart).
-#[must_use]
-pub fn simulate_cdn_load_faulted(
-    catalog: &Catalog,
-    cdn: &CdnConfig,
-    plan: &FaultPlan,
-    load: &LoadConfig,
-) -> CdnLoadReport {
-    let p = TierParams::cdn(cdn)
-        .with_zipf(catalog.zipf_s)
-        .with_faults(plan);
-    run_cdn(catalog, load, p)
-}
-
-/// The composed worst case through the full hierarchy: a live flash
-/// crowd while an edge crashes, a shield crashes, and the origin flaps
-/// — one deterministic run.
-#[must_use]
-pub fn simulate_live_cdn_load_faulted(
-    catalog: &Catalog,
-    cdn: &CdnConfig,
-    live: &LiveConfig,
-    plan: &FaultPlan,
-    load: &LoadConfig,
-) -> CdnLoadReport {
-    let p = TierParams::cdn(cdn)
-        .with_live(live, catalog.title(0))
-        .with_zipf(catalog.zipf_s)
-        .with_faults(plan);
-    run_cdn(catalog, load, p)
-}
-
-/// [`edge_capacity_knee_bisect`] through the full hierarchy.
-#[must_use]
-pub fn cdn_capacity_knee_bisect(
-    catalog: &Catalog,
-    cdn: &CdnConfig,
-    counts: &[usize],
-    base: &LoadConfig,
-    stall_tolerance: f64,
-) -> Option<usize> {
-    knee_bisect(
-        counts,
-        |sessions| {
-            simulate_cdn_load(catalog, cdn, &LoadConfig { sessions, ..*base })
-                .edge
-                .load
-                .rebuffer_fraction
-        },
-        stall_tolerance,
-    )
-}
-
-/// The shared CDN run: degenerate guard, calendar run, rollup.
-fn run_cdn(catalog: &Catalog, load: &LoadConfig, p: TierParams) -> CdnLoadReport {
-    if p.degenerate(catalog.titles(), load) {
-        return CdnLoadReport {
-            edge: EdgeLoadReport {
-                load: LoadReport::degenerate(load.population()),
-                per_edge: Vec::new(),
-                tier: EdgeStats::default(),
-                hit_rate: 0.0,
-                origin_offload: 0.0,
+    /// This scenario with `sessions` base viewers.
+    fn with_sessions(&self, sessions: usize) -> Self {
+        Self {
+            load: LoadConfig {
+                sessions,
+                ..self.load
             },
-            per_shield: Vec::new(),
-            tier: TierStats::default(),
-            origin_offload: 0.0,
-            live: LiveStats::default(),
-            resilience: ResilienceStats::default(),
-        };
+            ..*self
+        }
     }
-    let run = crate::calendar::run_cohorts(catalog.titles(), load, &p);
+
+    /// Resolves the scenario into engine parameters. A plan that
+    /// resolves to nothing (empty, or every event out of range) leaves
+    /// `faults` at `None`: the plan-free path, bit-identically.
+    pub(crate) fn params(&self) -> TierParams {
+        let (c, t) = (&self.cdn, &self.cdn.tier);
+        let resolved = self.faults.resolve(t.edges, c.shields);
+        TierParams {
+            edges: t.edges,
+            cache_capacity_bytes: t.cache_capacity_bytes,
+            edge_capacity: t.edge_capacity_bytes_per_tick,
+            per_session: t.per_session_bytes_per_tick,
+            origin_capacity: t.origin_capacity_bytes_per_tick,
+            sharding: t.sharding,
+            prewarm: t.prewarm,
+            origin_down_after: t.origin_down_after,
+            shields: c.shields,
+            shield_cache_capacity_bytes: c.shield_cache_capacity_bytes,
+            shield_capacity: c.shield_capacity_bytes_per_tick,
+            admission: c.admission,
+            zipf_s: self.catalog.zipf_s,
+            live: self
+                .live
+                .map(|l| LiveSim::resolve(&l, self.catalog.title(0))),
+            faults: (!resolved.is_empty()).then_some(FaultSchedule {
+                seed: self.faults.seed,
+                actions: resolved,
+            }),
+        }
+    }
+}
+
+/// Runs one scenario: viewers pick titles by the catalog's Zipf law,
+/// shard onto edges, edge misses coalesce behind the edge's home shield
+/// (or go straight to the origin in a flat tier), and only shield
+/// misses cross the true origin link. Faults replay on the engine's own
+/// event calendar: a crashed edge's or shield's load fails over across
+/// a consistent-hash ring and fails back on restart.
+///
+/// Entirely deterministic: identical inputs give an identical report.
+/// Degenerate inputs (zero sessions, an empty title, a zero- or
+/// NaN-capacity link, a zero DVR window) return the well-defined
+/// all-zero report instead of panicking or spinning to `max_ticks`.
+#[must_use]
+pub fn simulate(s: &Scenario) -> CdnLoadReport {
+    let p = s.params();
+    if p.degenerate(s.catalog.titles(), &s.load) {
+        let mut r = CdnLoadReport::default();
+        r.edge.load.sessions = s.load.population();
+        return r;
+    }
+    let run = crate::calendar::run_cohorts(s.catalog.titles(), &s.load, &p);
+    let entry = |sessions, stats| EdgeReportEntry { sessions, stats };
+    let per_edge: Vec<EdgeReportEntry> = run
+        .edges
+        .iter()
+        .map(|e| entry(e.assigned, e.stats))
+        .collect();
     let per_shield: Vec<EdgeReportEntry> = run
         .shields
         .iter()
-        .map(|s| EdgeReportEntry {
-            sessions: s.assigned,
-            stats: s.stats,
-        })
+        .map(|s| entry(s.assigned, s.stats))
         .collect();
-    let per_edge_stats: Vec<EdgeStats> = run.edges.iter().map(|e| e.stats).collect();
-    let per_shield_stats: Vec<EdgeStats> = per_shield.iter().map(|s| s.stats).collect();
-    let tier = TierStats::rollup(&per_edge_stats, &per_shield_stats);
+    let stats = |v: &[EdgeReportEntry]| v.iter().map(|e| e.stats).collect::<Vec<_>>();
+    let tier = TierStats::rollup(&stats(&per_edge), &stats(&per_shield));
     CdnLoadReport {
-        edge: assemble_edge_report(run.report, &run.edges),
+        edge: EdgeLoadReport {
+            load: run.report,
+            hit_rate: tier.edges.hit_rate(),
+            origin_offload: tier.edges.origin_offload(),
+            tier: tier.edges,
+            per_edge,
+        },
         per_shield,
         origin_offload: tier.origin_offload(),
         tier,
@@ -1853,10 +1317,118 @@ fn run_cdn(catalog: &Catalog, load: &LoadConfig, p: TierParams) -> CdnLoadReport
     }
 }
 
+/// Runs `s` once per base population in `counts`, in order. With a
+/// pool, each point is one independent run on a worker (runs share
+/// nothing), merged by index: bit-identical to the sequential sweep for
+/// any worker count and completion order.
+#[must_use]
+pub fn sweep(s: &Scenario, counts: &[usize], pool: Option<&WorkerPool>) -> Vec<CdnLoadReport> {
+    let run = |&sessions: &usize| simulate(&s.with_sessions(sessions));
+    match pool {
+        Some(pool) => pool.map(counts, run),
+        None => counts.iter().map(run).collect(),
+    }
+}
+
+/// The capacity knee by bisection: the largest count in `counts` whose
+/// stall fraction (sessions that rebuffered) is at most
+/// `stall_tolerance`, probing O(log n) populations instead of sweeping
+/// them all. Counts may be unsorted or repeat. Assumes stalling is
+/// monotone in load, where it equals [`curve_knee`] over the full
+/// [`sweep`]. `None` for an empty or NaN-tolerance search, or when even
+/// the smallest count stalls more.
+#[must_use]
+pub fn knee(s: &Scenario, counts: &[usize], stall_tolerance: f64) -> Option<usize> {
+    if stall_tolerance.is_nan() {
+        return None;
+    }
+    let mut counts = counts.to_vec();
+    counts.sort_unstable();
+    counts.dedup();
+    let passes = |sessions| {
+        simulate(&s.with_sessions(sessions))
+            .edge
+            .load
+            .rebuffer_fraction
+            <= stall_tolerance
+    };
+    if counts.is_empty() || !passes(counts[0]) {
+        return None;
+    }
+    // Invariant: counts[lo] passes, everything above hi fails.
+    let (mut lo, mut hi) = (0, counts.len() - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if passes(counts[mid]) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    Some(counts[lo])
+}
+
+/// The capacity knee of a swept curve: the largest population at which
+/// at most `stall_tolerance` of sessions rebuffered, in any order of
+/// reports. `None` on an empty curve, a NaN tolerance, or when every
+/// level stalls more.
+#[must_use]
+pub fn curve_knee(curve: &[CdnLoadReport], stall_tolerance: f64) -> Option<usize> {
+    curve
+        .iter()
+        .map(|r| &r.edge.load)
+        .filter(|l| l.rebuffer_fraction <= stall_tolerance)
+        .map(|l| l.sessions)
+        .max()
+}
+
+/// [`simulate`] of a VOD, fault-free scenario. Kept because the
+/// benchmark harness in `perfbench/` calls it by this name.
+#[must_use]
+pub fn simulate_cdn_load(catalog: &Catalog, cdn: &CdnConfig, load: &LoadConfig) -> CdnLoadReport {
+    simulate(&Scenario::new(catalog, *cdn, *load))
+}
+
+/// [`simulate`] of a live scenario under `plan`. Kept because the
+/// benchmark harness in `perfbench/` calls it by this name.
+#[must_use]
+pub fn simulate_live_cdn_load_faulted(
+    catalog: &Catalog,
+    cdn: &CdnConfig,
+    live: &LiveConfig,
+    plan: &FaultPlan,
+    load: &LoadConfig,
+) -> CdnLoadReport {
+    simulate(&Scenario {
+        live: Some(*live),
+        faults: plan,
+        ..Scenario::new(catalog, *cdn, *load)
+    })
+}
+
+/// [`knee`] of a VOD, fault-free scenario. Kept because the benchmark
+/// harness in `perfbench/` calls it by this name.
+#[must_use]
+pub fn cdn_capacity_knee_bisect(
+    catalog: &Catalog,
+    cdn: &CdnConfig,
+    counts: &[usize],
+    base: &LoadConfig,
+    stall_tolerance: f64,
+) -> Option<usize> {
+    knee(
+        &Scenario::new(catalog, *cdn, *base),
+        counts,
+        stall_tolerance,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::RestartMode;
     use crate::ladder::{encode_ladder, LadderConfig};
+    use crate::shield::TinyLfuConfig;
     use video::synth::SequenceGen;
 
     fn manifest() -> Manifest {
@@ -1869,11 +1441,53 @@ mod tests {
         encode_ladder("movie", &frames, &cfg).unwrap().manifest
     }
 
-    fn title_bytes(m: &Manifest) -> usize {
-        m.rungs
-            .iter()
-            .flat_map(|r| r.segments.iter().map(|s| s.bytes))
-            .sum()
+    fn catalog() -> Catalog {
+        Catalog::single(manifest())
+    }
+
+    fn title_bytes(c: &Catalog) -> usize {
+        c.working_set_bytes() as usize
+    }
+
+    fn sessions(sessions: usize) -> LoadConfig {
+        LoadConfig {
+            sessions,
+            ..Default::default()
+        }
+    }
+
+    fn vod(c: &Catalog, cdn: CdnConfig, load: LoadConfig) -> CdnLoadReport {
+        simulate(&Scenario::new(c, cdn, load))
+    }
+
+    fn live(c: &Catalog, cdn: CdnConfig, live: LiveConfig, load: LoadConfig) -> CdnLoadReport {
+        simulate(&Scenario {
+            live: Some(live),
+            ..Scenario::new(c, cdn, load)
+        })
+    }
+
+    /// The report every degenerate scenario of `population` returns.
+    fn degenerate(population: usize) -> CdnLoadReport {
+        let mut r = CdnLoadReport::default();
+        r.edge.load.sessions = population;
+        r
+    }
+
+    fn flat(tier: EdgeTierConfig) -> CdnConfig {
+        CdnConfig::flat(tier)
+    }
+
+    fn origin() -> CdnConfig {
+        CdnConfig::single_origin()
+    }
+
+    /// A single origin with its uplink and access links overridden.
+    fn origin_at(uplink: f64, per_session: f64) -> CdnConfig {
+        let mut cdn = origin();
+        cdn.tier.edge_capacity_bytes_per_tick = uplink;
+        cdn.tier.per_session_bytes_per_tick = per_session;
+        cdn
     }
 
     /// Relative f64 closeness for report fields whose only permitted
@@ -1882,7 +1496,7 @@ mod tests {
         (a - b).abs() <= 1e-9 * b.abs().max(1.0)
     }
 
-    /// Golden pins captured from the PR 5 full-scan quantum engine.
+    /// Golden pins captured from the full-scan quantum engine.
     /// Integer fields must match *exactly*; f64 fields to 1e-9 relative
     /// (they are sums whose order the cohort engine may legally change).
     /// Any engine change that shifts a completion tick, a rebuffer
@@ -1921,19 +1535,76 @@ mod tests {
         }
     }
 
+    /// [`assert_golden`] for a whole hierarchical report: every counter
+    /// (per edge, per shield, the rollup, live and resilience ledgers)
+    /// exact, every f64 to 1e-9 relative.
+    fn assert_cdn_golden(r: &CdnLoadReport, g: &CdnLoadReport) {
+        assert_golden(&r.edge.load, &g.edge.load);
+        assert_eq!(r.edge.per_edge, g.edge.per_edge, "per-edge stats");
+        assert_eq!(r.per_shield, g.per_shield, "per-shield stats");
+        assert_eq!((r.edge.tier, r.tier), (g.edge.tier, g.tier), "rollups");
+        for (a, b) in [
+            (r.edge.hit_rate, g.edge.hit_rate),
+            (r.edge.origin_offload, g.edge.origin_offload),
+            (r.origin_offload, g.origin_offload),
+            (r.live.mean_latency_ticks, g.live.mean_latency_ticks),
+            (
+                r.resilience.mean_restore_ticks,
+                g.resilience.mean_restore_ticks,
+            ),
+        ] {
+            assert!(rel_close(a, b), "f64 field diverged: {a} vs {b}");
+        }
+        let ints = |l: LiveStats, f: ResilienceStats| {
+            (
+                LiveStats {
+                    mean_latency_ticks: 0.0,
+                    ..l
+                },
+                ResilienceStats {
+                    mean_restore_ticks: 0.0,
+                    ..f
+                },
+            )
+        };
+        assert_eq!(
+            ints(r.live, r.resilience),
+            ints(g.live, g.resilience),
+            "live/resilience counters"
+        );
+    }
+
+    /// `EdgeStats` from `[hits, misses, coalesced, evictions,
+    /// revalidations, invalidations, origin_bytes, served_bytes]`.
+    fn st(v: [u64; 8]) -> EdgeStats {
+        let [hits, misses, coalesced, evictions, revalidations, invalidations, origin_bytes, served_bytes] =
+            v;
+        EdgeStats {
+            hits,
+            misses,
+            coalesced,
+            evictions,
+            revalidations,
+            invalidations,
+            origin_bytes,
+            served_bytes,
+        }
+    }
+
+    fn entries(v: &[(usize, [u64; 8])]) -> Vec<EdgeReportEntry> {
+        v.iter()
+            .map(|&(sessions, s)| EdgeReportEntry {
+                sessions,
+                stats: st(s),
+            })
+            .collect()
+    }
+
     #[test]
     fn golden_vod_report_matches_the_seed_engine() {
-        let m = manifest();
-        let r = simulate_load(
-            &m,
-            &ServerConfig::default(),
-            &LoadConfig {
-                sessions: 700,
-                ..Default::default()
-            },
-        );
+        let r = vod(&catalog(), origin(), sessions(700));
         assert_golden(
-            &r,
+            &r.edge.load,
             &LoadReport {
                 sessions: 700,
                 completed: 700,
@@ -1952,11 +1623,11 @@ mod tests {
 
     #[test]
     fn golden_churned_edge_report_matches_the_seed_engine() {
-        let m = manifest();
+        let c = catalog();
         let tier = EdgeTierConfig {
             edges: 3,
             prewarm: false,
-            cache_capacity_bytes: title_bytes(&m) / 2,
+            cache_capacity_bytes: title_bytes(&c) / 2,
             ..Default::default()
         };
         let load = LoadConfig {
@@ -1971,9 +1642,9 @@ mod tests {
             },
             ..Default::default()
         };
-        let r = simulate_edge_load(&m, &tier, &load);
+        let r = vod(&c, flat(tier), load);
         assert_golden(
-            &r.load,
+            &r.edge.load,
             &LoadReport {
                 sessions: 450,
                 completed: 447,
@@ -1988,40 +1659,19 @@ mod tests {
                 departed: 3,
             },
         );
-        assert_eq!(
-            r.tier,
-            EdgeStats {
-                hits: 1780,
-                misses: 12,
-                coalesced: 7,
-                evictions: 0,
-                revalidations: 0,
-                invalidations: 0,
-                origin_bytes: 17484,
-                served_bytes: 2616396,
-            }
-        );
+        assert_eq!(r.edge.tier, st([1780, 12, 7, 0, 0, 0, 17484, 2616396]));
     }
 
     #[test]
     fn golden_live_report_matches_the_seed_engine() {
-        let m = manifest();
-        let live = LiveConfig {
+        let cfg = LiveConfig {
             dvr_window_segments: 8,
             join: JoinMode::LiveEdge,
             ..Default::default()
         };
-        let r = simulate_live_load(
-            &m,
-            &ServerConfig::default(),
-            &live,
-            &LoadConfig {
-                sessions: 300,
-                ..Default::default()
-            },
-        );
+        let r = live(&catalog(), origin(), cfg, sessions(300));
         assert_golden(
-            &r.load,
+            &r.edge.load,
             &LoadReport {
                 sessions: 300,
                 completed: 300,
@@ -2040,6 +1690,169 @@ mod tests {
         assert_eq!(r.live.max_latency_ticks, 448);
         assert_eq!(r.live.publish_wait_ticks, 170520);
         assert_eq!(r.live.window_skips, 0);
+    }
+
+    #[test]
+    fn golden_shielded_multi_title_vod_report() {
+        // 24 Zipf titles through 4 cold edges holding an eighth of the
+        // working set each (TinyLFU admission) behind 2 bounded shields.
+        let c = Catalog::synthesize(&manifest(), 24, 0.9);
+        let ws = title_bytes(&c);
+        let cdn = CdnConfig {
+            tier: EdgeTierConfig {
+                edges: 4,
+                prewarm: false,
+                cache_capacity_bytes: ws / 8,
+                ..Default::default()
+            },
+            shields: 2,
+            shield_cache_capacity_bytes: ws / 2,
+            shield_capacity_bytes_per_tick: 6_000.0,
+            admission: AdmissionPolicy::TinyLfu(TinyLfuConfig::default()),
+        };
+        let load = LoadConfig {
+            stagger_ticks: 4_000,
+            ..sessions(900)
+        };
+        let edges = st([2048, 1538, 14, 337, 0, 0, 2255248, 5245200]);
+        let shields = st([1346, 192, 0, 0, 0, 0, 279744, 2255248]);
+        let golden = CdnLoadReport {
+            edge: EdgeLoadReport {
+                load: LoadReport {
+                    sessions: 900,
+                    completed: 900,
+                    ticks: 4060,
+                    total_goodput_bits_per_tick: 10335.36945812808,
+                    mean_session_bits_per_tick: 705.8614969137976,
+                    mean_startup_ticks: 32.88111111111111,
+                    rebuffer_sessions: 0,
+                    rebuffer_fraction: 0.0,
+                    mean_rung: 1.5,
+                    rung_switches: 900,
+                    departed: 0,
+                },
+                per_edge: entries(&[
+                    (225, [504, 389, 7, 82, 0, 0, 571520, 1311300]),
+                    (225, [537, 359, 4, 69, 0, 0, 524332, 1311300]),
+                    (225, [527, 373, 0, 80, 0, 0, 547832, 1311300]),
+                    (225, [480, 417, 3, 106, 0, 0, 611564, 1311300]),
+                ]),
+                tier: edges,
+                hit_rate: 0.5727777777777778,
+                origin_offload: 0.5700358422939068,
+            },
+            per_shield: entries(&[
+                (2, [652, 96, 0, 0, 0, 0, 139872, 1095852]),
+                (2, [694, 96, 0, 0, 0, 0, 139872, 1159396]),
+            ]),
+            tier: TierStats {
+                edges,
+                shields,
+                origin_hits: 192,
+                tiered: true,
+            },
+            origin_offload: 0.9466666666666667,
+            live: LiveStats::default(),
+            resilience: ResilienceStats::default(),
+        };
+        assert_cdn_golden(&vod(&c, cdn, load), &golden);
+    }
+
+    #[test]
+    fn golden_live_report_through_shield_edge_and_origin_faults() {
+        // A live flash crowd over 4 cold edges and 2 shields while an
+        // edge crashes, the origin flaps and a shield crashes; both
+        // crashed nodes restart cold.
+        let cdn = CdnConfig {
+            tier: EdgeTierConfig {
+                edges: 4,
+                prewarm: false,
+                ..Default::default()
+            },
+            shields: 2,
+            ..Default::default()
+        };
+        let plan = FaultPlan::new(0xFA11)
+            .crash_edge(1, 500, Some((1_300, RestartMode::Cold)))
+            .flap_origin(600, 1_100)
+            .crash_shield(0, 700, Some((1_200, RestartMode::Cold)));
+        let load = LoadConfig {
+            stagger_ticks: 300,
+            churn: ChurnConfig {
+                flash_sessions: 1_200,
+                flash_at_tick: 450,
+                flash_ramp_ticks: 200,
+                ..Default::default()
+            },
+            ..sessions(400)
+        };
+        let c = catalog();
+        let s = Scenario {
+            live: Some(LiveConfig {
+                dvr_window_segments: 4,
+                ..Default::default()
+            }),
+            faults: &plan,
+            ..Scenario::new(&c, cdn, load)
+        };
+        let edges = st([1869, 23, 3308, 0, 0, 0, 27636, 6768000]);
+        let shields = st([3, 11, 9, 0, 0, 0, 12972, 27636]);
+        let golden = CdnLoadReport {
+            edge: EdgeLoadReport {
+                load: LoadReport {
+                    sessions: 1600,
+                    completed: 1600,
+                    ticks: 1460,
+                    total_goodput_bits_per_tick: 37084.931506849316,
+                    mean_session_bits_per_tick: 34.52583566908779,
+                    mean_startup_ticks: 652.965625,
+                    rebuffer_sessions: 400,
+                    rebuffer_fraction: 0.25,
+                    mean_rung: 1.2307692307692308,
+                    rung_switches: 2000,
+                    departed: 0,
+                },
+                per_edge: entries(&[
+                    (400, [447, 6, 1004, 0, 0, 0, 7332, 1732608]),
+                    (400, [453, 5, 210, 0, 0, 0, 5640, 1510768]),
+                    (400, [474, 6, 1043, 0, 0, 0, 7332, 1752912]),
+                    (400, [495, 6, 1051, 0, 0, 0, 7332, 1771712]),
+                ]),
+                tier: edges,
+                hit_rate: 0.995576923076923,
+                origin_offload: 0.9959166666666667,
+            },
+            per_shield: entries(&[
+                (2, [0, 5, 5, 0, 0, 0, 5640, 11280]),
+                (2, [3, 6, 4, 0, 0, 0, 7332, 16356]),
+            ]),
+            tier: TierStats {
+                edges,
+                shields,
+                origin_hits: 11,
+                tiered: true,
+            },
+            origin_offload: 0.9980833333333333,
+            live: LiveStats {
+                mean_latency_ticks: 287.33076923076925,
+                max_latency_ticks: 528,
+                publish_wait_ticks: 523528,
+                window_skips: 0,
+            },
+            resilience: ResilienceStats {
+                edge_crashes: 1,
+                edge_restarts: 1,
+                shield_crashes: 1,
+                shield_restarts: 1,
+                mean_restore_ticks: 650.0,
+                sessions_rehomed: 800,
+                sessions_fault_rebuffered: 400,
+                fault_rebuffer_ticks: 20800,
+                rewarm_fills: 5,
+                fills_lost: 0,
+            },
+        };
+        assert_cdn_golden(&simulate(&s), &golden);
     }
 
     #[test]
@@ -2087,21 +1900,24 @@ mod tests {
         // Engine-level long-run pin: a starved session draining one
         // segment over millions of quanta neither wedges on the
         // epsilon rule nor drifts between runs.
-        let m = manifest();
-        let server = ServerConfig {
-            capacity_bytes_per_tick: 4_000.0,
-            per_session_bytes_per_tick: 0.0003,
-        };
+        let c = catalog();
         let load = LoadConfig {
             sessions: 1,
             stagger_ticks: 0,
             max_ticks: u64::MAX,
             ..Default::default()
         };
-        let a = simulate_load(&m, &server, &load);
-        assert_eq!(a.completed, 1, "the starved session still finishes");
-        assert!(a.ticks > 10_000_000, "ran long: {}", a.ticks);
-        assert_eq!(a, simulate_load(&m, &server, &load));
+        let a = vod(&c, origin_at(4_000.0, 0.0003), load);
+        assert_eq!(
+            a.edge.load.completed, 1,
+            "the starved session still finishes"
+        );
+        assert!(
+            a.edge.load.ticks > 10_000_000,
+            "ran long: {}",
+            a.edge.load.ticks
+        );
+        assert_eq!(a, vod(&c, origin_at(4_000.0, 0.0003), load));
     }
 
     #[test]
@@ -2111,18 +1927,18 @@ mod tests {
         // the engine to `max_ticks`. Now the stream terminates
         // explicitly: the impossible arrivals become phantoms that
         // denominate the report but never simulate.
-        let m = manifest();
+        let c = catalog();
         let load = LoadConfig {
-            sessions: 40,
             churn: ChurnConfig {
                 churn_sessions: 25,
                 mean_interarrival_ticks: 1e300, // first gap saturates
                 mean_watch_ticks: 100.0,
                 ..Default::default()
             },
-            ..Default::default()
+            ..sessions(40)
         };
-        let r = simulate_load(&m, &ServerConfig::default(), &load);
+        let full = vod(&c, origin(), load);
+        let r = &full.edge.load;
         assert_eq!(r.sessions, 65, "phantoms still denominate");
         assert_eq!(r.completed, 40, "the base population completes");
         assert_eq!(r.departed, 0);
@@ -2130,7 +1946,7 @@ mod tests {
         // spinning out the 10M-tick ceiling.
         assert!(r.ticks < 100_000, "terminated at {}", r.ticks);
         // Deterministic, like every other config.
-        assert_eq!(r, simulate_load(&m, &ServerConfig::default(), &load));
+        assert_eq!(full, vod(&c, origin(), load));
 
         // A flash ramp pushed off the end of time is likewise phantom,
         // not frozen.
@@ -2143,7 +1959,7 @@ mod tests {
             },
             ..load
         };
-        let r = simulate_load(&m, &ServerConfig::default(), &flashed);
+        let r = vod(&c, origin(), flashed).edge.load;
         assert_eq!(r.sessions, 50, "40 base + 10 phantom flash");
         assert_eq!(r.completed, 40);
         assert!(r.ticks < 100_000);
@@ -2151,16 +1967,11 @@ mod tests {
 
     #[test]
     fn a_lone_session_reaches_the_top_rung() {
-        let m = manifest();
-        let r = simulate_load(
-            &m,
-            &ServerConfig::default(),
-            &LoadConfig {
-                sessions: 1,
-                stagger_ticks: 0,
-                ..Default::default()
-            },
-        );
+        let load = LoadConfig {
+            stagger_ticks: 0,
+            ..sessions(1)
+        };
+        let r = vod(&catalog(), origin(), load).edge.load;
         assert_eq!(r.completed, 1);
         assert_eq!(r.rebuffer_sessions, 0);
         assert!(r.mean_rung > 0.5, "mean rung {}", r.mean_rung);
@@ -2168,25 +1979,9 @@ mod tests {
 
     #[test]
     fn oversubscription_degrades_quality_then_stability() {
-        let m = manifest();
-        let server = ServerConfig::default();
-        let base = LoadConfig::default();
-        let light = simulate_load(
-            &m,
-            &server,
-            &LoadConfig {
-                sessions: 8,
-                ..base
-            },
-        );
-        let heavy = simulate_load(
-            &m,
-            &server,
-            &LoadConfig {
-                sessions: 2_000,
-                ..base
-            },
-        );
+        let c = catalog();
+        let light = vod(&c, origin(), sessions(8)).edge.load;
+        let heavy = vod(&c, origin(), sessions(2_000)).edge.load;
         assert_eq!(light.completed, 8);
         assert!(light.rebuffer_fraction <= 0.05);
         assert!(
@@ -2204,161 +1999,103 @@ mod tests {
 
     #[test]
     fn thousands_of_sessions_complete_and_knee_is_found() {
-        let m = manifest();
-        let server = ServerConfig::default();
-        let base = LoadConfig::default();
-        let counts = [50, 200, 1_000, 3_000];
-        let curve = capacity_curve(&m, &server, &counts, &base);
+        let c = catalog();
+        let cdn = origin();
+        let s = Scenario::new(&c, cdn, LoadConfig::default());
+        let curve = sweep(&s, &[50, 200, 1_000, 3_000], None);
         assert_eq!(curve.len(), 4);
-        assert!(curve.iter().all(|r| r.completed == r.sessions));
-        let knee = capacity_knee(&curve, 0.05);
+        assert!(curve
+            .iter()
+            .all(|r| r.edge.load.completed == r.edge.load.sessions));
+        let knee = curve_knee(&curve, 0.05);
         assert!(knee.is_some(), "some level must be sustainable");
         assert!(knee.unwrap() >= 50);
         // Server goodput saturates: the biggest level cannot beat the
         // uplink.
-        let cap_bits = server.capacity_bytes_per_tick * 8.0;
+        let cap_bits = cdn.tier.edge_capacity_bytes_per_tick * 8.0;
         assert!(curve
             .iter()
-            .all(|r| r.total_goodput_bits_per_tick <= cap_bits * 1.01));
+            .all(|r| r.edge.load.total_goodput_bits_per_tick <= cap_bits * 1.01));
     }
 
     #[test]
     fn simulation_is_deterministic() {
-        let m = manifest();
-        let server = ServerConfig::default();
-        let load = LoadConfig {
-            sessions: 500,
-            ..Default::default()
-        };
-        let a = simulate_load(&m, &server, &load);
-        let b = simulate_load(&m, &server, &load);
-        assert_eq!(a, b);
+        let c = catalog();
+        assert_eq!(
+            vod(&c, origin(), sessions(500)),
+            vod(&c, origin(), sessions(500))
+        );
     }
 
     #[test]
     fn stagger_spreads_startup_contention() {
-        let m = manifest();
-        let server = ServerConfig::default();
-        let burst = simulate_load(
-            &m,
-            &server,
-            &LoadConfig {
-                sessions: 400,
-                stagger_ticks: 0,
-                ..Default::default()
-            },
-        );
-        let spread = simulate_load(
-            &m,
-            &server,
-            &LoadConfig {
-                sessions: 400,
-                stagger_ticks: 200_000,
-                ..Default::default()
-            },
-        );
+        let c = catalog();
+        let at = |stagger_ticks| {
+            let load = LoadConfig {
+                stagger_ticks,
+                ..sessions(400)
+            };
+            vod(&c, origin(), load).edge.load.mean_startup_ticks
+        };
+        let (burst, spread) = (at(0), at(200_000));
         assert!(
-            spread.mean_startup_ticks <= burst.mean_startup_ticks,
-            "arrival spreading should not worsen startup: {} vs {}",
-            spread.mean_startup_ticks,
-            burst.mean_startup_ticks
+            spread <= burst,
+            "arrival spreading should not worsen startup: {spread} vs {burst}"
         );
     }
 
     #[test]
     fn degenerate_loads_return_well_defined_reports() {
-        let m = manifest();
+        let c = catalog();
         // Empty session list.
-        let r = simulate_load(
-            &m,
-            &ServerConfig::default(),
-            &LoadConfig {
-                sessions: 0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r, LoadReport::degenerate(0));
-        assert_eq!(r.rebuffer_fraction, 0.0, "no NaN from 0/0");
+        let r = vod(&c, origin(), sessions(0));
+        assert_eq!(r, degenerate(0));
+        assert_eq!(r.edge.load.rebuffer_fraction, 0.0, "no NaN from 0/0");
         // Zero-capacity uplink: returns immediately, nothing delivered.
-        let r = simulate_load(
-            &m,
-            &ServerConfig {
-                capacity_bytes_per_tick: 0.0,
-                per_session_bytes_per_tick: 100.0,
-            },
-            &LoadConfig::default(),
-        );
+        let r = vod(&c, origin_at(0.0, 100.0), LoadConfig::default())
+            .edge
+            .load;
         assert_eq!(r.completed, 0);
         assert_eq!(r.total_goodput_bits_per_tick, 0.0);
         // NaN capacity is degenerate, not a hang.
-        let r = simulate_load(
-            &m,
-            &ServerConfig {
-                capacity_bytes_per_tick: f64::NAN,
-                per_session_bytes_per_tick: 100.0,
-            },
-            &LoadConfig::default(),
-        );
-        assert_eq!(r.completed, 0);
+        let r = vod(&c, origin_at(f64::NAN, 100.0), LoadConfig::default());
+        assert_eq!(r.edge.load.completed, 0);
         // Knee over an empty curve.
-        assert_eq!(capacity_knee(&[], 0.05), None);
+        assert_eq!(curve_knee(&[], 0.05), None);
         // Zero quantum is treated as 1, not a panic or an infinite loop.
-        let r = simulate_load(
-            &m,
-            &ServerConfig::default(),
-            &LoadConfig {
-                sessions: 2,
-                tick_quantum: 0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.completed, 2);
+        let load = LoadConfig {
+            tick_quantum: 0,
+            ..sessions(2)
+        };
+        assert_eq!(vod(&c, origin(), load).edge.load.completed, 2);
     }
 
     #[test]
     fn warm_edges_multiply_the_knee() {
-        let m = manifest();
-        let base = LoadConfig::default();
+        let c = catalog();
         let counts = [200usize, 1_000, 2_000, 4_000];
-        let single = capacity_curve(&m, &ServerConfig::default(), &counts, &base);
-        let single_knee = capacity_knee(&single, 0.05).expect("single origin has a knee");
-        let tier = EdgeTierConfig {
+        let at = |cdn| {
+            sweep(
+                &Scenario::new(&c, cdn, LoadConfig::default()),
+                &counts,
+                None,
+            )
+        };
+        let single_knee = curve_knee(&at(origin()), 0.05).expect("single origin has a knee");
+        let edge = at(flat(EdgeTierConfig {
             edges: 4,
             cache_capacity_bytes: usize::MAX,
             prewarm: true,
             ..Default::default()
-        };
-        let edge = edge_capacity_curve(&m, &tier, &counts, &base);
-        let edge_knee = edge_capacity_knee(&edge, 0.05).expect("edge tier has a knee");
+        }));
+        let edge_knee = curve_knee(&edge, 0.05).expect("edge tier has a knee");
         assert!(
             edge_knee >= 2 * single_knee,
             "4 warm edges must at least double the knee: {edge_knee} vs {single_knee}"
         );
         // Warm edges never touch the origin.
-        assert!(edge.iter().all(|r| r.tier.origin_bytes == 0));
-        assert!(edge.iter().all(|r| (r.hit_rate - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn one_warm_edge_matches_the_single_origin_exactly() {
-        // The single-origin simulator is the 1-edge special case of the
-        // same engine; the session-side numbers must agree bit-exactly.
-        let m = manifest();
-        let load = LoadConfig {
-            sessions: 700,
-            ..Default::default()
-        };
-        let single = simulate_load(&m, &ServerConfig::default(), &load);
-        let tier = EdgeTierConfig {
-            edges: 1,
-            cache_capacity_bytes: usize::MAX,
-            edge_capacity_bytes_per_tick: 4_000.0,
-            per_session_bytes_per_tick: 100.0,
-            prewarm: true,
-            ..Default::default()
-        };
-        let edge = simulate_edge_load(&m, &tier, &load);
-        assert_eq!(edge.load, single);
+        assert!(edge.iter().all(|r| r.edge.tier.origin_bytes == 0));
+        assert!(edge.iter().all(|r| (r.edge.hit_rate - 1.0).abs() < 1e-12));
     }
 
     #[test]
@@ -2370,11 +2107,7 @@ mod tests {
             prewarm: false,
             ..Default::default()
         };
-        let load = LoadConfig {
-            sessions: 300,
-            ..Default::default()
-        };
-        let r = simulate_edge_load(&m, &tier, &load);
+        let r = vod(&catalog(), flat(tier), sessions(300)).edge;
         assert_eq!(r.load.completed, 300);
         assert!(r.tier.misses > 0, "cold caches must miss");
         assert!(
@@ -2389,15 +2122,11 @@ mod tests {
         let objects = (m.rungs.len() * m.segment_count()) as u64;
         assert!(r.tier.misses <= objects * tier.edges as u64);
         assert!(r.origin_offload > 0.5, "offload {}", r.origin_offload);
-        assert_eq!(
-            r.per_edge.iter().map(|e| e.sessions).sum::<usize>(),
-            load.sessions
-        );
+        assert_eq!(r.per_edge.iter().map(|e| e.sessions).sum::<usize>(), 300);
     }
 
     #[test]
     fn coalescing_collapses_concurrent_misses() {
-        let m = manifest();
         let tier = EdgeTierConfig {
             edges: 1,
             prewarm: false,
@@ -2405,11 +2134,10 @@ mod tests {
         };
         // A burst of simultaneous arrivals all wanting segment (0, 0).
         let load = LoadConfig {
-            sessions: 200,
             stagger_ticks: 0,
-            ..Default::default()
+            ..sessions(200)
         };
-        let r = simulate_edge_load(&m, &tier, &load);
+        let r = vod(&catalog(), flat(tier), load).edge;
         assert!(
             r.tier.coalesced >= 199,
             "the burst must coalesce onto one fill: {}",
@@ -2420,99 +2148,72 @@ mod tests {
 
     #[test]
     fn tiny_caches_thrash_but_still_serve() {
-        let m = manifest();
-        let small = title_bytes(&m) / 8;
+        let c = catalog();
         let tier = EdgeTierConfig {
             edges: 2,
-            cache_capacity_bytes: small,
+            cache_capacity_bytes: title_bytes(&c) / 8,
             prewarm: false,
             ..Default::default()
         };
-        let load = LoadConfig {
-            sessions: 150,
-            ..Default::default()
-        };
-        let r = simulate_edge_load(&m, &tier, &load);
+        let r = vod(&c, flat(tier), sessions(150)).edge;
         assert_eq!(r.load.completed, 150, "thrashing must not wedge sessions");
         assert!(r.tier.evictions > 0, "a small cache must evict");
-        let big = simulate_edge_load(
-            &m,
-            &EdgeTierConfig {
+        let big = vod(
+            &c,
+            flat(EdgeTierConfig {
                 cache_capacity_bytes: usize::MAX,
                 ..tier
-            },
-            &load,
+            }),
+            sessions(150),
         );
         assert!(
-            big.hit_rate >= r.hit_rate,
+            big.edge.hit_rate >= r.hit_rate,
             "more cache cannot hit less: {} vs {}",
-            big.hit_rate,
+            big.edge.hit_rate,
             r.hit_rate
         );
     }
 
     #[test]
     fn origin_outage_with_cold_caches_terminates_cleanly() {
-        let m = manifest();
         let tier = EdgeTierConfig {
             edges: 2,
             prewarm: false,
             origin_down_after: Some(0),
             ..Default::default()
         };
-        let load = LoadConfig {
-            sessions: 50,
-            ..Default::default()
-        };
+        let load = sessions(50);
         // Nothing can ever be served; the engine must detect stasis and
         // return instead of spinning to max_ticks.
-        let r = simulate_edge_load(&m, &tier, &load);
-        assert_eq!(r.load.completed, 0);
-        assert!(r.load.ticks < load.max_ticks);
+        let r = vod(&catalog(), flat(tier), load).edge.load;
+        assert_eq!(r.completed, 0);
+        assert!(r.ticks < load.max_ticks);
     }
 
     #[test]
     fn origin_outage_with_warm_caches_is_invisible() {
-        let m = manifest();
-        let load = LoadConfig {
-            sessions: 400,
-            ..Default::default()
+        let c = catalog();
+        let at = |origin_down_after| {
+            let tier = EdgeTierConfig {
+                prewarm: true,
+                origin_down_after,
+                ..Default::default()
+            };
+            vod(&c, flat(tier), sessions(400))
         };
-        let up = simulate_edge_load(
-            &m,
-            &EdgeTierConfig {
-                prewarm: true,
-                origin_down_after: None,
-                ..Default::default()
-            },
-            &load,
-        );
-        let down = simulate_edge_load(
-            &m,
-            &EdgeTierConfig {
-                prewarm: true,
-                origin_down_after: Some(0),
-                ..Default::default()
-            },
-            &load,
-        );
+        let (up, down) = (at(None), at(Some(0)));
         assert_eq!(up, down, "warm edges never need the origin");
-        assert_eq!(down.load.completed, 400);
+        assert_eq!(down.edge.load.completed, 400);
     }
 
     #[test]
     fn hash_sharding_completes_and_spreads() {
-        let m = manifest();
         let tier = EdgeTierConfig {
             edges: 4,
             sharding: Sharding::Hash,
             ..Default::default()
         };
-        let load = LoadConfig {
-            sessions: 800,
-            ..Default::default()
-        };
-        let r = simulate_edge_load(&m, &tier, &load);
+        let r = vod(&catalog(), flat(tier), sessions(800)).edge;
         assert_eq!(r.load.completed, 800);
         assert!(
             r.per_edge.iter().all(|e| e.sessions > 100),
@@ -2523,20 +2224,17 @@ mod tests {
 
     #[test]
     fn edge_simulation_is_deterministic() {
-        let m = manifest();
+        let c = catalog();
         let tier = EdgeTierConfig {
             edges: 3,
             prewarm: false,
-            cache_capacity_bytes: title_bytes(&m) / 2,
+            cache_capacity_bytes: title_bytes(&c) / 2,
             ..Default::default()
         };
-        let load = LoadConfig {
-            sessions: 500,
-            ..Default::default()
-        };
-        let a = simulate_edge_load(&m, &tier, &load);
-        let b = simulate_edge_load(&m, &tier, &load);
-        assert_eq!(a, b);
+        assert_eq!(
+            vod(&c, flat(tier), sessions(500)),
+            vod(&c, flat(tier), sessions(500))
+        );
     }
 
     #[test]
@@ -2545,22 +2243,17 @@ mod tests {
         // covering the whole title, DvrStart joins, and zero churn,
         // every live gate is vacuous and the live simulator must
         // reproduce the VOD report *bit-identically*.
-        let m = manifest();
-        let server = ServerConfig::default();
-        let load = LoadConfig {
-            sessions: 700,
-            ..Default::default()
-        };
-        let live = LiveConfig {
+        let c = catalog();
+        let cfg = LiveConfig {
             ticks_per_segment: 0, // natural pace (irrelevant here)
             dvr_window_segments: u64::MAX,
-            head_start_segments: m.segment_count() as u64 - 1,
+            head_start_segments: c.title(0).segment_count() as u64 - 1,
             join: JoinMode::DvrStart,
         };
-        let vod = simulate_load(&m, &server, &load);
-        let live_run = simulate_live_load(&m, &server, &live, &load);
+        let vod_run = vod(&c, origin(), sessions(700));
+        let live_run = live(&c, origin(), cfg, sessions(700));
         assert_eq!(
-            live_run.load, vod,
+            live_run.edge.load, vod_run.edge.load,
             "vacuous live gates must not perturb VOD"
         );
         assert_eq!(live_run.live.publish_wait_ticks, 0);
@@ -2571,12 +2264,8 @@ mod tests {
     fn neutral_churn_knobs_are_the_static_population() {
         // Non-zero means with zero churn/flash sessions draw nothing
         // from the RNG: the static population, bit-identical.
-        let m = manifest();
-        let tier = EdgeTierConfig::default();
-        let base = LoadConfig {
-            sessions: 400,
-            ..Default::default()
-        };
+        let c = catalog();
+        let base = sessions(400);
         let with_knobs = LoadConfig {
             churn: ChurnConfig {
                 churn_sessions: 0,
@@ -2588,23 +2277,20 @@ mod tests {
             },
             ..base
         };
-        assert_eq!(
-            simulate_edge_load(&m, &tier, &base),
-            simulate_edge_load(&m, &tier, &with_knobs)
-        );
+        let cdn = flat(EdgeTierConfig::default());
+        assert_eq!(vod(&c, cdn, base), vod(&c, cdn, with_knobs));
     }
 
     #[test]
     fn churn_arrivals_and_departures_are_deterministic() {
-        let m = manifest();
-        let tier = EdgeTierConfig {
+        let c = catalog();
+        let cdn = flat(EdgeTierConfig {
             edges: 3,
             prewarm: false,
-            cache_capacity_bytes: title_bytes(&m) / 2,
+            cache_capacity_bytes: title_bytes(&c) / 2,
             ..Default::default()
-        };
+        });
         let load = LoadConfig {
-            sessions: 200,
             churn: ChurnConfig {
                 churn_sessions: 150,
                 mean_interarrival_ticks: 300.0,
@@ -2613,33 +2299,30 @@ mod tests {
                 flash_at_tick: 20_000,
                 flash_ramp_ticks: 5_000,
             },
-            ..Default::default()
+            ..sessions(200)
         };
-        let a = simulate_edge_load(&m, &tier, &load);
-        let b = simulate_edge_load(&m, &tier, &load);
-        assert_eq!(a, b, "churn must be seed-deterministic");
+        let a = vod(&c, cdn, load);
+        assert_eq!(a, vod(&c, cdn, load), "churn must be seed-deterministic");
+        let l = &a.edge.load;
         // The population is the base plus every churn and flash extra.
-        assert_eq!(a.load.sessions, 200 + 150 + 100);
+        assert_eq!(l.sessions, 200 + 150 + 100);
         // Short watch times force early departures.
-        assert!(a.load.departed > 0, "some churn viewers must leave early");
+        assert!(l.departed > 0, "some churn viewers must leave early");
         assert_eq!(
-            a.load.completed + a.load.departed,
-            a.load.sessions,
+            l.completed + l.departed,
+            l.sessions,
             "every session either finishes or departs (none wedge)"
         );
         // A different seed produces a different process.
-        let other = simulate_edge_load(&m, &tier, &LoadConfig { seed: 99, ..load });
-        assert_ne!(a, other);
+        assert_ne!(a, vod(&c, cdn, LoadConfig { seed: 99, ..load }));
     }
 
     #[test]
     fn flash_crowd_pushes_a_single_origin_past_its_knee() {
-        let m = manifest();
-        let server = ServerConfig::default();
+        let c = catalog();
         let calm = LoadConfig {
-            sessions: 300,
             stagger_ticks: 10_000,
-            ..Default::default()
+            ..sessions(300)
         };
         let flashed = LoadConfig {
             churn: ChurnConfig {
@@ -2650,30 +2333,30 @@ mod tests {
             },
             ..calm
         };
-        let before = simulate_load(&m, &server, &calm);
-        let after = simulate_load(&m, &server, &flashed);
-        assert!(before.rebuffer_fraction <= 0.05, "baseline is comfortable");
+        let before = vod(&c, origin(), calm).edge.load.rebuffer_fraction;
+        let after = vod(&c, origin(), flashed).edge.load.rebuffer_fraction;
+        assert!(before <= 0.05, "baseline is comfortable");
         assert!(
-            after.rebuffer_fraction > 0.05,
-            "a 10x flash crowd must drive one origin past its knee: {}",
-            after.rebuffer_fraction
+            after > 0.05,
+            "a 10x flash crowd must drive one origin past its knee: {after}"
         );
     }
 
     #[test]
     fn live_edge_sessions_pace_with_the_publish_clock() {
-        let m = manifest();
-        let live = LiveConfig {
+        let cfg = LiveConfig {
             dvr_window_segments: u64::MAX,
             ..Default::default() // LiveEdge join, fresh channel
         };
         let load = LoadConfig {
-            sessions: 20,
             stagger_ticks: 200,
-            ..Default::default()
+            ..sessions(20)
         };
-        let r = simulate_live_load(&m, &ServerConfig::default(), &live, &load);
-        assert_eq!(r.load.completed, 20, "every live viewer reaches the end");
+        let r = live(&catalog(), origin(), cfg, load);
+        assert_eq!(
+            r.edge.load.completed, 20,
+            "every live viewer reaches the end"
+        );
         assert!(
             r.live.publish_wait_ticks > 0,
             "live-edge viewers must block on unpublished segments"
@@ -2693,30 +2376,28 @@ mod tests {
 
     #[test]
     fn shallow_dvr_window_skips_slow_live_sessions_forward() {
-        let m = manifest();
         // Viewers slower than the publish pace: segments expire under
         // them and they must skip forward instead of wedging.
-        let live = LiveConfig {
+        let cfg = LiveConfig {
             ticks_per_segment: 8,
             dvr_window_segments: 1,
             head_start_segments: 0,
             join: JoinMode::DvrStart,
         };
         let load = LoadConfig {
-            sessions: 30,
             stagger_ticks: 0,
-            ..Default::default()
+            ..sessions(30)
         };
-        let r = simulate_live_load(&m, &ServerConfig::default(), &live, &load);
+        let r = live(&catalog(), origin(), cfg, load);
         assert!(
             r.live.window_skips > 0,
             "a 1-deep window at a hot pace must expire segments"
         );
         assert_eq!(
-            r.load.completed, 30,
+            r.edge.load.completed, 30,
             "skipping forward must still reach the live end"
         );
-        assert!(r.load.ticks < load.max_ticks);
+        assert!(r.edge.load.ticks < load.max_ticks);
     }
 
     #[test]
@@ -2727,99 +2408,88 @@ mod tests {
             prewarm: false,
             ..Default::default()
         };
-        let live = LiveConfig {
+        let cfg = LiveConfig {
             dvr_window_segments: u64::MAX,
             ..Default::default()
         };
         // A burst of simultaneous live-edge joins: every new publish is
         // a miss for everyone at once — the thundering-herd case.
         let load = LoadConfig {
-            sessions: 300,
             stagger_ticks: 0,
-            ..Default::default()
+            ..sessions(300)
         };
-        let r = simulate_live_edge_load(&m, &tier, &live, &load);
-        assert_eq!(r.edge.load.completed, 300);
+        let r = live(&catalog(), flat(tier), cfg, load).edge;
+        assert_eq!(r.load.completed, 300);
         assert!(
-            r.edge.tier.misses <= (m.rungs.len() * m.segment_count()) as u64,
+            r.tier.misses <= (m.rungs.len() * m.segment_count()) as u64,
             "each (rung, segment) fills at most once: {} misses",
-            r.edge.tier.misses
+            r.tier.misses
         );
         assert!(
-            r.edge.tier.coalesced > 0,
+            r.tier.coalesced > 0,
             "the storm must coalesce onto in-flight fills"
         );
     }
 
     #[test]
     fn live_dvr_expiry_invalidates_edge_caches() {
-        let m = manifest();
         let tier = EdgeTierConfig {
             edges: 2,
             prewarm: false,
             ..Default::default()
         };
-        let live = LiveConfig {
+        let cfg = LiveConfig {
             ticks_per_segment: 400,
             dvr_window_segments: 1,
             head_start_segments: 0,
             join: JoinMode::DvrStart,
         };
         let load = LoadConfig {
-            sessions: 60,
             stagger_ticks: 0,
-            ..Default::default()
+            ..sessions(60)
         };
-        let r = simulate_live_edge_load(&m, &tier, &live, &load);
+        let r = live(&catalog(), flat(tier), cfg, load).edge;
         assert!(
-            r.edge.tier.invalidations > 0,
+            r.tier.invalidations > 0,
             "window expiry must purge cached segments"
         );
-        assert_eq!(
-            r.edge.tier.evictions, 0,
-            "purges are not capacity evictions"
-        );
+        assert_eq!(r.tier.evictions, 0, "purges are not capacity evictions");
     }
 
     #[test]
     fn live_simulation_is_deterministic() {
-        let m = manifest();
-        let tier = EdgeTierConfig {
+        let c = catalog();
+        let cdn = flat(EdgeTierConfig {
             edges: 2,
             prewarm: false,
             ..Default::default()
-        };
-        let live = LiveConfig::default();
+        });
         let load = LoadConfig {
-            sessions: 250,
             churn: ChurnConfig {
                 churn_sessions: 50,
                 mean_interarrival_ticks: 200.0,
                 mean_watch_ticks: 3_000.0,
                 ..Default::default()
             },
-            ..Default::default()
+            ..sessions(250)
         };
-        let a = simulate_live_edge_load(&m, &tier, &live, &load);
-        let b = simulate_live_edge_load(&m, &tier, &live, &load);
-        assert_eq!(a, b);
+        let cfg = LiveConfig::default();
+        assert_eq!(live(&c, cdn, cfg, load), live(&c, cdn, cfg, load));
     }
 
     #[test]
     fn knee_is_invariant_under_curve_permutation() {
         // The knee is a max over a filtered set: the order sessions
         // (and their reports) arrive in must not matter.
-        let m = manifest();
-        let tier = EdgeTierConfig::default();
-        let counts = [50usize, 400, 1_200, 2_400];
-        let base = LoadConfig::default();
-        let mut curve = edge_capacity_curve(&m, &tier, &counts, &base);
-        let knee = edge_capacity_knee(&curve, 0.05);
+        let c = catalog();
+        let s = Scenario::new(&c, flat(EdgeTierConfig::default()), LoadConfig::default());
+        let mut curve = sweep(&s, &[50, 400, 1_200, 2_400], None);
+        let knee = curve_knee(&curve, 0.05);
         assert!(knee.is_some());
         curve.reverse();
-        assert_eq!(edge_capacity_knee(&curve, 0.05), knee);
+        assert_eq!(curve_knee(&curve, 0.05), knee);
         curve.rotate_left(1);
-        assert_eq!(edge_capacity_knee(&curve, 0.05), knee);
+        assert_eq!(curve_knee(&curve, 0.05), knee);
     }
 
     #[test]
@@ -2827,34 +2497,22 @@ mod tests {
         // The bisect probes O(log n) counts; on the monotone sweeps the
         // BENCH tables use it must land on exactly the curve-scan knee
         // — for the single-origin, edge-tier, and live shapes alike.
-        let m = manifest();
-        let base = LoadConfig::default();
+        let c = catalog();
         let counts = [50usize, 200, 400, 800, 1_600, 3_200];
-        let server = ServerConfig::default();
-        let scan = capacity_knee(&capacity_curve(&m, &server, &counts, &base), 0.05);
-        assert!(scan.is_some());
-        assert_eq!(
-            capacity_knee_bisect(&m, &server, &counts, &base, 0.05),
-            scan
-        );
-
-        let tier = EdgeTierConfig::default();
-        let scan = edge_capacity_knee(&edge_capacity_curve(&m, &tier, &counts, &base), 0.05);
-        assert!(scan.is_some());
-        assert_eq!(
-            edge_capacity_knee_bisect(&m, &tier, &counts, &base, 0.05),
-            scan
-        );
-
-        let live = LiveConfig::default();
-        let scan = live_edge_capacity_knee(
-            &live_edge_capacity_curve(&m, &tier, &live, &counts, &base),
-            0.05,
-        );
-        assert_eq!(
-            live_edge_capacity_knee_bisect(&m, &tier, &live, &counts, &base, 0.05),
-            scan
-        );
+        let tier = flat(EdgeTierConfig::default());
+        for (cdn, live) in [
+            (origin(), None),
+            (tier, None),
+            (tier, Some(LiveConfig::default())),
+        ] {
+            let s = Scenario {
+                live,
+                ..Scenario::new(&c, cdn, LoadConfig::default())
+            };
+            let scan = curve_knee(&sweep(&s, &counts, None), 0.05);
+            assert!(scan.is_some() || live.is_some());
+            assert_eq!(knee(&s, &counts, 0.05), scan);
+        }
     }
 
     #[test]
@@ -2862,45 +2520,39 @@ mod tests {
         // Unsorted and duplicated population points (hand-edited sweep
         // configs) must give the same knee as the clean sweep; empty
         // and all-stalling sweeps answer `None`.
-        let m = manifest();
-        let base = LoadConfig::default();
-        let tier = EdgeTierConfig::default();
-        let clean = edge_capacity_knee_bisect(&m, &tier, &[200, 800, 3_200], &base, 0.05);
+        let c = catalog();
+        let s = Scenario::new(&c, flat(EdgeTierConfig::default()), LoadConfig::default());
+        let clean = knee(&s, &[200, 800, 3_200], 0.05);
         assert!(clean.is_some());
         let messy = [3_200usize, 200, 800, 200, 3_200, 800, 800];
-        assert_eq!(
-            edge_capacity_knee_bisect(&m, &tier, &messy, &base, 0.05),
-            clean
-        );
-        assert_eq!(edge_capacity_knee_bisect(&m, &tier, &[], &base, 0.05), None);
+        assert_eq!(knee(&s, &messy, 0.05), clean);
+        assert_eq!(knee(&s, &[], 0.05), None);
         // Even the smallest count stalls on a starved tier.
-        let starved = EdgeTierConfig {
-            edge_capacity_bytes_per_tick: 1.0,
-            ..Default::default()
-        };
-        assert_eq!(
-            edge_capacity_knee_bisect(&m, &starved, &[400, 800], &base, 0.05),
-            None
-        );
+        let mut starved = s;
+        starved.cdn.tier.edge_capacity_bytes_per_tick = 1.0;
+        assert_eq!(knee(&starved, &[400, 800], 0.05), None);
+    }
+
+    #[test]
+    fn a_nan_stall_tolerance_has_no_knee_either_way() {
+        // No stall fraction is `<=` NaN, so neither search may answer.
+        let c = catalog();
+        let s = Scenario::new(&c, origin(), LoadConfig::default());
+        let counts = [50usize, 200, 1_000];
+        assert_eq!(knee(&s, &counts, f64::NAN), None);
+        assert_eq!(curve_knee(&sweep(&s, &counts, None), f64::NAN), None);
     }
 
     #[test]
     fn degenerate_live_configs_return_well_defined_reports() {
-        let m = manifest();
         let load = LoadConfig::default();
         // A zero DVR window can never publish anything fetchable.
-        let r = simulate_live_load(
-            &m,
-            &ServerConfig::default(),
-            &LiveConfig {
-                dvr_window_segments: 0,
-                ..Default::default()
-            },
-            &load,
-        );
-        assert_eq!(r.load, LoadReport::degenerate(load.population()));
-        assert_eq!(r.live, LiveStats::default());
-        assert_eq!(live_edge_capacity_knee(&[], 0.05), None);
+        let cfg = LiveConfig {
+            dvr_window_segments: 0,
+            ..Default::default()
+        };
+        let r = live(&catalog(), origin(), cfg, load);
+        assert_eq!(r, degenerate(load.population()));
     }
 
     #[test]
@@ -2908,44 +2560,29 @@ mod tests {
         // A degenerate run must report the same population a healthy
         // run would have created (base + churn + flash), so capacity
         // curves stay comparable level to level.
-        let m = manifest();
         let load = LoadConfig {
-            sessions: 3,
             churn: ChurnConfig {
                 churn_sessions: 5,
                 flash_sessions: 7,
                 ..Default::default()
             },
-            ..Default::default()
+            ..sessions(3)
         };
-        let r = simulate_live_load(
-            &m,
-            &ServerConfig {
-                capacity_bytes_per_tick: f64::NAN,
-                per_session_bytes_per_tick: 100.0,
-            },
-            &LiveConfig::default(),
-            &load,
-        );
-        assert_eq!(r.load.sessions, 15, "3 base + 5 churn + 7 flash");
-        assert_eq!(r.load.completed, 0);
+        let cdn = origin_at(f64::NAN, 100.0);
+        let r = live(&catalog(), cdn, LiveConfig::default(), load).edge.load;
+        assert_eq!(r.sessions, 15, "3 base + 5 churn + 7 flash");
+        assert_eq!(r.completed, 0);
     }
 
     #[test]
     fn degenerate_edge_tiers_return_well_defined_reports() {
-        let m = manifest();
+        let tier = EdgeTierConfig {
+            edges: 0,
+            ..Default::default()
+        };
         let load = LoadConfig::default();
-        let zero_edges = simulate_edge_load(
-            &m,
-            &EdgeTierConfig {
-                edges: 0,
-                ..Default::default()
-            },
-            &load,
-        );
-        assert_eq!(zero_edges.load, LoadReport::degenerate(load.population()));
-        assert!(zero_edges.per_edge.is_empty());
-        assert_eq!(edge_capacity_knee(&[], 0.05), None);
+        let r = vod(&catalog(), flat(tier), load);
+        assert_eq!(r, degenerate(load.population()));
     }
 
     #[test]
@@ -2954,7 +2591,7 @@ mod tests {
         // restart. Nothing can ever move a byte again, so the run must
         // terminate with a clean degraded report — not trip the stasis
         // detector into a panic, and not spin to `max_ticks`.
-        let m = manifest();
+        let c = catalog();
         let tier = EdgeTierConfig {
             edges: 2,
             ..Default::default()
@@ -2962,11 +2599,11 @@ mod tests {
         let plan = FaultPlan::new(9)
             .crash_edge(0, 200, None)
             .crash_edge(1, 200, None);
-        let load = LoadConfig {
-            sessions: 300,
-            ..Default::default()
-        };
-        let r = simulate_edge_load_faulted(&m, &tier, &plan, &load);
+        let load = sessions(300);
+        let r = simulate(&Scenario {
+            faults: &plan,
+            ..Scenario::new(&c, flat(tier), load)
+        });
         assert_eq!(r.resilience.edge_crashes, 2);
         assert_eq!(r.resilience.edge_restarts, 0);
         assert_eq!(r.resilience.mean_restore_ticks, 0.0);
@@ -2983,24 +2620,21 @@ mod tests {
 
     #[test]
     fn crash_and_restart_fail_over_and_fail_back() {
-        use crate::fault::RestartMode;
-
         // One of two edges dies mid-run and comes back cold: sessions
         // must fail over (re-home), the restart must land in the MTTR
         // ledger, and the cold cache must trigger re-warm fills. The
         // run still completes everyone — that is what failover buys.
-        let m = manifest();
+        let c = catalog();
         let tier = EdgeTierConfig {
             edges: 2,
             prewarm: true,
             ..Default::default()
         };
         let plan = FaultPlan::new(5).crash_edge(0, 300, Some((900, RestartMode::Cold)));
-        let load = LoadConfig {
-            sessions: 400,
-            ..Default::default()
-        };
-        let r = simulate_edge_load_faulted(&m, &tier, &plan, &load);
+        let r = simulate(&Scenario {
+            faults: &plan,
+            ..Scenario::new(&c, flat(tier), sessions(400))
+        });
         assert_eq!(r.resilience.edge_crashes, 1);
         assert_eq!(r.resilience.edge_restarts, 1);
         assert_eq!(r.resilience.mean_restore_ticks, 600.0);

@@ -12,7 +12,7 @@
 //!   miss calls [`ShieldCache::ensure`] before filling, so the origin
 //!   sees at most one fetch per (object, generation) across all child
 //!   edges ([`crate::edge::EdgeCache::fetch_through_shield`]).
-//! * [`SimShield`] is the *fluid* counterpart: the calendar engine
+//! * `SimShield` is the *fluid* counterpart: the calendar engine
 //!   drains edge fills from their shield's cache at the shield's
 //!   downlink rate, and shield misses coalesce into origin fills that
 //!   share the origin uplink.

@@ -2,7 +2,7 @@
 //!
 //! Paper §3: *"Wavelets represent the frequency content hierarchically and
 //! do not suffer from the edge artifacts common to DCT-based encoding.
-//! Wavelets [have] been incorporated into JPEG2000."* Experiment E18
+//! Wavelets \[have\] been incorporated into JPEG2000."* Experiment E18
 //! compares this transform against the block DCT on sharp-edged images at
 //! equal coefficient budgets and measures blocking artifacts.
 //!

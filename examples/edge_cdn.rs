@@ -3,8 +3,8 @@
 //! origin and the viewers. The first viewer warms an edge over its lossy
 //! origin link, later viewers ride cache hits, and when the origin goes
 //! dark the warm edge keeps serving. A fluid sweep then shows the
-//! capacity knee scaling with edge count — the number PR 3's single
-//! uplink could not move.
+//! capacity knee scaling with edge count — the number a single
+//! uplink cannot move.
 //!
 //! ```sh
 //! cargo run --release --example edge_cdn
@@ -12,12 +12,10 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
+use mmstream::catalog::Catalog;
 use mmstream::edge::{EdgeCache, EdgeConfig, EdgeTierConfig};
 use mmstream::ladder::{encode_ladder, publish_ladder, seal_ladder, LadderConfig, Manifest};
-use mmstream::serve::{
-    capacity_curve, capacity_knee, edge_capacity_curve, edge_capacity_knee, LoadConfig,
-    ServerConfig,
-};
+use mmstream::serve::{curve_knee, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::session::{run_session_via_edge, SessionConfig};
 use netstack::fetch::ContentServer;
 use netstack::link::LinkConfig;
@@ -86,11 +84,13 @@ fn main() {
     assert_eq!(outage.rebuffer_events, 0);
 
     // 4. The capacity story: knee vs edge count at equal per-link
-    // capacity (4,000 bytes/tick, the PR 3 single-origin uplink).
-    let base = LoadConfig::default();
-    let counts = [200usize, 1_000, 2_000, 4_000, 8_000];
-    let single = capacity_curve(&ladder.manifest, &ServerConfig::default(), &counts, &base);
-    let single_knee = capacity_knee(&single, 0.05).expect("single origin has a knee");
+    // capacity (4,000 bytes/tick, the single-origin uplink).
+    let catalog = Catalog::single(ladder.manifest.clone());
+    let knee = |cdn| {
+        let s = Scenario::new(&catalog, cdn, LoadConfig::default());
+        curve_knee(&sweep(&s, &[200, 1_000, 2_000, 4_000, 8_000], None), 0.05)
+    };
+    let single_knee = knee(CdnConfig::single_origin()).expect("single origin has a knee");
     println!("\ncapacity knee (<=5% of sessions rebuffering):");
     println!("  single origin: {single_knee} sessions");
     for edges in [2usize, 4, 8] {
@@ -99,8 +99,7 @@ fn main() {
             prewarm: true,
             ..Default::default()
         };
-        let curve = edge_capacity_curve(&ladder.manifest, &tier, &counts, &base);
-        let knee = edge_capacity_knee(&curve, 0.05).expect("tier has a knee");
+        let knee = knee(CdnConfig::flat(tier)).expect("tier has a knee");
         println!(
             "  {edges} warm edges: {knee} sessions ({:.1}x the single origin)",
             knee as f64 / single_knee as f64

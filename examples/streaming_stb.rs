@@ -12,11 +12,12 @@ use audio::encoder::{AudioConfig, AudioEncoder};
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
 use mediafs::fs::{AllocPolicy, MediaFs};
+use mmstream::catalog::Catalog;
 use mmstream::ladder::{
     encode_ladder, publish_from_fs, seal_ladder, store_ladder, LadderConfig, Manifest,
 };
 use mmstream::segment::{demux_segment, mux_segment_wire};
-use mmstream::serve::{capacity_curve, capacity_knee, LoadConfig, ServerConfig};
+use mmstream::serve::{curve_knee, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::session::{run_session, SessionConfig};
 use netstack::fetch::ContentServer;
 use netstack::link::LinkConfig;
@@ -102,14 +103,15 @@ fn main() {
     println!("viewer: every delivered segment decrypted and decoded");
 
     // 5. How many boxes does one uplink feed? Sweep to the knee.
-    let server_model = ServerConfig::default();
-    let counts = [50usize, 200, 1_000, 4_000];
-    let curve = capacity_curve(&manifest, &server_model, &counts, &LoadConfig::default());
+    let server_model = CdnConfig::single_origin();
+    let catalog = Catalog::single(manifest);
+    let scenario = Scenario::new(&catalog, server_model, LoadConfig::default());
+    let curve = sweep(&scenario, &[50, 200, 1_000, 4_000], None);
     println!(
         "load sweep (uplink {} bytes/tick):",
-        server_model.capacity_bytes_per_tick
+        server_model.tier.edge_capacity_bytes_per_tick
     );
-    for r in &curve {
+    for r in curve.iter().map(|r| &r.edge.load) {
         println!(
             "  {:>5} sessions: {:>7.1} bits/tick/session, rung {:.2}, {:>5.1}% rebuffering",
             r.sessions,
@@ -118,7 +120,7 @@ fn main() {
             100.0 * r.rebuffer_fraction
         );
     }
-    match capacity_knee(&curve, 0.05) {
+    match curve_knee(&curve, 0.05) {
         Some(k) => println!("capacity knee: ~{k} concurrent sessions per server"),
         None => println!("capacity knee: below the smallest swept level"),
     }

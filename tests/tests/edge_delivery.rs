@@ -6,12 +6,10 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
+use mmstream::catalog::Catalog;
 use mmstream::edge::{EdgeCache, EdgeConfig, EdgeTierConfig};
 use mmstream::ladder::{encode_ladder, publish_ladder, seal_ladder, LadderConfig, Manifest};
-use mmstream::serve::{
-    capacity_curve, capacity_knee, edge_capacity_curve, edge_capacity_knee, LoadConfig,
-    ServerConfig,
-};
+use mmstream::serve::{curve_knee, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::session::{run_session_via_edge, SessionConfig, SessionError};
 use netstack::fetch::{ContentServer, FetchError};
 use netstack::link::LinkConfig;
@@ -143,21 +141,25 @@ fn edge_tier_knee_scales_past_the_single_origin() {
         ..Default::default()
     };
     let counts = [200usize, 1_000, 2_000, 4_000];
-    let single = capacity_curve(&manifest, &ServerConfig::default(), &counts, &base);
-    let single_knee = capacity_knee(&single, 0.05).expect("single origin sustains some level");
+    let catalog = Catalog::single(manifest);
+    let curve_for = |cdn| sweep(&Scenario::new(&catalog, cdn, base), &counts, None);
+    let single = curve_for(CdnConfig::single_origin());
+    let single_knee = curve_knee(&single, 0.05).expect("single origin sustains some level");
     let tier = EdgeTierConfig {
         edges: 4,
         cache_capacity_bytes: usize::MAX,
         prewarm: true,
         ..Default::default()
     };
-    let curve = edge_capacity_curve(&manifest, &tier, &counts, &base);
-    assert!(curve.iter().all(|r| r.load.completed == r.load.sessions));
-    let knee = edge_capacity_knee(&curve, 0.05).expect("tier sustains some level");
+    let curve = curve_for(CdnConfig::flat(tier));
+    assert!(curve
+        .iter()
+        .all(|r| r.edge.load.completed == r.edge.load.sessions));
+    let knee = curve_knee(&curve, 0.05).expect("tier sustains some level");
     assert!(
         knee >= 2 * single_knee,
         "4 warm edges must at least double the knee: {knee} vs {single_knee}"
     );
     // Warm edges fully offload the origin.
-    assert!(curve.iter().all(|r| r.tier.origin_bytes == 0));
+    assert!(curve.iter().all(|r| r.edge.tier.origin_bytes == 0));
 }

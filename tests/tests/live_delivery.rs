@@ -8,11 +8,11 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
+use mmstream::catalog::Catalog;
 use mmstream::edge::{EdgeCache, EdgeConfig, EdgeTierConfig};
 use mmstream::ladder::{encode_ladder, seal_ladder, LadderConfig, LiveOrigin, LiveOriginConfig};
 use mmstream::serve::{
-    live_edge_capacity_curve, live_edge_capacity_knee, simulate_live_edge_load, simulate_live_load,
-    ChurnConfig, LiveConfig, LoadConfig, ServerConfig,
+    curve_knee, simulate, sweep, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario,
 };
 use mmstream::session::{
     run_live_session, run_live_session_via_edge, JoinMode, LiveSessionConfig, SessionConfig,
@@ -175,16 +175,19 @@ fn live_capacity_knee_scales_with_edge_count() {
         join: JoinMode::LiveEdge,
         ..Default::default()
     };
-    let base = LoadConfig::default();
-    let counts = [500usize, 1_000, 2_000, 4_000];
+    let catalog = Catalog::single(manifest);
     let knee_for = |edges: usize| {
         let tier = EdgeTierConfig {
             edges,
             prewarm: false,
             ..Default::default()
         };
-        let curve = live_edge_capacity_curve(&manifest, &tier, &live, &counts, &base);
-        live_edge_capacity_knee(&curve, 0.05).expect("some live level is sustainable")
+        let s = Scenario {
+            live: Some(live),
+            ..Scenario::new(&catalog, CdnConfig::flat(tier), LoadConfig::default())
+        };
+        let curve = sweep(&s, &[500, 1_000, 2_000, 4_000], None);
+        curve_knee(&curve, 0.05).expect("some live level is sustainable")
     };
     let one = knee_for(1);
     let four = knee_for(4);
@@ -220,18 +223,25 @@ fn warm_edge_tier_absorbs_the_flash_crowd_that_collapses_one_origin() {
         },
         ..Default::default()
     };
-    let single = simulate_live_load(&manifest, &ServerConfig::default(), &live, &flashed);
+    let catalog = Catalog::single(manifest);
+    let run = |cdn| {
+        simulate(&Scenario {
+            live: Some(live),
+            ..Scenario::new(&catalog, cdn, flashed)
+        })
+    };
+    let single = run(CdnConfig::single_origin()).edge.load;
     assert!(
-        single.load.rebuffer_fraction > 0.05,
+        single.rebuffer_fraction > 0.05,
         "the flash crowd must drive a single origin past its knee: {}",
-        single.load.rebuffer_fraction
+        single.rebuffer_fraction
     );
     let tier = EdgeTierConfig {
         edges: 4,
         prewarm: false,
         ..Default::default()
     };
-    let edge = simulate_live_edge_load(&manifest, &tier, &live, &flashed);
+    let edge = run(CdnConfig::flat(tier));
     assert!(
         edge.edge.load.rebuffer_fraction <= 0.05,
         "a warm 4-edge tier must absorb the same spike: {}",

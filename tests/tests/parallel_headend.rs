@@ -5,11 +5,9 @@
 //! busy-delays inside the jobs — the merged outputs never change.
 
 use mmpool::WorkerPool;
+use mmstream::catalog::Catalog;
 use mmstream::ladder::{encode_ladder, encode_ladder_on, encode_rung, LadderConfig};
-use mmstream::serve::{
-    capacity_curve, capacity_curve_on, edge_capacity_curve, edge_capacity_curve_on,
-    live_edge_capacity_curve, live_edge_capacity_curve_on, LiveConfig, LoadConfig, ServerConfig,
-};
+use mmstream::serve::{simulate, sweep, CdnConfig, LiveConfig, LoadConfig, Scenario};
 use mmstream::session::JoinMode;
 use mmstream::EdgeTierConfig;
 use video::synth::SequenceGen;
@@ -56,39 +54,35 @@ fn pooled_capacity_curves_match_sequential_for_every_worker_count() {
     let manifest = encode_ladder("par", &frames, &ladder_config())
         .expect("ladder encodes")
         .manifest;
-    let server = ServerConfig::default();
-    let base = LoadConfig::default();
+    let catalog = Catalog::single(manifest);
     let counts = [50usize, 100, 200, 400];
-    let tier = EdgeTierConfig {
+    let tier = CdnConfig::flat(EdgeTierConfig {
         edges: 2,
         ..Default::default()
-    };
+    });
     let live = LiveConfig {
         dvr_window_segments: 4,
         join: JoinMode::LiveEdge,
         ..Default::default()
     };
-
-    let vod = capacity_curve(&manifest, &server, &counts, &base);
-    let edge = edge_capacity_curve(&manifest, &tier, &counts, &base);
-    let live_edge = live_edge_capacity_curve(&manifest, &tier, &live, &counts, &base);
-    for workers in [1usize, 2, 4, 8] {
-        let pool = WorkerPool::new(workers);
-        assert_eq!(
-            capacity_curve_on(&pool, &manifest, &server, &counts, &base),
-            vod,
-            "VOD curve diverged at {workers} workers"
-        );
-        assert_eq!(
-            edge_capacity_curve_on(&pool, &manifest, &tier, &counts, &base),
-            edge,
-            "edge curve diverged at {workers} workers"
-        );
-        assert_eq!(
-            live_edge_capacity_curve_on(&pool, &manifest, &tier, &live, &counts, &base),
-            live_edge,
-            "live curve diverged at {workers} workers"
-        );
+    let scenario = |cdn, live| Scenario {
+        live,
+        ..Scenario::new(&catalog, cdn, LoadConfig::default())
+    };
+    for (name, s) in [
+        ("VOD", scenario(CdnConfig::single_origin(), None)),
+        ("edge", scenario(tier, None)),
+        ("live", scenario(tier, Some(live))),
+    ] {
+        let sequential = sweep(&s, &counts, None);
+        for workers in [1usize, 2, 4, 8] {
+            let pool = WorkerPool::new(workers);
+            assert_eq!(
+                sweep(&s, &counts, Some(&pool)),
+                sequential,
+                "{name} curve diverged at {workers} workers"
+            );
+        }
     }
 }
 
@@ -122,15 +116,18 @@ fn scrambled_completion_order_cannot_change_the_merged_curve() {
     let manifest = encode_ladder("par", &frames, &ladder_config())
         .expect("ladder encodes")
         .manifest;
-    let server = ServerConfig::default();
-    let base = LoadConfig::default();
+    let catalog = Catalog::single(manifest);
+    let s = Scenario::new(&catalog, CdnConfig::single_origin(), LoadConfig::default());
     let counts = [50usize, 100, 200, 400];
-    let baseline = capacity_curve(&manifest, &server, &counts, &base);
+    let baseline = sweep(&s, &counts, None);
     for seed in [3u64, 99, 0xfeed] {
         let pool = WorkerPool::new(4);
         let curve = pool.map(&counts, |&sessions| {
             std::hint::black_box(scramble(seed, sessions));
-            mmstream::serve::simulate_load(&manifest, &server, &LoadConfig { sessions, ..base })
+            simulate(&Scenario {
+                load: LoadConfig { sessions, ..s.load },
+                ..s
+            })
         });
         assert_eq!(curve, baseline, "seed {seed} changed the merged curve");
     }

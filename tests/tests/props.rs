@@ -535,35 +535,28 @@ proptest! {
         levels in prop::collection::vec((1usize..10_000, 0.0f64..0.2), 1..12),
         rotate in 0usize..12,
     ) {
-        let curve: Vec<mmstream::EdgeLoadReport> = levels
+        let curve: Vec<mmstream::CdnLoadReport> = levels
             .iter()
-            .map(|&(sessions, rebuffer_fraction)| mmstream::EdgeLoadReport {
-                load: mmstream::LoadReport {
+            .map(|&(sessions, rebuffer_fraction)| {
+                let mut r = mmstream::CdnLoadReport::default();
+                r.edge.load = mmstream::LoadReport {
                     sessions,
                     completed: sessions,
                     ticks: 1,
-                    total_goodput_bits_per_tick: 0.0,
-                    mean_session_bits_per_tick: 0.0,
-                    mean_startup_ticks: 0.0,
                     rebuffer_sessions: (sessions as f64 * rebuffer_fraction) as usize,
                     rebuffer_fraction,
-                    mean_rung: 0.0,
-                    rung_switches: 0,
-                    departed: 0,
-                },
-                per_edge: Vec::new(),
-                tier: mmstream::EdgeStats::default(),
-                hit_rate: 0.0,
-                origin_offload: 0.0,
+                    ..Default::default()
+                };
+                r
             })
             .collect();
-        let knee = mmstream::edge_capacity_knee(&curve, 0.05);
+        let knee = mmstream::curve_knee(&curve, 0.05);
         let mut permuted = curve.clone();
         permuted.reverse();
-        prop_assert_eq!(mmstream::edge_capacity_knee(&permuted, 0.05), knee);
+        prop_assert_eq!(mmstream::curve_knee(&permuted, 0.05), knee);
         let n = permuted.len().max(1);
         permuted.rotate_left(rotate % n);
-        prop_assert_eq!(mmstream::edge_capacity_knee(&permuted, 0.05), knee);
+        prop_assert_eq!(mmstream::curve_knee(&permuted, 0.05), knee);
     }
 
     /// The bisecting knee search is invariant under permutation and
@@ -585,35 +578,29 @@ proptest! {
             gop: 4,
             ..Default::default()
         };
-        let manifest = mmstream::encode_ladder("prop", &frames, &cfg).unwrap().manifest;
-        let server = mmstream::ServerConfig {
-            capacity_bytes_per_tick: capacity,
-            ..Default::default()
-        };
+        let catalog = mmstream::Catalog::single(
+            mmstream::encode_ladder("prop", &frames, &cfg).unwrap().manifest,
+        );
+        let mut server = mmstream::CdnConfig::single_origin();
+        server.tier.edge_capacity_bytes_per_tick = capacity;
         let base = mmstream::LoadConfig {
             stagger_ticks: 200,
             ..Default::default()
         };
-        let knee = mmstream::capacity_knee_bisect(&manifest, &server, &counts, &base, 0.05);
+        let s = mmstream::Scenario::new(&catalog, server, base);
+        let knee = mmstream::knee(&s, &counts, 0.05);
         // Messy input (duplicates, arbitrary order) gives the same
         // answer as the clean sorted set of distinct levels.
         let n = counts.len();
         counts.rotate_left(rotate % n);
-        prop_assert_eq!(
-            mmstream::capacity_knee_bisect(&manifest, &server, &counts, &base, 0.05),
-            knee
-        );
+        prop_assert_eq!(mmstream::knee(&s, &counts, 0.05), knee);
         counts.sort_unstable();
         counts.dedup();
-        prop_assert_eq!(
-            mmstream::capacity_knee_bisect(&manifest, &server, &counts, &base, 0.05),
-            knee
-        );
+        prop_assert_eq!(mmstream::knee(&s, &counts, 0.05), knee);
         // The verdict holds up when the named level is simulated directly.
         let stalls = |sessions: usize| {
-            mmstream::simulate_load(&manifest, &server, &mmstream::LoadConfig { sessions, ..base })
-                .rebuffer_fraction
-                > 0.05
+            let at = mmstream::Scenario::new(&catalog, server, mmstream::LoadConfig { sessions, ..base });
+            mmstream::simulate(&at).edge.load.rebuffer_fraction > 0.05
         };
         match knee {
             Some(k) => {
@@ -628,10 +615,11 @@ proptest! {
     }
 
     /// An empty `FaultPlan` runs the fault-free edge engine
-    /// bit-identically: the whole edge report (load, per-edge
-    /// counters, hit rates) is equal, the live stats are equal, and
-    /// the resilience ledger is all zero. The chaos layer must cost
-    /// exactly nothing when no fault is scheduled.
+    /// bit-identically: the whole report (load, per-edge counters, hit
+    /// rates, live stats) is equal and the resilience ledger is all
+    /// zero. The chaos layer must cost exactly nothing when no fault is
+    /// scheduled. A flat tier also has no shield tier to report, so its
+    /// true-origin offload is exactly the edge-local figure.
     #[test]
     fn empty_fault_plan_is_bit_identical_to_plan_free(
         sessions in 1usize..400,
@@ -645,7 +633,9 @@ proptest! {
             gop: 4,
             ..Default::default()
         };
-        let manifest = mmstream::encode_ladder("prop", &frames, &cfg).unwrap().manifest;
+        let catalog = mmstream::Catalog::single(
+            mmstream::encode_ladder("prop", &frames, &cfg).unwrap().manifest,
+        );
         let tier = mmstream::EdgeTierConfig {
             edges,
             ..Default::default()
@@ -655,16 +645,15 @@ proptest! {
             seed: load_seed,
             ..Default::default()
         };
-        let faulted = mmstream::simulate_edge_load_faulted(
-            &manifest,
-            &tier,
-            &mmstream::FaultPlan::new(plan_seed),
-            &load,
-        );
-        let plain = mmstream::simulate_edge_load(&manifest, &tier, &load);
-        prop_assert_eq!(&faulted.edge, &plain);
+        let plain = mmstream::Scenario::new(&catalog, mmstream::CdnConfig::flat(tier), load);
+        let plan = mmstream::FaultPlan::new(plan_seed);
+        let faulted = mmstream::simulate(&mmstream::Scenario { faults: &plan, ..plain });
+        let plain = mmstream::simulate(&plain);
+        prop_assert_eq!(&faulted, &plain);
         prop_assert_eq!(faulted.live, mmstream::LiveStats::default());
         prop_assert_eq!(faulted.resilience, mmstream::ResilienceStats::default());
+        prop_assert!(plain.per_shield.is_empty());
+        prop_assert_eq!(plain.origin_offload, plain.edge.origin_offload);
     }
 
     /// The consistent-hash failover ring moves only the crashed edge's
@@ -696,51 +685,6 @@ proptest! {
                 prop_assert_eq!(rerouted, home, "only the crashed edge's keys may move");
             }
         }
-    }
-
-    /// The flat CDN topology is the edge engine bit-identically: a
-    /// single-title catalog with zero shields and admit-always must
-    /// produce exactly `simulate_edge_load`'s report — the shield tier,
-    /// catalog sampler, and admission filter together cost nothing when
-    /// switched off.
-    #[test]
-    fn cdn_flat_topology_is_bit_identical_to_edge_engine(
-        sessions in 1usize..400,
-        edges in 1usize..5,
-        load_seed in 0u64..1000,
-        stagger in 0u64..80,
-    ) {
-        let frames = video::synth::SequenceGen::new(9).panning_sequence(48, 32, 8, 1, 0);
-        let cfg = mmstream::LadderConfig {
-            targets_bits_per_frame: vec![2_000.0, 6_000.0],
-            gop: 4,
-            ..Default::default()
-        };
-        let manifest = mmstream::encode_ladder("prop", &frames, &cfg).unwrap().manifest;
-        let tier = mmstream::EdgeTierConfig {
-            edges,
-            ..Default::default()
-        };
-        let load = mmstream::LoadConfig {
-            sessions,
-            seed: load_seed,
-            stagger_ticks: stagger,
-            ..Default::default()
-        };
-        let cdn = mmstream::CdnConfig {
-            tier,
-            shields: 0,
-            ..Default::default()
-        };
-        let flat = mmstream::simulate_cdn_load(&mmstream::Catalog::single(manifest.clone()), &cdn, &load);
-        let plain = mmstream::simulate_edge_load(&manifest, &tier, &load);
-        prop_assert_eq!(&flat.edge, &plain);
-        prop_assert!(flat.per_shield.is_empty());
-        prop_assert_eq!(flat.live, mmstream::LiveStats::default());
-        prop_assert_eq!(flat.resilience, mmstream::ResilienceStats::default());
-        // With no shields the rollup's origin is the edges' parent:
-        // the two offload figures must agree exactly.
-        prop_assert_eq!(flat.origin_offload, plain.origin_offload);
     }
 
     /// Failing a ring member over and then restoring it is a perfect
@@ -853,12 +797,16 @@ proptest! {
         prop_assert_eq!(&pooled, &sequential);
 
         // The pooled capacity curve equals the sequential scan.
-        let server = mmstream::ServerConfig::default();
-        let base = mmstream::LoadConfig::default();
+        let catalog = mmstream::Catalog::single(sequential.manifest.clone());
+        let s = mmstream::Scenario::new(
+            &catalog,
+            mmstream::CdnConfig::single_origin(),
+            mmstream::LoadConfig::default(),
+        );
         let counts = [40usize, 80];
         prop_assert_eq!(
-            mmstream::capacity_curve_on(&pool, &sequential.manifest, &server, &counts, &base),
-            mmstream::capacity_curve(&sequential.manifest, &server, &counts, &base)
+            mmstream::sweep(&s, &counts, Some(&pool)),
+            mmstream::sweep(&s, &counts, None)
         );
     }
 

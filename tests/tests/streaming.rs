@@ -4,8 +4,9 @@
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
 use mediafs::fs::{AllocPolicy, MediaFs};
+use mmstream::catalog::Catalog;
 use mmstream::ladder::{encode_ladder, publish_from_fs, seal_ladder, LadderConfig, Manifest};
-use mmstream::serve::{capacity_curve, capacity_knee, LoadConfig, ServerConfig};
+use mmstream::serve::{curve_knee, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::session::{run_session, SessionConfig};
 use netstack::fetch::ContentServer;
 use netstack::link::LinkConfig;
@@ -117,18 +118,19 @@ fn free_abr_session_upgrades_but_survives_loss() {
 #[test]
 fn capacity_curve_shows_a_knee_beyond_a_thousand_sessions() {
     let (_, _, manifest) = head_end(&source_frames());
-    let server = ServerConfig::default();
+    let catalog = Catalog::single(manifest);
     let base = LoadConfig {
         seed: 5,
         ..Default::default()
     };
-    let counts = [20usize, 1_000, 4_000];
-    let curve = capacity_curve(&manifest, &server, &counts, &base);
-    assert!(curve.iter().all(|r| r.completed == r.sessions));
+    let s = Scenario::new(&catalog, CdnConfig::single_origin(), base);
+    let curve = sweep(&s, &[20, 1_000, 4_000], None);
+    let load: Vec<_> = curve.iter().map(|r| &r.edge.load).collect();
+    assert!(load.iter().all(|r| r.completed == r.sessions));
     // Light load is comfortable; extreme load degrades per-session rate.
-    assert!(curve[0].rebuffer_fraction == 0.0);
-    assert!(curve[2].mean_session_bits_per_tick < curve[0].mean_session_bits_per_tick);
-    assert!(curve[2].mean_rung <= curve[0].mean_rung);
-    let knee = capacity_knee(&curve, 0.05).expect("some load level is sustainable");
+    assert!(load[0].rebuffer_fraction == 0.0);
+    assert!(load[2].mean_session_bits_per_tick < load[0].mean_session_bits_per_tick);
+    assert!(load[2].mean_rung <= load[0].mean_rung);
+    let knee = curve_knee(&curve, 0.05).expect("some load level is sustainable");
     assert!(knee >= 20);
 }
