@@ -38,6 +38,8 @@ pub enum SpeechError {
     Truncated(OutOfBitsError),
     /// Bad stream magic.
     BadMagic(u32),
+    /// A subframe's long-term lag exceeds [`MAX_LAG`].
+    BadLag(usize),
 }
 
 impl core::fmt::Display for SpeechError {
@@ -48,6 +50,7 @@ impl core::fmt::Display for SpeechError {
             }
             SpeechError::Truncated(e) => write!(f, "truncated stream: {e}"),
             SpeechError::BadMagic(m) => write!(f, "bad magic {m:#x}"),
+            SpeechError::BadLag(l) => write!(f, "long-term lag {l} exceeds {MAX_LAG}"),
         }
     }
 }
@@ -373,7 +376,9 @@ impl RpeLtp {
             return Err(SpeechError::BadMagic(magic));
         }
         let n_frames = r.read_bits(16)? as usize;
-        let mut out = Vec::with_capacity(n_frames * FRAME);
+        // Every frame takes at least its 48 LPC bits: reserve no more
+        // frames than the input can hold.
+        let mut out = Vec::with_capacity(n_frames.min(r.remaining() / 48) * FRAME);
         let mut residual_history = vec![0.0f64; MAX_LAG];
         let mut st_memory = [0.0f64; LPC_ORDER];
 
@@ -385,6 +390,9 @@ impl RpeLtp {
             let mut frame_residual = Vec::with_capacity(FRAME);
             for _ in 0..4 {
                 let lag = r.read_bits(7)? as usize + MIN_LAG;
+                if lag > MAX_LAG {
+                    return Err(SpeechError::BadLag(lag));
+                }
                 let gain = dequant_gain(r.read_bits(2)?);
                 let phase = r.read_bits(2)? as usize;
                 let max_dq = dequant_max(r.read_bits(6)?);
@@ -439,6 +447,23 @@ impl RpeLtp {
 mod tests {
     use super::*;
     use signal::gen::{SignalGen, SpeechSegment};
+
+    #[test]
+    fn lags_beyond_the_history_are_a_typed_error() {
+        let mut w = BitWriter::new();
+        w.write_bits(MAGIC, 16);
+        w.write_bits(1, 16);
+        for _ in 0..LPC_ORDER {
+            w.write_bits(0, 6);
+        }
+        w.write_bits(127, 7); // lag 167 > MAX_LAG
+        w.write_bits(0, 32);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            RpeLtp::new().decode(&bytes).unwrap_err(),
+            SpeechError::BadLag(127 + MIN_LAG)
+        );
+    }
 
     #[test]
     fn length_validation() {

@@ -15,17 +15,28 @@
 //!   configuration.
 //! * **Decoder end-to-end**: ns per QCIF frame for table-driven Huffman
 //!   decode, inverse quantization, IDCT and motion compensation.
+//! * **Codec kernels**: each fast kernel against the scalar oracle it is
+//!   pinned to — 16-wide SAD, quantize, reconstruction — in ns per
+//!   call, with `bit_identical` asserted over every input before it is
+//!   recorded.
+//! * **Ladder**: ms per 5-rung QCIF GOP-8 ladder (48 frames, the
+//!   benchmark's `vod_pipeline` configuration), whose pooled encode is
+//!   asserted equal to the sequential one.
 
 use mmbench::banner;
 use mmbench::perf::{matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport};
+use mmpool::WorkerPool;
+use mmstream::ladder::{encode_ladder, encode_ladder_on, LadderConfig, RungCost};
 use signal::dct1d::Dct1d;
 use signal::dct8::{fdct8, FAST8_MULS};
-use signal::metrics::{sad_u8, sad_u8_bounded_ops};
+use signal::metrics::{sad_u8, sad_u8_bounded_ops, sad_u8_bounded_ops_scalar};
 use signal::rng::Xoroshiro128;
+use video::dct::{Dct2d, BLOCK};
 use video::decoder::decode;
 use video::encoder::{Encoder, EncoderConfig};
 use video::frame::Frame;
 use video::me::{MotionEstimator, MotionVector, SearchKind, MB};
+use video::quant::{round_clamp, Quantizer, FLAT_MATRIX};
 use video::synth::SequenceGen;
 
 const RANGE: i32 = 15;
@@ -93,6 +104,197 @@ fn full_search_effective_ops(current: &Frame, reference: &Frame) -> (u64, u64) {
         }
     }
     (effective, exhaustive)
+}
+
+/// The signature shared by the SAD kernel and its scalar oracle.
+type SadKernel = fn(&[u8], usize, &[u8], usize, usize, usize, u64) -> (u64, u64);
+
+/// A kernel row: the scalar oracle's and the fast kernel's median ns per
+/// call over `calls` calls whose outputs were asserted equal.
+fn kernel_row(name: &str, calls: usize, oracle: impl FnMut(), kernel: impl FnMut()) -> PerfEntry {
+    let n = calls as f64;
+    let oracle_ns = median_ns_per_iter(oracle) / n;
+    let kernel_ns = median_ns_per_iter(kernel) / n;
+    println!(
+        "  {name:<12}: oracle {oracle_ns:>8.1} ns, kernel {kernel_ns:>8.1} ns ({:.2}x), bit-identical over {calls} calls",
+        oracle_ns / kernel_ns
+    );
+    PerfEntry::new(name)
+        .metric("calls", n)
+        .metric("oracle_wall_ns", oracle_ns)
+        .metric("kernel_wall_ns", kernel_ns)
+        .metric("speedup_vs_oracle", oracle_ns / kernel_ns)
+        .metric("bit_identical", 1.0)
+}
+
+/// The kernel rows, on the 8×8 blocks and 16×16 macroblocks of a QCIF
+/// frame pair.
+fn kernel_rows(report: &mut PerfReport, current: &Frame, reference: &Frame) {
+    use std::hint::black_box;
+    println!("\ncodec kernels vs their scalar oracles (QCIF frame pair):");
+
+    // 16-wide SAD: every macroblock against the interior candidates of
+    // a ±4 window, unbounded and with the zero-motion SAD as cutoff.
+    let (cols, rows) = current.macroblocks();
+    let mut sads: Vec<([u8; MB * MB], &[u8], usize, u64)> = Vec::new();
+    for by in 0..rows {
+        for bx in 0..cols {
+            let mut target = [0u8; MB * MB];
+            current.luma_block_into(bx, by, MB, &mut target);
+            let (x0, y0) = ((bx * MB) as i32, (by * MB) as i32);
+            let zero = reference
+                .luma_view(x0, y0, MB)
+                .interior()
+                .expect("block is inside");
+            let zero_sad =
+                sad_u8_bounded_ops_scalar(&target, MB, zero.0, zero.1, MB, MB, u64::MAX).0;
+            for (dy, dx) in (-4..=4).flat_map(|dy| (-4..=4).map(move |dx| (dy, dx))) {
+                if let Some((cand, stride)) = reference.luma_view(x0 + dx, y0 + dy, MB).interior() {
+                    for cutoff in [u64::MAX, zero_sad] {
+                        sads.push((target, cand, stride, cutoff));
+                    }
+                }
+            }
+        }
+    }
+    for &(target, cand, stride, cutoff) in &sads {
+        assert_eq!(
+            sad_u8_bounded_ops(&target, MB, cand, stride, MB, MB, cutoff),
+            sad_u8_bounded_ops_scalar(&target, MB, cand, stride, MB, MB, cutoff),
+            "SSE2 SAD must equal the scalar kernel, value and op count"
+        );
+    }
+    let sads = &sads;
+    let sad_with = |f: SadKernel| {
+        move || {
+            for (target, cand, stride, cutoff) in sads {
+                black_box(f(black_box(target), MB, cand, *stride, MB, MB, *cutoff));
+            }
+        }
+    };
+    report.push(kernel_row(
+        "sad16",
+        sads.len(),
+        sad_with(sad_u8_bounded_ops_scalar),
+        sad_with(sad_u8_bounded_ops),
+    ));
+
+    // 8x8 blocks of the current frame's luma, level-shifted, and their
+    // transforms.
+    let plane = current.luma_plane();
+    let (bcols, brows) = plane.blocks(BLOCK);
+    let mut pixels = Vec::with_capacity(bcols * brows);
+    for by in 0..brows {
+        for bx in 0..bcols {
+            let mut px = [0u8; BLOCK * BLOCK];
+            plane.block_into((bx * BLOCK) as i32, (by * BLOCK) as i32, BLOCK, &mut px);
+            pixels.push(px);
+        }
+    }
+    let blocks: Vec<[f64; 64]> = pixels
+        .iter()
+        .map(|px| core::array::from_fn(|i| f64::from(px[i]) - 128.0))
+        .collect();
+    let dct = Dct2d::new();
+    let coeffs: Vec<[f64; 64]> = blocks.iter().map(|b| dct.forward(b)).collect();
+
+    let quant = Quantizer::from_quality_with_matrix(50, &FLAT_MATRIX).expect("quality 50 is valid");
+    for c in &coeffs {
+        assert_eq!(
+            quant.quantize(c),
+            quant.quantize_scalar(c),
+            "quantize must equal the oracle"
+        );
+    }
+    report.push(kernel_row(
+        "quantize",
+        coeffs.len(),
+        || {
+            coeffs.iter().for_each(|c| {
+                black_box(quant.quantize_scalar(black_box(c)));
+            })
+        },
+        || {
+            coeffs.iter().for_each(|c| {
+                black_box(quant.quantize(black_box(c)));
+            })
+        },
+    ));
+
+    // Reconstruction: dequantize, inverse DCT, add the prediction (the
+    // block's own pixels), round and clamp. The oracle rounds with libm.
+    let levels: Vec<[i16; 64]> = coeffs.iter().map(|c| quant.quantize(c)).collect();
+    let reconstruct_oracle = |l: &[i16; 64], pred: &[u8; 64]| -> [u8; 64] {
+        let r = dct.inverse(&quant.dequantize(l));
+        core::array::from_fn(|i| (f64::from(pred[i]) + r[i]).round().clamp(0.0, 255.0) as u8)
+    };
+    let reconstruct = |l: &[i16; 64], pred: &[u8; 64]| -> [u8; 64] {
+        let r = dct.inverse(&quant.dequantize(l));
+        core::array::from_fn(|i| round_clamp(f64::from(pred[i]) + r[i], 0.0, 255.0) as u8)
+    };
+    for (l, p) in levels.iter().zip(&pixels) {
+        assert_eq!(
+            reconstruct(l, p),
+            reconstruct_oracle(l, p),
+            "reconstruction must equal the oracle"
+        );
+    }
+    report.push(kernel_row(
+        "reconstruct",
+        levels.len(),
+        || {
+            for (l, p) in levels.iter().zip(&pixels) {
+                black_box(reconstruct_oracle(black_box(l), p));
+            }
+        },
+        || {
+            for (l, p) in levels.iter().zip(&pixels) {
+                black_box(reconstruct(black_box(l), p));
+            }
+        },
+    ));
+}
+
+/// The 5-rung QCIF GOP-8 ladder of the benchmark's `vod_pipeline`
+/// workload: a 48-frame noisy pan, targets 2,000–18,000 bits per frame.
+fn ladder_row(report: &mut PerfReport) {
+    let mut source = SequenceGen::new(12).panning_sequence(176, 144, 48, 1, 1);
+    let mut sensor = SequenceGen::new(1);
+    for f in &mut source {
+        sensor.add_noise(f, 1.5);
+    }
+    let config = LadderConfig {
+        targets_bits_per_frame: (0..5)
+            .map(|i| 2_000.0 * 9f64.powf(f64::from(i) / 4.0))
+            .collect(),
+        gop: 8,
+        ..Default::default()
+    };
+    let ladder = encode_ladder("e19", &source, &config).expect("ladder encodes");
+    let pooled = encode_ladder_on(&WorkerPool::new(2), "e19", &source, &config);
+    assert_eq!(
+        pooled.as_ref(),
+        Ok(&ladder),
+        "pooled ladder must equal the sequential one"
+    );
+    let ns = median_ns_per_iter(|| {
+        std::hint::black_box(encode_ladder("e19", std::hint::black_box(&source), &config).unwrap());
+    });
+    let sum = |f: fn(&RungCost) -> u64| ladder.rung_costs.iter().map(f).sum::<u64>() as f64;
+    println!(
+        "\nladder (5 rungs, QCIF, 48 frames, GOP 8): {:.1} ms ({:.0} source frames/s)",
+        ns / 1e6,
+        48.0 * 1e9 / ns
+    );
+    report.push(
+        PerfEntry::new("ladder_qcif_5_rungs")
+            .metric("frames", 48.0)
+            .metric("wall_ms", ns / 1e6)
+            .metric("sad_evaluations", sum(|c| c.tally.me_sad_evaluations))
+            .metric("dct_blocks", sum(|c| c.tally.dct_blocks))
+            .metric("vlc_symbols", sum(|c| c.tally.vlc_symbols))
+            .metric("wire_bytes", ladder.total_bytes() as f64),
+    );
 }
 
 fn main() {
@@ -288,6 +490,9 @@ fn main() {
             .metric("mc_pixels", decoded.mc_pixels as f64)
             .metric("stream_bytes", stream.bytes.len() as f64),
     );
+
+    kernel_rows(&mut report, &current, &reference);
+    ladder_row(&mut report);
 
     report
         .write("BENCH_video.json")

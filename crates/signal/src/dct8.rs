@@ -14,6 +14,11 @@
 //! Forward: `X[k] = c(k) · Σ x[n] cos(π (2n+1) k / 16)` with
 //! `c(0) = √(1/8)`, `c(k) = 1/2`. Inverse is the exact transpose of the
 //! forward flow graph, so round-trips are identities up to rounding.
+//!
+//! Both transforms are always inlined, so a caller's row–column loop —
+//! the `video` crate's 2-D DCT — compiles to straight-line code the
+//! optimizer schedules as a whole, every line still running this scalar
+//! operation sequence.
 
 /// The fixed transform size.
 pub const N: usize = 8;
@@ -38,6 +43,7 @@ const SK: f64 = 0.5;
 
 /// Forward orthonormal 8-point DCT-II via even/odd butterflies.
 #[must_use]
+#[inline(always)]
 pub fn fdct8(x: &[f64; N]) -> [f64; N] {
     // Stage 1: fold around the centre.
     let u0 = x[0] + x[7];
@@ -77,6 +83,7 @@ pub fn fdct8(x: &[f64; N]) -> [f64; N] {
 /// Inverse orthonormal 8-point DCT (DCT-III): the transpose of the
 /// [`fdct8`] flow graph, stage for stage.
 #[must_use]
+#[inline(always)]
 pub fn idct8(c: &[f64; N]) -> [f64; N] {
     // Transpose of the output scaling.
     let s0 = S0 * c[0];

@@ -194,9 +194,14 @@ pub fn sad_u8_bounded(
 /// comparisons actually performed, so the perf harness can report the
 /// *effective* arithmetic saved by early exit (not just wall time).
 ///
-/// This is the single copy of the row-wise kernel — [`sad_u8_bounded`]
-/// delegates here and drops the op count (inlining lets the counter
-/// fold away on the hot path).
+/// This is the single entry point of the row-wise kernel —
+/// [`sad_u8_bounded`] delegates here and drops the op count (inlining
+/// lets the counter fold away on the hot path). On x86_64, rows whose
+/// width is a multiple of 16 samples (the motion-search macroblock) are
+/// summed with one SSE2 `psadbw` per 16-sample chunk; every other shape,
+/// and every other target, sums rows as [`sad_u8_bounded_ops_scalar`]
+/// does. Both add whole rows, test the cutoff after each row and count
+/// `rows * w` ops, so they return the same pair for any input.
 ///
 /// # Panics
 ///
@@ -212,18 +217,66 @@ pub fn sad_u8_bounded_ops(
     h: usize,
     cutoff: u64,
 ) -> (u64, u64) {
+    #[cfg(target_arch = "x86_64")]
+    if w % 16 == 0 {
+        return bounded_rows((a, a_stride), (b, b_stride), w, h, cutoff, |ra, rb| {
+            ra.chunks_exact(16)
+                .zip(rb.chunks_exact(16))
+                .map(|(x, y)| sad16_sse2(x, y))
+                .sum()
+        });
+    }
+    sad_u8_bounded_ops_scalar(a, a_stride, b, b_stride, w, h, cutoff)
+}
+
+/// The portable kernel behind [`sad_u8_bounded_ops`]: the only path on
+/// targets other than x86_64, and the oracle the SIMD path is tested
+/// against.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`sad_u8_strided`].
+#[must_use]
+#[inline]
+pub fn sad_u8_bounded_ops_scalar(
+    a: &[u8],
+    a_stride: usize,
+    b: &[u8],
+    b_stride: usize,
+    w: usize,
+    h: usize,
+    cutoff: u64,
+) -> (u64, u64) {
+    bounded_rows((a, a_stride), (b, b_stride), w, h, cutoff, |ra, rb| {
+        ra.iter()
+            .zip(rb)
+            .map(|(&x, &y)| (x as i32 - y as i32).unsigned_abs() as u64)
+            .sum()
+    })
+}
+
+/// The row-wise early-exit loop over two `(samples, stride)` windows:
+/// adds `row_sad` of each `w`-sample row pair until the running sum
+/// exceeds `cutoff`, and returns that sum with the `rows * w`
+/// comparisons made.
+#[inline(always)]
+fn bounded_rows(
+    (a, a_stride): (&[u8], usize),
+    (b, b_stride): (&[u8], usize),
+    w: usize,
+    h: usize,
+    cutoff: u64,
+    row_sad: impl Fn(&[u8], &[u8]) -> u64,
+) -> (u64, u64) {
     check_strided(a.len(), a_stride, w, h);
     check_strided(b.len(), b_stride, w, h);
     let mut total = 0u64;
     let mut rows = 0u64;
     for r in 0..h {
-        let ra = &a[r * a_stride..r * a_stride + w];
-        let rb = &b[r * b_stride..r * b_stride + w];
-        total += ra
-            .iter()
-            .zip(rb)
-            .map(|(&x, &y)| (x as i32 - y as i32).unsigned_abs() as u64)
-            .sum::<u64>();
+        total += row_sad(
+            &a[r * a_stride..r * a_stride + w],
+            &b[r * b_stride..r * b_stride + w],
+        );
         rows += 1;
         if total > cutoff {
             break;
@@ -232,9 +285,70 @@ pub fn sad_u8_bounded_ops(
     (total, rows * w as u64)
 }
 
+/// SAD of two 16-sample chunks with one SSE2 `psadbw`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn sad16_sse2(a: &[u8], b: &[u8]) -> u64 {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi64, _mm_cvtsi128_si64, _mm_loadu_si128, _mm_sad_epu8,
+        _mm_unpackhi_epi64,
+    };
+    assert!(
+        a.len() == 16 && b.len() == 16,
+        "SSE2 SAD takes 16-sample chunks"
+    );
+    // SAFETY: SSE2 is part of the x86_64 baseline, so the intrinsics are
+    // available on every x86_64 CPU. Both loads read exactly 16 bytes from
+    // slices asserted above to be 16 bytes long, and `loadu` has no
+    // alignment requirement.
+    unsafe {
+        let x = _mm_loadu_si128(a.as_ptr().cast::<__m128i>());
+        let y = _mm_loadu_si128(b.as_ptr().cast::<__m128i>());
+        // Two 64-bit lanes, each the SAD of 8 byte pairs (at most 2,040).
+        let s = _mm_sad_epu8(x, y);
+        _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The SSE2 kernel returns the scalar kernel's (value, op count)
+        /// pair for any window — 16-multiple widths take the SIMD path,
+        /// the rest fall through — strides, and cutoffs including 0 and
+        /// `u64::MAX`.
+        #[test]
+        fn sad_kernel_equals_its_scalar_oracle(
+            chunks in 0usize..=3,
+            odd_w in 1usize..=24,
+            h in 1usize..=16,
+            extra_a in 0usize..20,
+            extra_b in 0usize..20,
+            seed in any::<u64>(),
+            cutoff_kind in 0u8..4,
+            cutoff in 0u64..40_000,
+        ) {
+            let w = if chunks == 0 { odd_w } else { 16 * chunks };
+            let cutoff = match cutoff_kind {
+                0 => 0,
+                1 => u64::MAX,
+                _ => cutoff,
+            };
+            let (a_stride, b_stride) = (w + extra_a, w + extra_b);
+            let mut rng = crate::rng::Xoroshiro128::new(seed);
+            let a: Vec<u8> = (0..(h - 1) * a_stride + w).map(|_| rng.below(256) as u8).collect();
+            let b: Vec<u8> = (0..(h - 1) * b_stride + w).map(|_| rng.below(256) as u8).collect();
+            prop_assert_eq!(
+                sad_u8_bounded_ops(&a, a_stride, &b, b_stride, w, h, cutoff),
+                sad_u8_bounded_ops_scalar(&a, a_stride, &b, b_stride, w, h, cutoff)
+            );
+        }
+    }
 
     #[test]
     fn mse_of_identical_is_zero() {

@@ -6,13 +6,18 @@
 //! row–column composition, specialised to the fixed-size 8-point
 //! butterfly of [`signal::dct8`] (29 multiplies per 1-D transform instead
 //! of the 64 of the generic matrix [`signal::dct1d::Dct1d`]); everything
-//! runs on stack scratch, with no heap allocation per block.
+//! runs on stack scratch, with no heap allocation per block. Both 1-D
+//! transforms are inlined into the passes; each line still runs the
+//! scalar butterfly's operations in order (Rust never contracts them
+//! into FMAs), so inlining changes no output bit.
 //! [`forward_direct`] is the naive O(N⁴) evaluation kept as the
 //! correctness oracle and as the baseline of experiment E4; the matrix
 //! `Dct1d` remains in `signal` as the 1-D oracle the property suite pins
 //! the butterfly against.
 
 use signal::dct8::{fdct8, idct8};
+
+use crate::quant::round_clamp;
 
 /// Block size used throughout the video codec.
 pub const BLOCK: usize = 8;
@@ -126,7 +131,7 @@ impl Dct2d {
         let f = self.inverse(coeffs);
         let mut out = [0u8; BLOCK * BLOCK];
         for (o, &v) in out.iter_mut().zip(f.iter()) {
-            *o = (v + 128.0).round().clamp(0.0, 255.0) as u8;
+            *o = round_clamp(v + 128.0, 0.0, 255.0) as u8;
         }
         out
     }
@@ -173,7 +178,21 @@ pub fn forward_direct(block: &[f64]) -> [f64; BLOCK * BLOCK] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use signal::rng::Xoroshiro128;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The libm-free pixel inverse rounds and clamps exactly like
+        /// `(v + 128.0).round().clamp(0.0, 255.0) as u8`.
+        #[test]
+        fn inverse_to_pixels_rounds_like_libm(block in prop::collection::vec(-2048.0f64..2048.0, 64)) {
+            let dct = Dct2d::new();
+            let pixels = dct.inverse(&block).map(|v| (v + 128.0).round().clamp(0.0, 255.0) as u8);
+            prop_assert_eq!(dct.inverse_to_pixels(&block), pixels);
+        }
+    }
 
     #[test]
     fn rowcol_matches_direct() {

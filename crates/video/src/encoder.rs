@@ -18,8 +18,8 @@ use crate::dct::{Dct2d, BLOCK};
 use crate::frame::Frame;
 use crate::huffman::{HuffmanCode, HuffmanError};
 use crate::me::{MotionEstimator, MotionField, SearchKind, MB};
-use crate::plane::{Plane8, PlaneRef};
-use crate::quant::{BadQualityError, Quantizer, BASE_MATRIX, FLAT_MATRIX};
+use crate::plane::{PaddedPlane, Plane8, PlaneRef};
+use crate::quant::{round_clamp, BadQualityError, Quantizer, BASE_MATRIX, FLAT_MATRIX};
 use crate::rate::{RateConfig, RateController};
 use crate::rle;
 use crate::zigzag;
@@ -297,7 +297,8 @@ pub(crate) const INTRA_PREDICTION: [u8; BLOCK * BLOCK] = [128; BLOCK * BLOCK];
 /// The reconstruction step of Figure 1's feedback loop, shared by the
 /// encoder's reference loop and the decoder so the two cannot drift:
 /// dequantize `levels` (row-major), inverse-DCT, add to `pred`, round and
-/// clamp into `out`.
+/// clamp into `out`. The rounding is [`round_clamp`], bit-identical to
+/// `(p + r).round().clamp(0.0, 255.0) as u8`.
 ///
 /// An all-zero block skips dequantize and IDCT. That is exact: its
 /// residual is all (signed) zeros, and adding a zero leaves every
@@ -315,16 +316,13 @@ pub(crate) fn reconstruct_block(
     }
     let residual = dct.inverse(&quant.dequantize(levels));
     for (o, (&p, &r)) in out.iter_mut().zip(pred.iter().zip(residual.iter())) {
-        *o = (p as f64 + r).round().clamp(0.0, 255.0) as u8;
+        *o = round_clamp(f64::from(p) + r, 0.0, 255.0) as u8;
     }
 }
 
-/// Analysis result for one plane of one frame: quantized levels per block.
-struct PlaneLevels {
-    /// One `[i16; 64]` zig-zag-scanned block after quantization, row-major.
-    blocks: Vec<[i16; BLOCK * BLOCK]>,
-    cols: usize,
-}
+/// One plane's quantized levels: a zig-zag-scanned `[i16; 64]` per 8×8
+/// block, row-major.
+type PlaneLevels = Vec<[i16; BLOCK * BLOCK]>;
 
 /// Analysis result for one frame.
 struct FrameAnalysis {
@@ -333,6 +331,37 @@ struct FrameAnalysis {
     field: Option<MotionField>,
     planes: Vec<PlaneLevels>, // y, cb, cr
     psnr_luma_db: f64,
+}
+
+/// Symbol statistics of the analysed frames: the frequencies the
+/// Huffman tables are built from.
+struct SymbolCounts {
+    dc: [u64; DC_ALPHABET],
+    ac: [u64; AC_ALPHABET],
+}
+
+impl SymbolCounts {
+    /// Counts `a`'s symbols in one walk over its blocks and returns the
+    /// rate controller's estimate of its size, available before entropy
+    /// coding: 8 header bits, 12 bits per motion vector, and 5 bits per
+    /// symbol plus its amplitude bits.
+    fn frame(&mut self, a: &FrameAnalysis) -> f64 {
+        let mut bits = 8 + a.field.as_ref().map_or(0, |f| 12 * f.blocks.len() as u64);
+        for plane in &a.planes {
+            let mut prev_dc = 0i16;
+            for blk in plane {
+                let size = size_category((blk[0] - prev_dc) as i32);
+                prev_dc = blk[0];
+                self.dc[size as usize] += 1;
+                bits += 5 + u64::from(size);
+                for ev in rle::ac_events(blk) {
+                    self.ac[rle::event_symbol(&ev) as usize] += 1;
+                    bits += 5 + rle::event_amplitude(&ev).map_or(0, |(_, s)| u64::from(s));
+                }
+            }
+        }
+        bits as f64
+    }
 }
 
 /// The encoder.
@@ -402,9 +431,14 @@ impl Encoder {
         });
 
         // ---- Pass 1: analyse every frame, producing levels + stats and
-        // maintaining the reconstruction loop of Figure 1.
+        // maintaining the reconstruction loop of Figure 1, and count the
+        // symbols the entropy codes are built from.
         let mut analyses = Vec::with_capacity(frames.len());
         let mut reference: Option<Frame> = None;
+        let mut symbols = SymbolCounts {
+            dc: [0; DC_ALPHABET],
+            ac: [0; AC_ALPHABET],
+        };
         for (idx, frame) in frames.iter().enumerate() {
             let quality = rate
                 .as_ref()
@@ -423,28 +457,18 @@ impl Encoder {
                     &mut reference,
                 )?
             };
+            let estimated_bits = symbols.frame(&analysis);
             if let Some(rc) = rate.as_mut() {
-                rc.frame_encoded(Self::estimate_bits(&analysis));
+                rc.frame_encoded(estimated_bits);
             }
             analyses.push(analysis);
         }
 
         // ---- Build entropy codes from global symbol statistics.
-        let mut dc_freq = vec![0u64; DC_ALPHABET];
-        let mut ac_freq = vec![0u64; AC_ALPHABET];
-        for a in &analyses {
-            for plane in &a.planes {
-                let mut prev_dc = 0i16;
-                for blk in &plane.blocks {
-                    let diff = blk[0] - prev_dc;
-                    prev_dc = blk[0];
-                    dc_freq[size_category(diff as i32) as usize] += 1;
-                    for ev in rle::encode_ac(blk) {
-                        ac_freq[rle::event_symbol(&ev) as usize] += 1;
-                    }
-                }
-            }
-        }
+        let SymbolCounts {
+            dc: mut dc_freq,
+            ac: mut ac_freq,
+        } = symbols;
         // Guarantee EOB exists so the tables are never empty.
         ac_freq[0x00] = ac_freq[0x00].max(1);
         dc_freq[0] = dc_freq[0].max(1);
@@ -475,14 +499,14 @@ impl Encoder {
             }
             for plane in &a.planes {
                 let mut prev_dc = 0i16;
-                for blk in &plane.blocks {
+                for blk in plane {
                     let diff = (blk[0] - prev_dc) as i32;
                     prev_dc = blk[0];
                     let size = size_category(diff);
                     dc_code.encode(&mut writer, size as u16)?;
                     write_amplitude(&mut writer, diff, size);
                     tally.vlc_symbols += 1;
-                    for ev in rle::encode_ac(blk) {
+                    for ev in rle::ac_events(blk) {
                         ac_code.encode(&mut writer, rle::event_symbol(&ev))?;
                         if let Some((v, s)) = rle::event_amplitude(&ev) {
                             write_amplitude(&mut writer, v, s);
@@ -507,30 +531,6 @@ impl Encoder {
             height: h,
             header_bits,
         })
-    }
-
-    /// Rough bit estimate for rate control, available before entropy
-    /// coding: 5 bits per symbol plus amplitude bits plus vector bits.
-    fn estimate_bits(a: &FrameAnalysis) -> f64 {
-        let mut bits = 8.0;
-        if let Some(f) = &a.field {
-            bits += (f.blocks.len() * 12) as f64;
-        }
-        for plane in &a.planes {
-            let mut prev_dc = 0i16;
-            for blk in &plane.blocks {
-                let diff = blk[0] - prev_dc;
-                prev_dc = blk[0];
-                bits += 5.0 + size_category(diff as i32) as f64;
-                for ev in rle::encode_ac(blk) {
-                    bits += 5.0;
-                    if let Some((_, s)) = rle::event_amplitude(&ev) {
-                        bits += s as f64;
-                    }
-                }
-            }
-        }
-        bits
     }
 
     /// The frame's three planes, borrowed (no copies — the analysis loops
@@ -578,7 +578,7 @@ impl Encoder {
                     recon.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                 }
             }
-            planes.push(PlaneLevels { blocks, cols });
+            planes.push(blocks);
             recon_planes.push(recon);
         }
         let recon_frame = Self::frame_from_planes(
@@ -607,14 +607,24 @@ impl Encoder {
         tally: &mut StageTally,
         new_reference: &mut Option<Frame>,
     ) -> Result<FrameAnalysis, EncoderError> {
+        // The reference, padded once: luma by the search range, so every
+        // candidate of the motion search and every luma prediction block
+        // lies inside the padding; chroma by half of it, as chroma blocks
+        // move by the halved (truncated) vector.
+        let pad = self.config.search_range as usize;
+        let [y, u, v] = Self::planes_of(reference);
+        let ref_planes = [
+            PaddedPlane::new(y, pad),
+            PaddedPlane::new(u, pad / 2),
+            PaddedPlane::new(v, pad / 2),
+        ];
         let me = MotionEstimator::new(self.config.search, self.config.search_range);
-        let field = me.estimate(frame, reference);
+        let field = me.estimate_padded(frame, &ref_planes[0]);
         tally.me_sad_evaluations += field.total_evaluations();
         tally.me_pixel_ops += field.total_evaluations() * (MB * MB) as u64;
 
         let quant = Quantizer::from_quality_with_matrix(quality, &FLAT_MATRIX)?;
         let cur_planes = Self::planes_of(frame);
-        let ref_planes = Self::planes_of(reference);
         let mut planes = Vec::with_capacity(3);
         let mut recon_planes = Vec::with_capacity(3);
         // Per-block scratch, reused across every macroblock of the frame —
@@ -669,7 +679,7 @@ impl Encoder {
                     recon.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                 }
             }
-            planes.push(PlaneLevels { blocks, cols });
+            planes.push(blocks);
             recon_planes.push(recon);
         }
         let recon_frame = Self::frame_from_planes(
@@ -686,15 +696,6 @@ impl Encoder {
             planes,
             psnr_luma_db: psnr,
         })
-    }
-}
-
-// `PlaneLevels.cols` is carried for debugging/pretty-printing; silence the
-// lint without removing the information.
-impl PlaneLevels {
-    #[allow(dead_code)]
-    fn cols(&self) -> usize {
-        self.cols
     }
 }
 

@@ -11,18 +11,24 @@
 //!
 //! # Hot-path design
 //!
-//! The inner loop performs **no heap allocation per candidate**: the
-//! target macroblock is gathered once per block into a `[u8; 256]`
-//! scratch, and every candidate is compared *in place* against the
-//! reference plane through a borrowed [`crate::plane::BlockView`] —
-//! interior candidates as a strided slice straight into the reference
-//! luma, edge candidates via a second stack scratch. Candidate evaluation
-//! uses [`signal::metrics::sad_u8_bounded`] with the current best SAD as
-//! cutoff, abandoning losers row-wise; because a candidate is only
-//! abandoned once it is *strictly worse* than the best, the chosen
-//! vectors (including tie-breaks) are bit-identical to an unbounded
-//! evaluation — [`SearchKind::Full`] fields match the naive
-//! implementation exactly.
+//! The inner loop performs **no heap allocation and no edge clamping per
+//! candidate**. [`MotionEstimator::estimate`] copies the reference luma
+//! once into a crate-private `PaddedPlane` whose edge-replicated margin
+//! is the search range wide (the encoder builds that plane once per
+//! reconstructed frame, searches it through the crate-private
+//! `estimate_padded` and reuses it for motion compensation). Every
+//! candidate a search can visit then lies inside the margin, so each one
+//! is a strided slice of the padded plane — border macroblocks included —
+//! holding exactly the samples a per-pixel clamped gather would produce.
+//! The target macroblock is gathered once per block into a `[u8; 256]`
+//! scratch. Candidate evaluation uses
+//! [`signal::metrics::sad_u8_bounded`] (one SSE2 `psadbw` per 16-sample
+//! row on x86_64) with the current best SAD as cutoff, abandoning losers
+//! row-wise; because a candidate is only abandoned once it is *strictly
+//! worse* than the best, the chosen vectors (including tie-breaks) are
+//! bit-identical to an unbounded evaluation — [`SearchKind::Full`]
+//! fields match the naive implementation exactly. A property test pins
+//! the padded path to the unpadded, clamped-gather one for every search.
 //!
 //! The fast searches additionally exploit inter-block coherence when run
 //! over a whole frame via [`MotionEstimator::estimate`]: the search is
@@ -42,6 +48,7 @@
 use signal::metrics::sad_u8_bounded;
 
 use crate::frame::Frame;
+use crate::plane::PaddedPlane;
 
 /// Zero-motion early-termination threshold for the fast searches
 /// ([`SearchKind::ThreeStep`], [`SearchKind::Diamond`]): if the SAD at
@@ -191,22 +198,82 @@ impl MotionEstimator {
     /// top-right neighbour vectors; [`SearchKind::Full`] ignores the
     /// predictor and produces the exact exhaustive-search field.
     ///
+    /// Pads the reference luma by the search range, so every candidate
+    /// window is a strided slice of the padded copy (see the module's
+    /// hot-path design).
+    ///
     /// # Panics
     ///
     /// Panics if the frames have different dimensions.
     #[must_use]
     pub fn estimate(&self, current: &Frame, reference: &Frame) -> MotionField {
+        self.estimate_padded(
+            current,
+            &PaddedPlane::new(reference.luma_plane(), self.range as usize),
+        )
+    }
+
+    /// [`MotionEstimator::estimate`] against a reference luma padded by
+    /// at least the search range: every candidate window lies inside the
+    /// padding, so each SAD reads a strided slice of `reference`.
+    /// Bit-identical to reading every candidate from the unpadded
+    /// reference through a clamping gather (property-tested).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ or the padding is narrower than
+    /// the search range.
+    #[must_use]
+    pub(crate) fn estimate_padded(&self, current: &Frame, reference: &PaddedPlane) -> MotionField {
         assert!(
             current.width() == reference.width() && current.height() == reference.height(),
             "frame dimensions differ"
         );
+        assert!(
+            reference.pad() >= self.range as usize,
+            "reference padding narrower than the search range"
+        );
+        self.estimate_with(current, |target, x, y, cutoff| {
+            let (cand, stride) = reference.window(x, y, MB);
+            sad_u8_bounded(target, MB, cand, stride, MB, MB, cutoff)
+        })
+    }
+
+    /// The reference implementation [`MotionEstimator::estimate_padded`]
+    /// is pinned to: the same searches, with each candidate read from the
+    /// unpadded reference — as a strided slice when it is interior, via a
+    /// clamping gather into stack scratch when it touches an edge.
+    #[cfg(test)]
+    fn estimate_clamped(&self, current: &Frame, reference: &Frame) -> MotionField {
+        assert!(
+            current.width() == reference.width() && current.height() == reference.height(),
+            "frame dimensions differ"
+        );
+        let mut scratch = [0u8; MB * MB];
+        self.estimate_with(current, |target, x, y, cutoff| {
+            clamped_sad(reference, target, x, y, cutoff, &mut scratch)
+        })
+    }
+
+    /// The frame loop shared by both estimators. `sad(target, x, y,
+    /// cutoff)` is the bounded SAD of the 16×16 `target` against the
+    /// reference window whose top-left is at pixel `(x, y)`.
+    fn estimate_with(
+        &self,
+        current: &Frame,
+        mut sad: impl FnMut(&[u8], i32, i32, u64) -> u64,
+    ) -> MotionField {
         let (cols, rows) = current.macroblocks();
         let mut blocks: Vec<BlockMotion> = Vec::with_capacity(cols * rows);
         let mut target = [0u8; MB * MB];
         for by in 0..rows {
             for bx in 0..cols {
                 let predictor = self.predict_mv(&blocks, cols, bx, by);
-                blocks.push(self.search_block(current, reference, bx, by, predictor, &mut target));
+                current.luma_block_into(bx, by, MB, &mut target);
+                let (x0, y0) = ((bx * MB) as i32, (by * MB) as i32);
+                blocks.push(self.search_block(predictor, |mv, cutoff| {
+                    sad(&target, x0 + mv.dx, y0 + mv.dy, cutoff)
+                }));
             }
         }
         MotionField { cols, rows, blocks }
@@ -215,7 +282,9 @@ impl MotionEstimator {
     /// Estimates motion for one macroblock in isolation (zero predictor —
     /// no neighbour context is available through this entry point; the
     /// fast searches still zero-motion-early-exit at
-    /// [`ZERO_MV_EXIT_SAD`]).
+    /// [`ZERO_MV_EXIT_SAD`]). Reads the unpadded reference, through a
+    /// clamping gather for edge candidates: one block does not pay for
+    /// padding a whole plane.
     ///
     /// # Panics
     ///
@@ -229,14 +298,19 @@ impl MotionEstimator {
         by: usize,
     ) -> BlockMotion {
         let mut target = [0u8; MB * MB];
-        self.search_block(
-            current,
-            reference,
-            bx,
-            by,
-            MotionVector::default(),
-            &mut target,
-        )
+        current.luma_block_into(bx, by, MB, &mut target);
+        let (x0, y0) = ((bx * MB) as i32, (by * MB) as i32);
+        let mut scratch = [0u8; MB * MB];
+        self.search_block(MotionVector::default(), |mv, cutoff| {
+            clamped_sad(
+                reference,
+                &target,
+                x0 + mv.dx,
+                y0 + mv.dy,
+                cutoff,
+                &mut scratch,
+            )
+        })
     }
 
     /// H.263-style motion-vector predictor: the component-wise median of
@@ -269,38 +343,19 @@ impl MotionEstimator {
         )
     }
 
-    /// The per-block search over the zero-allocation candidate evaluator.
+    /// The per-block search. `sad(mv, cutoff)` is the candidate cost: the
+    /// bounded SAD of the target against the reference displaced by `mv`,
+    /// abandoned row-wise (returning any value `> cutoff`) once it exceeds
+    /// the caller's current best.
     fn search_block(
         &self,
-        current: &Frame,
-        reference: &Frame,
-        bx: usize,
-        by: usize,
         predictor: MotionVector,
-        target: &mut [u8; MB * MB],
+        mut sad: impl FnMut(MotionVector, u64) -> u64,
     ) -> BlockMotion {
-        current.luma_block_into(bx, by, MB, target);
-        let x0 = (bx * MB) as i32;
-        let y0 = (by * MB) as i32;
-        let mut scratch = [0u8; MB * MB];
         let mut evals = 0u64;
-        // Candidate cost: strided SAD straight out of the reference plane
-        // when the candidate is interior (the common case), a stack gather
-        // when it needs edge clamping. `cutoff` is the caller's current
-        // best; once the running sum exceeds it the candidate is abandoned
-        // row-wise and any value > cutoff comes back.
         let mut cost = |mv: MotionVector, cutoff: u64| -> u64 {
             evals += 1;
-            let view = reference.luma_view(x0 + mv.dx, y0 + mv.dy, MB);
-            match view.interior() {
-                Some((cand, stride)) => {
-                    sad_u8_bounded(&target[..], MB, cand, stride, MB, MB, cutoff)
-                }
-                None => {
-                    view.gather_into(&mut scratch);
-                    sad_u8_bounded(&target[..], MB, &scratch, MB, MB, MB, cutoff)
-                }
-            }
+            sad(mv, cutoff)
         };
         let (mv, sad) = match self.kind {
             SearchKind::Full => self.full_search(&mut cost),
@@ -454,10 +509,60 @@ impl MotionEstimator {
     }
 }
 
+/// Bounded SAD of the 16×16 `target` against the window of `reference`
+/// luma at `(x, y)`, read straight from the plane when the window is
+/// interior and through a clamping gather into `scratch` otherwise.
+fn clamped_sad(
+    reference: &Frame,
+    target: &[u8],
+    x: i32,
+    y: i32,
+    cutoff: u64,
+    scratch: &mut [u8; MB * MB],
+) -> u64 {
+    let view = reference.luma_view(x, y, MB);
+    match view.interior() {
+        Some((cand, stride)) => sad_u8_bounded(target, MB, cand, stride, MB, MB, cutoff),
+        None => {
+            view.gather_into(scratch);
+            sad_u8_bounded(target, MB, &scratch[..], MB, MB, MB, cutoff)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::SequenceGen;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Motion search against the padded reference gives the clamped-
+        /// gather field exactly (vectors, SADs and evaluation counts) for
+        /// every search, on frames of at most 3×3 macroblocks, so every
+        /// block sits on a border and its candidates reach past it.
+        #[test]
+        fn padded_reference_field_equals_clamped_gather(
+            kind in 0usize..3,
+            range in 1i32..=15,
+            mb_cols in 1usize..=3,
+            mb_rows in 1usize..=3,
+            seed in any::<u64>(),
+            dx in -10i32..=10,
+            dy in -10i32..=10,
+            noise in 0.0f64..12.0,
+        ) {
+            let kind = [SearchKind::Full, SearchKind::ThreeStep, SearchKind::Diamond][kind];
+            let mut gen = SequenceGen::new(seed);
+            let reference = gen.textured_frame(16 * mb_cols, 16 * mb_rows);
+            let mut current = gen.shift_frame(&reference, dx, dy);
+            gen.add_noise(&mut current, noise);
+            let me = MotionEstimator::new(kind, range);
+            prop_assert_eq!(me.estimate(&current, &reference), me.estimate_clamped(&current, &reference));
+        }
+    }
 
     /// A frame pair where the content moves by exactly (dx, dy).
     fn shifted_pair(dx: i32, dy: i32) -> (Frame, Frame) {

@@ -4,20 +4,26 @@
 //! type: block extraction/insertion and clamped access for
 //! motion-compensated prediction at arbitrary offsets.
 //!
-//! Three views of a plane, allocation-cheapest first:
+//! Four views of a plane, allocation-cheapest first:
 //!
 //! * [`BlockView`] — a borrowed `bs x bs` window at an *arbitrary* pixel
 //!   position, with stride and edge replication resolved without copying.
 //!   When the window lies fully inside the plane it exposes a strided
 //!   slice directly into the samples ([`BlockView::interior`]); otherwise
 //!   [`BlockView::gather_into`] fills a caller-provided scratch buffer.
-//!   This is what the motion-search and prediction hot paths use — no
-//!   heap allocation per candidate.
+//!   The decoder's motion compensation reads its reference this way — no
+//!   heap allocation per block.
 //! * [`PlaneRef`] — a borrowed `(data, width, height)` triple, so the
 //!   encoder can walk a [`crate::frame::Frame`]'s planes without copying
 //!   them into owned [`Plane8`]s first.
 //! * [`Plane8`] — the owned plane, still used wherever a plane is built
 //!   up (reconstruction, decoding).
+//! * `PaddedPlane` (crate-private) — an owned, edge-replicated copy of a
+//!   plane with a margin on every side, built once per reference frame.
+//!   Every window that reaches at most the margin past an edge is then a
+//!   strided slice of it, with no per-candidate clamping. The encoder's
+//!   motion search and motion compensation read their reference through
+//!   it.
 
 /// An 8-bit sample plane of arbitrary (positive) dimensions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -313,6 +319,99 @@ impl<'a> BlockView<'a> {
     }
 }
 
+/// A plane with `pad` edge-replicated samples added on every side.
+///
+/// Sample `(x, y)` of the padded plane, for `-pad <= x < width + pad`
+/// and `-pad <= y < height + pad`, equals the source plane's sample at
+/// `(x, y)` clamped into the plane — exactly what [`BlockView`] gathers —
+/// so a window inside the margin reads as a plain strided slice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PaddedPlane {
+    data: Vec<u8>,
+    width: usize,
+    height: usize,
+    pad: usize,
+}
+
+impl PaddedPlane {
+    /// Copies `plane` with a `pad`-sample edge-replicated margin.
+    #[must_use]
+    pub(crate) fn new(plane: PlaneRef<'_>, pad: usize) -> Self {
+        let (width, height) = (plane.width(), plane.height());
+        let stride = width + 2 * pad;
+        let mut data = Vec::with_capacity(stride * (height + 2 * pad));
+        for py in 0..height + 2 * pad {
+            let y = py.saturating_sub(pad).min(height - 1);
+            let row = &plane.data()[y * width..(y + 1) * width];
+            data.extend(core::iter::repeat(row[0]).take(pad));
+            data.extend_from_slice(row);
+            data.extend(core::iter::repeat(row[width - 1]).take(pad));
+        }
+        Self {
+            data,
+            width,
+            height,
+            pad,
+        }
+    }
+
+    /// Width of the source plane.
+    #[must_use]
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Height of the source plane.
+    #[must_use]
+    pub(crate) fn height(&self) -> usize {
+        self.height
+    }
+
+    /// The margin, in samples, on every side.
+    #[must_use]
+    pub(crate) fn pad(&self) -> usize {
+        self.pad
+    }
+
+    /// The `bs x bs` window whose top-left sample is at source-plane pixel
+    /// `(x, y)`: a slice starting at that sample, paired with the padded
+    /// row stride.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window reaches further than the margin past an edge.
+    #[must_use]
+    pub(crate) fn window(&self, x: i32, y: i32, bs: usize) -> (&[u8], usize) {
+        let stride = self.width + 2 * self.pad;
+        let inside = |v: i32, extent: usize| {
+            let v = v + self.pad as i32;
+            assert!(
+                v >= 0 && v as usize + bs <= extent + 2 * self.pad,
+                "window reaches past the padding"
+            );
+            v as usize
+        };
+        let (px, py) = (inside(x, self.width), inside(y, self.height));
+        let start = py * stride + px;
+        (&self.data[start..start + (bs - 1) * stride + bs], stride)
+    }
+
+    /// Copies the `bs x bs` window at `(x, y)` into the first `bs * bs`
+    /// bytes of `out` (row-major) — the same samples
+    /// [`BlockView::gather_into`] writes for the source plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window reaches past the margin or `out` is shorter
+    /// than `bs * bs`.
+    pub(crate) fn block_into(&self, x: i32, y: i32, bs: usize, out: &mut [u8]) {
+        let (src, stride) = self.window(x, y, bs);
+        for (r, dst) in out[..bs * bs].chunks_exact_mut(bs).enumerate() {
+            dst.copy_from_slice(&src[r * stride..r * stride + bs]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +500,29 @@ mod tests {
         r.block_into(-2, 5, 4, &mut b);
         assert_eq!(a, b);
         assert_eq!(r.data(), p.data());
+    }
+
+    #[test]
+    fn padded_windows_match_clamped_gathers() {
+        let p = Plane8::new(5, 4, (0..20).collect());
+        let pad = 3;
+        let padded = PaddedPlane::new(p.borrowed(), pad);
+        let mut want = [0u8; 4];
+        let mut got = [0u8; 4];
+        for y in -3..=5 {
+            for x in -3..=6 {
+                p.block_into(x, y, 2, &mut want);
+                padded.block_into(x, y, 2, &mut got);
+                assert_eq!(got, want, "({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the padding")]
+    fn windows_beyond_the_padding_panic() {
+        let p = Plane8::filled(4, 4, 0);
+        let _ = PaddedPlane::new(p.borrowed(), 2).window(-3, 0, 2);
     }
 
     #[test]

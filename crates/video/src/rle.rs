@@ -5,6 +5,12 @@
 //! symbol encodes 16 consecutive zeros, and EOB terminates the block. The
 //! DC coefficient is differentially coded by the encoder layer and is not
 //! handled here.
+//!
+//! The encoder walks each block's events twice — once to count symbols
+//! for its Huffman tables and estimate the frame's size for rate control,
+//! once to emit them — through [`ac_events`], an iterator that allocates
+//! nothing. [`encode_ac`] collects the same events into a `Vec` and stays
+//! as the iterator's test oracle.
 
 use crate::bitstream::size_category;
 use crate::dct::BLOCK;
@@ -45,8 +51,69 @@ impl core::fmt::Display for RleError {
 
 impl std::error::Error for RleError {}
 
+/// The run-length events of a scanned block's 63 AC coefficients
+/// (`scanned[1..]`), in order and without allocating: exactly the
+/// sequence [`encode_ac`] collects.
+///
+/// The iterator keeps a 64-bit mask of the nonzero AC positions and
+/// jumps from one to the next with `trailing_zeros`, so its cost scales
+/// with the block's nonzero count, not with its 63 slots. A gap of
+/// `z` zeros before a nonzero level comes out as `z / 16` ZRL events and
+/// then a run of `z % 16`; EOB follows the last level unless that level
+/// is the block's final coefficient.
+#[must_use]
+pub fn ac_events(scanned: &[i16; BLOCK * BLOCK]) -> AcEvents<'_> {
+    let mut nonzero = 0u64;
+    for (i, &v) in scanned.iter().enumerate().skip(1) {
+        nonzero |= u64::from(v != 0) << i;
+    }
+    AcEvents {
+        scanned,
+        nonzero,
+        next: 1,
+        eob: scanned[BLOCK * BLOCK - 1] == 0,
+    }
+}
+
+/// Iterator over a block's AC run-length events; see [`ac_events`].
+#[derive(Debug, Clone)]
+pub struct AcEvents<'a> {
+    scanned: &'a [i16; BLOCK * BLOCK],
+    /// Bit `i` is set while `scanned[i]` is a nonzero AC level not yet
+    /// emitted.
+    nonzero: u64,
+    /// Index of the first coefficient the next event covers.
+    next: u32,
+    /// Whether an EOB is still to come.
+    eob: bool,
+}
+
+impl Iterator for AcEvents<'_> {
+    type Item = RleEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<RleEvent> {
+        if self.nonzero == 0 {
+            return core::mem::take(&mut self.eob).then_some(RleEvent::EndOfBlock);
+        }
+        let at = self.nonzero.trailing_zeros();
+        let run = at - self.next;
+        if run >= 16 {
+            self.next += 16;
+            return Some(RleEvent::ZeroRunLength);
+        }
+        self.nonzero &= self.nonzero - 1;
+        self.next = at + 1;
+        Some(RleEvent::Run {
+            run: run as u8,
+            level: self.scanned[at as usize],
+        })
+    }
+}
+
 /// Encodes the 63 AC coefficients of a scanned block (`scanned[1..]`) into
-/// run-length events.
+/// run-length events: the straightforward zero-counting walk
+/// [`ac_events`] is pinned to.
 ///
 /// # Panics
 ///
@@ -157,6 +224,7 @@ pub fn event_from_symbol(symbol: u16, amplitude: i32) -> RleEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use signal::rng::Xoroshiro128;
 
     #[test]
@@ -207,6 +275,29 @@ mod tests {
         let ev = encode_ac(&block);
         assert!(!ev.contains(&RleEvent::EndOfBlock));
         assert_eq!(decode_ac(&ev).unwrap()[63], -9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The allocation-free event iterator yields exactly
+        /// `encode_ac`'s events, from empty blocks through long zero runs
+        /// (and a level in the last slot) to dense ones.
+        #[test]
+        fn event_iterator_equals_encode_ac(seed in any::<u64>(), density in 0.0f64..1.0, last in any::<bool>()) {
+            let mut rng = Xoroshiro128::new(seed);
+            let mut block = [0i16; 64];
+            for v in &mut block {
+                if rng.chance(density * density) {
+                    *v = rng.range_i64(-2047, 2047) as i16;
+                }
+            }
+            if last {
+                block[63] = 1;
+            }
+            let events: Vec<RleEvent> = ac_events(&block).collect();
+            prop_assert_eq!(events, encode_ac(&block));
+        }
     }
 
     #[test]

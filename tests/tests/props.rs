@@ -1014,6 +1014,137 @@ proptest! {
         let _ = audio::encoder::decode(&valid[..cut % valid.len()]);
         let _ = audio::encoder::decode(&flip_bits(valid, &flips));
     }
+
+    /// The packet parser faces untrusted bytes: arbitrary bytes, the same
+    /// bytes with a consistent length field and checksum (so parsing
+    /// reaches the protocol byte), truncations and bit flips of a valid
+    /// packet all decode or give a typed error, never a panic.
+    #[test]
+    fn packet_decode_of_untrusted_bytes_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..300),
+        cut in any::<usize>(),
+        flips in prop::collection::vec(any::<usize>(), 1..5),
+    ) {
+        use netstack::packet::{checksum, Packet};
+        let _ = Packet::decode(&noise);
+        if noise.len() >= netstack::packet::HEADER_LEN {
+            let mut framed = noise.clone();
+            let len = (framed.len() as u16).to_be_bytes();
+            framed[14..16].copy_from_slice(&len);
+            framed[16..18].copy_from_slice(&[0, 0]);
+            let ck = checksum(&framed);
+            framed[16..18].copy_from_slice(&ck.to_be_bytes());
+            let _ = Packet::decode(&framed);
+        }
+        let valid = Packet {
+            src: netstack::packet::Addr(0x0a00_0001),
+            dst: netstack::packet::Addr(0x0a00_0002),
+            protocol: netstack::packet::Protocol::Tcp,
+            id: 7,
+            frag_offset: 0,
+            more_fragments: false,
+            payload: noise.clone(),
+        }
+        .encode();
+        let _ = Packet::decode(&valid[..cut % valid.len()]);
+        let _ = Packet::decode(&flip_bits(&valid, &flips));
+    }
+
+    /// The segment demuxer faces untrusted bytes: arbitrary bytes, the
+    /// same bytes cut into 188-byte packets behind a TS sync byte,
+    /// truncations and bit flips of a valid segment all demux (possibly
+    /// to a segment with lost units), never a panic.
+    #[test]
+    fn segment_demux_of_untrusted_bytes_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..1200),
+        cut in any::<usize>(),
+        flips in prop::collection::vec(any::<usize>(), 1..8),
+    ) {
+        use mmstream::segment::demux_segment;
+        let _ = demux_segment(&noise);
+        let mut synced = noise.clone();
+        for packet in synced.chunks_mut(188) {
+            packet[0] = 0x47;
+        }
+        let _ = demux_segment(&synced);
+        let valid = valid_segment_wire();
+        let _ = demux_segment(&valid[..cut % valid.len()]);
+        let _ = demux_segment(&flip_bits(valid, &flips));
+    }
+
+    /// The RPE-LTP speech decoder faces untrusted bytes: arbitrary bytes,
+    /// a valid magic and frame count followed by arbitrary frame bits,
+    /// truncations and bit flips of a valid stream all decode or give a
+    /// typed error, never a panic.
+    #[test]
+    fn rpeltp_decode_of_untrusted_bytes_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..400),
+        cut in any::<usize>(),
+        flips in prop::collection::vec(any::<usize>(), 1..5),
+    ) {
+        let codec = audio::rpeltp::RpeLtp::new();
+        let valid = valid_speech_stream();
+        let _ = codec.decode(&noise);
+        let _ = codec.decode(&[&valid[..4], &noise[..]].concat());
+        let _ = codec.decode(&valid[..cut % valid.len()]);
+        let _ = codec.decode(&flip_bits(valid, &flips));
+    }
+
+    /// License unsealing faces untrusted bytes: arbitrary bytes,
+    /// truncations and bit flips of a sealed license, and an arbitrary
+    /// body carrying a valid MAC (so the body parser sees garbage) all
+    /// unseal or give a typed error, never a panic.
+    #[test]
+    fn license_unseal_of_untrusted_bytes_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..300),
+        cut in any::<usize>(),
+        flips in prop::collection::vec(any::<usize>(), 1..5),
+    ) {
+        use drm::license::{License, Right, TitleId};
+        const KEY: &[u8] = b"prop-secret";
+        let _ = License::unseal(&noise, KEY);
+        let body = &noise[..noise.len().min(u16::MAX as usize)];
+        let forged = [&(body.len() as u16).to_be_bytes()[..], body, &drm::hash::mac(KEY, body)].concat();
+        let _ = License::unseal(&forged, KEY);
+        let valid = License {
+            title: TitleId(9),
+            rights: vec![Right::PlayCount(3), Right::TimeWindow { not_before: 1, not_after: 99 }],
+            content_key: [5u8; 16],
+        }
+        .seal(KEY);
+        let _ = License::unseal(&valid[..cut % valid.len()], KEY);
+        let _ = License::unseal(&flip_bits(&valid, &flips), KEY);
+    }
+}
+
+/// A valid transport-stream segment (a 2-GOP video stream plus an audio
+/// unit), muxed once.
+fn valid_segment_wire() -> &'static [u8] {
+    static WIRE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    WIRE.get_or_init(|| {
+        let frames = video::synth::SequenceGen::new(23).panning_sequence(32, 32, 4, 1, 0);
+        let config = video::encoder::EncoderConfig {
+            gop: 2,
+            ..video::encoder::EncoderConfig::symmetric_conference()
+        };
+        let seq = video::encoder::Encoder::new(config)
+            .unwrap()
+            .encode(&frames)
+            .unwrap();
+        let audio: Vec<u8> = (0..300).map(|i| (i * 13) as u8).collect();
+        mmstream::segment::mux_segment_wire(&seq, Some(&audio))
+    })
+}
+
+/// A small valid RPE-LTP stream (two frames of speech), encoded once.
+fn valid_speech_stream() -> &'static [u8] {
+    static STREAM: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    STREAM.get_or_init(|| {
+        let pcm = signal::gen::SignalGen::new(24)
+            .speech_sentence(8000.0, 2 * audio::rpeltp::FRAME)
+            .0;
+        audio::rpeltp::RpeLtp::new().encode(&pcm).unwrap().bytes
+    })
 }
 
 /// A small valid video stream (two GOPs of a noisy pan), encoded once,
