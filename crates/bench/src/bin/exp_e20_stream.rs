@@ -6,6 +6,13 @@
 //! * **Mux/demux throughput**: MB/s packetizing an A/V segment into
 //!   188-byte transport packets (with per-packet CRC-32) and
 //!   reassembling it bit-identically.
+//! * **Viewer hot path**: each fast kernel a viewer runs per segment
+//!   against the oracle it must equal, with `bit_identical` asserted in
+//!   the binary over every timed input: the lane-parallel XTEA-CTR
+//!   unseal vs the per-block loop on 64 KiB, and the slicing-by-8 TS
+//!   CRC-32 vs the byte-wise loop on every packet of the segment. Then
+//!   the event-stepped TCP-lite engine: wall time and simulated ticks of
+//!   a 64 KiB AIMD transfer over the `viewer_fleet` access link.
 //! * **Ladder encode**: wall time to produce a 3-rung ABR ladder.
 //! * **Load simulator rate**: simulated sessions per wall second.
 //! * **Capacity curve**: sessions vs per-session delivered bitrate,
@@ -13,14 +20,125 @@
 //!   against one server, plus the detected capacity knee. The simulated
 //!   numbers are seed-deterministic (asserted by re-running one level).
 
+use std::hint::black_box;
+
+use drm::cipher::XteaCtr;
 use mmbench::banner;
 use mmbench::perf::{median_ns_per_iter, PerfEntry, PerfReport};
 use mmstream::catalog::Catalog;
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::segment::{demux_segment, mux_segment_wire};
 use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
+use mmstream::ts::{crc32, crc32_bytewise, TS_PACKET_LEN};
+use netstack::link::{LinkConfig, LossModel};
+use netstack::tcplite::{transfer, CongestionControl, TcpConfig};
 use video::encoder::{Encoder, EncoderConfig};
 use video::synth::SequenceGen;
+
+/// A fast-kernel row: the oracle's and the fast kernel's median ns per
+/// pass over `bytes` bytes whose outputs the caller asserted equal.
+fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()) -> PerfEntry {
+    let oracle_ns = median_ns_per_iter(oracle);
+    let fast_ns = median_ns_per_iter(fast);
+    let mb_s = |ns: f64| bytes as f64 / (ns / 1e9) / 1e6;
+    println!(
+        "  {name:<13}: oracle {:>8.1} MB/s, fast {:>8.1} MB/s ({:.2}x), bit-identical over {bytes} bytes",
+        mb_s(oracle_ns),
+        mb_s(fast_ns),
+        oracle_ns / fast_ns
+    );
+    PerfEntry::new(name)
+        .metric("bytes", bytes as f64)
+        .metric("oracle_wall_ns", oracle_ns)
+        .metric("fast_wall_ns", fast_ns)
+        .metric("oracle_mb_per_s", mb_s(oracle_ns))
+        .metric("fast_mb_per_s", mb_s(fast_ns))
+        .metric("speedup_vs_oracle", oracle_ns / fast_ns)
+        .metric("bit_identical", 1.0)
+}
+
+/// The viewer's per-segment work: unseal, TS CRC-32 and the transfer
+/// that delivers the bytes.
+fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
+    println!("\nviewer hot path (fast kernel vs the oracle it must equal):");
+    // Unseal: CTR is an involution, so each pass XORs the same
+    // keystream into the buffer; both paths must agree on it.
+    let ctr = XteaCtr::new(&[7u8; 16], 0x5EA1);
+    let mut fast = vec![0u8; 65_536];
+    let mut oracle = fast.clone();
+    ctr.apply(&mut fast);
+    ctr.apply_blockwise(&mut oracle);
+    assert_eq!(fast, oracle, "XTEA-CTR lanes must equal the per-block loop");
+    report.push(oracle_row(
+        "xtea_ctr_64k",
+        fast.len(),
+        || ctr.apply_blockwise(black_box(&mut oracle)),
+        || ctr.apply(black_box(&mut fast)),
+    ));
+
+    // The demux's per-packet CRC over every packet of the A/V segment.
+    let packets = || wire.chunks_exact(TS_PACKET_LEN);
+    for p in packets() {
+        assert_eq!(
+            crc32(p),
+            crc32_bytewise(p),
+            "slicing-by-8 must equal the byte-wise CRC"
+        );
+    }
+    report.push(oracle_row(
+        "crc32_ts",
+        wire.len(),
+        || {
+            for p in packets() {
+                black_box(crc32_bytewise(black_box(p)));
+            }
+        },
+        || {
+            for p in packets() {
+                black_box(crc32(black_box(p)));
+            }
+        },
+    ));
+
+    // Transport: one 64 KiB AIMD transfer over the viewer_fleet access
+    // link (a third of the default rate, Gilbert–Elliott loss bursts).
+    let link = LinkConfig {
+        ticks_per_byte: 0.03,
+        ..LinkConfig::default()
+    }
+    .with_loss_model(LossModel::GilbertElliott {
+        p_enter_bad: 0.005,
+        p_exit_bad: 0.1,
+        loss_good: 0.001,
+        loss_bad: 0.5,
+    });
+    let tcp = TcpConfig {
+        cc: CongestionControl::aimd(),
+        ..TcpConfig::default()
+    };
+    let data: Vec<u8> = (0..65_536u32).map(|i| (i * 131) as u8).collect();
+    let run = || transfer(&data, tcp, link, 20).expect("the access-link transfer completes");
+    let r = run();
+    assert_eq!(r.data, data);
+    let ns = median_ns_per_iter(|| {
+        black_box(run());
+    });
+    println!(
+        "  transfer_aimd_ge: {:.0} us per 64 KiB over {} simulated ticks ({} segments, {} retransmitted)",
+        ns / 1e3,
+        r.ticks,
+        r.segments_sent,
+        r.retransmissions
+    );
+    report.push(
+        PerfEntry::new("transfer_aimd_ge")
+            .metric("payload_bytes", data.len() as f64)
+            .metric("sim_ticks", r.ticks as f64)
+            .metric("segments_sent", r.segments_sent as f64)
+            .metric("retransmissions", r.retransmissions as f64)
+            .metric("wall_ns", ns),
+    );
+}
 
 fn main() {
     banner(
@@ -76,6 +194,8 @@ fn main() {
             .metric("demux_wall_ns", demux_ns)
             .metric("demux_mb_per_s", demux_mb_s),
     );
+
+    viewer_rows(&mut report, &wire);
 
     // ---- Ladder encode (the head-end cost of one title). 32 frames at
     // GOP 4 give 8 segments per rung, so sessions spend most of their

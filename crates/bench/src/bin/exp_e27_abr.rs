@@ -8,13 +8,19 @@
 //!
 //! * **Transport headline**: AIMD vs a big fixed window on a
 //!   bufferbloated bounded link — the congestion controller must win on
-//!   goodput (asserted in-binary and again by CI).
+//!   goodput.
 //! * **Controller × trace matrix**: EWMA, buffer-occupancy (BBA-style),
 //!   and hybrid controllers, each against a steady link, the
 //!   mobile-handoff trace, and a Gilbert–Elliott bursty channel, all
 //!   over AIMD transport. Per-cell QoE: startup delay, rebuffer ratio,
-//!   rung switches, mean rung — plus the bar that the hybrid's rebuffer
-//!   ratio never exceeds EWMA's on the bursty channel.
+//!   rung switches, mean rung.
+//!
+//! The binary asserts every bar before it writes the report: AIMD
+//! out-runs the fixed window; every cell completes all 8 sessions; on
+//! the bursty channel the hybrid rebuffers no more than EWMA while the
+//! throughput-blind buffer controller collapses (> 20% rebuffering);
+//! and through the handoff the hybrid rebuffers less than the buffer
+//! controller.
 
 use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
@@ -265,6 +271,12 @@ fn main() {
                     .metric("mean_rung", qoe.mean_rung)
                     .metric("goodput_bits_per_tick", qoe.goodput_bits_per_tick),
             );
+            assert!(
+                qoe.sessions == 8 && qoe.failed == 0,
+                "every shootout session must complete ({ctrl_name} on {trace_name}: {} completed, {} failed)",
+                qoe.sessions,
+                qoe.failed
+            );
             cells.push((ctrl_name.to_string(), trace_name.to_string(), qoe));
         }
     }
@@ -315,6 +327,25 @@ fn main() {
         "\nbursty-channel bar: hybrid rebuffer {:.2}% <= EWMA {:.2}%",
         100.0 * hybrid_bursty,
         100.0 * ewma_bursty
+    );
+    // Throughput-blind buffer occupancy cannot see a loss burst coming.
+    let buffer_bursty = ratio("buffer", "ge_bursty");
+    assert!(
+        buffer_bursty > 0.2,
+        "throughput-blind BBA must collapse on the bursty channel (rebuffer {buffer_bursty:.4})"
+    );
+    // Through a handoff the hybrid's throughput signal must pay off.
+    let buffer_handoff = ratio("buffer", "mobile_handoff");
+    let hybrid_handoff = ratio("hybrid", "mobile_handoff");
+    assert!(
+        buffer_handoff > hybrid_handoff,
+        "the hybrid ({hybrid_handoff:.4}) must rebuffer less than BBA ({buffer_handoff:.4}) through a handoff"
+    );
+    println!(
+        "BBA collapses on the bursty channel ({:.2}% > 20%); handoff: hybrid {:.2}% < BBA {:.2}%",
+        100.0 * buffer_bursty,
+        100.0 * hybrid_handoff,
+        100.0 * buffer_handoff
     );
 
     report

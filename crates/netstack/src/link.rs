@@ -18,6 +18,16 @@
 //!
 //! All three default off, leaving the original link (and its RNG draw
 //! sequence) bit-identical.
+//!
+//! **Arrival order.** Frames leave the in-flight queue in the order they
+//! entered it. A frame's arrival tick is its transmit-complete tick plus
+//! the link's fixed latency, and transmit-complete ticks never decrease
+//! (each frame starts serializing at `max(now, tx_free_at)`), so the
+//! queue is already sorted by arrival tick, ties in send order. Delivery
+//! pops from the front and [`Link::next_arrival`] reads the front, both
+//! O(1); nothing is ever re-sorted or rebuilt.
+
+use std::collections::VecDeque;
 
 use signal::rng::Xoroshiro128;
 
@@ -249,7 +259,9 @@ struct InFlight {
 pub struct Link {
     config: LinkConfig,
     rng: Xoroshiro128,
-    queue: Vec<InFlight>,
+    /// In flight, sorted by `deliver_at` (see the module's arrival-order
+    /// note).
+    queue: VecDeque<InFlight>,
     /// When the transmitter finishes serializing its current frame.
     tx_free_at: u64,
     /// Gilbert–Elliott channel state (`true` = bad).
@@ -269,7 +281,7 @@ impl Link {
         Self {
             config,
             rng: Xoroshiro128::new(seed),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             tx_free_at: 0,
             ge_bad: false,
             trace: None,
@@ -339,8 +351,15 @@ impl Link {
             self.dropped += 1;
             return tx_complete;
         }
-        self.queue.push(InFlight {
-            deliver_at: tx_complete + self.config.latency_ticks,
+        let deliver_at = tx_complete + self.config.latency_ticks;
+        debug_assert!(
+            self.queue
+                .back()
+                .map_or(true, |f| f.deliver_at <= deliver_at),
+            "the in-flight queue must stay in arrival order"
+        );
+        self.queue.push_back(InFlight {
+            deliver_at,
             payload,
         });
         tx_complete
@@ -367,27 +386,26 @@ impl Link {
         }
     }
 
-    /// Removes and returns every frame that has arrived by `now`.
-    pub fn deliver(&mut self, now: u64) -> Vec<Vec<u8>> {
-        let mut arrived = Vec::new();
-        let mut rest = Vec::new();
-        for f in self.queue.drain(..) {
-            if f.deliver_at <= now {
-                arrived.push((f.deliver_at, f.payload));
-            } else {
-                rest.push(f);
-            }
+    /// Removes and returns the earliest frame if it has arrived by
+    /// `now`. Repeated calls yield the arrived frames in arrival order.
+    pub fn pop_arrived(&mut self, now: u64) -> Option<Vec<u8>> {
+        if self.queue.front()?.deliver_at > now {
+            return None;
         }
-        self.queue = rest;
-        arrived.sort_by_key(|(t, _)| *t);
-        self.delivered += arrived.len() as u64;
-        arrived.into_iter().map(|(_, p)| p).collect()
+        self.delivered += 1;
+        self.queue.pop_front().map(|f| f.payload)
+    }
+
+    /// Removes and returns every frame that has arrived by `now`, in
+    /// arrival order.
+    pub fn deliver(&mut self, now: u64) -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| self.pop_arrived(now)).collect()
     }
 
     /// The next delivery time, if any frame is in flight.
     #[must_use]
     pub fn next_arrival(&self) -> Option<u64> {
-        self.queue.iter().map(|f| f.deliver_at).min()
+        self.queue.front().map(|f| f.deliver_at)
     }
 
     /// Frames offered.
@@ -491,6 +509,53 @@ mod tests {
         assert_eq!(link.send(vec![0u8; 10], 0), 20);
         // An idle gap: offered at 100, done at 110.
         assert_eq!(link.send(vec![0u8; 10], 100), 110);
+    }
+
+    #[test]
+    fn delivery_follows_arrival_order_across_rate_changes() {
+        // Frames of mixed sizes on a trace whose rate changes, offered
+        // at irregular (even backwards) ticks: tick by tick, delivery
+        // equals a model that filters every in-flight frame by arrival
+        // tick and stable-sorts them.
+        let trace = LinkTrace {
+            phases: vec![
+                TracePhase {
+                    ticks: 40,
+                    ticks_per_byte: 0.5,
+                    loss: 0.2,
+                },
+                TracePhase {
+                    ticks: 25,
+                    ticks_per_byte: 0.0,
+                    loss: 0.0,
+                },
+            ],
+            repeat: true,
+        };
+        let cfg = LinkConfig {
+            latency_ticks: 3,
+            ..LinkConfig::default()
+        };
+        let mut link = Link::traced(cfg, trace, 7, 14);
+        let mut rng = Xoroshiro128::new(15);
+        let mut model: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut now = 0u64;
+        for id in 0..400u32 {
+            now = (now + u64::from(rng.next_u32() % 6)).saturating_sub(2);
+            let frame = id.to_be_bytes().repeat(1 + (rng.next_u32() % 9) as usize);
+            let dropped = link.dropped();
+            let done = link.send(frame.clone(), now);
+            if link.dropped() == dropped {
+                model.push((done + cfg.latency_ticks, frame));
+            }
+            let tick = now + u64::from(rng.next_u32() % 4);
+            let mut due: Vec<_> = model.iter().filter(|(t, _)| *t <= tick).cloned().collect();
+            due.sort_by_key(|(t, _)| *t);
+            model.retain(|(t, _)| *t > tick);
+            let want: Vec<Vec<u8>> = due.into_iter().map(|(_, f)| f).collect();
+            assert_eq!(link.deliver(tick), want, "frame {id} at tick {tick}");
+            assert_eq!(link.next_arrival(), model.iter().map(|(t, _)| *t).min());
+        }
     }
 
     #[test]

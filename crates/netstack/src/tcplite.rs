@@ -26,6 +26,34 @@
 //! retransmits that re-queued and compounded (the PR 10 storm bugfix).
 //! Deliberately still not TCP-conformant: no handshake, no SACK
 //! (DESIGN.md §5).
+//!
+//! **Event stepping.** The engine's clock is a tick, and one loop
+//! iteration is one tick: the sender takes that tick's ACKs, fast- or
+//! RTO-retransmits and fills its window, the clock advances, and the
+//! receiver takes the data segments that arrived. Most ticks do none of
+//! this (a segment in flight for a few hundred ticks is a few hundred
+//! idle iterations), so after each iteration [`transfer_over`] jumps the
+//! clock straight to the earliest tick that can do work:
+//!
+//! - the next ACK arrival ([`Link::next_arrival`] on the ACK link);
+//! - one tick before the next data arrival (the receiver runs after the
+//!   clock advances);
+//! - the earliest RTO due time of a segment in the window;
+//! - `deadline_ticks + 1`, where the transfer times out.
+//!
+//! The jump is exact, not an approximation. Between arrivals nothing the
+//! skipped ticks would read can change: loss draws, [`LinkTrace`] phases
+//! and the loss-reaction window (`loss_reaction_due`) are sampled only
+//! when a frame is sent, and cwnd, SRTT/RTTVAR and the duplicate-ACK
+//! count change only when an ACK arrives. A fast retransmit needs a
+//! third duplicate ACK, so it fires only on an arrival tick. The window
+//! can only shrink without an ACK, so the RTO minimum over this tick's
+//! window bounds the next one. Every skipped tick would therefore have
+//! run an iteration that receives, sends and changes nothing. A
+//! test-only copy of the tick-by-tick loop pins the whole
+//! [`TransferReport`], the error, and both links' counters against
+//! this engine across every CC mode, both loss models, traces, bounded
+//! queues and deadline expiry.
 
 use crate::link::{Link, LinkConfig, LinkTrace};
 use crate::packet::{Addr, Packet, Protocol};
@@ -251,12 +279,13 @@ impl CwndState {
 
     /// The RTO for a segment already retransmitted `retransmit_count`
     /// times: exponential backoff in adaptive modes, flat in `Fixed`.
-    fn rto_for(&self, config: &TcpConfig, retransmit_count: u32) -> u64 {
-        let base = self.base_rto(config);
+    /// `base_rto` is [`CwndState::base_rto`], which callers hoist out of
+    /// per-segment loops.
+    fn rto_for(&self, base_rto: u64, retransmit_count: u32) -> u64 {
         if !self.adaptive() {
-            return base;
+            return base_rto;
         }
-        base.saturating_mul(1 << retransmit_count.min(RTO_BACKOFF_MAX_SHIFT))
+        base_rto.saturating_mul(1 << retransmit_count.min(RTO_BACKOFF_MAX_SHIFT))
     }
 
     /// Window growth on `newly` cumulatively acknowledged segments.
@@ -421,7 +450,9 @@ pub fn transfer_with(
 ///
 /// Within each tick the sender first processes that tick's arrived
 /// ACKs, then retransmits: a cumulative ACK landing exactly on an RTO
-/// boundary cancels the retransmission it just made moot.
+/// boundary cancels the retransmission it just made moot. Ticks on which
+/// nothing can happen are skipped (see the module's event-stepping
+/// note).
 ///
 /// # Errors
 ///
@@ -468,7 +499,7 @@ pub fn transfer_over(
     let mut packet_id = 0u16;
     loop {
         // Sender: process this tick's ACKs before any (re)transmission.
-        for wire in ack_link.deliver(now) {
+        while let Some(wire) = ack_link.pop_arrived(now) {
             let Ok(packet) = Packet::decode(&wire) else {
                 continue;
             };
@@ -532,11 +563,16 @@ pub fn transfer_over(
         // timed out. The timer runs from transmit-complete time — a
         // frame still queued behind `tx_free_at` has not been sent yet,
         // so it cannot spuriously time out (the PR 10 storm bugfix).
+        // `next_rto` collects the earliest tick at which a segment in
+        // the window falls due again. The base RTO depends only on the
+        // RTT estimate, which no send changes, so it is computed once.
         let window_end = (acked + cwnd.window()).min(n_segments);
+        let base_rto = cwnd.base_rto(&config);
+        let mut next_rto = u64::MAX;
         for s in acked..window_end {
             let due = match send_times[s] {
                 None => true,
-                Some(t) => now >= t + cwnd.rto_for(&config, retransmit_counts[s]),
+                Some(t) => now >= t.saturating_add(cwnd.rto_for(base_rto, retransmit_counts[s])),
             };
             if due {
                 if send_times[s].is_some() {
@@ -559,12 +595,16 @@ pub fn transfer_over(
                     now,
                 ));
             }
+            if let Some(t) = send_times[s] {
+                let due_at = t.saturating_add(cwnd.rto_for(base_rto, retransmit_counts[s]));
+                next_rto = next_rto.min(due_at);
+            }
         }
         now += 1;
         // Receiver: take arrived data segments, ACK cumulatively. Only
         // the byte `seq` identifies a segment — the packet's wrapped
         // 16-bit id is never consulted.
-        for wire in data_link.deliver(now) {
+        while let Some(wire) = data_link.pop_arrived(now) {
             let Ok(packet) = Packet::decode(&wire) else {
                 continue;
             };
@@ -606,6 +646,18 @@ pub fn transfer_over(
             packet_id = packet_id.wrapping_add(1);
             ack_link.send(ack_packet.encode(), now);
         }
+        // Event step: skip to the next tick that can do work (the
+        // module docs say why this is exact). The receiver runs after
+        // `now += 1`, so a data arrival at `t` makes tick `t - 1` busy.
+        let next_event = next_rto
+            .min(config.deadline_ticks.saturating_add(1))
+            .min(ack_link.next_arrival().unwrap_or(u64::MAX))
+            .min(
+                data_link
+                    .next_arrival()
+                    .map_or(u64::MAX, |t| t.saturating_sub(1)),
+            );
+        now = now.max(next_event);
     }
 
     let mut out = Vec::with_capacity(data.len());
@@ -650,14 +702,220 @@ fn send_data_segment(
     data_link.send(packet.encode(), now)
 }
 
-/// The pre-PR-10 transfer engine, kept verbatim as the equality oracle
-/// for `CongestionControl::Fixed`: offer-time timer stamping, send
-/// phase before ACK processing, no receive-path validation. Test-only.
+/// Test-only equality oracles: the pre-PR-10 transfer engine, kept
+/// verbatim for `CongestionControl::Fixed` (offer-time timer stamping,
+/// send phase before ACK processing, no receive-path validation), and
+/// the tick-stepped engine the event-stepped loop must reproduce.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{decode_segment, encode_segment, TcpConfig, TcpError, TransferReport};
+    use super::{
+        decode_segment, encode_segment, send_data_segment, CwndState, TcpConfig, TcpError,
+        TransferReport,
+    };
     use crate::link::{Link, LinkConfig};
     use crate::packet::{Addr, Packet, Protocol};
+
+    /// [`super::transfer_over`] without the event step: one loop
+    /// iteration per tick, the equality oracle for the event-stepped
+    /// engine. Its RTO due check saturates like the engine's (the
+    /// overflow fix).
+    pub(crate) fn transfer_over_ticked(
+        data: &[u8],
+        config: TcpConfig,
+        data_link: &mut Link,
+        ack_link: &mut Link,
+    ) -> Result<TransferReport, TcpError> {
+        assert!(config.mss > 0, "mss must be non-zero");
+        if data.is_empty() {
+            return Err(TcpError::Empty);
+        }
+        let src = Addr(1);
+        let dst = Addr(2);
+
+        // Sender state.
+        let n_segments = data.len().div_ceil(config.mss);
+        let mut acked = 0usize; // segments fully acknowledged (cumulative)
+        let mut send_times: Vec<Option<u64>> = vec![None; n_segments];
+        let mut retransmit_counts: Vec<u32> = vec![0; n_segments];
+        let mut segments_sent = 0u64;
+        let mut retransmissions = 0u64;
+        let mut fast_retransmits = 0u64;
+        let mut dup_acks = 0u32;
+        let mut cwnd = CwndState::new(config.cc);
+
+        // Receiver state.
+        let mut received: Vec<Option<Vec<u8>>> = vec![None; n_segments];
+        let mut next_expected = 0usize;
+        let mut malformed_segments = 0u64;
+
+        let mut now = 0u64;
+        // The IP-layer datagram id is a 16-bit counter that wraps every
+        // 65,536 packets, so on long transfers distinct segments alias the
+        // same id. It is diagnostic only: reliability is keyed entirely on
+        // the byte `seq`/`ack` fields inside the segment header, never on
+        // `Packet::id` (pinned by `transfer_crosses_the_packet_id_boundary`).
+        let mut packet_id = 0u16;
+        loop {
+            // Sender: process this tick's ACKs before any (re)transmission.
+            for wire in ack_link.deliver(now) {
+                let Ok(packet) = Packet::decode(&wire) else {
+                    continue;
+                };
+                let Some((_, ack, is_ack, _)) = decode_segment(&packet.payload) else {
+                    continue;
+                };
+                if !is_ack {
+                    continue;
+                }
+                let ack_segs = (ack as usize) / config.mss;
+                if ack_segs > acked {
+                    // Karn's rule: RTT samples only from segments never
+                    // retransmitted, clocked from transmit-complete time.
+                    if cwnd.adaptive() {
+                        for s in acked..ack_segs.min(n_segments) {
+                            if retransmit_counts[s] == 0 {
+                                if let Some(t) = send_times[s] {
+                                    cwnd.on_rtt_sample(now.saturating_sub(t).max(1) as f64);
+                                }
+                            }
+                        }
+                    }
+                    cwnd.on_new_ack(ack_segs - acked, now);
+                    acked = ack_segs;
+                    dup_acks = 0;
+                } else if ack_segs == acked {
+                    dup_acks += 1;
+                }
+            }
+            if acked >= n_segments {
+                break;
+            }
+            if now > config.deadline_ticks {
+                return Err(TcpError::Timeout);
+            }
+            // Fast retransmit: three duplicate ACKs mean the segment at
+            // `acked` is lost but the pipe is alive (adaptive modes only).
+            if cwnd.adaptive() && dup_acks >= 3 && acked < n_segments {
+                let s = acked;
+                if retransmit_counts[s] >= config.max_retransmits {
+                    return Err(TcpError::ConnectionTimedOut);
+                }
+                retransmit_counts[s] += 1;
+                retransmissions += 1;
+                fast_retransmits += 1;
+                segments_sent += 1;
+                send_times[s] = Some(send_data_segment(
+                    data,
+                    &config,
+                    s,
+                    &mut packet_id,
+                    data_link,
+                    now,
+                ));
+                if cwnd.loss_reaction_due(now, &config) {
+                    cwnd.on_fast_retransmit();
+                }
+                dup_acks = 0;
+            }
+            // Sender: (re)transmit anything in the window that is unsent or
+            // timed out. The timer runs from transmit-complete time — a
+            // frame still queued behind `tx_free_at` has not been sent yet,
+            // so it cannot spuriously time out (the PR 10 storm bugfix).
+            let window_end = (acked + cwnd.window()).min(n_segments);
+            for s in acked..window_end {
+                let due = match send_times[s] {
+                    None => true,
+                    Some(t) => {
+                        now >= t.saturating_add(
+                            cwnd.rto_for(cwnd.base_rto(&config), retransmit_counts[s]),
+                        )
+                    }
+                };
+                if due {
+                    if send_times[s].is_some() {
+                        if retransmit_counts[s] >= config.max_retransmits {
+                            return Err(TcpError::ConnectionTimedOut);
+                        }
+                        retransmit_counts[s] += 1;
+                        retransmissions += 1;
+                        if cwnd.adaptive() && cwnd.loss_reaction_due(now, &config) {
+                            cwnd.on_rto_loss();
+                        }
+                    }
+                    segments_sent += 1;
+                    send_times[s] = Some(send_data_segment(
+                        data,
+                        &config,
+                        s,
+                        &mut packet_id,
+                        data_link,
+                        now,
+                    ));
+                }
+            }
+            now += 1;
+            // Receiver: take arrived data segments, ACK cumulatively. Only
+            // the byte `seq` identifies a segment — the packet's wrapped
+            // 16-bit id is never consulted.
+            for wire in data_link.deliver(now) {
+                let Ok(packet) = Packet::decode(&wire) else {
+                    continue;
+                };
+                let Some((seq, _, is_ack, payload)) = decode_segment(&packet.payload) else {
+                    continue;
+                };
+                if is_ack {
+                    continue;
+                }
+                // Hardening: validate mss-alignment and exact payload
+                // length before slotting `seq / mss` — a malformed segment
+                // is counted and ignored, never mis-slotted.
+                let seq = seq as usize;
+                let s = seq / config.mss;
+                let valid = seq % config.mss == 0
+                    && s < n_segments
+                    && payload.len() == config.mss.min(data.len() - s * config.mss);
+                if !valid {
+                    malformed_segments += 1;
+                    continue;
+                }
+                if received[s].is_none() {
+                    received[s] = Some(payload.to_vec());
+                }
+                while next_expected < n_segments && received[next_expected].is_some() {
+                    next_expected += 1;
+                }
+                // Cumulative ACK: next expected byte.
+                let ack_seg = encode_segment(0, (next_expected * config.mss) as u32, true, &[]);
+                let ack_packet = Packet {
+                    src: dst,
+                    dst: src,
+                    protocol: Protocol::Tcp,
+                    id: packet_id,
+                    frag_offset: 0,
+                    more_fragments: false,
+                    payload: ack_seg,
+                };
+                packet_id = packet_id.wrapping_add(1);
+                ack_link.send(ack_packet.encode(), now);
+            }
+        }
+
+        let mut out = Vec::with_capacity(data.len());
+        for seg in received.into_iter().flatten() {
+            out.extend(seg);
+        }
+        out.truncate(data.len());
+        Ok(TransferReport {
+            goodput: data.len() as f64 / now.max(1) as f64,
+            data: out,
+            ticks: now,
+            segments_sent,
+            retransmissions,
+            fast_retransmits,
+            malformed_segments,
+        })
+    }
 
     pub(crate) fn transfer(
         data: &[u8],
@@ -795,6 +1053,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LossModel;
     use signal::rng::Xoroshiro128;
 
     fn payload(len: usize, seed: u64) -> Vec<u8> {
@@ -1214,6 +1473,163 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r2.data, data);
+    }
+
+    #[test]
+    fn huge_rto_does_not_overflow_or_retransmit() {
+        // `rto_ticks` is public: u64::MAX must mean "never time out",
+        // not an overflowing due check (a debug panic, or a wrapped
+        // deadline that retransmitted spuriously on a lossless link).
+        let data = payload(20_000, 90);
+        for cc in [
+            CongestionControl::Fixed(8),
+            CongestionControl::aimd(),
+            CongestionControl::cubic(),
+        ] {
+            let tcp = TcpConfig {
+                cc,
+                rto_ticks: u64::MAX,
+                ..Default::default()
+            };
+            let r = transfer(&data, tcp, LinkConfig::default(), 91).unwrap();
+            assert_eq!(r.data, data, "{cc:?}");
+            assert_eq!(r.retransmissions, 0, "{cc:?}");
+        }
+    }
+
+    /// One randomly drawn transfer scenario for the event-step property.
+    struct Scenario {
+        data: Vec<u8>,
+        config: TcpConfig,
+        link: LinkConfig,
+        trace: Option<(LinkTrace, u64)>,
+        seed: u64,
+    }
+
+    impl Scenario {
+        fn draw(rng: &mut Xoroshiro128) -> Self {
+            let pick = |rng: &mut Xoroshiro128, n: u32| rng.next_u32() % n;
+            let cc = match pick(rng, 3) {
+                0 => CongestionControl::Fixed(1 + pick(rng, 16) as usize),
+                1 => CongestionControl::Aimd {
+                    max_window: 2 + pick(rng, 64) as usize,
+                },
+                _ => CongestionControl::Cubic {
+                    max_window: 2 + pick(rng, 64) as usize,
+                },
+            };
+            let loss_model = if pick(rng, 2) == 0 {
+                LossModel::Iid
+            } else {
+                LossModel::GilbertElliott {
+                    p_enter_bad: 0.001 + 0.05 * rng.next_f64(),
+                    p_exit_bad: 0.05 + 0.3 * rng.next_f64(),
+                    loss_good: 0.01 * rng.next_f64(),
+                    loss_bad: 0.3 + 0.7 * rng.next_f64(),
+                }
+            };
+            let link = LinkConfig {
+                loss: [0.0, 0.02, 0.1, 0.3][pick(rng, 4) as usize],
+                latency_ticks: u64::from(pick(rng, 31)),
+                ticks_per_byte: [0.0, 0.005, 0.01, 0.03, 0.2][pick(rng, 5) as usize],
+                loss_model,
+                queue_bytes: (pick(rng, 2) == 0).then(|| 600 + pick(rng, 6_000) as usize),
+            };
+            let trace = match pick(rng, 3) {
+                0 => None,
+                1 => Some(LinkTrace::mobile_handoff()),
+                _ => Some(LinkTrace::bursty()),
+            }
+            .map(|t| (t, u64::from(pick(rng, 12_000))));
+            let config = TcpConfig {
+                mss: [64, 256, 512, 1_000][pick(rng, 4) as usize],
+                cc,
+                rto_ticks: 20 + u64::from(pick(rng, 400)),
+                deadline_ticks: if pick(rng, 3) == 0 {
+                    100 + u64::from(pick(rng, 3_000))
+                } else {
+                    200_000
+                },
+                max_retransmits: 2 + pick(rng, 12),
+            };
+            let data = payload(1 + pick(rng, 12_000) as usize, rng.next_u64());
+            Self {
+                data,
+                config,
+                link,
+                trace,
+                seed: rng.next_u64(),
+            }
+        }
+
+        fn links(&self) -> (Link, Link) {
+            let ack_seed = self.seed ^ 0xDEAD_BEEF;
+            match &self.trace {
+                Some((t, offset)) => (
+                    Link::traced(self.link, t.clone(), *offset, self.seed),
+                    Link::traced(self.link, t.clone(), *offset, ack_seed),
+                ),
+                None => (
+                    Link::new(self.link, self.seed),
+                    Link::new(self.link, ack_seed),
+                ),
+            }
+        }
+    }
+
+    fn link_counts(link: &Link) -> [u64; 4] {
+        [
+            link.sent(),
+            link.dropped(),
+            link.queue_drops(),
+            link.delivered(),
+        ]
+    }
+
+    #[test]
+    fn event_stepped_engine_equals_the_tick_stepped_oracle() {
+        // Every CC mode, both loss models, traces at random offsets,
+        // bounded and unbounded queues, latency 0-30, infinite
+        // bandwidth, and deadlines short enough to time out: the whole
+        // result and both links' counters must match tick stepping.
+        let mut rng = Xoroshiro128::new(0x7C9);
+        let mut outcomes = [0u32; 3];
+        for case in 0..500 {
+            let sc = Scenario::draw(&mut rng);
+            let (mut data_fast, mut ack_fast) = sc.links();
+            let (mut data_tick, mut ack_tick) = sc.links();
+            let fast = transfer_over(&sc.data, sc.config, &mut data_fast, &mut ack_fast);
+            let tick =
+                oracle::transfer_over_ticked(&sc.data, sc.config, &mut data_tick, &mut ack_tick);
+            let what = format!(
+                "case {case}: {} bytes, {:?}, {:?}, trace {:?}, seed {}",
+                sc.data.len(),
+                sc.config,
+                sc.link,
+                sc.trace.as_ref().map(|(t, o)| (t.phases.len(), *o)),
+                sc.seed
+            );
+            assert_eq!(fast, tick, "{what}");
+            assert_eq!(
+                link_counts(&data_fast),
+                link_counts(&data_tick),
+                "data link, {what}"
+            );
+            assert_eq!(
+                link_counts(&ack_fast),
+                link_counts(&ack_tick),
+                "ack link, {what}"
+            );
+            outcomes[match fast {
+                Ok(_) => 0,
+                Err(TcpError::Timeout) => 1,
+                Err(_) => 2,
+            }] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "the cases must reach Ok, Timeout and ConnectionTimedOut: {outcomes:?}"
+        );
     }
 
     #[test]

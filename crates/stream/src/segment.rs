@@ -112,7 +112,10 @@ pub struct Segment {
     pub video_es: Option<Vec<u8>>,
     /// The audio elementary stream, if present and surviving.
     pub audio_es: Option<Vec<u8>>,
-    /// Transport-level statistics.
+    /// Transport-level statistics. The first unit on each of
+    /// [`META_PID`], [`VIDEO_PID`] and [`AUDIO_PID`] has been moved out
+    /// of `report.units` into the fields above; any later units on those
+    /// PIDs, and every unit on other PIDs, stay there.
     pub report: DemuxReport,
 }
 
@@ -127,12 +130,18 @@ impl Segment {
 /// Demuxes one segment from wire bytes.
 #[must_use]
 pub fn demux_segment(wire: &[u8]) -> Segment {
-    let report = demux_wire(wire);
-    let first = |pid: u16| report.units_on(pid).first().cloned();
+    let mut report = demux_wire(wire);
+    let mut first = |pid: u16| {
+        let units = report.units.get_mut(&pid).filter(|u| !u.is_empty())?;
+        Some(units.remove(0))
+    };
+    let index = first(META_PID).and_then(|u| parse_index_unit(&u));
+    let video_es = first(VIDEO_PID);
+    let audio_es = first(AUDIO_PID);
     Segment {
-        index: first(META_PID).and_then(|u| parse_index_unit(&u)),
-        video_es: first(VIDEO_PID),
-        audio_es: first(AUDIO_PID),
+        index,
+        video_es,
+        audio_es,
         report,
     }
 }
@@ -188,6 +197,49 @@ mod tests {
         let seg = demux_segment(&mux_segment_wire(&seq, None));
         let dec = video::decode(&seg.video_es.unwrap()).unwrap();
         assert_eq!(dec.frames.len(), 4);
+    }
+
+    #[test]
+    fn fields_equal_the_first_unit_per_pid_of_demux_wire() {
+        // Whole, damaged and doubled-up segments: each field is exactly
+        // `demux_wire`'s first unit on its PID, and the report keeps the
+        // rest.
+        let seq = encoded(6);
+        let audio: Vec<u8> = (0..700).map(|i| (i * 13) as u8).collect();
+        let whole = mux_segment(&seq, Some(&audio));
+        let mut damaged = whole.clone();
+        damaged.remove(3);
+        let mut doubled = to_wire(&whole);
+        let last_cc = whole
+            .iter()
+            .rev()
+            .find(|p| p.pid() == VIDEO_PID)
+            .unwrap()
+            .continuity();
+        let mut mux = TsMux::new();
+        mux.set_continuity(VIDEO_PID, (last_cc + 1) & 0x0F);
+        let extra = mux.packetize(VIDEO_PID, b"second video unit");
+        doubled.extend(to_wire(&extra));
+        assert_eq!(demux_wire(&doubled).units_on(VIDEO_PID).len(), 2);
+        for wire in [to_wire(&whole), to_wire(&damaged), doubled, Vec::new()] {
+            let want = demux_wire(&wire);
+            let seg = demux_segment(&wire);
+            let first = |pid: u16| want.units_on(pid).first().cloned();
+            assert_eq!(
+                seg.index,
+                first(META_PID).and_then(|u| parse_index_unit(&u))
+            );
+            assert_eq!(seg.video_es, first(VIDEO_PID));
+            assert_eq!(seg.audio_es, first(AUDIO_PID));
+            for pid in [META_PID, VIDEO_PID, AUDIO_PID] {
+                assert_eq!(
+                    seg.report.units_on(pid),
+                    want.units_on(pid).get(1..).unwrap_or(&[])
+                );
+            }
+            assert_eq!(seg.report.packets, want.packets);
+            assert_eq!(seg.report.loss_detected(), want.loss_detected());
+        }
     }
 
     #[test]
