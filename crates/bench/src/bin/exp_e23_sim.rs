@@ -26,15 +26,14 @@
 
 use std::time::Instant;
 
-use mmbench::banner;
 use mmbench::perf::{PerfEntry, PerfReport};
+use mmbench::{banner, live_catalog, live_scenario, live_sweep};
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::serve::{
-    curve_knee, knee, simulate, sweep, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario,
+    curve_knee, knee, simulate, sweep, CdnConfig, ChurnConfig, LoadConfig, Scenario,
 };
-use mmstream::session::JoinMode;
 use video::synth::SequenceGen;
 
 fn main() {
@@ -92,20 +91,8 @@ fn main() {
     }
 
     // ---- The E22 live title (16 segments, 400-tick publish pace).
-    let live_source = SequenceGen::new(12).panning_sequence(64, 48, 64, 1, 1);
-    let live_manifest = encode_ladder("bench", &live_source, &cfg)
-        .expect("ladder encodes")
-        .manifest;
-    let live_edge_join = LiveConfig {
-        dvr_window_segments: 8,
-        join: JoinMode::LiveEdge,
-        ..Default::default()
-    };
-    let live_catalog = Catalog::single(live_manifest);
-    let live = |cdn, load| Scenario {
-        live: Some(live_edge_join),
-        ..Scenario::new(&live_catalog, cdn, load)
-    };
+    let live_catalog = live_catalog();
+    let live = |cdn, load| live_scenario(&live_catalog, cdn, load);
 
     println!("\nlive knee: bisect vs curve scan (live-edge joins, cold edges):");
     let live_counts = [500usize, 1_000, 2_000, 4_000, 8_000];
@@ -179,22 +166,14 @@ fn main() {
             .metric("edge4_hit_rate", edge_flash.edge.hit_rate),
     );
 
-    // ---- The 1M-session live sweep: a 4-edge tier provisioned for a
-    // million-viewer audience (each edge's downlink carries its 250k
-    // viewers at the full 100 B/tick access-link rate; the origin
-    // uplink stays at 4,000 B/tick — each segment still crosses it
-    // once per edge while every co-located viewer coalesces).
+    // ---- The 1M-session live sweep (`mmbench::live_sweep`): each
+    // segment still crosses the origin uplink once per edge while every
+    // co-located viewer coalesces.
     println!("\n1M-session live sweep (4 provisioned edges, live-edge joins):");
-    let big_tier = EdgeTierConfig {
-        edges: 4,
-        edge_capacity_bytes_per_tick: 2.5e7,
-        prewarm: false,
-        ..Default::default()
-    };
     let mut rate_1m = 0.0f64;
     let mut wall_ms_1m = 0.0f64;
     for sessions in [10_000usize, 100_000, 1_000_000] {
-        let s = live(CdnConfig::flat(big_tier), LoadConfig { sessions, ..base });
+        let s = live_sweep(&live_catalog, sessions);
         let t0 = Instant::now();
         let r = simulate(&s);
         let wall = t0.elapsed();

@@ -77,7 +77,7 @@ fn run_cell(server: &ContentServer, base: &SessionConfig, seeds: std::ops::Range
             retry: RetryPolicy { seed, ..base.retry },
             ..base.clone()
         };
-        match run_session(server, "shootout", &config) {
+        match run_session(server, &mut [], "shootout", &config) {
             Ok(r) => reports.push(r),
             Err(_) => failed += 1,
         }

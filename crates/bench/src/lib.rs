@@ -6,6 +6,11 @@
 //! constructors those binaries share, so every experiment uses the same
 //! seeds and sizes.
 
+use mmstream::catalog::Catalog;
+use mmstream::edge::EdgeTierConfig;
+use mmstream::ladder::{encode_ladder, LadderConfig};
+use mmstream::serve::{CdnConfig, LiveConfig, LoadConfig, Scenario};
+use mmstream::session::JoinMode;
 use video::encoder::EncoderConfig;
 use video::frame::Frame;
 use video::synth::SequenceGen;
@@ -43,6 +48,57 @@ pub fn test_speech(frames: usize) -> Vec<f64> {
     signal::gen::SignalGen::new(SEED)
         .speech_sentence(8000.0, frames * audio::rpeltp::FRAME)
         .0
+}
+
+/// The E22 live title (64 QCIF-quarter frames, 3 rungs, 4-frame GOPs:
+/// 16 segments) as a one-title catalog — the live workload of
+/// `exp_e23_sim` and `exp_e26_par`.
+#[must_use]
+pub fn live_catalog() -> Catalog {
+    let source = SequenceGen::new(12).panning_sequence(64, 48, 64, 1, 1);
+    let cfg = LadderConfig {
+        targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
+        gop: 4,
+        ..Default::default()
+    };
+    Catalog::single(
+        encode_ladder("bench", &source, &cfg)
+            .expect("ladder encodes")
+            .manifest,
+    )
+}
+
+/// A live scenario over `catalog`: viewers join at the live edge of an
+/// 8-segment DVR window.
+#[must_use]
+pub fn live_scenario(catalog: &Catalog, cdn: CdnConfig, load: LoadConfig) -> Scenario<'_> {
+    Scenario {
+        live: Some(LiveConfig {
+            dvr_window_segments: 8,
+            join: JoinMode::LiveEdge,
+            ..Default::default()
+        }),
+        ..Scenario::new(catalog, cdn, load)
+    }
+}
+
+/// `exp_e23_sim`'s 1M-session live sweep at `sessions` viewers: four
+/// edges provisioned for a million-viewer audience (each edge's
+/// downlink carries its 250k viewers at the full access-link rate),
+/// filled cold over the default 4,000 B/tick origin uplink.
+#[must_use]
+pub fn live_sweep(catalog: &Catalog, sessions: usize) -> Scenario<'_> {
+    let tier = EdgeTierConfig {
+        edges: 4,
+        edge_capacity_bytes_per_tick: 2.5e7,
+        prewarm: false,
+        ..Default::default()
+    };
+    let load = LoadConfig {
+        sessions,
+        ..LoadConfig::default()
+    };
+    live_scenario(catalog, CdnConfig::flat(tier), load)
 }
 
 /// Prints the experiment banner every binary starts with.

@@ -1,34 +1,20 @@
-//! The edge-cache delivery tier: CDN-style caches in front of the
-//! origin.
+//! The edge tier's shared parts: the byte-budgeted [`Lru`], the
+//! coalescing [`FillTable`], per-cache [`EdgeStats`] and the failover
+//! [`HashRing`].
 //!
-//! PR 3's delivery path pulled every segment from one origin over one
-//! uplink, so capacity collapsed past ~1000 sessions. This module adds
-//! the layer real streaming systems use to move that knee: N edge
-//! caches, each with a bounded LRU segment cache, request coalescing
-//! (concurrent misses for the same object trigger one origin fill), and
-//! cache-fill over the edge's own — possibly lossy — origin link.
-//!
-//! Two consumers share these types:
-//!
-//! * [`EdgeCache`] is the *live* path: a viewer session fetches through
-//!   it transparently ([`crate::session::run_session_via_edge`]); hits
-//!   are served from the edge's local store over the access link alone,
-//!   misses add a full origin fetch over the edge's origin link.
-//! * [`EdgeTierConfig`] parameterises the edge tier of the *fluid*
-//!   many-session simulator ([`crate::serve::simulate`]), which shards
-//!   thousands of sessions across edges and measures how the capacity
-//!   knee scales with edge count.
+//! The packet-level edge cache is a [`crate::cache::CacheNode`] at the
+//! head of a session's chain. [`EdgeTierConfig`] parameterises the edge
+//! tier of the *fluid* many-session simulator
+//! ([`crate::serve::simulate`]), which shards thousands of sessions
+//! across edges and measures how the capacity knee scales with edge
+//! count.
 
 use std::collections::BTreeMap;
 
-use netstack::fetch::{fetch, ContentServer, FetchError};
-use netstack::link::LinkConfig;
-use netstack::tcplite::TcpConfig;
-
 /// A bounded, byte-budgeted LRU index. The cache tracks sizes and
 /// recency; the bytes themselves live wherever the owner keeps them
-/// (an internal [`ContentServer`] for the live edge, the manifest for
-/// the fluid simulator).
+/// (a [`crate::cache::CacheNode`]'s store, the manifest for the fluid
+/// simulator).
 #[derive(Debug, Clone, Default)]
 pub struct Lru<K: Ord + Clone> {
     capacity_bytes: usize,
@@ -445,431 +431,14 @@ impl HashRing {
     }
 }
 
-/// Configuration of one live edge cache.
-#[derive(Debug, Clone)]
-pub struct EdgeConfig {
-    /// Segment-cache budget in bytes.
-    pub cache_capacity_bytes: usize,
-    /// Transport used on the edge→origin fill path.
-    pub origin_tcp: TcpConfig,
-    /// The edge's own origin link (typically better than an access
-    /// link, but still lossy).
-    pub origin_link: LinkConfig,
-    /// Seed for the origin link's loss process (advanced per fill so
-    /// repeated fills see fresh loss draws, deterministically).
-    pub origin_seed: u64,
-    /// How long a *mutable* object (the live manifest) stays fresh
-    /// after a fill, in ticks. `0` — the safe default — revalidates on
-    /// every request; VOD objects fetched via
-    /// [`EdgeCache::fetch_through`] are immutable and ignore this.
-    pub mutable_ttl_ticks: u64,
-    /// Retry discipline for transport-level origin-fill failures. The
-    /// default makes no retries (one attempt, fail fast — the legacy
-    /// behavior); every attempt advances the fill counter, so retries
-    /// see fresh deterministic loss draws.
-    pub retry: crate::fault::RetryPolicy,
-}
+/// [`CacheNode`](crate::cache::CacheNode) under its old edge name. Kept
+/// because the benchmark harness in `perfbench/` calls it by this name.
+pub type EdgeCache = crate::cache::CacheNode;
 
-impl Default for EdgeConfig {
-    /// 1 MiB cache over a clean default link; mutable objects
-    /// revalidate on every request; origin fills are not retried.
-    fn default() -> Self {
-        Self {
-            cache_capacity_bytes: 1 << 20,
-            origin_tcp: TcpConfig::default(),
-            origin_link: LinkConfig::default(),
-            origin_seed: 0xED6E,
-            mutable_ttl_ticks: 0,
-            retry: crate::fault::RetryPolicy::default(),
-        }
-    }
-}
-
-/// One live edge cache: a bounded LRU of named objects, filled from the
-/// origin on demand and serving viewers from its local store.
-#[derive(Debug, Clone)]
-pub struct EdgeCache {
-    config: EdgeConfig,
-    lru: Lru<String>,
-    store: ContentServer,
-    /// `name -> tick of last fill` for objects fetched as mutable;
-    /// drives TTL freshness in [`Self::fetch_mutable_through`].
-    fetched_at: BTreeMap<String, u64>,
-    origin_up: bool,
-    fills: u64,
-    stats: EdgeStats,
-}
-
-impl EdgeCache {
-    /// An empty (cold) edge.
-    #[must_use]
-    pub fn new(config: EdgeConfig) -> Self {
-        Self {
-            lru: Lru::new(config.cache_capacity_bytes),
-            config,
-            store: ContentServer::new(),
-            fetched_at: BTreeMap::new(),
-            origin_up: true,
-            fills: 0,
-            stats: EdgeStats::default(),
-        }
-    }
-
-    /// Simulates an origin outage (or recovery): while down, misses
-    /// fail, but warm objects keep serving.
-    pub fn set_origin_up(&mut self, up: bool) {
-        self.origin_up = up;
-    }
-
-    /// What this edge has observed so far.
-    #[must_use]
-    pub fn stats(&self) -> &EdgeStats {
-        &self.stats
-    }
-
-    /// Objects currently cached.
-    #[must_use]
-    pub fn cached_objects(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Bytes currently cached.
-    #[must_use]
-    pub fn cached_bytes(&self) -> usize {
-        self.lru.held_bytes()
-    }
-
-    /// Copies `names` from the origin into the cache instantly (content
-    /// pre-positioning, the CDN's push model). Objects missing from the
-    /// origin are skipped; objects larger than the cache are skipped.
-    pub fn prewarm(&mut self, origin: &ContentServer, names: &[String]) {
-        for name in names {
-            if let Some(data) = origin.get(name) {
-                self.admit(name.clone(), data.to_vec());
-            }
-        }
-    }
-
-    /// Inserts one object, evicting as needed (both the LRU index and
-    /// the local store stay consistent). An object larger than the
-    /// whole cache is not stored — and any stale cached version of it
-    /// is dropped rather than left to serve as a phantom hit.
-    fn admit(&mut self, name: String, data: Vec<u8>) {
-        let len = data.len();
-        let cacheable = len <= self.config.cache_capacity_bytes;
-        for victim in self.lru.insert(name.clone(), len) {
-            self.store.remove(&victim);
-        }
-        self.stats.evictions = self.lru.evictions();
-        if cacheable {
-            self.store.publish(name, data);
-        }
-    }
-
-    /// Fetches `name` through this edge: a hit is served from the local
-    /// store over the viewer's access link alone; a miss first fills
-    /// from `origin` over the edge's origin link, caches the object,
-    /// then serves it. Returns the bytes and the total simulated ticks
-    /// (fill + access leg).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when the viewer leg fails, when a miss
-    /// cannot be filled (transport failure or missing object), or when
-    /// the origin is down and the object is not cached.
-    pub fn fetch_through(
-        &mut self,
-        origin: &ContentServer,
-        name: &str,
-        viewer_tcp: TcpConfig,
-        viewer_link: LinkConfig,
-        viewer_seed: u64,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let key = name.to_string();
-        let mut fill_ticks = 0u64;
-        let mut passthrough: Option<ContentServer> = None;
-        if self.lru.touch(&key) {
-            self.stats.hits += 1;
-        } else {
-            if !self.origin_up {
-                return Err(FetchError::Server("origin-unreachable".to_string()));
-            }
-            let (ticks, through) = self.fill_from_origin(origin, name)?;
-            fill_ticks = ticks;
-            passthrough = through;
-        }
-        self.serve_local(
-            name,
-            passthrough,
-            viewer_tcp,
-            viewer_link,
-            viewer_seed,
-            fill_ticks,
-        )
-    }
-
-    /// Fetches a *mutable* object (the live manifest) through this
-    /// edge. A cached copy younger than `mutable_ttl_ticks` is served
-    /// as a hit; a stale copy is revalidated — re-fetched from the
-    /// origin and replaced (counted under both `misses` and
-    /// `revalidations`). When the origin is down a stale copy is still
-    /// served (stale-if-error: a slightly old manifest beats a dead
-    /// channel), and only a wholly uncached object fails.
-    ///
-    /// `now` is the caller's simulated clock; freshness is measured
-    /// against the `now` of the fill that cached the object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when a leg fails or the object is
-    /// uncached with the origin unreachable.
-    pub fn fetch_mutable_through(
-        &mut self,
-        origin: &ContentServer,
-        name: &str,
-        viewer_tcp: TcpConfig,
-        viewer_link: LinkConfig,
-        viewer_seed: u64,
-        now: u64,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let key = name.to_string();
-        let cached = self.lru.touch(&key);
-        let fresh = cached
-            && self
-                .fetched_at
-                .get(name)
-                .is_some_and(|&at| now < at.saturating_add(self.config.mutable_ttl_ticks));
-        let mut fill_ticks = 0u64;
-        let mut passthrough: Option<ContentServer> = None;
-        if fresh || (cached && !self.origin_up) {
-            self.stats.hits += 1;
-        } else {
-            if !self.origin_up {
-                return Err(FetchError::Server("origin-unreachable".to_string()));
-            }
-            if cached {
-                self.stats.revalidations += 1;
-            }
-            let (ticks, through) = self.fill_from_origin(origin, name)?;
-            fill_ticks = ticks;
-            if through.is_none() {
-                self.fetched_at.insert(key, now);
-            }
-            passthrough = through;
-        }
-        self.serve_local(
-            name,
-            passthrough,
-            viewer_tcp,
-            viewer_link,
-            viewer_seed,
-            fill_ticks,
-        )
-    }
-
-    /// Fetches `name` through this edge with a shield mid-tier behind
-    /// it: an edge hit is served locally; an edge miss first *ensures*
-    /// the object on `shield` (which fills from `origin` on a shield
-    /// miss, coalescing per `(key, generation)`), then fills this edge
-    /// from the shield's store over the edge's origin link — which now
-    /// models the edge→shield leg, so only the shield's own link
-    /// crosses to the true origin.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when the viewer leg fails, when the
-    /// shield is down (and the object is uncached here), or when the
-    /// shield itself cannot fill from the origin.
-    pub fn fetch_through_shield(
-        &mut self,
-        shield: &mut crate::shield::ShieldCache,
-        origin: &ContentServer,
-        name: &str,
-        viewer_tcp: TcpConfig,
-        viewer_link: LinkConfig,
-        viewer_seed: u64,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let key = name.to_string();
-        let mut fill_ticks = 0u64;
-        let mut passthrough: Option<ContentServer> = None;
-        if self.lru.touch(&key) {
-            self.stats.hits += 1;
-        } else {
-            if !self.origin_up {
-                return Err(FetchError::Server("shield-unreachable".to_string()));
-            }
-            let (parent_ticks, shield_through) = shield.ensure(origin, name)?;
-            let source = shield_through.as_ref().unwrap_or(shield.server());
-            let len = source.get(name).map_or(0, |d| d.len() as u64);
-            let (ticks, through) = self.fill_from_origin(source, name)?;
-            shield.note_served(len);
-            fill_ticks = parent_ticks + ticks;
-            passthrough = through;
-        }
-        self.serve_local(
-            name,
-            passthrough,
-            viewer_tcp,
-            viewer_link,
-            viewer_seed,
-            fill_ticks,
-        )
-    }
-
-    /// The mutable-object counterpart of
-    /// [`EdgeCache::fetch_through_shield`]: TTL freshness is enforced
-    /// at the edge, revalidations go through the shield (which applies
-    /// its own TTL against the origin), and *stale-if-error* extends
-    /// across the extra hop — a cached copy is served when the shield
-    /// is unreachable, and also when the shield itself cannot reach
-    /// the origin for a revalidation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when a leg fails or the object is
-    /// uncached with the shield (or the origin behind it) unreachable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch_mutable_through_shield(
-        &mut self,
-        shield: &mut crate::shield::ShieldCache,
-        origin: &ContentServer,
-        name: &str,
-        viewer_tcp: TcpConfig,
-        viewer_link: LinkConfig,
-        viewer_seed: u64,
-        now: u64,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let key = name.to_string();
-        let cached = self.lru.touch(&key);
-        let fresh = cached
-            && self
-                .fetched_at
-                .get(name)
-                .is_some_and(|&at| now < at.saturating_add(self.config.mutable_ttl_ticks));
-        let parent_ok = self.origin_up && shield.is_up();
-        let mut fill_ticks = 0u64;
-        let mut passthrough: Option<ContentServer> = None;
-        if fresh || (cached && !parent_ok) {
-            // Fresh — or stale-if-error: the shield (or the link to it)
-            // is down, and a slightly old copy beats a dead channel.
-            self.stats.hits += 1;
-        } else if !parent_ok {
-            return Err(FetchError::Server("shield-unreachable".to_string()));
-        } else {
-            match shield.ensure_mutable(origin, name, now) {
-                Ok((parent_ticks, shield_through)) => {
-                    if cached {
-                        self.stats.revalidations += 1;
-                    }
-                    let source = shield_through.as_ref().unwrap_or(shield.server());
-                    let len = source.get(name).map_or(0, |d| d.len() as u64);
-                    let (ticks, through) = self.fill_from_origin(source, name)?;
-                    shield.note_served(len);
-                    fill_ticks = parent_ticks + ticks;
-                    if through.is_none() {
-                        self.fetched_at.insert(key, now);
-                    }
-                    passthrough = through;
-                }
-                // Stale-if-error across the second hop: the shield had
-                // no copy and the origin behind it is down.
-                Err(FetchError::Server(_)) if cached => {
-                    self.stats.hits += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.serve_local(
-            name,
-            passthrough,
-            viewer_tcp,
-            viewer_link,
-            viewer_seed,
-            fill_ticks,
-        )
-    }
-
-    /// Drops one object outright — the origin told us it expired (live
-    /// DVR-window invalidation). Returns whether it was cached. Not an
-    /// eviction: capacity stats are untouched, `invalidations` counts
-    /// it instead.
-    pub fn invalidate(&mut self, name: &str) -> bool {
-        let dropped = self.lru.remove(&name.to_string()).is_some();
-        if dropped {
-            self.store.remove(name);
-            self.stats.invalidations += 1;
-        }
-        self.fetched_at.remove(name);
-        dropped
-    }
-
-    /// One origin fill: fetch over the edge's origin link, admit into
-    /// the cache (or hand back a pass-through server for oversized
-    /// objects). The attempt counter advances even when the fill
-    /// fails, so a retry after a transport timeout sees fresh (still
-    /// deterministic) loss draws instead of replaying the exact
-    /// failure forever. Transport failures retry under the configured
-    /// [`crate::fault::RetryPolicy`] (backoff ticks count against the
-    /// fill time); server-level failures — the object does not exist —
-    /// surface immediately, retrying cannot help.
-    fn fill_from_origin(
-        &mut self,
-        origin: &ContentServer,
-        name: &str,
-    ) -> Result<(u64, Option<ContentServer>), FetchError> {
-        let mut backoff_ticks = 0u64;
-        let mut failures = 0u32;
-        let fill = loop {
-            let fill_seed = self.config.origin_seed.wrapping_add(self.fills);
-            self.fills += 1;
-            match fetch(
-                origin,
-                name,
-                self.config.origin_tcp,
-                self.config.origin_link,
-                fill_seed,
-            ) {
-                Ok(fill) => break fill,
-                Err(e @ FetchError::Transport(_)) => {
-                    failures += 1;
-                    match self.config.retry.backoff_before(failures) {
-                        Some(wait) => backoff_ticks += wait,
-                        None => return Err(e),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        self.stats.misses += 1;
-        self.stats.origin_bytes += fill.data.len() as u64;
-        let ticks = fill.ticks + backoff_ticks;
-        if fill.data.len() <= self.config.cache_capacity_bytes {
-            self.admit(name.to_string(), fill.data);
-            Ok((ticks, None))
-        } else {
-            // Serve-through without caching.
-            let mut tmp = ContentServer::new();
-            tmp.publish(name, fill.data);
-            Ok((ticks, Some(tmp)))
-        }
-    }
-
-    /// The viewer leg: serve from the local store (or a pass-through).
-    fn serve_local(
-        &mut self,
-        name: &str,
-        passthrough: Option<ContentServer>,
-        viewer_tcp: TcpConfig,
-        viewer_link: LinkConfig,
-        viewer_seed: u64,
-        fill_ticks: u64,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let source = passthrough.as_ref().unwrap_or(&self.store);
-        let r = fetch(source, name, viewer_tcp, viewer_link, viewer_seed)?;
-        self.stats.served_bytes += r.data.len() as u64;
-        Ok((r.data, fill_ticks + r.ticks))
-    }
-}
+/// [`CacheConfig`](crate::cache::CacheConfig) under its old edge name,
+/// whose default is the edge's (1 MiB, origin seed `0xED6E`). Kept
+/// because the benchmark harness in `perfbench/` calls it by this name.
+pub type EdgeConfig = crate::cache::CacheConfig;
 
 /// How the fluid simulator assigns sessions to edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -937,6 +506,32 @@ pub use signal::rng::splitmix64;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::viewer_get;
+    use crate::cache::{CacheConfig, CacheNode};
+    use netstack::fetch::{ContentServer, FetchError};
+    use netstack::link::LinkConfig;
+    use netstack::tcplite::TcpConfig;
+
+    /// An immutable fetch through `edge` alone.
+    fn get(
+        edge: &mut CacheNode,
+        origin: &ContentServer,
+        name: &str,
+        seed: u64,
+    ) -> Result<(Vec<u8>, u64), FetchError> {
+        viewer_get(&mut [edge], origin, name, None, seed)
+    }
+
+    /// A mutable fetch through `edge` alone at `now`.
+    fn get_at(
+        edge: &mut CacheNode,
+        origin: &ContentServer,
+        name: &str,
+        seed: u64,
+        now: u64,
+    ) -> Result<(Vec<u8>, u64), FetchError> {
+        viewer_get(&mut [edge], origin, name, Some(now), seed)
+    }
 
     #[test]
     fn lru_evicts_least_recently_used_within_budget() {
@@ -979,25 +574,9 @@ mod tests {
     fn edge_cache_hits_after_first_fetch() {
         let mut origin = ContentServer::new();
         origin.publish("t/seg0", vec![7u8; 800]);
-        let mut edge = EdgeCache::new(EdgeConfig::default());
-        let (a, cold_ticks) = edge
-            .fetch_through(
-                &origin,
-                "t/seg0",
-                TcpConfig::default(),
-                LinkConfig::default(),
-                1,
-            )
-            .unwrap();
-        let (b, warm_ticks) = edge
-            .fetch_through(
-                &origin,
-                "t/seg0",
-                TcpConfig::default(),
-                LinkConfig::default(),
-                2,
-            )
-            .unwrap();
+        let mut edge = CacheNode::new(CacheConfig::default());
+        let (a, cold_ticks) = get(&mut edge, &origin, "t/seg0", 1).unwrap();
+        let (b, warm_ticks) = get(&mut edge, &origin, "t/seg0", 2).unwrap();
         assert_eq!(a, vec![7u8; 800]);
         assert_eq!(a, b);
         assert!(
@@ -1017,30 +596,14 @@ mod tests {
         let mut origin = ContentServer::new();
         origin.publish("t/seg0", vec![1u8; 300]);
         origin.publish("t/seg1", vec![2u8; 300]);
-        let mut edge = EdgeCache::new(EdgeConfig::default());
+        let mut edge = CacheNode::new(CacheConfig::default());
         edge.prewarm(&origin, &["t/seg0".to_string()]);
-        edge.set_origin_up(false);
+        edge.set_parent_up(false);
         // Cached object still serves.
-        let (data, _) = edge
-            .fetch_through(
-                &origin,
-                "t/seg0",
-                TcpConfig::default(),
-                LinkConfig::default(),
-                3,
-            )
-            .unwrap();
+        let (data, _) = get(&mut edge, &origin, "t/seg0", 3).unwrap();
         assert_eq!(data, vec![1u8; 300]);
         // Uncached object fails cleanly.
-        let err = edge
-            .fetch_through(
-                &origin,
-                "t/seg1",
-                TcpConfig::default(),
-                LinkConfig::default(),
-                4,
-            )
-            .unwrap_err();
+        let err = get(&mut edge, &origin, "t/seg1", 4).unwrap_err();
         assert_eq!(err, FetchError::Server("origin-unreachable".to_string()));
     }
 
@@ -1049,17 +612,15 @@ mod tests {
         let mut origin = ContentServer::new();
         origin.publish("a", vec![1u8; 600]);
         origin.publish("b", vec![2u8; 600]);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             cache_capacity_bytes: 1_000,
             ..Default::default()
         });
-        let tcp = TcpConfig::default();
-        let link = LinkConfig::default();
-        edge.fetch_through(&origin, "a", tcp, link, 1).unwrap();
-        edge.fetch_through(&origin, "b", tcp, link, 2).unwrap(); // evicts a
+        get(&mut edge, &origin, "a", 1).unwrap();
+        get(&mut edge, &origin, "b", 2).unwrap(); // evicts a
         assert_eq!(edge.cached_objects(), 1);
         assert_eq!(edge.stats().evictions, 1);
-        edge.fetch_through(&origin, "a", tcp, link, 3).unwrap(); // refill
+        get(&mut edge, &origin, "a", 3).unwrap(); // refill
         assert_eq!(edge.stats().misses, 3);
         assert_eq!(edge.stats().hits, 0);
     }
@@ -1068,19 +629,11 @@ mod tests {
     fn oversized_object_passes_through_uncached() {
         let mut origin = ContentServer::new();
         origin.publish("big", vec![9u8; 5_000]);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             cache_capacity_bytes: 1_000,
             ..Default::default()
         });
-        let (data, _) = edge
-            .fetch_through(
-                &origin,
-                "big",
-                TcpConfig::default(),
-                LinkConfig::default(),
-                1,
-            )
-            .unwrap();
+        let (data, _) = get(&mut edge, &origin, "big", 1).unwrap();
         assert_eq!(data.len(), 5_000);
         assert_eq!(edge.cached_objects(), 0, "oversized objects are not cached");
     }
@@ -1093,7 +646,7 @@ mod tests {
         // on failure, every retry replayed seed 3's timeout forever.
         let mut origin = ContentServer::new();
         origin.publish("x", vec![7u8; 1500]);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             origin_tcp: TcpConfig {
                 deadline_ticks: 1_200,
                 ..Default::default()
@@ -1102,13 +655,11 @@ mod tests {
             origin_seed: 3,
             ..Default::default()
         });
-        let viewer_tcp = TcpConfig::default();
-        let viewer_link = LinkConfig::default();
         let mut attempts = 0;
         let data = loop {
             attempts += 1;
             assert!(attempts <= 5, "retries must see fresh loss draws");
-            match edge.fetch_through(&origin, "x", viewer_tcp, viewer_link, 1) {
+            match get(&mut edge, &origin, "x", 1) {
                 Ok((data, _)) => break data,
                 Err(FetchError::Transport(_)) => continue,
                 Err(e) => panic!("unexpected error: {e}"),
@@ -1118,8 +669,7 @@ mod tests {
         assert_eq!(attempts, 3, "seeds 3 and 4 fail, 5 succeeds");
         // The successful fill cached the object.
         assert_eq!(edge.stats().hits, 0);
-        edge.fetch_through(&origin, "x", viewer_tcp, viewer_link, 2)
-            .unwrap();
+        get(&mut edge, &origin, "x", 2).unwrap();
         assert_eq!(edge.stats().hits, 1);
     }
 
@@ -1127,13 +677,11 @@ mod tests {
     fn lossy_origin_link_still_fills_exactly() {
         let mut origin = ContentServer::new();
         origin.publish("x", (0..2000u32).map(|i| i as u8).collect());
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             origin_link: LinkConfig::default().with_loss(0.15),
             ..Default::default()
         });
-        let (data, _) = edge
-            .fetch_through(&origin, "x", TcpConfig::default(), LinkConfig::default(), 1)
-            .unwrap();
+        let (data, _) = get(&mut edge, &origin, "x", 1).unwrap();
         assert_eq!(data, (0..2000u32).map(|i| i as u8).collect::<Vec<u8>>());
     }
 
@@ -1258,28 +806,21 @@ mod tests {
     fn mutable_fetch_revalidates_on_ttl_expiry() {
         let mut origin = ContentServer::new();
         origin.publish("t/manifest", vec![1u8; 200]);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             mutable_ttl_ticks: 100,
             ..Default::default()
         });
-        let tcp = TcpConfig::default();
-        let link = LinkConfig::default();
         // Cold fetch at tick 0: a plain miss, no revalidation.
-        edge.fetch_mutable_through(&origin, "t/manifest", tcp, link, 1, 0)
-            .unwrap();
+        get_at(&mut edge, &origin, "t/manifest", 1, 0).unwrap();
         assert_eq!(edge.stats().misses, 1);
         assert_eq!(edge.stats().revalidations, 0);
         // Within TTL: a hit, even though the origin object changed.
         origin.publish("t/manifest", vec![2u8; 200]);
-        let (stale, _) = edge
-            .fetch_mutable_through(&origin, "t/manifest", tcp, link, 2, 99)
-            .unwrap();
+        let (stale, _) = get_at(&mut edge, &origin, "t/manifest", 2, 99).unwrap();
         assert_eq!(stale, vec![1u8; 200], "fresh-by-TTL serves the cached copy");
         assert_eq!(edge.stats().hits, 1);
         // Past TTL: revalidated — the new bytes replace the stale copy.
-        let (new, _) = edge
-            .fetch_mutable_through(&origin, "t/manifest", tcp, link, 3, 100)
-            .unwrap();
+        let (new, _) = get_at(&mut edge, &origin, "t/manifest", 3, 100).unwrap();
         assert_eq!(new, vec![2u8; 200]);
         assert_eq!(edge.stats().revalidations, 1);
         assert_eq!(edge.stats().misses, 2);
@@ -1289,12 +830,9 @@ mod tests {
     fn mutable_fetch_with_zero_ttl_always_revalidates() {
         let mut origin = ContentServer::new();
         origin.publish("t/manifest", vec![1u8; 100]);
-        let mut edge = EdgeCache::new(EdgeConfig::default());
-        let tcp = TcpConfig::default();
-        let link = LinkConfig::default();
+        let mut edge = CacheNode::new(CacheConfig::default());
         for leg in 0..3 {
-            edge.fetch_mutable_through(&origin, "t/manifest", tcp, link, leg, leg)
-                .unwrap();
+            get_at(&mut edge, &origin, "t/manifest", leg, leg).unwrap();
         }
         assert_eq!(edge.stats().misses, 3);
         assert_eq!(edge.stats().revalidations, 2);
@@ -1305,21 +843,15 @@ mod tests {
     fn stale_manifest_serves_through_an_origin_outage() {
         let mut origin = ContentServer::new();
         origin.publish("t/manifest", vec![1u8; 100]);
-        let mut edge = EdgeCache::new(EdgeConfig::default()); // TTL 0
-        let tcp = TcpConfig::default();
-        let link = LinkConfig::default();
-        edge.fetch_mutable_through(&origin, "t/manifest", tcp, link, 1, 0)
-            .unwrap();
-        edge.set_origin_up(false);
+        let mut edge = CacheNode::new(CacheConfig::default()); // TTL 0
+        get_at(&mut edge, &origin, "t/manifest", 1, 0).unwrap();
+        edge.set_parent_up(false);
         // Stale-if-error: the cached copy serves rather than failing.
-        let (data, _) = edge
-            .fetch_mutable_through(&origin, "t/manifest", tcp, link, 2, 500)
-            .unwrap();
+        let (data, _) = get_at(&mut edge, &origin, "t/manifest", 2, 500).unwrap();
         assert_eq!(data, vec![1u8; 100]);
         // An uncached mutable object still fails cleanly.
         assert_eq!(
-            edge.fetch_mutable_through(&origin, "t/other", tcp, link, 3, 500)
-                .unwrap_err(),
+            get_at(&mut edge, &origin, "t/other", 3, 500).unwrap_err(),
             FetchError::Server("origin-unreachable".to_string())
         );
     }
@@ -1328,10 +860,8 @@ mod tests {
     fn invalidation_drops_the_object_and_counts_separately() {
         let mut origin = ContentServer::new();
         origin.publish("t/seg0", vec![1u8; 300]);
-        let mut edge = EdgeCache::new(EdgeConfig::default());
-        let tcp = TcpConfig::default();
-        let link = LinkConfig::default();
-        edge.fetch_through(&origin, "t/seg0", tcp, link, 1).unwrap();
+        let mut edge = CacheNode::new(CacheConfig::default());
+        get(&mut edge, &origin, "t/seg0", 1).unwrap();
         assert_eq!(edge.cached_objects(), 1);
         assert!(edge.invalidate("t/seg0"));
         assert!(!edge.invalidate("t/seg0"), "already gone");
@@ -1341,7 +871,7 @@ mod tests {
         assert_eq!(edge.stats().invalidations, 1);
         assert_eq!(edge.stats().evictions, 0);
         // The next fetch is a fresh miss, not a phantom hit.
-        edge.fetch_through(&origin, "t/seg0", tcp, link, 2).unwrap();
+        get(&mut edge, &origin, "t/seg0", 2).unwrap();
         assert_eq!(edge.stats().misses, 2);
         assert_eq!(edge.stats().hits, 0);
     }
@@ -1365,11 +895,11 @@ mod tests {
     fn retrying_edge_rides_out_a_flaky_origin_link_in_one_call() {
         // Same doomed link as `failed_fills_retry_with_fresh_seeds`,
         // but the retry policy folds the external loop into the fill:
-        // one fetch_through call succeeds on the third attempt, and
+        // one fetch succeeds on the third attempt, and
         // the backoff ticks show up in the fill time.
         let mut origin = ContentServer::new();
         origin.publish("x", vec![7u8; 1500]);
-        let flaky = |retry| EdgeConfig {
+        let flaky = |retry| CacheConfig {
             origin_tcp: TcpConfig {
                 deadline_ticks: 1_200,
                 ..Default::default()
@@ -1379,33 +909,25 @@ mod tests {
             retry,
             ..Default::default()
         };
-        let mut edge = EdgeCache::new(flaky(crate::fault::RetryPolicy {
+        let mut edge = CacheNode::new(flaky(crate::fault::RetryPolicy {
             max_attempts: 4,
             base_backoff_ticks: 10,
             max_backoff_ticks: 40,
             jitter_ticks: 0,
             seed: 0,
         }));
-        let viewer_tcp = TcpConfig::default();
-        let viewer_link = LinkConfig::default();
-        let (data, ticks) = edge
-            .fetch_through(&origin, "x", viewer_tcp, viewer_link, 1)
-            .unwrap();
+        let (data, ticks) = get(&mut edge, &origin, "x", 1).unwrap();
         assert_eq!(data, vec![7u8; 1500]);
         assert_eq!(edge.stats().misses, 1, "one logical fill");
         // Two failures backed off 10 + 20 ticks before the success.
-        let mut no_retry = EdgeCache::new(flaky(crate::fault::RetryPolicy::default()));
-        no_retry.fills = 2; // skip straight to the succeeding seed 5
-        let (_, clean_ticks) = no_retry
-            .fetch_through(&origin, "x", viewer_tcp, viewer_link, 1)
-            .unwrap();
+        let mut no_retry = CacheNode::new(flaky(crate::fault::RetryPolicy::default()));
+        no_retry.attempts = 2; // skip straight to the succeeding seed 5
+        let (_, clean_ticks) = get(&mut no_retry, &origin, "x", 1).unwrap();
         assert_eq!(ticks, clean_ticks + 30);
         // Without retries the same edge fails on the first attempt.
-        let mut fail_fast = EdgeCache::new(flaky(crate::fault::RetryPolicy::default()));
+        let mut fail_fast = CacheNode::new(flaky(crate::fault::RetryPolicy::default()));
         assert!(matches!(
-            fail_fast
-                .fetch_through(&origin, "x", viewer_tcp, viewer_link, 1)
-                .unwrap_err(),
+            get(&mut fail_fast, &origin, "x", 1).unwrap_err(),
             FetchError::Transport(_)
         ));
     }
@@ -1414,7 +936,7 @@ mod tests {
     fn retry_budget_exhausts_and_surfaces_the_transport_error() {
         let mut origin = ContentServer::new();
         origin.publish("x", vec![7u8; 1500]);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             origin_tcp: TcpConfig {
                 deadline_ticks: 1_200,
                 ..Default::default()
@@ -1431,28 +953,19 @@ mod tests {
             ..Default::default()
         });
         assert!(matches!(
-            edge.fetch_through(&origin, "x", TcpConfig::default(), LinkConfig::default(), 1)
-                .unwrap_err(),
+            get(&mut edge, &origin, "x", 1).unwrap_err(),
             FetchError::Transport(_)
         ));
         // A missing object is never retried, whatever the budget.
-        let mut retrying = EdgeCache::new(EdgeConfig {
+        let mut retrying = CacheNode::new(CacheConfig {
             retry: crate::fault::RetryPolicy::standard(1),
             ..Default::default()
         });
         assert!(matches!(
-            retrying
-                .fetch_through(
-                    &origin,
-                    "nope",
-                    TcpConfig::default(),
-                    LinkConfig::default(),
-                    1
-                )
-                .unwrap_err(),
+            get(&mut retrying, &origin, "nope", 1).unwrap_err(),
             FetchError::Server(_)
         ));
-        assert_eq!(retrying.fills, 1, "one attempt only for a server miss");
+        assert_eq!(retrying.attempts, 1, "one attempt only for a server miss");
     }
 
     #[test]

@@ -44,17 +44,21 @@
 //!   ([`serve::ChurnConfig`]), plus live publish/expiry gates
 //!   ([`serve::LiveConfig`]), with the static VOD population as the
 //!   exact zero-churn special case.
-//! * [`edge`] — the CDN-style edge-cache tier: N edges with bounded LRU
-//!   segment caches and request coalescing in front of the origin, so
-//!   serving capacity (and the knee) scales with edge count instead of
-//!   being pinned to one uplink; live sessions fetch through an edge
-//!   transparently, and the fluid simulator shards load across the
-//!   tier.
-//! * [`shield`] — the regional mid-tier of the hierarchical CDN:
-//!   shield caches (edge → shield → origin) with their own LRU +
-//!   generation-keyed fill coalescing, TinyLFU cache admission over a
-//!   4-bit count-min [`FreqSketch`], and the per-tier [`TierStats`]
-//!   rollup separating edge-local from true-origin offload.
+//! * [`cache`] — the packet-level cache: one [`CacheNode`] type for
+//!   every tier. A session fetches through a chain of nodes
+//!   (viewer-facing first: `[]` direct, `[edge]`, `[edge, shield]`);
+//!   each miss fills from the next node or the origin, and a stale copy
+//!   serves through a parent error (stale-if-error) at every depth.
+//! * [`edge`] — the edge tier's shared parts: the byte-budgeted [`Lru`],
+//!   the coalescing [`FillTable`], per-cache [`EdgeStats`], the
+//!   failover [`HashRing`], and the fluid simulator's
+//!   [`EdgeTierConfig`], so serving capacity (and the knee) scales with
+//!   edge count instead of being pinned to one uplink.
+//! * [`shield`] — the fluid regional mid-tier of the hierarchical CDN
+//!   (edge → shield → origin, with generation-keyed fill coalescing),
+//!   TinyLFU cache admission over a 4-bit count-min [`FreqSketch`], and
+//!   the per-tier [`TierStats`] rollup separating edge-local from
+//!   true-origin offload.
 //! * [`catalog`] — multi-title workloads: a [`Catalog`] of per-title
 //!   manifests with a seeded Zipf popularity sampler
 //!   ([`ZipfSampler`]); a single-title catalog is bit-identical to
@@ -76,7 +80,7 @@
 //! * **VOD**: every object (manifest, license, segment) is *immutable
 //!   and permanent*. The whole ladder is published before the first
 //!   viewer arrives; an edge may cache anything forever, so hit rate is
-//!   bounded only by cache capacity ([`EdgeConfig`]'s
+//!   bounded only by cache capacity ([`CacheConfig`]'s
 //!   `cache_capacity_bytes` is the knob that matters) and prewarming
 //!   ([`EdgeTierConfig::prewarm`]) trivially yields total origin
 //!   offload.
@@ -86,7 +90,7 @@
 //!   then expired when they leave the DVR window (the origin's purge,
 //!   surfaced to caches as invalidations) — while the manifest is a
 //!   long-lived *mutable* object that must be re-validated on a TTL
-//!   (`EdgeConfig::mutable_ttl_ticks`, served stale-if-error through
+//!   ([`CacheConfig::mutable_ttl_ticks`], served stale-if-error through
 //!   origin outages). Prewarming is mostly meaningless for live; what
 //!   matters is coalescing one fill per newly published segment and a
 //!   TTL long enough to absorb manifest polling but short enough to
@@ -109,12 +113,13 @@
 //! let ladder = encode_ladder("demo", &frames, &cfg)?;
 //! let mut server = ContentServer::new();
 //! publish_ladder(&mut server, &ladder);
-//! let report = run_session(&server, "demo", &SessionConfig::default()).unwrap();
+//! let report = run_session(&server, &mut [], "demo", &SessionConfig::default()).unwrap();
 //! assert_eq!(report.segments.len(), 2);
 //! assert_eq!(report.rebuffer_events, 0);
 //! # Ok::<(), mmstream::ladder::LadderError>(())
 //! ```
 
+pub mod cache;
 pub(crate) mod calendar;
 pub mod catalog;
 pub mod edge;
@@ -127,10 +132,9 @@ pub mod session;
 pub mod shield;
 pub mod ts;
 
+pub use cache::{CacheConfig, CacheNode};
 pub use catalog::{Catalog, ZipfSampler};
-pub use edge::{
-    EdgeCache, EdgeConfig, EdgeStats, EdgeTierConfig, FillTable, HashRing, Lru, Sharding,
-};
+pub use edge::{EdgeStats, EdgeTierConfig, FillTable, HashRing, Lru, Sharding};
 pub use fault::{FaultEvent, FaultPlan, ResilienceStats, RestartMode, RetryPolicy};
 pub use headend::headend_spec;
 pub use ladder::{
@@ -145,11 +149,8 @@ pub use serve::{
     LiveConfig, LiveStats, LoadConfig, LoadReport, Scenario,
 };
 pub use session::{
-    run_live_session, run_live_session_via_edge, run_session, run_session_via_edge,
-    run_session_via_tier, AbrController, AbrStrategy, JoinMode, LiveSessionConfig,
+    run_live_session, run_session, AbrController, AbrStrategy, JoinMode, LiveSessionConfig,
     LiveSessionReport, SessionConfig, SessionReport,
 };
-pub use shield::{
-    AdmissionPolicy, FreqSketch, ShieldCache, ShieldConfig, TierStats, TinyLfuConfig,
-};
+pub use shield::{AdmissionPolicy, FreqSketch, TierStats, TinyLfuConfig};
 pub use ts::{TsDemux, TsMux, TsPacket, TS_PACKET_LEN};

@@ -23,11 +23,10 @@ use netstack::fetch::{fetch_traced, ContentServer, FetchError};
 use netstack::link::{LinkConfig, LinkTrace};
 use netstack::tcplite::TcpConfig;
 
-use crate::edge::EdgeCache;
+use crate::cache::CacheNode;
 use crate::fault::RetryPolicy;
 use crate::ladder::{LadderError, LiveOrigin, Manifest};
 use crate::segment::{demux_segment, Segment};
-use crate::shield::ShieldCache;
 
 /// Throughput-driven rung selection, shared by the single-session path
 /// and the many-session load simulator.
@@ -248,9 +247,9 @@ pub struct SessionConfig {
     /// the pre-PR-10 throughput controller, bit-identical.
     pub abr: AbrStrategy,
     /// Optional bandwidth/loss schedule for the access link, walked on
-    /// the session clock: each fetch starts the trace at the tick the
-    /// session reaches it (direct-path sessions only; edge routes keep
-    /// their own link conditions).
+    /// the session clock on every route: each viewer leg starts the
+    /// trace at the tick the session reaches it, after any cache fill
+    /// (`now + fill_ticks`).
     pub trace: Option<LinkTrace>,
 }
 
@@ -381,99 +380,84 @@ impl SessionReport {
     }
 }
 
-/// Runs one viewer session against a published title.
+/// Runs one viewer session against a title published on `server`,
+/// through the cache chain `nodes` (viewer-facing node first; empty for
+/// the direct path). Every object — manifest, license, segments — rides
+/// the same route, so caches are transparent to viewers.
 ///
 /// # Errors
 ///
 /// Returns [`SessionError`] on transport failure, manifest/license
-/// problems, or a damaged segment.
+/// problems, an unreachable parent on a cold object, or a damaged
+/// segment.
 pub fn run_session(
     server: &ContentServer,
+    nodes: &mut [&mut CacheNode],
     title: &str,
     config: &SessionConfig,
 ) -> Result<SessionReport, SessionError> {
     run_session_with(
-        |name, leg, now| {
-            let r = fetch_traced(
-                server,
-                name,
-                config.tcp,
-                config.link,
-                config.trace.as_ref(),
-                now,
-                config.seed.wrapping_add(leg),
-            )?;
-            Ok((r.data, r.ticks))
-        },
+        |name, leg, now| fetch_object(server, nodes, name, None, config, leg, now),
         title,
         config,
     )
 }
 
-/// Runs one viewer session through an edge cache: every object —
-/// manifest, license, segments — is fetched from the edge, which fills
-/// from `origin` on miss. The session code is identical to the direct
-/// path; only the fetch route changes, which is the point: the edge
-/// tier is transparent to viewers.
+/// [`run_session`] through one edge. Kept because the benchmark harness
+/// in `perfbench/` calls it by this name.
 ///
 /// # Errors
 ///
-/// Returns [`SessionError`] on transport failure (either leg),
-/// manifest/license problems, an unreachable origin on a cold object,
-/// or a damaged segment.
+/// As [`run_session`].
 pub fn run_session_via_edge(
     origin: &ContentServer,
-    edge: &mut EdgeCache,
+    edge: &mut CacheNode,
     title: &str,
     config: &SessionConfig,
 ) -> Result<SessionReport, SessionError> {
-    run_session_with(
-        |name, leg, _now| {
-            edge.fetch_through(
-                origin,
-                name,
-                config.tcp,
-                config.link,
-                config.seed.wrapping_add(leg),
-            )
-        },
-        title,
-        config,
-    )
+    run_session(origin, &mut [edge], title, config)
 }
 
-/// Runs one viewer session through the full cache hierarchy: the edge
-/// fills from the `shield` on miss, and only shield misses reach
-/// `origin`. The session code is again identical — both cache tiers
-/// are transparent to viewers; the assertions the hierarchical tests
-/// make are about *where* the bytes came from, not what arrived.
+/// [`run_session`] through an edge over a shield. Kept because the
+/// benchmark harness in `perfbench/` calls it by this name.
 ///
 /// # Errors
 ///
-/// Returns [`SessionError`] on transport failure, manifest/license
-/// problems, an unreachable parent on a cold object (either tier
-/// down), or a damaged segment.
+/// As [`run_session`].
 pub fn run_session_via_tier(
     origin: &ContentServer,
-    shield: &mut ShieldCache,
-    edge: &mut EdgeCache,
+    shield: &mut CacheNode,
+    edge: &mut CacheNode,
     title: &str,
     config: &SessionConfig,
 ) -> Result<SessionReport, SessionError> {
-    run_session_with(
-        |name, leg, _now| {
-            edge.fetch_through_shield(
-                shield,
-                origin,
-                name,
-                config.tcp,
-                config.link,
-                config.seed.wrapping_add(leg),
-            )
-        },
-        title,
-        config,
-    )
+    run_session(origin, &mut [edge, shield], title, config)
+}
+
+/// The one route both session engines fetch through: the cache chain
+/// `nodes` in front of `server`, then the viewer leg over the access
+/// link, starting `fill_ticks` after `now`. `leg` numbers the fetch for
+/// its loss seed; `mutable` is `Some(now)` for the live manifest.
+fn fetch_object(
+    server: &ContentServer,
+    nodes: &mut [&mut CacheNode],
+    name: &str,
+    mutable: Option<u64>,
+    config: &SessionConfig,
+    leg: u64,
+    now: u64,
+) -> Result<(Vec<u8>, u64), FetchError> {
+    CacheNode::fetch(nodes, server, name, mutable, |source, fill_ticks| {
+        fetch_traced(
+            source,
+            name,
+            config.tcp,
+            config.link,
+            config.trace.as_ref(),
+            now + fill_ticks,
+            config.seed.wrapping_add(leg),
+        )
+    })
 }
 
 /// Parses manifest bytes, folding every ladder error into the
@@ -493,13 +477,14 @@ fn parse_manifest(bytes: &[u8]) -> Result<Manifest, SessionError> {
 /// engine.
 const ATTEMPT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The session engine, generic over how objects are fetched. `leg`
-/// numbers each fetch (manifest 0, license 1, segment `i` at `2 + i`)
-/// so routes can derive per-leg seeds; `now` is the session clock at
-/// the moment the fetch starts, so traced routes can walk a link
-/// schedule. Transport failures retry under [`SessionConfig::retry`]:
-/// each retry backs off (wall time the playout buffer drains) and
-/// re-issues the leg with an attempt-salted leg number.
+/// The VOD session engine over a fetch function (the route, or a
+/// test's fault injector). `leg` numbers each fetch (manifest 0,
+/// license 1, segment `i` at `2 + i`) for per-leg seeds; `now` is the
+/// session clock at the moment the fetch starts, so a traced link
+/// schedule can be walked. Transport failures retry under
+/// [`SessionConfig::retry`]: each retry backs off (wall time the
+/// playout buffer drains) and re-issues the leg with an attempt-salted
+/// leg number.
 fn run_session_with(
     mut fetch_object: impl FnMut(&str, u64, u64) -> Result<(Vec<u8>, u64), FetchError>,
     title: &str,
@@ -788,145 +773,24 @@ impl Playout {
     }
 }
 
-/// How live fetches reach the origin server: directly, or through an
-/// edge cache (which treats the manifest as a mutable TTL'd object and
-/// honours the origin's expiry purges).
-trait LiveRoute {
-    fn fetch(
-        &mut self,
-        server: &ContentServer,
-        name: &str,
-        leg: u64,
-        now: u64,
-        mutable: bool,
-    ) -> Result<(Vec<u8>, u64), FetchError>;
-
-    /// The origin unpublished these objects (DVR-window expiry).
-    fn expire(&mut self, _names: &[String]) {}
-}
-
-struct DirectRoute<'a> {
-    config: &'a SessionConfig,
-}
-
-impl LiveRoute for DirectRoute<'_> {
-    fn fetch(
-        &mut self,
-        server: &ContentServer,
-        name: &str,
-        leg: u64,
-        now: u64,
-        _mutable: bool,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let r = fetch_traced(
-            server,
-            name,
-            self.config.tcp,
-            self.config.link,
-            self.config.trace.as_ref(),
-            now,
-            self.config.seed.wrapping_add(leg),
-        )?;
-        Ok((r.data, r.ticks))
-    }
-}
-
-struct EdgeRoute<'a> {
-    edge: &'a mut EdgeCache,
-    config: &'a SessionConfig,
-}
-
-impl LiveRoute for EdgeRoute<'_> {
-    fn fetch(
-        &mut self,
-        server: &ContentServer,
-        name: &str,
-        leg: u64,
-        now: u64,
-        mutable: bool,
-    ) -> Result<(Vec<u8>, u64), FetchError> {
-        let seed = self.config.seed.wrapping_add(leg);
-        if mutable {
-            self.edge.fetch_mutable_through(
-                server,
-                name,
-                self.config.tcp,
-                self.config.link,
-                seed,
-                now,
-            )
-        } else {
-            self.edge
-                .fetch_through(server, name, self.config.tcp, self.config.link, seed)
-        }
-    }
-
-    fn expire(&mut self, names: &[String]) {
-        for name in names {
-            self.edge.invalidate(name);
-        }
-    }
-}
-
 /// Runs one live viewer against a [`LiveOrigin`] publishing into
-/// `server`. The session's simulated clock *drives* the origin: before
-/// every fetch (and during stale-manifest polls) the origin advances
-/// to the current tick, so publishes, window expiry, and the viewer's
-/// downloads share one timeline.
+/// `server`, through the cache chain `nodes` (empty for the direct
+/// path). The session's simulated clock *drives* the origin: before
+/// every manifest fetch the origin advances to the current tick, so
+/// publishes, window expiry, and the viewer's downloads share one
+/// timeline. Segments ride the chain as immutable (but expirable)
+/// objects, the manifest as a mutable TTL'd one, and every window-expiry
+/// purge invalidates every node on the chain.
 ///
 /// # Errors
 ///
 /// Returns [`SessionError`] on transport failure, a manifest without a
-/// live window, license problems, or a damaged segment.
+/// live window, license problems, an unreachable parent on a cold
+/// object, or a damaged segment.
 pub fn run_live_session(
     server: &mut ContentServer,
     origin: &mut LiveOrigin,
-    title: &str,
-    config: &LiveSessionConfig,
-) -> Result<LiveSessionReport, SessionError> {
-    let base = config.base.clone();
-    run_live_core(
-        server,
-        origin,
-        &mut DirectRoute { config: &base },
-        title,
-        config,
-    )
-}
-
-/// [`run_live_session`] through an edge cache: segments ride the cache
-/// as immutable (but expirable) objects, the manifest as a mutable
-/// TTL'd one, and the origin's window-expiry purges invalidate the
-/// edge — the full live object lifecycle on the delivery path.
-///
-/// # Errors
-///
-/// As [`run_live_session`], plus an unreachable origin on cold
-/// objects.
-pub fn run_live_session_via_edge(
-    server: &mut ContentServer,
-    origin: &mut LiveOrigin,
-    edge: &mut EdgeCache,
-    title: &str,
-    config: &LiveSessionConfig,
-) -> Result<LiveSessionReport, SessionError> {
-    let base = config.base.clone();
-    run_live_core(
-        server,
-        origin,
-        &mut EdgeRoute {
-            edge,
-            config: &base,
-        },
-        title,
-        config,
-    )
-}
-
-fn run_live_core(
-    server: &mut ContentServer,
-    origin: &mut LiveOrigin,
-    route: &mut impl LiveRoute,
+    nodes: &mut [&mut CacheNode],
     title: &str,
     config: &LiveSessionConfig,
 ) -> Result<LiveSessionReport, SessionError> {
@@ -946,10 +810,17 @@ fn run_live_core(
     let mut delivered_bits = 0u64;
 
     // 1. First manifest (the mutable object).
-    let delta = origin.advance_to(server, clock);
-    route.expire(&delta.expired);
+    expire(nodes, &origin.advance_to(server, clock).expired);
     let manifest_object = Manifest::manifest_object(title);
-    let (bytes, ticks) = route.fetch(server, &manifest_object, leg, clock, true)?;
+    let (bytes, ticks) = fetch_object(
+        server,
+        nodes,
+        &manifest_object,
+        Some(clock),
+        &config.base,
+        leg,
+        clock,
+    )?;
     leg += 1;
     clock += ticks;
     delivered_bits += (bytes.len() * 8) as u64;
@@ -963,8 +834,15 @@ fn run_live_core(
             .verification_key
             .as_deref()
             .ok_or(SessionError::SealedWithoutKey)?;
-        let (bytes, ticks) =
-            route.fetch(server, &Manifest::license_object(title), leg, clock, false)?;
+        let (bytes, ticks) = fetch_object(
+            server,
+            nodes,
+            &Manifest::license_object(title),
+            None,
+            &config.base,
+            leg,
+            clock,
+        )?;
         leg += 1;
         clock += ticks;
         delivered_bits += (bytes.len() * 8) as u64;
@@ -1017,9 +895,16 @@ fn run_live_core(
             if next_seq <= window.live_seq {
                 break;
             }
-            let delta = origin.advance_to(server, clock);
-            route.expire(&delta.expired);
-            let (bytes, ticks) = route.fetch(server, &manifest_object, leg, clock, true)?;
+            expire(nodes, &origin.advance_to(server, clock).expired);
+            let (bytes, ticks) = fetch_object(
+                server,
+                nodes,
+                &manifest_object,
+                Some(clock),
+                &config.base,
+                leg,
+                clock,
+            )?;
             leg += 1;
             clock += ticks;
             delivered_bits += (bytes.len() * 8) as u64;
@@ -1069,12 +954,14 @@ fn run_live_core(
         // expiry): everything the manifest in hand lists is still on
         // the server, so a validated sequence can never race its own
         // expiry into a failed fetch.
-        let (mut bytes, ticks) = route.fetch(
+        let (mut bytes, ticks) = fetch_object(
             server,
+            nodes,
             &manifest.segment_object(rung, idx),
+            None,
+            &config.base,
             leg,
             clock,
-            false,
         )?;
         leg += 1;
         clock += ticks;
@@ -1120,9 +1007,20 @@ fn run_live_core(
     })
 }
 
+/// The origin unpublished `names` (DVR-window expiry): purge them from
+/// every node on the chain.
+fn expire(nodes: &mut [&mut CacheNode], names: &[String]) {
+    for node in nodes.iter_mut() {
+        for name in names {
+            node.invalidate(name);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use crate::ladder::{encode_ladder, publish_ladder, seal_ladder, LadderConfig};
     use drm::playback::LicenseAuthority;
     use drm::{Right, TitleId};
@@ -1154,7 +1052,7 @@ mod tests {
     #[test]
     fn clear_session_plays_every_segment() {
         let (server, _) = published(false);
-        let report = run_session(&server, "movie", &SessionConfig::default()).unwrap();
+        let report = run_session(&server, &mut [], "movie", &SessionConfig::default()).unwrap();
         assert_eq!(report.segments.len(), 3);
         assert!(report.startup_delay_ticks > 0);
         assert_eq!(report.rebuffer_events, 0, "clean fast link must not stall");
@@ -1168,7 +1066,7 @@ mod tests {
     #[test]
     fn abr_climbs_on_a_fast_link() {
         let (server, _) = published(false);
-        let report = run_session(&server, "movie", &SessionConfig::default()).unwrap();
+        let report = run_session(&server, &mut [], "movie", &SessionConfig::default()).unwrap();
         assert_eq!(
             report.segments[0].rung, 0,
             "sessions start on the safe rung"
@@ -1187,7 +1085,7 @@ mod tests {
             max_rung: Some(0),
             ..Default::default()
         };
-        let report = run_session(&server, "movie", &cfg).unwrap();
+        let report = run_session(&server, &mut [], "movie", &cfg).unwrap();
         assert!(report.segments.iter().all(|s| s.rung == 0));
         assert_eq!(report.rung_switches, 0);
     }
@@ -1195,13 +1093,13 @@ mod tests {
     #[test]
     fn sealed_title_requires_key_and_then_plays() {
         let (server, authority) = published(true);
-        let err = run_session(&server, "movie", &SessionConfig::default()).unwrap_err();
+        let err = run_session(&server, &mut [], "movie", &SessionConfig::default()).unwrap_err();
         assert_eq!(err, SessionError::SealedWithoutKey);
         let cfg = SessionConfig {
             verification_key: Some(authority.verification_key().to_vec()),
             ..Default::default()
         };
-        let report = run_session(&server, "movie", &cfg).unwrap();
+        let report = run_session(&server, &mut [], "movie", &cfg).unwrap();
         for rec in &report.segments {
             let dec = video::decode(rec.segment.video_es.as_ref().unwrap()).unwrap();
             assert_eq!(dec.frames.len(), rec.frames);
@@ -1216,7 +1114,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_session(&server, "movie", &cfg).unwrap_err(),
+            run_session(&server, &mut [], "movie", &cfg).unwrap_err(),
             SessionError::License(_)
         ));
     }
@@ -1225,7 +1123,7 @@ mod tests {
     fn missing_title_is_a_fetch_error() {
         let (server, _) = published(false);
         assert!(matches!(
-            run_session(&server, "nope", &SessionConfig::default()).unwrap_err(),
+            run_session(&server, &mut [], "nope", &SessionConfig::default()).unwrap_err(),
             SessionError::Fetch(FetchError::Server(_))
         ));
     }
@@ -1238,8 +1136,8 @@ mod tests {
             max_rung: Some(0),
             ..Default::default()
         };
-        let a = run_session(&server, "movie", &cfg).unwrap();
-        let b = run_session(&server, "movie", &cfg).unwrap();
+        let a = run_session(&server, &mut [], "movie", &cfg).unwrap();
+        let b = run_session(&server, &mut [], "movie", &cfg).unwrap();
         assert_eq!(a.total_ticks, b.total_ticks);
         assert_eq!(a.startup_delay_ticks, b.startup_delay_ticks);
         assert_eq!(a.segments.len(), 3);
@@ -1351,22 +1249,20 @@ mod tests {
         assert_eq!(calls, 1, "no-retry default fails fast");
         // And on a clean run the retry counters stay zero.
         let (server, _) = published(false);
-        let report = run_session(&server, "movie", &SessionConfig::default()).unwrap();
+        let report = run_session(&server, &mut [], "movie", &SessionConfig::default()).unwrap();
         assert_eq!(report.fetch_retries, 0);
         assert_eq!(report.retry_backoff_ticks, 0);
     }
 
     #[test]
     fn session_via_edge_plays_and_warms_the_cache() {
-        use crate::edge::{EdgeCache, EdgeConfig};
-
         let (origin, authority) = published(true);
-        let mut edge = EdgeCache::new(EdgeConfig::default());
+        let mut edge = CacheNode::new(CacheConfig::default());
         let cfg = SessionConfig {
             verification_key: Some(authority.verification_key().to_vec()),
             ..Default::default()
         };
-        let cold = run_session_via_edge(&origin, &mut edge, "movie", &cfg).unwrap();
+        let cold = run_session(&origin, &mut [&mut edge], "movie", &cfg).unwrap();
         assert_eq!(cold.segments.len(), 3);
         assert!(edge.stats().misses > 0);
         for rec in &cold.segments {
@@ -1380,9 +1276,9 @@ mod tests {
             ..cfg.clone()
         };
         let first_origin_bytes = edge.stats().origin_bytes;
-        let a = run_session_via_edge(&origin, &mut edge, "movie", &pinned).unwrap();
+        let a = run_session(&origin, &mut [&mut edge], "movie", &pinned).unwrap();
         let again_origin = edge.stats().origin_bytes;
-        let b = run_session_via_edge(&origin, &mut edge, "movie", &pinned).unwrap();
+        let b = run_session(&origin, &mut [&mut edge], "movie", &pinned).unwrap();
         assert_eq!(edge.stats().origin_bytes, again_origin);
         assert!(a.total_ticks >= b.total_ticks || again_origin == first_origin_bytes);
         assert!(b.total_ticks < cold.total_ticks);
@@ -1390,24 +1286,50 @@ mod tests {
 
     #[test]
     fn warm_edge_serves_through_origin_outage() {
-        use crate::edge::{EdgeCache, EdgeConfig};
-
         let (origin, _) = published(false);
-        let mut edge = EdgeCache::new(EdgeConfig::default());
+        let mut edge = CacheNode::new(CacheConfig::default());
         let cfg = SessionConfig {
             max_rung: Some(0),
             ..Default::default()
         };
-        run_session_via_edge(&origin, &mut edge, "movie", &cfg).unwrap();
-        edge.set_origin_up(false);
-        let report = run_session_via_edge(&origin, &mut edge, "movie", &cfg).unwrap();
+        run_session(&origin, &mut [&mut edge], "movie", &cfg).unwrap();
+        edge.set_parent_up(false);
+        let report = run_session(&origin, &mut [&mut edge], "movie", &cfg).unwrap();
         assert_eq!(report.segments.len(), 3);
         assert_eq!(report.rebuffer_events, 0);
         // A cold title during the outage fails cleanly.
         assert!(matches!(
-            run_session_via_edge(&origin, &mut edge, "nope", &cfg).unwrap_err(),
+            run_session(&origin, &mut [&mut edge], "nope", &cfg).unwrap_err(),
             SessionError::Fetch(FetchError::Server(_))
         ));
+    }
+
+    #[test]
+    fn the_access_link_trace_applies_through_a_cache() {
+        let (origin, _) = published(false);
+        let mut edge = CacheNode::new(CacheConfig::default());
+        let cfg = SessionConfig {
+            max_rung: Some(0),
+            ..Default::default()
+        };
+        run_session(&origin, &mut [&mut edge], "movie", &cfg).unwrap();
+        // The edge is warm: both viewers below ride the same cache hits,
+        // so only the access link differs.
+        let untraced = run_session(&origin, &mut [&mut edge], "movie", &cfg).unwrap();
+        // Join in the fade (the second phase): the whole session falls
+        // inside the trace's slow, lossy stretch.
+        let mut fade = LinkTrace::mobile_handoff();
+        fade.phases.rotate_left(1);
+        let traced = SessionConfig {
+            trace: Some(fade),
+            ..cfg
+        };
+        let traced = run_session(&origin, &mut [&mut edge], "movie", &traced).unwrap();
+        assert_eq!(edge.stats().misses, 4, "only the first viewer filled");
+        assert_ne!(
+            traced.total_ticks, untraced.total_ticks,
+            "the trace must shape the viewer leg on a cached route"
+        );
     }
 
     /// A live channel: 3-segment wheel, 100-tick publish pace, 4-deep
@@ -1456,7 +1378,7 @@ mod tests {
             poll_ticks: 20,
             ..Default::default()
         };
-        let r = run_live_session(&mut server, &mut origin, "chan", &cfg).unwrap();
+        let r = run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg).unwrap();
         assert_eq!(r.segments.len(), 6);
         // Consecutive sequences from the join point, every one decodes.
         for (i, rec) in r.segments.iter().enumerate() {
@@ -1479,7 +1401,7 @@ mod tests {
         );
         // Determinism: an identical fresh setup replays identically.
         let (mut server2, mut origin2, _) = live_channel(true);
-        let r2 = run_live_session(&mut server2, &mut origin2, "chan", &cfg).unwrap();
+        let r2 = run_live_session(&mut server2, &mut origin2, &mut [], "chan", &cfg).unwrap();
         assert_eq!(r.total_ticks, r2.total_ticks);
         assert_eq!(r.stale_manifest_ticks, r2.stale_manifest_ticks);
     }
@@ -1499,7 +1421,7 @@ mod tests {
                 start_tick: 500,
                 ..Default::default()
             };
-            run_live_session(&mut server, &mut origin, "chan", &cfg).unwrap()
+            run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg).unwrap()
         };
         let dvr = join(JoinMode::DvrStart);
         let edge = join(JoinMode::LiveEdge);
@@ -1549,7 +1471,7 @@ mod tests {
             max_stale_refreshes: 64,
             refresh_retry: None,
         };
-        let r = run_live_session(&mut server, &mut origin, "chan", &session).unwrap();
+        let r = run_live_session(&mut server, &mut origin, &mut [], "chan", &session).unwrap();
         assert_eq!(r.segments.len(), 5, "skipping forward must keep playing");
         assert!(
             r.window_skips > 0,
@@ -1564,10 +1486,8 @@ mod tests {
 
     #[test]
     fn live_session_via_edge_rides_the_cache_and_honours_expiry() {
-        use crate::edge::{EdgeCache, EdgeConfig};
-
         let (mut server, mut origin, _) = live_channel(false);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             mutable_ttl_ticks: 50,
             ..Default::default()
         });
@@ -1576,8 +1496,7 @@ mod tests {
             poll_ticks: 20,
             ..Default::default()
         };
-        let a =
-            run_live_session_via_edge(&mut server, &mut origin, &mut edge, "chan", &cfg).unwrap();
+        let a = run_live_session(&mut server, &mut origin, &mut [&mut edge], "chan", &cfg).unwrap();
         assert_eq!(a.segments.len(), 6);
         let after_a = *edge.stats();
         assert!(after_a.misses > 0, "cold edge fills from the origin");
@@ -1592,10 +1511,10 @@ mod tests {
         // A second viewer tunes in where the channel now is and wants
         // the DVR window the first viewer's fills already cached.
         let tune_in = origin.publish_tick(origin.live_seq().unwrap());
-        let b = run_live_session_via_edge(
+        let b = run_live_session(
             &mut server,
             &mut origin,
-            &mut edge,
+            &mut [&mut edge],
             "chan",
             &LiveSessionConfig {
                 join: JoinMode::DvrStart,
@@ -1612,11 +1531,47 @@ mod tests {
     }
 
     #[test]
-    fn endless_origin_outage_stalls_out_instead_of_polling_forever() {
-        use crate::edge::{EdgeCache, EdgeConfig};
-
+    fn live_expiry_purges_every_node_of_a_two_node_chain() {
         let (mut server, mut origin, _) = live_channel(false);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
+            mutable_ttl_ticks: 50,
+            ..Default::default()
+        });
+        let mut shield = CacheNode::new(CacheConfig {
+            mutable_ttl_ticks: 50,
+            ..Default::default()
+        });
+        let cfg = LiveSessionConfig {
+            segments_to_play: 6,
+            poll_ticks: 20,
+            ..Default::default()
+        };
+        let r = run_live_session(
+            &mut server,
+            &mut origin,
+            &mut [&mut edge, &mut shield],
+            "chan",
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(r.segments.len(), 6);
+        for node in [&edge, &shield] {
+            let s = node.stats();
+            assert!(s.misses > 0, "both tiers fill while cold: {s:?}");
+            assert!(
+                s.invalidations > 0,
+                "window expiry reaches every node: {s:?}"
+            );
+        }
+        // Every shield fill fed an edge fill, so the shield served what
+        // the edge pulled.
+        assert_eq!(shield.stats().served_bytes, edge.stats().origin_bytes);
+    }
+
+    #[test]
+    fn endless_origin_outage_stalls_out_instead_of_polling_forever() {
+        let (mut server, mut origin, _) = live_channel(false);
+        let mut edge = CacheNode::new(CacheConfig {
             mutable_ttl_ticks: 50,
             ..Default::default()
         });
@@ -1632,17 +1587,17 @@ mod tests {
             poll_ticks: 20,
             ..Default::default()
         };
-        run_live_session_via_edge(&mut server, &mut origin, &mut edge, "chan", &cfg)
+        run_live_session(&mut server, &mut origin, &mut [&mut edge], "chan", &cfg)
             .expect("first viewer warms the edge");
         // The edge loses its origin: the cached manifest serves
         // stale-if-error forever and can never advance. A later viewer
         // must hit the refresh budget and error out, not spin.
-        edge.set_origin_up(false);
+        edge.set_parent_up(false);
         let tune_in = origin.publish_tick(origin.live_seq().unwrap());
-        let err = run_live_session_via_edge(
+        let err = run_live_session(
             &mut server,
             &mut origin,
-            &mut edge,
+            &mut [&mut edge],
             "chan",
             &LiveSessionConfig {
                 start_tick: tune_in,
@@ -1664,7 +1619,7 @@ mod tests {
                 refresh_retry: retry,
                 ..Default::default()
             };
-            run_live_session(&mut server, &mut origin, "chan", &cfg).unwrap()
+            run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg).unwrap()
         };
         let legacy = run(None);
         // The documented legacy-equivalent policy for poll_ticks = 20,
@@ -1684,10 +1639,8 @@ mod tests {
 
     #[test]
     fn backoff_refresh_policy_gives_up_cleanly_through_an_endless_outage() {
-        use crate::edge::{EdgeCache, EdgeConfig};
-
         let (mut server, mut origin, _) = live_channel(false);
-        let mut edge = EdgeCache::new(EdgeConfig {
+        let mut edge = CacheNode::new(CacheConfig {
             mutable_ttl_ticks: 50,
             ..Default::default()
         });
@@ -1700,14 +1653,14 @@ mod tests {
             poll_ticks: 20,
             ..Default::default()
         };
-        run_live_session_via_edge(&mut server, &mut origin, &mut edge, "chan", &cfg)
+        run_live_session(&mut server, &mut origin, &mut [&mut edge], "chan", &cfg)
             .expect("first viewer warms the edge");
-        edge.set_origin_up(false);
+        edge.set_parent_up(false);
         let tune_in = origin.publish_tick(origin.live_seq().unwrap());
-        let err = run_live_session_via_edge(
+        let err = run_live_session(
             &mut server,
             &mut origin,
-            &mut edge,
+            &mut [&mut edge],
             "chan",
             &LiveSessionConfig {
                 start_tick: tune_in,
@@ -1728,6 +1681,7 @@ mod tests {
             run_live_session(
                 &mut server,
                 &mut origin,
+                &mut [],
                 "movie",
                 &LiveSessionConfig::default()
             )

@@ -6,16 +6,12 @@
 //! put a small regional tier — "shield" or "parent" caches — between
 //! edges and origin so each object crosses the origin link once per
 //! *shield* instead, and edge misses fan in over cheap regional links.
-//! This module adds that tier to both delivery paths:
-//!
-//! * [`ShieldCache`] is the *live* path: an [`crate::edge::EdgeCache`]
-//!   miss calls [`ShieldCache::ensure`] before filling, so the origin
-//!   sees at most one fetch per (object, generation) across all child
-//!   edges ([`crate::edge::EdgeCache::fetch_through_shield`]).
-//! * `SimShield` is the *fluid* counterpart: the calendar engine
-//!   drains edge fills from their shield's cache at the shield's
-//!   downlink rate, and shield misses coalesce into origin fills that
-//!   share the origin uplink.
+//! On the packet-level path a shield is simply the second
+//! [`CacheNode`] of a session's chain (see [`crate::cache`]). This
+//! module holds the *fluid* tier: `SimShield`, whose cache the calendar
+//! engine drains edge fills from at the shield's downlink rate, with
+//! shield misses coalescing into origin fills that share the origin
+//! uplink.
 //!
 //! The second half of the module is cache *admission*. An LRU admits
 //! everything, so a long tail of one-hit wonders flushes the hot head
@@ -26,13 +22,10 @@
 //! Admit-always remains the default and is property-pinned
 //! bit-identical to the pre-admission engine.
 
+use crate::cache::{CacheConfig, CacheNode};
 use crate::edge::{EdgeStats, FillTable, Lru};
 use crate::ladder::Manifest;
-use netstack::fetch::{fetch, ContentServer, FetchError};
-use netstack::link::LinkConfig;
-use netstack::tcplite::TcpConfig;
 use signal::rng::splitmix64;
-use std::collections::BTreeMap;
 
 /// The fluid engine's object key: `(title, rung, segment)`. Title 0 is
 /// the single-title degenerate case, so pre-catalog keys `(rung, seg)`
@@ -380,279 +373,47 @@ pub(crate) fn build_shields(
     shields
 }
 
-/// Configuration of one live shield cache.
+/// [`CacheNode`] under its old shield name. Kept because the benchmark
+/// harness in `perfbench/` calls it by this name.
+pub type ShieldCache = CacheNode;
+
+/// [`CacheConfig`] with the shield tier's defaults (8 MiB, origin seed
+/// `0x5111E1D`). A type alias cannot carry a second `Default`, so this
+/// stays a struct. Kept because the benchmark harness in `perfbench/`
+/// builds its shield from it by this name. Fields as in [`CacheConfig`].
 #[derive(Debug, Clone)]
 pub struct ShieldConfig {
-    /// Cache budget in bytes.
     pub cache_capacity_bytes: usize,
-    /// Transport used on the shield→origin fill path.
-    pub origin_tcp: TcpConfig,
-    /// The shield's origin link (regional backbone: typically cleaner
-    /// and fatter than an edge's).
-    pub origin_link: LinkConfig,
-    /// Seed for the origin link's loss process (advanced per fill).
+    pub origin_tcp: netstack::tcplite::TcpConfig,
+    pub origin_link: netstack::link::LinkConfig,
     pub origin_seed: u64,
-    /// Freshness window for mutable objects, in ticks (see
-    /// [`crate::edge::EdgeConfig::mutable_ttl_ticks`]).
     pub mutable_ttl_ticks: u64,
-    /// Retry discipline for transport-level origin-fill failures.
     pub retry: crate::fault::RetryPolicy,
 }
 
 impl Default for ShieldConfig {
-    /// 8 MiB cache over a clean default link; mutable objects
-    /// revalidate on every request; origin fills are not retried.
     fn default() -> Self {
+        let c = CacheConfig::default();
         Self {
             cache_capacity_bytes: 8 << 20,
-            origin_tcp: TcpConfig::default(),
-            origin_link: LinkConfig::default(),
+            origin_tcp: c.origin_tcp,
+            origin_link: c.origin_link,
             origin_seed: 0x5111E1D,
-            mutable_ttl_ticks: 0,
-            retry: crate::fault::RetryPolicy::default(),
+            mutable_ttl_ticks: c.mutable_ttl_ticks,
+            retry: c.retry,
         }
     }
 }
 
-/// One live shield cache: a bounded LRU of named objects filled from
-/// the origin on demand, serving *edges* (not viewers) from its local
-/// store. Child edges call [`ShieldCache::ensure`] on a miss and then
-/// fill from [`ShieldCache::server`] over their own origin link; the
-/// [`FillTable`] ledger records one started fill per (object,
-/// generation) however many edges ask.
-#[derive(Debug, Clone)]
-pub struct ShieldCache {
-    config: ShieldConfig,
-    lru: Lru<String>,
-    store: ContentServer,
-    fills: FillTable<String, ()>,
-    fetched_at: BTreeMap<String, u64>,
-    up: bool,
-    origin_up: bool,
-    fill_count: u64,
-    stats: EdgeStats,
-}
-
-impl ShieldCache {
-    /// An empty (cold) shield.
-    #[must_use]
-    pub fn new(config: ShieldConfig) -> Self {
+impl From<ShieldConfig> for CacheConfig {
+    fn from(c: ShieldConfig) -> Self {
         Self {
-            lru: Lru::new(config.cache_capacity_bytes),
-            config,
-            store: ContentServer::new(),
-            fills: FillTable::new(),
-            fetched_at: BTreeMap::new(),
-            up: true,
-            origin_up: true,
-            fill_count: 0,
-            stats: EdgeStats::default(),
-        }
-    }
-
-    /// Simulates a shield-process crash (or recovery): while down,
-    /// every `ensure` fails and child edges fall back to stale copies
-    /// or their failover shield.
-    pub fn set_up(&mut self, up: bool) {
-        self.up = up;
-    }
-
-    /// Whether the shield process is up.
-    #[must_use]
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// Simulates an origin outage behind the shield: warm objects keep
-    /// serving, shield misses fail.
-    pub fn set_origin_up(&mut self, up: bool) {
-        self.origin_up = up;
-    }
-
-    /// What this shield has observed so far.
-    #[must_use]
-    pub fn stats(&self) -> &EdgeStats {
-        &self.stats
-    }
-
-    /// The `(started, joined, failed)` origin-fill ledger.
-    #[must_use]
-    pub fn fill_ledger(&self) -> (u64, u64, u64) {
-        (
-            self.fills.started(),
-            self.fills.joined(),
-            self.fills.failed(),
-        )
-    }
-
-    /// Objects currently cached.
-    #[must_use]
-    pub fn cached_objects(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Bytes currently cached.
-    #[must_use]
-    pub fn cached_bytes(&self) -> usize {
-        self.lru.held_bytes()
-    }
-
-    /// The shield's local store — the "origin" its child edges fill
-    /// from after a successful [`ShieldCache::ensure`].
-    #[must_use]
-    pub fn server(&self) -> &ContentServer {
-        &self.store
-    }
-
-    /// Copies `names` from the origin into the cache instantly
-    /// (pre-positioning on the parent tier).
-    pub fn prewarm(&mut self, origin: &ContentServer, names: &[String]) {
-        for name in names {
-            if let Some(data) = origin.get(name) {
-                self.admit(name.clone(), data.to_vec());
-            }
-        }
-    }
-
-    /// Accounts bytes a child edge pulled from this shield.
-    pub(crate) fn note_served(&mut self, bytes: u64) {
-        self.stats.served_bytes += bytes;
-    }
-
-    /// Ensures an *immutable* object is present in the shield's store,
-    /// filling from `origin` on a miss. Returns the origin-leg ticks
-    /// (0 on a shield hit) and, for an object larger than the shield's
-    /// cache, a pass-through server to fill from instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when the shield is down, or on a miss
-    /// with the origin unreachable or the fill failing.
-    pub fn ensure(
-        &mut self,
-        origin: &ContentServer,
-        name: &str,
-    ) -> Result<(u64, Option<ContentServer>), FetchError> {
-        if !self.up {
-            return Err(FetchError::Server("shield-unreachable".to_string()));
-        }
-        if self.lru.touch(&name.to_string()) {
-            self.stats.hits += 1;
-            return Ok((0, None));
-        }
-        if !self.origin_up {
-            return Err(FetchError::Server("origin-unreachable".to_string()));
-        }
-        self.fill(origin, name, None)
-    }
-
-    /// The mutable-object counterpart of [`ShieldCache::ensure`]: a
-    /// cached copy younger than the TTL is a hit, a stale one is
-    /// revalidated against the origin, and a stale copy is still
-    /// served when the origin is down (stale-if-error).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FetchError`] when the shield is down, or the object
-    /// is wholly uncached with the origin unreachable or failing.
-    pub fn ensure_mutable(
-        &mut self,
-        origin: &ContentServer,
-        name: &str,
-        now: u64,
-    ) -> Result<(u64, Option<ContentServer>), FetchError> {
-        if !self.up {
-            return Err(FetchError::Server("shield-unreachable".to_string()));
-        }
-        let cached = self.lru.touch(&name.to_string());
-        let fresh = cached
-            && self
-                .fetched_at
-                .get(name)
-                .is_some_and(|&at| now < at.saturating_add(self.config.mutable_ttl_ticks));
-        if fresh || (cached && !self.origin_up) {
-            self.stats.hits += 1;
-            return Ok((0, None));
-        }
-        if !self.origin_up {
-            return Err(FetchError::Server("origin-unreachable".to_string()));
-        }
-        if cached {
-            self.stats.revalidations += 1;
-        }
-        self.fill(origin, name, Some(now))
-    }
-
-    /// Inserts one object, evicting as needed (LRU index and local
-    /// store stay consistent).
-    fn admit(&mut self, name: String, data: Vec<u8>) {
-        let len = data.len();
-        let cacheable = len <= self.config.cache_capacity_bytes;
-        for victim in self.lru.insert(name.clone(), len) {
-            self.store.remove(&victim);
-        }
-        self.stats.evictions = self.lru.evictions();
-        if cacheable {
-            self.store.publish(name, data);
-        }
-    }
-
-    /// One origin fill, mirroring the edge's retry discipline; the
-    /// [`FillTable`] slot for `(name, 0)` is held for the duration so
-    /// the coalescing ledger stays one-fill-per-generation even though
-    /// the live path is serial.
-    fn fill(
-        &mut self,
-        origin: &ContentServer,
-        name: &str,
-        stamp: Option<u64>,
-    ) -> Result<(u64, Option<ContentServer>), FetchError> {
-        let key = name.to_string();
-        self.fills.request(key.clone(), 0, || ());
-        let mut backoff_ticks = 0u64;
-        let mut failures = 0u32;
-        let fill = loop {
-            let fill_seed = self.config.origin_seed.wrapping_add(self.fill_count);
-            self.fill_count += 1;
-            match fetch(
-                origin,
-                name,
-                self.config.origin_tcp,
-                self.config.origin_link,
-                fill_seed,
-            ) {
-                Ok(fill) => break fill,
-                Err(e @ FetchError::Transport(_)) => {
-                    failures += 1;
-                    match self.config.retry.backoff_before(failures) {
-                        Some(wait) => backoff_ticks += wait,
-                        None => {
-                            self.fills.fail(&key, 0);
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.fills.fail(&key, 0);
-                    return Err(e);
-                }
-            }
-        };
-        self.fills.complete(&key, 0);
-        self.stats.misses += 1;
-        self.stats.origin_bytes += fill.data.len() as u64;
-        let ticks = fill.ticks + backoff_ticks;
-        if fill.data.len() <= self.config.cache_capacity_bytes {
-            self.admit(key.clone(), fill.data);
-            if let Some(now) = stamp {
-                self.fetched_at.insert(key, now);
-            }
-            Ok((ticks, None))
-        } else {
-            // Serve-through without caching.
-            let mut tmp = ContentServer::new();
-            tmp.publish(name, fill.data);
-            Ok((ticks, Some(tmp)))
+            cache_capacity_bytes: c.cache_capacity_bytes,
+            origin_tcp: c.origin_tcp,
+            origin_link: c.origin_link,
+            origin_seed: c.origin_seed,
+            mutable_ttl_ticks: c.mutable_ttl_ticks,
+            retry: c.retry,
         }
     }
 }
@@ -660,6 +421,8 @@ impl ShieldCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::ensure;
+    use netstack::fetch::ContentServer;
 
     #[test]
     fn sketch_estimate_is_an_upper_bound() {
@@ -825,45 +588,43 @@ mod tests {
     fn shield_cache_hit_miss_and_ledger() {
         let mut origin = ContentServer::new();
         origin.publish("a", vec![1u8; 64]);
-        let mut sh = ShieldCache::new(ShieldConfig::default());
-        let (t0, through) = sh.ensure(&origin, "a").expect("miss fills");
+        let mut sh = CacheNode::new(CacheConfig::default());
+        let (data, t0) = ensure(&mut sh, &origin, "a", None).expect("miss fills");
         assert!(t0 > 0);
-        assert!(through.is_none());
+        assert_eq!(data, vec![1u8; 64]);
         assert_eq!(sh.stats().misses, 1);
         assert_eq!(sh.stats().origin_bytes, 64);
-        let (t1, _) = sh.ensure(&origin, "a").expect("hit");
+        assert_eq!(sh.cached_objects(), 1, "cached, not passed through");
+        let (_, t1) = ensure(&mut sh, &origin, "a", None).expect("hit");
         assert_eq!(t1, 0);
         assert_eq!(sh.stats().hits, 1);
         assert_eq!(sh.fill_ledger(), (1, 0, 0));
-        assert!(sh.server().get("a").is_some());
     }
 
     #[test]
     fn shield_down_fails_even_warm() {
         let mut origin = ContentServer::new();
         origin.publish("a", vec![1u8; 64]);
-        let mut sh = ShieldCache::new(ShieldConfig::default());
-        sh.ensure(&origin, "a").expect("warm it");
+        let mut sh = CacheNode::new(CacheConfig::default());
+        ensure(&mut sh, &origin, "a", None).expect("warm it");
         sh.set_up(false);
-        assert!(sh.ensure(&origin, "a").is_err());
+        assert!(ensure(&mut sh, &origin, "a", None).is_err());
         sh.set_up(true);
-        assert!(sh.ensure(&origin, "a").is_ok());
+        assert!(ensure(&mut sh, &origin, "a", None).is_ok());
     }
 
     #[test]
     fn shield_stale_if_error_serves_mutable_through_origin_outage() {
         let mut origin = ContentServer::new();
         origin.publish("m", vec![2u8; 32]);
-        let mut sh = ShieldCache::new(ShieldConfig::default());
-        sh.ensure_mutable(&origin, "m", 0).expect("fill");
-        sh.set_origin_up(false);
+        let mut sh = CacheNode::new(CacheConfig::default());
+        ensure(&mut sh, &origin, "m", Some(0)).expect("fill");
+        sh.set_parent_up(false);
         // TTL 0 means this is stale, but the origin is down: serve it.
-        let (t, _) = sh
-            .ensure_mutable(&origin, "m", 100)
-            .expect("stale-if-error");
+        let (_, t) = ensure(&mut sh, &origin, "m", Some(100)).expect("stale-if-error");
         assert_eq!(t, 0);
         assert_eq!(sh.stats().hits, 1);
         // An uncached object has nothing stale to serve.
-        assert!(sh.ensure_mutable(&origin, "other", 100).is_err());
+        assert!(ensure(&mut sh, &origin, "other", Some(100)).is_err());
     }
 }

@@ -12,11 +12,12 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
+use mmstream::cache::{CacheConfig, CacheNode};
 use mmstream::catalog::Catalog;
-use mmstream::edge::{EdgeCache, EdgeConfig, EdgeTierConfig};
+use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, publish_ladder, seal_ladder, LadderConfig, Manifest};
 use mmstream::serve::{curve_knee, sweep, CdnConfig, LoadConfig, Scenario};
-use mmstream::session::{run_session_via_edge, SessionConfig};
+use mmstream::session::{run_session, SessionConfig};
 use netstack::fetch::ContentServer;
 use netstack::link::LinkConfig;
 use video::synth::SequenceGen;
@@ -48,7 +49,7 @@ fn main() {
     );
 
     // 2. One edge cache between origin and viewers: cold, then warm.
-    let mut edge = EdgeCache::new(EdgeConfig {
+    let mut edge = CacheNode::new(CacheConfig {
         origin_link: LinkConfig::default().with_loss(0.02),
         ..Default::default()
     });
@@ -59,8 +60,8 @@ fn main() {
         seed: 4,
         ..Default::default()
     };
-    let cold = run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("cold viewer");
-    let warm = run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("warm viewer");
+    let cold = run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("cold viewer");
+    let warm = run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("warm viewer");
     let s = edge.stats();
     println!(
         "edge: cold viewer {} ticks ({} fills, {} origin bytes); warm viewer {} ticks ({} hits)",
@@ -73,9 +74,8 @@ fn main() {
     );
 
     // 3. Origin outage: the warm edge keeps playing the title.
-    edge.set_origin_up(false);
-    let outage =
-        run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("outage viewer");
+    edge.set_parent_up(false);
+    let outage = run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("outage viewer");
     println!(
         "outage: origin dark, warm edge still serves {} segments with {} rebuffers",
         outage.segments.len(),

@@ -89,7 +89,7 @@ fn main() {
         seed: 17,
         ..Default::default()
     };
-    let report = run_session(&server, "feature", &session).expect("session completes");
+    let report = run_session(&server, &mut [], "feature", &session).expect("session completes");
     let rungs: Vec<usize> = report.segments.iter().map(|s| s.rung).collect();
     println!(
         "viewer: startup {} ticks, {} rebuffers, {} switches, rungs {:?}",

@@ -6,11 +6,12 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
+use mmstream::cache::{CacheConfig, CacheNode};
 use mmstream::catalog::Catalog;
-use mmstream::edge::{EdgeCache, EdgeConfig, EdgeTierConfig};
+use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, publish_ladder, seal_ladder, LadderConfig, Manifest};
 use mmstream::serve::{curve_knee, sweep, CdnConfig, LoadConfig, Scenario};
-use mmstream::session::{run_session_via_edge, SessionConfig, SessionError};
+use mmstream::session::{run_session, SessionConfig, SessionError};
 use netstack::fetch::{ContentServer, FetchError};
 use netstack::link::LinkConfig;
 use video::synth::SequenceGen;
@@ -44,7 +45,7 @@ fn cold_warm_outage_lifecycle_through_one_edge() {
     // The edge fills over its own 2%-loss origin link; viewers sit on a
     // 5%-loss access link. Pinned to rung 0: the acceptance bar is that
     // the safety rung plays stall-free through every phase.
-    let mut edge = EdgeCache::new(EdgeConfig {
+    let mut edge = CacheNode::new(CacheConfig {
         origin_link: LinkConfig::default().with_loss(0.02),
         ..Default::default()
     });
@@ -58,7 +59,7 @@ fn cold_warm_outage_lifecycle_through_one_edge() {
 
     // Phase 1 — cold cache: every object (manifest, license, rung-0
     // segments) is an edge miss filled from the origin.
-    let cold = run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("cold session");
+    let cold = run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("cold session");
     assert_eq!(cold.segments.len(), manifest.segment_count());
     assert_eq!(cold.rebuffer_events, 0, "rung 0 must not stall even cold");
     let after_cold = *edge.stats();
@@ -71,7 +72,7 @@ fn cold_warm_outage_lifecycle_through_one_edge() {
 
     // Phase 2 — warm cache: a second viewer fetches the same objects
     // without a single new origin byte, and starts faster.
-    let warm = run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("warm session");
+    let warm = run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("warm session");
     let after_warm = *edge.stats();
     assert_eq!(after_warm.misses, after_cold.misses, "no new fills");
     assert_eq!(after_warm.origin_bytes, after_cold.origin_bytes);
@@ -87,9 +88,9 @@ fn cold_warm_outage_lifecycle_through_one_edge() {
     // Phase 3 — origin outage: the warm edge keeps serving the title
     // with zero post-startup rebuffers at rung 0, and every delivered
     // segment still decodes.
-    edge.set_origin_up(false);
+    edge.set_parent_up(false);
     let outage =
-        run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("outage session");
+        run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("outage session");
     assert_eq!(outage.segments.len(), manifest.segment_count());
     assert_eq!(
         outage.rebuffer_events, 0,
@@ -109,7 +110,7 @@ fn cold_warm_outage_lifecycle_through_one_edge() {
 
     // A title the edge never cached fails cleanly during the outage.
     assert!(matches!(
-        run_session_via_edge(&origin, &mut edge, "other", &viewer).unwrap_err(),
+        run_session(&origin, &mut [&mut edge], "other", &viewer).unwrap_err(),
         SessionError::Fetch(FetchError::Server(_))
     ));
 }
@@ -117,15 +118,15 @@ fn cold_warm_outage_lifecycle_through_one_edge() {
 #[test]
 fn free_abr_viewer_through_an_edge_upgrades() {
     let (origin, authority, _) = origin();
-    let mut edge = EdgeCache::new(EdgeConfig::default());
+    let mut edge = CacheNode::new(CacheConfig::default());
     let viewer = SessionConfig {
         verification_key: Some(authority.verification_key().to_vec()),
         seed: 9,
         ..Default::default()
     };
     // Warm the edge with a first viewer, then let a second roam freely.
-    run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("first viewer");
-    let report = run_session_via_edge(&origin, &mut edge, "feature", &viewer).expect("second");
+    run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("first viewer");
+    let report = run_session(&origin, &mut [&mut edge], "feature", &viewer).expect("second");
     assert_eq!(report.segments[0].rung, 0, "start on the safety rung");
     assert!(
         report.segments.iter().any(|s| s.rung > 0),

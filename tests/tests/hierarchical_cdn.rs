@@ -7,11 +7,10 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
-use mmstream::edge::{EdgeCache, EdgeConfig};
+use mmstream::cache::{CacheConfig, CacheNode};
 use mmstream::ladder::{encode_ladder, publish_ladder, seal_ladder, LadderConfig, Manifest};
-use mmstream::session::{run_session_via_tier, SessionConfig, SessionError};
-use mmstream::shield::{ShieldCache, ShieldConfig};
-use netstack::fetch::{ContentServer, FetchError};
+use mmstream::session::{run_session, SessionConfig, SessionError};
+use netstack::fetch::{fetch, ContentServer, FetchError};
 use netstack::link::LinkConfig;
 use video::synth::SequenceGen;
 
@@ -58,11 +57,11 @@ fn cold_edge_cold_shield_origin_lifecycle_multi_title() {
     let (origin, authority, manifests) = catalog_origin(&["alpha", "beta", "gamma"]);
     // Both fill hops are lossy: shield→origin over the regional
     // backbone (1%), edge→shield over its uplink (2%).
-    let mut shield = ShieldCache::new(ShieldConfig {
+    let mut shield = CacheNode::new(CacheConfig {
         origin_link: LinkConfig::default().with_loss(0.01),
         ..Default::default()
     });
-    let mut edge = EdgeCache::new(EdgeConfig {
+    let mut edge = CacheNode::new(CacheConfig {
         origin_link: LinkConfig::default().with_loss(0.02),
         ..Default::default()
     });
@@ -73,7 +72,7 @@ fn cold_edge_cold_shield_origin_lifecycle_multi_title() {
     // the session still plays out in full.
     let mut expected = 0u64;
     for (title, manifest) in ["alpha", "beta", "gamma"].iter().zip(&manifests) {
-        let cold = run_session_via_tier(&origin, &mut shield, &mut edge, title, &viewer)
+        let cold = run_session(&origin, &mut [&mut edge, &mut shield], title, &viewer)
             .unwrap_or_else(|e| panic!("cold session for {title}: {e}"));
         assert_eq!(cold.segments.len(), manifest.segment_count());
         expected += 2 + manifest.segment_count() as u64;
@@ -89,7 +88,7 @@ fn cold_edge_cold_shield_origin_lifecycle_multi_title() {
     // Warm replay: no new fill at either tier, not one new origin
     // byte, and every delivered (sealed) segment still decodes.
     let origin_bytes = shield.stats().origin_bytes;
-    let warm = run_session_via_tier(&origin, &mut shield, &mut edge, "alpha", &viewer)
+    let warm = run_session(&origin, &mut [&mut edge, &mut shield], "alpha", &viewer)
         .expect("warm session");
     assert_eq!(warm.segments.len(), manifests[0].segment_count());
     assert_eq!(
@@ -112,7 +111,7 @@ fn cold_edge_cold_shield_origin_lifecycle_multi_title() {
 #[test]
 fn one_origin_fill_per_object_across_cold_edges() {
     let (origin, authority, manifests) = catalog_origin(&["alpha"]);
-    let mut shield = ShieldCache::new(ShieldConfig::default());
+    let mut shield = CacheNode::new(CacheConfig::default());
     let viewer = viewer(&authority);
     let objects = 2 + manifests[0].segment_count() as u64;
 
@@ -121,8 +120,8 @@ fn one_origin_fill_per_object_across_cold_edges() {
     // per (object, generation) — the other edges' misses are shield
     // hits, never second round trips.
     for e in 0..4u64 {
-        let mut edge = EdgeCache::new(EdgeConfig::default());
-        let report = run_session_via_tier(&origin, &mut shield, &mut edge, "alpha", &viewer)
+        let mut edge = CacheNode::new(CacheConfig::default());
+        let report = run_session(&origin, &mut [&mut edge, &mut shield], "alpha", &viewer)
             .unwrap_or_else(|e| panic!("session: {e}"));
         assert_eq!(report.segments.len(), manifests[0].segment_count());
         assert_eq!(edge.stats().misses, objects, "edge {e} is cold: all misses");
@@ -141,11 +140,11 @@ fn one_origin_fill_per_object_across_cold_edges() {
 #[test]
 fn shield_outage_ride_through() {
     let (mut origin, authority, manifests) = catalog_origin(&["alpha"]);
-    let mut shield = ShieldCache::new(ShieldConfig {
+    let mut shield = CacheNode::new(CacheConfig {
         mutable_ttl_ticks: 10,
         ..Default::default()
     });
-    let mut edge = EdgeCache::new(EdgeConfig {
+    let mut edge = CacheNode::new(CacheConfig {
         mutable_ttl_ticks: 10,
         ..Default::default()
     });
@@ -154,26 +153,26 @@ fn shield_outage_ride_through() {
 
     // Warm both tiers, then crash the shield: the warm edge serves the
     // whole title stall-free without consulting it.
-    run_session_via_tier(&origin, &mut shield, &mut edge, "alpha", &viewer).expect("warm-up");
+    run_session(&origin, &mut [&mut edge, &mut shield], "alpha", &viewer).expect("warm-up");
     shield.set_up(false);
-    let outage = run_session_via_tier(&origin, &mut shield, &mut edge, "alpha", &viewer)
+    let outage = run_session(&origin, &mut [&mut edge, &mut shield], "alpha", &viewer)
         .expect("warm edge rides out the shield outage");
     assert_eq!(outage.segments.len(), n_segments);
     assert_eq!(outage.rebuffer_events, 0, "ride-through must be stall-free");
 
     // A cold edge has nothing to fall back on: it fails cleanly.
-    let mut cold = EdgeCache::new(EdgeConfig::default());
+    let mut cold = CacheNode::new(CacheConfig::default());
     assert!(matches!(
-        run_session_via_tier(&origin, &mut shield, &mut cold, "alpha", &viewer).unwrap_err(),
+        run_session(&origin, &mut [&mut cold, &mut shield], "alpha", &viewer).unwrap_err(),
         SessionError::Fetch(FetchError::Server(_))
     ));
 
     // Shield back up with the ORIGIN dark: its warm store alone brings
     // the cold edge through the full title — zero new origin bytes.
     shield.set_up(true);
-    shield.set_origin_up(false);
+    shield.set_parent_up(false);
     let origin_bytes = shield.stats().origin_bytes;
-    let recovered = run_session_via_tier(&origin, &mut shield, &mut cold, "alpha", &viewer)
+    let recovered = run_session(&origin, &mut [&mut cold, &mut shield], "alpha", &viewer)
         .expect("shield-warm recovery with the origin down");
     assert_eq!(recovered.segments.len(), n_segments);
     assert_eq!(
@@ -185,22 +184,28 @@ fn shield_outage_ride_through() {
     // Stale-if-error on the mutable path, across both hops: a cached
     // mutable object stays servable past its TTL when the shield is
     // unreachable, and again when the shield can't reach the origin.
-    shield.set_origin_up(true);
+    shield.set_parent_up(true);
     origin.publish("alpha/status".to_string(), vec![0x5Au8; 64]);
-    let tcp = netstack::tcplite::TcpConfig::default();
-    let link = LinkConfig::default();
-    let (fresh, _) = edge
-        .fetch_mutable_through_shield(&mut shield, &origin, "alpha/status", tcp, link, 1, 0)
-        .expect("first mutable fetch");
+    let status = |edge: &mut CacheNode, shield: &mut CacheNode, seed, now| {
+        CacheNode::fetch(
+            &mut [edge, shield],
+            &origin,
+            "alpha/status",
+            Some(now),
+            |src, _| {
+                let tcp = netstack::tcplite::TcpConfig::default();
+                fetch(src, "alpha/status", tcp, LinkConfig::default(), seed)
+            },
+        )
+    };
+    let (fresh, _) = status(&mut edge, &mut shield, 1, 0).expect("first mutable fetch");
     shield.set_up(false);
-    let (stale, _) = edge
-        .fetch_mutable_through_shield(&mut shield, &origin, "alpha/status", tcp, link, 2, 100)
-        .expect("stale-if-error across a dead shield");
+    let (stale, _) =
+        status(&mut edge, &mut shield, 2, 100).expect("stale-if-error across a dead shield");
     assert_eq!(stale, fresh);
     shield.set_up(true);
-    shield.set_origin_up(false);
-    let (stale2, _) = edge
-        .fetch_mutable_through_shield(&mut shield, &origin, "alpha/status", tcp, link, 3, 200)
-        .expect("stale-if-error across a dark origin");
+    shield.set_parent_up(false);
+    let (stale2, _) =
+        status(&mut edge, &mut shield, 3, 200).expect("stale-if-error across a dark origin");
     assert_eq!(stale2, fresh);
 }

@@ -8,15 +8,14 @@
 
 use drm::playback::LicenseAuthority;
 use drm::{Right, TitleId};
+use mmstream::cache::{CacheConfig, CacheNode};
 use mmstream::catalog::Catalog;
-use mmstream::edge::{EdgeCache, EdgeConfig, EdgeTierConfig};
+use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, seal_ladder, LadderConfig, LiveOrigin, LiveOriginConfig};
 use mmstream::serve::{
     curve_knee, simulate, sweep, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario,
 };
-use mmstream::session::{
-    run_live_session, run_live_session_via_edge, JoinMode, LiveSessionConfig, SessionConfig,
-};
+use mmstream::session::{run_live_session, JoinMode, LiveSessionConfig, SessionConfig};
 use mmstream::Manifest;
 use netstack::fetch::ContentServer;
 use netstack::link::LinkConfig;
@@ -70,7 +69,8 @@ fn sealed_live_viewer_plays_the_channel_over_a_lossy_link() {
         max_stale_refreshes: 64,
         refresh_retry: None,
     };
-    let r = run_live_session(&mut server, &mut origin, "linear", &cfg).expect("live session");
+    let r =
+        run_live_session(&mut server, &mut origin, &mut [], "linear", &cfg).expect("live session");
     assert_eq!(r.segments.len(), 9);
     assert_eq!(
         r.rebuffer_events, 0,
@@ -100,7 +100,7 @@ fn sealed_live_viewer_plays_the_channel_over_a_lossy_link() {
 #[test]
 fn live_viewers_share_an_edge_that_honours_the_live_object_lifecycle() {
     let (mut server, mut origin, authority) = channel();
-    let mut edge = EdgeCache::new(EdgeConfig {
+    let mut edge = CacheNode::new(CacheConfig {
         origin_link: LinkConfig::default().with_loss(0.02),
         mutable_ttl_ticks: 100, // half a segment duration
         ..Default::default()
@@ -119,10 +119,10 @@ fn live_viewers_share_an_edge_that_honours_the_live_object_lifecycle() {
         max_stale_refreshes: 64,
         refresh_retry: None,
     };
-    let a = run_live_session_via_edge(
+    let a = run_live_session(
         &mut server,
         &mut origin,
-        &mut edge,
+        &mut [&mut edge],
         "linear",
         &viewer(41, 0, JoinMode::LiveEdge),
     )
@@ -142,10 +142,10 @@ fn live_viewers_share_an_edge_that_honours_the_live_object_lifecycle() {
     // A second viewer tunes in where the channel now stands and reads
     // the DVR window the first viewer's fills already cached.
     let tune_in = origin.publish_tick(origin.live_seq().expect("channel is live"));
-    let b = run_live_session_via_edge(
+    let b = run_live_session(
         &mut server,
         &mut origin,
-        &mut edge,
+        &mut [&mut edge],
         "linear",
         &viewer(42, tune_in, JoinMode::DvrStart),
     )

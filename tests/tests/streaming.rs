@@ -62,7 +62,7 @@ fn abr_session_over_5pct_loss_plays_without_rebuffering() {
         seed: 2024,
         ..Default::default()
     };
-    let report = run_session(&server, "feature", &config).expect("session completes");
+    let report = run_session(&server, &mut [], "feature", &config).expect("session completes");
 
     assert_eq!(report.segments.len(), manifest.segment_count());
     assert!(report.startup_delay_ticks > 0);
@@ -104,7 +104,7 @@ fn free_abr_session_upgrades_but_survives_loss() {
         seed: 7,
         ..Default::default()
     };
-    let report = run_session(&server, "feature", &config).expect("session completes");
+    let report = run_session(&server, &mut [], "feature", &config).expect("session completes");
     assert_eq!(report.segments[0].rung, 0, "start on the safety rung");
     assert!(
         report.segments.iter().any(|s| s.rung > 0),
