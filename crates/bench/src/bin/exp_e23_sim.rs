@@ -21,13 +21,20 @@
 //!   finish in seconds, at ≥ 10x the old sessions/s — both asserted
 //!   before anything is written.
 //!
-//! All numbers are seed-deterministic (asserted by re-running the 1M
-//! level and comparing reports exactly).
+//! Each sweep level also prints and records the engine's ledger
+//! (`serve::EngineStats`: cohorts, quanta, cohort-quanta, full-path
+//! steps) and its wall cost per cohort-quantum.
+//!
+//! All numbers but the wall times are seed-deterministic (asserted by
+//! re-running the 1M level and comparing reports exactly).
 
 use std::time::Instant;
 
 use mmbench::perf::{PerfEntry, PerfReport};
-use mmbench::{banner, live_catalog, live_scenario, live_sweep};
+use mmbench::{
+    banner, engine_line, engine_metrics, live_catalog, live_scenario, live_sweep,
+    ns_per_cohort_quantum,
+};
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
@@ -185,19 +192,28 @@ fn main() {
             100.0 * r.edge.load.rebuffer_fraction,
             100.0 * r.edge.hit_rate,
         );
+        println!(
+            "             {}",
+            engine_line(&r.engine, wall.as_secs_f64())
+        );
         assert_eq!(
             r.edge.load.completed, sessions,
             "a provisioned tier must carry every viewer to the end"
         );
-        report.push(
+        report.push(engine_metrics(
             PerfEntry::new(&format!("live_sweep_{sessions}_sessions"))
                 .metric("sessions", sessions as f64)
                 .metric("wall_ms", wall.as_secs_f64() * 1e3)
                 .metric("sessions_per_second", per_s)
                 .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction)
                 .metric("hit_rate", r.edge.hit_rate)
-                .metric("coalesced_waiters", r.edge.tier.coalesced as f64),
-        );
+                .metric("coalesced_waiters", r.edge.tier.coalesced as f64)
+                .metric(
+                    "ns_per_cohort_quantum",
+                    ns_per_cohort_quantum(&r.engine, wall.as_secs_f64()),
+                ),
+            &r.engine,
+        ));
         if sessions == 1_000_000 {
             rate_1m = per_s;
             wall_ms_1m = wall.as_secs_f64() * 1e3;

@@ -23,11 +23,16 @@
 //!   zero fault-attributed rebuffering and the exact 2,000-tick MTTR
 //!   on both restores, asserted in-binary before anything is written.
 //!
-//! Everything is seed-deterministic; there is no wall clock anywhere
-//! in the measured quantities.
+//! Each simulated run also prints the engine's ledger
+//! (`serve::EngineStats`) with its wall cost per cohort-quantum, and
+//! each knee search its wall time. Those timings are printed only;
+//! everything recorded is seed-deterministic, with no wall clock
+//! anywhere in the measured quantities.
 
-use mmbench::banner;
+use std::time::Instant;
+
 use mmbench::perf::{PerfEntry, PerfReport};
+use mmbench::{banner, engine_line, engine_metrics};
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::fault::{FaultPlan, RestartMode};
@@ -86,7 +91,9 @@ fn main() {
         stagger_ticks: 0,
         ..Default::default()
     };
+    let t0 = Instant::now();
     let r = simulate(&Scenario::new(&catalog, offload_cdn, load));
+    let wall_s = t0.elapsed().as_secs_f64();
     let edge_local = r.edge.origin_offload;
     println!(
         "  {} sessions: {:.4}% true-origin offload ({:.4}% edge-local), \
@@ -97,6 +104,7 @@ fn main() {
         r.tier.origin_hits,
         r.edge.load.completed,
     );
+    println!("  {}", engine_line(&r.engine, wall_s));
     assert_eq!(r.edge.load.completed, sessions, "every session must finish");
     assert_eq!(r.per_shield.len(), 4);
     assert!(
@@ -110,7 +118,7 @@ fn main() {
         100.0 * r.origin_offload,
         100.0 * edge_local
     );
-    report.push(
+    report.push(engine_metrics(
         PerfEntry::new("offload_at_scale")
             .metric("sessions", sessions as f64)
             .metric("edges", 64.0)
@@ -120,7 +128,8 @@ fn main() {
             .metric("edge_local_offload", edge_local)
             .metric("origin_fills", r.tier.origin_hits as f64)
             .metric("origin_bytes", r.tier.origin_bytes() as f64),
-    );
+        &r.engine,
+    ));
 
     // ---- TinyLFU vs LRU at 1/8 of the *touched* working set (the
     // rung-0 catalog: what capped viewers actually pull).
@@ -157,7 +166,9 @@ fn main() {
             shield_capacity_bytes_per_tick: 100_000.0,
             admission,
         };
+        let t0 = Instant::now();
         let r = simulate(&Scenario::new(&catalog, cdn, admission_load));
+        let wall_s = t0.elapsed().as_secs_f64();
         hit_rates[i] = r.tier.hit_rate();
         let name = if i == 0 { "lru" } else { "tinylfu" };
         println!(
@@ -165,12 +176,14 @@ fn main() {
             100.0 * hit_rates[i],
             100.0 * r.origin_offload
         );
-        report.push(
+        println!("            {}", engine_line(&r.engine, wall_s));
+        report.push(engine_metrics(
             PerfEntry::new(&format!("admission_{name}"))
                 .metric("cache_bytes", (touched / 8) as f64)
                 .metric("edge_hit_rate", hit_rates[i])
                 .metric("origin_offload", r.origin_offload),
-        );
+            &r.engine,
+        ));
     }
     assert!(
         hit_rates[1] >= hit_rates[0],
@@ -197,10 +210,12 @@ fn main() {
         };
         let counts: Vec<usize> = (1..=12).map(|i| i * edges * 125).collect();
         let s = Scenario::new(&catalog, cdn, LoadConfig::default());
+        let t0 = Instant::now();
         let knee = knee(&s, &counts, 0.05).expect("a warm tier sustains some level");
         println!(
-            "  {edges} edges ({} per shield): knee {knee} sessions",
-            edges / 4
+            "  {edges} edges ({} per shield): knee {knee} sessions ({:.2} s search)",
+            edges / 4,
+            t0.elapsed().as_secs_f64()
         );
         assert_eq!(
             knee,
@@ -261,7 +276,9 @@ fn main() {
         faults: &plan,
         ..Scenario::new(&live_catalog, flash_cdn, flash_load)
     };
+    let t0 = Instant::now();
     let r = simulate(&composed);
+    let wall_s = t0.elapsed().as_secs_f64();
     let res = r.resilience;
     let sessions = r.edge.load.sessions;
     println!(
@@ -272,6 +289,7 @@ fn main() {
         res.mean_restore_ticks,
         r.edge.load.completed,
     );
+    println!("  {}", engine_line(&r.engine, wall_s));
     assert_eq!(res.edge_crashes, 1, "exactly one edge crash was scheduled");
     assert_eq!(
         res.shield_crashes, 1,
@@ -287,7 +305,7 @@ fn main() {
         res.sessions_fault_rebuffered, 0,
         "the survival bar through shields: zero fault-attributed rebuffering"
     );
-    report.push(
+    report.push(engine_metrics(
         PerfEntry::new("composed_scenario_shielded")
             .metric("sessions", sessions as f64)
             .metric(
@@ -299,7 +317,8 @@ fn main() {
             .metric("mean_restore_ticks", res.mean_restore_ticks)
             .metric("completed", r.edge.load.completed as f64)
             .metric("rebuffer_fraction", r.edge.load.rebuffer_fraction),
-    );
+        &r.engine,
+    ));
     // Determinism gate: the composed run must replay exactly.
     let replay = simulate(&composed);
     assert_eq!(

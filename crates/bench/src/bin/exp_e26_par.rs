@@ -7,12 +7,14 @@
 //! * **Executed**: the ladder's per-rung encode work units run on the
 //!   `mmpool` worker pool at 1/2/4/8 workers for 3/5/7-rung ladders.
 //!   Every pooled encode must be bit-identical to the sequential one
-//!   (asserted at every worker count); on hosts with ≥ 4 cores the
-//!   5-rung encode must clear a 2x speedup at 4 workers — re-measured
-//!   up to 5 times (best observed speedup is what's asserted and
-//!   recorded) so scheduler noise on a loaded runner can't fail the
-//!   gate spuriously. Hosts with fewer cores record `host_cpus` and
-//!   skip the bar.
+//!   (asserted at every worker count). Where four threads measurably
+//!   run in parallel (a spin probe's 4-thread effective parallelism of
+//!   at least 3.5) the 5-rung encode must clear a 2x speedup at 4
+//!   workers — re-measured up to 5 times (best observed speedup is
+//!   what's asserted and recorded) so scheduler noise on a loaded
+//!   runner can't fail the gate spuriously. Other hosts record the
+//!   measurement and `skipped: host cannot show it`: a CPU quota can
+//!   hold a process below what `available_parallelism` reports.
 //! * **Modeled**: the same ladders, folded through
 //!   `mmstream::headend_spec` into the `mpsoc::headend` task graph
 //!   (measured op tallies, real segment bytes) and scheduled on
@@ -26,6 +28,7 @@
 //!   deterministic by construction, and `mmbench::live_sweep` builds
 //!   the very scenarios exp_e23 records in `BENCH_sim.json`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use mmbench::perf::{PerfEntry, PerfReport};
@@ -59,6 +62,49 @@ fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (out.expect("reps >= 1"), best)
 }
 
+/// A fixed amount of integer work that the optimizer cannot remove
+/// (the benchmark harness's host probe).
+fn spin(rounds: u64) -> u64 {
+    let mut x = black_box(0x9E37_79B9_7F4A_7C15u64);
+    for _ in 0..rounds {
+        x = x.rotate_left(7).wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ 0x94D0_49BB;
+    }
+    black_box(x)
+}
+
+/// Runs the same spin on one thread, then on `threads` threads at once,
+/// and returns `threads * t1 / tn`: about `threads` where they really
+/// run in parallel, about 1.0 where they share one core. Each spin
+/// lasts roughly `spin_ms`.
+fn effective_parallelism(threads: usize, spin_ms: u64) -> f64 {
+    let mut rounds = 1u64 << 16;
+    loop {
+        let t0 = Instant::now();
+        spin(rounds);
+        if t0.elapsed().as_millis() as u64 >= spin_ms.max(1) / 4 || rounds >= 1 << 40 {
+            break;
+        }
+        rounds *= 2;
+    }
+    rounds *= 4;
+    let t0 = Instant::now();
+    spin(rounds);
+    let one = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        let spinners: Vec<_> = (0..threads).map(|_| s.spawn(|| spin(rounds))).collect();
+        for h in spinners {
+            h.join().expect("spin thread panicked");
+        }
+    });
+    let many = t0.elapsed().as_secs_f64();
+    threads as f64 * one / many.max(f64::MIN_POSITIVE)
+}
+
+/// The 4-thread effective parallelism a host must measure before the
+/// 4-worker 2x bar is asserted.
+const PARALLEL_4_BAR: f64 = 3.5;
+
 fn encode_source() -> Vec<Frame> {
     SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1)
 }
@@ -76,9 +122,27 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    let parallel_4 = effective_parallelism(4, 200);
+    let bar_checked = parallel_4 >= PARALLEL_4_BAR;
     let mut report = PerfReport::new("par_headend", "exp_e26_par");
-    report.push(PerfEntry::new("host").metric("host_cpus", host_cpus as f64));
-    println!("host: {host_cpus} cpus\n");
+    report.push(
+        PerfEntry::new("host")
+            .metric("host_cpus", host_cpus as f64)
+            .metric("effective_parallelism_4", parallel_4),
+    );
+    let bar = if bar_checked {
+        "checked"
+    } else {
+        "skipped: host cannot show it"
+    };
+    report.push(
+        PerfEntry::new(&format!("bar_5_rungs_4_workers_2x: {bar}"))
+            .metric("checked", f64::from(u8::from(bar_checked))),
+    );
+    println!(
+        "host: {host_cpus} cpus, 4-thread effective parallelism {parallel_4:.2} \
+         (4-worker 2x bar {bar}, needs {PARALLEL_4_BAR})\n"
+    );
 
     // ---- Executed: pooled ladder encode, core scaling.
     let source = encode_source();
@@ -107,7 +171,7 @@ fn main() {
             );
             let mut cell_seq_ms = seq_ms;
             let mut speedup = cell_seq_ms / par_ms;
-            if rungs == 5 && workers == 4 && host_cpus >= 4 {
+            if rungs == 5 && workers == 4 && bar_checked {
                 // Hard CI gate. The ideal speedup for 5 unequal rungs
                 // on 4 workers is only ~2.5x, so one noisy scheduling
                 // window on a loaded shared runner can push a single
@@ -132,7 +196,8 @@ fn main() {
                 }
                 assert!(
                     speedup >= 2.0,
-                    "4 workers on a >=4-core host must clear 2x on 5 rungs: {speedup:.2}x"
+                    "4 workers on a host that runs 4 threads in parallel must clear 2x \
+                     on 5 rungs: {speedup:.2}x"
                 );
             }
             print!("  {workers}w {par_ms:>7.1} ms ({speedup:>4.2}x)");

@@ -9,7 +9,7 @@
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{CdnConfig, LiveConfig, LoadConfig, Scenario};
+use mmstream::serve::{CdnConfig, EngineStats, LiveConfig, LoadConfig, Scenario};
 use mmstream::session::JoinMode;
 use video::encoder::EncoderConfig;
 use video::frame::Frame;
@@ -99,6 +99,40 @@ pub fn live_sweep(catalog: &Catalog, sessions: usize) -> Scenario<'_> {
         ..LoadConfig::default()
     };
     live_scenario(catalog, CdnConfig::flat(tier), load)
+}
+
+/// The fluid engine's ledger for one run as report metrics.
+#[must_use]
+pub fn engine_metrics(entry: perf::PerfEntry, e: &EngineStats) -> perf::PerfEntry {
+    entry
+        .metric("engine_cohorts", e.cohorts as f64)
+        .metric("engine_peak_active", e.peak_active as f64)
+        .metric("engine_quanta", e.quanta as f64)
+        .metric("engine_cohort_quanta", e.cohort_quanta as f64)
+        .metric("engine_full_path_steps", e.full_path_steps as f64)
+}
+
+/// Wall nanoseconds per cohort-quantum: the fluid engine's cost in its
+/// own unit of work.
+#[must_use]
+pub fn ns_per_cohort_quantum(e: &EngineStats, wall_s: f64) -> f64 {
+    wall_s * 1e9 / e.cohort_quanta.max(1) as f64
+}
+
+/// One printable line of the engine's ledger for a run that took
+/// `wall_s` seconds.
+#[must_use]
+pub fn engine_line(e: &EngineStats, wall_s: f64) -> String {
+    format!(
+        "engine: {} cohorts (peak {} active), {} quanta, {} cohort-quanta, \
+         {} full-path steps, {:.1} ns/cohort-quantum",
+        e.cohorts,
+        e.peak_active,
+        e.quanta,
+        e.cohort_quanta,
+        e.full_path_steps,
+        ns_per_cohort_quantum(e, wall_s),
+    )
 }
 
 /// Prints the experiment banner every binary starts with.

@@ -4,29 +4,39 @@
 //! The retired quantum engine advanced **every** arrived session every
 //! quantum — O(ticks × population) — which capped capacity sweeps at a
 //! few thousand viewers. This engine spends per-quantum work on
-//! *cohorts* instead:
+//! *cohorts*, and within them mostly on *events*:
 //!
-//! * **Cohorts.** Sessions whose entire dynamic state is value-identical
-//!   are one counted class. The fluid model has no per-session
-//!   randomness after the arrival draw: two viewers arriving on the
-//!   same tick, sharded onto the same edge, run bit-identical dynamics
-//!   forever. A cohort executes each per-quantum f64 operation *once*
-//!   (the same operation sequence the per-session engine would run for
-//!   each member), so its trajectory — every completion tick, rebuffer,
-//!   rung switch — is exactly the per-session trajectory, and the edge
-//!   counters advance by counted arithmetic ([`SimEdge::request_n`]).
-//!   A flash crowd of 100k viewers landing on one tick is one actor.
+//! * **Cohorts.** Sessions that arrive on the same tick, on the same
+//!   edge and title, are one counted class. The fluid model has no
+//!   per-session randomness after the arrival draw, so those viewers
+//!   run bit-identical dynamics forever. A cohort executes each
+//!   per-quantum f64 operation *once* (the same operation sequence the
+//!   per-session engine would run for each member), so its trajectory —
+//!   every completion tick, rebuffer, rung switch — is exactly the
+//!   per-session trajectory, and the edge counters advance by counted
+//!   arithmetic ([`SimEdge::request_n`]). A flash crowd of 100k viewers
+//!   landing on one tick is one actor. Cohorts never merge: a
+//!   session's first request stamps its own arrival tick into the ABR
+//!   estimate, so classes that arrived on different ticks almost never
+//!   become equal again, and a sweep looking for equal classes cost
+//!   more than the rare merge saved. Members differ only in when (if
+//!   ever) they churn away, kept as [`MemberGroup`]s.
 //! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
-//!   cohort's next discrete event (arrival, churn departure) drives the
+//!   cohort's discrete events (arrival, churn departure) drives the
 //!   clock: quanta where no cohort is active fast-forward straight to
 //!   the next event boundary instead of ticking through the gap, and
 //!   departures/arrivals touch only the cohort they name.
-//! * **Merge/split bookkeeping.** Cohorts whose states converge (same
-//!   edge, equal state) are merged into one class whose member groups
-//!   keep per-arrival accounting (start tick, departure tick, startup
-//!   latency); a scheduled churn departure *splits* its member group
-//!   back out of the class at the departure quantum, folding it into
-//!   the report while the rest of the class keeps simulating.
+//! * **Download lanes.** A *plain* cohort — started, on an up edge,
+//!   neither waiting on a fill nor gated on a publish — does the same
+//!   two things every quantum: drain playout and take its share of the
+//!   edge downlink. Plain cohorts live in compact per-edge [`Lanes`]
+//!   holding just that hot state, stepped with one per-edge
+//!   `rate * step`. The edge's downloading count is the lanes' member
+//!   sum, not a pass over every cohort. Only segment completions and
+//!   non-plain cohorts run the full per-cohort path, in ascending
+//!   cohort id, so every cache touch, fill start and report fold keeps
+//!   the per-session engine's order. Per-quantum cost is O(lane
+//!   entries) of flat arithmetic plus O(events) of real work.
 //! * **Fault replay.** A resolved [`crate::fault::FaultPlan`] schedules
 //!   its actions on the same event heap (sorting before same-tick
 //!   arrivals), so crashes, restarts, origin flaps, and degradation
@@ -34,20 +44,24 @@
 //!   edge crashes re-home across the failover ring to survivors and
 //!   fail back on restart; rebuffers that begin under fault pressure
 //!   pin the class to the lowest rung (graceful degradation) and are
-//!   tallied into [`ResilienceStats`]. A run without a plan never
-//!   touches any of this — plan-free reports are bit-identical to
-//!   pre-fault builds.
+//!   tallied into [`ResilienceStats`]. While fault pressure lasts, the
+//!   lanes stay empty and every cohort takes the full path. A run
+//!   without a plan never touches any of this — plan-free reports are
+//!   bit-identical to pre-fault builds.
 //!
-//! Exactness contract, pinned by the golden tests in `serve` and the
-//! oracle-equivalence property tests below: for unbounded edge caches
-//! (every `BENCH` knee sweep), reports are identical to the per-session
+//! Exactness contract, pinned by the oracle-equivalence property tests
+//! below, the golden tests in `serve`, and the digest golden in the
+//! workspace's `fluid_golden` suite: for unbounded edge caches (every
+//! `BENCH` knee sweep), reports are identical to the per-session
 //! quantum oracle — integer fields bit-exact, f64 fields to 1e-9
-//! (summation order). Bounded caches under *eviction* are the one
-//! documented divergence: a cohort touches the LRU once per class
-//! rather than once per member, so recency interleaving — and hence
-//! eviction victims — can legally differ; reports remain deterministic
-//! and within the behavioural tolerances the bounded-cache tests
-//! assert.
+//! (summation order). A lane step is the full path's own arithmetic
+//! (the same f64 expressions, in the same order per cohort), so lanes
+//! change no report bit. Bounded caches under *eviction* are the one
+//! documented divergence from the oracle: a cohort touches the LRU once
+//! per class rather than once per member, so recency interleaving — and
+//! hence eviction victims — can legally differ; reports remain
+//! deterministic and within the behavioural tolerances the
+//! bounded-cache tests assert.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -61,8 +75,8 @@ use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
     build_edges, build_ring, build_schedule, completion_eps, join_point, shard_edge, title_for,
-    LiveStats, LoadConfig, LoadReport, Req, SimEdge, TierParams, RING_VNODES, SHIELD_KEY_SALT,
-    SHIELD_RING_SALT,
+    EngineStats, LiveStats, LoadConfig, LoadReport, Req, SimEdge, TierParams, RING_VNODES,
+    SHIELD_KEY_SALT, SHIELD_RING_SALT,
 };
 use crate::session::AbrController;
 use crate::shield::{
@@ -99,22 +113,16 @@ impl Hasher for SplitMixHasher {
 
 type CohortIndex = HashMap<(u64, usize, u32), u32, BuildHasherDefault<SplitMixHasher>>;
 
-/// How often the engine scans active cohorts for merge candidates.
-/// Merging is pure bookkeeping — it never changes report values (the
-/// merged class runs the identical operation sequence both classes
-/// would have run separately) — so the cadence only trades scan cost
-/// against how quickly converged classes collapse.
-const MERGE_EVERY: u64 = 16;
-
-/// The dynamic state every member of a cohort shares, bit for bit.
-/// This is the per-session engine's `SimSession` minus the per-member
-/// identity fields (`start_tick`, `depart_at`, `startup_ticks`), which
-/// live in [`MemberGroup`]s. Two cohorts may merge exactly when these
-/// compare equal (and they sit on the same edge): equality here means
-/// the members are indistinguishable to every future quantum.
+/// The dynamic state every member of a cohort shares, bit for bit:
+/// the per-session engine's `SimSession` minus churn, which lives in
+/// [`MemberGroup`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CohortState {
     pub(crate) abr: AbrController,
+    /// The tick every member arrived on.
+    pub(crate) start_tick: u64,
+    /// Ticks from arrival to first play, once playing.
+    pub(crate) startup_ticks: u64,
     pub(crate) seg: usize,
     pub(crate) rung: usize,
     pub(crate) remaining_bytes: f64,
@@ -143,17 +151,13 @@ pub(crate) struct CohortState {
     pub(crate) fault_rebuffer_ticks: u64,
 }
 
-/// Per-arrival accounting inside a cohort: `count` sessions that
-/// arrived at `start_tick`, depart (if churned) at `depart_at`, and —
-/// once the cohort starts playing — observed `startup_ticks` of
-/// startup delay. Groups are what a merge carries over and what a
-/// departure splits back out.
+/// `count` members of a cohort that depart (if churned) at
+/// `depart_at`. A departure folds its group out of the class while the
+/// rest keeps simulating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemberGroup {
-    pub(crate) start_tick: u64,
     pub(crate) depart_at: Option<u64>,
     pub(crate) count: u64,
-    pub(crate) startup_ticks: u64,
 }
 
 /// One counted class of identical sessions.
@@ -165,30 +169,21 @@ pub(crate) struct Cohort {
     /// The edge the shard function placed this class on — where it
     /// fails *back* to once a crashed home restarts.
     pub(crate) home_edge: usize,
-    /// The catalog popularity rank every member watches — part of the
-    /// cohort identity (sessions on different titles can never share a
-    /// trajectory). Always `0` on a single-title run.
+    /// The catalog popularity rank every member watches. Always `0` on
+    /// a single-title run.
     pub(crate) title: u32,
     /// Deterministic failover key on the consistent-hash ring (from the
     /// fault plan's seed). `0` on plan-free runs, where it is never
-    /// routed — and therefore never blocks a merge.
+    /// routed.
     pub(crate) ring_key: u64,
     pub(crate) members: Vec<MemberGroup>,
     pub(crate) state: CohortState,
-    /// Cached member count (`members` group counts summed) — read every
-    /// quantum on the downlink-share pass, maintained on formation,
-    /// departure splits, and merges.
+    /// Cached member count (`members` group counts summed), maintained
+    /// on formation and departures.
     pub(crate) n: u64,
-    /// Every member folded into the report (completed, departed, or
-    /// merged away) — the engine never touches this cohort again.
+    /// Every member folded into the report (completed or departed) —
+    /// the engine never touches this cohort again.
     pub(crate) done: bool,
-}
-
-impl Cohort {
-    pub(crate) fn count(&self) -> u64 {
-        debug_assert_eq!(self.n, self.members.iter().map(|g| g.count).sum::<u64>());
-        self.n
-    }
 }
 
 /// Discrete per-cohort events the calendar orders. Fault actions sort
@@ -232,9 +227,9 @@ impl EventCalendar {
 
     /// Whether any *future* departure still targets a live cohort
     /// (due events were popped already), for the stasis detector.
-    fn departure_pending(&self, cohorts: &[Cohort], alias: &[u32]) -> bool {
+    fn departure_pending(&self, cohorts: &[Cohort]) -> bool {
         self.heap.iter().any(|&Reverse((_, kind, cid))| {
-            kind == EventKind::Depart && !cohorts[resolve(alias, cid) as usize].done
+            kind == EventKind::Depart && !cohorts[cid as usize].done
         })
     }
 
@@ -248,13 +243,155 @@ impl EventCalendar {
     }
 }
 
-/// Follows merge redirections: events scheduled against a cohort that
-/// later merged into another must land on the surviving class.
-fn resolve(alias: &[u32], mut cid: u32) -> u32 {
-    while alias[cid as usize] != cid {
-        cid = alias[cid as usize];
+/// The hot state of one plain cohort: what a quantum without events
+/// reads and writes. `playing` and `eps` are fixed while the cohort
+/// stays in its lane; the rest is written back to the [`CohortState`]
+/// whenever the cohort leaves.
+#[derive(Debug, Clone, Copy)]
+struct LaneEntry {
+    remaining: f64,
+    buffer: f64,
+    /// `completion_eps` of the segment being downloaded.
+    eps: f64,
+    cid: u32,
+    rebuffer_events: u32,
+    playing: bool,
+    in_rebuffer: bool,
+}
+
+impl LaneEntry {
+    fn write_back(&self, s: &mut CohortState) {
+        s.remaining_bytes = self.remaining;
+        s.buffer_ticks = self.buffer;
+        s.rebuffer_events = self.rebuffer_events;
+        s.in_rebuffer = self.in_rebuffer;
     }
-    cid
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// Per-edge download lanes of plain cohorts (see the module doc).
+struct Lanes {
+    edges: Vec<Vec<LaneEntry>>,
+    /// Members per edge across its lane: the edge's plain downloaders.
+    members: Vec<u64>,
+    /// Each cohort's index in its edge's lane, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    len: usize,
+    /// Scratch for [`Lanes::step`]: lane indices whose download
+    /// completed this quantum, ascending.
+    done: Vec<u32>,
+}
+
+impl Lanes {
+    fn new(edges: usize, cohorts: usize) -> Self {
+        Self {
+            edges: vec![Vec::new(); edges],
+            members: vec![0; edges],
+            slot: vec![NO_SLOT; cohorts],
+            len: 0,
+            done: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Puts plain cohort `cid` in its edge's lane; `eps` is the
+    /// completion threshold of the segment it is downloading.
+    fn enter(&mut self, cid: u32, c: &Cohort, eps: f64) {
+        let s = &c.state;
+        let lane = &mut self.edges[c.edge];
+        self.slot[cid as usize] = lane.len() as u32;
+        lane.push(LaneEntry {
+            remaining: s.remaining_bytes,
+            buffer: s.buffer_ticks,
+            eps,
+            cid,
+            rebuffer_events: s.rebuffer_events,
+            playing: s.playing,
+            in_rebuffer: s.in_rebuffer,
+        });
+        self.members[c.edge] += c.n;
+        self.len += 1;
+    }
+
+    /// Takes cohort `cid` out of its lane, writing its hot state back.
+    /// `None` when it was not in one.
+    fn leave(&mut self, cid: u32, c: &mut Cohort) -> Option<LaneEntry> {
+        let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT);
+        if slot == NO_SLOT {
+            return None;
+        }
+        let lane = &mut self.edges[c.edge];
+        let entry = lane.swap_remove(slot as usize);
+        if let Some(moved) = lane.get(slot as usize) {
+            self.slot[moved.cid as usize] = slot;
+        }
+        entry.write_back(&mut c.state);
+        self.members[c.edge] -= c.n;
+        self.len -= 1;
+        Some(entry)
+    }
+
+    /// Empties every lane into `slow`, writing hot state back.
+    fn flush(&mut self, cohorts: &mut [Cohort], slow: &mut Vec<u32>) {
+        if self.is_empty() {
+            return;
+        }
+        for (lane, members) in self.edges.iter_mut().zip(&mut self.members) {
+            for l in lane.drain(..) {
+                l.write_back(&mut cohorts[l.cid as usize].state);
+                self.slot[l.cid as usize] = NO_SLOT;
+                slow.push(l.cid);
+            }
+            *members = 0;
+        }
+        self.len = 0;
+    }
+
+    /// One quantum of every lane: playout drains by `step` and each
+    /// download by `dec[edge]`, exactly the full path's arithmetic.
+    /// Cohorts whose download completed leave their lane (hot state
+    /// written back) and are appended to `finished`.
+    fn step(&mut self, dec: &[f64], step: f64, cohorts: &mut [Cohort], finished: &mut Vec<u32>) {
+        for (e, lane) in self.edges.iter_mut().enumerate() {
+            let dec = dec[e];
+            self.done.clear();
+            for (i, l) in lane.iter_mut().enumerate() {
+                if l.playing {
+                    l.buffer -= step;
+                    if l.buffer < 0.0 {
+                        if !l.in_rebuffer {
+                            l.in_rebuffer = true;
+                            l.rebuffer_events += 1;
+                        }
+                        l.buffer = 0.0;
+                    }
+                }
+                l.remaining -= dec;
+                if l.remaining <= l.eps {
+                    self.done.push(i as u32);
+                }
+            }
+            // Descending, so each swap_remove pulls in an entry that is
+            // not itself done.
+            for &i in self.done.iter().rev() {
+                let i = i as usize;
+                let l = lane.swap_remove(i);
+                if let Some(moved) = lane.get(i) {
+                    self.slot[moved.cid as usize] = i as u32;
+                }
+                self.slot[l.cid as usize] = NO_SLOT;
+                let c = &mut cohorts[l.cid as usize];
+                l.write_back(&mut c.state);
+                self.members[e] -= c.n;
+                self.len -= 1;
+                finished.push(l.cid);
+            }
+        }
+    }
 }
 
 /// The first quantum boundary at or past `target`, starting from the
@@ -315,11 +452,11 @@ impl Acc {
             self.max_done = Some(self.max_done.map_or(d, |m| m.max(d)));
         }
         self.total_bits += s.delivered_bits * g.count;
-        let end = done_at.unwrap_or(now).max(g.start_tick + 1);
-        self.rate_sum += g.count as f64 * (s.delivered_bits as f64 / (end - g.start_tick) as f64);
+        let end = done_at.unwrap_or(now).max(s.start_tick + 1);
+        self.rate_sum += g.count as f64 * (s.delivered_bits as f64 / (end - s.start_tick) as f64);
         if s.playing {
             self.started += g.count;
-            self.startup_sum += (g.startup_ticks * g.count) as f64;
+            self.startup_sum += (s.startup_ticks * g.count) as f64;
         }
         if s.rebuffer_events > 0 {
             self.rebuffer_sessions += g.count;
@@ -367,6 +504,7 @@ pub(crate) struct CohortRun {
     pub(crate) live: LiveStats,
     /// All zero on a plan-free run.
     pub(crate) resilience: ResilienceStats,
+    pub(crate) engine: EngineStats,
 }
 
 /// Groups the arrival/departure schedule into cohorts keyed on
@@ -415,6 +553,8 @@ fn form_cohorts(
                 members: Vec::new(),
                 state: CohortState {
                     abr: AbrController::new(load.ewma_alpha, load.safety),
+                    start_tick,
+                    startup_ticks: 0,
                     seg: join_seq,
                     rung: 0,
                     remaining_bytes: 0.0,
@@ -446,111 +586,12 @@ fn form_cohorts(
             g.count += 1;
         } else {
             c.members.push(MemberGroup {
-                start_tick,
                 depart_at,
                 count: 1,
-                startup_ticks: 0,
             });
         }
     }
     cohorts
-}
-
-/// Merges cohort `b` into `a` (same edge, equal state): member groups
-/// carry over, combining with any group they are indistinguishable
-/// from. `b` becomes a tombstone its pending calendar events redirect
-/// through.
-fn merge_into(cohorts: &mut [Cohort], a: u32, b: u32) {
-    debug_assert!(a != b);
-    debug_assert_eq!(cohorts[a as usize].edge, cohorts[b as usize].edge);
-    // Failover identity must match too: classes with different homes
-    // (or ring keys) would diverge again at the next fault event.
-    debug_assert_eq!(cohorts[a as usize].home_edge, cohorts[b as usize].home_edge);
-    debug_assert_eq!(cohorts[a as usize].title, cohorts[b as usize].title);
-    debug_assert_eq!(cohorts[a as usize].ring_key, cohorts[b as usize].ring_key);
-    debug_assert!(cohorts[a as usize].state == cohorts[b as usize].state);
-    let groups = std::mem::take(&mut cohorts[b as usize].members);
-    let moved = std::mem::take(&mut cohorts[b as usize].n);
-    cohorts[b as usize].done = true;
-    let target = &mut cohorts[a as usize];
-    target.n += moved;
-    for g in groups {
-        if let Some(g2) = target.members.iter_mut().find(|g2| {
-            g2.start_tick == g.start_tick
-                && g2.depart_at == g.depart_at
-                && g2.startup_ticks == g.startup_ticks
-        }) {
-            g2.count += g.count;
-        } else {
-            target.members.push(g);
-        }
-    }
-}
-
-/// One merge sweep over the active set: bucket by a cheap integral key,
-/// then collapse classes whose full state compares equal. Report
-/// values are unaffected (see [`MERGE_EVERY`]); only the number of
-/// actors the next quanta touch shrinks.
-fn merge_converged(cohorts: &mut [Cohort], active: &mut Vec<u32>, alias: &mut [u32]) {
-    if active.len() < 2 {
-        return;
-    }
-    // Every field here must also be part of merge legality (the
-    // `CohortState` equality, plus the failover identity), so tighter
-    // bucketing never hides a legal merge — it only spares the
-    // full-state compare for classes that can't merge anyway (e.g.
-    // same-phase cohorts whose EWMA or buffer history differs).
-    // `home_edge`/`ring_key` are `(edge, 0)` on plan-free runs, so they
-    // split no bucket that the plan-free engine would have merged.
-    let cheap_key = |c: &Cohort| {
-        (
-            c.edge,
-            c.home_edge,
-            c.title,
-            c.ring_key,
-            c.state.seg,
-            c.state.rung,
-            c.state.fetched,
-            c.state.fetch_start,
-            c.state.delivered_bits,
-            c.state.buffer_ticks.to_bits(),
-            c.state.remaining_bytes.to_bits(),
-        )
-    };
-    let mut ids: Vec<u32> = active.clone();
-    ids.sort_by_key(|&cid| cheap_key(&cohorts[cid as usize]));
-    let mut merged_any = false;
-    let mut start = 0;
-    while start < ids.len() {
-        let mut end = start + 1;
-        while end < ids.len()
-            && cheap_key(&cohorts[ids[end] as usize]) == cheap_key(&cohorts[ids[start] as usize])
-        {
-            end += 1;
-        }
-        if end - start > 1 {
-            // Within a bucket, the first cohort with each distinct full
-            // state is canonical; the rest merge into it.
-            let mut canon: Vec<u32> = Vec::new();
-            for &cid in &ids[start..end] {
-                match canon.iter().find(|&&a| {
-                    cohorts[a as usize].edge == cohorts[cid as usize].edge
-                        && cohorts[a as usize].state == cohorts[cid as usize].state
-                }) {
-                    Some(&a) => {
-                        merge_into(cohorts, a, cid);
-                        alias[cid as usize] = a;
-                        merged_any = true;
-                    }
-                    None => canon.push(cid),
-                }
-            }
-        }
-        start = end;
-    }
-    if merged_any {
-        active.retain(|&cid| !cohorts[cid as usize].done);
-    }
 }
 
 /// Re-homes one cohort after the up/down edge set changed: home
@@ -621,13 +662,13 @@ fn cohort_request(
 /// The cohort fluid engine. Semantically the per-session quantum
 /// engine (`serve::oracle`) run at cohort granularity: identical DVR
 /// maintenance, origin-fill drain, max-min downlink sharing, ABR,
-/// playout, and live gates per quantum — with per-quantum cost
-/// O(active cohorts) instead of O(population), idle stretches jumped
-/// via the event calendar, and finished classes folded straight into
-/// the report accumulator. Multi-title catalogs key every cache object
-/// by `(title, rung, seg)`; a shield tier (when `p.shields > 0`) sits
-/// between the edges and the origin, so edge fills drain from shield
-/// caches and only shield misses cross the true origin link.
+/// playout, and live gates per quantum — with plain downloads stepped
+/// in per-edge lanes, idle stretches jumped via the event calendar, and
+/// finished classes folded straight into the report accumulator.
+/// Multi-title catalogs key every cache object by `(title, rung, seg)`;
+/// a shield tier (when `p.shields > 0`) sits between the edges and the
+/// origin, so edge fills drain from shield caches and only shield
+/// misses cross the true origin link.
 pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams) -> CohortRun {
     let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
     let q = load.tick_quantum.max(1);
@@ -668,8 +709,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
 
     let mut cal = EventCalendar::default();
     for (cid, c) in cohorts.iter().enumerate() {
-        let start = c.members.first().map_or(0, |g| g.start_tick);
-        cal.push(start, EventKind::Arrive, cid as u32);
+        cal.push(c.state.start_tick, EventKind::Arrive, cid as u32);
         for g in &c.members {
             if let Some(d) = g.depart_at {
                 cal.push(d, EventKind::Depart, cid as u32);
@@ -685,7 +725,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     for (ai, &(t, _)) in fault_actions.iter().enumerate() {
         cal.push(t, EventKind::Fault, ai as u32);
     }
-    let mut alias: Vec<u32> = (0..cohorts.len() as u32).collect();
 
     // Fault state. All of it is inert on a plan-free run: every edge
     // stays up, every scale stays exactly 1.0 (and `x * 1.0` is
@@ -725,10 +764,25 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut res = ResilienceStats::default();
 
     let mut acc = Acc::default();
-    // Active cohort ids, kept sorted ascending — the iteration order is
-    // cohort creation order, exactly the oracle's session order.
-    let mut active: Vec<u32> = Vec::with_capacity(cohorts.len());
+    let mut engine = EngineStats {
+        cohorts: cohorts.len() as u64,
+        ..EngineStats::default()
+    };
+    // The active set is the lanes plus `slow`: every other active
+    // cohort, ascending by id once sorted (arrivals append unsorted).
+    // `slow` may hold cohorts a departure finished; the full path skips
+    // them.
+    let mut lanes = Lanes::new(p.edges, cohorts.len());
+    let mut slow: Vec<u32> = Vec::new();
+    let mut slow_sorted = true;
+    let mut n_active = 0u64;
+    // Per-quantum scratch: lane completions, the full-path order, and
+    // the next quantum's slow list.
+    let mut finished: Vec<u32> = Vec::new();
+    let mut full: Vec<(u32, bool)> = Vec::new();
+    let mut next_slow: Vec<u32> = Vec::new();
     let mut downloading = vec![0u64; p.edges];
+    let mut lane_dec = vec![0.0f64; p.edges];
 
     // Graceful degradation folds into every rung pick: once fault
     // pressure has made a class rebuffer, it pins to the lowest rung
@@ -744,18 +798,20 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
 
     let mut now = 0u64;
     let mut alive = schedule.len() as u64;
-    let mut quanta = 0u64;
     let mut last_first_seq = vec![0u64; titles.len()];
     let mut publish_wait_ticks = 0u64;
     let mut window_skips = 0u64;
     while alive > 0 && now < load.max_ticks {
         // Calendar events due this quantum: fault actions mutate the
-        // tier; arrivals activate their cohort; a departure splits its
-        // member group out of the (possibly merged) class and folds it,
-        // departed, at the quantum it fell due — exactly the oracle's
-        // loop top.
+        // tier; arrivals activate their cohort; a departure folds its
+        // member group, departed, at the quantum it fell due — exactly
+        // the oracle's loop top.
         while let Some((tick, kind, cid)) = cal.pop_due(now) {
             if kind == EventKind::Fault {
+                // Faults re-home classes and end plain downloads: every
+                // cohort takes the full path until pressure lifts.
+                lanes.flush(&mut cohorts, &mut slow);
+                slow_sorted = false;
                 match fault_actions[cid as usize].1 {
                     FaultAction::EdgeDown(e) => {
                         if !edge_up[e] {
@@ -774,9 +830,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                             edges[e].fills.fail(&k, 0);
                         }
                         if let Some(r) = ring.as_ref() {
-                            for &a in &active {
-                                res.sessions_rehomed +=
-                                    rehome(&mut cohorts[a as usize], &edge_up, r);
+                            for &a in &slow {
+                                let c = &mut cohorts[a as usize];
+                                if !c.done {
+                                    res.sessions_rehomed += rehome(c, &edge_up, r);
+                                }
                             }
                         }
                     }
@@ -796,9 +854,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         // Failback: every class whose home just came
                         // back moves home again.
                         if let Some(r) = ring.as_ref() {
-                            for &a in &active {
-                                res.sessions_rehomed +=
-                                    rehome(&mut cohorts[a as usize], &edge_up, r);
+                            for &a in &slow {
+                                let c = &mut cohorts[a as usize];
+                                if !c.done {
+                                    res.sessions_rehomed += rehome(c, &edge_up, r);
+                                }
                             }
                         }
                     }
@@ -877,17 +937,16 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
                 continue;
             }
-            let cid = resolve(&alias, cid);
             let c = &mut cohorts[cid as usize];
             if c.done {
                 continue;
             }
             match kind {
-                EventKind::Fault => unreachable!("handled before cohort resolution"),
+                EventKind::Fault => unreachable!("handled above"),
                 EventKind::Arrive => {
-                    if let Err(pos) = active.binary_search(&cid) {
-                        active.insert(pos, cid);
-                    }
+                    slow.push(cid);
+                    slow_sorted = false;
+                    n_active += 1;
                     // A class arriving into a crashed home lands on a
                     // survivor straight away.
                     if faulted {
@@ -897,6 +956,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     }
                 }
                 EventKind::Depart => {
+                    let lane = lanes.leave(cid, c);
                     let mut folded = 0u64;
                     let state = &c.state;
                     c.members.retain(|g| {
@@ -912,14 +972,14 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     c.n -= folded;
                     if c.members.is_empty() {
                         c.done = true;
-                        if let Ok(pos) = active.binary_search(&cid) {
-                            active.remove(pos);
-                        }
+                        n_active -= 1;
+                    } else if let Some(l) = lane {
+                        lanes.enter(cid, c, l.eps);
                     }
                 }
             }
         }
-        if active.is_empty() {
+        if n_active == 0 {
             // Idle fast-forward: jump to the quantum boundary of the
             // next calendar event (or the ceiling) — the boundary the
             // oracle's q-at-a-time idle ticking would reach. Fault
@@ -931,9 +991,14 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             };
             continue;
         }
+        if !slow_sorted {
+            slow.sort_unstable();
+            slow_sorted = true;
+        }
         // Fault pressure this quantum: anything down, flapping, or
-        // running degraded. Gates the fast-forward paths and attributes
-        // rebuffer accounting; always `false` on a plan-free run.
+        // running degraded. Gates the fast-forward paths and the lanes
+        // and attributes rebuffer accounting; always `false` on a
+        // plan-free run.
         let fault_active = faulted
             && (flap_down
                 || edge_up.iter().any(|&u| !u)
@@ -948,19 +1013,23 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // — exact, because both are integer-valued f64 arithmetic — and
         // jump. This is what turns a 400-tick publish pace into
         // O(download quanta) work per segment instead of O(pace).
-        if let Some(l) = p.live {
+        // Plain cohorts are never pending, so non-empty lanes rule the
+        // jump out.
+        if let Some(l) = p.live.filter(|_| lanes.is_empty()) {
             // Under fault pressure the per-quantum path stays
             // authoritative (degraded links and parked classes change
             // what a quantum does), so the jump is gated off. A cohort
             // caught up on its *own* title gates on that title's
-            // publish clock; for a single title this is exactly the
-            // pre-catalog condition (`seg > live` forces the published
-            // prefix to be strictly shorter than the title).
+            // publish clock.
+            let active = || {
+                slow.iter()
+                    .map(|&cid| &cohorts[cid as usize])
+                    .filter(|c| !c.done)
+            };
             let idle_until_publish = !fault_active
                 && edges.iter().all(|e| e.fills.is_empty())
                 && shields.iter().all(|s| s.fills.is_empty())
-                && active.iter().all(|&cid| {
-                    let c = &cohorts[cid as usize];
+                && active().all(|c| {
                     let s = &c.state;
                     s.started
                         && s.pending_request
@@ -969,14 +1038,13 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             if idle_until_publish {
                 let ceiling = quantized_jump(now, load.max_ticks, q);
                 // The earliest next publish any active class waits on.
-                let next_pub = active
-                    .iter()
-                    .map(|&cid| {
-                        let nseg = seg_counts[cohorts[cid as usize].title as usize];
+                let next_pub = active()
+                    .map(|c| {
+                        let nseg = seg_counts[c.title as usize];
                         l.publish_tick(l.live_seq(now, nseg) + 1)
                     })
                     .min()
-                    .expect("active is nonempty here");
+                    .expect("an active cohort is in the slow list");
                 let mut target = quantized_jump(now, next_pub.max(now + 1), q);
                 if let Some(t) = cal.next_tick() {
                     target = target.min(quantized_jump(now, t, q));
@@ -984,8 +1052,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 target = target.min(ceiling);
                 let skipped = (target - now) / q;
                 if skipped > 0 {
-                    for &cid in active.iter() {
+                    for &cid in &slow {
                         let c = &mut cohorts[cid as usize];
+                        if c.done {
+                            continue;
+                        }
                         let n = c.n;
                         let s = &mut c.state;
                         publish_wait_ticks += skipped * q * n;
@@ -1189,16 +1260,16 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             }
         }
 
-        // Per-edge downlink shares, weighted by cohort counts: a
-        // waiter whose object just landed will download this quantum,
-        // so its whole class counts — otherwise a burst of waking
-        // waiters would oversubscribe the edge link. A publish-gated
-        // cohort counts only if its segment is now live *and* already
-        // cached (it will request and hit below).
-        downloading.iter_mut().for_each(|d| *d = 0);
-        for &cid in &active {
+        // Per-edge downlink shares, weighted by cohort counts: every
+        // lane member downloads; a waiter whose object just landed will
+        // download this quantum, so its whole class counts — otherwise a
+        // burst of waking waiters would oversubscribe the edge link. A
+        // publish-gated cohort counts only if its segment is now live
+        // *and* already cached (it will request and hit below).
+        downloading.copy_from_slice(&lanes.members);
+        for &cid in &slow {
             let c = &cohorts[cid as usize];
-            if !edge_up[c.edge] {
+            if c.done || !edge_up[c.edge] {
                 // Parked (every edge down): nothing downloads.
                 continue;
             }
@@ -1221,11 +1292,35 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 true
             };
             if will_download {
-                downloading[c.edge] += c.count();
+                downloading[c.edge] += c.n;
             }
         }
+        // The one per-edge download rate, used by lanes and the full
+        // path alike.
+        let edge_rate = |e: usize| {
+            (p.edge_capacity * edge_scale[e] / downloading[e].max(1) as f64).min(p.per_session)
+        };
 
-        for &cid in &active {
+        engine.quanta += 1;
+        engine.cohort_quanta += n_active;
+        engine.peak_active = engine.peak_active.max(n_active);
+        if !lanes.is_empty() {
+            for (e, dec) in lane_dec.iter_mut().enumerate() {
+                *dec = edge_rate(e) * step;
+            }
+            lanes.step(&lane_dec, step, &mut cohorts, &mut finished);
+            progressed = true;
+        }
+        // The full path, in ascending cohort id: the slow list plus the
+        // lane cohorts whose download just completed (`true`: already
+        // stepped this quantum, only the completion remains).
+        full.clear();
+        full.extend(slow.drain(..).map(|cid| (cid, false)));
+        if !finished.is_empty() {
+            full.extend(finished.drain(..).map(|cid| (cid, true)));
+            full.sort_unstable();
+        }
+        for &(cid, stepped) in &full {
             let Cohort {
                 edge,
                 title,
@@ -1235,240 +1330,269 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 done,
                 ..
             } = &mut cohorts[cid as usize];
+            if *done {
+                continue;
+            }
+            engine.full_path_steps += 1;
             let edge = *edge;
             let title = *title;
             let n = *n;
             let m = &titles[title as usize];
             let nseg = seg_counts[title as usize];
-            if !edge_up[edge] {
-                // Parked: every edge is down, failover had nowhere to
-                // go. Playout keeps draining — members stall in place,
-                // all of it fault-attributed — but no request, fill,
-                // or download can move until a restart re-homes.
-                if s.playing {
-                    s.buffer_ticks -= step;
-                    if s.buffer_ticks < 0.0 {
-                        if !s.in_rebuffer {
-                            s.in_rebuffer = true;
-                            s.rebuffer_events += 1;
-                            s.fault_rebuffers += 1;
-                        }
-                        s.buffer_ticks = 0.0;
-                    }
-                }
-                if s.in_rebuffer {
-                    s.fault_rebuffer_ticks += q;
-                }
-                continue;
-            }
             let e = &mut edges[edge];
-            if !s.started {
-                s.started = true;
-                let live_now = p
-                    .live
-                    .map_or(true, |l| s.seg as u64 <= l.live_seq(now, nseg));
-                if live_now {
-                    let bytes = m.rungs[0].segments[s.seg].bytes as f64;
-                    let sh = if shields_on && shield_up[edge_shield[edge]] {
-                        Some(&mut shields[edge_shield[edge]])
-                    } else {
-                        None
-                    };
-                    match cohort_request(
-                        e,
-                        &mut edge_adm[edge],
-                        sh,
-                        (title, 0, s.seg as u32),
-                        bytes,
-                        n,
-                    ) {
-                        Req::Hit => s.remaining_bytes += bytes,
-                        Req::Wait(new_fill) => {
-                            s.waiting = true;
-                            progressed |= new_fill;
-                            if new_fill && (fault_active || rewarming[edge]) {
-                                res.rewarm_fills += 1;
+            'step: {
+                if !stepped {
+                    if !edge_up[edge] {
+                        // Parked: every edge is down, failover had
+                        // nowhere to go. Playout keeps draining —
+                        // members stall in place, all of it
+                        // fault-attributed — but no request, fill, or
+                        // download can move until a restart re-homes.
+                        if s.playing {
+                            s.buffer_ticks -= step;
+                            if s.buffer_ticks < 0.0 {
+                                if !s.in_rebuffer {
+                                    s.in_rebuffer = true;
+                                    s.rebuffer_events += 1;
+                                    s.fault_rebuffers += 1;
+                                }
+                                s.buffer_ticks = 0.0;
                             }
                         }
-                    }
-                } else {
-                    s.pending_request = true;
-                }
-            }
-            // Playout drains while the next segment downloads (or while
-            // the class waits on a fill or the live edge).
-            if s.playing {
-                s.buffer_ticks -= step;
-                if s.buffer_ticks < 0.0 {
-                    if !s.in_rebuffer {
-                        s.in_rebuffer = true;
-                        s.rebuffer_events += 1;
-                        if fault_active {
-                            s.fault_rebuffers += 1;
+                        if s.in_rebuffer {
+                            s.fault_rebuffer_ticks += q;
                         }
+                        break 'step;
                     }
-                    s.buffer_ticks = 0.0;
-                }
-            }
-            if fault_active && s.in_rebuffer {
-                s.fault_rebuffer_ticks += q;
-            }
-            // A segment chosen but not yet requested: the live edge
-            // had not published it. Re-check the window now.
-            if s.pending_request {
-                let l = p.live.expect("pending only in live mode");
-                let first = l.first_seq(now, nseg) as usize;
-                if s.seg < first {
-                    // Too slow: the segment expired out of the DVR
-                    // window before we ever asked. Skip forward.
-                    window_skips += (first - s.seg) as u64 * n;
-                    s.seg = first;
-                }
-                if s.seg as u64 <= l.live_seq(now, nseg) {
-                    s.pending_request = false;
-                    let rung = pick_rung(s, m);
-                    if s.fetched > 0 && rung != s.rung {
-                        s.rung_switches += 1;
-                    }
-                    s.rung = rung;
-                    s.fetch_start = now;
-                    let bytes = m.rungs[rung].segments[s.seg].bytes as f64;
-                    let sh = if shields_on && shield_up[edge_shield[edge]] {
-                        Some(&mut shields[edge_shield[edge]])
-                    } else {
-                        None
-                    };
-                    let key = (title, rung as u32, s.seg as u32);
-                    match cohort_request(e, &mut edge_adm[edge], sh, key, bytes, n) {
-                        Req::Hit => s.remaining_bytes += bytes,
-                        Req::Wait(new_fill) => {
-                            s.waiting = true;
-                            progressed |= new_fill;
-                            if new_fill && (fault_active || rewarming[edge]) {
-                                res.rewarm_fills += 1;
+                    if !s.started {
+                        s.started = true;
+                        let live_now = p
+                            .live
+                            .map_or(true, |l| s.seg as u64 <= l.live_seq(now, nseg));
+                        if live_now {
+                            let bytes = m.rungs[0].segments[s.seg].bytes as f64;
+                            let sh = if shields_on && shield_up[edge_shield[edge]] {
+                                Some(&mut shields[edge_shield[edge]])
+                            } else {
+                                None
+                            };
+                            match cohort_request(
+                                e,
+                                &mut edge_adm[edge],
+                                sh,
+                                (title, 0, s.seg as u32),
+                                bytes,
+                                n,
+                            ) {
+                                Req::Hit => s.remaining_bytes += bytes,
+                                Req::Wait(new_fill) => {
+                                    s.waiting = true;
+                                    progressed |= new_fill;
+                                    if new_fill && (fault_active || rewarming[edge]) {
+                                        res.rewarm_fills += 1;
+                                    }
+                                }
                             }
+                        } else {
+                            s.pending_request = true;
                         }
                     }
-                } else {
-                    publish_wait_ticks += q * n;
-                    continue;
+                    // Playout drains while the next segment downloads
+                    // (or while the class waits on a fill or the live
+                    // edge).
+                    if s.playing {
+                        s.buffer_ticks -= step;
+                        if s.buffer_ticks < 0.0 {
+                            if !s.in_rebuffer {
+                                s.in_rebuffer = true;
+                                s.rebuffer_events += 1;
+                                if fault_active {
+                                    s.fault_rebuffers += 1;
+                                }
+                            }
+                            s.buffer_ticks = 0.0;
+                        }
+                    }
+                    if fault_active && s.in_rebuffer {
+                        s.fault_rebuffer_ticks += q;
+                    }
+                    // A segment chosen but not yet requested: the live
+                    // edge had not published it. Re-check the window.
+                    if s.pending_request {
+                        let l = p.live.expect("pending only in live mode");
+                        let first = l.first_seq(now, nseg) as usize;
+                        if s.seg < first {
+                            // Too slow: the segment expired out of the
+                            // DVR window before we ever asked. Skip
+                            // forward.
+                            window_skips += (first - s.seg) as u64 * n;
+                            s.seg = first;
+                        }
+                        if s.seg as u64 <= l.live_seq(now, nseg) {
+                            s.pending_request = false;
+                            let rung = pick_rung(s, m);
+                            if s.fetched > 0 && rung != s.rung {
+                                s.rung_switches += 1;
+                            }
+                            s.rung = rung;
+                            s.fetch_start = now;
+                            let bytes = m.rungs[rung].segments[s.seg].bytes as f64;
+                            let sh = if shields_on && shield_up[edge_shield[edge]] {
+                                Some(&mut shields[edge_shield[edge]])
+                            } else {
+                                None
+                            };
+                            let key = (title, rung as u32, s.seg as u32);
+                            match cohort_request(e, &mut edge_adm[edge], sh, key, bytes, n) {
+                                Req::Hit => s.remaining_bytes += bytes,
+                                Req::Wait(new_fill) => {
+                                    s.waiting = true;
+                                    progressed |= new_fill;
+                                    if new_fill && (fault_active || rewarming[edge]) {
+                                        res.rewarm_fills += 1;
+                                    }
+                                }
+                            }
+                        } else {
+                            publish_wait_ticks += q * n;
+                            break 'step;
+                        }
+                    }
+                    if s.waiting {
+                        let key = (title, s.rung as u32, s.seg as u32);
+                        let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
+                        if e.lru.touch(&key) || e.pass.contains(&key) {
+                            // The fill landed (cached, or
+                            // admission-rejected but passed through):
+                            // start the edge-leg download, with
+                            // `fetch_start` still at request time so the
+                            // ABR sees the full wait. The fall-through
+                            // download decrement below marks the
+                            // progress.
+                            s.waiting = false;
+                            s.remaining_bytes += bytes;
+                        } else {
+                            if !e.fills.contains(&key, 0) {
+                                // The filled object was evicted before
+                                // this class could download it — or the
+                                // class was just re-homed onto an edge
+                                // with no fill in flight: re-request
+                                // (one fill restarts no matter how many
+                                // members wait).
+                                e.stats.misses += 1;
+                                e.fills.request(key, 0, || bytes);
+                                if shields_on && shield_up[edge_shield[edge]] {
+                                    shields[edge_shield[edge]].request(key, bytes);
+                                }
+                                progressed = true;
+                                if fault_active || rewarming[edge] {
+                                    res.rewarm_fills += 1;
+                                }
+                            }
+                            break 'step;
+                        }
+                    }
+                    s.remaining_bytes -= edge_rate(edge) * step;
+                    progressed = true;
+                    let entry = &m.rungs[s.rung].segments[s.seg];
+                    if s.remaining_bytes > completion_eps(entry.bytes as f64) {
+                        break 'step;
+                    }
                 }
-            }
-            if s.waiting {
-                let key = (title, s.rung as u32, s.seg as u32);
+                // Segment complete at the end of this quantum — for
+                // every member at once (the class shares one download
+                // trajectory).
+                let entry = &m.rungs[s.rung].segments[s.seg];
+                let end = now + q;
+                let elapsed = end.saturating_sub(s.fetch_start).max(1);
+                s.abr.observe((entry.bytes * 8) as f64, elapsed as f64);
+                s.delivered_bits += (entry.bytes * 8) as u64;
+                s.rung_sum += s.rung as u64;
+                s.buffer_ticks += (entry.frames as u64 * m.ticks_per_frame) as f64;
+                s.in_rebuffer = false;
+                s.fetched += 1;
+                e.stats.served_bytes += entry.bytes as u64 * n;
+                if let Some(l) = p.live {
+                    let lat = end.saturating_sub(l.publish_tick(s.seg as u64));
+                    s.latency_sum += lat;
+                    s.latency_max = s.latency_max.max(lat);
+                }
+                if !s.playing && s.fetched >= s.startup_after {
+                    s.playing = true;
+                    s.startup_ticks = end - s.start_tick;
+                }
+                s.seg += 1;
+                if s.seg == nseg {
+                    for g in members.iter() {
+                        acc.fold(s, g, Some(end), true, now);
+                    }
+                    alive -= n;
+                    *done = true;
+                    break 'step;
+                }
+                // Live gates for the next segment, evaluated at the
+                // completion tick (the same tick the next quantum sees).
+                if let Some(l) = p.live {
+                    let first = l.first_seq(end, nseg) as usize;
+                    if s.seg < first {
+                        window_skips += (first - s.seg) as u64 * n;
+                        s.seg = first;
+                    }
+                    if s.seg as u64 > l.live_seq(end, nseg) {
+                        // Caught up with the live edge: wait for the
+                        // next publish, discarding the download
+                        // overshoot (the link idles — pacing, not
+                        // congestion).
+                        s.pending_request = true;
+                        s.remaining_bytes = 0.0;
+                        break 'step;
+                    }
+                }
+                let next_rung = pick_rung(s, m);
+                if next_rung != s.rung {
+                    s.rung_switches += 1;
+                }
+                s.rung = next_rung;
                 let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
-                if e.lru.touch(&key) || e.pass.contains(&key) {
-                    // The fill landed (cached, or admission-rejected
-                    // but passed through): start the edge-leg download,
-                    // with `fetch_start` still at request time so the
-                    // ABR sees the full wait. The fall-through download
-                    // decrement below marks the progress.
-                    s.waiting = false;
-                    s.remaining_bytes += bytes;
+                let sh = if shields_on && shield_up[edge_shield[edge]] {
+                    Some(&mut shields[edge_shield[edge]])
                 } else {
-                    if !e.fills.contains(&key, 0) {
-                        // The filled object was evicted before this
-                        // class could download it — or the class was
-                        // just re-homed onto an edge with no fill in
-                        // flight: re-request (one fill restarts no
-                        // matter how many members wait).
-                        e.stats.misses += 1;
-                        e.fills.request(key, 0, || bytes);
-                        if shields_on && shield_up[edge_shield[edge]] {
-                            shields[edge_shield[edge]].request(key, bytes);
-                        }
-                        progressed = true;
-                        if fault_active || rewarming[edge] {
+                    None
+                };
+                let key = (title, s.rung as u32, s.seg as u32);
+                match cohort_request(e, &mut edge_adm[edge], sh, key, bytes, n) {
+                    // A hit carries this quantum's download overshoot
+                    // into the next segment, exactly like the
+                    // single-origin path.
+                    Req::Hit => s.remaining_bytes += bytes,
+                    Req::Wait(new_fill) => {
+                        s.waiting = true;
+                        s.remaining_bytes = 0.0;
+                        progressed |= new_fill;
+                        if new_fill && (fault_active || rewarming[edge]) {
                             res.rewarm_fills += 1;
                         }
                     }
-                    continue;
                 }
+                s.fetch_start = end;
             }
-            let rate = (p.edge_capacity * edge_scale[edge] / downloading[edge].max(1) as f64)
-                .min(p.per_session);
-            s.remaining_bytes -= rate * step;
-            progressed = true;
-            let entry = &m.rungs[s.rung].segments[s.seg];
-            if s.remaining_bytes > completion_eps(entry.bytes as f64) {
-                continue;
-            }
-            // Segment complete at the end of this quantum — for every
-            // member at once (the class shares one download trajectory).
-            let end = now + q;
-            let elapsed = end.saturating_sub(s.fetch_start).max(1);
-            s.abr.observe((entry.bytes * 8) as f64, elapsed as f64);
-            s.delivered_bits += (entry.bytes * 8) as u64;
-            s.rung_sum += s.rung as u64;
-            s.buffer_ticks += (entry.frames as u64 * m.ticks_per_frame) as f64;
-            s.in_rebuffer = false;
-            s.fetched += 1;
-            e.stats.served_bytes += entry.bytes as u64 * n;
-            if let Some(l) = p.live {
-                let lat = end.saturating_sub(l.publish_tick(s.seg as u64));
-                s.latency_sum += lat;
-                s.latency_max = s.latency_max.max(lat);
-            }
-            if !s.playing && s.fetched >= s.startup_after {
-                s.playing = true;
-                for g in members.iter_mut() {
-                    g.startup_ticks = end - g.start_tick;
-                }
-            }
-            s.seg += 1;
-            if s.seg == nseg {
-                for g in members.iter() {
-                    acc.fold(s, g, Some(end), true, now);
-                }
-                alive -= n;
-                *done = true;
-                continue;
-            }
-            // Live gates for the next segment, evaluated at the
-            // completion tick (the same tick the next quantum sees).
-            if let Some(l) = p.live {
-                let first = l.first_seq(end, nseg) as usize;
-                if s.seg < first {
-                    window_skips += (first - s.seg) as u64 * n;
-                    s.seg = first;
-                }
-                if s.seg as u64 > l.live_seq(end, nseg) {
-                    // Caught up with the live edge: wait for the next
-                    // publish, discarding the download overshoot (the
-                    // link idles — pacing, not congestion).
-                    s.pending_request = true;
-                    s.remaining_bytes = 0.0;
-                    continue;
-                }
-            }
-            let next_rung = pick_rung(s, m);
-            if next_rung != s.rung {
-                s.rung_switches += 1;
-            }
-            s.rung = next_rung;
-            let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
-            let sh = if shields_on && shield_up[edge_shield[edge]] {
-                Some(&mut shields[edge_shield[edge]])
+            // Where the cohort waits for the next quantum: gone, in its
+            // edge's lane (plain and no fault pressure), or slow.
+            if *done {
+                n_active -= 1;
+            } else if !fault_active
+                && edge_up[edge]
+                && s.started
+                && !s.waiting
+                && !s.pending_request
+            {
+                let eps = completion_eps(m.rungs[s.rung].segments[s.seg].bytes as f64);
+                lanes.enter(cid, &cohorts[cid as usize], eps);
             } else {
-                None
-            };
-            let key = (title, s.rung as u32, s.seg as u32);
-            match cohort_request(e, &mut edge_adm[edge], sh, key, bytes, n) {
-                // A hit carries this quantum's download overshoot into
-                // the next segment, exactly like the single-origin path.
-                Req::Hit => s.remaining_bytes += bytes,
-                Req::Wait(new_fill) => {
-                    s.waiting = true;
-                    s.remaining_bytes = 0.0;
-                    progressed |= new_fill;
-                    if new_fill && (fault_active || rewarming[edge]) {
-                        res.rewarm_fills += 1;
-                    }
-                }
+                next_slow.push(cid);
             }
-            s.fetch_start = end;
         }
-        active.retain(|&cid| !cohorts[cid as usize].done);
+        std::mem::swap(&mut slow, &mut next_slow);
         // Pass-set entries only bridge a fill's completion to its
         // waiters' wake within the quantum; clear them so an admission
         // reject never masquerades as a cache hit later. Always empty
@@ -1476,30 +1600,30 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         for e in edges.iter_mut() {
             e.pass.clear();
         }
-        quanta += 1;
-        if quanta % MERGE_EVERY == 0 {
-            merge_converged(&mut cohorts, &mut active, &mut alias);
-        }
         now += q;
         // Stasis: every arrival has happened and a whole quantum passed
         // with no byte moved anywhere (e.g. an origin outage with cold
         // caches) — and no publish or departure is still due, so the
-        // state can never change again.
+        // state can never change again. Nothing progressed, so the
+        // lanes are empty and `slow` is the whole active set.
         if !progressed && now > all_arrived_by {
             // A scheduled restart or recovery can still unfreeze a
             // fully stalled tier; a plan that crashes everything
             // forever leaves nothing due and terminates cleanly here.
             let faults_due = cal.fault_pending();
+            let active = || {
+                slow.iter()
+                    .map(|&cid| &cohorts[cid as usize])
+                    .filter(|c| !c.done)
+            };
             // Parked classes (their edge is down) cannot consume a
             // publish or wake as waiters — only a fault event revives
             // them, and that is `faults_due`'s job to keep alive.
-            let any_unparked = active
-                .iter()
-                .any(|&cid| edge_up[cohorts[cid as usize].edge]);
+            let any_unparked = active().any(|c| edge_up[c.edge]);
             let publishes_due = any_unparked
                 && p.live.is_some_and(|l| {
-                    active.iter().any(|&cid| {
-                        let nseg = seg_counts[cohorts[cid as usize].title as usize];
+                    active().any(|c| {
+                        let nseg = seg_counts[c.title as usize];
                         l.live_seq(now, nseg) < nseg as u64 - 1
                     })
                 });
@@ -1507,11 +1631,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // segment publishes — including the final one, which may
             // have gone live this very quantum without being consumed
             // yet.
-            let waiters_due = active.iter().any(|&cid| {
-                let c = &cohorts[cid as usize];
-                edge_up[c.edge] && c.state.pending_request
-            });
-            let departures_due = cal.departure_pending(&cohorts, &alias);
+            let waiters_due = active().any(|c| edge_up[c.edge] && c.state.pending_request);
+            let departures_due = cal.departure_pending(&cohorts);
             if !faults_due && !publishes_due && !waiters_due && !departures_due {
                 break;
             }
@@ -1519,6 +1640,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     }
     // Survivors (still downloading at the ceiling, or never arrived)
     // fold with the oracle's unfinished-session arithmetic.
+    lanes.flush(&mut cohorts, &mut slow);
     for c in &cohorts {
         if !c.done {
             for g in &c.members {
@@ -1547,6 +1669,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         shields,
         live,
         resilience: res,
+        engine,
     }
 }
 
@@ -1744,19 +1867,11 @@ mod tests {
         assert_eq!(quantized_jump(0, u64::MAX, 4), u64::MAX);
     }
 
-    #[test]
-    fn alias_resolution_follows_merge_chains() {
-        // 3 merged into 1, 1 merged into 0: events against 3 land on 0.
-        let alias = vec![0, 0, 2, 1];
-        assert_eq!(resolve(&alias, 3), 0);
-        assert_eq!(resolve(&alias, 1), 0);
-        assert_eq!(resolve(&alias, 2), 2);
-        assert_eq!(resolve(&alias, 0), 0);
-    }
-
     fn test_state() -> CohortState {
         CohortState {
             abr: AbrController::new(0.3, 0.7),
+            start_tick: 10,
+            startup_ticks: 6,
             seg: 3,
             rung: 1,
             remaining_bytes: 0.0,
@@ -1778,48 +1893,6 @@ mod tests {
             fault_rebuffers: 0,
             fault_rebuffer_ticks: 0,
         }
-    }
-
-    #[test]
-    fn merge_combines_indistinguishable_member_groups_and_keeps_distinct_ones() {
-        let g = |start, depart, count, startup| MemberGroup {
-            start_tick: start,
-            depart_at: depart,
-            count,
-            startup_ticks: startup,
-        };
-        let mut cohorts = vec![
-            Cohort {
-                edge: 0,
-                home_edge: 0,
-                title: 0,
-                ring_key: 0,
-                members: vec![g(10, None, 5, 6), g(10, Some(90), 2, 6)],
-                state: test_state(),
-                n: 7,
-                done: false,
-            },
-            Cohort {
-                edge: 0,
-                home_edge: 0,
-                title: 0,
-                ring_key: 0,
-                members: vec![g(10, None, 3, 6), g(10, None, 1, 8)],
-                state: test_state(),
-                n: 4,
-                done: false,
-            },
-        ];
-        merge_into(&mut cohorts, 0, 1);
-        assert!(cohorts[1].done, "absorbed cohort becomes a tombstone");
-        assert!(cohorts[1].members.is_empty());
-        // (10, None, 6) merged into the existing group; (10, None, 8)
-        // differs in startup latency and must stay its own group.
-        assert_eq!(
-            cohorts[0].members,
-            vec![g(10, None, 8, 6), g(10, Some(90), 2, 6), g(10, None, 1, 8)]
-        );
-        assert_eq!(cohorts[0].count(), 11);
     }
 
     #[test]
@@ -1856,7 +1929,7 @@ mod tests {
             1,
             "same (tick, edge) arrivals share a cohort"
         );
-        assert_eq!(cohorts[0].count(), 6);
+        assert_eq!(cohorts[0].n, 6);
         assert_eq!(cohorts[0].members.len(), 3, "split by departure tick");
         let counts: Vec<(Option<u64>, u64)> = cohorts[0]
             .members
@@ -1868,10 +1941,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_sweep_collapses_converged_classes_without_changing_reports() {
-        // Two staggered arrival waves converge once both are in steady
-        // state; the merge sweep must collapse them and the report must
-        // still match the oracle exactly.
+    fn staggered_arrival_waves_match_the_oracle() {
+        // 64 sessions spread over 64 ticks: many small cohorts, all
+        // downloading side by side in one edge's lane, must still match
+        // the per-session oracle exactly.
         let m = manifest();
         let load = LoadConfig {
             sessions: 64,
@@ -1880,6 +1953,29 @@ mod tests {
         };
         let p = params(&m, CdnConfig::single_origin(), None);
         assert_matches_oracle(&m, &load, &p);
+    }
+
+    #[test]
+    fn only_arrivals_and_completions_take_the_full_path() {
+        // A warm single origin never waits on a fill: each cohort takes
+        // the full path once on arrival and once per completed segment,
+        // and every other quantum it spends is a lane step.
+        let m = manifest();
+        let load = LoadConfig {
+            sessions: 64,
+            stagger_ticks: 64,
+            ..Default::default()
+        };
+        let p = params(&m, CdnConfig::single_origin(), None);
+        let e = run_cohorts(std::slice::from_ref(&m), &load, &p).engine;
+        assert!(e.cohorts > 1 && e.peak_active <= e.cohorts, "{e:?}");
+        assert_eq!(
+            e.full_path_steps,
+            e.cohorts * (1 + m.segment_count() as u64),
+            "{e:?}"
+        );
+        assert!(e.cohort_quanta > 2 * e.full_path_steps, "{e:?}");
+        assert!(e.cohort_quanta <= e.quanta * e.peak_active, "{e:?}");
     }
 
     #[test]

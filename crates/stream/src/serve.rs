@@ -404,6 +404,28 @@ pub struct CdnLoadReport {
     pub live: LiveStats,
     /// What the faults cost (zero for a plan-free run).
     pub resilience: ResilienceStats,
+    /// What the run cost the engine, in its own units of work.
+    pub engine: EngineStats,
+}
+
+/// The fluid engine's work for one run, in the units it actually
+/// spends: cohorts (counted classes of identical sessions) times
+/// stepped quanta. Deterministic, so it takes part in report equality;
+/// all zero for a degenerate scenario.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Cohorts formed from the arrival schedule.
+    pub cohorts: u64,
+    /// Most cohorts active in one quantum.
+    pub peak_active: u64,
+    /// Quanta the engine stepped (idle and publish-wait jumps excluded).
+    pub quanta: u64,
+    /// Active cohorts summed over stepped quanta.
+    pub cohort_quanta: u64,
+    /// Cohort steps that took the full per-cohort path: arrivals,
+    /// segment completions, waiters, publish-gated and parked cohorts,
+    /// and every cohort under fault pressure. The rest were lane steps.
+    pub full_path_steps: u64,
 }
 
 /// Resolved live gates for the fluid engine.
@@ -611,32 +633,41 @@ fn exp_ticks(rng: &mut Xoroshiro128, mean: f64) -> u64 {
     (-mean * (1.0 - rng.next_f64()).ln()).round() as u64
 }
 
+/// One cache index of `capacity_bytes`, prewarmed with every title's
+/// whole ladder (as far as capacity allows) when `prewarm` is set.
+/// Built once per tier and cloned into each node: every node of a tier
+/// starts from this identical state.
+pub(crate) fn tier_lru(titles: &[Manifest], capacity_bytes: usize, prewarm: bool) -> Lru<ObjKey> {
+    let mut lru = Lru::new(capacity_bytes);
+    if prewarm {
+        for (ti, m) in titles.iter().enumerate() {
+            for (ri, rung) in m.rungs.iter().enumerate() {
+                for (si, seg) in rung.segments.iter().enumerate() {
+                    lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
+                }
+            }
+        }
+    }
+    lru
+}
+
 /// The simulated edge tier, optionally prewarmed with every title's
 /// whole ladder. Shared verbatim by the cohort engine and the quantum
 /// oracle so both start from the identical cache state.
 pub(crate) fn build_edges(titles: &[Manifest], p: &TierParams) -> Vec<SimEdge> {
-    let mut edges: Vec<SimEdge> = (0..p.edges)
+    let lru = tier_lru(titles, p.cache_capacity_bytes, p.prewarm);
+    (0..p.edges)
         .map(|_| SimEdge {
-            lru: Lru::new(p.cache_capacity_bytes),
+            lru: lru.clone(),
             fills: FillTable::new(),
-            stats: EdgeStats::default(),
+            stats: EdgeStats {
+                evictions: lru.evictions(),
+                ..EdgeStats::default()
+            },
             assigned: 0,
             pass: std::collections::BTreeSet::new(),
         })
-        .collect();
-    if p.prewarm {
-        for e in &mut edges {
-            for (ti, m) in titles.iter().enumerate() {
-                for (ri, rung) in m.rungs.iter().enumerate() {
-                    for (si, seg) in rung.segments.iter().enumerate() {
-                        e.lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
-                    }
-                }
-            }
-            e.stats.evictions = e.lru.evictions();
-        }
-    }
-    edges
+        .collect()
 }
 
 /// The arrival/departure schedule: one `(start_tick, depart_at)` per
@@ -1314,6 +1345,7 @@ pub fn simulate(s: &Scenario) -> CdnLoadReport {
         tier,
         live: run.live,
         resilience: run.resilience,
+        engine: run.engine,
     }
 }
 
@@ -1754,6 +1786,7 @@ mod tests {
             origin_offload: 0.9466666666666667,
             live: LiveStats::default(),
             resilience: ResilienceStats::default(),
+            ..Default::default()
         };
         assert_cdn_golden(&vod(&c, cdn, load), &golden);
     }
@@ -1851,6 +1884,7 @@ mod tests {
                 rewarm_fills: 5,
                 fills_lost: 0,
             },
+            ..Default::default()
         };
         assert_cdn_golden(&simulate(&s), &golden);
     }

@@ -345,26 +345,18 @@ pub(crate) fn build_shields(
     prewarm: bool,
     edges: usize,
 ) -> Vec<SimShield> {
+    let lru = crate::serve::tier_lru(titles, cache_capacity_bytes, prewarm);
     let mut shields: Vec<SimShield> = (0..count)
         .map(|_| SimShield {
-            lru: Lru::new(cache_capacity_bytes),
+            lru: lru.clone(),
             fills: FillTable::new(),
-            stats: EdgeStats::default(),
+            stats: EdgeStats {
+                evictions: lru.evictions(),
+                ..EdgeStats::default()
+            },
             assigned: 0,
         })
         .collect();
-    if prewarm {
-        for sh in &mut shields {
-            for (ti, m) in titles.iter().enumerate() {
-                for (ri, rung) in m.rungs.iter().enumerate() {
-                    for (si, seg) in rung.segments.iter().enumerate() {
-                        sh.lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
-                    }
-                }
-            }
-            sh.stats.evictions = sh.lru.evictions();
-        }
-    }
     if count > 0 {
         for e in 0..edges {
             shields[shield_home(e, edges, count)].assigned += 1;
