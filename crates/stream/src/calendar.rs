@@ -30,8 +30,21 @@
 //!   neither waiting on a fill nor gated on a publish — does the same
 //!   two things every quantum: drain playout and take its share of the
 //!   edge downlink. Plain cohorts live in compact per-edge [`Lanes`]
-//!   holding just that hot state, stepped with one per-edge
-//!   `rate * step`. The edge's downloading count is the lanes' member
+//!   holding just the download, stepped with one per-edge
+//!   `rate * step`: a lane step is `remaining -= dec` and a completion
+//!   compare, nothing else. Playout is settled when the cohort leaves
+//!   the lane (completion, departure, fault flush, end of run): an entry
+//!   records the lane's quantum count when it entered, and the `j`
+//!   quanta since then drain in closed form — the buffer either covers
+//!   `j * step` and drops by exactly that, or it ran dry at some
+//!   quantum, entering rebuffer once (unless already rebuffering) and
+//!   ending at 0. That equals `j` clamped per-quantum drains exactly,
+//!   because buffers and `step` are integer-valued f64 below 2^53, and
+//!   nothing but the drain itself touches the buffer, `playing` or
+//!   `in_rebuffer` while a cohort is in a lane (only a completion, on
+//!   the full path, refills the buffer and ends a rebuffer).
+//!   The publish fast-forward below collapses its skipped quanta by the
+//!   same argument. The edge's downloading count is the lanes' member
 //!   sum, not a pass over every cohort. Only segment completions and
 //!   non-plain cohorts run the full per-cohort path, in ascending
 //!   cohort id, so every cache touch, fill start and report fold keeps
@@ -64,13 +77,12 @@
 //! bounded-cache tests assert.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 use signal::rng::splitmix64;
 
 use crate::catalog::ZipfSampler;
-use crate::edge::HashRing;
+use crate::edge::{HashRing, WordHashMap};
 use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
@@ -83,35 +95,12 @@ use crate::shield::{
     admit_insert, build_shields, obj_key_hash, shield_home, Admission, ObjKey, SimShield,
 };
 
-/// Cheap deterministic hasher for the cohort-formation index: the key
-/// is two machine words, and formation does one lookup per *session*
-/// (the only O(population) hot path left), so SipHash is pure
-/// overhead. Determinism does not depend on the hash — cohort order is
-/// schedule order — this is wall-clock only.
-#[derive(Default)]
-struct SplitMixHasher(u64);
-
-impl Hasher for SplitMixHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64(self.0 ^ v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-type CohortIndex = HashMap<(u64, usize, u32), u32, BuildHasherDefault<SplitMixHasher>>;
+/// The cohort-formation index: formation does one lookup per
+/// *session* (the only O(population) hot path left), so it hashes with
+/// the crate's cheap [`WordHasher`](crate::edge::WordHasher).
+/// Determinism does not depend on the hash — cohort order is schedule
+/// order — this is wall-clock only.
+type CohortIndex = WordHashMap<(u64, usize, u32), u32>;
 
 /// The dynamic state every member of a cohort shares, bit for bit:
 /// the per-session engine's `SimSession` minus churn, which lives in
@@ -243,28 +232,43 @@ impl EventCalendar {
     }
 }
 
+/// Drains `drain` ticks of playout from a playing cohort at once: the
+/// closed form of `drain / q` clamped drains of one quantum each, exact
+/// for the integer-valued buffers and drains the engine uses (see the
+/// module doc's download lanes).
+fn drain_playout(s: &mut CohortState, drain: f64) {
+    if s.buffer_ticks >= drain {
+        s.buffer_ticks -= drain;
+    } else {
+        if !s.in_rebuffer {
+            s.in_rebuffer = true;
+            s.rebuffer_events += 1;
+        }
+        s.buffer_ticks = 0.0;
+    }
+}
+
 /// The hot state of one plain cohort: what a quantum without events
-/// reads and writes. `playing` and `eps` are fixed while the cohort
-/// stays in its lane; the rest is written back to the [`CohortState`]
-/// whenever the cohort leaves.
+/// reads and writes. The rest of its state is fixed while the cohort
+/// stays in its lane: playout is settled from `entered` when it leaves.
 #[derive(Debug, Clone, Copy)]
 struct LaneEntry {
     remaining: f64,
-    buffer: f64,
     /// `completion_eps` of the segment being downloaded.
     eps: f64,
     cid: u32,
-    rebuffer_events: u32,
-    playing: bool,
-    in_rebuffer: bool,
+    /// [`Lanes::quanta`] when the cohort entered its lane.
+    entered: u64,
 }
 
 impl LaneEntry {
-    fn write_back(&self, s: &mut CohortState) {
+    /// Writes the download back and settles the playout of the
+    /// `quanta - entered` quanta of `q` ticks spent in the lane.
+    fn write_back(&self, s: &mut CohortState, quanta: u64, q: u64) {
         s.remaining_bytes = self.remaining;
-        s.buffer_ticks = self.buffer;
-        s.rebuffer_events = self.rebuffer_events;
-        s.in_rebuffer = self.in_rebuffer;
+        if s.playing {
+            drain_playout(s, ((quanta - self.entered) * q) as f64);
+        }
     }
 }
 
@@ -278,18 +282,25 @@ struct Lanes {
     /// Each cohort's index in its edge's lane, or [`NO_SLOT`].
     slot: Vec<u32>,
     len: usize,
+    /// Lane steps so far: a cohort's stay is the difference between
+    /// this count when it leaves and when it entered.
+    quanta: u64,
+    /// Ticks per quantum.
+    q: u64,
     /// Scratch for [`Lanes::step`]: lane indices whose download
     /// completed this quantum, ascending.
     done: Vec<u32>,
 }
 
 impl Lanes {
-    fn new(edges: usize, cohorts: usize) -> Self {
+    fn new(edges: usize, cohorts: usize, q: u64) -> Self {
         Self {
             edges: vec![Vec::new(); edges],
             members: vec![0; edges],
             slot: vec![NO_SLOT; cohorts],
             len: 0,
+            quanta: 0,
+            q,
             done: Vec::new(),
         }
     }
@@ -301,23 +312,19 @@ impl Lanes {
     /// Puts plain cohort `cid` in its edge's lane; `eps` is the
     /// completion threshold of the segment it is downloading.
     fn enter(&mut self, cid: u32, c: &Cohort, eps: f64) {
-        let s = &c.state;
         let lane = &mut self.edges[c.edge];
         self.slot[cid as usize] = lane.len() as u32;
         lane.push(LaneEntry {
-            remaining: s.remaining_bytes,
-            buffer: s.buffer_ticks,
+            remaining: c.state.remaining_bytes,
             eps,
             cid,
-            rebuffer_events: s.rebuffer_events,
-            playing: s.playing,
-            in_rebuffer: s.in_rebuffer,
+            entered: self.quanta,
         });
         self.members[c.edge] += c.n;
         self.len += 1;
     }
 
-    /// Takes cohort `cid` out of its lane, writing its hot state back.
+    /// Takes cohort `cid` out of its lane, writing its state back.
     /// `None` when it was not in one.
     fn leave(&mut self, cid: u32, c: &mut Cohort) -> Option<LaneEntry> {
         let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT);
@@ -329,20 +336,20 @@ impl Lanes {
         if let Some(moved) = lane.get(slot as usize) {
             self.slot[moved.cid as usize] = slot;
         }
-        entry.write_back(&mut c.state);
+        entry.write_back(&mut c.state, self.quanta, self.q);
         self.members[c.edge] -= c.n;
         self.len -= 1;
         Some(entry)
     }
 
-    /// Empties every lane into `slow`, writing hot state back.
+    /// Empties every lane into `slow`, writing state back.
     fn flush(&mut self, cohorts: &mut [Cohort], slow: &mut Vec<u32>) {
         if self.is_empty() {
             return;
         }
         for (lane, members) in self.edges.iter_mut().zip(&mut self.members) {
             for l in lane.drain(..) {
-                l.write_back(&mut cohorts[l.cid as usize].state);
+                l.write_back(&mut cohorts[l.cid as usize].state, self.quanta, self.q);
                 self.slot[l.cid as usize] = NO_SLOT;
                 slow.push(l.cid);
             }
@@ -351,25 +358,16 @@ impl Lanes {
         self.len = 0;
     }
 
-    /// One quantum of every lane: playout drains by `step` and each
-    /// download by `dec[edge]`, exactly the full path's arithmetic.
-    /// Cohorts whose download completed leave their lane (hot state
-    /// written back) and are appended to `finished`.
-    fn step(&mut self, dec: &[f64], step: f64, cohorts: &mut [Cohort], finished: &mut Vec<u32>) {
+    /// One quantum of every lane: each download drains by `dec[edge]`,
+    /// exactly the full path's arithmetic; playout is settled on exit.
+    /// Cohorts whose download completed leave their lane (state written
+    /// back) and are appended to `finished`.
+    fn step(&mut self, dec: &[f64], cohorts: &mut [Cohort], finished: &mut Vec<u32>) {
+        self.quanta += 1;
         for (e, lane) in self.edges.iter_mut().enumerate() {
             let dec = dec[e];
             self.done.clear();
             for (i, l) in lane.iter_mut().enumerate() {
-                if l.playing {
-                    l.buffer -= step;
-                    if l.buffer < 0.0 {
-                        if !l.in_rebuffer {
-                            l.in_rebuffer = true;
-                            l.rebuffer_events += 1;
-                        }
-                        l.buffer = 0.0;
-                    }
-                }
                 l.remaining -= dec;
                 if l.remaining <= l.eps {
                     self.done.push(i as u32);
@@ -385,7 +383,7 @@ impl Lanes {
                 }
                 self.slot[l.cid as usize] = NO_SLOT;
                 let c = &mut cohorts[l.cid as usize];
-                l.write_back(&mut c.state);
+                l.write_back(&mut c.state, self.quanta, self.q);
                 self.members[e] -= c.n;
                 self.len -= 1;
                 finished.push(l.cid);
@@ -524,7 +522,7 @@ fn form_cohorts(
 ) -> Vec<Cohort> {
     let fault_seed = p.faults.as_ref().map(|f| f.seed);
     let mut cohorts: Vec<Cohort> = Vec::new();
-    let mut index = CohortIndex::with_capacity_and_hasher(1024, BuildHasherDefault::default());
+    let mut index = CohortIndex::with_capacity_and_hasher(1024, Default::default());
     for (i, &(start_tick, depart_at)) in schedule.iter().enumerate() {
         let edge = shard_edge(load, p, i, ring);
         let title = title_for(load, sampler, i);
@@ -772,7 +770,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     // cohort, ascending by id once sorted (arrivals append unsorted).
     // `slow` may hold cohorts a departure finished; the full path skips
     // them.
-    let mut lanes = Lanes::new(p.edges, cohorts.len());
+    let mut lanes = Lanes::new(p.edges, cohorts.len(), q);
     let mut slow: Vec<u32> = Vec::new();
     let mut slow_sorted = true;
     let mut n_active = 0u64;
@@ -1061,20 +1059,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         let s = &mut c.state;
                         publish_wait_ticks += skipped * q * n;
                         if s.playing {
-                            // k clamped unit drains collapse to one:
-                            // the buffer either survives the whole jump
-                            // or empties (entering rebuffer at the
-                            // quantum it first ran dry).
-                            let drain = (skipped * q) as f64;
-                            if s.buffer_ticks >= drain {
-                                s.buffer_ticks -= drain;
-                            } else {
-                                if !s.in_rebuffer {
-                                    s.in_rebuffer = true;
-                                    s.rebuffer_events += 1;
-                                }
-                                s.buffer_ticks = 0.0;
-                            }
+                            drain_playout(s, (skipped * q) as f64);
                         }
                     }
                     now = target;
@@ -1308,7 +1293,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             for (e, dec) in lane_dec.iter_mut().enumerate() {
                 *dec = edge_rate(e) * step;
             }
-            lanes.step(&lane_dec, step, &mut cohorts, &mut finished);
+            lanes.step(&lane_dec, &mut cohorts, &mut finished);
             progressed = true;
         }
         // The full path, in ascending cohort id: the slow list plus the
@@ -1976,6 +1961,102 @@ mod tests {
         );
         assert!(e.cohort_quanta > 2 * e.full_path_steps, "{e:?}");
         assert!(e.cohort_quanta <= e.quanta * e.peak_active, "{e:?}");
+    }
+
+    #[test]
+    fn lane_cohorts_that_underrun_mid_download_match_the_oracle() {
+        // An edge downlink (30 bytes/tick shared by up to 24 viewers)
+        // slower than playout: once playing, cohorts can run dry while
+        // their next segment is still downloading in a lane, so their
+        // rebuffers are entered by the drain settled on lane exit. A
+        // warm single origin never waits on a fill, so every quantum
+        // but an arrival or a completion is a lane step.
+        let m = manifest();
+        for quantum in [1, 3, 8] {
+            let load = LoadConfig {
+                sessions: 24,
+                stagger_ticks: 300,
+                tick_quantum: quantum,
+                ..Default::default()
+            };
+            let mut cdn = CdnConfig::single_origin();
+            cdn.tier.edge_capacity_bytes_per_tick = 30.0;
+            let p = params(&m, cdn, None);
+            let run = run_cohorts(std::slice::from_ref(&m), &load, &p);
+            let e = run.engine;
+            // Both settle branches: some buffers ran dry, some held.
+            let rebuffered = run.report.rebuffer_sessions;
+            assert!(
+                rebuffered > 0 && rebuffered < 24,
+                "q {quantum}: {rebuffered}"
+            );
+            assert_eq!(
+                e.full_path_steps,
+                e.cohorts * (1 + m.segment_count() as u64),
+                "q {quantum}: {e:?}"
+            );
+            assert_matches_oracle(&m, &load, &p);
+        }
+    }
+
+    #[test]
+    fn settled_playout_equals_sequential_clamped_drains() {
+        // The old per-quantum lane drain, j times, against one settle
+        // on exit after j lane quanta: every buffer, stay, quantum and
+        // state, bit for bit.
+        for q in [1u64, 4] {
+            let step = q as f64;
+            for buffer in 0..=512u32 {
+                for j in 0..=64u64 {
+                    for (playing, in_rebuffer) in
+                        [(true, false), (true, true), (false, false), (false, true)]
+                    {
+                        let mut sequential = CohortState {
+                            buffer_ticks: f64::from(buffer),
+                            playing,
+                            in_rebuffer,
+                            rebuffer_events: 2,
+                            ..test_state()
+                        };
+                        let mut settled = sequential.clone();
+                        for _ in 0..j {
+                            let s = &mut sequential;
+                            if s.playing {
+                                s.buffer_ticks -= step;
+                                if s.buffer_ticks < 0.0 {
+                                    if !s.in_rebuffer {
+                                        s.in_rebuffer = true;
+                                        s.rebuffer_events += 1;
+                                    }
+                                    s.buffer_ticks = 0.0;
+                                }
+                            }
+                        }
+                        let entry = LaneEntry {
+                            remaining: 0.0,
+                            eps: 0.5,
+                            cid: 0,
+                            entered: 9,
+                        };
+                        entry.write_back(&mut settled, 9 + j, q);
+                        assert_eq!(
+                            (
+                                settled.buffer_ticks.to_bits(),
+                                settled.in_rebuffer,
+                                settled.rebuffer_events
+                            ),
+                            (
+                                sequential.buffer_ticks.to_bits(),
+                                sequential.in_rebuffer,
+                                sequential.rebuffer_events
+                            ),
+                            "buffer {buffer}, {j} quanta of {q}, playing {playing}, \
+                             in_rebuffer {in_rebuffer}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,22 +9,104 @@
 //! across edges and measures how the capacity knee scales with edge
 //! count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// The crate's one cheap deterministic hasher, for hash indexes whose
+/// iteration order nothing observes: [`Lru`]'s key index and the fluid
+/// engine's cohort-formation index. Keys are simulator-internal, so
+/// SipHash's flooding resistance buys nothing; a lookup should cost a
+/// few cycles. Each machine word folds in with one rotate, xor and
+/// multiply (FxHash's round); `finish` runs `signal`'s SplitMix64 mixer
+/// so the table's bucket bits and tag bits both depend on every input
+/// bit. Byte strings fold a little-endian word at a time, the tail
+/// zero-padded.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.fold(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.fold(v as u64);
+    }
+}
+
+/// A `HashMap` on [`WordHasher`].
+pub(crate) type WordHashMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// A bounded, byte-budgeted LRU index. The cache tracks sizes and
 /// recency; the bytes themselves live wherever the owner keeps them
 /// (a [`crate::cache::CacheNode`]'s store, the manifest for the fluid
 /// simulator).
-#[derive(Debug, Clone, Default)]
-pub struct Lru<K: Ord + Clone> {
+///
+/// **Layout.** One hash index (on the crate's cheap deterministic
+/// hasher) maps each key to its size and a recency stamp. Every touch
+/// and insert takes the next value of a private clock, so stamps are
+/// unique and "least recently used" is "smallest stamp". A touch — the
+/// hot operation, one per segment completion in the fluid engine — is
+/// one hash probe, where an ordered tree of thousands of prewarmed
+/// objects costs a descent of cache misses.
+///
+/// **Eviction still scans.** Picking a victim ([`Lru::insert`] over
+/// budget, [`Lru::peek_victim`]) walks every entry for the minimum
+/// stamp. Because stamps are unique, the victim does not depend on the
+/// hash table's iteration order, and no method exposes that order, so
+/// every result is deterministic. Keeping an order structure instead
+/// moves cost onto every touch, which happens far more often than an
+/// eviction (the benchmarked knee searches run unbounded caches and
+/// never evict). Two such designs were measured on the fluid
+/// `cdn_knee` workload (2-vCPU x86-64 host) against the ordered tree
+/// this index replaced, and rejected: an intrusive doubly linked list in a slab (O(1)
+/// eviction, but each touch writes two random neighbours: +7%, where
+/// the plain hash index gave about +39%) and a lazy recency queue with
+/// stale-entry skipping (+15%, at 37% more peak memory).
+#[derive(Clone, Default)]
+pub struct Lru<K: Hash + Eq + Clone> {
     capacity_bytes: usize,
     held_bytes: usize,
     seq: u64,
-    entries: BTreeMap<K, (usize, u64)>,
+    entries: WordHashMap<K, (usize, u64)>,
     evictions: u64,
 }
 
-impl<K: Ord + Clone> Lru<K> {
+impl<K: Hash + Eq + Clone> Lru<K> {
     /// An empty cache holding at most `capacity_bytes`.
     #[must_use]
     pub fn new(capacity_bytes: usize) -> Self {
@@ -32,7 +114,7 @@ impl<K: Ord + Clone> Lru<K> {
             capacity_bytes,
             held_bytes: 0,
             seq: 0,
-            entries: BTreeMap::new(),
+            entries: WordHashMap::default(),
             evictions: 0,
         }
     }
@@ -85,12 +167,10 @@ impl<K: Ord + Clone> Lru<K> {
         self.held_bytes += bytes;
         let mut evicted = Vec::new();
         while self.held_bytes > self.capacity_bytes {
-            // Deterministic: seq values are unique, so the LRU victim is
-            // unambiguous.
+            // Deterministic: stamps are unique, so the LRU victim is
+            // unambiguous whatever order the index iterates in.
             let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
+                .peek_victim()
                 .map(|(k, _)| k.clone())
                 .expect("over capacity implies non-empty");
             let (sz, _) = self.entries.remove(&victim).expect("victim exists");
@@ -160,6 +240,26 @@ impl<K: Ord + Clone> Lru<K> {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.held_bytes = 0;
+    }
+}
+
+/// Entries print least recently used first, never in hash order.
+impl<K: Hash + Eq + Clone + fmt::Debug> fmt::Debug for Lru<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut by_age: Vec<_> = self.entries.iter().collect();
+        by_age.sort_unstable_by_key(|(_, &(_, stamp))| stamp);
+        f.debug_struct("Lru")
+            .field("capacity_bytes", &self.capacity_bytes)
+            .field("held_bytes", &self.held_bytes)
+            .field("evictions", &self.evictions)
+            .field(
+                "entries",
+                &by_age
+                    .iter()
+                    .map(|(k, (bytes, _))| (k, bytes))
+                    .collect::<Vec<_>>(),
+            )
+            .finish()
     }
 }
 

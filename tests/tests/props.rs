@@ -353,36 +353,18 @@ proptest! {
         }
     }
 
-    /// The edge LRU never exceeds its byte budget, never loses track of
-    /// held bytes, and evicts strictly least-recently-used keys.
+    /// The edge LRU against a tiny ordered-`Vec` model: the exact
+    /// evicted-key sequence of every insert (so it evicts strictly
+    /// least-recently-used keys), `peek_victim`, `touch`'s answer,
+    /// `remove`, `clear` then reinsert, oversized inserts, the held
+    /// bytes and the eviction counter, for `u32` and `String` keys.
     #[test]
     fn edge_lru_respects_budget_and_recency(
         capacity in 1usize..2000,
-        ops in prop::collection::vec((0u32..64, 1usize..600, any::<bool>()), 1..80),
+        ops in prop::collection::vec((0u8..6, 0u32..24, 1usize..700), 1..120),
     ) {
-        let mut lru = mmstream::Lru::new(capacity);
-        let mut live: std::collections::BTreeSet<u32> = Default::default();
-        for (key, bytes, touch) in ops {
-            if touch {
-                prop_assert_eq!(lru.touch(&key), live.contains(&key));
-            } else if bytes <= capacity {
-                for victim in lru.insert(key, bytes) {
-                    prop_assert!(victim != key, "the inserted key must survive");
-                    live.remove(&victim);
-                }
-                live.insert(key);
-            } else {
-                // Oversized: not admitted, and any stale entry under
-                // the same key is dropped rather than left behind.
-                let evicted = lru.insert(key, bytes);
-                prop_assert!(evicted.iter().all(|v| *v == key));
-                live.remove(&key);
-                prop_assert!(!lru.contains(&key));
-            }
-            prop_assert!(lru.held_bytes() <= capacity,
-                "budget violated: {} > {}", lru.held_bytes(), capacity);
-            prop_assert_eq!(lru.len(), live.len());
-        }
+        check_lru_against_model(capacity, &ops, |k| k);
+        check_lru_against_model(capacity, &ops, |k| format!("title{}/r{}/seg{k}.ts", k % 3, k % 5));
     }
 
     /// Live manifest refresh is monotone for any wheel shape, DVR depth,
@@ -1114,6 +1096,90 @@ proptest! {
         .seal(KEY);
         let _ = License::unseal(&valid[..cut % valid.len()], KEY);
         let _ = License::unseal(&flip_bits(&valid, &flips), KEY);
+    }
+}
+
+/// Replays `ops` — `(op, key, bytes)` with op 0–1 insert, 2 touch,
+/// 3 remove, 4 peek the victim, 5 clear then reinsert — on an
+/// [`mmstream::Lru`] and on a `Vec` held least- to most-recently used,
+/// asserting they agree after every step.
+fn check_lru_against_model<K: std::hash::Hash + Eq + Clone + std::fmt::Debug>(
+    capacity: usize,
+    ops: &[(u8, u32, usize)],
+    key: impl Fn(u32) -> K,
+) {
+    let mut lru = mmstream::Lru::new(capacity);
+    let mut model: Vec<(K, usize)> = Vec::new();
+    let mut evictions = 0u64;
+    let position = |model: &[(K, usize)], k: &K| model.iter().position(|(m, _)| m == k);
+    for &(op, k, bytes) in ops {
+        let k = key(k);
+        let held: usize = model.iter().map(|(_, b)| b).sum();
+        assert_eq!(
+            lru.would_evict(bytes),
+            bytes <= capacity && held + bytes > capacity
+        );
+        let mut insert = |lru: &mut mmstream::Lru<K>, model: &mut Vec<(K, usize)>| {
+            let mut expected = Vec::new();
+            if bytes > capacity {
+                // Oversized: not admitted, and a stale copy under the
+                // same key is dropped and reported evicted.
+                if let Some(i) = position(model, &k) {
+                    expected.push(model.remove(i).0);
+                }
+            } else {
+                if let Some(i) = position(model, &k) {
+                    model.remove(i);
+                }
+                model.push((k.clone(), bytes));
+                while model.iter().map(|(_, b)| b).sum::<usize>() > capacity {
+                    expected.push(model.remove(0).0);
+                }
+            }
+            evictions += expected.len() as u64;
+            assert_eq!(
+                lru.insert(k.clone(), bytes),
+                expected,
+                "insert {k:?} ({bytes} B)"
+            );
+        };
+        match op {
+            0 | 1 => insert(&mut lru, &mut model),
+            2 => {
+                let hit = position(&model, &k).map(|i| {
+                    let e = model.remove(i);
+                    model.push(e);
+                });
+                assert_eq!(lru.touch(&k), hit.is_some(), "touch {k:?}");
+            }
+            3 => {
+                let gone = position(&model, &k).map(|i| model.remove(i).1);
+                assert_eq!(lru.remove(&k), gone, "remove {k:?}");
+            }
+            4 => {}
+            _ => {
+                lru.clear();
+                model.clear();
+                assert!(lru.is_empty() && lru.held_bytes() == 0);
+                insert(&mut lru, &mut model);
+            }
+        }
+        assert_eq!(
+            lru.peek_victim().map(|(v, b)| (v.clone(), b)),
+            model.first().cloned(),
+            "victim after {op} {k:?}"
+        );
+        let held: usize = model.iter().map(|(_, b)| b).sum();
+        assert!(held <= capacity);
+        assert_eq!((lru.held_bytes(), lru.len()), (held, model.len()));
+        assert_eq!(lru.evictions(), evictions, "evictions survive clear");
+        for other in (0..24).map(&key) {
+            assert_eq!(
+                lru.contains(&other),
+                position(&model, &other).is_some(),
+                "{other:?}"
+            );
+        }
     }
 }
 
