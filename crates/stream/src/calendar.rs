@@ -22,34 +22,49 @@
 //!   more than the rare merge saved. Members differ only in when (if
 //!   ever) they churn away, kept as [`MemberGroup`]s.
 //! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
-//!   cohort's discrete events (arrival, churn departure) drives the
-//!   clock: quanta where no cohort is active fast-forward straight to
-//!   the next event boundary instead of ticking through the gap, and
-//!   departures/arrivals touch only the cohort they name.
+//!   cohort's discrete events (arrival, churn departure, publish wake)
+//!   drives the clock: departures, arrivals and wakes touch only the
+//!   cohort they name, and the *idle jump* moves the clock straight to
+//!   the quantum boundary of the next event when nothing can change
+//!   before it — no cohort is active, or every active cohort is parked
+//!   on a publish while no fill is in flight and no fault pressure
+//!   lasts. Those jumped quanta are not stepped (see
+//!   [`EngineStats::quanta`]).
+//! * **Settling in closed form.** Outside an event, a cohort does one
+//!   of two things per quantum besides downloading: it drains playout
+//!   (a plain download) or it drains playout and waits `q` ticks on a
+//!   publish (a publish-gated live viewer). Both are settled for `j`
+//!   quanta at once by one `settle`: the buffer either covers `j * q`
+//!   and drops by exactly that, or it ran dry in quantum
+//!   `buffer / q + 1`, entering rebuffer once (unless already
+//!   rebuffering) and ending at 0; every quantum from there on is a
+//!   stalled one. That equals `j` clamped per-quantum drains exactly,
+//!   because buffers and `q` are integer-valued f64 below 2^53 and
+//!   nothing else touches the buffer, `playing` or `in_rebuffer` in
+//!   between (only a completion, on the full path, refills the buffer
+//!   and ends a rebuffer). Under fault pressure a rebuffer that begins
+//!   counts as a fault rebuffer and each stalled quantum adds `q` fault
+//!   rebuffer ticks, as on the full path; `settle` takes the one fault
+//!   flag of the settled quanta (below).
 //! * **Download lanes.** A *plain* cohort — started, on an up edge,
-//!   neither waiting on a fill nor gated on a publish — does the same
-//!   two things every quantum: drain playout and take its share of the
-//!   edge downlink. Plain cohorts live in compact per-edge [`Lanes`]
-//!   holding just the download, stepped with one per-edge
-//!   `rate * step`: a lane step is `remaining -= dec` and a completion
-//!   compare, nothing else. Playout is settled when the cohort leaves
-//!   the lane (completion, departure, fault flush, end of run): an entry
-//!   records the lane's quantum count when it entered, and the `j`
-//!   quanta since then drain in closed form — the buffer either covers
-//!   `j * step` and drops by exactly that, or it ran dry at some
-//!   quantum, entering rebuffer once (unless already rebuffering) and
-//!   ending at 0. That equals `j` clamped per-quantum drains exactly,
-//!   because buffers and `step` are integer-valued f64 below 2^53, and
-//!   nothing but the drain itself touches the buffer, `playing` or
-//!   `in_rebuffer` while a cohort is in a lane (only a completion, on
-//!   the full path, refills the buffer and ends a rebuffer).
-//!   The publish fast-forward below collapses its skipped quanta by the
-//!   same argument. The edge's downloading count is the lanes' member
-//!   sum, not a pass over every cohort. Only segment completions and
-//!   non-plain cohorts run the full per-cohort path, in ascending
-//!   cohort id, so every cache touch, fill start and report fold keeps
-//!   the per-session engine's order. Per-quantum cost is O(lane
-//!   entries) of flat arithmetic plus O(events) of real work.
+//!   neither waiting on a fill nor gated on a publish — lives in compact
+//!   per-edge [`Lanes`] holding just the download, stepped with one
+//!   per-edge `rate * step`: a lane step is `remaining -= dec` and a
+//!   completion compare, nothing else. An entry records the lane's
+//!   quantum count when it entered, and its playout is settled when the
+//!   cohort leaves (completion, departure, fault flush, end of run). The
+//!   edge's downloading count is the lanes' member sum, not a pass over
+//!   every cohort.
+//! * **Parking.** A live cohort that ends its full step still pending
+//!   on a segment its title has not published, on an up edge, leaves
+//!   the active list: it records the first quantum it has not stepped
+//!   and pushes one [`EventKind::Wake`] at the segment's publish tick.
+//!   The wake (or a departure, or a fault event) settles the quanta it
+//!   slept through — playout, `publish_wait_ticks` and the fault
+//!   ledger — and the woken cohort runs that quantum's full step as if
+//!   it had never left. This is what turns a 400-tick publish pace into
+//!   O(download quanta) work per segment instead of O(pace), under
+//!   fault pressure too.
 //! * **Fault replay.** A resolved [`crate::fault::FaultPlan`] schedules
 //!   its actions on the same event heap (sorting before same-tick
 //!   arrivals), so crashes, restarts, origin flaps, and degradation
@@ -57,24 +72,40 @@
 //!   edge crashes re-home across the failover ring to survivors and
 //!   fail back on restart; rebuffers that begin under fault pressure
 //!   pin the class to the lowest rung (graceful degradation) and are
-//!   tallied into [`ResilienceStats`]. While fault pressure lasts, the
-//!   lanes stay empty and every cohort takes the full path. A run
-//!   without a plan never touches any of this — plan-free reports are
-//!   bit-identical to pre-fault builds.
+//!   tallied into [`ResilienceStats`]. The fault flag changes only at
+//!   fault events, and every fault event first flushes the lanes and
+//!   settles every parked cohort in place under the flag from *before*
+//!   the event. So each lane stay and each parked stretch has one flag,
+//!   and the closed form stays exact under fault pressure. Parked
+//!   cohorts re-home where they sit; only those *stranded* on a down
+//!   edge (every edge down, nowhere to fail over) wake into the full
+//!   path, and a stranded cohort that a restart re-homes while its
+//!   segment is still unpublished parks again. A run without a plan
+//!   never touches any of this — plan-free reports are bit-identical to
+//!   pre-fault builds.
+//!
+//! Only arrivals, segment completions, wakes, waiters, stranded cohorts
+//! and the cohorts a fault event flushed run the full per-cohort path,
+//! in ascending cohort id, so every cache touch, fill start and report
+//! fold keeps the per-session engine's order. Per-quantum cost is
+//! O(lane entries) of flat arithmetic plus O(events) of real work.
 //!
 //! Exactness contract, pinned by the oracle-equivalence property tests
 //! below, the golden tests in `serve`, and the digest golden in the
 //! workspace's `fluid_golden` suite: for unbounded edge caches (every
 //! `BENCH` knee sweep), reports are identical to the per-session
 //! quantum oracle — integer fields bit-exact, f64 fields to 1e-9
-//! (summation order). A lane step is the full path's own arithmetic
-//! (the same f64 expressions, in the same order per cohort), so lanes
-//! change no report bit. Bounded caches under *eviction* are the one
-//! documented divergence from the oracle: a cohort touches the LRU once
-//! per class rather than once per member, so recency interleaving — and
-//! hence eviction victims — can legally differ; reports remain
-//! deterministic and within the behavioural tolerances the
-//! bounded-cache tests assert.
+//! (summation order). The oracle has no faults; under faults the
+//! `full_path_reference_matches_the_shipped_engine` property pins lanes,
+//! parking and both settles to a test-only reference run in which every
+//! active cohort takes the full path every quantum. A lane step is the
+//! full path's own arithmetic (the same f64 expressions, in the same
+//! order per cohort), so lanes change no report bit. Bounded caches
+//! under *eviction* are the one documented divergence from the oracle:
+//! a cohort touches the LRU once per class rather than once per member,
+//! so recency interleaving — and hence eviction victims — can legally
+//! differ; reports remain deterministic and within the behavioural
+//! tolerances the bounded-cache tests assert.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -87,7 +118,7 @@ use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
     build_edges, build_ring, build_schedule, completion_eps, join_point, shard_edge, title_for,
-    EngineStats, LiveStats, LoadConfig, LoadReport, Req, SimEdge, TierParams, RING_VNODES,
+    EngineStats, LiveSim, LiveStats, LoadConfig, LoadReport, Req, SimEdge, TierParams, RING_VNODES,
     SHIELD_KEY_SALT, SHIELD_RING_SALT,
 };
 use crate::session::AbrController;
@@ -178,7 +209,7 @@ pub(crate) struct Cohort {
 /// Discrete per-cohort events the calendar orders. Fault actions sort
 /// first (a crash at tick t is visible to a tick-t arrival), then
 /// arrivals before departures on the same tick, mirroring the quantum
-/// engine's arrivals-then-departures loop top.
+/// engine's arrivals-then-departures loop top; wakes come last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum EventKind {
     /// A [`FaultAction`] falls due; the payload is an index into the
@@ -186,6 +217,9 @@ pub(crate) enum EventKind {
     Fault,
     Arrive,
     Depart,
+    /// The segment a parked cohort waits on publishes. Stale once the
+    /// cohort was unparked or parked again for a later segment.
+    Wake,
 }
 
 /// The binary-heap event calendar: a min-heap of `(tick, kind, cohort)`
@@ -194,10 +228,13 @@ pub(crate) enum EventKind {
 #[derive(Debug, Default)]
 pub(crate) struct EventCalendar {
     heap: BinaryHeap<Reverse<(u64, EventKind, u32)>>,
+    /// Fault actions still on the heap.
+    faults: usize,
 }
 
 impl EventCalendar {
     pub(crate) fn push(&mut self, tick: u64, kind: EventKind, cohort: u32) {
+        self.faults += usize::from(kind == EventKind::Fault);
         self.heap.push(Reverse((tick, kind, cohort)));
     }
 
@@ -211,7 +248,9 @@ impl EventCalendar {
         if self.next_tick()? > now {
             return None;
         }
-        self.heap.pop().map(|Reverse(e)| e)
+        let Reverse(e) = self.heap.pop()?;
+        self.faults -= usize::from(e.1 == EventKind::Fault);
+        Some(e)
     }
 
     /// Whether any *future* departure still targets a live cohort
@@ -226,25 +265,34 @@ impl EventCalendar {
     /// or recovery can unfreeze a run the stasis detector would
     /// otherwise declare dead.
     fn fault_pending(&self) -> bool {
-        self.heap
-            .iter()
-            .any(|&Reverse((_, kind, _))| kind == EventKind::Fault)
+        self.faults > 0
     }
 }
 
-/// Drains `drain` ticks of playout from a playing cohort at once: the
-/// closed form of `drain / q` clamped drains of one quantum each, exact
-/// for the integer-valued buffers and drains the engine uses (see the
-/// module doc's download lanes).
-fn drain_playout(s: &mut CohortState, drain: f64) {
-    if s.buffer_ticks >= drain {
-        s.buffer_ticks -= drain;
-    } else {
-        if !s.in_rebuffer {
-            s.in_rebuffer = true;
-            s.rebuffer_events += 1;
+/// Settles `j` quanta of `q` ticks in which a cohort only drained
+/// playout: the closed form of `j` clamped per-quantum drains, exact for
+/// the integer-valued buffers the engine uses (see the module doc).
+/// With `fault`, a rebuffer that begins is a fault rebuffer and every
+/// stalled quantum adds `q` fault rebuffer ticks.
+fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) {
+    let mut stalled = if s.in_rebuffer { j } else { 0 };
+    if s.playing {
+        let drain = (j * q) as f64;
+        if s.buffer_ticks >= drain {
+            s.buffer_ticks -= drain;
+        } else {
+            if !s.in_rebuffer {
+                s.in_rebuffer = true;
+                s.rebuffer_events += 1;
+                s.fault_rebuffers += u32::from(fault);
+                // The buffer ran dry in quantum `buffer / q + 1` of `j`.
+                stalled = j - s.buffer_ticks as u64 / q;
+            }
+            s.buffer_ticks = 0.0;
         }
-        s.buffer_ticks = 0.0;
+    }
+    if fault {
+        s.fault_rebuffer_ticks += stalled * q;
     }
 }
 
@@ -262,13 +310,11 @@ struct LaneEntry {
 }
 
 impl LaneEntry {
-    /// Writes the download back and settles the playout of the
-    /// `quanta - entered` quanta of `q` ticks spent in the lane.
-    fn write_back(&self, s: &mut CohortState, quanta: u64, q: u64) {
+    /// Writes the download back and settles the `quanta - entered`
+    /// quanta of `q` ticks spent in the lane, all under `fault`.
+    fn write_back(&self, s: &mut CohortState, quanta: u64, q: u64, fault: bool) {
         s.remaining_bytes = self.remaining;
-        if s.playing {
-            drain_playout(s, ((quanta - self.entered) * q) as f64);
-        }
+        settle(s, quanta - self.entered, q, fault);
     }
 }
 
@@ -326,7 +372,7 @@ impl Lanes {
 
     /// Takes cohort `cid` out of its lane, writing its state back.
     /// `None` when it was not in one.
-    fn leave(&mut self, cid: u32, c: &mut Cohort) -> Option<LaneEntry> {
+    fn leave(&mut self, cid: u32, c: &mut Cohort, fault: bool) -> Option<LaneEntry> {
         let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT);
         if slot == NO_SLOT {
             return None;
@@ -336,20 +382,25 @@ impl Lanes {
         if let Some(moved) = lane.get(slot as usize) {
             self.slot[moved.cid as usize] = slot;
         }
-        entry.write_back(&mut c.state, self.quanta, self.q);
+        entry.write_back(&mut c.state, self.quanta, self.q, fault);
         self.members[c.edge] -= c.n;
         self.len -= 1;
         Some(entry)
     }
 
     /// Empties every lane into `slow`, writing state back.
-    fn flush(&mut self, cohorts: &mut [Cohort], slow: &mut Vec<u32>) {
+    fn flush(&mut self, cohorts: &mut [Cohort], slow: &mut Vec<u32>, fault: bool) {
         if self.is_empty() {
             return;
         }
         for (lane, members) in self.edges.iter_mut().zip(&mut self.members) {
             for l in lane.drain(..) {
-                l.write_back(&mut cohorts[l.cid as usize].state, self.quanta, self.q);
+                l.write_back(
+                    &mut cohorts[l.cid as usize].state,
+                    self.quanta,
+                    self.q,
+                    fault,
+                );
                 self.slot[l.cid as usize] = NO_SLOT;
                 slow.push(l.cid);
             }
@@ -361,8 +412,8 @@ impl Lanes {
     /// One quantum of every lane: each download drains by `dec[edge]`,
     /// exactly the full path's arithmetic; playout is settled on exit.
     /// Cohorts whose download completed leave their lane (state written
-    /// back) and are appended to `finished`.
-    fn step(&mut self, dec: &[f64], cohorts: &mut [Cohort], finished: &mut Vec<u32>) {
+    /// back under `fault`) and are appended to `finished`.
+    fn step(&mut self, dec: &[f64], cohorts: &mut [Cohort], finished: &mut Vec<u32>, fault: bool) {
         self.quanta += 1;
         for (e, lane) in self.edges.iter_mut().enumerate() {
             let dec = dec[e];
@@ -383,13 +434,111 @@ impl Lanes {
                 }
                 self.slot[l.cid as usize] = NO_SLOT;
                 let c = &mut cohorts[l.cid as usize];
-                l.write_back(&mut c.state, self.quanta, self.q);
+                l.write_back(&mut c.state, self.quanta, self.q, fault);
                 self.members[e] -= c.n;
                 self.len -= 1;
                 finished.push(l.cid);
             }
         }
     }
+}
+
+/// Publish-gated cohorts parked on the calendar (see the module doc):
+/// each is on an up edge and has a [`EventKind::Wake`] pending at the
+/// publish tick of the segment it waits on.
+struct Parked {
+    cids: Vec<u32>,
+    /// Each cohort's index in `cids`, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    /// Each parked cohort's first quantum not yet settled.
+    since: Vec<u64>,
+    /// Ticks per quantum.
+    q: u64,
+}
+
+impl Parked {
+    fn new(cohorts: usize, q: u64) -> Self {
+        Self {
+            cids: Vec::new(),
+            slot: vec![NO_SLOT; cohorts],
+            since: vec![0; cohorts],
+            q,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.cids.len()
+    }
+
+    fn contains(&self, cid: u32) -> bool {
+        self.slot[cid as usize] != NO_SLOT
+    }
+
+    /// Parks `cid` from quantum `since` on, to wake at tick `wake`.
+    fn park(&mut self, cal: &mut EventCalendar, cid: u32, since: u64, wake: u64) {
+        self.slot[cid as usize] = self.cids.len() as u32;
+        self.cids.push(cid);
+        self.since[cid as usize] = since;
+        cal.push(wake, EventKind::Wake, cid);
+    }
+
+    fn unpark(&mut self, cid: u32) {
+        let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT) as usize;
+        self.cids.swap_remove(slot);
+        if let Some(&moved) = self.cids.get(slot) {
+            self.slot[moved as usize] = slot as u32;
+        }
+    }
+
+    /// Settles the quanta parked cohort `cid` slept through before
+    /// `now`, all under `fault`: each was a publish-gated full step that
+    /// drained playout and waited `q` ticks per member. Returns the
+    /// publish-wait ticks.
+    fn settle(&mut self, cid: u32, c: &mut Cohort, now: u64, fault: bool) -> u64 {
+        let since = std::mem::replace(&mut self.since[cid as usize], now);
+        let j = (now - since) / self.q;
+        settle(&mut c.state, j, self.q, fault);
+        j * self.q * c.n
+    }
+
+    /// [`Parked::settle`] for every parked cohort.
+    fn settle_all(&mut self, cohorts: &mut [Cohort], now: u64, fault: bool) -> u64 {
+        let mut wait = 0;
+        for i in 0..self.cids.len() {
+            let cid = self.cids[i];
+            wait += self.settle(cid, &mut cohorts[cid as usize], now, fault);
+        }
+        wait
+    }
+}
+
+/// Whether `c` is pending on a segment its live title has not
+/// published by `now`.
+fn gated(c: &Cohort, l: &LiveSim, now: u64, seg_counts: &[usize]) -> bool {
+    c.state.pending_request && c.state.seg as u64 > l.live_seq(now, seg_counts[c.title as usize])
+}
+
+/// Whether any edge or shield fill is in flight.
+fn fills_in_flight(edges: &[SimEdge], shields: &[SimShield]) -> bool {
+    edges.iter().any(|e| !e.fills.is_empty()) || shields.iter().any(|s| !s.fills.is_empty())
+}
+
+#[cfg(test)]
+thread_local! {
+    static FULL_PATH_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether this thread runs the reference engine: lanes, parking and
+/// the idle jump off, so every active cohort takes the full path every
+/// quantum. Test builds only; always `false` otherwise.
+#[cfg(test)]
+fn full_path_only() -> bool {
+    FULL_PATH_ONLY.with(std::cell::Cell::get)
+}
+
+#[cfg(not(test))]
+const fn full_path_only() -> bool {
+    false
 }
 
 /// The first quantum boundary at or past `target`, starting from the
@@ -760,17 +909,22 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut flap_down = false;
     let mut restore_sum = 0u64;
     let mut res = ResilienceStats::default();
+    // Fault pressure: anything down, flapping, or running degraded.
+    // Changes only at fault events; always `false` on a plan-free run.
+    let mut fault_active = false;
 
     let mut acc = Acc::default();
     let mut engine = EngineStats {
         cohorts: cohorts.len() as u64,
         ..EngineStats::default()
     };
-    // The active set is the lanes plus `slow`: every other active
-    // cohort, ascending by id once sorted (arrivals append unsorted).
-    // `slow` may hold cohorts a departure finished; the full path skips
-    // them.
+    // The active set is the lanes, the parked cohorts and `slow`: every
+    // other active cohort, ascending by id once sorted (arrivals and
+    // wakes append unsorted). `slow` may hold cohorts a departure
+    // finished; the full path skips them.
+    let reference = full_path_only();
     let mut lanes = Lanes::new(p.edges, cohorts.len(), q);
+    let mut parked = Parked::new(cohorts.len(), q);
     let mut slow: Vec<u32> = Vec::new();
     let mut slow_sorted = true;
     let mut n_active = 0u64;
@@ -803,14 +957,19 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // Calendar events due this quantum: fault actions mutate the
         // tier; arrivals activate their cohort; a departure folds its
         // member group, departed, at the quantum it fell due — exactly
-        // the oracle's loop top.
+        // the oracle's loop top; a wake hands a parked cohort back to
+        // the full path for this quantum.
         while let Some((tick, kind, cid)) = cal.pop_due(now) {
             if kind == EventKind::Fault {
-                // Faults re-home classes and end plain downloads: every
-                // cohort takes the full path until pressure lifts.
-                lanes.flush(&mut cohorts, &mut slow);
+                // A fault may move classes, change rates or flip the
+                // fault flag: lanes flush into `slow` and parked classes
+                // settle in place, both under the flag of the quanta
+                // they spent there.
+                lanes.flush(&mut cohorts, &mut slow, fault_active);
+                publish_wait_ticks += parked.settle_all(&mut cohorts, now, fault_active);
                 slow_sorted = false;
-                match fault_actions[cid as usize].1 {
+                let action = fault_actions[cid as usize].1;
+                match action {
                     FaultAction::EdgeDown(e) => {
                         if !edge_up[e] {
                             continue;
@@ -827,14 +986,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         for k in lost {
                             edges[e].fills.fail(&k, 0);
                         }
-                        if let Some(r) = ring.as_ref() {
-                            for &a in &slow {
-                                let c = &mut cohorts[a as usize];
-                                if !c.done {
-                                    res.sessions_rehomed += rehome(c, &edge_up, r);
-                                }
-                            }
-                        }
                     }
                     FaultAction::EdgeUp(e, cold) => {
                         if edge_up[e] {
@@ -848,16 +999,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         if cold {
                             edges[e].lru.clear();
                             rewarming[e] = true;
-                        }
-                        // Failback: every class whose home just came
-                        // back moves home again.
-                        if let Some(r) = ring.as_ref() {
-                            for &a in &slow {
-                                let c = &mut cohorts[a as usize];
-                                if !c.done {
-                                    res.sessions_rehomed += rehome(c, &edge_up, r);
-                                }
-                            }
                         }
                     }
                     FaultAction::ShieldDown(si) => {
@@ -933,6 +1074,49 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         origin_scale = origin_degrades.iter().product();
                     }
                 }
+                // A crash re-homes its classes to survivors; a restart
+                // fails them back home.
+                let edge_set_changed =
+                    matches!(action, FaultAction::EdgeDown(_) | FaultAction::EdgeUp(..));
+                if let Some(r) = ring.as_ref().filter(|_| edge_set_changed) {
+                    for &a in &slow {
+                        let c = &mut cohorts[a as usize];
+                        if !c.done {
+                            res.sessions_rehomed += rehome(c, &edge_up, r);
+                        }
+                    }
+                    // Parked classes re-home where they sit; those
+                    // stranded on a down edge take the full path.
+                    let mut i = 0;
+                    while i < parked.len() {
+                        let a = parked.cids[i];
+                        let c = &mut cohorts[a as usize];
+                        res.sessions_rehomed += rehome(c, &edge_up, r);
+                        if edge_up[c.edge] {
+                            i += 1;
+                        } else {
+                            parked.unpark(a);
+                            slow.push(a);
+                        }
+                    }
+                    // A stranded class a restart moved onto an up edge
+                    // parks if its segment is still unpublished.
+                    if let Some(l) = p.live.as_ref().filter(|_| !reference) {
+                        slow.retain(|&a| {
+                            let c = &cohorts[a as usize];
+                            if c.done || !edge_up[c.edge] || !gated(c, l, now, &seg_counts) {
+                                return true;
+                            }
+                            parked.park(&mut cal, a, now, l.publish_tick(c.state.seg as u64));
+                            false
+                        });
+                    }
+                }
+                fault_active = flap_down
+                    || edge_up.contains(&false)
+                    || shield_up.contains(&false)
+                    || origin_scale != 1.0
+                    || edge_scale.iter().any(|&s| s != 1.0);
                 continue;
             }
             let c = &mut cohorts[cid as usize];
@@ -954,7 +1138,13 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     }
                 }
                 EventKind::Depart => {
-                    let lane = lanes.leave(cid, c);
+                    // A lane cohort leaves its lane and a parked one
+                    // stays parked, each settled up to now first.
+                    let lane = lanes.leave(cid, c, fault_active);
+                    let asleep = parked.contains(cid);
+                    if asleep {
+                        publish_wait_ticks += parked.settle(cid, c, now, fault_active);
+                    }
                     let mut folded = 0u64;
                     let state = &c.state;
                     c.members.retain(|g| {
@@ -971,19 +1161,37 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     if c.members.is_empty() {
                         c.done = true;
                         n_active -= 1;
+                        if asleep {
+                            parked.unpark(cid);
+                        }
                     } else if let Some(l) = lane {
                         lanes.enter(cid, c, l.eps);
                     }
                 }
+                EventKind::Wake => {
+                    let l = p.live.as_ref().expect("wakes only in live mode");
+                    if parked.contains(cid) && !gated(c, l, now, &seg_counts) {
+                        publish_wait_ticks += parked.settle(cid, c, now, fault_active);
+                        parked.unpark(cid);
+                        slow.push(cid);
+                        slow_sorted = false;
+                    }
+                }
             }
         }
-        if n_active == 0 {
-            // Idle fast-forward: jump to the quantum boundary of the
-            // next calendar event (or the ceiling) — the boundary the
-            // oracle's q-at-a-time idle ticking would reach. Fault
-            // events are calendar events, so the jump never skips one.
+        // The idle jump: nothing is active, or every active cohort is
+        // parked and nothing else can move — no fill in flight, no fault
+        // pressure — before the next calendar event. Jump to that
+        // event's quantum boundary (or the ceiling): the boundary the
+        // oracle's q-at-a-time ticking would reach. Fault events and
+        // wakes are calendar events, so the jump never skips one, and
+        // parked cohorts settle the jumped quanta when they wake.
+        if parked.len() as u64 == n_active
+            && (n_active == 0 || (!fault_active && !fills_in_flight(&edges, &shields)))
+        {
             let ceiling = quantized_jump(now, load.max_ticks, q);
             now = match cal.next_tick() {
+                _ if reference => now.saturating_add(q),
                 Some(t) => quantized_jump(now, t, q).min(ceiling),
                 None => ceiling,
             };
@@ -992,80 +1200,6 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         if !slow_sorted {
             slow.sort_unstable();
             slow_sorted = true;
-        }
-        // Fault pressure this quantum: anything down, flapping, or
-        // running degraded. Gates the fast-forward paths and the lanes
-        // and attributes rebuffer accounting; always `false` on a
-        // plan-free run.
-        let fault_active = faulted
-            && (flap_down
-                || edge_up.iter().any(|&u| !u)
-                || shield_up.iter().any(|&u| !u)
-                || origin_scale != 1.0
-                || edge_scale.iter().any(|&s| s != 1.0));
-        // Publish fast-forward: when every active cohort is a caught-up
-        // live viewer (started, pending, its segment not yet published)
-        // and no origin fill is in flight, nothing can change before the
-        // next publish, arrival, or departure. Apply the skipped
-        // quanta's playout drain and publish-wait accrual analytically
-        // — exact, because both are integer-valued f64 arithmetic — and
-        // jump. This is what turns a 400-tick publish pace into
-        // O(download quanta) work per segment instead of O(pace).
-        // Plain cohorts are never pending, so non-empty lanes rule the
-        // jump out.
-        if let Some(l) = p.live.filter(|_| lanes.is_empty()) {
-            // Under fault pressure the per-quantum path stays
-            // authoritative (degraded links and parked classes change
-            // what a quantum does), so the jump is gated off. A cohort
-            // caught up on its *own* title gates on that title's
-            // publish clock.
-            let active = || {
-                slow.iter()
-                    .map(|&cid| &cohorts[cid as usize])
-                    .filter(|c| !c.done)
-            };
-            let idle_until_publish = !fault_active
-                && edges.iter().all(|e| e.fills.is_empty())
-                && shields.iter().all(|s| s.fills.is_empty())
-                && active().all(|c| {
-                    let s = &c.state;
-                    s.started
-                        && s.pending_request
-                        && s.seg as u64 > l.live_seq(now, seg_counts[c.title as usize])
-                });
-            if idle_until_publish {
-                let ceiling = quantized_jump(now, load.max_ticks, q);
-                // The earliest next publish any active class waits on.
-                let next_pub = active()
-                    .map(|c| {
-                        let nseg = seg_counts[c.title as usize];
-                        l.publish_tick(l.live_seq(now, nseg) + 1)
-                    })
-                    .min()
-                    .expect("an active cohort is in the slow list");
-                let mut target = quantized_jump(now, next_pub.max(now + 1), q);
-                if let Some(t) = cal.next_tick() {
-                    target = target.min(quantized_jump(now, t, q));
-                }
-                target = target.min(ceiling);
-                let skipped = (target - now) / q;
-                if skipped > 0 {
-                    for &cid in &slow {
-                        let c = &mut cohorts[cid as usize];
-                        if c.done {
-                            continue;
-                        }
-                        let n = c.n;
-                        let s = &mut c.state;
-                        publish_wait_ticks += skipped * q * n;
-                        if s.playing {
-                            drain_playout(s, (skipped * q) as f64);
-                        }
-                    }
-                    now = target;
-                    continue;
-                }
-            }
         }
         let step = q as f64;
         let mut progressed = false;
@@ -1286,14 +1420,26 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             (p.edge_capacity * edge_scale[e] / downloading[e].max(1) as f64).min(p.per_session)
         };
 
-        engine.quanta += 1;
-        engine.cohort_quanta += n_active;
-        engine.peak_active = engine.peak_active.max(n_active);
+        // The reference engine steps the quanta the idle jump skips over
+        // parked cohorts, and counts them no more than the jump does.
+        let jumped = reference
+            && !fault_active
+            && !fills_in_flight(&edges, &shields)
+            && p.live.as_ref().is_some_and(|l| {
+                slow.iter()
+                    .map(|&cid| &cohorts[cid as usize])
+                    .all(|c| c.done || gated(c, l, now, &seg_counts))
+            });
+        if !jumped {
+            engine.quanta += 1;
+            engine.cohort_quanta += n_active;
+            engine.peak_active = engine.peak_active.max(n_active);
+        }
         if !lanes.is_empty() {
             for (e, dec) in lane_dec.iter_mut().enumerate() {
                 *dec = edge_rate(e) * step;
             }
-            lanes.step(&lane_dec, &mut cohorts, &mut finished);
+            lanes.step(&lane_dec, &mut cohorts, &mut finished, fault_active);
             progressed = true;
         }
         // The full path, in ascending cohort id: the slow list plus the
@@ -1328,7 +1474,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             'step: {
                 if !stepped {
                     if !edge_up[edge] {
-                        // Parked: every edge is down, failover had
+                        // Stranded: every edge is down, failover had
                         // nowhere to go. Playout keeps draining —
                         // members stall in place, all of it
                         // fault-attributed — but no request, fill, or
@@ -1384,7 +1530,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     }
                     // Playout drains while the next segment downloads
                     // (or while the class waits on a fill or the live
-                    // edge).
+                    // edge), one quantum at a time like the per-session
+                    // engine: the arithmetic `settle` is pinned against.
                     if s.playing {
                         s.buffer_ticks -= step;
                         if s.buffer_ticks < 0.0 {
@@ -1561,20 +1708,19 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
                 s.fetch_start = end;
             }
-            // Where the cohort waits for the next quantum: gone, in its
-            // edge's lane (plain and no fault pressure), or slow.
+            // Where the cohort waits for the next quantum: gone, parked
+            // until its segment publishes, in its edge's lane (plain), or
+            // slow.
             if *done {
                 n_active -= 1;
-            } else if !fault_active
-                && edge_up[edge]
-                && s.started
-                && !s.waiting
-                && !s.pending_request
-            {
+            } else if reference || !edge_up[edge] || s.waiting {
+                next_slow.push(cid);
+            } else if s.pending_request {
+                let l = p.live.expect("pending only in live mode");
+                parked.park(&mut cal, cid, now + q, l.publish_tick(s.seg as u64));
+            } else {
                 let eps = completion_eps(m.rungs[s.rung].segments[s.seg].bytes as f64);
                 lanes.enter(cid, &cohorts[cid as usize], eps);
-            } else {
-                next_slow.push(cid);
             }
         }
         std::mem::swap(&mut slow, &mut next_slow);
@@ -1589,23 +1735,24 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // Stasis: every arrival has happened and a whole quantum passed
         // with no byte moved anywhere (e.g. an origin outage with cold
         // caches) — and no publish or departure is still due, so the
-        // state can never change again. Nothing progressed, so the
-        // lanes are empty and `slow` is the whole active set.
-        if !progressed && now > all_arrived_by {
-            // A scheduled restart or recovery can still unfreeze a
-            // fully stalled tier; a plan that crashes everything
-            // forever leaves nothing due and terminates cleanly here.
-            let faults_due = cal.fault_pending();
+        // state can never change again. A parked cohort will wake to a
+        // publish, so the cheap checks come first. Nothing progressed, so
+        // the lanes are empty, and with nothing parked `slow` is the
+        // whole active set.
+        // A scheduled restart or recovery can still unfreeze a fully
+        // stalled tier; a plan that crashes everything forever leaves
+        // nothing due and terminates cleanly here.
+        if !progressed && now > all_arrived_by && parked.len() == 0 && !cal.fault_pending() {
             let active = || {
                 slow.iter()
                     .map(|&cid| &cohorts[cid as usize])
                     .filter(|c| !c.done)
             };
-            // Parked classes (their edge is down) cannot consume a
+            // Stranded classes (their edge is down) cannot consume a
             // publish or wake as waiters — only a fault event revives
-            // them, and that is `faults_due`'s job to keep alive.
-            let any_unparked = active().any(|c| edge_up[c.edge]);
-            let publishes_due = any_unparked
+            // them, and no fault is due.
+            let any_unstranded = active().any(|c| edge_up[c.edge]);
+            let publishes_due = any_unstranded
                 && p.live.is_some_and(|l| {
                     active().any(|c| {
                         let nseg = seg_counts[c.title as usize];
@@ -1617,15 +1764,15 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // have gone live this very quantum without being consumed
             // yet.
             let waiters_due = active().any(|c| edge_up[c.edge] && c.state.pending_request);
-            let departures_due = cal.departure_pending(&cohorts);
-            if !faults_due && !publishes_due && !waiters_due && !departures_due {
+            if !publishes_due && !waiters_due && !cal.departure_pending(&cohorts) {
                 break;
             }
         }
     }
     // Survivors (still downloading at the ceiling, or never arrived)
     // fold with the oracle's unfinished-session arithmetic.
-    lanes.flush(&mut cohorts, &mut slow);
+    lanes.flush(&mut cohorts, &mut slow, fault_active);
+    publish_wait_ticks += parked.settle_all(&mut cohorts, now, fault_active);
     for c in &cohorts {
         if !c.done {
             for g in &c.members {
@@ -1663,14 +1810,23 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::edge::{EdgeTierConfig, Sharding};
+    use crate::fault::{FaultPlan, RestartMode};
     use crate::ladder::{encode_ladder, LadderConfig};
-    use crate::serve::{oracle, CdnConfig, ChurnConfig, LiveConfig, Scenario};
+    use crate::serve::{
+        oracle, simulate, CdnConfig, CdnLoadReport, ChurnConfig, LiveConfig, Scenario,
+    };
     use crate::session::JoinMode;
+    use crate::shield::AdmissionPolicy;
     use proptest::prelude::*;
     use video::synth::SequenceGen;
 
     fn manifest() -> Manifest {
-        let frames = SequenceGen::new(44).panning_sequence(48, 32, 16, 1, 0);
+        ladder(16)
+    }
+
+    /// A three-rung ladder of `frames` frames, four to a segment.
+    fn ladder(frames: usize) -> Manifest {
+        let frames = SequenceGen::new(44).panning_sequence(48, 32, frames, 1, 0);
         let cfg = LadderConfig {
             targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
             gop: 4,
@@ -1961,6 +2117,48 @@ mod tests {
         );
         assert!(e.cohort_quanta > 2 * e.full_path_steps, "{e:?}");
         assert!(e.cohort_quanta <= e.quanta * e.peak_active, "{e:?}");
+
+        // Live viewers under fault pressure: warm edges never wait on a
+        // fill, so beyond arrivals and completions only wakes (at most
+        // one per segment a cohort waits on) and the cohorts each fault
+        // event flushes out of the lanes take the full path. Parked
+        // cohorts stay parked through the faults and lanes stay open.
+        let m = ladder(48);
+        let nseg = m.segment_count() as u64;
+        let c = Catalog::single(m);
+        let plan = FaultPlan::new(0xFA17)
+            .crash_edge(1, 500, Some((1_500, RestartMode::Warm)))
+            .degrade_link(Some(0), 300, 2_000, 0.5)
+            .flap_origin(400, 1_200);
+        let fault_events = 6;
+        let live = Scenario {
+            live: Some(LiveConfig {
+                dvr_window_segments: 4,
+                ..Default::default()
+            }),
+            faults: &plan,
+            ..Scenario::new(
+                &c,
+                CdnConfig::flat(EdgeTierConfig {
+                    edges: 3,
+                    ..Default::default()
+                }),
+                LoadConfig {
+                    sessions: 60,
+                    stagger_ticks: 1_500,
+                    ..Default::default()
+                },
+            )
+        };
+        let r = simulate(&live);
+        let e = r.engine;
+        assert!(r.resilience.sessions_rehomed > 0, "{:?}", r.resilience);
+        assert!(r.live.publish_wait_ticks > 0, "{:?}", r.live);
+        assert!(
+            e.full_path_steps <= e.cohorts * (1 + 2 * nseg + fault_events),
+            "{e:?}"
+        );
+        assert!(e.cohort_quanta > 4 * e.full_path_steps, "{e:?}");
     }
 
     #[test]
@@ -2001,9 +2199,9 @@ mod tests {
 
     #[test]
     fn settled_playout_equals_sequential_clamped_drains() {
-        // The old per-quantum lane drain, j times, against one settle
-        // on exit after j lane quanta: every buffer, stay, quantum and
-        // state, bit for bit.
+        // The full path's per-quantum drain, j times, against one settle
+        // on exit after j lane quanta: every buffer, stay, quantum, state
+        // and fault flag, bit for bit, fault ledger included.
         for q in [1u64, 4] {
             let step = q as f64;
             for buffer in 0..=512u32 {
@@ -2011,48 +2209,59 @@ mod tests {
                     for (playing, in_rebuffer) in
                         [(true, false), (true, true), (false, false), (false, true)]
                     {
-                        let mut sequential = CohortState {
-                            buffer_ticks: f64::from(buffer),
-                            playing,
-                            in_rebuffer,
-                            rebuffer_events: 2,
-                            ..test_state()
-                        };
-                        let mut settled = sequential.clone();
-                        for _ in 0..j {
-                            let s = &mut sequential;
-                            if s.playing {
-                                s.buffer_ticks -= step;
-                                if s.buffer_ticks < 0.0 {
-                                    if !s.in_rebuffer {
-                                        s.in_rebuffer = true;
-                                        s.rebuffer_events += 1;
+                        for fault in [false, true] {
+                            let mut sequential = CohortState {
+                                buffer_ticks: f64::from(buffer),
+                                playing,
+                                in_rebuffer,
+                                rebuffer_events: 2,
+                                fault_rebuffers: 1,
+                                fault_rebuffer_ticks: 5,
+                                ..test_state()
+                            };
+                            let mut settled = sequential.clone();
+                            for _ in 0..j {
+                                let s = &mut sequential;
+                                if s.playing {
+                                    s.buffer_ticks -= step;
+                                    if s.buffer_ticks < 0.0 {
+                                        if !s.in_rebuffer {
+                                            s.in_rebuffer = true;
+                                            s.rebuffer_events += 1;
+                                            if fault {
+                                                s.fault_rebuffers += 1;
+                                            }
+                                        }
+                                        s.buffer_ticks = 0.0;
                                     }
-                                    s.buffer_ticks = 0.0;
+                                }
+                                if fault && s.in_rebuffer {
+                                    s.fault_rebuffer_ticks += q;
                                 }
                             }
+                            let entry = LaneEntry {
+                                remaining: 0.0,
+                                eps: 0.5,
+                                cid: 0,
+                                entered: 9,
+                            };
+                            entry.write_back(&mut settled, 9 + j, q, fault);
+                            let ledger = |s: &CohortState| {
+                                (
+                                    s.buffer_ticks.to_bits(),
+                                    s.in_rebuffer,
+                                    s.rebuffer_events,
+                                    s.fault_rebuffers,
+                                    s.fault_rebuffer_ticks,
+                                )
+                            };
+                            assert_eq!(
+                                ledger(&settled),
+                                ledger(&sequential),
+                                "buffer {buffer}, {j} quanta of {q}, playing {playing}, \
+                                 in_rebuffer {in_rebuffer}, fault {fault}"
+                            );
                         }
-                        let entry = LaneEntry {
-                            remaining: 0.0,
-                            eps: 0.5,
-                            cid: 0,
-                            entered: 9,
-                        };
-                        entry.write_back(&mut settled, 9 + j, q);
-                        assert_eq!(
-                            (
-                                settled.buffer_ticks.to_bits(),
-                                settled.in_rebuffer,
-                                settled.rebuffer_events
-                            ),
-                            (
-                                sequential.buffer_ticks.to_bits(),
-                                sequential.in_rebuffer,
-                                sequential.rebuffer_events
-                            ),
-                            "buffer {buffer}, {j} quanta of {q}, playing {playing}, \
-                             in_rebuffer {in_rebuffer}"
-                        );
                     }
                 }
             }
@@ -2084,8 +2293,120 @@ mod tests {
         assert_matches_oracle(&m, &load, &p);
     }
 
+    /// `s` through the reference engine, where every active cohort
+    /// takes the full path every quantum.
+    fn simulate_full_path_only(s: &Scenario) -> CdnLoadReport {
+        FULL_PATH_ONLY.with(|f| f.set(true));
+        let r = simulate(s);
+        FULL_PATH_ONLY.with(|f| f.set(false));
+        r
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Lanes, parking, both settles and the idle jump against the
+        /// reference engine, under every fault kind: the oracle has no
+        /// faults, so this is what pins the fault paths beyond the
+        /// fixed goldens. Reports must be equal field for field, and so
+        /// must every engine counter but the full-path steps saved.
+        #[test]
+        fn full_path_reference_matches_the_shipped_engine(
+            mode in 0u8..3,
+            titles in 1usize..3,
+            population in (1usize..40, 0u64..1200, any::<u64>(), 1u64..9),
+            tier in (1usize..5, 0usize..3, 0usize..3, any::<bool>(), 30.0f64..3000.0),
+            churn in (0usize..16, 1.0f64..120.0, 0.0f64..1500.0),
+            faults in proptest::collection::vec(
+                (0u8..4, 0u64..2000, 1u64..1500, 0usize..5, any::<bool>(), 0.1f64..0.9),
+                0..6,
+            ),
+            fault_seed in any::<u64>(),
+        ) {
+            let (sessions, stagger, seed, quantum) = population;
+            let (edges, shields, shard_mode, prewarm, edge_capacity) = tier;
+            let (churn_sessions, interarrival, watch) = churn;
+            let m = ladder(32);
+            let catalog = if titles == 1 {
+                Catalog::single(m)
+            } else {
+                Catalog::synthesize(&m, titles, 0.9)
+            };
+            let plan = faults.iter().fold(
+                FaultPlan::new(fault_seed),
+                |plan, &(kind, at, span, which, cold, scale)| {
+                    let restart = (span < 1_400).then_some((
+                        at + span,
+                        if cold { RestartMode::Cold } else { RestartMode::Warm },
+                    ));
+                    match kind {
+                        0 => plan.crash_edge(which % edges, at, restart),
+                        1 => plan.crash_shield(which % shields.max(1), at, restart),
+                        2 => plan.flap_origin(at, at + span),
+                        _ => plan.degrade_link(
+                            (which < edges).then_some(which),
+                            at,
+                            at + span,
+                            scale,
+                        ),
+                    }
+                },
+            );
+            let live = LiveConfig {
+                dvr_window_segments: 4,
+                head_start_segments: u64::from(mode == 2),
+                join: if mode == 2 { JoinMode::DvrStart } else { JoinMode::LiveEdge },
+                ..Default::default()
+            };
+            let s = Scenario {
+                live: (mode > 0).then_some(live),
+                faults: &plan,
+                ..Scenario::new(
+                    &catalog,
+                    CdnConfig {
+                        tier: EdgeTierConfig {
+                            edges,
+                            sharding: match shard_mode {
+                                0 => Sharding::RoundRobin,
+                                1 => Sharding::Hash,
+                                _ => Sharding::Ring,
+                            },
+                            prewarm,
+                            edge_capacity_bytes_per_tick: edge_capacity,
+                            ..Default::default()
+                        },
+                        shields,
+                        shield_cache_capacity_bytes: usize::MAX,
+                        shield_capacity_bytes_per_tick: 8_000.0,
+                        admission: AdmissionPolicy::AdmitAll,
+                    },
+                    LoadConfig {
+                        sessions,
+                        stagger_ticks: stagger,
+                        seed,
+                        tick_quantum: quantum,
+                        churn: ChurnConfig {
+                            churn_sessions,
+                            mean_interarrival_ticks: interarrival,
+                            mean_watch_ticks: watch,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    },
+                )
+            };
+            let shipped = simulate(&s);
+            let reference = simulate_full_path_only(&s);
+            prop_assert!(
+                shipped.engine.full_path_steps <= reference.engine.full_path_steps,
+                "{:?} vs {:?}",
+                shipped.engine,
+                reference.engine
+            );
+            let mut same = shipped;
+            same.engine.full_path_steps = reference.engine.full_path_steps;
+            prop_assert_eq!(same, reference);
+        }
 
         /// VOD through an edge tier: the cohort engine is
         /// report-identical to the retired per-session quantum engine

@@ -418,13 +418,18 @@ pub struct EngineStats {
     pub cohorts: u64,
     /// Most cohorts active in one quantum.
     pub peak_active: u64,
-    /// Quanta the engine stepped (idle and publish-wait jumps excluded).
+    /// Quanta the engine stepped. The idle jump skips the rest: quanta
+    /// in which no cohort is active, or every active cohort is parked
+    /// on an unpublished live segment while no fill is in flight and no
+    /// fault pressure lasts.
     pub quanta: u64,
-    /// Active cohorts summed over stepped quanta.
+    /// Active cohorts (parked ones included) summed over stepped quanta.
     pub cohort_quanta: u64,
     /// Cohort steps that took the full per-cohort path: arrivals,
-    /// segment completions, waiters, publish-gated and parked cohorts,
-    /// and every cohort under fault pressure. The rest were lane steps.
+    /// segment completions, wakes of parked cohorts, waiters on a fill,
+    /// cohorts stranded on a down edge, and the cohorts each fault event
+    /// flushes out of the lanes. The rest were lane steps or quanta a
+    /// parked cohort slept through, both settled in closed form.
     pub full_path_steps: u64,
 }
 
