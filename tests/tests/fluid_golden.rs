@@ -1,4 +1,4 @@
-//! Golden for the fluid engine behind `serve::simulate`: fifteen
+//! Golden for the fluid engine behind `serve::simulate`: seventeen
 //! scenarios covering every topology, cache policy, live mode and fault
 //! kind, each reduced to an FNV-1a digest of every `CdnLoadReport`
 //! field it had before the engine counters existed. f64 fields hash by
@@ -135,6 +135,50 @@ fn flash(sessions: usize, at: u64, ramp: u64) -> ChurnConfig {
         flash_ramp_ticks: ramp,
         ..Default::default()
     }
+}
+
+/// Four edges behind two shields that each hold a thirty-second of a 16-title
+/// Zipf catalog, over a slow shield downlink: the shields evict, and
+/// edge fills whose object the shield evicted before they drained
+/// re-register on it.
+fn bounded_shield() -> CdnLoadReport {
+    let zipf = Catalog::synthesize(&manifest(16), 16, 0.9);
+    let cdn = CdnConfig {
+        tier: tier(4, Sharding::Hash, false),
+        shields: 2,
+        shield_cache_capacity_bytes: zipf.working_set_bytes() as usize / 32,
+        shield_capacity_bytes_per_tick: 600.0,
+        admission: AdmissionPolicy::AdmitAll,
+    };
+    simulate(&Scenario::new(&zipf, cdn, load(1_500, 3_000)))
+}
+
+/// A live shielded run under faults: a shield crashes and restarts
+/// warm, an edge crashes and restarts cold (its fills count as re-warm
+/// traffic), and the origin uplink runs degraded across both.
+fn live_shield_faults() -> CdnLoadReport {
+    let live_title = Catalog::single(manifest(32));
+    let cdn = CdnConfig {
+        tier: tier(4, Sharding::RoundRobin, false),
+        shields: 2,
+        shield_cache_capacity_bytes: usize::MAX,
+        shield_capacity_bytes_per_tick: 8_000.0,
+        admission: AdmissionPolicy::AdmitAll,
+    };
+    let live = LiveConfig {
+        dvr_window_segments: 4,
+        join: JoinMode::LiveEdge,
+        ..Default::default()
+    };
+    let plan = FaultPlan::new(0x11FE)
+        .crash_shield(1, 300, Some((700, RestartMode::Warm)))
+        .crash_edge(2, 400, Some((900, RestartMode::Cold)))
+        .degrade_link(None, 150, 1_100, 0.5);
+    simulate(&Scenario {
+        live: Some(live),
+        faults: &plan,
+        ..Scenario::new(&live_title, cdn, load(600, 800))
+    })
 }
 
 /// The scenarios, each run once and reduced to its digest.
@@ -367,11 +411,14 @@ fn scenarios() -> Vec<(&'static str, u64)> {
                 load(300, 400),
             ),
         ),
+        ("bounded_shield", digest(&bounded_shield())),
+        ("live_shield_faults", digest(&live_shield_faults())),
     ]
 }
 
 /// Digests captured from the engine before it lost its merge sweep, in
-/// scenarios where that sweep merged nothing.
+/// scenarios where that sweep merged nothing; the last two from the
+/// engine whose edge and shield caches were still separate types.
 const DIGESTS: &[(&str, u64)] = &[
     ("single_origin", 0x18086824b48bc6d4),
     ("flat_round_robin", 0xa24d7cd36fe2ee18),
@@ -388,6 +435,8 @@ const DIGESTS: &[(&str, u64)] = &[
     ("shield_faults", 0x90e3e2f97072eafa),
     ("origin_outage", 0x7bfeb096a9646a05),
     ("every_edge_down_forever", 0x66a8c681d09f840e),
+    ("bounded_shield", 0x979db93f468924ee),
+    ("live_shield_faults", 0x6f52f9a5f24793d5),
 ];
 
 #[test]
@@ -409,4 +458,26 @@ fn fluid_reports_match_their_golden_digests() {
             "{name}: digest 0x{d:016x} != golden 0x{g:016x}; current digests:\n{table}"
         );
     }
+}
+
+#[test]
+fn bounded_shield_evicts_and_re_requests_evicted_fills() {
+    let r = bounded_shield();
+    let (edges, shields) = (r.tier.edges, r.tier.shields);
+    assert!(shields.evictions > 0, "the shield tier never evicted");
+    // Fault-free, every edge fill start registers on its shield once;
+    // the surplus is the re-request pass for evicted objects.
+    assert!(
+        shields.hits + shields.misses + shields.coalesced > edges.misses,
+        "no edge fill was re-requested after a shield eviction"
+    );
+}
+
+#[test]
+fn live_shield_faults_restart_both_tiers_and_rewarm() {
+    let r = live_shield_faults();
+    let f = &r.resilience;
+    assert!(f.shield_restarts > 0, "no shield restarted");
+    assert!(f.edge_restarts > 0, "no edge restarted");
+    assert!(f.rewarm_fills > 0, "the cold edge counted no re-warm fills");
 }
