@@ -142,8 +142,16 @@ impl PerfReport {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying I/O error.
+    /// An [`std::io::ErrorKind::InvalidData`] error, writing nothing,
+    /// when the report has no entries (a run that measured nothing must
+    /// not pass for one that did); otherwise the underlying I/O error.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
+        if self.entries.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("perf report `{}` has no entries", self.name),
+            ));
+        }
         std::fs::write(path, self.to_json())
     }
 }
@@ -228,6 +236,17 @@ mod tests {
         assert!(j.contains("\"me_full\"") && j.contains("\"dct8x8\""));
         assert!(j.contains("\"wall_ns_per_block\": 812.375"));
         assert!(j.contains("\"sad_evaluations\": 225"));
+    }
+
+    #[test]
+    fn an_empty_report_is_refused_and_writes_nothing() {
+        let path = std::env::temp_dir().join(format!("empty_perf_{}.json", std::process::id()));
+        let path = path.to_str().expect("temp path is UTF-8");
+        let err = PerfReport::new("empty", "t")
+            .write(path)
+            .expect_err("an empty report must not write");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(!std::path::Path::new(path).exists());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   per-session engine would run for each member), so its trajectory —
 //!   every completion tick, rebuffer, rung switch — is exactly the
 //!   per-session trajectory, and the edge counters advance by counted
-//!   arithmetic ([`SimEdge::request_n`]). A flash crowd of 100k viewers
+//!   arithmetic ([`FluidNode::request_n`]). A flash crowd of 100k viewers
 //!   landing on one tick is one actor. Cohorts never merge: a
 //!   session's first request stamps its own arrival tick into the ABR
 //!   estimate, so classes that arrived on different ticks almost never
@@ -117,14 +117,12 @@ use crate::edge::{HashRing, WordHashMap};
 use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
-    build_edges, build_ring, build_schedule, completion_eps, join_point, shard_edge, title_for,
-    EngineStats, LiveSim, LiveStats, LoadConfig, LoadReport, Req, SimEdge, TierParams, RING_VNODES,
-    SHIELD_KEY_SALT, SHIELD_RING_SALT,
+    build_ring, build_schedule, build_tier, completion_eps, join_point, obj_bytes, shard_edge,
+    title_for, EngineStats, FluidNode, LiveSim, LiveStats, LoadConfig, LoadReport, Req, TierParams,
+    RING_VNODES, SHIELD_KEY_SALT, SHIELD_RING_SALT,
 };
 use crate::session::AbrController;
-use crate::shield::{
-    admit_insert, build_shields, obj_key_hash, shield_home, Admission, ObjKey, SimShield,
-};
+use crate::shield::{shield_home, AdmissionPolicy, ObjKey};
 
 /// The cohort-formation index: formation does one lookup per
 /// *session* (the only O(population) hot path left), so it hashes with
@@ -519,8 +517,8 @@ fn gated(c: &Cohort, l: &LiveSim, now: u64, seg_counts: &[usize]) -> bool {
 }
 
 /// Whether any edge or shield fill is in flight.
-fn fills_in_flight(edges: &[SimEdge], shields: &[SimShield]) -> bool {
-    edges.iter().any(|e| !e.fills.is_empty()) || shields.iter().any(|s| !s.fills.is_empty())
+fn fills_in_flight(edges: &[FluidNode], shields: &[FluidNode]) -> bool {
+    edges.iter().chain(shields).any(|n| !n.fills.is_empty())
 }
 
 #[cfg(test)]
@@ -645,9 +643,9 @@ impl Acc {
 /// What one cohort run hands back to the `serve` entry points.
 pub(crate) struct CohortRun {
     pub(crate) report: LoadReport,
-    pub(crate) edges: Vec<SimEdge>,
+    pub(crate) edges: Vec<FluidNode>,
     /// The shield tier's caches — empty in a flat topology.
-    pub(crate) shields: Vec<SimShield>,
+    pub(crate) shields: Vec<FluidNode>,
     pub(crate) live: LiveStats,
     /// All zero on a plan-free run.
     pub(crate) resilience: ResilienceStats,
@@ -665,7 +663,7 @@ fn form_cohorts(
     seg_counts: &[usize],
     load: &LoadConfig,
     p: &TierParams,
-    edges: &mut [SimEdge],
+    edges: &mut [FluidNode],
     ring: Option<&HashRing>,
     sampler: Option<&ZipfSampler>,
 ) -> Vec<Cohort> {
@@ -782,28 +780,83 @@ fn reroute_shields(
     }
 }
 
-/// One cohort-counted cache request with the tier glue applied: the
-/// edge's admission sketch sees the demand first (every request feeds
-/// frequency, hit or miss), and a request that *starts* an edge fill
-/// registers on the serving shield — a shield hit, a new origin fill,
-/// or a coalesce into one already in flight. With admission off and no
-/// shield this is exactly [`SimEdge::request_n`].
-fn cohort_request(
-    e: &mut SimEdge,
-    adm: &mut Option<Admission>,
-    shield: Option<&mut SimShield>,
-    key: ObjKey,
-    bytes: f64,
+/// A class of `n` members in state `s` requests its current segment of
+/// title `title` (manifest `m`) from `edge`. A hit starts the download,
+/// carrying any download overshoot; otherwise the class waits on the
+/// fill and the overshoot is discarded. A request that starts an edge
+/// fill registers on `shield` (the serving shield while one is up) and,
+/// under `rewarm`, counts one re-warm fill. Returns whether it started
+/// a fill.
+#[allow(clippy::too_many_arguments)]
+fn request(
+    edge: &mut FluidNode,
+    shield: Option<&mut FluidNode>,
+    m: &Manifest,
+    title: u32,
+    s: &mut CohortState,
     n: u64,
-) -> Req {
-    if let Some(a) = adm.as_mut() {
-        a.record(obj_key_hash(key), n);
+    rewarm: bool,
+    rewarm_fills: &mut u64,
+) -> bool {
+    let key = (title, s.rung as u32, s.seg as u32);
+    let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
+    match edge.request_n(key, bytes, n) {
+        Req::Hit => {
+            s.remaining_bytes += bytes;
+            false
+        }
+        Req::Wait(new_fill) => {
+            s.waiting = true;
+            s.remaining_bytes = 0.0;
+            if new_fill {
+                if let Some(sh) = shield {
+                    sh.request_n(key, bytes, 1);
+                }
+                *rewarm_fills += u64::from(rewarm);
+            }
+            new_fill
+        }
     }
-    let req = e.request_n(key, bytes, n);
-    if let (Req::Wait(true), Some(sh)) = (req, shield) {
-        sh.request(key, bytes);
+}
+
+/// Crashes node `i` of a tier at `tick` (`restart` is `None`) or
+/// restarts it (`Some(cold)`). A crash fails the node's in-flight fills
+/// and keeps the crash tick; a restart adds the ticks it was down to
+/// `restore_sum` and, when cold, wipes its cache. Returns `false`,
+/// changing nothing, when the node already is in that state.
+fn crash_or_restart(
+    nodes: &mut [FluidNode],
+    up: &mut [bool],
+    i: usize,
+    restart: Option<bool>,
+    tick: u64,
+    fills_lost: &mut u64,
+    restore_sum: &mut u64,
+) -> bool {
+    if up[i] == restart.is_some() {
+        return false;
     }
-    req
+    up[i] = restart.is_some();
+    let node = &mut nodes[i];
+    match restart {
+        None => {
+            node.crash_tick = Some(tick);
+            let lost: Vec<ObjKey> = node.fills.iter().map(|(k, _)| k.0).collect();
+            *fills_lost += lost.len() as u64;
+            for k in lost {
+                node.fills.fail(&k, 0);
+            }
+        }
+        Some(cold) => {
+            if let Some(t0) = node.crash_tick.take() {
+                *restore_sum += tick - t0;
+            }
+            if cold {
+                node.lru.clear();
+            }
+        }
+    }
+    true
 }
 
 /// The cohort fluid engine. Semantically the per-session quantum
@@ -820,7 +873,13 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
     let q = load.tick_quantum.max(1);
 
-    let mut edges = build_edges(titles, p);
+    let mut edges = build_tier(
+        titles,
+        p.edges,
+        p.cache_capacity_bytes,
+        p.prewarm,
+        p.admission,
+    );
     let (schedule, phantoms) = build_schedule(load);
     let n_sessions = schedule.len() + phantoms;
     let all_arrived_by = schedule.iter().map(|&(s, _)| s).max().unwrap_or(0);
@@ -838,21 +897,17 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
 
     // The shield tier — empty in the flat topology, which is the
     // legacy code path bit-identically (nothing below consults an
-    // empty shield vec). Per-edge admission sketches likewise build to
-    // `None` under admit-always, leaving every insert a plain insert.
+    // empty shield vec). Edge admission sketches likewise build to
+    // `None` under admit-always, leaving every insert a plain insert;
+    // shields always admit.
     let shields_on = p.shields > 0;
-    let mut shields = if shields_on {
-        build_shields(
-            titles,
-            p.shields,
-            p.shield_cache_capacity_bytes,
-            p.prewarm,
-            p.edges,
-        )
-    } else {
-        Vec::new()
-    };
-    let mut edge_adm: Vec<Option<Admission>> = (0..p.edges).map(|_| p.admission.build()).collect();
+    let mut shields = build_tier(
+        titles,
+        p.shields,
+        p.shield_cache_capacity_bytes,
+        p.prewarm,
+        AdmissionPolicy::AdmitAll,
+    );
 
     let mut cal = EventCalendar::default();
     for (cid, c) in cohorts.iter().enumerate() {
@@ -877,20 +932,16 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     // stays up, every scale stays exactly 1.0 (and `x * 1.0` is
     // IEEE-exact), so the plan-free trajectory is bit-identical.
     let mut edge_up = vec![true; p.edges];
-    let mut crash_tick: Vec<Option<u64>> = vec![None; p.edges];
     let mut shield_up = vec![true; p.shields];
-    let mut shield_crash_tick: Vec<Option<u64>> = vec![None; p.shields];
     // Which shield each edge currently fills from: its home, unless
-    // the home is down and the shield ring re-routed it to a survivor.
+    // the home is down and the shield ring re-routed it to a survivor
+    // (0 in a flat tier, which has no shield to index).
     let mut edge_shield: Vec<usize> = (0..p.edges)
-        .map(|e| {
-            if shields_on {
-                shield_home(e, p.edges, p.shields)
-            } else {
-                0
-            }
-        })
+        .map(|e| shield_home(e, p.edges, p.shields.max(1)))
         .collect();
+    for &si in edge_shield.iter().filter(|_| shields_on) {
+        shields[si].assigned += 1;
+    }
     let shield_ring = (shields_on && faulted)
         .then(|| HashRing::new(p.shields, RING_VNODES, load.seed ^ SHIELD_RING_SALT));
     let shield_keys: Vec<u64> = (0..p.edges)
@@ -935,6 +986,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut next_slow: Vec<u32> = Vec::new();
     let mut downloading = vec![0u64; p.edges];
     let mut lane_dec = vec![0.0f64; p.edges];
+    let mut draw = vec![0usize; p.shields];
+    let mut landed: Vec<ObjKey> = Vec::new();
 
     // Graceful degradation folds into every rung pick: once fault
     // pressure has made a class rebuffer, it pins to the lowest rung
@@ -970,78 +1023,50 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 slow_sorted = false;
                 let action = fault_actions[cid as usize].1;
                 match action {
-                    FaultAction::EdgeDown(e) => {
-                        if !edge_up[e] {
+                    FaultAction::EdgeDown(i)
+                    | FaultAction::EdgeUp(i, _)
+                    | FaultAction::ShieldDown(i)
+                    | FaultAction::ShieldUp(i, _) => {
+                        let (shield, restart, count) = match action {
+                            FaultAction::EdgeDown(_) => (false, None, &mut res.edge_crashes),
+                            FaultAction::EdgeUp(_, cold) => {
+                                (false, Some(cold), &mut res.edge_restarts)
+                            }
+                            FaultAction::ShieldDown(_) => (true, None, &mut res.shield_crashes),
+                            FaultAction::ShieldUp(_, cold) => {
+                                (true, Some(cold), &mut res.shield_restarts)
+                            }
+                            _ => unreachable!("a crash or restart"),
+                        };
+                        let (nodes, up) = if shield {
+                            (&mut shields, &mut shield_up)
+                        } else {
+                            (&mut edges, &mut edge_up)
+                        };
+                        if !crash_or_restart(
+                            nodes,
+                            up,
+                            i,
+                            restart,
+                            tick,
+                            &mut res.fills_lost,
+                            &mut restore_sum,
+                        ) {
                             continue;
                         }
-                        edge_up[e] = false;
-                        crash_tick[e] = Some(tick);
-                        res.edge_crashes += 1;
-                        // In-flight fills die with the edge; re-homed
-                        // waiters re-request on survivors, where
-                        // `FillTable` coalescing absorbs the herd.
-                        let lost: Vec<ObjKey> =
-                            edges[e].fills.iter_mut().map(|(k, _)| k.0).collect();
-                        res.fills_lost += lost.len() as u64;
-                        for k in lost {
-                            edges[e].fills.fail(&k, 0);
-                        }
-                    }
-                    FaultAction::EdgeUp(e, cold) => {
-                        if edge_up[e] {
-                            continue;
-                        }
-                        edge_up[e] = true;
-                        res.edge_restarts += 1;
-                        if let Some(t0) = crash_tick[e].take() {
-                            restore_sum += tick - t0;
-                        }
-                        if cold {
-                            edges[e].lru.clear();
-                            rewarming[e] = true;
-                        }
-                    }
-                    FaultAction::ShieldDown(si) => {
-                        if !shield_up[si] {
-                            continue;
-                        }
-                        shield_up[si] = false;
-                        shield_crash_tick[si] = Some(tick);
-                        res.shield_crashes += 1;
-                        // In-flight origin fills die with the shield;
-                        // orphaned edge fills re-register on the
-                        // failover shield via the re-request pass.
-                        let lost: Vec<ObjKey> =
-                            shields[si].fills.iter_mut().map(|(k, _)| k.0).collect();
-                        res.fills_lost += lost.len() as u64;
-                        for k in lost {
-                            shields[si].fills.fail(&k, 0);
-                        }
-                        if let Some(r) = shield_ring.as_ref() {
-                            reroute_shields(
-                                &mut edge_shield,
-                                &shield_up,
-                                r,
-                                &shield_keys,
-                                p.shields,
-                            );
-                        }
-                    }
-                    FaultAction::ShieldUp(si, cold) => {
-                        if shield_up[si] {
-                            continue;
-                        }
-                        shield_up[si] = true;
-                        res.shield_restarts += 1;
-                        if let Some(t0) = shield_crash_tick[si].take() {
-                            restore_sum += tick - t0;
-                        }
-                        if cold {
-                            shields[si].lru.clear();
-                        }
-                        // Failback: every child edge whose home shield
-                        // just came back moves home again.
-                        if let Some(r) = shield_ring.as_ref() {
+                        *count += 1;
+                        if !shield {
+                            // Re-homed waiters re-request on survivors,
+                            // where `FillTable` coalescing absorbs the
+                            // herd. A cold edge counts its fills as
+                            // re-warm traffic until it caches an object
+                            // again.
+                            rewarming[i] |= restart == Some(true);
+                        } else if let Some(r) = shield_ring.as_ref() {
+                            // A shield crash re-routes its child edges to
+                            // a survivor, where their orphaned fills
+                            // re-register via the re-request pass; a
+                            // restart moves them home again.
                             reroute_shields(
                                 &mut edge_shield,
                                 &shield_up,
@@ -1214,14 +1239,9 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 for seq in last_first_seq[ti]..first {
                     for ri in 0..m.rungs.len() {
                         let key = (ti as u32, ri as u32, seq as u32);
-                        for e in edges.iter_mut() {
-                            if e.lru.remove(&key).is_some() {
-                                e.stats.invalidations += 1;
-                            }
-                        }
-                        for sh in shields.iter_mut() {
-                            if sh.lru.remove(&key).is_some() {
-                                sh.stats.invalidations += 1;
+                        for node in edges.iter_mut().chain(shields.iter_mut()) {
+                            if node.lru.remove(&key).is_some() {
+                                node.stats.invalidations += 1;
                             }
                         }
                     }
@@ -1238,141 +1258,68 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // Fills land *before* the downlink shares are computed, so
         // waiters waking this quantum count toward their edge's split.
         let origin_down = p.origin_down_after.is_some_and(|t| now >= t) || flap_down;
-        if !shields_on {
-            let total_fills: usize = edges.iter().map(|e| e.fills.len()).sum();
-            if total_fills > 0 && !origin_down && p.origin_capacity > 0.0 {
-                let fill_rate = p.origin_capacity * origin_scale / total_fills as f64;
-                for (ei, e) in edges.iter_mut().enumerate() {
-                    let done: Vec<ObjKey> = e
-                        .fills
-                        .iter_mut()
-                        .filter_map(|(k, rem)| {
-                            *rem -= fill_rate * step;
-                            let total = titles[k.0 .0 as usize].rungs[k.0 .1 as usize].segments
-                                [k.0 .2 as usize]
-                                .bytes as f64;
-                            (*rem <= completion_eps(total)).then_some(k.0)
-                        })
-                        .collect();
-                    for k in done {
-                        e.fills.complete(&k, 0);
-                        let bytes =
-                            titles[k.0 as usize].rungs[k.1 as usize].segments[k.2 as usize].bytes;
-                        e.stats.origin_bytes += bytes as u64;
-                        // Admission may refuse to cache the filled
-                        // object; its waiters still wake via the pass
-                        // set (serve-through without caching).
-                        if !admit_insert(&mut e.lru, &edge_adm[ei], k, bytes) {
-                            e.pass.insert(k);
-                        }
-                        e.stats.evictions = e.lru.evictions();
-                        // The wiped cache holds an object again: later
-                        // fills are ordinary demand fills, not re-warm.
-                        rewarming[ei] = false;
-                    }
-                }
-                progressed = true;
-            }
-        } else {
+        if shields_on {
             // Re-request pass first: edge fills whose serving shield
             // neither caches the object nor has an origin fill in
             // flight (shield crash, failover, or shield-side eviction)
             // re-register as shield misses — one origin fill restarts
             // no matter how many child edges wait on it.
-            for ei in 0..p.edges {
-                let si = edge_shield[ei];
-                if !shield_up[si] {
-                    continue;
-                }
-                let orphaned: Vec<ObjKey> = edges[ei]
-                    .fills
-                    .iter()
-                    .map(|(k, _)| k.0)
-                    .filter(|k| !shields[si].lru.contains(k) && !shields[si].fills.contains(k, 0))
-                    .collect();
-                for k in orphaned {
-                    let bytes = titles[k.0 as usize].rungs[k.1 as usize].segments[k.2 as usize]
-                        .bytes as f64;
-                    shields[si].stats.misses += 1;
-                    shields[si].fills.request(k, 0, || bytes);
-                    progressed = true;
-                }
-            }
-            // Shield→origin leg: every in-flight shield fill shares
-            // the true origin uplink.
-            let total_fills: usize = shields.iter().map(|s| s.fills.len()).sum();
-            if total_fills > 0 && !origin_down && p.origin_capacity > 0.0 {
-                let fill_rate = p.origin_capacity * origin_scale / total_fills as f64;
-                for sh in shields.iter_mut() {
-                    let done: Vec<ObjKey> = sh
-                        .fills
-                        .iter_mut()
-                        .filter_map(|(k, rem)| {
-                            *rem -= fill_rate * step;
-                            let total = titles[k.0 .0 as usize].rungs[k.0 .1 as usize].segments
-                                [k.0 .2 as usize]
-                                .bytes as f64;
-                            (*rem <= completion_eps(total)).then_some(k.0)
-                        })
-                        .collect();
-                    for k in done {
-                        sh.fills.complete(&k, 0);
-                        let bytes =
-                            titles[k.0 as usize].rungs[k.1 as usize].segments[k.2 as usize].bytes;
-                        sh.stats.origin_bytes += bytes as u64;
-                        sh.lru.insert(k, bytes);
-                        sh.stats.evictions = sh.lru.evictions();
-                    }
-                }
-                progressed = true;
-            }
-            // Shield→edge leg: edge fills whose object the shield now
-            // caches drain over the shield's downlink, max-min-shared
-            // across that shield's concurrently-drawing fills.
-            let mut draw = vec![0usize; p.shields];
             for (ei, e) in edges.iter().enumerate() {
                 let si = edge_shield[ei];
                 if !shield_up[si] {
                     continue;
                 }
-                draw[si] += e
-                    .fills
-                    .iter()
-                    .filter(|(k, _)| shields[si].lru.contains(&k.0))
-                    .count();
+                let sh = &mut shields[si];
+                for (k, _) in e.fills.iter() {
+                    if !sh.lru.contains(&k.0) && !sh.fills.contains(&k.0, 0) {
+                        sh.refill(k.0, obj_bytes(titles, k.0) as f64);
+                        progressed = true;
+                    }
+                }
             }
-            for ei in 0..p.edges {
+        }
+        let upstream = if shields_on { &mut shields } else { &mut edges };
+        let total_fills: usize = upstream.iter().map(|n| n.fills.len()).sum();
+        if total_fills > 0 && !origin_down && p.origin_capacity > 0.0 {
+            let fill_rate = p.origin_capacity * origin_scale / total_fills as f64;
+            for (i, node) in upstream.iter_mut().enumerate() {
+                node.drain_fills(titles, fill_rate * step, |_| true, &mut landed);
+                // The wiped cache holds an object again: later fills
+                // are ordinary demand fills, not re-warm.
+                if !shields_on && !landed.is_empty() {
+                    rewarming[i] = false;
+                }
+            }
+            progressed = true;
+        }
+        if shields_on {
+            // Shield→edge leg: edge fills whose object the shield now
+            // caches drain over the shield's downlink, max-min-shared
+            // across that shield's concurrently-drawing fills.
+            draw.fill(0);
+            for (ei, e) in edges.iter().enumerate() {
+                let si = edge_shield[ei];
+                if shield_up[si] {
+                    draw[si] += e
+                        .fills
+                        .iter()
+                        .filter(|(k, _)| shields[si].lru.contains(&k.0))
+                        .count();
+                }
+            }
+            for (ei, e) in edges.iter_mut().enumerate() {
                 let si = edge_shield[ei];
                 if !shield_up[si] || draw[si] == 0 {
                     continue;
                 }
                 let rate = p.shield_capacity / draw[si] as f64;
-                let done: Vec<ObjKey> = edges[ei]
-                    .fills
-                    .iter_mut()
-                    .filter_map(|(k, rem)| {
-                        if !shields[si].lru.contains(&k.0) {
-                            return None;
-                        }
-                        *rem -= rate * step;
-                        let total = titles[k.0 .0 as usize].rungs[k.0 .1 as usize].segments
-                            [k.0 .2 as usize]
-                            .bytes as f64;
-                        (*rem <= completion_eps(total)).then_some(k.0)
-                    })
-                    .collect();
-                let e = &mut edges[ei];
-                for k in done {
-                    e.fills.complete(&k, 0);
-                    let bytes =
-                        titles[k.0 as usize].rungs[k.1 as usize].segments[k.2 as usize].bytes;
-                    e.stats.origin_bytes += bytes as u64;
-                    shields[si].lru.touch(&k);
-                    shields[si].stats.served_bytes += bytes as u64;
-                    if !admit_insert(&mut e.lru, &edge_adm[ei], k, bytes) {
-                        e.pass.insert(k);
-                    }
-                    e.stats.evictions = e.lru.evictions();
+                let sh = &mut shields[si];
+                e.drain_fills(titles, rate * step, |k| sh.lru.contains(k), &mut landed);
+                for &k in &landed {
+                    sh.lru.touch(&k);
+                    sh.stats.served_bytes += obj_bytes(titles, k) as u64;
+                }
+                if !landed.is_empty() {
                     rewarming[ei] = false;
                 }
                 progressed = true;
@@ -1471,67 +1418,18 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             let m = &titles[title as usize];
             let nseg = seg_counts[title as usize];
             let e = &mut edges[edge];
+            // The shield this edge's fills register on: none in a flat
+            // tier, or while the serving shield is down.
+            let si = edge_shield[edge];
+            let mut sh = shields.get_mut(si).filter(|_| shield_up[si]);
+            let rewarm = fault_active || rewarming[edge];
             'step: {
                 if !stepped {
-                    if !edge_up[edge] {
-                        // Stranded: every edge is down, failover had
-                        // nowhere to go. Playout keeps draining —
-                        // members stall in place, all of it
-                        // fault-attributed — but no request, fill, or
-                        // download can move until a restart re-homes.
-                        if s.playing {
-                            s.buffer_ticks -= step;
-                            if s.buffer_ticks < 0.0 {
-                                if !s.in_rebuffer {
-                                    s.in_rebuffer = true;
-                                    s.rebuffer_events += 1;
-                                    s.fault_rebuffers += 1;
-                                }
-                                s.buffer_ticks = 0.0;
-                            }
-                        }
-                        if s.in_rebuffer {
-                            s.fault_rebuffer_ticks += q;
-                        }
-                        break 'step;
-                    }
-                    if !s.started {
-                        s.started = true;
-                        let live_now = p
-                            .live
-                            .map_or(true, |l| s.seg as u64 <= l.live_seq(now, nseg));
-                        if live_now {
-                            let bytes = m.rungs[0].segments[s.seg].bytes as f64;
-                            let sh = if shields_on && shield_up[edge_shield[edge]] {
-                                Some(&mut shields[edge_shield[edge]])
-                            } else {
-                                None
-                            };
-                            match cohort_request(
-                                e,
-                                &mut edge_adm[edge],
-                                sh,
-                                (title, 0, s.seg as u32),
-                                bytes,
-                                n,
-                            ) {
-                                Req::Hit => s.remaining_bytes += bytes,
-                                Req::Wait(new_fill) => {
-                                    s.waiting = true;
-                                    progressed |= new_fill;
-                                    if new_fill && (fault_active || rewarming[edge]) {
-                                        res.rewarm_fills += 1;
-                                    }
-                                }
-                            }
-                        } else {
-                            s.pending_request = true;
-                        }
-                    }
                     // Playout drains while the next segment downloads
-                    // (or while the class waits on a fill or the live
-                    // edge), one quantum at a time like the per-session
-                    // engine: the arithmetic `settle` is pinned against.
+                    // (or while the class waits on a fill, on the live
+                    // edge, or stranded on a down edge), one quantum at
+                    // a time like the per-session engine: the
+                    // arithmetic `settle` is pinned against.
                     if s.playing {
                         s.buffer_ticks -= step;
                         if s.buffer_ticks < 0.0 {
@@ -1547,6 +1445,26 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     }
                     if fault_active && s.in_rebuffer {
                         s.fault_rebuffer_ticks += q;
+                    }
+                    if !edge_up[edge] {
+                        // Stranded: every edge is down, failover had
+                        // nowhere to go (fault pressure, so the stall
+                        // above is fault-attributed). No request, fill,
+                        // or download can move until a restart
+                        // re-homes the class.
+                        break 'step;
+                    }
+                    if !s.started {
+                        s.started = true;
+                        if p.live
+                            .map_or(true, |l| s.seg as u64 <= l.live_seq(now, nseg))
+                        {
+                            let sh = sh.as_deref_mut();
+                            progressed |=
+                                request(e, sh, m, title, s, n, rewarm, &mut res.rewarm_fills);
+                        } else {
+                            s.pending_request = true;
+                        }
                     }
                     // A segment chosen but not yet requested: the live
                     // edge had not published it. Re-check the window.
@@ -1568,23 +1486,9 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                             }
                             s.rung = rung;
                             s.fetch_start = now;
-                            let bytes = m.rungs[rung].segments[s.seg].bytes as f64;
-                            let sh = if shields_on && shield_up[edge_shield[edge]] {
-                                Some(&mut shields[edge_shield[edge]])
-                            } else {
-                                None
-                            };
-                            let key = (title, rung as u32, s.seg as u32);
-                            match cohort_request(e, &mut edge_adm[edge], sh, key, bytes, n) {
-                                Req::Hit => s.remaining_bytes += bytes,
-                                Req::Wait(new_fill) => {
-                                    s.waiting = true;
-                                    progressed |= new_fill;
-                                    if new_fill && (fault_active || rewarming[edge]) {
-                                        res.rewarm_fills += 1;
-                                    }
-                                }
-                            }
+                            let sh = sh.as_deref_mut();
+                            progressed |=
+                                request(e, sh, m, title, s, n, rewarm, &mut res.rewarm_fills);
                         } else {
                             publish_wait_ticks += q * n;
                             break 'step;
@@ -1611,15 +1515,12 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                                 // with no fill in flight: re-request
                                 // (one fill restarts no matter how many
                                 // members wait).
-                                e.stats.misses += 1;
-                                e.fills.request(key, 0, || bytes);
-                                if shields_on && shield_up[edge_shield[edge]] {
-                                    shields[edge_shield[edge]].request(key, bytes);
+                                e.refill(key, bytes);
+                                if let Some(sh) = sh.as_deref_mut() {
+                                    sh.request_n(key, bytes, 1);
                                 }
                                 progressed = true;
-                                if fault_active || rewarming[edge] {
-                                    res.rewarm_fills += 1;
-                                }
+                                res.rewarm_fills += u64::from(rewarm);
                             }
                             break 'step;
                         }
@@ -1685,27 +1586,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     s.rung_switches += 1;
                 }
                 s.rung = next_rung;
-                let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
-                let sh = if shields_on && shield_up[edge_shield[edge]] {
-                    Some(&mut shields[edge_shield[edge]])
-                } else {
-                    None
-                };
-                let key = (title, s.rung as u32, s.seg as u32);
-                match cohort_request(e, &mut edge_adm[edge], sh, key, bytes, n) {
-                    // A hit carries this quantum's download overshoot
-                    // into the next segment, exactly like the
-                    // single-origin path.
-                    Req::Hit => s.remaining_bytes += bytes,
-                    Req::Wait(new_fill) => {
-                        s.waiting = true;
-                        s.remaining_bytes = 0.0;
-                        progressed |= new_fill;
-                        if new_fill && (fault_active || rewarming[edge]) {
-                            res.rewarm_fills += 1;
-                        }
-                    }
-                }
+                progressed |= request(e, sh, m, title, s, n, rewarm, &mut res.rewarm_fills);
                 s.fetch_start = end;
             }
             // Where the cohort waits for the next quantum: gone, parked
@@ -2045,7 +1926,13 @@ mod tests {
             ..Default::default()
         };
         let p = params(&m, CdnConfig::single_origin(), None);
-        let mut edges = build_edges(std::slice::from_ref(&m), &p);
+        let mut edges = build_tier(
+            std::slice::from_ref(&m),
+            p.edges,
+            p.cache_capacity_bytes,
+            p.prewarm,
+            p.admission,
+        );
         // Hand-build a schedule: four stayers and two churners leaving
         // at different ticks — one cohort, three member groups.
         let schedule = vec![

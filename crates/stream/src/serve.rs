@@ -31,6 +31,8 @@
 //! is the no-live-gates case, and an empty plan runs the plan-free path
 //! bit-identically.
 
+use std::collections::BTreeSet;
+
 use mmpool::WorkerPool;
 use signal::rng::Xoroshiro128;
 
@@ -41,7 +43,7 @@ use crate::ladder::Manifest;
 #[cfg(test)]
 use crate::session::AbrController;
 use crate::session::JoinMode;
-use crate::shield::{AdmissionPolicy, ObjKey, TierStats};
+use crate::shield::{admit_insert, obj_key_hash, Admission, AdmissionPolicy, ObjKey, TierStats};
 
 /// Virtual points per edge on the failover [`HashRing`]. Enough that
 /// per-edge load imbalance stays small at 8 edges without making ring
@@ -521,19 +523,29 @@ impl TierParams {
     }
 }
 
-/// One simulated edge: an LRU over `(title, rung, seq)` keys plus the
-/// coalescing table of in-flight parent fills (fluid segments are
-/// immutable once published, so every fill is generation 0).
-pub(crate) struct SimEdge {
+/// One fluid cache node, edge or shield: an LRU over `(title, rung,
+/// seq)` keys plus the coalescing table of in-flight parent fills
+/// (fluid segments are immutable once published, so every fill is
+/// generation 0). An edge fills from its shield, or from the origin in
+/// a flat tier; a shield fills from the origin. What a node does on a
+/// request, a re-request and a landed fill is defined here once for
+/// both tiers.
+pub(crate) struct FluidNode {
     pub(crate) lru: Lru<ObjKey>,
     pub(crate) fills: FillTable<ObjKey, f64>,
     pub(crate) stats: EdgeStats,
+    /// Sessions sharded onto an edge; child edges homed on a shield.
     pub(crate) assigned: usize,
+    /// Cache admission state: `None` admits everything, as every
+    /// shield does.
+    pub(crate) adm: Option<Admission>,
     /// Objects filled this quantum but *rejected* by cache admission:
     /// their waiters still wake and download (serve-through without
     /// caching). Cleared every quantum; always empty under
     /// admit-always, so the legacy path never consults it.
-    pub(crate) pass: std::collections::BTreeSet<ObjKey>,
+    pub(crate) pass: BTreeSet<ObjKey>,
+    /// The tick this node crashed, until it restarts.
+    pub(crate) crash_tick: Option<u64>,
 }
 
 #[derive(Clone, Copy)]
@@ -544,10 +556,10 @@ pub(crate) enum Req {
     Wait(bool),
 }
 
-impl SimEdge {
+impl FluidNode {
     /// A session asks for one segment: cached → hit; fill in flight →
     /// coalesce onto it; otherwise start a fill. Kept as the quantum
-    /// oracle's per-session form of [`SimEdge::request_n`].
+    /// oracle's per-session form of [`FluidNode::request_n`].
     #[cfg(test)]
     fn request(&mut self, key: ObjKey, bytes: f64) -> Req {
         if self.lru.touch(&key) {
@@ -563,12 +575,21 @@ impl SimEdge {
     }
 
     /// `n` identical sessions ask for one segment in a single counted
-    /// call — the cohort engine's form of [`SimEdge::request`]. Every
+    /// call — the cohort engine's form of [`FluidNode::request`]. Every
     /// stats ledger advances exactly as `n` per-session requests would
     /// (one fill started at most; the rest coalesce), so the per-edge
-    /// counters stay identical to the quantum oracle's.
+    /// counters stay identical to the quantum oracle's. The admission
+    /// sketch sees the demand first: every request feeds frequency, hit
+    /// or miss. A shield serves an edge fill as one request (`n = 1`).
+    ///
+    /// `#[inline]`, like [`FluidNode::refill`]: out of line, either one
+    /// slowed the cohort engine's full path by ~20% (`live_flash`).
+    #[inline]
     pub(crate) fn request_n(&mut self, key: ObjKey, bytes: f64, n: u64) -> Req {
         debug_assert!(n > 0, "a cohort request carries at least one session");
+        if let Some(a) = self.adm.as_mut() {
+            a.record(obj_key_hash(key), n);
+        }
         if self.lru.touch(&key) {
             self.stats.hits += n;
             Req::Hit
@@ -583,6 +604,52 @@ impl SimEdge {
             Req::Wait(false)
         }
     }
+
+    /// Starts a fresh fill for `key` as one miss, without consulting
+    /// the cache or the admission sketch: the object a waiter's fill
+    /// brought in was evicted before it could download, or the fill it
+    /// waited on is gone.
+    #[inline]
+    pub(crate) fn refill(&mut self, key: ObjKey, bytes: f64) {
+        self.stats.misses += 1;
+        self.fills.request(key, 0, || bytes);
+    }
+
+    /// One quantum of this node's in-flight fills: each one `ready`
+    /// admits drains by `dec` bytes, and those that finish land into
+    /// `landed`, in key order. A landed object counts as bytes pulled
+    /// from the parent and is cached subject to admission; a rejected
+    /// one joins the pass set, so its waiters still wake.
+    pub(crate) fn drain_fills(
+        &mut self,
+        titles: &[Manifest],
+        dec: f64,
+        ready: impl Fn(&ObjKey) -> bool,
+        landed: &mut Vec<ObjKey>,
+    ) {
+        landed.clear();
+        landed.extend(self.fills.iter_mut().filter_map(|(k, rem)| {
+            if !ready(&k.0) {
+                return None;
+            }
+            *rem -= dec;
+            (*rem <= completion_eps(obj_bytes(titles, k.0) as f64)).then_some(k.0)
+        }));
+        for &k in landed.iter() {
+            self.fills.complete(&k, 0);
+            let bytes = obj_bytes(titles, k);
+            self.stats.origin_bytes += bytes as u64;
+            if !admit_insert(&mut self.lru, &self.adm, k, bytes) {
+                self.pass.insert(k);
+            }
+            self.stats.evictions = self.lru.evictions();
+        }
+    }
+}
+
+/// The size of cache object `key` in `titles`.
+pub(crate) fn obj_bytes(titles: &[Manifest], key: ObjKey) -> usize {
+    titles[key.0 as usize].rungs[key.1 as usize].segments[key.2 as usize].bytes
 }
 
 /// The epsilon-stable download-completion threshold for a segment of
@@ -593,40 +660,13 @@ impl SimEdge {
 /// quantum, and each subtraction can round by half an ulp — over a
 /// 10M-tick run that accumulates to ~1e-4 bytes of drift, so a path
 /// that advances the same download analytically (`remaining - k *
-/// rate * step`, the cohort engine's fused form) could disagree with
-/// the iterated path about *which quantum* crossed zero. The epsilon
-/// is sized orders of magnitude above the worst accumulated drift and
-/// orders of magnitude below a deliverable byte, so both paths agree
-/// on every segment-completion tick (regression-pinned at 10M ticks).
+/// rate * step`, a fused form) could disagree with the iterated path
+/// about *which quantum* crossed zero. The epsilon is sized orders of
+/// magnitude above the worst accumulated drift and orders of magnitude
+/// below a deliverable byte, so both paths agree on every
+/// segment-completion tick (regression-pinned at 10M ticks).
 pub(crate) fn completion_eps(segment_bytes: f64) -> f64 {
     segment_bytes.max(1.0) * 1e-8
-}
-
-/// Quanta until a download of `remaining` bytes completes at
-/// `per_quantum` bytes per quantum under the epsilon-stable rule: the
-/// smallest `k >= 1` with `remaining - k * per_quantum <= eps`. This is
-/// the analytic (fused) form of the iterated hot-loop drain; the two
-/// must agree on completion quanta (see [`completion_eps`]).
-// Consumed by the cohort fast path (and the 10M-tick regression pin);
-// the iterated hot loop above stays authoritative.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn quanta_to_complete(remaining: f64, per_quantum: f64, eps: f64) -> u64 {
-    if remaining <= eps {
-        return 0;
-    }
-    if per_quantum.is_nan() || per_quantum <= 0.0 {
-        return u64::MAX;
-    }
-    let mut k = ((remaining - eps) / per_quantum).ceil().max(1.0) as u64;
-    // The division can land a rounding error on either side of the
-    // boundary quantum; nudge onto the exact side of the rule.
-    while remaining - (k as f64) * per_quantum > eps {
-        k += 1;
-    }
-    while k > 1 && remaining - ((k - 1) as f64) * per_quantum <= eps {
-        k -= 1;
-    }
-    k
 }
 
 /// One exponential(mean) draw in ticks (0 for a disabled mean).
@@ -638,11 +678,21 @@ fn exp_ticks(rng: &mut Xoroshiro128, mean: f64) -> u64 {
     (-mean * (1.0 - rng.next_f64()).ln()).round() as u64
 }
 
-/// One cache index of `capacity_bytes`, prewarmed with every title's
-/// whole ladder (as far as capacity allows) when `prewarm` is set.
-/// Built once per tier and cloned into each node: every node of a tier
-/// starts from this identical state.
-pub(crate) fn tier_lru(titles: &[Manifest], capacity_bytes: usize, prewarm: bool) -> Lru<ObjKey> {
+/// One tier of `count` fluid cache nodes of `capacity_bytes` each,
+/// prewarmed with every title's whole ladder (as far as capacity
+/// allows) when `prewarm` is set, each with its own `admission` state.
+/// Shared verbatim by the cohort engine and the quantum oracle, and by
+/// both tiers: every node of a tier starts from the identical state.
+pub(crate) fn build_tier(
+    titles: &[Manifest],
+    count: usize,
+    capacity_bytes: usize,
+    prewarm: bool,
+    admission: AdmissionPolicy,
+) -> Vec<FluidNode> {
+    if count == 0 {
+        return Vec::new();
+    }
     let mut lru = Lru::new(capacity_bytes);
     if prewarm {
         for (ti, m) in titles.iter().enumerate() {
@@ -653,16 +703,8 @@ pub(crate) fn tier_lru(titles: &[Manifest], capacity_bytes: usize, prewarm: bool
             }
         }
     }
-    lru
-}
-
-/// The simulated edge tier, optionally prewarmed with every title's
-/// whole ladder. Shared verbatim by the cohort engine and the quantum
-/// oracle so both start from the identical cache state.
-pub(crate) fn build_edges(titles: &[Manifest], p: &TierParams) -> Vec<SimEdge> {
-    let lru = tier_lru(titles, p.cache_capacity_bytes, p.prewarm);
-    (0..p.edges)
-        .map(|_| SimEdge {
+    (0..count)
+        .map(|_| FluidNode {
             lru: lru.clone(),
             fills: FillTable::new(),
             stats: EdgeStats {
@@ -670,7 +712,9 @@ pub(crate) fn build_edges(titles: &[Manifest], p: &TierParams) -> Vec<SimEdge> {
                 ..EdgeStats::default()
             },
             assigned: 0,
-            pass: std::collections::BTreeSet::new(),
+            adm: admission.build(),
+            pass: BTreeSet::new(),
+            crash_tick: None,
         })
         .collect()
 }
@@ -779,7 +823,7 @@ pub(crate) fn join_point(
 pub(crate) mod oracle {
     use super::*;
     use std::cmp::Reverse;
-    use std::collections::{BTreeSet, BinaryHeap};
+    use std::collections::BinaryHeap;
 
     /// The shared fluid engine. Returns the sessions, the edges, the final
     /// simulation tick, the live-gate aggregates (zero for VOD), and the
@@ -789,11 +833,17 @@ pub(crate) mod oracle {
         manifest: &Manifest,
         load: &LoadConfig,
         p: &TierParams,
-    ) -> (Vec<SimSession>, Vec<SimEdge>, u64, LiveStats, usize) {
+    ) -> (Vec<SimSession>, Vec<FluidNode>, u64, LiveStats, usize) {
         let n_segments = manifest.segment_count();
         let q = load.tick_quantum.max(1);
 
-        let mut edges = build_edges(std::slice::from_ref(manifest), p);
+        let mut edges = build_tier(
+            std::slice::from_ref(manifest),
+            p.edges,
+            p.cache_capacity_bytes,
+            p.prewarm,
+            AdmissionPolicy::AdmitAll,
+        );
         let (schedule, phantoms) = build_schedule(load);
 
         let ring = build_ring(load, p);
@@ -1216,7 +1266,7 @@ pub(crate) mod oracle {
         manifest: &Manifest,
         load: &LoadConfig,
         p: &TierParams,
-    ) -> (LoadReport, Vec<SimEdge>, LiveStats) {
+    ) -> (LoadReport, Vec<FluidNode>, LiveStats) {
         let (sessions, edges, now, live_stats, phantoms) = run_fluid(manifest, load, p);
         let n = sessions.len() + phantoms;
         (finish(&sessions, n, now), edges, live_stats)
@@ -1324,17 +1374,14 @@ pub fn simulate(s: &Scenario) -> CdnLoadReport {
         return r;
     }
     let run = crate::calendar::run_cohorts(s.catalog.titles(), &s.load, &p);
-    let entry = |sessions, stats| EdgeReportEntry { sessions, stats };
-    let per_edge: Vec<EdgeReportEntry> = run
-        .edges
-        .iter()
-        .map(|e| entry(e.assigned, e.stats))
-        .collect();
-    let per_shield: Vec<EdgeReportEntry> = run
-        .shields
-        .iter()
-        .map(|s| entry(s.assigned, s.stats))
-        .collect();
+    let entries = |nodes: &[FluidNode]| -> Vec<EdgeReportEntry> {
+        let entry = |n: &FluidNode| EdgeReportEntry {
+            sessions: n.assigned,
+            stats: n.stats,
+        };
+        nodes.iter().map(entry).collect()
+    };
+    let (per_edge, per_shield) = (entries(&run.edges), entries(&run.shields));
     let stats = |v: &[EdgeReportEntry]| v.iter().map(|e| e.stats).collect::<Vec<_>>();
     let tier = TierStats::rollup(&stats(&per_edge), &stats(&per_shield));
     CdnLoadReport {
@@ -1894,14 +1941,38 @@ mod tests {
         assert_cdn_golden(&simulate(&s), &golden);
     }
 
+    /// Quanta until a download of `remaining` bytes completes at
+    /// `per_quantum` bytes per quantum under the epsilon-stable rule: the
+    /// smallest `k >= 1` with `remaining - k * per_quantum <= eps`. This is
+    /// the analytic (fused) form of the iterated hot-loop drain; the two
+    /// must agree on completion quanta (see [`completion_eps`]).
+    fn quanta_to_complete(remaining: f64, per_quantum: f64, eps: f64) -> u64 {
+        if remaining <= eps {
+            return 0;
+        }
+        if per_quantum.is_nan() || per_quantum <= 0.0 {
+            return u64::MAX;
+        }
+        let mut k = ((remaining - eps) / per_quantum).ceil().max(1.0) as u64;
+        // The division can land a rounding error on either side of the
+        // boundary quantum; nudge onto the exact side of the rule.
+        while remaining - (k as f64) * per_quantum > eps {
+            k += 1;
+        }
+        while k > 1 && remaining - ((k - 1) as f64) * per_quantum <= eps {
+            k -= 1;
+        }
+        k
+    }
+
     #[test]
     fn iterated_and_analytic_completion_agree_at_ten_million_ticks() {
         // Satellite pin for the f64 byte accounting: the per-quantum
         // iterated drain (`rem -= per_quantum`, the per-session hot
-        // loop) and the fused analytic form (`rem - k * per_quantum`,
-        // the cohort fast path) must agree on the completion quantum
-        // even after 2.5M subtractions (10M ticks at quantum 4), where
-        // accumulated rounding drift peaks.
+        // loop) and the fused analytic form (`rem - k * per_quantum`)
+        // must agree on the completion quantum even after 2.5M
+        // subtractions (10M ticks at quantum 4), where accumulated
+        // rounding drift peaks.
         for (bytes, per_quantum) in [
             (10_000.0f64, 0.004f64), // 2.5M quanta exactly on paper
             (9_999.7, 0.0041),       // non-representable fractions

@@ -290,8 +290,8 @@ pub enum SessionError {
     LiveStalled,
     /// The license failed verification.
     License(LicenseParseError),
-    /// A segment arrived damaged (impossible over the reliable
-    /// transport; kept for lossy/datagram delivery paths).
+    /// A segment arrived damaged: its length differs from the one its
+    /// manifest entry lists, or it does not demux to a video stream.
     DamagedSegment(usize),
 }
 
@@ -566,6 +566,9 @@ fn run_session_with(
         let entry = &manifest.rungs[rung].segments[seg];
         let (mut bytes, ticks, waited) =
             fetch_object(&manifest.segment_object(rung, seg), 2 + seg as u64, clock)?;
+        if bytes.len() != entry.bytes {
+            return Err(SessionError::DamagedSegment(seg));
+        }
         clock += ticks + waited;
         delivered_bits += (bytes.len() * 8) as u64;
         abr.observe((bytes.len() * 8) as f64, ticks as f64);
@@ -963,6 +966,9 @@ pub fn run_live_session(
             leg,
             clock,
         )?;
+        if bytes.len() != entry.bytes {
+            return Err(SessionError::DamagedSegment(records.len()));
+        }
         leg += 1;
         clock += ticks;
         delivered_bits += (bytes.len() * 8) as u64;
@@ -1254,6 +1260,43 @@ mod tests {
         assert_eq!(report.retry_backoff_ticks, 0);
     }
 
+    /// Appends one TS packet (a copy of the last) to every rung's copy
+    /// of segment `seg` of `title` on `server`. The manifest's sizes stay
+    /// as published, and the padded segment still demuxes.
+    fn pad_segment(server: &mut ContentServer, title: &str, seg: usize) {
+        let manifest = Manifest::from_bytes(
+            server
+                .get(&Manifest::manifest_object(title))
+                .expect("manifest published"),
+        )
+        .expect("manifest parses");
+        for rung in 0..manifest.rungs.len() {
+            let name = manifest.segment_object(rung, seg);
+            let mut bytes = server.get(&name).expect("segment published").to_vec();
+            bytes.extend_from_within(bytes.len() - 188..);
+            server.publish(name, bytes);
+        }
+    }
+
+    #[test]
+    fn a_segment_longer_than_its_manifest_entry_is_damaged() {
+        let (mut server, _) = published(false);
+        pad_segment(&mut server, "movie", 1);
+        let cfg = SessionConfig::default();
+        let direct = run_session(&server, &mut [], "movie", &cfg);
+        assert!(
+            matches!(direct, Err(SessionError::DamagedSegment(1))),
+            "{direct:?}"
+        );
+        let mut edge = CacheNode::new(CacheConfig::default());
+        let mut shield = CacheNode::new(CacheConfig::default());
+        let chained = run_session(&server, &mut [&mut edge, &mut shield], "movie", &cfg);
+        assert!(
+            matches!(chained, Err(SessionError::DamagedSegment(1))),
+            "{chained:?}"
+        );
+    }
+
     #[test]
     fn session_via_edge_plays_and_warms_the_cache() {
         let (origin, authority) = published(true);
@@ -1527,6 +1570,51 @@ mod tests {
         assert!(
             edge.stats().hits > after_a.hits,
             "the cache must be doing work"
+        );
+    }
+
+    #[test]
+    fn a_live_segment_longer_than_its_manifest_entry_is_damaged() {
+        let cfg = LiveSessionConfig {
+            segments_to_play: 6,
+            poll_ticks: 20,
+            ..Default::default()
+        };
+        let padded = || {
+            let (server, origin, _) = live_channel(false);
+            let mut wheel = origin.wheel().clone();
+            for rung in &mut wheel.segments {
+                let seg = &mut rung[1];
+                seg.extend_from_within(seg.len() - 188..);
+            }
+            let config = crate::ladder::LiveOriginConfig {
+                dvr_window_segments: 4,
+                ticks_per_segment: 100,
+            };
+            (
+                server,
+                crate::ladder::LiveOrigin::new(wheel, config).unwrap(),
+            )
+        };
+        let (mut server, mut origin) = padded();
+        let direct = run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg);
+        assert!(
+            matches!(direct, Err(SessionError::DamagedSegment(_))),
+            "{direct:?}"
+        );
+        let (mut server, mut origin) = padded();
+        let mut edge = CacheNode::new(CacheConfig::default());
+        let mut shield = CacheNode::new(CacheConfig::default());
+        let chained = run_live_session(
+            &mut server,
+            &mut origin,
+            &mut [&mut edge, &mut shield],
+            "chan",
+            &cfg,
+        );
+        assert!(
+            matches!(chained, Err(SessionError::DamagedSegment(_))),
+            "{chained:?}"
         );
     }
 

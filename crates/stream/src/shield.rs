@@ -7,11 +7,13 @@
 //! edges and origin so each object crosses the origin link once per
 //! *shield* instead, and edge misses fan in over cheap regional links.
 //! On the packet-level path a shield is simply the second
-//! [`CacheNode`] of a session's chain (see [`crate::cache`]). This
-//! module holds the *fluid* tier: `SimShield`, whose cache the calendar
-//! engine drains edge fills from at the shield's downlink rate, with
-//! shield misses coalescing into origin fills that share the origin
-//! uplink.
+//! [`CacheNode`] of a session's chain (see [`crate::cache`]). In the
+//! fluid engine a shield is the same fluid cache node as an edge, one
+//! level up: the calendar drains edge fills from its cache at the
+//! shield's downlink rate, and shield misses coalesce into origin fills
+//! that share the origin uplink. This module holds what is particular
+//! to the shield tier: how edges home onto shields, and the tier-aware
+//! [`TierStats`] rollup.
 //!
 //! The second half of the module is cache *admission*. An LRU admits
 //! everything, so a long tail of one-hit wonders flushes the hot head
@@ -23,8 +25,7 @@
 //! bit-identical to the pre-admission engine.
 
 use crate::cache::{CacheConfig, CacheNode};
-use crate::edge::{EdgeStats, FillTable, Lru};
-use crate::ladder::Manifest;
+use crate::edge::{EdgeStats, Lru};
 use signal::rng::splitmix64;
 
 /// The fluid engine's object key: `(title, rung, segment)`. Title 0 is
@@ -302,67 +303,10 @@ impl TierStats {
     }
 }
 
-/// One shield cache in the fluid simulator: the same LRU +
-/// coalescing-fill machinery as the fluid edge, one level up. Edge
-/// fills drain from the shield's cache; shield misses become origin
-/// fills whose payload is the object's remaining origin-leg bytes.
-#[derive(Debug, Clone)]
-pub(crate) struct SimShield {
-    pub(crate) lru: Lru<ObjKey>,
-    pub(crate) fills: FillTable<ObjKey, f64>,
-    pub(crate) stats: EdgeStats,
-    /// Child edges statically assigned to this shield.
-    pub(crate) assigned: usize,
-}
-
-impl SimShield {
-    /// One edge fill lands on this shield: a cached object is a hit, a
-    /// cold one starts (or joins) an origin fill.
-    pub(crate) fn request(&mut self, key: ObjKey, bytes: f64) {
-        if self.lru.touch(&key) {
-            self.stats.hits += 1;
-        } else if self.fills.request(key, 0, || bytes) {
-            self.stats.misses += 1;
-        } else {
-            self.stats.coalesced += 1;
-        }
-    }
-}
-
 /// The shield an edge homes to with every shield up: child edges are
 /// split into `shields` contiguous, near-equal groups.
 pub(crate) fn shield_home(edge: usize, edges: usize, shields: usize) -> usize {
     edge * shields / edges
-}
-
-/// Builds the fluid shield tier: `count` shields, optionally prewarmed
-/// with every title (as far as capacity allows), with child-edge
-/// assignment counts filled in.
-pub(crate) fn build_shields(
-    titles: &[Manifest],
-    count: usize,
-    cache_capacity_bytes: usize,
-    prewarm: bool,
-    edges: usize,
-) -> Vec<SimShield> {
-    let lru = crate::serve::tier_lru(titles, cache_capacity_bytes, prewarm);
-    let mut shields: Vec<SimShield> = (0..count)
-        .map(|_| SimShield {
-            lru: lru.clone(),
-            fills: FillTable::new(),
-            stats: EdgeStats {
-                evictions: lru.evictions(),
-                ..EdgeStats::default()
-            },
-            assigned: 0,
-        })
-        .collect();
-    if count > 0 {
-        for e in 0..edges {
-            shields[shield_home(e, edges, count)].assigned += 1;
-        }
-    }
-    shields
 }
 
 /// [`CacheNode`] under its old shield name. Kept because the benchmark
