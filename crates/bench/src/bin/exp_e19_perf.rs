@@ -22,16 +22,31 @@
 //! * **Ladder**: ms per 5-rung QCIF GOP-8 ladder (48 frames, the
 //!   benchmark's `vod_pipeline` configuration), whose pooled encode is
 //!   asserted equal to the sequential one.
+//! * **Other kernels**: ns per call (`wall_ns`) of the direct DCT and
+//!   the butterfly IDCT, the QCIF encoder per configuration, the audio
+//!   codecs and psychoacoustic model, the FFT, filterbank, hash and
+//!   servo loop, and the MPSoC deployment strategies.
 
-use mmbench::banner;
+use audio::encoder::{AudioConfig, AudioEncoder};
+use audio::filterbank::Filterbank;
+use audio::psycho::PsychoModel;
+use audio::rpeltp::RpeLtp;
 use mmbench::perf::{matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport};
+use mmbench::{banner, cif_spec, test_music, test_speech, test_video, SEED};
 use mmpool::WorkerPool;
+use mmsoc::deploy::{deploy, Strategy};
+use mmsoc::video_encoder_pipeline;
 use mmstream::ladder::{encode_ladder, encode_ladder_on, LadderConfig, RungCost};
+use mpsoc::platform::Platform;
+use servo::control::Pid;
+use servo::loopctl::{nominal_gains, run_loop};
+use servo::plant::Mechanism;
 use signal::dct1d::Dct1d;
 use signal::dct8::{fdct8, FAST8_MULS};
+use signal::fft::Fft;
 use signal::metrics::{sad_u8, sad_u8_bounded_ops, sad_u8_bounded_ops_scalar};
 use signal::rng::Xoroshiro128;
-use video::dct::{Dct2d, BLOCK};
+use video::dct::{forward_direct, Dct2d, BLOCK};
 use video::decoder::decode;
 use video::encoder::{Encoder, EncoderConfig};
 use video::frame::Frame;
@@ -297,6 +312,151 @@ fn ladder_row(report: &mut PerfReport) {
     );
 }
 
+/// One `wall_ns` row per call of each kernel outside the codec hot
+/// path above.
+fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
+    use std::hint::black_box;
+
+    println!("\nother kernels (ns per call):");
+    let mut row = |name: &str, ns: f64| {
+        println!("  {name:<36}: {ns:>12.0}");
+        report.push(PerfEntry::new(name).metric("wall_ns", ns));
+    };
+
+    let dct = Dct2d::new();
+    let coeffs = dct.forward(block);
+    row(
+        "dct8x8_direct",
+        median_ns_per_iter(|| {
+            black_box(forward_direct(black_box(&block[..])));
+        }),
+    );
+    row(
+        "idct8x8_butterfly",
+        median_ns_per_iter(|| {
+            black_box(dct.inverse(black_box(&coeffs)));
+        }),
+    );
+
+    let frames = test_video(176, 144, 6);
+    for (name, config) in [
+        (
+            "encoder_qcif6_symmetric_conference",
+            EncoderConfig::symmetric_conference(),
+        ),
+        (
+            "encoder_qcif6_asymmetric_broadcast",
+            EncoderConfig::asymmetric_broadcast(),
+        ),
+        (
+            "encoder_qcif6_all_intra",
+            EncoderConfig {
+                gop: 1,
+                ..Default::default()
+            },
+        ),
+    ] {
+        let enc = Encoder::new(config).expect("valid");
+        row(
+            name,
+            median_ns_per_iter(|| {
+                black_box(enc.encode(black_box(&frames)).expect("encode"));
+            }),
+        );
+    }
+
+    let pcm = test_music(4);
+    let enc = AudioEncoder::new(AudioConfig::default());
+    let stream = enc.encode(&pcm).expect("encode");
+    row(
+        "audio_encoder_4frames",
+        median_ns_per_iter(|| {
+            black_box(enc.encode(black_box(&pcm)).expect("encode"));
+        }),
+    );
+    row(
+        "audio_decoder_4frames",
+        median_ns_per_iter(|| {
+            black_box(audio::encoder::decode(black_box(&stream.bytes)).expect("decode"));
+        }),
+    );
+    let speech = test_speech(10);
+    let codec = RpeLtp::new();
+    row(
+        "rpeltp_encode_10frames",
+        median_ns_per_iter(|| {
+            black_box(codec.encode(black_box(&speech)).expect("encode"));
+        }),
+    );
+    let model = PsychoModel::new();
+    row(
+        "psycho_model_frame",
+        median_ns_per_iter(|| {
+            black_box(model.analyse(black_box(&pcm[..1152])));
+        }),
+    );
+    let smr = model.analyse(&pcm[..1152]).smr_db();
+    row(
+        "bit_allocation_frame",
+        median_ns_per_iter(|| {
+            black_box(audio::alloc::psychoacoustic(black_box(&smr), 37, 4608, 0.0));
+        }),
+    );
+
+    let mut rng = Xoroshiro128::new(1);
+    let x: Vec<f64> = (0..1024).map(|_| rng.normal()).collect();
+    let fft = Fft::new(1024);
+    row(
+        "fft_1024",
+        median_ns_per_iter(|| {
+            black_box(fft.forward_real(black_box(&x)));
+        }),
+    );
+    let fb = Filterbank::new();
+    let frame: Vec<f64> = (0..1152).map(|_| rng.normal()).collect();
+    row(
+        "filterbank_analysis_1152",
+        median_ns_per_iter(|| {
+            black_box(fb.analysis(black_box(&frame)));
+        }),
+    );
+    let data = vec![0u8; 65_536];
+    row(
+        "hash_64k",
+        median_ns_per_iter(|| {
+            black_box(drm::hash::hash(black_box(&data)));
+        }),
+    );
+    row(
+        "servo_loop_50k_samples",
+        median_ns_per_iter(|| {
+            let mut pid = Pid::new(nominal_gains(), 50_000.0);
+            black_box(run_loop(
+                Mechanism::nominal(),
+                &mut pid,
+                50_000.0,
+                50_000,
+                1,
+            ));
+        }),
+    );
+
+    let pipeline = video_encoder_pipeline(&cif_spec(), SEED);
+    let platform = Platform::symmetric_bus("quad", 4, 300e6);
+    for s in [
+        Strategy::RoundRobin,
+        Strategy::LoadBalanced,
+        Strategy::PipelineAffine,
+    ] {
+        row(
+            &format!("deploy_{s}"),
+            median_ns_per_iter(|| {
+                black_box(deploy(black_box(&pipeline.graph), &platform, s, 16).expect("deploy"));
+            }),
+        );
+    }
+}
+
 fn main() {
     banner(
         "E19: video hot-path perf (BENCH_video.json)",
@@ -435,7 +595,7 @@ fn main() {
     );
 
     // ---- Encoder end-to-end.
-    let frames = mmbench::test_video(64, 48, 8);
+    let frames = test_video(64, 48, 8);
     let enc = Encoder::new(EncoderConfig::default()).expect("default config is valid");
     let encoded = enc.encode(&frames).expect("encode succeeds");
     let encode_ns = median_ns_per_iter(|| {
@@ -465,7 +625,7 @@ fn main() {
     );
 
     // ---- Decoder end-to-end: one QCIF GOP-12 stream (1 I + 7 P frames).
-    let frames = mmbench::test_video(176, 144, 8);
+    let frames = test_video(176, 144, 8);
     let stream = enc.encode(&frames).expect("encode succeeds");
     let decoded = decode(&stream.bytes).expect("the encoder's stream decodes");
     let decode_ns = median_ns_per_iter(|| {
@@ -493,6 +653,7 @@ fn main() {
 
     kernel_rows(&mut report, &current, &reference);
     ladder_row(&mut report);
+    other_kernel_rows(&mut report, &block);
 
     report
         .write("BENCH_video.json")

@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 /// The seed `Dct2d`: generic matrix 1-D transforms composed row–column.
 /// Kept here (not in `video`, which now runs the fixed-8 butterfly) as
-/// the single copy of the baseline that `exp_e19_perf` and the `dct`
-/// bench both measure against.
+/// the baseline that `exp_e19_perf` measures the butterfly against.
 ///
 /// # Panics
 ///
@@ -182,10 +181,10 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Median wall-clock nanoseconds of one invocation of `f`, using the
-/// same sizing strategy as the vendored criterion harness: double the
-/// iteration count until a sample lasts ~10 ms, then take the median of
-/// 7 samples.
+/// Median wall-clock nanoseconds of one invocation of `f`: double the
+/// iteration count until a sample lasts ~10 ms (or 40 ms of warm-up
+/// pass), then take the median of 7 samples of that many iterations.
+/// Every timed row of the `exp_e*` binaries goes through it.
 pub fn median_ns_per_iter<F: FnMut()>(mut f: F) -> f64 {
     const SAMPLE_TARGET: Duration = Duration::from_millis(10);
     const WARMUP_TARGET: Duration = Duration::from_millis(40);

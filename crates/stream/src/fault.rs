@@ -14,9 +14,8 @@
 //! *survive* those faults:
 //!
 //! * [`RetryPolicy`] — capped exponential backoff with deterministic
-//!   seeded jitter and a give-up budget, generalising PR 5's
-//!   `max_stale_refreshes`; used by session fetches, live manifest
-//!   refreshes, and edge origin fills.
+//!   seeded jitter and a give-up budget; used by every session fetch
+//!   leg, live manifest refreshes, and edge origin fills.
 //! * [`ResilienceStats`] — what a faulted run cost: MTTR, sessions
 //!   re-homed and impacted, fault-attributed rebuffer ticks, and the
 //!   re-warm fills a cold restart triggers.
@@ -331,8 +330,15 @@ impl FaultPlan {
 }
 
 /// Capped exponential backoff with deterministic seeded jitter and a
-/// give-up budget — the one retry discipline shared by session segment
-/// fetches, live manifest refreshes, and edge origin fills.
+/// give-up budget — the one retry discipline of the stack. It serves:
+///
+/// * every fetch leg of a VOD or live session (manifest, license,
+///   refreshes, segments), as `SessionConfig::retry`, on transport
+///   failures;
+/// * a live session's waits on a manifest that has not advanced, as
+///   `LiveSessionConfig::refresh` (its default is a flat 50-tick poll:
+///   equal base and cap, no jitter, 65 attempts);
+/// * edge origin fills, as `CacheConfig::retry`.
 ///
 /// The default policy makes **no retries** (`max_attempts: 1`): every
 /// legacy call site keeps its exact prior behavior until a caller opts

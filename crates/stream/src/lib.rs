@@ -29,9 +29,11 @@
 //! * [`session`] — a viewer: manifest/license fetch, segment fetches
 //!   over `netstack::fetch`/`tcplite` across lossy links, a playout
 //!   buffer, and a throughput-driven ABR controller; reports startup
-//!   delay, rebuffer events, and rung switches. Live viewers
-//!   ([`session::run_live_session`]) additionally refresh the manifest,
-//!   stall on staleness, and skip content lost to DVR expiry.
+//!   delay, rebuffer events, and rung switches. VOD and live viewers
+//!   run one engine; a live viewer ([`session::run_live_session`])
+//!   differs only in where its next segment comes from: it refreshes
+//!   the manifest, waits on staleness, and skips content lost to DVR
+//!   expiry.
 //! * [`serve`] — a deterministic fluid simulator interleaving millions
 //!   of concurrent sessions, measuring the capacity knee where
 //!   per-session quality starts to collapse. One [`Scenario`] (catalog,

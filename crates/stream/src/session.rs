@@ -1,23 +1,29 @@
 //! A viewer session: fetch → jitter/playout buffer → ABR control.
 //!
-//! The session fetches the manifest (and, for sealed titles, the
-//! license) over `netstack::fetch`, then pulls segments through the
-//! reliable TCP-lite transport across a lossy link. A playout buffer
-//! drains in real (simulated-tick) time while the next segment
-//! downloads; the throughput-driven [`AbrController`] picks the highest
-//! rung the measured bandwidth sustains. The report records exactly the
-//! quality-of-experience trio streaming systems are judged on: startup
-//! delay, rebuffer events, and rung switches.
+//! One engine runs every session. It fetches the manifest (and, for
+//! sealed titles, the license) over `netstack::fetch`, then pulls
+//! segments through the reliable TCP-lite transport across a lossy
+//! link, each fetch leg under one retry discipline
+//! ([`SessionConfig::retry`]). Every segment takes the same path: the
+//! throughput-driven [`AbrController`] (or the configured
+//! [`AbrStrategy`]) picks its rung, its length is checked against the
+//! manifest, and it is unsealed and demuxed into the playout buffer,
+//! which drains in real (simulated-tick) time while the next segment
+//! downloads. The report records exactly the quality-of-experience trio
+//! streaming systems are judged on: startup delay, rebuffer events, and
+//! rung switches.
 //!
-//! Live viewers ([`run_live_session`]) run the same machinery against a
-//! [`LiveOrigin`]'s moving window: they join at the live edge or the
-//! DVR start, re-fetch the (mutable, versioned) manifest when it goes
-//! stale, wait out unpublished segments on a poll clock, and skip
-//! forward over content the rolling window expired — adding the live
-//! QoE trio (manifest refreshes, stale-manifest stall ticks, window
-//! skips) and per-segment live latency to the report.
+//! The two session kinds differ only in where the next segment comes
+//! from. A VOD viewer ([`run_session`]) walks the manifest's fixed list.
+//! A live viewer ([`run_live_session`]) plays against a
+//! [`LiveOrigin`]'s moving window: it joins at the live edge or the DVR
+//! start, re-fetches the (mutable, versioned) manifest when it goes
+//! stale, waits out unpublished segments under its refresh policy, and
+//! skips forward over content the rolling window expired — adding the
+//! live QoE trio (manifest refreshes, stale-manifest stall ticks, window
+//! skips) to the report, and per-segment live latency to its records.
 
-use drm::cipher::XteaCtr;
+use drm::cipher::{Key, XteaCtr};
 use drm::license::{License, LicenseParseError};
 use netstack::fetch::{fetch_traced, ContentServer, FetchError};
 use netstack::link::{LinkConfig, LinkTrace};
@@ -237,11 +243,11 @@ pub struct SessionConfig {
     pub max_rung: Option<usize>,
     /// License verification key for sealed titles.
     pub verification_key: Option<Vec<u8>>,
-    /// Transport-failure retry discipline for every fetch leg
-    /// (manifest, license, segments): each failed attempt backs off
-    /// per the policy and re-draws the link's loss randomness. The
-    /// default makes a single attempt — no retries — so legacy
-    /// sessions fail exactly as before.
+    /// Transport-failure retry discipline for every fetch leg of a VOD
+    /// or live session (manifest, license, live refreshes, segments):
+    /// each failed attempt backs off per the policy and re-draws the
+    /// link's loss randomness. The default makes a single attempt — no
+    /// retries — so legacy sessions fail exactly as before.
     pub retry: RetryPolicy,
     /// Rung-selection strategy. The default ([`AbrStrategy::Ewma`]) is
     /// the pre-PR-10 throughput controller, bit-identical.
@@ -284,15 +290,22 @@ pub enum SessionError {
     SealedWithoutKey,
     /// A live session was pointed at a VOD manifest (no live window).
     NotLive,
-    /// The live manifest stopped advancing: `max_stale_refreshes`
-    /// consecutive refreshes brought no new live edge (e.g. an edge
-    /// serving stale-if-error through an endless origin outage).
+    /// The live manifest stopped advancing: consecutive refreshes that
+    /// brought no new live edge spent the refresh policy's budget (e.g.
+    /// an edge serving stale-if-error through an endless origin
+    /// outage).
     LiveStalled,
     /// The license failed verification.
     License(LicenseParseError),
     /// A segment arrived damaged: its length differs from the one its
     /// manifest entry lists, or it does not demux to a video stream.
-    DamagedSegment(usize),
+    DamagedSegment {
+        /// The segment's sequence: its manifest index for VOD, its
+        /// channel sequence for live.
+        seq: u64,
+        /// The rung it was fetched at.
+        rung: usize,
+    },
 }
 
 impl core::fmt::Display for SessionError {
@@ -308,7 +321,9 @@ impl core::fmt::Display for SessionError {
                 f.write_str("live manifest stopped advancing (stale past the refresh budget)")
             }
             SessionError::License(e) => write!(f, "license rejected: {e:?}"),
-            SessionError::DamagedSegment(i) => write!(f, "segment {i} arrived damaged"),
+            SessionError::DamagedSegment { seq, rung } => {
+                write!(f, "segment {seq} (rung {rung}) arrived damaged")
+            }
         }
     }
 }
@@ -324,6 +339,9 @@ impl From<FetchError> for SessionError {
 /// One fetched segment's record.
 #[derive(Debug, Clone)]
 pub struct SegmentRecord {
+    /// Sequence of the segment: its manifest index for VOD, its
+    /// channel sequence for live.
+    pub seq: u64,
     /// Rung the controller chose.
     pub rung: usize,
     /// Ticks the fetch took.
@@ -332,6 +350,9 @@ pub struct SegmentRecord {
     pub bits: u64,
     /// Source frames carried.
     pub frames: usize,
+    /// Live latency at completion: session clock minus the segment's
+    /// publish tick (zero for VOD).
+    pub latency_ticks: u64,
     /// The demuxed (and unsealed) segment.
     pub segment: Segment,
 }
@@ -356,7 +377,8 @@ pub struct SessionReport {
     pub retry_backoff_ticks: u64,
     /// Per-segment records, in playout order.
     pub segments: Vec<SegmentRecord>,
-    /// Total simulated ticks (manifest + license + every segment fetch).
+    /// Total simulated ticks from tune-in: every fetch, retry backoff
+    /// and live wait.
     pub total_ticks: u64,
     /// Total wire bits delivered.
     pub delivered_bits: u64,
@@ -434,7 +456,7 @@ pub fn run_session_via_tier(
     run_session(origin, &mut [edge, shield], title, config)
 }
 
-/// The one route both session engines fetch through: the cache chain
+/// The one route both session kinds fetch through: the cache chain
 /// `nodes` in front of `server`, then the viewer leg over the access
 /// link, starting `fill_ticks` after `now`. `leg` numbers the fetch for
 /// its loss seed; `mutable` is `Some(now)` for the live manifest.
@@ -477,231 +499,272 @@ fn parse_manifest(bytes: &[u8]) -> Result<Manifest, SessionError> {
 /// engine.
 const ATTEMPT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The VOD session engine over a fetch function (the route, or a
-/// test's fault injector). `leg` numbers each fetch (manifest 0,
-/// license 1, segment `i` at `2 + i`) for per-leg seeds; `now` is the
-/// session clock at the moment the fetch starts, so a traced link
-/// schedule can be walked. Transport failures retry under
-/// [`SessionConfig::retry`]: each retry backs off (wall time the
-/// playout buffer drains) and re-issues the leg with an attempt-salted
-/// leg number.
-fn run_session_with(
-    mut fetch_object: impl FnMut(&str, u64, u64) -> Result<(Vec<u8>, u64), FetchError>,
-    title: &str,
-    config: &SessionConfig,
-) -> Result<SessionReport, SessionError> {
-    let mut clock = 0u64;
-    let mut delivered_bits = 0u64;
-    let mut fetch_retries = 0u32;
-    let mut retry_backoff_ticks = 0u64;
-    // Returns (bytes, transfer ticks, backoff ticks waited). Only the
-    // transfer ticks feed the ABR's throughput estimate; both feed the
-    // clock and the playout drain.
-    let mut fetch_object =
-        |name: &str, leg: u64, now: u64| -> Result<(Vec<u8>, u64, u64), SessionError> {
-            let mut failures = 0u32;
-            let mut waited = 0u64;
-            loop {
-                let attempt = leg.wrapping_add(u64::from(failures).wrapping_mul(ATTEMPT_SALT));
-                match fetch_object(name, attempt, now + waited) {
-                    Ok((bytes, ticks)) => {
-                        fetch_retries += failures;
-                        retry_backoff_ticks += waited;
-                        return Ok((bytes, ticks, waited));
+/// The session engine both kinds drive, over a fetch function `F` (the
+/// route, or a test's fault injector) called as `(name, leg, now)`,
+/// `now` being the session clock when the attempt starts so a traced
+/// link schedule can be walked. It owns the clock, every fetch leg
+/// through one retry loop, the license, the ABR controller, the
+/// playout buffer and the report it fills in. Each session kind only
+/// says which segment comes next.
+struct Engine<'c, F> {
+    fetch: F,
+    config: &'c SessionConfig,
+    start_tick: u64,
+    clock: u64,
+    /// Loss-seed number of the next fetch leg.
+    leg: u64,
+    content_key: Option<Key>,
+    abr: AbrController,
+    /// Playout buffer level; once playback starts, every tick of wall
+    /// time (fetches, retry backoff, live waits) drains it.
+    buffer_ticks: i64,
+    playing: bool,
+    /// Segments buffered before playback starts.
+    startup_after: usize,
+    report: SessionReport,
+}
+
+impl<'c, F> Engine<'c, F>
+where
+    F: FnMut(&str, u64, u64) -> Result<(Vec<u8>, u64), FetchError>,
+{
+    /// A session tuning in at `start_tick`.
+    fn new(fetch: F, config: &'c SessionConfig, start_tick: u64) -> Self {
+        Self {
+            fetch,
+            config,
+            start_tick,
+            clock: start_tick,
+            leg: 0,
+            content_key: None,
+            abr: AbrController::new(config.ewma_alpha, config.safety),
+            buffer_ticks: 0,
+            playing: false,
+            startup_after: 1,
+            report: SessionReport {
+                startup_delay_ticks: 0,
+                rebuffer_events: 0,
+                rebuffer_ticks: 0,
+                rung_switches: 0,
+                fetch_retries: 0,
+                retry_backoff_ticks: 0,
+                segments: Vec::new(),
+                total_ticks: 0,
+                delivered_bits: 0,
+            },
+        }
+    }
+
+    /// The session will play `segments` segments: playback starts once
+    /// `startup_segments` of them (at least one, at most all) are
+    /// buffered.
+    fn plan(&mut self, segments: usize) {
+        self.startup_after = self.config.startup_segments.clamp(1, segments.max(1));
+        self.report.segments.reserve(segments);
+    }
+
+    /// Wall time passes: the clock advances and, once playing, the
+    /// buffer drains; running dry is a rebuffer.
+    fn wait(&mut self, ticks: u64) {
+        self.clock += ticks;
+        if self.playing {
+            self.buffer_ticks -= ticks as i64;
+            if self.buffer_ticks < 0 {
+                self.report.rebuffer_events += 1;
+                self.report.rebuffer_ticks += (-self.buffer_ticks) as u64;
+                self.buffer_ticks = 0;
+            }
+        }
+    }
+
+    /// Fetches `name` as the next leg. A transport failure retries under
+    /// [`SessionConfig::retry`]: each retry backs off (wall time like any
+    /// other) and re-issues the leg with an attempt-salted leg number.
+    /// Returns the bytes and the transfer ticks; only those feed the
+    /// ABR's throughput estimate.
+    fn fetch(&mut self, name: &str) -> Result<(Vec<u8>, u64), SessionError> {
+        let mut failures = 0u32;
+        let mut waited = 0u64;
+        let (bytes, ticks) = loop {
+            let attempt = self
+                .leg
+                .wrapping_add(u64::from(failures).wrapping_mul(ATTEMPT_SALT));
+            match (self.fetch)(name, attempt, self.clock + waited) {
+                Ok(got) => break got,
+                Err(e @ FetchError::Transport(_)) => {
+                    failures += 1;
+                    match self.config.retry.backoff_before(failures) {
+                        Some(wait) => waited += wait,
+                        None => return Err(e.into()),
                     }
-                    Err(e @ FetchError::Transport(_)) => {
-                        failures += 1;
-                        match config.retry.backoff_before(failures) {
-                            Some(wait) => waited += wait,
-                            None => return Err(e.into()),
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
                 }
+                Err(e) => return Err(e.into()),
             }
         };
+        self.leg += 1;
+        self.report.fetch_retries += failures;
+        self.report.retry_backoff_ticks += waited;
+        self.report.delivered_bits += (bytes.len() * 8) as u64;
+        self.wait(ticks + waited);
+        Ok((bytes, ticks))
+    }
 
-    // 1. Manifest.
-    let (bytes, ticks, waited) = fetch_object(&Manifest::manifest_object(title), 0, clock)?;
-    clock += ticks + waited;
-    delivered_bits += (bytes.len() * 8) as u64;
-    let manifest = parse_manifest(&bytes)?;
+    /// Fetches and parses the title's manifest.
+    fn manifest(&mut self, title: &str) -> Result<Manifest, SessionError> {
+        let (bytes, _) = self.fetch(&Manifest::manifest_object(title))?;
+        parse_manifest(&bytes)
+    }
 
-    // 2. License, when the title is sealed.
-    let content_key = if manifest.sealed {
-        let key = config
-            .verification_key
-            .as_deref()
-            .ok_or(SessionError::SealedWithoutKey)?;
-        let (bytes, ticks, waited) = fetch_object(&Manifest::license_object(title), 1, clock)?;
-        clock += ticks + waited;
-        delivered_bits += (bytes.len() * 8) as u64;
-        let license = License::unseal(&bytes, key).map_err(SessionError::License)?;
-        Some(license.content_key)
-    } else {
-        None
-    };
+    /// Fetches and verifies the license when the title is sealed.
+    fn license(&mut self, title: &str, manifest: &Manifest) -> Result<(), SessionError> {
+        if manifest.sealed {
+            let key = self
+                .config
+                .verification_key
+                .as_deref()
+                .ok_or(SessionError::SealedWithoutKey)?;
+            let (bytes, _) = self.fetch(&Manifest::license_object(title))?;
+            let license = License::unseal(&bytes, key).map_err(SessionError::License)?;
+            self.content_key = Some(license.content_key);
+        }
+        Ok(())
+    }
 
-    // 3. Segments, ABR-controlled, through the playout buffer model.
-    let mut abr = AbrController::new(config.ewma_alpha, config.safety);
-    let n = manifest.segment_count();
-    let startup_after = config.startup_segments.clamp(1, n.max(1));
-    let mut records: Vec<SegmentRecord> = Vec::with_capacity(n);
-    let mut buffer_ticks = 0i64;
-    let mut playing = false;
-    let mut startup_delay = 0u64;
-    let mut rebuffer_events = 0u32;
-    let mut rebuffer_ticks = 0u64;
-    let mut rung_switches = 0u32;
-
-    for seg in 0..n {
+    /// Plays entry `idx` of `manifest`, sequence `seq` of the title: the
+    /// ABR picks its rung, then fetch, size check, unseal, demux and
+    /// buffer. A live segment's latency runs from its `published` tick.
+    fn play(
+        &mut self,
+        manifest: &Manifest,
+        idx: usize,
+        seq: u64,
+        published: Option<u64>,
+    ) -> Result<(), SessionError> {
+        let config = self.config;
         let rung = config
             .abr
-            .pick(&abr, &manifest, seg, config.max_rung, buffer_ticks);
-        if let Some(prev) = records.last() {
-            if prev.rung != rung {
-                rung_switches += 1;
-            }
+            .pick(&self.abr, manifest, idx, config.max_rung, self.buffer_ticks);
+        if self
+            .report
+            .segments
+            .last()
+            .is_some_and(|prev| prev.rung != rung)
+        {
+            self.report.rung_switches += 1;
         }
-        let entry = &manifest.rungs[rung].segments[seg];
-        let (mut bytes, ticks, waited) =
-            fetch_object(&manifest.segment_object(rung, seg), 2 + seg as u64, clock)?;
+        let entry = &manifest.rungs[rung].segments[idx];
+        let (mut bytes, ticks) = self.fetch(&manifest.segment_object(rung, idx))?;
+        let damaged = SessionError::DamagedSegment { seq, rung };
         if bytes.len() != entry.bytes {
-            return Err(SessionError::DamagedSegment(seg));
+            return Err(damaged);
         }
-        clock += ticks + waited;
-        delivered_bits += (bytes.len() * 8) as u64;
-        abr.observe((bytes.len() * 8) as f64, ticks as f64);
-
-        // Playout drains while the fetch (and any retry backoff) was
-        // in flight.
-        if playing {
-            buffer_ticks -= (ticks + waited) as i64;
-            if buffer_ticks < 0 {
-                rebuffer_events += 1;
-                rebuffer_ticks += (-buffer_ticks) as u64;
-                buffer_ticks = 0;
-            }
-        }
-
-        if let Some(key) = content_key.as_ref() {
+        self.abr.observe((bytes.len() * 8) as f64, ticks as f64);
+        if let Some(key) = &self.content_key {
             XteaCtr::new(key, entry.nonce).apply(&mut bytes);
         }
         let segment = demux_segment(&bytes);
         if segment.video_es.is_none() {
-            return Err(SessionError::DamagedSegment(seg));
+            return Err(damaged);
         }
-        buffer_ticks += (entry.frames as u64 * manifest.ticks_per_frame) as i64;
-        records.push(SegmentRecord {
+        self.buffer_ticks += (entry.frames as u64 * manifest.ticks_per_frame) as i64;
+        self.report.segments.push(SegmentRecord {
+            seq,
             rung,
             ticks,
             bits: (bytes.len() * 8) as u64,
             frames: entry.frames,
+            latency_ticks: published.map_or(0, |at| self.clock.saturating_sub(at)),
             segment,
         });
-        if !playing && records.len() >= startup_after {
-            playing = true;
-            startup_delay = clock;
+        if !self.playing && self.report.segments.len() >= self.startup_after {
+            self.playing = true;
+            self.report.startup_delay_ticks = self.clock - self.start_tick;
         }
+        Ok(())
     }
 
-    Ok(SessionReport {
-        startup_delay_ticks: startup_delay,
-        rebuffer_events,
-        rebuffer_ticks,
-        rung_switches,
-        fetch_retries,
-        retry_backoff_ticks,
-        segments: records,
-        total_ticks: clock,
-        delivered_bits,
-    })
+    fn finish(mut self) -> SessionReport {
+        self.report.total_ticks = self.clock - self.start_tick;
+        self.report
+    }
+}
+
+/// A VOD session: every entry of the manifest, in order. Legs number
+/// the manifest 0, the license 1 and segment `i` at `2 + i`, so leg 1
+/// stays reserved when the title is not sealed.
+fn run_session_with(
+    fetch_object: impl FnMut(&str, u64, u64) -> Result<(Vec<u8>, u64), FetchError>,
+    title: &str,
+    config: &SessionConfig,
+) -> Result<SessionReport, SessionError> {
+    let mut session = Engine::new(fetch_object, config, 0);
+    let manifest = session.manifest(title)?;
+    session.license(title, &manifest)?;
+    session.leg = 2;
+    let n = manifest.segment_count();
+    session.plan(n);
+    for seg in 0..n {
+        session.play(&manifest, seg, seg as u64, None)?;
+    }
+    Ok(session.finish())
 }
 
 /// Live-session configuration: the base session knobs plus where to
 /// join and how long to stay (a linear channel has no natural end).
 #[derive(Debug, Clone)]
 pub struct LiveSessionConfig {
-    /// Transport/link/buffer/ABR knobs shared with VOD sessions.
+    /// Transport/link/buffer/ABR/retry knobs shared with VOD sessions.
     pub base: SessionConfig,
     /// Join at the live edge or the DVR window start.
     pub join: JoinMode,
     /// Segments to play before leaving.
     pub segments_to_play: usize,
-    /// Wait granularity while the manifest is stale (the live edge has
-    /// not published the next segment yet); clamped to at least 1.
-    pub poll_ticks: u64,
     /// When this viewer tunes in, on the channel's global timeline (a
     /// later viewer of the same [`LiveOrigin`] must start at or after
     /// the origin's current tick — the channel never rewinds).
     pub start_tick: u64,
-    /// Give-up bar: consecutive manifest refreshes that make no
-    /// forward progress (the advertised live edge does not advance)
-    /// before the session errors with [`SessionError::LiveStalled`].
-    /// Bounds the session when an edge can only serve a stale manifest
-    /// forever — e.g. stale-if-error through an endless origin outage.
-    pub max_stale_refreshes: u32,
-    /// Retry discipline for progress-free manifest refreshes. `None`
-    /// reproduces the legacy fixed-interval poll exactly — equivalent
-    /// to `RetryPolicy { max_attempts: max_stale_refreshes + 1,
-    /// base_backoff_ticks: poll_ticks, max_backoff_ticks: poll_ticks,
-    /// jitter_ticks: 0, seed: 0 }`. A backoff-shaped policy lets
-    /// viewers poll gently through an origin outage instead of
-    /// hammering a fixed interval; its give-up budget then supersedes
-    /// `max_stale_refreshes`.
-    pub refresh_retry: Option<RetryPolicy>,
+    /// How the viewer waits on a manifest that does not list the wanted
+    /// sequence yet. After a refresh that moved the live edge (but not
+    /// far enough) it waits `base_backoff_ticks`; after the `k`-th
+    /// consecutive refresh that did not, it waits
+    /// [`RetryPolicy::backoff_before`]`(k)`, and once the policy's
+    /// budget is spent the session errors with
+    /// [`SessionError::LiveStalled`]. That bounds a session whose edge
+    /// can only serve a stale manifest forever — e.g. stale-if-error
+    /// through an endless origin outage. A backoff-shaped policy polls
+    /// gently through an outage instead of hammering a fixed interval.
+    pub refresh: RetryPolicy,
 }
 
 impl Default for LiveSessionConfig {
-    /// Default session knobs, live-edge join, 8 segments, 50-tick
-    /// stale-manifest polls, tuning in at channel start, giving up
-    /// after 64 progress-free refreshes.
+    /// Default session knobs, live-edge join, 8 segments, tuning in at
+    /// channel start, a flat 50-tick refresh poll giving up after 64
+    /// progress-free refreshes.
     fn default() -> Self {
         Self {
             base: SessionConfig::default(),
             join: JoinMode::LiveEdge,
             segments_to_play: 8,
-            poll_ticks: 50,
             start_tick: 0,
-            max_stale_refreshes: 64,
-            refresh_retry: None,
+            refresh: RetryPolicy {
+                max_attempts: 65,
+                base_backoff_ticks: 50,
+                max_backoff_ticks: 50,
+                jitter_ticks: 0,
+                seed: 0,
+            },
         }
     }
 }
 
-/// One fetched live segment's record.
-#[derive(Debug, Clone)]
-pub struct LiveSegmentRecord {
-    /// Sequence number in the channel's timeline.
-    pub seq: u64,
-    /// Rung the controller chose.
-    pub rung: usize,
-    /// Ticks the fetch took.
-    pub ticks: u64,
-    /// Wire bits delivered.
-    pub bits: u64,
-    /// Source frames carried.
-    pub frames: usize,
-    /// Live latency at completion: session clock minus the segment's
-    /// publish tick.
-    pub latency_ticks: u64,
-    /// The demuxed (and unsealed) segment.
-    pub segment: Segment,
-}
-
-/// What one live session experienced: the VOD QoE trio plus the live
-/// trio — manifest refreshes, stale-manifest stall time, and window
-/// skips (content lost to DVR expiry).
+/// What one live session experienced: the VOD report (its segment
+/// records carry channel sequences and live latency) plus the live trio
+/// — manifest refreshes, stale-manifest stall time, and window skips
+/// (content lost to DVR expiry).
 #[derive(Debug, Clone)]
 pub struct LiveSessionReport {
-    /// Ticks from session start to first rendered frame.
-    pub startup_delay_ticks: u64,
-    /// Post-startup playback stalls.
-    pub rebuffer_events: u32,
-    /// Total stalled ticks.
-    pub rebuffer_ticks: u64,
-    /// Rung changes after the first segment.
-    pub rung_switches: u32,
+    /// Everything a VOD session reports; ticks count from the tune-in.
+    pub base: SessionReport,
     /// Manifest re-fetches (the live window moved past our copy).
     pub manifest_refreshes: u32,
     /// Ticks spent waiting on a manifest that did not reach the wanted
@@ -709,70 +772,29 @@ pub struct LiveSessionReport {
     pub stale_manifest_ticks: u64,
     /// Segments lost to DVR-window expiry (skipped forward).
     pub window_skips: u64,
-    /// Per-segment records, in playout order.
-    pub segments: Vec<LiveSegmentRecord>,
-    /// Total simulated ticks.
-    pub total_ticks: u64,
-    /// Total wire bits delivered.
-    pub delivered_bits: u64,
 }
 
 impl LiveSessionReport {
-    /// Mean rung index across fetched segments.
-    #[must_use]
-    pub fn mean_rung(&self) -> f64 {
-        if self.segments.is_empty() {
-            0.0
-        } else {
-            self.segments.iter().map(|s| s.rung as f64).sum::<f64>() / self.segments.len() as f64
-        }
-    }
-
     /// Mean live latency across fetched segments.
     #[must_use]
     pub fn mean_live_latency_ticks(&self) -> f64 {
-        if self.segments.is_empty() {
+        let segments = &self.base.segments;
+        if segments.is_empty() {
             0.0
         } else {
-            self.segments
-                .iter()
-                .map(|s| s.latency_ticks as f64)
-                .sum::<f64>()
-                / self.segments.len() as f64
+            segments.iter().map(|s| s.latency_ticks as f64).sum::<f64>() / segments.len() as f64
         }
     }
 
     /// Worst single-segment live latency.
     #[must_use]
     pub fn max_live_latency_ticks(&self) -> u64 {
-        self.segments
+        self.base
+            .segments
             .iter()
             .map(|s| s.latency_ticks)
             .max()
             .unwrap_or(0)
-    }
-}
-
-/// The playout-buffer model shared by the live loop's several drain
-/// points (fetches, polls, refreshes all consume wall time).
-struct Playout {
-    buffer_ticks: i64,
-    playing: bool,
-    rebuffer_events: u32,
-    rebuffer_ticks: u64,
-}
-
-impl Playout {
-    fn drain(&mut self, ticks: u64) {
-        if !self.playing {
-            return;
-        }
-        self.buffer_ticks -= ticks as i64;
-        if self.buffer_ticks < 0 {
-            self.rebuffer_events += 1;
-            self.rebuffer_ticks += (-self.buffer_ticks) as u64;
-            self.buffer_ticks = 0;
-        }
     }
 }
 
@@ -789,7 +811,7 @@ impl Playout {
 ///
 /// Returns [`SessionError`] on transport failure, a manifest without a
 /// live window, license problems, an unreachable parent on a cold
-/// object, or a damaged segment.
+/// object, a damaged segment, or a manifest that stopped advancing.
 pub fn run_live_session(
     server: &mut ContentServer,
     origin: &mut LiveOrigin,
@@ -797,97 +819,57 @@ pub fn run_live_session(
     title: &str,
     config: &LiveSessionConfig,
 ) -> Result<LiveSessionReport, SessionError> {
-    let poll = config.poll_ticks.max(1);
-    // The stale-refresh loop runs on a retry policy; the legacy
-    // `poll_ticks`/`max_stale_refreshes` knobs are exactly the flat
-    // policy below (poll-sized backoff, `max_stale + 1` attempts).
-    let refresh_retry = config.refresh_retry.unwrap_or(RetryPolicy {
-        max_attempts: config.max_stale_refreshes.saturating_add(1),
-        base_backoff_ticks: poll,
-        max_backoff_ticks: poll,
-        jitter_ticks: 0,
-        seed: 0,
-    });
-    let mut clock = config.start_tick;
-    let mut leg = 0u64;
-    let mut delivered_bits = 0u64;
-
-    // 1. First manifest (the mutable object).
-    expire(nodes, &origin.advance_to(server, clock).expired);
+    let ticks_per_segment = origin.ticks_per_segment();
     let manifest_object = Manifest::manifest_object(title);
-    let (bytes, ticks) = fetch_object(
-        server,
-        nodes,
-        &manifest_object,
-        Some(clock),
-        &config.base,
-        leg,
-        clock,
-    )?;
-    leg += 1;
-    clock += ticks;
-    delivered_bits += (bytes.len() * 8) as u64;
-    let mut manifest = parse_manifest(&bytes)?;
+    run_live_session_with(
+        |name, leg, now| {
+            // The origin advances only at manifest fetches (lazy
+            // expiry): everything the manifest in hand lists is still
+            // on the server, so a validated sequence can never race its
+            // own expiry into a failed fetch.
+            let mutable = if name == manifest_object {
+                expire(nodes, &origin.advance_to(server, now).expired);
+                Some(now)
+            } else {
+                None
+            };
+            fetch_object(server, nodes, name, mutable, &config.base, leg, now)
+        },
+        ticks_per_segment,
+        title,
+        config,
+    )
+}
+
+/// A live session: a refresh gate in front of each segment, over a
+/// channel publishing sequence `s` at `s * ticks_per_segment`. Legs
+/// number every fetch in order.
+fn run_live_session_with(
+    fetch_object: impl FnMut(&str, u64, u64) -> Result<(Vec<u8>, u64), FetchError>,
+    ticks_per_segment: u64,
+    title: &str,
+    config: &LiveSessionConfig,
+) -> Result<LiveSessionReport, SessionError> {
+    let refresh = &config.refresh;
+    let mut session = Engine::new(fetch_object, &config.base, config.start_tick);
+    let mut manifest = session.manifest(title)?;
     let mut window = manifest.live.ok_or(SessionError::NotLive)?;
-
-    // 2. License, when the channel is sealed.
-    let content_key = if manifest.sealed {
-        let key = config
-            .base
-            .verification_key
-            .as_deref()
-            .ok_or(SessionError::SealedWithoutKey)?;
-        let (bytes, ticks) = fetch_object(
-            server,
-            nodes,
-            &Manifest::license_object(title),
-            None,
-            &config.base,
-            leg,
-            clock,
-        )?;
-        leg += 1;
-        clock += ticks;
-        delivered_bits += (bytes.len() * 8) as u64;
-        let license = License::unseal(&bytes, key).map_err(SessionError::License)?;
-        Some(license.content_key)
-    } else {
-        None
-    };
-
-    // 3. Segments: refresh-gated, ABR-controlled, through the playout
-    // buffer.
-    let mut abr = AbrController::new(config.base.ewma_alpha, config.base.safety);
-    let startup_after = config
-        .base
-        .startup_segments
-        .clamp(1, config.segments_to_play.max(1));
+    session.license(title, &manifest)?;
+    session.plan(config.segments_to_play);
+    let manifest_object = Manifest::manifest_object(title);
     let mut next_seq = match config.join {
         JoinMode::LiveEdge => window.live_seq,
         JoinMode::DvrStart => window.first_seq,
     };
-    let mut playout = Playout {
-        buffer_ticks: 0,
-        playing: false,
-        rebuffer_events: 0,
-        rebuffer_ticks: 0,
-    };
-    let mut startup_delay = 0u64;
-    let mut rung_switches = 0u32;
     let mut manifest_refreshes = 0u32;
     let mut stale_manifest_ticks = 0u64;
     let mut window_skips = 0u64;
-    let mut last_rung: Option<usize> = None;
-    let mut records: Vec<LiveSegmentRecord> = Vec::with_capacity(config.segments_to_play);
 
     for _ in 0..config.segments_to_play {
         // Bring the manifest window up to (or past) the wanted
-        // sequence: skip forward over expired content, refresh when
-        // the copy is stale, and poll while the origin itself has not
-        // published it yet. Bounded: the refresh retry policy's
-        // give-up budget caps consecutive refreshes with no live-edge
-        // progress (an edge that can only serve stale-if-error through
-        // an endless outage), erroring out instead of polling forever.
+        // sequence: skip forward over expired content, refresh when the
+        // copy is stale, and wait while the origin itself has not
+        // published it yet.
         let mut stale_refreshes = 0u32;
         loop {
             if next_seq < window.first_seq {
@@ -898,20 +880,7 @@ pub fn run_live_session(
             if next_seq <= window.live_seq {
                 break;
             }
-            expire(nodes, &origin.advance_to(server, clock).expired);
-            let (bytes, ticks) = fetch_object(
-                server,
-                nodes,
-                &manifest_object,
-                Some(clock),
-                &config.base,
-                leg,
-                clock,
-            )?;
-            leg += 1;
-            clock += ticks;
-            delivered_bits += (bytes.len() * 8) as u64;
-            playout.drain(ticks);
+            let (bytes, _) = session.fetch(&manifest_object)?;
             manifest_refreshes += 1;
             manifest = parse_manifest(&bytes)?;
             let fresh = manifest.live.ok_or(SessionError::NotLive)?;
@@ -919,97 +888,33 @@ pub fn run_live_session(
             let stalled = fresh.live_seq < next_seq;
             window = fresh;
             if stalled {
-                stale_refreshes = if progressed { 0 } else { stale_refreshes + 1 };
                 // Not published yet (or an edge served a within-TTL
-                // stale copy): wait before asking again. A refresh
-                // that progressed (but not far enough) restarts the
+                // stale copy). A refresh that progressed restarts the
                 // backoff ladder at its base; progress-free refreshes
-                // climb it until the give-up budget is spent.
+                // climb it until the budget is spent.
+                stale_refreshes = if progressed { 0 } else { stale_refreshes + 1 };
                 let wait = if stale_refreshes == 0 {
-                    refresh_retry.base_backoff_ticks
+                    refresh.base_backoff_ticks
                 } else {
-                    match refresh_retry.backoff_before(stale_refreshes) {
-                        Some(wait) => wait,
-                        None => return Err(SessionError::LiveStalled),
-                    }
+                    refresh
+                        .backoff_before(stale_refreshes)
+                        .ok_or(SessionError::LiveStalled)?
                 };
-                clock += wait;
+                session.wait(wait);
                 stale_manifest_ticks += wait;
-                playout.drain(wait);
             }
         }
-
         let idx = (next_seq - window.first_seq) as usize;
-        let rung = config.base.abr.pick(
-            &abr,
-            &manifest,
-            idx,
-            config.base.max_rung,
-            playout.buffer_ticks,
-        );
-        if last_rung.is_some_and(|prev| prev != rung) {
-            rung_switches += 1;
-        }
-        last_rung = Some(rung);
-        let entry = manifest.rungs[rung].segments[idx].clone();
-
-        // The origin advances only at manifest-refresh points (lazy
-        // expiry): everything the manifest in hand lists is still on
-        // the server, so a validated sequence can never race its own
-        // expiry into a failed fetch.
-        let (mut bytes, ticks) = fetch_object(
-            server,
-            nodes,
-            &manifest.segment_object(rung, idx),
-            None,
-            &config.base,
-            leg,
-            clock,
-        )?;
-        if bytes.len() != entry.bytes {
-            return Err(SessionError::DamagedSegment(records.len()));
-        }
-        leg += 1;
-        clock += ticks;
-        delivered_bits += (bytes.len() * 8) as u64;
-        abr.observe((bytes.len() * 8) as f64, ticks as f64);
-        playout.drain(ticks);
-
-        if let Some(key) = content_key.as_ref() {
-            XteaCtr::new(key, entry.nonce).apply(&mut bytes);
-        }
-        let segment = demux_segment(&bytes);
-        if segment.video_es.is_none() {
-            return Err(SessionError::DamagedSegment(records.len()));
-        }
-        playout.buffer_ticks += (entry.frames as u64 * manifest.ticks_per_frame) as i64;
-        records.push(LiveSegmentRecord {
-            seq: next_seq,
-            rung,
-            ticks,
-            bits: (bytes.len() * 8) as u64,
-            frames: entry.frames,
-            latency_ticks: clock.saturating_sub(origin.publish_tick(next_seq)),
-            segment,
-        });
-        if !playout.playing && records.len() >= startup_after {
-            playout.playing = true;
-            startup_delay = clock - config.start_tick;
-        }
+        let published = next_seq.saturating_mul(ticks_per_segment);
+        session.play(&manifest, idx, next_seq, Some(published))?;
         next_seq += 1;
     }
 
     Ok(LiveSessionReport {
-        startup_delay_ticks: startup_delay,
-        rebuffer_events: playout.rebuffer_events,
-        rebuffer_ticks: playout.rebuffer_ticks,
-        rung_switches,
+        base: session.finish(),
         manifest_refreshes,
         stale_manifest_ticks,
         window_skips,
-        segments: records,
-        total_ticks: clock - config.start_tick,
-        delivered_bits,
     })
 }
 
@@ -1285,14 +1190,20 @@ mod tests {
         let cfg = SessionConfig::default();
         let direct = run_session(&server, &mut [], "movie", &cfg);
         assert!(
-            matches!(direct, Err(SessionError::DamagedSegment(1))),
+            matches!(
+                direct,
+                Err(SessionError::DamagedSegment { seq: 1, rung: 2 })
+            ),
             "{direct:?}"
         );
         let mut edge = CacheNode::new(CacheConfig::default());
         let mut shield = CacheNode::new(CacheConfig::default());
         let chained = run_session(&server, &mut [&mut edge, &mut shield], "movie", &cfg);
         assert!(
-            matches!(chained, Err(SessionError::DamagedSegment(1))),
+            matches!(
+                chained,
+                Err(SessionError::DamagedSegment { seq: 1, rung: 2 })
+            ),
             "{chained:?}"
         );
     }
@@ -1375,6 +1286,16 @@ mod tests {
         );
     }
 
+    /// The flat refresh policy: poll every `ticks`, giving up after 64
+    /// progress-free refreshes.
+    fn poll(ticks: u64) -> RetryPolicy {
+        RetryPolicy {
+            base_backoff_ticks: ticks,
+            max_backoff_ticks: ticks,
+            ..LiveSessionConfig::default().refresh
+        }
+    }
+
     /// A live channel: 3-segment wheel, 100-tick publish pace, 4-deep
     /// DVR window, optionally sealed.
     fn live_channel(seal: bool) -> (ContentServer, crate::ladder::LiveOrigin, LicenseAuthority) {
@@ -1418,14 +1339,14 @@ mod tests {
                 ..Default::default()
             },
             segments_to_play: 6,
-            poll_ticks: 20,
+            refresh: poll(20),
             ..Default::default()
         };
         let r = run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg).unwrap();
-        assert_eq!(r.segments.len(), 6);
+        assert_eq!(r.base.segments.len(), 6);
         // Consecutive sequences from the join point, every one decodes.
-        for (i, rec) in r.segments.iter().enumerate() {
-            assert_eq!(rec.seq, r.segments[0].seq + i as u64);
+        for (i, rec) in r.base.segments.iter().enumerate() {
+            assert_eq!(rec.seq, r.base.segments[0].seq + i as u64);
             let dec = video::decode(rec.segment.video_es.as_ref().unwrap()).unwrap();
             assert_eq!(dec.frames.len(), rec.frames);
             assert_eq!(dec.kinds[0], video::FrameKind::Intra, "closed GOP entry");
@@ -1445,7 +1366,7 @@ mod tests {
         // Determinism: an identical fresh setup replays identically.
         let (mut server2, mut origin2, _) = live_channel(true);
         let r2 = run_live_session(&mut server2, &mut origin2, &mut [], "chan", &cfg).unwrap();
-        assert_eq!(r.total_ticks, r2.total_ticks);
+        assert_eq!(r.base.total_ticks, r2.base.total_ticks);
         assert_eq!(r.stale_manifest_ticks, r2.stale_manifest_ticks);
     }
 
@@ -1460,7 +1381,7 @@ mod tests {
             let cfg = LiveSessionConfig {
                 join: mode,
                 segments_to_play: 4,
-                poll_ticks: 20,
+                refresh: poll(20),
                 start_tick: 500,
                 ..Default::default()
             };
@@ -1469,10 +1390,10 @@ mod tests {
         let dvr = join(JoinMode::DvrStart);
         let edge = join(JoinMode::LiveEdge);
         assert!(
-            dvr.segments[0].seq < edge.segments[0].seq,
+            dvr.base.segments[0].seq < edge.base.segments[0].seq,
             "DvrStart enters earlier in the timeline: {} vs {}",
-            dvr.segments[0].seq,
-            edge.segments[0].seq
+            dvr.base.segments[0].seq,
+            edge.base.segments[0].seq
         );
         assert!(
             dvr.stale_manifest_ticks <= edge.stale_manifest_ticks,
@@ -1509,20 +1430,22 @@ mod tests {
             },
             join: JoinMode::DvrStart,
             segments_to_play: 5,
-            poll_ticks: 5,
             start_tick: 0,
-            max_stale_refreshes: 64,
-            refresh_retry: None,
+            refresh: poll(5),
         };
         let r = run_live_session(&mut server, &mut origin, &mut [], "chan", &session).unwrap();
-        assert_eq!(r.segments.len(), 5, "skipping forward must keep playing");
+        assert_eq!(
+            r.base.segments.len(),
+            5,
+            "skipping forward must keep playing"
+        );
         assert!(
             r.window_skips > 0,
             "a too-slow viewer must lose content to expiry"
         );
         // Sequences still strictly increase (never replayed, never
         // rewound) even across skips.
-        for w in r.segments.windows(2) {
+        for w in r.base.segments.windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
     }
@@ -1536,11 +1459,11 @@ mod tests {
         });
         let cfg = LiveSessionConfig {
             segments_to_play: 6,
-            poll_ticks: 20,
+            refresh: poll(20),
             ..Default::default()
         };
         let a = run_live_session(&mut server, &mut origin, &mut [&mut edge], "chan", &cfg).unwrap();
-        assert_eq!(a.segments.len(), 6);
+        assert_eq!(a.base.segments.len(), 6);
         let after_a = *edge.stats();
         assert!(after_a.misses > 0, "cold edge fills from the origin");
         assert!(
@@ -1566,7 +1489,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(b.segments.len(), 6);
+        assert_eq!(b.base.segments.len(), 6);
         assert!(
             edge.stats().hits > after_a.hits,
             "the cache must be doing work"
@@ -1577,7 +1500,7 @@ mod tests {
     fn a_live_segment_longer_than_its_manifest_entry_is_damaged() {
         let cfg = LiveSessionConfig {
             segments_to_play: 6,
-            poll_ticks: 20,
+            refresh: poll(20),
             ..Default::default()
         };
         let padded = || {
@@ -1599,7 +1522,10 @@ mod tests {
         let (mut server, mut origin) = padded();
         let direct = run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg);
         assert!(
-            matches!(direct, Err(SessionError::DamagedSegment(_))),
+            matches!(
+                direct,
+                Err(SessionError::DamagedSegment { seq: 1, rung: 2 })
+            ),
             "{direct:?}"
         );
         let (mut server, mut origin) = padded();
@@ -1613,7 +1539,10 @@ mod tests {
             &cfg,
         );
         assert!(
-            matches!(chained, Err(SessionError::DamagedSegment(_))),
+            matches!(
+                chained,
+                Err(SessionError::DamagedSegment { seq: 1, rung: 2 })
+            ),
             "{chained:?}"
         );
     }
@@ -1631,7 +1560,7 @@ mod tests {
         });
         let cfg = LiveSessionConfig {
             segments_to_play: 6,
-            poll_ticks: 20,
+            refresh: poll(20),
             ..Default::default()
         };
         let r = run_live_session(
@@ -1642,7 +1571,7 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(r.segments.len(), 6);
+        assert_eq!(r.base.segments.len(), 6);
         for node in [&edge, &shield] {
             let s = node.stats();
             assert!(s.misses > 0, "both tiers fill while cold: {s:?}");
@@ -1672,7 +1601,7 @@ mod tests {
                 ..Default::default()
             },
             segments_to_play: 4,
-            poll_ticks: 20,
+            refresh: poll(20),
             ..Default::default()
         };
         run_live_session(&mut server, &mut origin, &mut [&mut edge], "chan", &cfg)
@@ -1689,40 +1618,15 @@ mod tests {
             "chan",
             &LiveSessionConfig {
                 start_tick: tune_in,
-                max_stale_refreshes: 8,
+                refresh: RetryPolicy {
+                    max_attempts: 9,
+                    ..poll(20)
+                },
                 ..cfg
             },
         )
         .unwrap_err();
         assert_eq!(err, SessionError::LiveStalled);
-    }
-
-    #[test]
-    fn explicit_flat_refresh_policy_matches_the_legacy_poll_exactly() {
-        let run = |retry: Option<RetryPolicy>| {
-            let (mut server, mut origin, _) = live_channel(false);
-            let cfg = LiveSessionConfig {
-                segments_to_play: 6,
-                poll_ticks: 20,
-                refresh_retry: retry,
-                ..Default::default()
-            };
-            run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg).unwrap()
-        };
-        let legacy = run(None);
-        // The documented legacy-equivalent policy for poll_ticks = 20,
-        // max_stale_refreshes = 64.
-        let flat = run(Some(RetryPolicy {
-            max_attempts: 65,
-            base_backoff_ticks: 20,
-            max_backoff_ticks: 20,
-            jitter_ticks: 0,
-            seed: 0,
-        }));
-        assert_eq!(legacy.total_ticks, flat.total_ticks);
-        assert_eq!(legacy.stale_manifest_ticks, flat.stale_manifest_ticks);
-        assert_eq!(legacy.manifest_refreshes, flat.manifest_refreshes);
-        assert_eq!(legacy.segments.len(), flat.segments.len());
     }
 
     #[test]
@@ -1738,7 +1642,7 @@ mod tests {
                 ..Default::default()
             },
             segments_to_play: 4,
-            poll_ticks: 20,
+            refresh: poll(20),
             ..Default::default()
         };
         run_live_session(&mut server, &mut origin, &mut [&mut edge], "chan", &cfg)
@@ -1752,12 +1656,119 @@ mod tests {
             "chan",
             &LiveSessionConfig {
                 start_tick: tune_in,
-                refresh_retry: Some(RetryPolicy::standard(11)),
+                refresh: RetryPolicy::standard(11),
                 ..cfg
             },
         )
         .unwrap_err();
         assert_eq!(err, SessionError::LiveStalled);
+    }
+
+    /// The live route of [`run_live_session`] over a direct path, with
+    /// the first `failures` attempts of every leg dying on the wire.
+    fn flaky_live(
+        server: &mut ContentServer,
+        origin: &mut LiveOrigin,
+        config: &LiveSessionConfig,
+        failures: u32,
+        calls: &mut u32,
+    ) -> Result<LiveSessionReport, SessionError> {
+        use netstack::tcplite::TcpError;
+
+        let manifest_object = Manifest::manifest_object("chan");
+        let ticks_per_segment = origin.ticks_per_segment();
+        let mut streak = 0u32;
+        run_live_session_with(
+            |name, leg, now| {
+                *calls += 1;
+                if streak < failures {
+                    streak += 1;
+                    return Err(FetchError::Transport(TcpError::Timeout));
+                }
+                streak = 0;
+                let mutable = (name == manifest_object).then(|| {
+                    origin.advance_to(server, now);
+                    now
+                });
+                fetch_object(server, &mut [], name, mutable, &config.base, leg, now)
+            },
+            ticks_per_segment,
+            "chan",
+            config,
+        )
+    }
+
+    #[test]
+    fn live_transport_retries_recover_every_leg() {
+        let (mut server, mut origin, authority) = live_channel(true);
+        let mut cfg = LiveSessionConfig {
+            base: SessionConfig {
+                verification_key: Some(authority.verification_key().to_vec()),
+                retry: RetryPolicy {
+                    max_attempts: 3,
+                    base_backoff_ticks: 40,
+                    max_backoff_ticks: 160,
+                    jitter_ticks: 0,
+                    seed: 7,
+                },
+                ..Default::default()
+            },
+            segments_to_play: 6,
+            refresh: poll(20),
+            ..Default::default()
+        };
+        let mut calls = 0u32;
+        let r = flaky_live(&mut server, &mut origin, &cfg, 2, &mut calls)
+            .expect("retries must carry the live session through");
+        assert_eq!(r.base.segments.len(), 6);
+        assert!(r.manifest_refreshes > 0, "refreshes must be among the legs");
+        // Manifest, license, every refresh and every segment: two
+        // recovered failures each, backing off 40 + 80 ticks.
+        let legs = 2 + r.manifest_refreshes + 6;
+        assert_eq!(r.base.fetch_retries, 2 * legs);
+        assert_eq!(r.base.retry_backoff_ticks, 120 * u64::from(legs));
+        assert_eq!(calls, 3 * legs);
+
+        // The default policy makes one attempt and fails fast.
+        cfg.base.retry = RetryPolicy::default();
+        let (mut server, mut origin, _) = live_channel(true);
+        let mut calls = 0u32;
+        let err = flaky_live(&mut server, &mut origin, &cfg, 1, &mut calls).unwrap_err();
+        assert!(matches!(err, SessionError::Fetch(FetchError::Transport(_))));
+        assert_eq!(calls, 1, "no-retry default fails fast");
+    }
+
+    #[test]
+    fn a_damaged_live_segment_is_named_by_its_channel_sequence() {
+        let (server, origin, _) = live_channel(false);
+        let mut wheel = origin.wheel().clone();
+        // Pad wheel entry 0 of every rung: channel sequences 0, 3, 6, ...
+        for rung in &mut wheel.segments {
+            let seg = &mut rung[0];
+            seg.extend_from_within(seg.len() - 188..);
+        }
+        let mut origin = LiveOrigin::new(
+            wheel,
+            crate::ladder::LiveOriginConfig {
+                dvr_window_segments: 4,
+                ticks_per_segment: 100,
+            },
+        )
+        .unwrap();
+        let mut server = server;
+        origin.advance_to(&mut server, 400);
+        // Tuning in at the live edge (sequence 4), the viewer plays 4
+        // and 5, then meets the padded sequence 6 at whatever rung.
+        let cfg = LiveSessionConfig {
+            start_tick: 400,
+            refresh: poll(20),
+            ..Default::default()
+        };
+        let err = run_live_session(&mut server, &mut origin, &mut [], "chan", &cfg).unwrap_err();
+        assert!(
+            matches!(err, SessionError::DamagedSegment { seq: 6, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use drm::{Right, TitleId};
 use mmstream::cache::{CacheConfig, CacheNode};
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
+use mmstream::fault::RetryPolicy;
 use mmstream::ladder::{encode_ladder, seal_ladder, LadderConfig, LiveOrigin, LiveOriginConfig};
 use mmstream::serve::{
     curve_knee, simulate, sweep, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario,
@@ -51,6 +52,18 @@ fn channel() -> (ContentServer, LiveOrigin, LicenseAuthority) {
     (server, origin, authority)
 }
 
+/// A flat 25-tick refresh poll, giving up after 64 progress-free
+/// refreshes.
+fn poll_25() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 65,
+        base_backoff_ticks: 25,
+        max_backoff_ticks: 25,
+        jitter_ticks: 0,
+        seed: 0,
+    }
+}
+
 #[test]
 fn sealed_live_viewer_plays_the_channel_over_a_lossy_link() {
     let (mut server, mut origin, authority) = channel();
@@ -64,22 +77,24 @@ fn sealed_live_viewer_plays_the_channel_over_a_lossy_link() {
         },
         join: JoinMode::LiveEdge,
         segments_to_play: 9, // more than one lap of the 6-segment wheel
-        poll_ticks: 25,
         start_tick: 0,
-        max_stale_refreshes: 64,
-        refresh_retry: None,
+        refresh: poll_25(),
     };
     let r =
         run_live_session(&mut server, &mut origin, &mut [], "linear", &cfg).expect("live session");
-    assert_eq!(r.segments.len(), 9);
+    assert_eq!(r.base.segments.len(), 9);
     assert_eq!(
-        r.rebuffer_events, 0,
+        r.base.rebuffer_events, 0,
         "rung 0 over 5% loss must play the live channel stall-free"
     );
     // Everything decodes — including the wheel's second lap, whose
     // sealed bytes and nonces replay wheel segments.
-    for (i, rec) in r.segments.iter().enumerate() {
-        assert_eq!(rec.seq, r.segments[0].seq + i as u64, "no gaps, no rewinds");
+    for (i, rec) in r.base.segments.iter().enumerate() {
+        assert_eq!(
+            rec.seq,
+            r.base.segments[0].seq + i as u64,
+            "no gaps, no rewinds"
+        );
         let es = rec.segment.video_es.as_ref().expect("segment intact");
         let dec = video::decode(es).unwrap_or_else(|e| panic!("segment {i} undecodable: {e}"));
         assert_eq!(dec.frames.len(), rec.frames);
@@ -114,10 +129,8 @@ fn live_viewers_share_an_edge_that_honours_the_live_object_lifecycle() {
         },
         join,
         segments_to_play: 6,
-        poll_ticks: 25,
         start_tick,
-        max_stale_refreshes: 64,
-        refresh_retry: None,
+        refresh: poll_25(),
     };
     let a = run_live_session(
         &mut server,
@@ -127,7 +140,7 @@ fn live_viewers_share_an_edge_that_honours_the_live_object_lifecycle() {
         &viewer(41, 0, JoinMode::LiveEdge),
     )
     .expect("first viewer");
-    assert_eq!(a.segments.len(), 6);
+    assert_eq!(a.base.segments.len(), 6);
     let after_a = *edge.stats();
     assert!(after_a.misses > 0, "a cold edge fills everything");
     assert!(
@@ -150,13 +163,13 @@ fn live_viewers_share_an_edge_that_honours_the_live_object_lifecycle() {
         &viewer(42, tune_in, JoinMode::DvrStart),
     )
     .expect("second viewer");
-    assert_eq!(b.segments.len(), 6);
+    assert_eq!(b.base.segments.len(), 6);
     let after_b = *edge.stats();
     assert!(
         after_b.hits > after_a.hits,
         "the warm window must serve the second viewer from cache"
     );
-    for rec in a.segments.iter().chain(&b.segments) {
+    for rec in a.base.segments.iter().chain(&b.base.segments) {
         assert!(video::decode(rec.segment.video_es.as_ref().unwrap()).is_ok());
     }
 }

@@ -72,34 +72,6 @@ fn vod(r: &SessionReport) -> Canon {
         records: r
             .segments
             .iter()
-            .enumerate()
-            .map(|(i, s)| Rec {
-                seq: i as u64,
-                rung: s.rung,
-                ticks: s.ticks,
-                bits: s.bits,
-                frames: s.frames,
-                latency_ticks: 0,
-                segment: format!("{:?}", s.segment),
-            })
-            .collect(),
-    }
-}
-
-fn live(r: &LiveSessionReport) -> Canon {
-    Canon {
-        startup: r.startup_delay_ticks,
-        rebuffer_events: r.rebuffer_events,
-        rebuffer_ticks: r.rebuffer_ticks,
-        rung_switches: r.rung_switches,
-        fetch_retries: 0,
-        retry_backoff_ticks: 0,
-        total_ticks: r.total_ticks,
-        delivered_bits: r.delivered_bits,
-        live: Some((r.manifest_refreshes, r.stale_manifest_ticks, r.window_skips)),
-        records: r
-            .segments
-            .iter()
             .map(|s| Rec {
                 seq: s.seq,
                 rung: s.rung,
@@ -113,10 +85,17 @@ fn live(r: &LiveSessionReport) -> Canon {
     }
 }
 
+fn live(r: &LiveSessionReport) -> Canon {
+    Canon {
+        live: Some((r.manifest_refreshes, r.stale_manifest_ticks, r.window_skips)),
+        ..vod(&r.base)
+    }
+}
+
 /// The error, with a damaged segment named by its sequence number.
 fn show_err(e: &SessionError) -> String {
     match e {
-        SessionError::DamagedSegment(seq) => format!("err DamagedSegment seq={seq}"),
+        SessionError::DamagedSegment { seq, .. } => format!("err DamagedSegment seq={seq}"),
         e => format!("err {e:?}"),
     }
 }
@@ -236,8 +215,13 @@ fn flat(base: SessionConfig, segments: usize, poll: u64, attempts: u32) -> LiveS
     LiveSessionConfig {
         base,
         segments_to_play: segments,
-        poll_ticks: poll,
-        max_stale_refreshes: attempts - 1,
+        refresh: RetryPolicy {
+            max_attempts: attempts,
+            base_backoff_ticks: poll,
+            max_backoff_ticks: poll,
+            jitter_ticks: 0,
+            seed: 0,
+        },
         ..Default::default()
     }
 }
@@ -247,7 +231,7 @@ fn backoff(base: SessionConfig, segments: usize, policy: RetryPolicy) -> LiveSes
     LiveSessionConfig {
         base,
         segments_to_play: segments,
-        refresh_retry: Some(policy),
+        refresh: policy,
         ..Default::default()
     }
 }
