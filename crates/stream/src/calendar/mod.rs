@@ -107,408 +107,27 @@
 //! differ; reports remain deterministic and within the behavioural
 //! tolerances the bounded-cache tests assert.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+mod events;
+mod faults;
+mod formation;
+mod lanes;
 
 use signal::rng::splitmix64;
 
 use crate::catalog::ZipfSampler;
-use crate::edge::{HashRing, WordHashMap};
+use crate::edge::HashRing;
 use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
-    build_ring, build_schedule, build_tier, completion_eps, join_point, obj_bytes, shard_edge,
-    title_for, EngineStats, FluidNode, LiveSim, LiveStats, LoadConfig, LoadReport, Req, TierParams,
-    RING_VNODES, SHIELD_KEY_SALT, SHIELD_RING_SALT,
+    build_ring, build_schedule, build_tier, completion_eps, obj_bytes, EngineStats, FluidNode,
+    LiveSim, LiveStats, LoadConfig, LoadReport, Req, TierParams, RING_VNODES, SHIELD_KEY_SALT,
+    SHIELD_RING_SALT,
 };
-use crate::session::AbrController;
 use crate::shield::{shield_home, AdmissionPolicy, ObjKey};
-
-/// The cohort-formation index: formation does one lookup per
-/// *session* (the only O(population) hot path left), so it hashes with
-/// the crate's cheap [`WordHasher`](crate::edge::WordHasher).
-/// Determinism does not depend on the hash — cohort order is schedule
-/// order — this is wall-clock only.
-type CohortIndex = WordHashMap<(u64, usize, u32), u32>;
-
-/// The dynamic state every member of a cohort shares, bit for bit:
-/// the per-session engine's `SimSession` minus churn, which lives in
-/// [`MemberGroup`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CohortState {
-    pub(crate) abr: AbrController,
-    /// The tick every member arrived on.
-    pub(crate) start_tick: u64,
-    /// Ticks from arrival to first play, once playing.
-    pub(crate) startup_ticks: u64,
-    pub(crate) seg: usize,
-    pub(crate) rung: usize,
-    pub(crate) remaining_bytes: f64,
-    pub(crate) fetch_start: u64,
-    pub(crate) buffer_ticks: f64,
-    pub(crate) fetched: usize,
-    pub(crate) started: bool,
-    pub(crate) startup_after: usize,
-    pub(crate) waiting: bool,
-    pub(crate) pending_request: bool,
-    pub(crate) playing: bool,
-    pub(crate) in_rebuffer: bool,
-    pub(crate) rebuffer_events: u32,
-    pub(crate) rung_switches: u32,
-    pub(crate) rung_sum: u64,
-    pub(crate) delivered_bits: u64,
-    pub(crate) latency_sum: u64,
-    pub(crate) latency_max: u64,
-    /// Rebuffer events that *began* while fault pressure was active.
-    /// Nonzero is sticky graceful degradation: every later rung pick
-    /// returns the lowest rung (keep playing over keep quality). Always
-    /// zero on a plan-free run, so the plan-free trajectory is
-    /// untouched.
-    pub(crate) fault_rebuffers: u32,
-    /// Stalled ticks accrued while fault pressure was active.
-    pub(crate) fault_rebuffer_ticks: u64,
-}
-
-/// `count` members of a cohort that depart (if churned) at
-/// `depart_at`. A departure folds its group out of the class while the
-/// rest keeps simulating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MemberGroup {
-    pub(crate) depart_at: Option<u64>,
-    pub(crate) count: u64,
-}
-
-/// One counted class of identical sessions.
-#[derive(Debug, Clone)]
-pub(crate) struct Cohort {
-    /// The edge currently serving this class. Equal to `home_edge`
-    /// except while failover has the class re-homed on a survivor.
-    pub(crate) edge: usize,
-    /// The edge the shard function placed this class on — where it
-    /// fails *back* to once a crashed home restarts.
-    pub(crate) home_edge: usize,
-    /// The catalog popularity rank every member watches. Always `0` on
-    /// a single-title run.
-    pub(crate) title: u32,
-    /// Deterministic failover key on the consistent-hash ring (from the
-    /// fault plan's seed). `0` on plan-free runs, where it is never
-    /// routed.
-    pub(crate) ring_key: u64,
-    pub(crate) members: Vec<MemberGroup>,
-    pub(crate) state: CohortState,
-    /// Cached member count (`members` group counts summed), maintained
-    /// on formation and departures.
-    pub(crate) n: u64,
-    /// Every member folded into the report (completed or departed) —
-    /// the engine never touches this cohort again.
-    pub(crate) done: bool,
-}
-
-/// Discrete per-cohort events the calendar orders. Fault actions sort
-/// first (a crash at tick t is visible to a tick-t arrival), then
-/// arrivals before departures on the same tick, mirroring the quantum
-/// engine's arrivals-then-departures loop top; wakes come last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum EventKind {
-    /// A [`FaultAction`] falls due; the payload is an index into the
-    /// resolved action list, not a cohort id.
-    Fault,
-    Arrive,
-    Depart,
-    /// The segment a parked cohort waits on publishes. Stale once the
-    /// cohort was unparked or parked again for a later segment.
-    Wake,
-}
-
-/// The binary-heap event calendar: a min-heap of `(tick, kind, cohort)`
-/// so the engine pops exactly the events due by the current quantum and
-/// can fast-forward an idle clock to the next event boundary.
-#[derive(Debug, Default)]
-pub(crate) struct EventCalendar {
-    heap: BinaryHeap<Reverse<(u64, EventKind, u32)>>,
-    /// Fault actions still on the heap.
-    faults: usize,
-}
-
-impl EventCalendar {
-    pub(crate) fn push(&mut self, tick: u64, kind: EventKind, cohort: u32) {
-        self.faults += usize::from(kind == EventKind::Fault);
-        self.heap.push(Reverse((tick, kind, cohort)));
-    }
-
-    /// The earliest scheduled tick, if any event remains.
-    pub(crate) fn next_tick(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Pops the next event if it is due at or before `now`.
-    pub(crate) fn pop_due(&mut self, now: u64) -> Option<(u64, EventKind, u32)> {
-        if self.next_tick()? > now {
-            return None;
-        }
-        let Reverse(e) = self.heap.pop()?;
-        self.faults -= usize::from(e.1 == EventKind::Fault);
-        Some(e)
-    }
-
-    /// Whether any *future* departure still targets a live cohort
-    /// (due events were popped already), for the stasis detector.
-    fn departure_pending(&self, cohorts: &[Cohort]) -> bool {
-        self.heap.iter().any(|&Reverse((_, kind, cid))| {
-            kind == EventKind::Depart && !cohorts[cid as usize].done
-        })
-    }
-
-    /// Whether any fault action is still scheduled — a pending restart
-    /// or recovery can unfreeze a run the stasis detector would
-    /// otherwise declare dead.
-    fn fault_pending(&self) -> bool {
-        self.faults > 0
-    }
-}
-
-/// Settles `j` quanta of `q` ticks in which a cohort only drained
-/// playout: the closed form of `j` clamped per-quantum drains, exact for
-/// the integer-valued buffers the engine uses (see the module doc).
-/// With `fault`, a rebuffer that begins is a fault rebuffer and every
-/// stalled quantum adds `q` fault rebuffer ticks.
-fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) {
-    let mut stalled = if s.in_rebuffer { j } else { 0 };
-    if s.playing {
-        let drain = (j * q) as f64;
-        if s.buffer_ticks >= drain {
-            s.buffer_ticks -= drain;
-        } else {
-            if !s.in_rebuffer {
-                s.in_rebuffer = true;
-                s.rebuffer_events += 1;
-                s.fault_rebuffers += u32::from(fault);
-                // The buffer ran dry in quantum `buffer / q + 1` of `j`.
-                stalled = j - s.buffer_ticks as u64 / q;
-            }
-            s.buffer_ticks = 0.0;
-        }
-    }
-    if fault {
-        s.fault_rebuffer_ticks += stalled * q;
-    }
-}
-
-/// The hot state of one plain cohort: what a quantum without events
-/// reads and writes. The rest of its state is fixed while the cohort
-/// stays in its lane: playout is settled from `entered` when it leaves.
-#[derive(Debug, Clone, Copy)]
-struct LaneEntry {
-    remaining: f64,
-    /// `completion_eps` of the segment being downloaded.
-    eps: f64,
-    cid: u32,
-    /// [`Lanes::quanta`] when the cohort entered its lane.
-    entered: u64,
-}
-
-impl LaneEntry {
-    /// Writes the download back and settles the `quanta - entered`
-    /// quanta of `q` ticks spent in the lane, all under `fault`.
-    fn write_back(&self, s: &mut CohortState, quanta: u64, q: u64, fault: bool) {
-        s.remaining_bytes = self.remaining;
-        settle(s, quanta - self.entered, q, fault);
-    }
-}
-
-const NO_SLOT: u32 = u32::MAX;
-
-/// Per-edge download lanes of plain cohorts (see the module doc).
-struct Lanes {
-    edges: Vec<Vec<LaneEntry>>,
-    /// Members per edge across its lane: the edge's plain downloaders.
-    members: Vec<u64>,
-    /// Each cohort's index in its edge's lane, or [`NO_SLOT`].
-    slot: Vec<u32>,
-    len: usize,
-    /// Lane steps so far: a cohort's stay is the difference between
-    /// this count when it leaves and when it entered.
-    quanta: u64,
-    /// Ticks per quantum.
-    q: u64,
-    /// Scratch for [`Lanes::step`]: lane indices whose download
-    /// completed this quantum, ascending.
-    done: Vec<u32>,
-}
-
-impl Lanes {
-    fn new(edges: usize, cohorts: usize, q: u64) -> Self {
-        Self {
-            edges: vec![Vec::new(); edges],
-            members: vec![0; edges],
-            slot: vec![NO_SLOT; cohorts],
-            len: 0,
-            quanta: 0,
-            q,
-            done: Vec::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Puts plain cohort `cid` in its edge's lane; `eps` is the
-    /// completion threshold of the segment it is downloading.
-    fn enter(&mut self, cid: u32, c: &Cohort, eps: f64) {
-        let lane = &mut self.edges[c.edge];
-        self.slot[cid as usize] = lane.len() as u32;
-        lane.push(LaneEntry {
-            remaining: c.state.remaining_bytes,
-            eps,
-            cid,
-            entered: self.quanta,
-        });
-        self.members[c.edge] += c.n;
-        self.len += 1;
-    }
-
-    /// Takes cohort `cid` out of its lane, writing its state back.
-    /// `None` when it was not in one.
-    fn leave(&mut self, cid: u32, c: &mut Cohort, fault: bool) -> Option<LaneEntry> {
-        let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT);
-        if slot == NO_SLOT {
-            return None;
-        }
-        let lane = &mut self.edges[c.edge];
-        let entry = lane.swap_remove(slot as usize);
-        if let Some(moved) = lane.get(slot as usize) {
-            self.slot[moved.cid as usize] = slot;
-        }
-        entry.write_back(&mut c.state, self.quanta, self.q, fault);
-        self.members[c.edge] -= c.n;
-        self.len -= 1;
-        Some(entry)
-    }
-
-    /// Empties every lane into `slow`, writing state back.
-    fn flush(&mut self, cohorts: &mut [Cohort], slow: &mut Vec<u32>, fault: bool) {
-        if self.is_empty() {
-            return;
-        }
-        for (lane, members) in self.edges.iter_mut().zip(&mut self.members) {
-            for l in lane.drain(..) {
-                l.write_back(
-                    &mut cohorts[l.cid as usize].state,
-                    self.quanta,
-                    self.q,
-                    fault,
-                );
-                self.slot[l.cid as usize] = NO_SLOT;
-                slow.push(l.cid);
-            }
-            *members = 0;
-        }
-        self.len = 0;
-    }
-
-    /// One quantum of every lane: each download drains by `dec[edge]`,
-    /// exactly the full path's arithmetic; playout is settled on exit.
-    /// Cohorts whose download completed leave their lane (state written
-    /// back under `fault`) and are appended to `finished`.
-    fn step(&mut self, dec: &[f64], cohorts: &mut [Cohort], finished: &mut Vec<u32>, fault: bool) {
-        self.quanta += 1;
-        for (e, lane) in self.edges.iter_mut().enumerate() {
-            let dec = dec[e];
-            self.done.clear();
-            for (i, l) in lane.iter_mut().enumerate() {
-                l.remaining -= dec;
-                if l.remaining <= l.eps {
-                    self.done.push(i as u32);
-                }
-            }
-            // Descending, so each swap_remove pulls in an entry that is
-            // not itself done.
-            for &i in self.done.iter().rev() {
-                let i = i as usize;
-                let l = lane.swap_remove(i);
-                if let Some(moved) = lane.get(i) {
-                    self.slot[moved.cid as usize] = i as u32;
-                }
-                self.slot[l.cid as usize] = NO_SLOT;
-                let c = &mut cohorts[l.cid as usize];
-                l.write_back(&mut c.state, self.quanta, self.q, fault);
-                self.members[e] -= c.n;
-                self.len -= 1;
-                finished.push(l.cid);
-            }
-        }
-    }
-}
-
-/// Publish-gated cohorts parked on the calendar (see the module doc):
-/// each is on an up edge and has a [`EventKind::Wake`] pending at the
-/// publish tick of the segment it waits on.
-struct Parked {
-    cids: Vec<u32>,
-    /// Each cohort's index in `cids`, or [`NO_SLOT`].
-    slot: Vec<u32>,
-    /// Each parked cohort's first quantum not yet settled.
-    since: Vec<u64>,
-    /// Ticks per quantum.
-    q: u64,
-}
-
-impl Parked {
-    fn new(cohorts: usize, q: u64) -> Self {
-        Self {
-            cids: Vec::new(),
-            slot: vec![NO_SLOT; cohorts],
-            since: vec![0; cohorts],
-            q,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.cids.len()
-    }
-
-    fn contains(&self, cid: u32) -> bool {
-        self.slot[cid as usize] != NO_SLOT
-    }
-
-    /// Parks `cid` from quantum `since` on, to wake at tick `wake`.
-    fn park(&mut self, cal: &mut EventCalendar, cid: u32, since: u64, wake: u64) {
-        self.slot[cid as usize] = self.cids.len() as u32;
-        self.cids.push(cid);
-        self.since[cid as usize] = since;
-        cal.push(wake, EventKind::Wake, cid);
-    }
-
-    fn unpark(&mut self, cid: u32) {
-        let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT) as usize;
-        self.cids.swap_remove(slot);
-        if let Some(&moved) = self.cids.get(slot) {
-            self.slot[moved as usize] = slot as u32;
-        }
-    }
-
-    /// Settles the quanta parked cohort `cid` slept through before
-    /// `now`, all under `fault`: each was a publish-gated full step that
-    /// drained playout and waited `q` ticks per member. Returns the
-    /// publish-wait ticks.
-    fn settle(&mut self, cid: u32, c: &mut Cohort, now: u64, fault: bool) -> u64 {
-        let since = std::mem::replace(&mut self.since[cid as usize], now);
-        let j = (now - since) / self.q;
-        settle(&mut c.state, j, self.q, fault);
-        j * self.q * c.n
-    }
-
-    /// [`Parked::settle`] for every parked cohort.
-    fn settle_all(&mut self, cohorts: &mut [Cohort], now: u64, fault: bool) -> u64 {
-        let mut wait = 0;
-        for i in 0..self.cids.len() {
-            let cid = self.cids[i];
-            wait += self.settle(cid, &mut cohorts[cid as usize], now, fault);
-        }
-        wait
-    }
-}
+use events::{EventCalendar, EventKind};
+use faults::{crash_or_restart, rehome, reroute_shields};
+use formation::{form_cohorts, Cohort, CohortState, MemberGroup};
+use lanes::{Lanes, Parked};
 
 /// Whether `c` is pending on a segment its live title has not
 /// published by `now`.
@@ -652,134 +271,6 @@ pub(crate) struct CohortRun {
     pub(crate) engine: EngineStats,
 }
 
-/// Groups the arrival/departure schedule into cohorts keyed on
-/// `(start_tick, edge, title)` — the identity that fixes a session's
-/// entire deterministic trajectory — with member groups split by
-/// departure tick. Returns the cohorts in first-arrival order
-/// (deterministic: derived from schedule order, never map iteration).
-#[allow(clippy::too_many_arguments)]
-fn form_cohorts(
-    schedule: &[(u64, Option<u64>)],
-    seg_counts: &[usize],
-    load: &LoadConfig,
-    p: &TierParams,
-    edges: &mut [FluidNode],
-    ring: Option<&HashRing>,
-    sampler: Option<&ZipfSampler>,
-) -> Vec<Cohort> {
-    let fault_seed = p.faults.as_ref().map(|f| f.seed);
-    let mut cohorts: Vec<Cohort> = Vec::new();
-    let mut index = CohortIndex::with_capacity_and_hasher(1024, Default::default());
-    for (i, &(start_tick, depart_at)) in schedule.iter().enumerate() {
-        let edge = shard_edge(load, p, i, ring);
-        let title = title_for(load, sampler, i);
-        edges[edge].assigned += 1;
-        let cid = *index.entry((start_tick, edge, title)).or_insert_with(|| {
-            let (join_seq, startup_after) =
-                join_point(p, load, start_tick, seg_counts[title as usize]);
-            cohorts.push(Cohort {
-                edge,
-                home_edge: edge,
-                title,
-                // The class fails over as one unit: its key mixes the
-                // plan seed with the cohort identity, so different
-                // plans spread a crashed edge's classes differently.
-                // Title 0 hashes exactly like the pre-catalog key, so
-                // single-title fault runs keep their golden layouts.
-                ring_key: fault_seed.map_or(0, |s| {
-                    let base = splitmix64(splitmix64(s ^ start_tick) ^ edge as u64);
-                    if title != 0 {
-                        splitmix64(base ^ u64::from(title))
-                    } else {
-                        base
-                    }
-                }),
-                n: 0,
-                members: Vec::new(),
-                state: CohortState {
-                    abr: AbrController::new(load.ewma_alpha, load.safety),
-                    start_tick,
-                    startup_ticks: 0,
-                    seg: join_seq,
-                    rung: 0,
-                    remaining_bytes: 0.0,
-                    fetch_start: start_tick,
-                    buffer_ticks: 0.0,
-                    fetched: 0,
-                    started: false,
-                    startup_after,
-                    waiting: false,
-                    pending_request: false,
-                    playing: false,
-                    in_rebuffer: false,
-                    rebuffer_events: 0,
-                    rung_switches: 0,
-                    rung_sum: 0,
-                    delivered_bits: 0,
-                    latency_sum: 0,
-                    latency_max: 0,
-                    fault_rebuffers: 0,
-                    fault_rebuffer_ticks: 0,
-                },
-                done: false,
-            });
-            (cohorts.len() - 1) as u32
-        });
-        let c = &mut cohorts[cid as usize];
-        c.n += 1;
-        if let Some(g) = c.members.iter_mut().find(|g| g.depart_at == depart_at) {
-            g.count += 1;
-        } else {
-            c.members.push(MemberGroup {
-                depart_at,
-                count: 1,
-            });
-        }
-    }
-    cohorts
-}
-
-/// Re-homes one cohort after the up/down edge set changed: home
-/// whenever the home edge is up (failback), else the first live edge
-/// clockwise from its ring key. The home-if-up branch is what makes
-/// the ≤ 1/N remap bound structural: a crash moves only the crashed
-/// edge's own classes, never a survivor's. Returns the sessions moved.
-fn rehome(c: &mut Cohort, edge_up: &[bool], ring: &HashRing) -> u64 {
-    let target = if edge_up[c.home_edge] {
-        c.home_edge
-    } else {
-        // All edges down leaves the class parked on its home edge.
-        ring.route_alive(c.ring_key, edge_up).unwrap_or(c.home_edge)
-    };
-    if target == c.edge {
-        return 0;
-    }
-    c.edge = target;
-    c.n
-}
-
-/// Recomputes every edge's serving shield after the shield up/down set
-/// changed: home while the home shield is up (failback), else the
-/// first live shield clockwise from the edge's ring key — parked on
-/// the (down) home when every shield is down.
-fn reroute_shields(
-    edge_shield: &mut [usize],
-    shield_up: &[bool],
-    ring: &HashRing,
-    keys: &[u64],
-    shields: usize,
-) {
-    let edges = edge_shield.len();
-    for (e, slot) in edge_shield.iter_mut().enumerate() {
-        let home = shield_home(e, edges, shields);
-        *slot = if shield_up[home] {
-            home
-        } else {
-            ring.route_alive(keys[e], shield_up).unwrap_or(home)
-        };
-    }
-}
-
 /// A class of `n` members in state `s` requests its current segment of
 /// title `title` (manifest `m`) from `edge`. A hit starts the download,
 /// carrying any download overshoot; otherwise the class waits on the
@@ -817,46 +308,6 @@ fn request(
             new_fill
         }
     }
-}
-
-/// Crashes node `i` of a tier at `tick` (`restart` is `None`) or
-/// restarts it (`Some(cold)`). A crash fails the node's in-flight fills
-/// and keeps the crash tick; a restart adds the ticks it was down to
-/// `restore_sum` and, when cold, wipes its cache. Returns `false`,
-/// changing nothing, when the node already is in that state.
-fn crash_or_restart(
-    nodes: &mut [FluidNode],
-    up: &mut [bool],
-    i: usize,
-    restart: Option<bool>,
-    tick: u64,
-    fills_lost: &mut u64,
-    restore_sum: &mut u64,
-) -> bool {
-    if up[i] == restart.is_some() {
-        return false;
-    }
-    up[i] = restart.is_some();
-    let node = &mut nodes[i];
-    match restart {
-        None => {
-            node.crash_tick = Some(tick);
-            let lost: Vec<ObjKey> = node.fills.iter().map(|(k, _)| k.0).collect();
-            *fills_lost += lost.len() as u64;
-            for k in lost {
-                node.fills.fail(&k, 0);
-            }
-        }
-        Some(cold) => {
-            if let Some(t0) = node.crash_tick.take() {
-                *restore_sum += tick - t0;
-            }
-            if cold {
-                node.lru.clear();
-            }
-        }
-    }
-    true
 }
 
 /// The cohort fluid engine. Semantically the per-session quantum
@@ -1696,12 +1147,12 @@ mod tests {
     use crate::serve::{
         oracle, simulate, CdnConfig, CdnLoadReport, ChurnConfig, LiveConfig, Scenario,
     };
-    use crate::session::JoinMode;
+    use crate::session::{AbrController, JoinMode};
     use crate::shield::AdmissionPolicy;
     use proptest::prelude::*;
     use video::synth::SequenceGen;
 
-    fn manifest() -> Manifest {
+    pub(super) fn manifest() -> Manifest {
         ladder(16)
     }
 
@@ -1721,7 +1172,7 @@ mod tests {
     }
 
     /// Engine parameters for `cdn`, optionally live, over title `m`.
-    fn params(m: &Manifest, cdn: CdnConfig, live: Option<LiveConfig>) -> TierParams {
+    pub(super) fn params(m: &Manifest, cdn: CdnConfig, live: Option<LiveConfig>) -> TierParams {
         let c = Catalog::single(m.clone());
         Scenario {
             live,
@@ -1805,78 +1256,6 @@ mod tests {
     }
 
     #[test]
-    fn calendar_orders_arrivals_before_departures_on_the_same_tick() {
-        let mut cal = EventCalendar::default();
-        cal.push(5, EventKind::Depart, 1);
-        cal.push(5, EventKind::Arrive, 2);
-        cal.push(3, EventKind::Depart, 0);
-        assert_eq!(cal.next_tick(), Some(3));
-        assert_eq!(cal.pop_due(2), None, "nothing due before tick 3");
-        assert_eq!(cal.pop_due(8), Some((3, EventKind::Depart, 0)));
-        assert_eq!(
-            cal.pop_due(8),
-            Some((5, EventKind::Arrive, 2)),
-            "same-tick arrival must precede the departure (oracle loop order)"
-        );
-        assert_eq!(cal.pop_due(8), Some((5, EventKind::Depart, 1)));
-        assert_eq!(cal.pop_due(8), None);
-        assert_eq!(cal.next_tick(), None);
-    }
-
-    #[test]
-    fn calendar_orders_faults_before_same_tick_arrivals() {
-        // A crash at tick t must be visible to a tick-t arrival (the
-        // arriving class lands on a survivor), and same-tick fault
-        // actions apply in resolved order (ascending payload index).
-        let mut cal = EventCalendar::default();
-        cal.push(5, EventKind::Arrive, 9);
-        cal.push(5, EventKind::Fault, 1);
-        cal.push(5, EventKind::Fault, 0);
-        assert!(cal.fault_pending());
-        assert_eq!(cal.pop_due(5), Some((5, EventKind::Fault, 0)));
-        assert_eq!(cal.pop_due(5), Some((5, EventKind::Fault, 1)));
-        assert!(!cal.fault_pending());
-        assert_eq!(cal.pop_due(5), Some((5, EventKind::Arrive, 9)));
-    }
-
-    #[test]
-    fn rehome_moves_only_classes_whose_home_is_down() {
-        let ring = HashRing::new(4, 64, 0xC0FFEE);
-        let mk = |home: usize, key: u64| Cohort {
-            edge: home,
-            home_edge: home,
-            title: 0,
-            ring_key: key,
-            members: Vec::new(),
-            state: test_state(),
-            n: 10,
-            done: false,
-        };
-        let mut up = vec![true, false, true, true];
-        // Home up: never moves, whatever the ring says.
-        let mut c0 = mk(0, 0xDEAD);
-        assert_eq!(rehome(&mut c0, &up, &ring), 0);
-        assert_eq!(c0.edge, 0);
-        // Home down: moves to a live edge, counting every member.
-        let mut c1 = mk(1, 0xBEEF);
-        assert_eq!(rehome(&mut c1, &up, &ring), 10);
-        assert_ne!(c1.edge, 1);
-        assert!(up[c1.edge]);
-        // Idempotent while the edge set is unchanged.
-        assert_eq!(rehome(&mut c1, &up, &ring), 0);
-        // Failback: the home recovers and the class moves straight
-        // back (one counted move).
-        up[1] = true;
-        assert_eq!(rehome(&mut c1, &up, &ring), 10);
-        assert_eq!(c1.edge, 1);
-        // All edges down: parked in place, no move counted.
-        let all_down = vec![false; 4];
-        let mut c2 = mk(2, 0xF00D);
-        assert_eq!(rehome(&mut c2, &all_down, &ring), 0);
-        assert_eq!(c2.edge, 2);
-    }
-
-    #[test]
     fn quantized_jump_lands_where_oracle_idle_ticking_would() {
         // q-at-a-time ticking from a boundary lands on the first
         // boundary at or past the target.
@@ -1889,7 +1268,7 @@ mod tests {
         assert_eq!(quantized_jump(0, u64::MAX, 4), u64::MAX);
     }
 
-    fn test_state() -> CohortState {
+    pub(super) fn test_state() -> CohortState {
         CohortState {
             abr: AbrController::new(0.3, 0.7),
             start_tick: 10,
@@ -1915,57 +1294,6 @@ mod tests {
             fault_rebuffers: 0,
             fault_rebuffer_ticks: 0,
         }
-    }
-
-    #[test]
-    fn cohort_formation_groups_same_tick_arrivals_and_splits_departure_groups() {
-        let m = manifest();
-        let load = LoadConfig {
-            sessions: 6,
-            stagger_ticks: 0, // all six arrive at tick 0
-            ..Default::default()
-        };
-        let p = params(&m, CdnConfig::single_origin(), None);
-        let mut edges = build_tier(
-            std::slice::from_ref(&m),
-            p.edges,
-            p.cache_capacity_bytes,
-            p.prewarm,
-            p.admission,
-        );
-        // Hand-build a schedule: four stayers and two churners leaving
-        // at different ticks — one cohort, three member groups.
-        let schedule = vec![
-            (0, None),
-            (0, Some(500)),
-            (0, None),
-            (0, Some(900)),
-            (0, None),
-            (0, None),
-        ];
-        let cohorts = form_cohorts(
-            &schedule,
-            &[m.segment_count()],
-            &load,
-            &p,
-            &mut edges,
-            None,
-            None,
-        );
-        assert_eq!(
-            cohorts.len(),
-            1,
-            "same (tick, edge) arrivals share a cohort"
-        );
-        assert_eq!(cohorts[0].n, 6);
-        assert_eq!(cohorts[0].members.len(), 3, "split by departure tick");
-        let counts: Vec<(Option<u64>, u64)> = cohorts[0]
-            .members
-            .iter()
-            .map(|g| (g.depart_at, g.count))
-            .collect();
-        assert_eq!(counts, vec![(None, 4), (Some(500), 1), (Some(900), 1)]);
-        assert_eq!(edges[0].assigned, 6);
     }
 
     #[test]
@@ -2081,77 +1409,6 @@ mod tests {
                 "q {quantum}: {e:?}"
             );
             assert_matches_oracle(&m, &load, &p);
-        }
-    }
-
-    #[test]
-    fn settled_playout_equals_sequential_clamped_drains() {
-        // The full path's per-quantum drain, j times, against one settle
-        // on exit after j lane quanta: every buffer, stay, quantum, state
-        // and fault flag, bit for bit, fault ledger included.
-        for q in [1u64, 4] {
-            let step = q as f64;
-            for buffer in 0..=512u32 {
-                for j in 0..=64u64 {
-                    for (playing, in_rebuffer) in
-                        [(true, false), (true, true), (false, false), (false, true)]
-                    {
-                        for fault in [false, true] {
-                            let mut sequential = CohortState {
-                                buffer_ticks: f64::from(buffer),
-                                playing,
-                                in_rebuffer,
-                                rebuffer_events: 2,
-                                fault_rebuffers: 1,
-                                fault_rebuffer_ticks: 5,
-                                ..test_state()
-                            };
-                            let mut settled = sequential.clone();
-                            for _ in 0..j {
-                                let s = &mut sequential;
-                                if s.playing {
-                                    s.buffer_ticks -= step;
-                                    if s.buffer_ticks < 0.0 {
-                                        if !s.in_rebuffer {
-                                            s.in_rebuffer = true;
-                                            s.rebuffer_events += 1;
-                                            if fault {
-                                                s.fault_rebuffers += 1;
-                                            }
-                                        }
-                                        s.buffer_ticks = 0.0;
-                                    }
-                                }
-                                if fault && s.in_rebuffer {
-                                    s.fault_rebuffer_ticks += q;
-                                }
-                            }
-                            let entry = LaneEntry {
-                                remaining: 0.0,
-                                eps: 0.5,
-                                cid: 0,
-                                entered: 9,
-                            };
-                            entry.write_back(&mut settled, 9 + j, q, fault);
-                            let ledger = |s: &CohortState| {
-                                (
-                                    s.buffer_ticks.to_bits(),
-                                    s.in_rebuffer,
-                                    s.rebuffer_events,
-                                    s.fault_rebuffers,
-                                    s.fault_rebuffer_ticks,
-                                )
-                            };
-                            assert_eq!(
-                                ledger(&settled),
-                                ledger(&sequential),
-                                "buffer {buffer}, {j} quanta of {q}, playing {playing}, \
-                                 in_rebuffer {in_rebuffer}, fault {fault}"
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 
