@@ -39,7 +39,7 @@ use mmstream::fault::{FaultPlan, RestartMode};
 use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::serve::{knee, simulate, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario};
 use mmstream::session::JoinMode;
-use mmstream::shield::{AdmissionPolicy, TinyLfuConfig};
+use mmstream::shield::AdmissionPolicy;
 use video::synth::SequenceGen;
 
 fn main() {
@@ -152,12 +152,9 @@ fn main() {
         ..Default::default()
     };
     let mut hit_rates = [0.0f64; 2];
-    for (i, admission) in [
-        AdmissionPolicy::AdmitAll,
-        AdmissionPolicy::TinyLfu(TinyLfuConfig::default()),
-    ]
-    .into_iter()
-    .enumerate()
+    for (i, admission) in [AdmissionPolicy::AdmitAll, AdmissionPolicy::TinyLfu]
+        .into_iter()
+        .enumerate()
     {
         let cdn = CdnConfig {
             tier: small_tier,

@@ -283,32 +283,19 @@ impl CacheNode {
     /// failures retry under the configured policy (backoff counts
     /// against the fill time), server failures surface at once.
     fn pull(&mut self, source: &ContentServer, name: &str) -> Result<FetchReport, FetchError> {
-        let mut backoff_ticks = 0u64;
-        let mut failures = 0u32;
-        loop {
+        let (mut r, _, waited) = self.config.retry.run(|_, _| {
             let seed = self.config.origin_seed.wrapping_add(self.attempts);
             self.attempts += 1;
-            match fetch(
+            fetch(
                 source,
                 name,
                 self.config.origin_tcp,
                 self.config.origin_link,
                 seed,
-            ) {
-                Ok(mut r) => {
-                    r.ticks += backoff_ticks;
-                    return Ok(r);
-                }
-                Err(e @ FetchError::Transport(_)) => {
-                    failures += 1;
-                    match self.config.retry.backoff_before(failures) {
-                        Some(wait) => backoff_ticks += wait,
-                        None => return Err(e),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            )
+        })?;
+        r.ticks += waited;
+        Ok(r)
     }
 
     /// Inserts one object, evicting as needed (the LRU index and the

@@ -1,3 +1,5 @@
+//! The event calendar: the discrete events that drive the clock.
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -9,7 +11,7 @@ use super::Cohort;
 /// engine's arrivals-then-departures loop top; wakes come last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum EventKind {
-    /// A [`FaultAction`] falls due; the payload is an index into the
+    /// A [`FaultAction`](crate::fault::FaultAction) falls due; the payload is an index into the
     /// resolved action list, not a cohort id.
     Fault,
     Arrive,

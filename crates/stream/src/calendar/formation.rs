@@ -1,3 +1,6 @@
+//! Cohort formation: sessions that share a trajectory become one
+//! counted class.
+
 use signal::rng::splitmix64;
 
 use crate::catalog::ZipfSampler;

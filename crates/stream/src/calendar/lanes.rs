@@ -1,3 +1,6 @@
+//! The rest set — download lanes and parked cohorts — and the closed
+//! form that settles the quanta a cohort spends there.
+
 use super::events::{EventCalendar, EventKind};
 use super::formation::{Cohort, CohortState};
 
@@ -30,130 +33,221 @@ pub(super) fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) {
 
 /// The hot state of one plain cohort: what a quantum without events
 /// reads and writes. The rest of its state is fixed while the cohort
-/// stays in its lane: playout is settled from `entered` when it leaves.
+/// stays in its lane: playout is settled when it leaves.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct LaneEntry {
+struct LaneEntry {
     remaining: f64,
     /// `completion_eps` of the segment being downloaded.
-    pub(super) eps: f64,
+    eps: f64,
     cid: u32,
-    /// [`Lanes::quanta`] when the cohort entered its lane.
-    entered: u64,
 }
 
-impl LaneEntry {
-    /// Writes the download back and settles the `quanta - entered`
-    /// quanta of `q` ticks spent in the lane, all under `fault`.
-    pub(super) fn write_back(&self, s: &mut CohortState, quanta: u64, q: u64, fault: bool) {
-        s.remaining_bytes = self.remaining;
-        settle(s, quanta - self.entered, q, fault);
+/// Where a cohort waits for its next full step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// On the full path (or done): not resting.
+    Active,
+    /// At this index of its edge's lane.
+    Lane(u32),
+    /// At this index of the parked list.
+    Parked(u32),
+}
+
+/// Swap-removes entry `i` of a rest list, re-pointing the place of the
+/// entry moved into `i` (`at` builds it) and marking the removed active.
+#[inline]
+fn swap_out<T>(
+    list: &mut Vec<T>,
+    i: u32,
+    place: &mut [Place],
+    cid: impl Fn(&T) -> u32,
+    at: impl Fn(u32) -> Place,
+) -> T {
+    let out = list.swap_remove(i as usize);
+    if let Some(moved) = list.get(i as usize) {
+        place[cid(moved) as usize] = at(i);
+    }
+    place[cid(&out) as usize] = Place::Active;
+    out
+}
+
+/// The one settle clock of the rest set: each resting cohort's first
+/// unsettled tick (see the module doc for why ticks count quanta exactly).
+struct Clock {
+    since: Vec<u64>,
+    /// Ticks per quantum.
+    q: u64,
+}
+
+impl Clock {
+    /// Settles the quanta cohort `cid` rested through before `now`, all
+    /// under `fault`, and restarts its rest at `now`. Returns them.
+    #[inline]
+    fn settle(&mut self, cid: u32, s: &mut CohortState, now: u64, fault: bool) -> u64 {
+        let j = (now - std::mem::replace(&mut self.since[cid as usize], now)) / self.q;
+        settle(s, j, self.q, fault);
+        j
     }
 }
 
-const NO_SLOT: u32 = u32::MAX;
-
-/// Per-edge download lanes of plain cohorts (see the module doc).
-pub(super) struct Lanes {
-    edges: Vec<Vec<LaneEntry>>,
+/// The rest set (see the module doc): plain cohorts in per-edge lanes,
+/// publish-gated ones parked with an [`EventKind::Wake`] pending. A
+/// cohort rests in at most one, so one place and one clock serve both.
+pub(super) struct RestSet {
+    lanes: Vec<Vec<LaneEntry>>,
     /// Members per edge across its lane: the edge's plain downloaders.
     pub(super) members: Vec<u64>,
-    /// Each cohort's index in its edge's lane, or [`NO_SLOT`].
-    slot: Vec<u32>,
-    len: usize,
-    /// Lane steps so far: a cohort's stay is the difference between
-    /// this count when it leaves and when it entered.
-    quanta: u64,
-    /// Ticks per quantum.
-    q: u64,
-    /// Scratch for [`Lanes::step`]: lane indices whose download
+    /// Cohorts in lanes.
+    in_lanes: usize,
+    /// Parked cohort ids.
+    pub(super) parked: Vec<u32>,
+    /// Where each cohort waits.
+    place: Vec<Place>,
+    clock: Clock,
+    /// Scratch for [`RestSet::step`]: lane indices whose download
     /// completed this quantum, ascending.
     done: Vec<u32>,
 }
 
-impl Lanes {
+impl RestSet {
     pub(super) fn new(edges: usize, cohorts: usize, q: u64) -> Self {
         Self {
-            edges: vec![Vec::new(); edges],
+            lanes: vec![Vec::new(); edges],
             members: vec![0; edges],
-            slot: vec![NO_SLOT; cohorts],
-            len: 0,
-            quanta: 0,
-            q,
+            in_lanes: 0,
+            parked: Vec::new(),
+            place: vec![Place::Active; cohorts],
+            clock: Clock {
+                since: vec![0; cohorts],
+                q,
+            },
             done: Vec::new(),
         }
     }
 
-    pub(super) fn is_empty(&self) -> bool {
-        self.len == 0
+    pub(super) fn lanes_empty(&self) -> bool {
+        self.in_lanes == 0
     }
 
-    /// Puts plain cohort `cid` in its edge's lane; `eps` is the
-    /// completion threshold of the segment it is downloading.
-    pub(super) fn enter(&mut self, cid: u32, c: &Cohort, eps: f64) {
-        let lane = &mut self.edges[c.edge];
-        self.slot[cid as usize] = lane.len() as u32;
+    pub(super) fn is_parked(&self, cid: u32) -> bool {
+        matches!(self.place[cid as usize], Place::Parked(_))
+    }
+
+    /// Puts plain cohort `cid` in its edge's lane, resting from tick
+    /// `since` on; `eps` is the completion threshold of the segment it
+    /// is downloading.
+    pub(super) fn enter(&mut self, cid: u32, c: &Cohort, eps: f64, since: u64) {
+        let lane = &mut self.lanes[c.edge];
+        self.place[cid as usize] = Place::Lane(lane.len() as u32);
+        self.clock.since[cid as usize] = since;
         lane.push(LaneEntry {
             remaining: c.state.remaining_bytes,
             eps,
             cid,
-            entered: self.quanta,
         });
         self.members[c.edge] += c.n;
-        self.len += 1;
+        self.in_lanes += 1;
     }
 
-    /// Takes cohort `cid` out of its lane, writing its state back.
-    /// `None` when it was not in one.
-    pub(super) fn leave(&mut self, cid: u32, c: &mut Cohort, fault: bool) -> Option<LaneEntry> {
-        let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT);
-        if slot == NO_SLOT {
-            return None;
-        }
-        let lane = &mut self.edges[c.edge];
-        let entry = lane.swap_remove(slot as usize);
-        if let Some(moved) = lane.get(slot as usize) {
-            self.slot[moved.cid as usize] = slot;
-        }
-        entry.write_back(&mut c.state, self.quanta, self.q, fault);
-        self.members[c.edge] -= c.n;
-        self.len -= 1;
-        Some(entry)
+    /// Parks `cid`, resting from tick `since` on, to wake at tick `wake`.
+    pub(super) fn park(&mut self, cal: &mut EventCalendar, cid: u32, since: u64, wake: u64) {
+        self.place[cid as usize] = Place::Parked(self.parked.len() as u32);
+        self.clock.since[cid as usize] = since;
+        self.parked.push(cid);
+        cal.push(wake, EventKind::Wake, cid);
     }
 
-    /// Empties every lane into `slow`, writing state back.
-    pub(super) fn flush(&mut self, cohorts: &mut [Cohort], slow: &mut Vec<u32>, fault: bool) {
-        if self.is_empty() {
+    /// Takes parked cohort `cid` out of the parked list.
+    pub(super) fn unpark(&mut self, cid: u32) {
+        if let Place::Parked(i) = self.place[cid as usize] {
+            swap_out(&mut self.parked, i, &mut self.place, |&c| c, Place::Parked);
+        }
+    }
+
+    /// Settles the quanta resting cohort `cid` spent before `now`, all
+    /// under `fault`; nothing for an active cohort. A parked quantum was
+    /// a publish-gated full step that drained playout and waited `q`
+    /// ticks per member: returns those publish-wait ticks.
+    pub(super) fn settle(&mut self, cid: u32, c: &mut Cohort, now: u64, fault: bool) -> u64 {
+        match self.place[cid as usize] {
+            Place::Active => 0,
+            Place::Lane(_) => {
+                self.clock.settle(cid, &mut c.state, now, fault);
+                0
+            }
+            Place::Parked(_) => {
+                self.clock.settle(cid, &mut c.state, now, fault) * self.clock.q * c.n
+            }
+        }
+    }
+
+    /// [`RestSet::settle`] for every parked cohort.
+    pub(super) fn settle_parked(&mut self, cohorts: &mut [Cohort], now: u64, fault: bool) -> u64 {
+        let mut wait = 0;
+        for i in 0..self.parked.len() {
+            let cid = self.parked[i];
+            wait += self.settle(cid, &mut cohorts[cid as usize], now, fault);
+        }
+        wait
+    }
+
+    /// `gone` members of cohort `cid`, settled up to now, departed (`c`
+    /// already counts them out): its lane's member count drops, and a
+    /// cohort with no member left leaves the rest set.
+    pub(super) fn depart(&mut self, cid: u32, c: &Cohort, gone: u64) {
+        match self.place[cid as usize] {
+            Place::Lane(i) => {
+                self.members[c.edge] -= gone;
+                if c.n == 0 {
+                    let lane = &mut self.lanes[c.edge];
+                    swap_out(lane, i, &mut self.place, |l| l.cid, Place::Lane);
+                    self.in_lanes -= 1;
+                }
+            }
+            Place::Parked(_) if c.n == 0 => self.unpark(cid),
+            _ => {}
+        }
+    }
+
+    /// Empties every lane into `slow`, writing each download back and
+    /// settling its stay up to `now` under `fault`.
+    pub(super) fn flush(
+        &mut self,
+        cohorts: &mut [Cohort],
+        slow: &mut Vec<u32>,
+        now: u64,
+        fault: bool,
+    ) {
+        if self.lanes_empty() {
             return;
         }
-        for (lane, members) in self.edges.iter_mut().zip(&mut self.members) {
+        for (lane, members) in self.lanes.iter_mut().zip(&mut self.members) {
             for l in lane.drain(..) {
-                l.write_back(
-                    &mut cohorts[l.cid as usize].state,
-                    self.quanta,
-                    self.q,
-                    fault,
-                );
-                self.slot[l.cid as usize] = NO_SLOT;
+                let s = &mut cohorts[l.cid as usize].state;
+                s.remaining_bytes = l.remaining;
+                self.clock.settle(l.cid, s, now, fault);
+                self.place[l.cid as usize] = Place::Active;
                 slow.push(l.cid);
             }
             *members = 0;
         }
-        self.len = 0;
+        self.in_lanes = 0;
     }
 
-    /// One quantum of every lane: each download drains by `dec[edge]`,
-    /// exactly the full path's arithmetic; playout is settled on exit.
-    /// Cohorts whose download completed leave their lane (state written
-    /// back under `fault`) and are appended to `finished`.
+    /// One quantum, ending at tick `end`, of every lane: each download
+    /// drains by `dec[edge]`, exactly the full path's arithmetic.
+    /// Cohorts whose download completed leave their lane (download
+    /// written back, stay settled under `fault`) and are appended to
+    /// `finished`.
     pub(super) fn step(
         &mut self,
         dec: &[f64],
         cohorts: &mut [Cohort],
         finished: &mut Vec<u32>,
+        end: u64,
         fault: bool,
     ) {
-        self.quanta += 1;
-        for (e, lane) in self.edges.iter_mut().enumerate() {
+        for (e, lane) in self.lanes.iter_mut().enumerate() {
             let dec = dec[e];
             self.done.clear();
             for (i, l) in lane.iter_mut().enumerate() {
@@ -162,91 +256,18 @@ impl Lanes {
                     self.done.push(i as u32);
                 }
             }
-            // Descending, so each swap_remove pulls in an entry that is
+            // Descending, so each swap-remove pulls in an entry that is
             // not itself done.
             for &i in self.done.iter().rev() {
-                let i = i as usize;
-                let l = lane.swap_remove(i);
-                if let Some(moved) = lane.get(i) {
-                    self.slot[moved.cid as usize] = i as u32;
-                }
-                self.slot[l.cid as usize] = NO_SLOT;
+                let l = swap_out(lane, i, &mut self.place, |l| l.cid, Place::Lane);
                 let c = &mut cohorts[l.cid as usize];
-                l.write_back(&mut c.state, self.quanta, self.q, fault);
+                c.state.remaining_bytes = l.remaining;
+                self.clock.settle(l.cid, &mut c.state, end, fault);
                 self.members[e] -= c.n;
-                self.len -= 1;
+                self.in_lanes -= 1;
                 finished.push(l.cid);
             }
         }
-    }
-}
-
-/// Publish-gated cohorts parked on the calendar (see the module doc):
-/// each is on an up edge and has a [`EventKind::Wake`] pending at the
-/// publish tick of the segment it waits on.
-pub(super) struct Parked {
-    pub(super) cids: Vec<u32>,
-    /// Each cohort's index in `cids`, or [`NO_SLOT`].
-    slot: Vec<u32>,
-    /// Each parked cohort's first quantum not yet settled.
-    since: Vec<u64>,
-    /// Ticks per quantum.
-    q: u64,
-}
-
-impl Parked {
-    pub(super) fn new(cohorts: usize, q: u64) -> Self {
-        Self {
-            cids: Vec::new(),
-            slot: vec![NO_SLOT; cohorts],
-            since: vec![0; cohorts],
-            q,
-        }
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.cids.len()
-    }
-
-    pub(super) fn contains(&self, cid: u32) -> bool {
-        self.slot[cid as usize] != NO_SLOT
-    }
-
-    /// Parks `cid` from quantum `since` on, to wake at tick `wake`.
-    pub(super) fn park(&mut self, cal: &mut EventCalendar, cid: u32, since: u64, wake: u64) {
-        self.slot[cid as usize] = self.cids.len() as u32;
-        self.cids.push(cid);
-        self.since[cid as usize] = since;
-        cal.push(wake, EventKind::Wake, cid);
-    }
-
-    pub(super) fn unpark(&mut self, cid: u32) {
-        let slot = std::mem::replace(&mut self.slot[cid as usize], NO_SLOT) as usize;
-        self.cids.swap_remove(slot);
-        if let Some(&moved) = self.cids.get(slot) {
-            self.slot[moved as usize] = slot as u32;
-        }
-    }
-
-    /// Settles the quanta parked cohort `cid` slept through before
-    /// `now`, all under `fault`: each was a publish-gated full step that
-    /// drained playout and waited `q` ticks per member. Returns the
-    /// publish-wait ticks.
-    pub(super) fn settle(&mut self, cid: u32, c: &mut Cohort, now: u64, fault: bool) -> u64 {
-        let since = std::mem::replace(&mut self.since[cid as usize], now);
-        let j = (now - since) / self.q;
-        settle(&mut c.state, j, self.q, fault);
-        j * self.q * c.n
-    }
-
-    /// [`Parked::settle`] for every parked cohort.
-    pub(super) fn settle_all(&mut self, cohorts: &mut [Cohort], now: u64, fault: bool) -> u64 {
-        let mut wait = 0;
-        for i in 0..self.cids.len() {
-            let cid = self.cids[i];
-            wait += self.settle(cid, &mut cohorts[cid as usize], now, fault);
-        }
-        wait
     }
 }
 
@@ -258,8 +279,9 @@ mod tests {
     #[test]
     fn settled_playout_equals_sequential_clamped_drains() {
         // The full path's per-quantum drain, j times, against one settle
-        // on exit after j lane quanta: every buffer, stay, quantum, state
-        // and fault flag, bit for bit, fault ledger included.
+        // of a lane stay j quanta long, measured in ticks: every buffer,
+        // stay, quantum, state and fault flag, bit for bit, fault ledger
+        // included.
         for q in [1u64, 4] {
             let step = q as f64;
             for buffer in 0..=512u32 {
@@ -277,7 +299,7 @@ mod tests {
                                 fault_rebuffer_ticks: 5,
                                 ..test_state()
                             };
-                            let mut settled = sequential.clone();
+                            let settled = sequential.clone();
                             for _ in 0..j {
                                 let s = &mut sequential;
                                 if s.playing {
@@ -297,13 +319,20 @@ mod tests {
                                     s.fault_rebuffer_ticks += q;
                                 }
                             }
-                            let entry = LaneEntry {
-                                remaining: 0.0,
-                                eps: 0.5,
-                                cid: 0,
-                                entered: 9,
+                            let mut c = Cohort {
+                                edge: 0,
+                                home_edge: 0,
+                                title: 0,
+                                ring_key: 0,
+                                members: Vec::new(),
+                                state: settled,
+                                n: 1,
+                                done: false,
                             };
-                            entry.write_back(&mut settled, 9 + j, q, fault);
+                            let mut rest = RestSet::new(1, 1, q);
+                            rest.enter(0, &c, 0.5, 9 * q);
+                            rest.settle(0, &mut c, (9 + j) * q, fault);
+                            let settled = c.state;
                             let ledger = |s: &CohortState| {
                                 (
                                     s.buffer_ticks.to_bits(),

@@ -18,9 +18,8 @@
 //!   landing on one tick is one actor. Cohorts never merge: a
 //!   session's first request stamps its own arrival tick into the ABR
 //!   estimate, so classes that arrived on different ticks almost never
-//!   become equal again, and a sweep looking for equal classes cost
-//!   more than the rare merge saved. Members differ only in when (if
-//!   ever) they churn away, kept as [`MemberGroup`]s.
+//!   become equal again. Members differ only in when (if ever) they
+//!   churn away, kept as [`MemberGroup`]s.
 //! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
 //!   cohort's discrete events (arrival, churn departure, publish wake)
 //!   drives the clock: departures, arrivals and wakes touch only the
@@ -30,59 +29,50 @@
 //!   on a publish while no fill is in flight and no fault pressure
 //!   lasts. Those jumped quanta are not stepped (see
 //!   [`EngineStats::quanta`]).
-//! * **Settling in closed form.** Outside an event, a cohort does one
-//!   of two things per quantum besides downloading: it drains playout
-//!   (a plain download) or it drains playout and waits `q` ticks on a
-//!   publish (a publish-gated live viewer). Both are settled for `j`
-//!   quanta at once by one `settle`: the buffer either covers `j * q`
+//! * **The rest set.** Between events most cohorts skip the full path
+//!   and rest in a [`RestSet`]. A *plain* cohort — started, on an up
+//!   edge, neither waiting on a fill nor gated on a publish — rests in
+//!   its edge's download lane, stepped with one per-edge `rate * step`:
+//!   `remaining -= dec` and a completion compare, nothing else; the
+//!   edge's downloading count is the lanes' member sum. A live cohort
+//!   that ends its full step pending on an unpublished segment, on an
+//!   up edge, parks with one [`EventKind::Wake`] at the segment's
+//!   publish tick, which turns a 400-tick publish pace into O(download
+//!   quanta) work per segment instead of O(pace). A woken cohort runs
+//!   that quantum's full step as if it had never left.
+//! * **Settling in closed form.** A resting cohort keeps its first
+//!   unsettled tick; whatever ends or changes its rest (completion,
+//!   wake, departure, fault event, end of run) settles the quanta since
+//!   then at once. `now` is always a quantum boundary and the idle jump
+//!   fires only with the lanes empty, so a rest from `since` to `now` is
+//!   exactly `(now - since) / q` quanta. In each, a cohort drained
+//!   playout, and a parked one also waited `q` publish ticks per member.
+//!   One `settle` drains `j` quanta: the buffer either covers `j * q`
 //!   and drops by exactly that, or it ran dry in quantum
 //!   `buffer / q + 1`, entering rebuffer once (unless already
-//!   rebuffering) and ending at 0; every quantum from there on is a
-//!   stalled one. That equals `j` clamped per-quantum drains exactly,
-//!   because buffers and `q` are integer-valued f64 below 2^53 and
-//!   nothing else touches the buffer, `playing` or `in_rebuffer` in
-//!   between (only a completion, on the full path, refills the buffer
-//!   and ends a rebuffer). Under fault pressure a rebuffer that begins
-//!   counts as a fault rebuffer and each stalled quantum adds `q` fault
-//!   rebuffer ticks, as on the full path; `settle` takes the one fault
-//!   flag of the settled quanta (below).
-//! * **Download lanes.** A *plain* cohort — started, on an up edge,
-//!   neither waiting on a fill nor gated on a publish — lives in compact
-//!   per-edge [`Lanes`] holding just the download, stepped with one
-//!   per-edge `rate * step`: a lane step is `remaining -= dec` and a
-//!   completion compare, nothing else. An entry records the lane's
-//!   quantum count when it entered, and its playout is settled when the
-//!   cohort leaves (completion, departure, fault flush, end of run). The
-//!   edge's downloading count is the lanes' member sum, not a pass over
-//!   every cohort.
-//! * **Parking.** A live cohort that ends its full step still pending
-//!   on a segment its title has not published, on an up edge, leaves
-//!   the active list: it records the first quantum it has not stepped
-//!   and pushes one [`EventKind::Wake`] at the segment's publish tick.
-//!   The wake (or a departure, or a fault event) settles the quanta it
-//!   slept through — playout, `publish_wait_ticks` and the fault
-//!   ledger — and the woken cohort runs that quantum's full step as if
-//!   it had never left. This is what turns a 400-tick publish pace into
-//!   O(download quanta) work per segment instead of O(pace), under
-//!   fault pressure too.
+//!   rebuffering) and ending at 0; every quantum from there on is
+//!   stalled. That equals `j` clamped per-quantum drains exactly,
+//!   because buffers and `q` are integer-valued f64 below 2^53 and only
+//!   a completion, on the full path, refills the buffer or ends a
+//!   rebuffer. Under fault pressure a rebuffer that begins is a fault
+//!   rebuffer and each stalled quantum adds `q` fault rebuffer ticks,
+//!   as on the full path, under the one fault flag of the settled
+//!   quanta (below).
 //! * **Fault replay.** A resolved [`crate::fault::FaultPlan`] schedules
-//!   its actions on the same event heap (sorting before same-tick
-//!   arrivals), so crashes, restarts, origin flaps, and degradation
-//!   spans replay deterministically at any scale. Classes whose home
-//!   edge crashes re-home across the failover ring to survivors and
-//!   fail back on restart; rebuffers that begin under fault pressure
-//!   pin the class to the lowest rung (graceful degradation) and are
-//!   tallied into [`ResilienceStats`]. The fault flag changes only at
-//!   fault events, and every fault event first flushes the lanes and
-//!   settles every parked cohort in place under the flag from *before*
-//!   the event. So each lane stay and each parked stretch has one flag,
-//!   and the closed form stays exact under fault pressure. Parked
-//!   cohorts re-home where they sit; only those *stranded* on a down
-//!   edge (every edge down, nowhere to fail over) wake into the full
-//!   path, and a stranded cohort that a restart re-homes while its
-//!   segment is still unpublished parks again. A run without a plan
-//!   never touches any of this — plan-free reports are bit-identical to
-//!   pre-fault builds.
+//!   its actions on the same event heap (before same-tick arrivals), so
+//!   crashes, restarts, origin flaps, and degradation spans replay
+//!   deterministically at any scale into one [`FaultState`]. Classes
+//!   whose home edge crashes re-home across the failover ring and fail
+//!   back on restart; rebuffers that begin under fault pressure pin the
+//!   class to the lowest rung (graceful degradation) and are tallied
+//!   into [`ResilienceStats`]. The fault flag changes only at fault
+//!   events, and every fault event first flushes the lanes and settles
+//!   every parked cohort in place under the flag from *before* the
+//!   event, so each rest has one flag and the closed form stays exact.
+//!   Parked cohorts re-home where they sit; only those *stranded* on a
+//!   down edge (every edge down) wake into the full path, and a
+//!   stranded cohort that a restart re-homes while its segment is
+//!   still unpublished parks again.
 //!
 //! Only arrivals, segment completions, wakes, waiters, stranded cohorts
 //! and the cohorts a fault event flushed run the full per-cohort path,
@@ -91,43 +81,44 @@
 //! O(lane entries) of flat arithmetic plus O(events) of real work.
 //!
 //! Exactness contract, pinned by the oracle-equivalence property tests
-//! below, the golden tests in `serve`, and the digest golden in the
-//! workspace's `fluid_golden` suite: for unbounded edge caches (every
-//! `BENCH` knee sweep), reports are identical to the per-session
-//! quantum oracle — integer fields bit-exact, f64 fields to 1e-9
-//! (summation order). The oracle has no faults; under faults the
-//! `full_path_reference_matches_the_shipped_engine` property pins lanes,
-//! parking and both settles to a test-only reference run in which every
-//! active cohort takes the full path every quantum. A lane step is the
-//! full path's own arithmetic (the same f64 expressions, in the same
-//! order per cohort), so lanes change no report bit. Bounded caches
+//! below, the golden tests in `serve`, and the workspace's
+//! `fluid_golden` digests: for unbounded edge caches (every `BENCH`
+//! knee sweep), reports equal the per-session quantum oracle's —
+//! integer fields bit-exact, f64 fields to 1e-9 (summation order).
+//! Under faults, which the oracle lacks,
+//! `full_path_reference_matches_the_shipped_engine` pins the rest set
+//! and the idle jump to a test-only run in which every active cohort
+//! takes the full path every quantum. A lane step is the full path's
+//! own arithmetic, so lanes change no report bit. Bounded caches
 //! under *eviction* are the one documented divergence from the oracle:
 //! a cohort touches the LRU once per class rather than once per member,
 //! so recency interleaving — and hence eviction victims — can legally
 //! differ; reports remain deterministic and within the behavioural
 //! tolerances the bounded-cache tests assert.
+//!
+//! One concern per submodule: `formation` forms [`Cohort`]s; `lanes`
+//! holds the [`RestSet`] and `settle`; `events` the [`EventCalendar`];
+//! `faults` the [`FaultState`] and the one failover rule of both tiers.
+//! This module runs the quantum loop ([`run_cohorts`]) and folds the
+//! report.
 
 mod events;
 mod faults;
 mod formation;
 mod lanes;
 
-use signal::rng::splitmix64;
-
 use crate::catalog::ZipfSampler;
-use crate::edge::HashRing;
 use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
     build_ring, build_schedule, build_tier, completion_eps, obj_bytes, EngineStats, FluidNode,
-    LiveSim, LiveStats, LoadConfig, LoadReport, Req, TierParams, RING_VNODES, SHIELD_KEY_SALT,
-    SHIELD_RING_SALT,
+    LiveSim, LiveStats, LoadConfig, LoadReport, Req, TierParams,
 };
-use crate::shield::{shield_home, AdmissionPolicy, ObjKey};
+use crate::shield::{AdmissionPolicy, ObjKey};
 use events::{EventCalendar, EventKind};
-use faults::{crash_or_restart, rehome, reroute_shields};
+use faults::{rehome, FaultState};
 use formation::{form_cohorts, Cohort, CohortState, MemberGroup};
-use lanes::{Lanes, Parked};
+use lanes::RestSet;
 
 /// Whether `c` is pending on a segment its live title has not
 /// published by `now`.
@@ -238,18 +229,14 @@ impl Acc {
 
     fn report(&self, n_sessions: usize, now: u64) -> LoadReport {
         let end_tick = self.max_done.unwrap_or(now).max(1);
-        let mean_startup = if self.started == 0 {
-            0.0
-        } else {
-            self.startup_sum / self.started as f64
-        };
         LoadReport {
             sessions: n_sessions,
             completed: self.completed as usize,
             ticks: end_tick,
             total_goodput_bits_per_tick: self.total_bits as f64 / end_tick as f64,
             mean_session_bits_per_tick: self.rate_sum / n_sessions.max(1) as f64,
-            mean_startup_ticks: mean_startup,
+            // Nothing started adds nothing to `startup_sum`: 0 / 1.
+            mean_startup_ticks: self.startup_sum / self.started.max(1) as f64,
             rebuffer_sessions: self.rebuffer_sessions as usize,
             rebuffer_fraction: self.rebuffer_sessions as f64 / n_sessions.max(1) as f64,
             mean_rung: self.rung_sum as f64 / self.fetched.max(1) as f64,
@@ -310,16 +297,12 @@ fn request(
     }
 }
 
-/// The cohort fluid engine. Semantically the per-session quantum
-/// engine (`serve::oracle`) run at cohort granularity: identical DVR
-/// maintenance, origin-fill drain, max-min downlink sharing, ABR,
-/// playout, and live gates per quantum — with plain downloads stepped
-/// in per-edge lanes, idle stretches jumped via the event calendar, and
-/// finished classes folded straight into the report accumulator.
-/// Multi-title catalogs key every cache object by `(title, rung, seg)`;
-/// a shield tier (when `p.shields > 0`) sits between the edges and the
-/// origin, so edge fills drain from shield caches and only shield
-/// misses cross the true origin link.
+/// The cohort fluid engine (see the module doc): the per-session
+/// quantum engine (`serve::oracle`) run at cohort granularity, with the
+/// same DVR maintenance, origin-fill drain, max-min downlink sharing,
+/// ABR, playout and live gates per quantum. Cache objects are keyed by
+/// `(title, rung, seg)`; with `p.shields > 0` edge fills drain from
+/// shield caches and only shield misses cross the origin link.
 pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams) -> CohortRun {
     let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
     let q = load.tick_quantum.max(1);
@@ -371,62 +354,29 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     }
     // Fault actions ride the same heap (payload: action index), so
     // fault replay is exactly as deterministic as arrivals are.
-    let faulted = p.faults.is_some();
-    let fault_seed = p.faults.as_ref().map(|f| f.seed);
     let fault_actions: &[(u64, FaultAction)] =
         p.faults.as_ref().map_or(&[], |f| f.actions.as_slice());
     for (ai, &(t, _)) in fault_actions.iter().enumerate() {
         cal.push(t, EventKind::Fault, ai as u32);
     }
 
-    // Fault state. All of it is inert on a plan-free run: every edge
-    // stays up, every scale stays exactly 1.0 (and `x * 1.0` is
-    // IEEE-exact), so the plan-free trajectory is bit-identical.
-    let mut edge_up = vec![true; p.edges];
-    let mut shield_up = vec![true; p.shields];
-    // Which shield each edge currently fills from: its home, unless
-    // the home is down and the shield ring re-routed it to a survivor
-    // (0 in a flat tier, which has no shield to index).
-    let mut edge_shield: Vec<usize> = (0..p.edges)
-        .map(|e| shield_home(e, p.edges, p.shields.max(1)))
-        .collect();
-    for &si in edge_shield.iter().filter(|_| shields_on) {
+    let seed = p.faults.as_ref().map(|f| f.seed);
+    let mut fs = FaultState::new(p.edges, p.shields, seed, load.seed);
+    for &si in fs.edge_shield.iter().filter(|_| shields_on) {
         shields[si].assigned += 1;
     }
-    let shield_ring = (shields_on && faulted)
-        .then(|| HashRing::new(p.shields, RING_VNODES, load.seed ^ SHIELD_RING_SALT));
-    let shield_keys: Vec<u64> = (0..p.edges)
-        .map(|e| fault_seed.map_or(0, |s| splitmix64(s ^ SHIELD_KEY_SALT ^ e as u64)))
-        .collect();
-    // Cold-restarted edges count their fills as re-warm traffic until
-    // the wiped cache holds an object again.
-    let mut rewarming = vec![false; p.edges];
-    // Active degradation spans per link; the effective scale is the
-    // product, recomputed from the span list on every change so a
-    // span's end unwinds its start exactly (no multiply/divide drift).
-    let mut edge_degrades: Vec<Vec<f64>> = vec![Vec::new(); p.edges];
-    let mut origin_degrades: Vec<f64> = Vec::new();
-    let mut edge_scale = vec![1.0f64; p.edges];
-    let mut origin_scale = 1.0f64;
-    let mut flap_down = false;
-    let mut restore_sum = 0u64;
-    let mut res = ResilienceStats::default();
-    // Fault pressure: anything down, flapping, or running degraded.
-    // Changes only at fault events; always `false` on a plan-free run.
-    let mut fault_active = false;
 
     let mut acc = Acc::default();
     let mut engine = EngineStats {
         cohorts: cohorts.len() as u64,
         ..EngineStats::default()
     };
-    // The active set is the lanes, the parked cohorts and `slow`: every
-    // other active cohort, ascending by id once sorted (arrivals and
-    // wakes append unsorted). `slow` may hold cohorts a departure
-    // finished; the full path skips them.
+    // The active set is the rest set (lanes and parked cohorts) and
+    // `slow`: every other active cohort, ascending by id once sorted
+    // (arrivals and wakes append unsorted). `slow` may hold cohorts a
+    // departure finished; the full path skips them.
     let reference = full_path_only();
-    let mut lanes = Lanes::new(p.edges, cohorts.len(), q);
-    let mut parked = Parked::new(cohorts.len(), q);
+    let mut rest = RestSet::new(p.edges, cohorts.len(), q);
     let mut slow: Vec<u32> = Vec::new();
     let mut slow_sorted = true;
     let mut n_active = 0u64;
@@ -469,109 +419,31 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 // fault flag: lanes flush into `slow` and parked classes
                 // settle in place, both under the flag of the quanta
                 // they spent there.
-                lanes.flush(&mut cohorts, &mut slow, fault_active);
-                publish_wait_ticks += parked.settle_all(&mut cohorts, now, fault_active);
+                rest.flush(&mut cohorts, &mut slow, now, fs.active);
+                publish_wait_ticks += rest.settle_parked(&mut cohorts, now, fs.active);
                 slow_sorted = false;
                 let action = fault_actions[cid as usize].1;
-                match action {
-                    FaultAction::EdgeDown(i)
-                    | FaultAction::EdgeUp(i, _)
-                    | FaultAction::ShieldDown(i)
-                    | FaultAction::ShieldUp(i, _) => {
-                        let (shield, restart, count) = match action {
-                            FaultAction::EdgeDown(_) => (false, None, &mut res.edge_crashes),
-                            FaultAction::EdgeUp(_, cold) => {
-                                (false, Some(cold), &mut res.edge_restarts)
-                            }
-                            FaultAction::ShieldDown(_) => (true, None, &mut res.shield_crashes),
-                            FaultAction::ShieldUp(_, cold) => {
-                                (true, Some(cold), &mut res.shield_restarts)
-                            }
-                            _ => unreachable!("a crash or restart"),
-                        };
-                        let (nodes, up) = if shield {
-                            (&mut shields, &mut shield_up)
-                        } else {
-                            (&mut edges, &mut edge_up)
-                        };
-                        if !crash_or_restart(
-                            nodes,
-                            up,
-                            i,
-                            restart,
-                            tick,
-                            &mut res.fills_lost,
-                            &mut restore_sum,
-                        ) {
-                            continue;
-                        }
-                        *count += 1;
-                        if !shield {
-                            // Re-homed waiters re-request on survivors,
-                            // where `FillTable` coalescing absorbs the
-                            // herd. A cold edge counts its fills as
-                            // re-warm traffic until it caches an object
-                            // again.
-                            rewarming[i] |= restart == Some(true);
-                        } else if let Some(r) = shield_ring.as_ref() {
-                            // A shield crash re-routes its child edges to
-                            // a survivor, where their orphaned fills
-                            // re-register via the re-request pass; a
-                            // restart moves them home again.
-                            reroute_shields(
-                                &mut edge_shield,
-                                &shield_up,
-                                r,
-                                &shield_keys,
-                                p.shields,
-                            );
-                        }
-                    }
-                    FaultAction::OriginDown => flap_down = true,
-                    FaultAction::OriginUp => flap_down = false,
-                    FaultAction::DegradeStart(Some(e), s) => {
-                        edge_degrades[e].push(s);
-                        edge_scale[e] = edge_degrades[e].iter().product();
-                    }
-                    FaultAction::DegradeStart(None, s) => {
-                        origin_degrades.push(s);
-                        origin_scale = origin_degrades.iter().product();
-                    }
-                    FaultAction::DegradeEnd(Some(e), s) => {
-                        if let Some(i) = edge_degrades[e].iter().position(|&x| x == s) {
-                            edge_degrades[e].remove(i);
-                        }
-                        edge_scale[e] = edge_degrades[e].iter().product();
-                    }
-                    FaultAction::DegradeEnd(None, s) => {
-                        if let Some(i) = origin_degrades.iter().position(|&x| x == s) {
-                            origin_degrades.remove(i);
-                        }
-                        origin_scale = origin_degrades.iter().product();
-                    }
-                }
                 // A crash re-homes its classes to survivors; a restart
                 // fails them back home.
-                let edge_set_changed =
-                    matches!(action, FaultAction::EdgeDown(_) | FaultAction::EdgeUp(..));
+                let edge_set_changed = fs.apply(action, tick, &mut edges, &mut shields);
                 if let Some(r) = ring.as_ref().filter(|_| edge_set_changed) {
                     for &a in &slow {
                         let c = &mut cohorts[a as usize];
                         if !c.done {
-                            res.sessions_rehomed += rehome(c, &edge_up, r);
+                            fs.res.sessions_rehomed += rehome(c, &fs.edge_up, r);
                         }
                     }
                     // Parked classes re-home where they sit; those
                     // stranded on a down edge take the full path.
                     let mut i = 0;
-                    while i < parked.len() {
-                        let a = parked.cids[i];
+                    while i < rest.parked.len() {
+                        let a = rest.parked[i];
                         let c = &mut cohorts[a as usize];
-                        res.sessions_rehomed += rehome(c, &edge_up, r);
-                        if edge_up[c.edge] {
+                        fs.res.sessions_rehomed += rehome(c, &fs.edge_up, r);
+                        if fs.edge_up[c.edge] {
                             i += 1;
                         } else {
-                            parked.unpark(a);
+                            rest.unpark(a);
                             slow.push(a);
                         }
                     }
@@ -580,19 +452,14 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     if let Some(l) = p.live.as_ref().filter(|_| !reference) {
                         slow.retain(|&a| {
                             let c = &cohorts[a as usize];
-                            if c.done || !edge_up[c.edge] || !gated(c, l, now, &seg_counts) {
+                            if c.done || !fs.edge_up[c.edge] || !gated(c, l, now, &seg_counts) {
                                 return true;
                             }
-                            parked.park(&mut cal, a, now, l.publish_tick(c.state.seg as u64));
+                            rest.park(&mut cal, a, now, l.publish_tick(c.state.seg as u64));
                             false
                         });
                     }
                 }
-                fault_active = flap_down
-                    || edge_up.contains(&false)
-                    || shield_up.contains(&false)
-                    || origin_scale != 1.0
-                    || edge_scale.iter().any(|&s| s != 1.0);
                 continue;
             }
             let c = &mut cohorts[cid as usize];
@@ -607,20 +474,14 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     n_active += 1;
                     // A class arriving into a crashed home lands on a
                     // survivor straight away.
-                    if faulted {
-                        if let Some(r) = ring.as_ref() {
-                            res.sessions_rehomed += rehome(c, &edge_up, r);
-                        }
+                    if let Some(r) = ring.as_ref().filter(|_| fs.active) {
+                        fs.res.sessions_rehomed += rehome(c, &fs.edge_up, r);
                     }
                 }
                 EventKind::Depart => {
-                    // A lane cohort leaves its lane and a parked one
-                    // stays parked, each settled up to now first.
-                    let lane = lanes.leave(cid, c, fault_active);
-                    let asleep = parked.contains(cid);
-                    if asleep {
-                        publish_wait_ticks += parked.settle(cid, c, now, fault_active);
-                    }
+                    // A resting cohort stays where it rests, settled up
+                    // to now first.
+                    publish_wait_ticks += rest.settle(cid, c, now, fs.active);
                     let mut folded = 0u64;
                     let state = &c.state;
                     c.members.retain(|g| {
@@ -634,21 +495,17 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     });
                     alive -= folded;
                     c.n -= folded;
+                    rest.depart(cid, c, folded);
                     if c.members.is_empty() {
                         c.done = true;
                         n_active -= 1;
-                        if asleep {
-                            parked.unpark(cid);
-                        }
-                    } else if let Some(l) = lane {
-                        lanes.enter(cid, c, l.eps);
                     }
                 }
                 EventKind::Wake => {
                     let l = p.live.as_ref().expect("wakes only in live mode");
-                    if parked.contains(cid) && !gated(c, l, now, &seg_counts) {
-                        publish_wait_ticks += parked.settle(cid, c, now, fault_active);
-                        parked.unpark(cid);
+                    if rest.is_parked(cid) && !gated(c, l, now, &seg_counts) {
+                        publish_wait_ticks += rest.settle(cid, c, now, fs.active);
+                        rest.unpark(cid);
                         slow.push(cid);
                         slow_sorted = false;
                     }
@@ -662,8 +519,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // oracle's q-at-a-time ticking would reach. Fault events and
         // wakes are calendar events, so the jump never skips one, and
         // parked cohorts settle the jumped quanta when they wake.
-        if parked.len() as u64 == n_active
-            && (n_active == 0 || (!fault_active && !fills_in_flight(&edges, &shields)))
+        if rest.parked.len() as u64 == n_active
+            && (n_active == 0 || (!fs.active && !fills_in_flight(&edges, &shields)))
         {
             let ceiling = quantized_jump(now, load.max_ticks, q);
             now = match cal.next_tick() {
@@ -708,7 +565,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // cache over the shield downlink once the object is there.
         // Fills land *before* the downlink shares are computed, so
         // waiters waking this quantum count toward their edge's split.
-        let origin_down = p.origin_down_after.is_some_and(|t| now >= t) || flap_down;
+        let origin_down = p.origin_down_after.is_some_and(|t| now >= t) || fs.flap_down;
         if shields_on {
             // Re-request pass first: edge fills whose serving shield
             // neither caches the object nor has an origin fill in
@@ -716,8 +573,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // re-register as shield misses — one origin fill restarts
             // no matter how many child edges wait on it.
             for (ei, e) in edges.iter().enumerate() {
-                let si = edge_shield[ei];
-                if !shield_up[si] {
+                let si = fs.edge_shield[ei];
+                if !fs.shield_up[si] {
                     continue;
                 }
                 let sh = &mut shields[si];
@@ -732,13 +589,13 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         let upstream = if shields_on { &mut shields } else { &mut edges };
         let total_fills: usize = upstream.iter().map(|n| n.fills.len()).sum();
         if total_fills > 0 && !origin_down && p.origin_capacity > 0.0 {
-            let fill_rate = p.origin_capacity * origin_scale / total_fills as f64;
+            let fill_rate = p.origin_capacity * fs.scale[p.edges] / total_fills as f64;
             for (i, node) in upstream.iter_mut().enumerate() {
                 node.drain_fills(titles, fill_rate * step, |_| true, &mut landed);
                 // The wiped cache holds an object again: later fills
                 // are ordinary demand fills, not re-warm.
                 if !shields_on && !landed.is_empty() {
-                    rewarming[i] = false;
+                    fs.rewarming[i] = false;
                 }
             }
             progressed = true;
@@ -749,8 +606,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // across that shield's concurrently-drawing fills.
             draw.fill(0);
             for (ei, e) in edges.iter().enumerate() {
-                let si = edge_shield[ei];
-                if shield_up[si] {
+                let si = fs.edge_shield[ei];
+                if fs.shield_up[si] {
                     draw[si] += e
                         .fills
                         .iter()
@@ -759,8 +616,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                 }
             }
             for (ei, e) in edges.iter_mut().enumerate() {
-                let si = edge_shield[ei];
-                if !shield_up[si] || draw[si] == 0 {
+                let si = fs.edge_shield[ei];
+                if !fs.shield_up[si] || draw[si] == 0 {
                     continue;
                 }
                 let rate = p.shield_capacity / draw[si] as f64;
@@ -771,7 +628,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     sh.stats.served_bytes += obj_bytes(titles, k) as u64;
                 }
                 if !landed.is_empty() {
-                    rewarming[ei] = false;
+                    fs.rewarming[ei] = false;
                 }
                 progressed = true;
             }
@@ -783,10 +640,10 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // burst of waking waiters would oversubscribe the edge link. A
         // publish-gated cohort counts only if its segment is now live
         // *and* already cached (it will request and hit below).
-        downloading.copy_from_slice(&lanes.members);
+        downloading.copy_from_slice(&rest.members);
         for &cid in &slow {
             let c = &cohorts[cid as usize];
-            if c.done || !edge_up[c.edge] {
+            if c.done || !fs.edge_up[c.edge] {
                 // Parked (every edge down): nothing downloads.
                 continue;
             }
@@ -815,13 +672,13 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // The one per-edge download rate, used by lanes and the full
         // path alike.
         let edge_rate = |e: usize| {
-            (p.edge_capacity * edge_scale[e] / downloading[e].max(1) as f64).min(p.per_session)
+            (p.edge_capacity * fs.scale[e] / downloading[e].max(1) as f64).min(p.per_session)
         };
 
         // The reference engine steps the quanta the idle jump skips over
         // parked cohorts, and counts them no more than the jump does.
         let jumped = reference
-            && !fault_active
+            && !fs.active
             && !fills_in_flight(&edges, &shields)
             && p.live.as_ref().is_some_and(|l| {
                 slow.iter()
@@ -833,11 +690,11 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             engine.cohort_quanta += n_active;
             engine.peak_active = engine.peak_active.max(n_active);
         }
-        if !lanes.is_empty() {
+        if !rest.lanes_empty() {
             for (e, dec) in lane_dec.iter_mut().enumerate() {
                 *dec = edge_rate(e) * step;
             }
-            lanes.step(&lane_dec, &mut cohorts, &mut finished, fault_active);
+            rest.step(&lane_dec, &mut cohorts, &mut finished, now + q, fs.active);
             progressed = true;
         }
         // The full path, in ascending cohort id: the slow list plus the
@@ -871,9 +728,9 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             let e = &mut edges[edge];
             // The shield this edge's fills register on: none in a flat
             // tier, or while the serving shield is down.
-            let si = edge_shield[edge];
-            let mut sh = shields.get_mut(si).filter(|_| shield_up[si]);
-            let rewarm = fault_active || rewarming[edge];
+            let si = fs.edge_shield[edge];
+            let mut sh = shields.get_mut(si).filter(|_| fs.shield_up[si]);
+            let rewarm = fs.active || fs.rewarming[edge];
             'step: {
                 if !stepped {
                     // Playout drains while the next segment downloads
@@ -887,17 +744,17 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                             if !s.in_rebuffer {
                                 s.in_rebuffer = true;
                                 s.rebuffer_events += 1;
-                                if fault_active {
+                                if fs.active {
                                     s.fault_rebuffers += 1;
                                 }
                             }
                             s.buffer_ticks = 0.0;
                         }
                     }
-                    if fault_active && s.in_rebuffer {
+                    if fs.active && s.in_rebuffer {
                         s.fault_rebuffer_ticks += q;
                     }
-                    if !edge_up[edge] {
+                    if !fs.edge_up[edge] {
                         // Stranded: every edge is down, failover had
                         // nowhere to go (fault pressure, so the stall
                         // above is fault-attributed). No request, fill,
@@ -912,7 +769,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                         {
                             let sh = sh.as_deref_mut();
                             progressed |=
-                                request(e, sh, m, title, s, n, rewarm, &mut res.rewarm_fills);
+                                request(e, sh, m, title, s, n, rewarm, &mut fs.res.rewarm_fills);
                         } else {
                             s.pending_request = true;
                         }
@@ -939,7 +796,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                             s.fetch_start = now;
                             let sh = sh.as_deref_mut();
                             progressed |=
-                                request(e, sh, m, title, s, n, rewarm, &mut res.rewarm_fills);
+                                request(e, sh, m, title, s, n, rewarm, &mut fs.res.rewarm_fills);
                         } else {
                             publish_wait_ticks += q * n;
                             break 'step;
@@ -971,7 +828,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                                     sh.request_n(key, bytes, 1);
                                 }
                                 progressed = true;
-                                res.rewarm_fills += u64::from(rewarm);
+                                fs.res.rewarm_fills += u64::from(rewarm);
                             }
                             break 'step;
                         }
@@ -1037,7 +894,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                     s.rung_switches += 1;
                 }
                 s.rung = next_rung;
-                progressed |= request(e, sh, m, title, s, n, rewarm, &mut res.rewarm_fills);
+                progressed |= request(e, sh, m, title, s, n, rewarm, &mut fs.res.rewarm_fills);
                 s.fetch_start = end;
             }
             // Where the cohort waits for the next quantum: gone, parked
@@ -1045,14 +902,14 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // slow.
             if *done {
                 n_active -= 1;
-            } else if reference || !edge_up[edge] || s.waiting {
+            } else if reference || !fs.edge_up[edge] || s.waiting {
                 next_slow.push(cid);
             } else if s.pending_request {
                 let l = p.live.expect("pending only in live mode");
-                parked.park(&mut cal, cid, now + q, l.publish_tick(s.seg as u64));
+                rest.park(&mut cal, cid, now + q, l.publish_tick(s.seg as u64));
             } else {
                 let eps = completion_eps(m.rungs[s.rung].segments[s.seg].bytes as f64);
-                lanes.enter(cid, &cohorts[cid as usize], eps);
+                rest.enter(cid, &cohorts[cid as usize], eps, now + q);
             }
         }
         std::mem::swap(&mut slow, &mut next_slow);
@@ -1074,7 +931,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         // A scheduled restart or recovery can still unfreeze a fully
         // stalled tier; a plan that crashes everything forever leaves
         // nothing due and terminates cleanly here.
-        if !progressed && now > all_arrived_by && parked.len() == 0 && !cal.fault_pending() {
+        if !progressed && now > all_arrived_by && rest.parked.is_empty() && !cal.fault_pending() {
             let active = || {
                 slow.iter()
                     .map(|&cid| &cohorts[cid as usize])
@@ -1083,7 +940,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // Stranded classes (their edge is down) cannot consume a
             // publish or wake as waiters — only a fault event revives
             // them, and no fault is due.
-            let any_unstranded = active().any(|c| edge_up[c.edge]);
+            let any_unstranded = active().any(|c| fs.edge_up[c.edge]);
             let publishes_due = any_unstranded
                 && p.live.is_some_and(|l| {
                     active().any(|c| {
@@ -1095,7 +952,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             // segment publishes — including the final one, which may
             // have gone live this very quantum without being consumed
             // yet.
-            let waiters_due = active().any(|c| edge_up[c.edge] && c.state.pending_request);
+            let waiters_due = active().any(|c| fs.edge_up[c.edge] && c.state.pending_request);
             if !publishes_due && !waiters_due && !cal.departure_pending(&cohorts) {
                 break;
             }
@@ -1103,8 +960,8 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     }
     // Survivors (still downloading at the ceiling, or never arrived)
     // fold with the oracle's unfinished-session arithmetic.
-    lanes.flush(&mut cohorts, &mut slow, fault_active);
-    publish_wait_ticks += parked.settle_all(&mut cohorts, now, fault_active);
+    rest.flush(&mut cohorts, &mut slow, now, fs.active);
+    publish_wait_ticks += rest.settle_parked(&mut cohorts, now, fs.active);
     for c in &cohorts {
         if !c.done {
             for g in &c.members {
@@ -1118,21 +975,12 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         publish_wait_ticks,
         window_skips,
     };
-    let restarts = res.edge_restarts + res.shield_restarts;
-    res.mean_restore_ticks = if restarts == 0 {
-        0.0
-    } else {
-        restore_sum as f64 / restarts as f64
-    };
-    res.sessions_fault_rebuffered = acc.fault_rebuffer_sessions;
-    res.fault_rebuffer_ticks = acc.fault_rebuffer_ticks;
-    let report = acc.report(n_sessions, now);
     CohortRun {
-        report,
+        report: acc.report(n_sessions, now),
         edges,
         shields,
         live,
-        resilience: res,
+        resilience: fs.resilience(acc.fault_rebuffer_sessions, acc.fault_rebuffer_ticks),
         engine,
     }
 }

@@ -20,6 +20,7 @@
 //!   re-homed and impacted, fault-attributed rebuffer ticks, and the
 //!   re-warm fills a cold restart triggers.
 
+use netstack::fetch::FetchError;
 use signal::rng::splitmix64;
 
 /// How a crashed edge comes back.
@@ -83,19 +84,24 @@ pub enum FaultEvent {
     },
 }
 
+/// A cache tier whose nodes a fault can take down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// The edge caches sessions attach to.
+    Edge,
+    /// The shield caches between the edges and the origin.
+    Shield,
+}
+
 /// The primitive state transitions a [`FaultPlan`] resolves to, each
 /// pinned to a tick. The calendar engine schedules these on its event
 /// heap and applies them in order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FaultAction {
-    /// Edge goes down.
-    EdgeDown(usize),
-    /// Edge comes back; `true` means cold (cache wiped).
-    EdgeUp(usize, bool),
-    /// Shield goes down.
-    ShieldDown(usize),
-    /// Shield comes back; `true` means cold (cache wiped).
-    ShieldUp(usize, bool),
+    /// Node `i` of a tier goes down.
+    Down(Tier, usize),
+    /// Node `i` of a tier comes back; `true` means cold (cache wiped).
+    Up(Tier, usize, bool),
     /// Origin outage begins.
     OriginDown,
     /// Origin outage ends.
@@ -264,42 +270,21 @@ impl FaultPlan {
     pub(crate) fn resolve(&self, n_edges: usize, n_shields: usize) -> Vec<(u64, FaultAction)> {
         let mut out: Vec<(u64, FaultAction)> = Vec::new();
         for ev in &self.events {
-            match *ev {
+            let (tier, i, nodes, at, restart) = match *ev {
                 FaultEvent::EdgeCrash { edge, at, restart } => {
-                    if edge >= n_edges {
-                        continue;
-                    }
-                    out.push((at, FaultAction::EdgeDown(edge)));
-                    if let Some((up_at, mode)) = restart {
-                        if up_at >= at {
-                            out.push((up_at, FaultAction::EdgeUp(edge, mode == RestartMode::Cold)));
-                        }
-                    }
+                    (Tier::Edge, edge, n_edges, at, restart)
                 }
                 FaultEvent::ShieldCrash {
                     shield,
                     at,
                     restart,
-                } => {
-                    if shield >= n_shields {
-                        continue;
-                    }
-                    out.push((at, FaultAction::ShieldDown(shield)));
-                    if let Some((up_at, mode)) = restart {
-                        if up_at >= at {
-                            out.push((
-                                up_at,
-                                FaultAction::ShieldUp(shield, mode == RestartMode::Cold),
-                            ));
-                        }
-                    }
-                }
+                } => (Tier::Shield, shield, n_shields, at, restart),
                 FaultEvent::OriginFlap { down_at, up_at } => {
-                    if up_at <= down_at {
-                        continue;
+                    if up_at > down_at {
+                        out.push((down_at, FaultAction::OriginDown));
+                        out.push((up_at, FaultAction::OriginUp));
                     }
-                    out.push((down_at, FaultAction::OriginDown));
-                    out.push((up_at, FaultAction::OriginUp));
+                    continue;
                 }
                 FaultEvent::LinkDegrade {
                     edge,
@@ -307,19 +292,22 @@ impl FaultPlan {
                     until,
                     capacity_scale,
                 } => {
-                    if until <= from
-                        || capacity_scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
+                    if until > from
+                        && capacity_scale.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
+                        && !edge.is_some_and(|e| e >= n_edges)
                     {
-                        continue;
+                        out.push((from, FaultAction::DegradeStart(edge, capacity_scale)));
+                        out.push((until, FaultAction::DegradeEnd(edge, capacity_scale)));
                     }
-                    if let Some(e) = edge {
-                        if e >= n_edges {
-                            continue;
-                        }
-                    }
-                    out.push((from, FaultAction::DegradeStart(edge, capacity_scale)));
-                    out.push((until, FaultAction::DegradeEnd(edge, capacity_scale)));
+                    continue;
                 }
+            };
+            if i >= nodes {
+                continue;
+            }
+            out.push((at, FaultAction::Down(tier, i)));
+            if let Some((up_at, mode)) = restart.filter(|&(up_at, _)| up_at >= at) {
+                out.push((up_at, FaultAction::Up(tier, i, mode == RestartMode::Cold)));
             }
         }
         // Stable by tick: same-tick actions keep schedule order, with
@@ -406,6 +394,29 @@ impl RetryPolicy {
         };
         Some(exp + jitter)
     }
+
+    /// Runs `attempt(failures, waited)` until it succeeds, retrying
+    /// transport failures: `failures` counts the failed attempts so far
+    /// and `waited` sums their backoffs. A server error returns at once;
+    /// a transport error returns once the budget is spent. On success,
+    /// returns the value with the failures and the ticks waited.
+    pub(crate) fn run<T>(
+        &self,
+        mut attempt: impl FnMut(u32, u64) -> Result<T, FetchError>,
+    ) -> Result<(T, u32, u64), FetchError> {
+        let mut failures = 0u32;
+        let mut waited = 0u64;
+        loop {
+            match attempt(failures, waited) {
+                Ok(v) => return Ok((v, failures, waited)),
+                Err(e @ FetchError::Transport(_)) => {
+                    failures += 1;
+                    waited += self.backoff_before(failures).ok_or(e)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// What a faulted run cost, beyond the ordinary load report.
@@ -459,10 +470,10 @@ mod tests {
         assert_eq!(
             acts,
             vec![
-                (300, FaultAction::EdgeDown(2)),
-                (300, FaultAction::EdgeDown(0)),
+                (300, FaultAction::Down(Tier::Edge, 2)),
+                (300, FaultAction::Down(Tier::Edge, 0)),
                 (500, FaultAction::OriginDown),
-                (700, FaultAction::EdgeUp(2, true)),
+                (700, FaultAction::Up(Tier::Edge, 2, true)),
                 (900, FaultAction::OriginUp),
             ]
         );
@@ -476,8 +487,8 @@ mod tests {
         assert_eq!(
             acts,
             vec![
-                (100, FaultAction::EdgeDown(1)),
-                (100, FaultAction::EdgeUp(1, false)),
+                (100, FaultAction::Down(Tier::Edge, 1)),
+                (100, FaultAction::Up(Tier::Edge, 1, false)),
             ]
         );
     }
@@ -559,8 +570,8 @@ mod tests {
         assert_eq!(
             acts,
             vec![
-                (100, FaultAction::ShieldDown(1)),
-                (300, FaultAction::ShieldUp(1, true)),
+                (100, FaultAction::Down(Tier::Shield, 1)),
+                (300, FaultAction::Up(Tier::Shield, 1, true)),
             ]
         );
         // The same plan on a flat (shield-less) tier is a no-op.

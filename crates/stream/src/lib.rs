@@ -58,7 +58,8 @@
 //!   edge count instead of being pinned to one uplink.
 //! * [`shield`] — the fluid regional mid-tier of the hierarchical CDN
 //!   (edge → shield → origin, with generation-keyed fill coalescing),
-//!   TinyLFU cache admission over a 4-bit count-min [`FreqSketch`], and
+//!   TinyLFU cache admission (`AdmissionPolicy::TinyLfu`, one fixed
+//!   16Ki-counter sizing) over a 4-bit count-min [`FreqSketch`], and
 //!   the per-tier [`TierStats`] rollup separating edge-local from
 //!   true-origin offload.
 //! * [`catalog`] — multi-title workloads: a [`Catalog`] of per-title
@@ -154,5 +155,5 @@ pub use session::{
     run_live_session, run_session, AbrController, AbrStrategy, JoinMode, LiveSessionConfig,
     LiveSessionReport, SessionConfig, SessionReport,
 };
-pub use shield::{AdmissionPolicy, FreqSketch, TierStats, TinyLfuConfig};
+pub use shield::{AdmissionPolicy, FreqSketch, TierStats};
 pub use ts::{TsDemux, TsMux, TsPacket, TS_PACKET_LEN};

@@ -1512,7 +1512,6 @@ mod tests {
     use super::*;
     use crate::fault::RestartMode;
     use crate::ladder::{encode_ladder, LadderConfig};
-    use crate::shield::TinyLfuConfig;
     use video::synth::SequenceGen;
 
     fn manifest() -> Manifest {
@@ -1792,7 +1791,7 @@ mod tests {
             shields: 2,
             shield_cache_capacity_bytes: ws / 2,
             shield_capacity_bytes_per_tick: 6_000.0,
-            admission: AdmissionPolicy::TinyLfu(TinyLfuConfig::default()),
+            admission: AdmissionPolicy::TinyLfu,
         };
         let load = LoadConfig {
             stagger_ticks: 4_000,

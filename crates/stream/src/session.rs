@@ -583,24 +583,12 @@ where
     /// Returns the bytes and the transfer ticks; only those feed the
     /// ABR's throughput estimate.
     fn fetch(&mut self, name: &str) -> Result<(Vec<u8>, u64), SessionError> {
-        let mut failures = 0u32;
-        let mut waited = 0u64;
-        let (bytes, ticks) = loop {
+        let ((bytes, ticks), failures, waited) = self.config.retry.run(|failures, waited| {
             let attempt = self
                 .leg
                 .wrapping_add(u64::from(failures).wrapping_mul(ATTEMPT_SALT));
-            match (self.fetch)(name, attempt, self.clock + waited) {
-                Ok(got) => break got,
-                Err(e @ FetchError::Transport(_)) => {
-                    failures += 1;
-                    match self.config.retry.backoff_before(failures) {
-                        Some(wait) => waited += wait,
-                        None => return Err(e.into()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+            (self.fetch)(name, attempt, self.clock + waited)
+        })?;
         self.leg += 1;
         self.report.fetch_retries += failures;
         self.report.retry_backoff_ticks += waited;

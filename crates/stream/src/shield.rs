@@ -142,33 +142,8 @@ impl FreqSketch {
     }
 }
 
-/// Sizing for a [`FreqSketch`]-backed TinyLFU admission filter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TinyLfuConfig {
-    /// Counters in the sketch (rounded up to a power of two).
-    pub counters: usize,
-    /// Hash functions per key.
-    pub hashes: u32,
-    /// Halve all counters every this many recorded requests.
-    pub halve_every: u64,
-    /// Sketch hash seed.
-    pub seed: u64,
-}
-
-impl Default for TinyLfuConfig {
-    /// 16Ki 4-bit counters, 4 hashes, halved every 16Ki requests.
-    fn default() -> Self {
-        Self {
-            counters: 1 << 14,
-            hashes: 4,
-            halve_every: 1 << 14,
-            seed: 0x7E11_F00D,
-        }
-    }
-}
-
 /// How a cache decides whether a filled object is worth an eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Insert everything (classic LRU). The default, and the
     /// bit-identical legacy behavior.
@@ -177,7 +152,9 @@ pub enum AdmissionPolicy {
     /// TinyLFU: admit an object that would force an eviction only when
     /// its sketch-estimated frequency is at least the would-be
     /// victim's. Objects that fit without evicting are always admitted.
-    TinyLfu(TinyLfuConfig),
+    /// Its [`FreqSketch`] holds 16Ki 4-bit counters under 4 hashes,
+    /// halved every 16Ki recorded requests.
+    TinyLfu,
 }
 
 impl AdmissionPolicy {
@@ -187,8 +164,9 @@ impl AdmissionPolicy {
     pub(crate) fn build(&self) -> Option<Admission> {
         match *self {
             AdmissionPolicy::AdmitAll => None,
-            AdmissionPolicy::TinyLfu(cfg) => Some(Admission {
-                sketch: FreqSketch::new(cfg.counters, cfg.hashes, cfg.halve_every, cfg.seed),
+            // 16Ki counters, 4 hashes, halved every 16Ki requests.
+            AdmissionPolicy::TinyLfu => Some(Admission {
+                sketch: FreqSketch::new(1 << 14, 4, 1 << 14, 0x7E11_F00D),
             }),
         }
     }
@@ -427,16 +405,14 @@ mod tests {
     #[test]
     fn admit_all_policy_builds_no_state() {
         assert!(AdmissionPolicy::AdmitAll.build().is_none());
-        assert!(AdmissionPolicy::TinyLfu(TinyLfuConfig::default())
-            .build()
-            .is_some());
+        assert!(AdmissionPolicy::TinyLfu.build().is_some());
     }
 
     #[test]
     fn tinylfu_rejects_cold_candidate_and_admits_hot_one() {
         let mut lru: Lru<ObjKey> = Lru::new(100);
         lru.insert((0, 0, 0), 100); // victim-to-be
-        let mut adm = AdmissionPolicy::TinyLfu(TinyLfuConfig::default())
+        let mut adm = AdmissionPolicy::TinyLfu
             .build()
             .expect("tinylfu builds state");
         adm.record(obj_key_hash((0, 0, 0)), 5);
@@ -455,7 +431,7 @@ mod tests {
     fn admit_insert_without_eviction_pressure_always_lands() {
         let mut lru: Lru<ObjKey> = Lru::new(300);
         lru.insert((0, 0, 0), 100);
-        let adm = AdmissionPolicy::TinyLfu(TinyLfuConfig::default()).build();
+        let adm = AdmissionPolicy::TinyLfu.build();
         // Fits without evicting: admitted despite zero frequency.
         assert!(admit_insert(&mut lru, &adm, (0, 0, 1), 100));
         // Admit-always: no sketch, always lands.

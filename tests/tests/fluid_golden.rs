@@ -13,7 +13,7 @@ use mmstream::serve::{
     simulate, CdnConfig, CdnLoadReport, ChurnConfig, LiveConfig, LoadConfig, Scenario,
 };
 use mmstream::session::JoinMode;
-use mmstream::shield::{AdmissionPolicy, TinyLfuConfig};
+use mmstream::shield::AdmissionPolicy;
 use video::synth::SequenceGen;
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -303,7 +303,7 @@ fn scenarios() -> Vec<(&'static str, u64)> {
                         cache_capacity_bytes: ws / 8,
                         ..tier(4, Sharding::Hash, false)
                     },
-                    admission: AdmissionPolicy::TinyLfu(TinyLfuConfig::default()),
+                    admission: AdmissionPolicy::TinyLfu,
                     ..shielded(4, 2, false)
                 },
                 None,
