@@ -18,7 +18,8 @@
 //!   landing on one tick is one actor. Cohorts never merge: a
 //!   session's first request stamps its own arrival tick into the ABR
 //!   estimate, so classes that arrived on different ticks almost never
-//!   become equal again. Members differ only in when (if ever) they
+//!   become equal again, and a sweep for equal classes cost more than
+//!   the rare merge saved. Members differ only in when (if ever) they
 //!   churn away, kept as [`MemberGroup`]s.
 //! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
 //!   cohort's discrete events (arrival, churn departure, publish wake)

@@ -143,7 +143,7 @@ impl FreqSketch {
 }
 
 /// How a cache decides whether a filled object is worth an eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AdmissionPolicy {
     /// Insert everything (classic LRU). The default, and the
     /// bit-identical legacy behavior.
@@ -164,7 +164,6 @@ impl AdmissionPolicy {
     pub(crate) fn build(&self) -> Option<Admission> {
         match *self {
             AdmissionPolicy::AdmitAll => None,
-            // 16Ki counters, 4 hashes, halved every 16Ki requests.
             AdmissionPolicy::TinyLfu => Some(Admission {
                 sketch: FreqSketch::new(1 << 14, 4, 1 << 14, 0x7E11_F00D),
             }),
