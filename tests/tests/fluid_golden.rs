@@ -4,13 +4,18 @@
 //! field it had before the engine counters existed. f64 fields hash by
 //! `to_bits`, so the digests pin the reports bit for bit, not to a
 //! tolerance. On a mismatch the test prints every scenario's digest.
+//! A second table pins each scenario's `EngineStats`, the engine's own
+//! work counts, which the digests leave out: a change to any of them
+//! must be named in advance, and this table makes that a test.
+
+use std::sync::OnceLock;
 
 use mmstream::catalog::Catalog;
 use mmstream::edge::{EdgeStats, EdgeTierConfig, Sharding};
 use mmstream::fault::{FaultPlan, RestartMode};
 use mmstream::ladder::{encode_ladder, LadderConfig, Manifest};
 use mmstream::serve::{
-    simulate, CdnConfig, CdnLoadReport, ChurnConfig, LiveConfig, LoadConfig, Scenario,
+    simulate, CdnConfig, CdnLoadReport, ChurnConfig, EngineStats, LiveConfig, LoadConfig, Scenario,
 };
 use mmstream::session::JoinMode;
 use mmstream::shield::AdmissionPolicy;
@@ -181,8 +186,13 @@ fn live_shield_faults() -> CdnLoadReport {
     })
 }
 
-/// The scenarios, each run once and reduced to its digest.
-fn scenarios() -> Vec<(&'static str, u64)> {
+/// The scenarios, each run once (and only once per test binary).
+fn scenarios() -> &'static [(&'static str, CdnLoadReport)] {
+    static RUNS: OnceLock<Vec<(&'static str, CdnLoadReport)>> = OnceLock::new();
+    RUNS.get_or_init(run_scenarios)
+}
+
+fn run_scenarios() -> Vec<(&'static str, CdnLoadReport)> {
     let single = Catalog::single(manifest(16));
     let zipf = Catalog::synthesize(&manifest(16), 16, 0.9);
     let live_title = Catalog::single(manifest(32));
@@ -211,11 +221,11 @@ fn scenarios() -> Vec<(&'static str, u64)> {
                live: Option<LiveConfig>,
                faults: &FaultPlan,
                load: LoadConfig| {
-        digest(&simulate(&Scenario {
+        simulate(&Scenario {
             live,
             faults,
             ..Scenario::new(catalog, cdn, load)
-        }))
+        })
     };
 
     let edge_faults = FaultPlan::new(0xFA11)
@@ -411,8 +421,8 @@ fn scenarios() -> Vec<(&'static str, u64)> {
                 load(300, 400),
             ),
         ),
-        ("bounded_shield", digest(&bounded_shield())),
-        ("live_shield_faults", digest(&live_shield_faults())),
+        ("bounded_shield", bounded_shield()),
+        ("live_shield_faults", live_shield_faults()),
     ]
 }
 
@@ -441,7 +451,7 @@ const DIGESTS: &[(&str, u64)] = &[
 
 #[test]
 fn fluid_reports_match_their_golden_digests() {
-    let got = scenarios();
+    let got: Vec<(&str, u64)> = scenarios().iter().map(|(n, r)| (*n, digest(r))).collect();
     let table: String = got
         .iter()
         .map(|(name, d)| format!("    (\"{name}\", 0x{d:016x}),\n"))
@@ -456,6 +466,63 @@ fn fluid_reports_match_their_golden_digests() {
         assert_eq!(
             d, g,
             "{name}: digest 0x{d:016x} != golden 0x{g:016x}; current digests:\n{table}"
+        );
+    }
+}
+
+/// Each scenario's `EngineStats` as `[cohorts, quanta, cohort_quanta,
+/// peak_active, full_path_steps]`, captured from the engine that still
+/// built a schedule vector and kept one heap entry per parked cohort.
+const ENGINE: &[(&str, [u64; 5])] = &[
+    ("single_origin", [391, 369, 115643, 391, 1955]),
+    ("flat_round_robin", [743, 164, 11145, 95, 3715]),
+    ("flat_hash", [510, 100, 12554, 205, 2550]),
+    ("flat_ring", [658, 140, 9870, 91, 3290]),
+    ("shielded_zipf_16", [1189, 515, 18038, 55, 6222]),
+    ("cold_edges", [535, 215, 8055, 56, 2722]),
+    ("bounded_tinylfu", [991, 767, 16137, 37, 6705]),
+    ("churn_flash", [684, 951, 306084, 479, 2857]),
+    ("live_edge", [607, 491, 229324, 607, 12037]),
+    ("live_dvr_start", [467, 352, 95873, 467, 6744]),
+    ("edge_faults", [2006, 510, 748249, 1986, 18881]),
+    ("origin_faults", [358, 292, 78821, 358, 28781]),
+    ("shield_faults", [3722, 359, 608883, 2806, 26396]),
+    ("origin_outage", [176, 112, 10887, 176, 9916]),
+    ("every_edge_down_forever", [268, 100, 7310, 181, 6256]),
+    ("bounded_shield", [1481, 764, 22970, 52, 8247]),
+    ("live_shield_faults", [535, 351, 134635, 535, 10887]),
+];
+
+fn engine_words(e: &EngineStats) -> [u64; 5] {
+    [
+        e.cohorts,
+        e.quanta,
+        e.cohort_quanta,
+        e.peak_active,
+        e.full_path_steps,
+    ]
+}
+
+#[test]
+fn engine_stats_match_their_golden_table() {
+    let got: Vec<(&str, [u64; 5])> = scenarios()
+        .iter()
+        .map(|(n, r)| (*n, engine_words(&r.engine)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, w)| format!("    (\"{name}\", {w:?}),\n"))
+        .collect();
+    assert_eq!(
+        got.len(),
+        ENGINE.len(),
+        "scenario list changed; current engine stats:\n{table}"
+    );
+    for ((name, w), (gname, g)) in got.iter().zip(ENGINE) {
+        assert_eq!(name, gname, "scenario order changed:\n{table}");
+        assert_eq!(
+            w, g,
+            "{name}: engine stats {w:?} != golden {g:?}; current engine stats:\n{table}"
         );
     }
 }
