@@ -5,15 +5,81 @@ use signal::rng::splitmix64;
 
 use crate::catalog::ZipfSampler;
 use crate::edge::{HashRing, WordHashMap};
-use crate::serve::{join_point, shard_edge, title_for, FluidNode, LoadConfig, TierParams};
+use crate::serve::{
+    arrivals, join_point, shard_edge, title_for, FluidNode, LoadConfig, TierParams,
+};
 use crate::session::AbrController;
 
-/// The cohort-formation index: formation does one lookup per
-/// *session* (the only O(population) hot path left), so it hashes with
-/// the crate's cheap [`WordHasher`](crate::edge::WordHasher).
-/// Determinism does not depend on the hash — cohort order is schedule
-/// order — this is wall-clock only.
-type CohortIndex = WordHashMap<(u64, usize, u32), u32>;
+/// A cohort-index slot no session has claimed yet.
+const VACANT: u32 = u32::MAX;
+
+/// Where formation files a session: the slot of its `(start_tick, edge,
+/// title)` key, holding the key's cohort id or [`VACANT`]. Formation
+/// takes one lookup per *session*, so both indexes are cheap; neither
+/// decides anything but wall-clock time, because cohort order is
+/// arrival order, never index order.
+trait CohortIndex {
+    fn slot(&mut self, start_tick: u64, edge: usize, title: u32) -> &mut u32;
+}
+
+/// One slot per possible key, for a key space the config bounds:
+/// arrival ticks `0..ticks` times the edges times the titles.
+struct DenseIndex {
+    slots: Vec<u32>,
+    edges: usize,
+    titles: usize,
+}
+
+impl DenseIndex {
+    /// The index over `ticks × edges × titles` keys, or `None` when
+    /// that product overflows or exceeds `limit` slots.
+    fn new(ticks: u64, edges: usize, titles: usize, limit: usize) -> Option<Self> {
+        let len = usize::try_from(ticks)
+            .ok()?
+            .checked_mul(edges)?
+            .checked_mul(titles)?;
+        (len <= limit).then(|| Self {
+            slots: vec![VACANT; len],
+            edges,
+            titles,
+        })
+    }
+}
+
+impl CohortIndex for DenseIndex {
+    #[inline]
+    fn slot(&mut self, start_tick: u64, edge: usize, title: u32) -> &mut u32 {
+        &mut self.slots[(start_tick as usize * self.edges + edge) * self.titles + title as usize]
+    }
+}
+
+/// Any key space: the crate's cheap [`WordHasher`](crate::edge::WordHasher)
+/// map over the keys that occur.
+type HashIndex = WordHashMap<(u64, usize, u32), u32>;
+
+impl CohortIndex for HashIndex {
+    #[inline]
+    fn slot(&mut self, start_tick: u64, edge: usize, title: u32) -> &mut u32 {
+        self.entry((start_tick, edge, title)).or_insert(VACANT)
+    }
+}
+
+/// The number of arrival ticks a dense index must cover, when the
+/// config alone fixes it: every arrival of a churn-free load falls in
+/// `0..=max(stagger, flash_at + ramp)`. `None` under churn (its clock
+/// is drawn) or when the span overflows.
+fn arrival_ticks(load: &LoadConfig) -> Option<u64> {
+    let c = &load.churn;
+    if c.churn_sessions > 0 {
+        return None;
+    }
+    let flash_end = if c.flash_sessions > 0 {
+        c.flash_at_tick.checked_add(c.flash_ramp_ticks)?
+    } else {
+        0
+    };
+    load.stagger_ticks.max(flash_end).checked_add(1)
+}
 
 /// The dynamic state every member of a cohort shares, bit for bit:
 /// the per-session engine's `SimSession` minus churn, which lives in
@@ -88,147 +154,341 @@ pub(crate) struct Cohort {
     pub(crate) done: bool,
 }
 
-/// Groups the arrival/departure schedule into cohorts keyed on
-/// `(start_tick, edge, title)` — the identity that fixes a session's
-/// entire deterministic trajectory — with member groups split by
-/// departure tick. Returns the cohorts in first-arrival order
-/// (deterministic: derived from schedule order, never map iteration).
-#[allow(clippy::too_many_arguments)]
+/// Groups the arrival stream into cohorts keyed on `(start_tick, edge,
+/// title)` — the identity that fixes a session's entire deterministic
+/// trajectory — with member groups split by departure tick, in the
+/// order each departure tick first arrives. Each session is drawn and
+/// filed in one pass, with no schedule in between. The key space is
+/// indexed densely when the config bounds it within
+/// `max(population, 2^16)` slots, and hashed otherwise. Returns the
+/// cohorts in first-arrival order (deterministic: arrival order, never
+/// index order) and the count of phantom sessions.
 pub(super) fn form_cohorts(
-    schedule: &[(u64, Option<u64>)],
     seg_counts: &[usize],
     load: &LoadConfig,
     p: &TierParams,
     edges: &mut [FluidNode],
     ring: Option<&HashRing>,
     sampler: Option<&ZipfSampler>,
-) -> Vec<Cohort> {
-    let fault_seed = p.faults.as_ref().map(|f| f.seed);
-    let mut cohorts: Vec<Cohort> = Vec::new();
-    let mut index = CohortIndex::with_capacity_and_hasher(1024, Default::default());
-    for (i, &(start_tick, depart_at)) in schedule.iter().enumerate() {
-        let edge = shard_edge(load, p, i, ring);
-        let title = title_for(load, sampler, i);
-        edges[edge].assigned += 1;
-        let cid = *index.entry((start_tick, edge, title)).or_insert_with(|| {
-            let (join_seq, startup_after) =
-                join_point(p, load, start_tick, seg_counts[title as usize]);
-            cohorts.push(Cohort {
-                edge,
-                home_edge: edge,
-                title,
-                // The class fails over as one unit: its key mixes the
-                // plan seed with the cohort identity, so different
-                // plans spread a crashed edge's classes differently.
-                // Title 0 hashes exactly like the pre-catalog key, so
-                // single-title fault runs keep their golden layouts.
-                ring_key: fault_seed.map_or(0, |s| {
-                    let base = splitmix64(splitmix64(s ^ start_tick) ^ edge as u64);
-                    if title != 0 {
-                        splitmix64(base ^ u64::from(title))
-                    } else {
-                        base
-                    }
-                }),
-                n: 0,
-                members: Vec::new(),
-                state: CohortState {
-                    abr: AbrController::new(load.ewma_alpha, load.safety),
-                    start_tick,
-                    startup_ticks: 0,
-                    seg: join_seq,
-                    rung: 0,
-                    remaining_bytes: 0.0,
-                    fetch_start: start_tick,
-                    buffer_ticks: 0.0,
-                    fetched: 0,
-                    started: false,
-                    startup_after,
-                    waiting: false,
-                    pending_request: false,
-                    playing: false,
-                    in_rebuffer: false,
-                    rebuffer_events: 0,
-                    rung_switches: 0,
-                    rung_sum: 0,
-                    delivered_bits: 0,
-                    latency_sum: 0,
-                    latency_max: 0,
-                    fault_rebuffers: 0,
-                    fault_rebuffer_ticks: 0,
-                },
-                done: false,
-            });
-            (cohorts.len() - 1) as u32
+) -> (Vec<Cohort>, usize) {
+    let limit = load.population().max(1 << 16);
+    let dense = arrival_ticks(load)
+        .and_then(|ticks| DenseIndex::new(ticks, p.edges, seg_counts.len(), limit));
+    let f = Formation {
+        seg_counts,
+        load,
+        p,
+        ring,
+        sampler,
+    };
+    match dense {
+        Some(index) => f.form(index, edges),
+        None => f.form(
+            HashIndex::with_capacity_and_hasher(1024, Default::default()),
+            edges,
+        ),
+    }
+}
+
+/// What forming a cohort reads besides its index.
+struct Formation<'a> {
+    seg_counts: &'a [usize],
+    load: &'a LoadConfig,
+    p: &'a TierParams,
+    ring: Option<&'a HashRing>,
+    sampler: Option<&'a ZipfSampler>,
+}
+
+impl Formation<'_> {
+    /// [`form_cohorts`] through `index`.
+    fn form(&self, mut index: impl CohortIndex, edges: &mut [FluidNode]) -> (Vec<Cohort>, usize) {
+        let (load, p) = (self.load, self.p);
+        let mut cohorts: Vec<Cohort> = Vec::new();
+        // Members per cohort that never depart: the one per-session
+        // write of a churn-free load, written into the cohort's
+        // placeholder group at the end.
+        let mut stay: Vec<u64> = Vec::new();
+        let mut i = 0;
+        let phantoms = arrivals(load, |start_tick, depart_at| {
+            let edge = shard_edge(load, p, i, self.ring);
+            let title = title_for(load, self.sampler, i);
+            i += 1;
+            edges[edge].assigned += 1;
+            let slot = index.slot(start_tick, edge, title);
+            if *slot == VACANT {
+                *slot = cohorts.len() as u32;
+                cohorts.push(self.cohort(start_tick, edge, title));
+                stay.push(0);
+            }
+            let cid = *slot as usize;
+            let members = &mut cohorts[cid].members;
+            if depart_at.is_none() {
+                if stay[cid] == 0 {
+                    members.push(MemberGroup {
+                        depart_at,
+                        count: 0,
+                    });
+                }
+                stay[cid] += 1;
+            } else if let Some(g) = members.iter_mut().find(|g| g.depart_at == depart_at) {
+                g.count += 1;
+            } else {
+                members.push(MemberGroup {
+                    depart_at,
+                    count: 1,
+                });
+            }
         });
-        let c = &mut cohorts[cid as usize];
-        c.n += 1;
-        if let Some(g) = c.members.iter_mut().find(|g| g.depart_at == depart_at) {
-            g.count += 1;
-        } else {
-            c.members.push(MemberGroup {
-                depart_at,
-                count: 1,
-            });
+        for (c, stay) in cohorts.iter_mut().zip(stay) {
+            if let Some(g) = c.members.iter_mut().find(|g| g.depart_at.is_none()) {
+                g.count = stay;
+            }
+            c.n = c.members.iter().map(|g| g.count).sum();
+        }
+        (cohorts, phantoms)
+    }
+
+    /// The empty cohort of key `(start_tick, edge, title)`.
+    fn cohort(&self, start_tick: u64, edge: usize, title: u32) -> Cohort {
+        let (load, p) = (self.load, self.p);
+        let (join_seq, startup_after) =
+            join_point(p, load, start_tick, self.seg_counts[title as usize]);
+        Cohort {
+            edge,
+            home_edge: edge,
+            title,
+            // The class fails over as one unit: its key mixes the plan
+            // seed with the cohort identity, so different plans spread a
+            // crashed edge's classes differently. Title 0 hashes exactly
+            // like the pre-catalog key, so single-title fault runs keep
+            // their golden layouts.
+            ring_key: p.faults.as_ref().map_or(0, |f| {
+                let base = splitmix64(splitmix64(f.seed ^ start_tick) ^ edge as u64);
+                if title != 0 {
+                    splitmix64(base ^ u64::from(title))
+                } else {
+                    base
+                }
+            }),
+            n: 0,
+            members: Vec::new(),
+            state: CohortState {
+                abr: AbrController::new(load.ewma_alpha, load.safety),
+                start_tick,
+                startup_ticks: 0,
+                seg: join_seq,
+                rung: 0,
+                remaining_bytes: 0.0,
+                fetch_start: start_tick,
+                buffer_ticks: 0.0,
+                fetched: 0,
+                started: false,
+                startup_after,
+                waiting: false,
+                pending_request: false,
+                playing: false,
+                in_rebuffer: false,
+                rebuffer_events: 0,
+                rung_switches: 0,
+                rung_sum: 0,
+                delivered_bits: 0,
+                latency_sum: 0,
+                latency_max: 0,
+                fault_rebuffers: 0,
+                fault_rebuffer_ticks: 0,
+            },
+            done: false,
         }
     }
-    cohorts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::calendar::tests::{manifest, params};
-    use crate::serve::{build_tier, CdnConfig};
+    use crate::catalog::Catalog;
+    use crate::edge::{EdgeTierConfig, Sharding};
+    use crate::fault::FaultPlan;
+    use crate::ladder::Manifest;
+    use crate::serve::{build_ring, build_schedule, build_tier, CdnConfig, ChurnConfig, Scenario};
 
-    #[test]
-    fn cohort_formation_groups_same_tick_arrivals_and_splits_departure_groups() {
-        let m = manifest();
-        let load = LoadConfig {
-            sessions: 6,
-            stagger_ticks: 0, // all six arrive at tick 0
-            ..Default::default()
-        };
-        let p = params(&m, CdnConfig::single_origin(), None);
-        let mut edges = build_tier(
-            std::slice::from_ref(&m),
+    /// The tier `p` builds over `titles`, before any session arrives.
+    fn tier(titles: &[Manifest], p: &TierParams) -> Vec<FluidNode> {
+        build_tier(
+            titles,
             p.edges,
             p.cache_capacity_bytes,
             p.prewarm,
             p.admission,
-        );
-        // Hand-build a schedule: four stayers and two churners leaving
-        // at different ticks — one cohort, three member groups.
-        let schedule = vec![
-            (0, None),
-            (0, Some(500)),
-            (0, None),
-            (0, Some(900)),
-            (0, None),
-            (0, None),
-        ];
-        let cohorts = form_cohorts(
-            &schedule,
-            &[m.segment_count()],
-            &load,
-            &p,
-            &mut edges,
-            None,
-            None,
-        );
-        assert_eq!(
-            cohorts.len(),
-            1,
-            "same (tick, edge) arrivals share a cohort"
-        );
-        assert_eq!(cohorts[0].n, 6);
-        assert_eq!(cohorts[0].members.len(), 3, "split by departure tick");
-        let counts: Vec<(Option<u64>, u64)> = cohorts[0]
-            .members
+        )
+    }
+
+    #[test]
+    fn cohort_formation_groups_same_tick_arrivals_and_splits_departure_groups() {
+        // Forty stayers over ticks 0 and 1, then churners a fraction of
+        // a tick apart who each watch ~50 ticks: most churn gaps round
+        // to 0, so churners share arrival ticks (the first ones with
+        // stayers) while leaving at different ticks.
+        let m = manifest();
+        let load = LoadConfig {
+            sessions: 40,
+            stagger_ticks: 1,
+            churn: ChurnConfig {
+                churn_sessions: 60,
+                mean_interarrival_ticks: 0.2,
+                mean_watch_ticks: 50.0,
+                ..ChurnConfig::default()
+            },
+            ..Default::default()
+        };
+        let p = params(&m, CdnConfig::single_origin(), None);
+        let mut edges = tier(std::slice::from_ref(&m), &p);
+        let (cohorts, phantoms) =
+            form_cohorts(&[m.segment_count()], &load, &p, &mut edges, None, None);
+        assert_eq!(phantoms, 0);
+        assert_eq!(edges[0].assigned, 100);
+        // The same grouping spelled out over the collected schedule:
+        // one cohort per arrival tick in first-arrival order, member
+        // groups in the order their departure tick first arrives.
+        let (schedule, _) = build_schedule(&load);
+        let mut want: Vec<(u64, Vec<MemberGroup>)> = Vec::new();
+        for &(tick, depart_at) in &schedule {
+            let at = match want.iter().position(|(t, _)| *t == tick) {
+                Some(at) => at,
+                None => {
+                    want.push((tick, Vec::new()));
+                    want.len() - 1
+                }
+            };
+            let groups = &mut want[at].1;
+            match groups.iter_mut().find(|g| g.depart_at == depart_at) {
+                Some(g) => g.count += 1,
+                None => groups.push(MemberGroup {
+                    depart_at,
+                    count: 1,
+                }),
+            }
+        }
+        let got: Vec<(u64, Vec<MemberGroup>)> = cohorts
             .iter()
-            .map(|g| (g.depart_at, g.count))
+            .map(|c| (c.state.start_tick, c.members.clone()))
             .collect();
-        assert_eq!(counts, vec![(None, 4), (Some(500), 1), (Some(900), 1)]);
-        assert_eq!(edges[0].assigned, 6);
+        assert_eq!(got, want);
+        for c in &cohorts {
+            assert_eq!(c.n, c.members.iter().map(|g| g.count).sum::<u64>());
+        }
+        // Tick 1 holds its stayers first, then churners split by
+        // departure tick.
+        let mixed = cohorts.iter().find(|c| c.state.start_tick == 1).unwrap();
+        assert_eq!(mixed.members[0].depart_at, None);
+        assert!(mixed.members.len() > 2, "churners split by departure tick");
+    }
+
+    /// Forms `load` through the hash and the dense index and requires
+    /// equal cohorts and edge assignments, field for field. Returns
+    /// whether [`form_cohorts`] itself would take the dense index.
+    fn both_indexes_agree(catalog: &Catalog, cdn: CdnConfig, load: LoadConfig) -> bool {
+        let plan = FaultPlan::new(0xF0A4).crash_edge(1, 50, None);
+        let p = Scenario {
+            faults: &plan,
+            ..Scenario::new(catalog, cdn, load)
+        }
+        .params();
+        let titles = catalog.titles();
+        let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
+        let ring = build_ring(&load, &p);
+        let sampler = (titles.len() > 1).then(|| ZipfSampler::new(titles.len(), p.zipf_s));
+        let f = Formation {
+            seg_counts: &seg_counts,
+            load: &load,
+            p: &p,
+            ring: ring.as_ref(),
+            sampler: sampler.as_ref(),
+        };
+        let (schedule, _) = build_schedule(&load);
+        let ticks = schedule.iter().map(|&(t, _)| t).max().unwrap() + 1;
+        let dense = DenseIndex::new(ticks, p.edges, titles.len(), usize::MAX).unwrap();
+        let (mut hash_edges, mut dense_edges) = (tier(titles, &p), tier(titles, &p));
+        let (hashed, hash_phantoms) = f.form(HashIndex::default(), &mut hash_edges);
+        let (densed, dense_phantoms) = f.form(dense, &mut dense_edges);
+        let fields = |c: &Cohort| {
+            (
+                c.edge,
+                c.home_edge,
+                c.title,
+                c.ring_key,
+                c.n,
+                c.members.clone(),
+                c.state.clone(),
+                c.done,
+            )
+        };
+        assert_eq!(hash_phantoms, dense_phantoms);
+        assert_eq!(hashed.len(), densed.len());
+        for (h, d) in hashed.iter().zip(&densed) {
+            assert_eq!(fields(h), fields(d));
+        }
+        assert!(hashed.iter().any(|c| c.ring_key != 0), "keys under a plan");
+        let assigned = |e: &[FluidNode]| e.iter().map(|n| n.assigned).collect::<Vec<_>>();
+        assert_eq!(assigned(&hash_edges), assigned(&dense_edges));
+        assert_eq!(
+            assigned(&hash_edges).iter().sum::<usize>(),
+            schedule.len(),
+            "every arrival is assigned once"
+        );
+        let limit = load.population().max(1 << 16);
+        arrival_ticks(&load)
+            .and_then(|t| DenseIndex::new(t, p.edges, titles.len(), limit))
+            .is_some()
+    }
+
+    #[test]
+    fn dense_and_hash_indexes_form_equal_cohorts() {
+        let zipf = Catalog::synthesize(&manifest(), 8, 0.9);
+        let cdn = CdnConfig::flat(EdgeTierConfig {
+            edges: 3,
+            sharding: Sharding::Hash,
+            ..EdgeTierConfig::default()
+        });
+        let vod = LoadConfig {
+            sessions: 2_000,
+            stagger_ticks: 300,
+            ..Default::default()
+        };
+        let flash = LoadConfig {
+            churn: ChurnConfig {
+                flash_sessions: 3_000,
+                flash_at_tick: 400,
+                flash_ramp_ticks: 100,
+                ..ChurnConfig::default()
+            },
+            ..vod
+        };
+        let churn = LoadConfig {
+            churn: ChurnConfig {
+                churn_sessions: 1_500,
+                mean_interarrival_ticks: 0.5,
+                mean_watch_ticks: 80.0,
+                ..flash.churn
+            },
+            ..vod
+        };
+        assert!(both_indexes_agree(&zipf, cdn, vod), "VOD keys are bounded");
+        assert!(both_indexes_agree(&zipf, cdn, flash), "so are flash keys");
+        assert!(!both_indexes_agree(&zipf, cdn, churn), "churn is hashed");
+        // Past the bound the hash index takes over: 1,001 ticks × 16
+        // edges × 512 titles is ~8.2M keys for 14,000 viewers.
+        let knee = LoadConfig {
+            sessions: 14_000,
+            ..Default::default()
+        };
+        assert_eq!(arrival_ticks(&knee), Some(1_001));
+        assert!(DenseIndex::new(1_001, 16, 512, knee.population().max(1 << 16)).is_none());
+        // An overflowing span falls back to the hash index too.
+        let unbounded = LoadConfig {
+            stagger_ticks: u64::MAX,
+            ..knee
+        };
+        assert_eq!(arrival_ticks(&unbounded), None);
     }
 }

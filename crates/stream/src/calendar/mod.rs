@@ -112,8 +112,8 @@ use crate::catalog::ZipfSampler;
 use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
-    build_ring, build_schedule, build_tier, completion_eps, obj_bytes, EngineStats, FluidNode,
-    LiveSim, LiveStats, LoadConfig, LoadReport, Req, TierParams,
+    build_ring, build_tier, completion_eps, obj_bytes, EngineStats, FluidNode, LiveSim, LiveStats,
+    LoadConfig, LoadReport, Req, TierParams,
 };
 use crate::shield::{AdmissionPolicy, ObjKey};
 use events::{EventCalendar, EventKind};
@@ -315,13 +315,9 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         p.prewarm,
         p.admission,
     );
-    let (schedule, phantoms) = build_schedule(load);
-    let n_sessions = schedule.len() + phantoms;
-    let all_arrived_by = schedule.iter().map(|&(s, _)| s).max().unwrap_or(0);
     let ring = build_ring(load, p);
     let sampler = (titles.len() > 1).then(|| ZipfSampler::new(titles.len(), p.zipf_s));
-    let mut cohorts = form_cohorts(
-        &schedule,
+    let (mut cohorts, phantoms) = form_cohorts(
         &seg_counts,
         load,
         p,
@@ -329,6 +325,13 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
         ring.as_ref(),
         sampler.as_ref(),
     );
+    let arrived: u64 = cohorts.iter().map(|c| c.n).sum();
+    let n_sessions = arrived as usize + phantoms;
+    let all_arrived_by = cohorts
+        .iter()
+        .map(|c| c.state.start_tick)
+        .max()
+        .unwrap_or(0);
 
     // The shield tier — empty in the flat topology, which is the
     // legacy code path bit-identically (nothing below consults an
@@ -404,7 +407,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     };
 
     let mut now = 0u64;
-    let mut alive = schedule.len() as u64;
+    let mut alive = arrived;
     let mut last_first_seq = vec![0u64; titles.len()];
     let mut publish_wait_ticks = 0u64;
     let mut window_skips = 0u64;

@@ -719,10 +719,11 @@ pub(crate) fn build_tier(
         .collect()
 }
 
-/// The arrival/departure schedule: one `(start_tick, depart_at)` per
-/// session that will actually simulate, plus the count of *phantoms*.
-/// Shared verbatim by the cohort engine and the quantum oracle so both
-/// consume the identical RNG draw sequence.
+/// The arrival stream: calls `arrive(start_tick, depart_at)` once per
+/// session that will actually simulate, in schedule order, and returns
+/// the count of *phantoms*. Cohort formation consumes it as it is
+/// drawn; the quantum oracle collects it ([`build_schedule`]), so both
+/// engines see the identical RNG draw sequence.
 ///
 /// The base population draws exactly as the pre-churn engine did (zero
 /// churn therefore reproduces it bit-identically); churn and flash
@@ -731,13 +732,15 @@ pub(crate) fn build_tier(
 /// further arrival can ever fall due, so the remaining churn sessions
 /// are accounted as phantoms (they count in the report denominator but
 /// never enter the simulation) instead of freezing `alive` above zero
-/// and spinning the engine to `max_ticks`.
-pub(crate) fn build_schedule(load: &LoadConfig) -> (Vec<(u64, Option<u64>)>, usize) {
+/// and spinning the engine to `max_ticks`. A `u64::MAX` stagger or
+/// ramp saturates its draw range instead of overflowing it.
+pub(crate) fn arrivals(load: &LoadConfig, mut arrive: impl FnMut(u64, Option<u64>)) -> usize {
     let mut rng = Xoroshiro128::new(load.seed);
     let c = load.churn;
-    let mut schedule: Vec<(u64, Option<u64>)> = (0..load.sessions)
-        .map(|_| (rng.below(load.stagger_ticks + 1), None))
-        .collect();
+    let stagger = load.stagger_ticks.saturating_add(1);
+    for _ in 0..load.sessions {
+        arrive(rng.below(stagger), None);
+    }
     let mut churn_clock = 0u64;
     let mut phantoms = 0usize;
     for drawn in 0..c.churn_sessions {
@@ -750,18 +753,29 @@ pub(crate) fn build_schedule(load: &LoadConfig) -> (Vec<(u64, Option<u64>)>, usi
         }
         let depart = (c.mean_watch_ticks > 0.0)
             .then(|| churn_clock.saturating_add(exp_ticks(&mut rng, c.mean_watch_ticks).max(1)));
-        schedule.push((churn_clock, depart));
+        arrive(churn_clock, depart);
     }
+    let ramp = c.flash_ramp_ticks.saturating_add(1);
     for _ in 0..c.flash_sessions {
-        let at = c
-            .flash_at_tick
-            .saturating_add(rng.below(c.flash_ramp_ticks.saturating_add(1)));
+        let at = c.flash_at_tick.saturating_add(rng.below(ramp));
         if at == u64::MAX {
             phantoms += 1;
         } else {
-            schedule.push((at, None));
+            arrive(at, None);
         }
     }
+    phantoms
+}
+
+/// The whole [`arrivals`] stream as one `(start_tick, depart_at)` per
+/// simulated session, plus the phantom count: the quantum oracle's
+/// schedule.
+#[cfg(test)]
+pub(crate) fn build_schedule(load: &LoadConfig) -> (Vec<(u64, Option<u64>)>, usize) {
+    let mut schedule = Vec::new();
+    let phantoms = arrivals(load, |start_tick, depart_at| {
+        schedule.push((start_tick, depart_at));
+    });
     (schedule, phantoms)
 }
 
