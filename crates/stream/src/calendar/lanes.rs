@@ -8,8 +8,10 @@ use super::formation::{Cohort, CohortState};
 /// playout: the closed form of `j` clamped per-quantum drains, exact for
 /// the integer-valued buffers the engine uses (see the module doc).
 /// With `fault`, a rebuffer that begins is a fault rebuffer and every
-/// stalled quantum adds `q` fault rebuffer ticks.
-pub(super) fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) {
+/// stalled quantum adds `q` fault rebuffer ticks. Returns whether the
+/// cohort's first rebuffer began.
+pub(super) fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) -> bool {
+    let mut first = false;
     let mut stalled = if s.in_rebuffer { j } else { 0 };
     if s.playing {
         let drain = (j * q) as f64;
@@ -19,6 +21,7 @@ pub(super) fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) {
             if !s.in_rebuffer {
                 s.in_rebuffer = true;
                 s.rebuffer_events += 1;
+                first = s.rebuffer_events == 1;
                 s.fault_rebuffers += u32::from(fault);
                 // The buffer ran dry in quantum `buffer / q + 1` of `j`.
                 stalled = j - s.buffer_ticks as u64 / q;
@@ -29,6 +32,7 @@ pub(super) fn settle(s: &mut CohortState, j: u64, q: u64, fault: bool) {
     if fault {
         s.fault_rebuffer_ticks += stalled * q;
     }
+    first
 }
 
 /// The hot state of one plain cohort: what a quantum without events
@@ -77,15 +81,20 @@ struct Clock {
     since: Vec<u64>,
     /// Ticks per quantum.
     q: u64,
+    /// Members of the cohorts whose first rebuffer began in a settle.
+    stalled: u64,
 }
 
 impl Clock {
-    /// Settles the quanta cohort `cid` rested through before `now`, all
-    /// under `fault`, and restarts its rest at `now`. Returns them.
+    /// Settles the quanta cohort `cid` (`c`) rested through before
+    /// `now`, all under `fault`, and restarts its rest at `now`. Returns
+    /// them.
     #[inline]
-    fn settle(&mut self, cid: u32, s: &mut CohortState, now: u64, fault: bool) -> u64 {
+    fn settle(&mut self, cid: u32, c: &mut Cohort, now: u64, fault: bool) -> u64 {
         let j = (now - std::mem::replace(&mut self.since[cid as usize], now)) / self.q;
-        settle(s, j, self.q, fault);
+        if settle(&mut c.state, j, self.q, fault) {
+            self.stalled += c.n;
+        }
         j
     }
 }
@@ -120,6 +129,7 @@ impl RestSet {
             clock: Clock {
                 since: vec![0; cohorts],
                 q,
+                stalled: 0,
             },
             done: Vec::new(),
         }
@@ -127,6 +137,12 @@ impl RestSet {
 
     pub(super) fn lanes_empty(&self) -> bool {
         self.in_lanes == 0
+    }
+
+    /// Members of the cohorts whose first rebuffer began while they
+    /// rested.
+    pub(super) fn stalled(&self) -> u64 {
+        self.clock.stalled
     }
 
     pub(super) fn is_parked(&self, cid: u32) -> bool {
@@ -172,12 +188,10 @@ impl RestSet {
         match self.place[cid as usize] {
             Place::Active => 0,
             Place::Lane(_) => {
-                self.clock.settle(cid, &mut c.state, now, fault);
+                self.clock.settle(cid, c, now, fault);
                 0
             }
-            Place::Parked(_) => {
-                self.clock.settle(cid, &mut c.state, now, fault) * self.clock.q * c.n
-            }
+            Place::Parked(_) => self.clock.settle(cid, c, now, fault) * self.clock.q * c.n,
         }
     }
 
@@ -223,9 +237,9 @@ impl RestSet {
         }
         for (lane, members) in self.lanes.iter_mut().zip(&mut self.members) {
             for l in lane.drain(..) {
-                let s = &mut cohorts[l.cid as usize].state;
-                s.remaining_bytes = l.remaining;
-                self.clock.settle(l.cid, s, now, fault);
+                let c = &mut cohorts[l.cid as usize];
+                c.state.remaining_bytes = l.remaining;
+                self.clock.settle(l.cid, c, now, fault);
                 self.place[l.cid as usize] = Place::Active;
                 slow.push(l.cid);
             }
@@ -262,7 +276,7 @@ impl RestSet {
                 let l = swap_out(lane, i, &mut self.place, |l| l.cid, Place::Lane);
                 let c = &mut cohorts[l.cid as usize];
                 c.state.remaining_bytes = l.remaining;
-                self.clock.settle(l.cid, &mut c.state, end, fault);
+                self.clock.settle(l.cid, c, end, fault);
                 self.members[e] -= c.n;
                 self.in_lanes -= 1;
                 finished.push(l.cid);

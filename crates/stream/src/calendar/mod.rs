@@ -239,12 +239,18 @@ impl Acc {
             // Nothing started adds nothing to `startup_sum`: 0 / 1.
             mean_startup_ticks: self.startup_sum / self.started.max(1) as f64,
             rebuffer_sessions: self.rebuffer_sessions as usize,
-            rebuffer_fraction: self.rebuffer_sessions as f64 / n_sessions.max(1) as f64,
+            rebuffer_fraction: stall_fraction(self.rebuffer_sessions, n_sessions),
             mean_rung: self.rung_sum as f64 / self.fetched.max(1) as f64,
             rung_switches: self.rung_switches,
             departed: self.departed as usize,
         }
     }
+}
+
+/// The report's stall fraction: `stalled` of `n_sessions` sessions
+/// rebuffered.
+fn stall_fraction(stalled: u64, n_sessions: usize) -> f64 {
+    stalled as f64 / n_sessions.max(1) as f64
 }
 
 /// What one cohort run hands back to the `serve` entry points.
@@ -304,7 +310,16 @@ fn request(
 /// ABR, playout and live gates per quantum. Cache objects are keyed by
 /// `(title, rung, seg)`; with `p.shields > 0` edge fills drain from
 /// shield caches and only shield misses cross the origin link.
-pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams) -> CohortRun {
+///
+/// With `stop_above`, the run ends early once the sessions already
+/// stalled exceed that fraction of the population: the report's
+/// `rebuffer_fraction` then exceeds it too, and is all that holds.
+pub(crate) fn run_cohorts(
+    titles: &[Manifest],
+    load: &LoadConfig,
+    p: &TierParams,
+    stop_above: Option<f64>,
+) -> CohortRun {
     let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
     let q = load.tick_quantum.max(1);
 
@@ -411,7 +426,15 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
     let mut last_first_seq = vec![0u64; titles.len()];
     let mut publish_wait_ticks = 0u64;
     let mut window_skips = 0u64;
+    // Members of the cohorts whose first rebuffer began on the full
+    // path; the rest set counts those that began resting. Every one of
+    // them folds as a rebuffer session, so the sum only grows toward
+    // the report's `rebuffer_sessions`.
+    let mut stalled = 0u64;
     while alive > 0 && now < load.max_ticks {
+        if stop_above.is_some_and(|t| stall_fraction(stalled + rest.stalled(), n_sessions) > t) {
+            break;
+        }
         // Calendar events due this quantum: fault actions mutate the
         // tier; arrivals activate their cohort; a departure folds its
         // member group, departed, at the quantum it fell due — exactly
@@ -748,6 +771,9 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
                             if !s.in_rebuffer {
                                 s.in_rebuffer = true;
                                 s.rebuffer_events += 1;
+                                if s.rebuffer_events == 1 {
+                                    stalled += n;
+                                }
                                 if fs.active {
                                     s.fault_rebuffers += 1;
                                 }
@@ -973,6 +999,7 @@ pub(crate) fn run_cohorts(titles: &[Manifest], load: &LoadConfig, p: &TierParams
             }
         }
     }
+    debug_assert_eq!(stalled + rest.stalled(), acc.rebuffer_sessions);
     let live = LiveStats {
         mean_latency_ticks: acc.latency_sum as f64 / acc.fetched.max(1) as f64,
         max_latency_ticks: acc.latency_max,
@@ -1038,7 +1065,7 @@ mod tests {
     /// live stats exact. Valid for unbounded caches — under bounded-
     /// cache *eviction* the engines may legally pick different victims.
     fn assert_matches_oracle(manifest: &Manifest, load: &LoadConfig, p: &TierParams) {
-        let c = run_cohorts(std::slice::from_ref(manifest), load, p);
+        let c = run_cohorts(std::slice::from_ref(manifest), load, p, None);
         let (o, o_edges, o_live) = oracle::run(manifest, load, p);
         let r = &c.report;
         assert_eq!(
@@ -1175,7 +1202,7 @@ mod tests {
             ..Default::default()
         };
         let p = params(&m, CdnConfig::single_origin(), None);
-        let e = run_cohorts(std::slice::from_ref(&m), &load, &p).engine;
+        let e = run_cohorts(std::slice::from_ref(&m), &load, &p, None).engine;
         assert!(e.cohorts > 1 && e.peak_active <= e.cohorts, "{e:?}");
         assert_eq!(
             e.full_path_steps,
@@ -1247,7 +1274,7 @@ mod tests {
             let mut cdn = CdnConfig::single_origin();
             cdn.tier.edge_capacity_bytes_per_tick = 30.0;
             let p = params(&m, cdn, None);
-            let run = run_cohorts(std::slice::from_ref(&m), &load, &p);
+            let run = run_cohorts(std::slice::from_ref(&m), &load, &p, None);
             let e = run.engine;
             // Both settle branches: some buffers ran dry, some held.
             let rebuffered = run.report.rebuffer_sessions;
@@ -1284,7 +1311,7 @@ mod tests {
             ..Default::default()
         };
         let p = params(&m, CdnConfig::flat(EdgeTierConfig::default()), None);
-        let run = run_cohorts(std::slice::from_ref(&m), &load, &p);
+        let run = run_cohorts(std::slice::from_ref(&m), &load, &p, None);
         assert!(run.report.departed > 0, "config must actually churn");
         assert_matches_oracle(&m, &load, &p);
     }

@@ -1381,13 +1381,11 @@ impl<'a> Scenario<'a> {
 /// all-zero report instead of panicking or spinning to `max_ticks`.
 #[must_use]
 pub fn simulate(s: &Scenario) -> CdnLoadReport {
-    let p = s.params();
-    if p.degenerate(s.catalog.titles(), &s.load) {
+    let Some(run) = run_cohorts(s, None) else {
         let mut r = CdnLoadReport::default();
         r.edge.load.sessions = s.load.population();
         return r;
-    }
-    let run = crate::calendar::run_cohorts(s.catalog.titles(), &s.load, &p);
+    };
     let entries = |nodes: &[FluidNode]| -> Vec<EdgeReportEntry> {
         let entry = |n: &FluidNode| EdgeReportEntry {
             sessions: n.assigned,
@@ -1413,6 +1411,14 @@ pub fn simulate(s: &Scenario) -> CdnLoadReport {
         resilience: run.resilience,
         engine: run.engine,
     }
+}
+
+/// The cohort engine's run of `s` (see `calendar::run_cohorts` for
+/// `stop_above`), or `None` for a degenerate scenario.
+fn run_cohorts(s: &Scenario, stop_above: Option<f64>) -> Option<crate::calendar::CohortRun> {
+    let p = s.params();
+    (!p.degenerate(s.catalog.titles(), &s.load))
+        .then(|| crate::calendar::run_cohorts(s.catalog.titles(), &s.load, &p, stop_above))
 }
 
 /// Runs `s` once per base population in `counts`, in order. With a
@@ -1443,11 +1449,12 @@ pub fn knee(s: &Scenario, counts: &[usize], stall_tolerance: f64) -> Option<usiz
     let mut counts = counts.to_vec();
     counts.sort_unstable();
     counts.dedup();
+    // A probe stops as soon as the sessions already stalled exceed the
+    // tolerance: stalls only accumulate, so the verdict is final, and
+    // a degenerate probe stalls nobody.
     let passes = |sessions| {
-        simulate(&s.with_sessions(sessions))
-            .edge
-            .load
-            .rebuffer_fraction
+        run_cohorts(&s.with_sessions(sessions), Some(stall_tolerance))
+            .map_or(0.0, |run| run.report.rebuffer_fraction)
             <= stall_tolerance
     };
     if counts.is_empty() || !passes(counts[0]) {
@@ -2191,6 +2198,23 @@ mod tests {
             ..sessions(2)
         };
         assert_eq!(vod(&c, origin(), load).edge.load.completed, 2);
+        // A `u64::MAX` stagger saturates its draw range instead of
+        // overflowing it; every arrival then lands past the ceiling.
+        let load = LoadConfig {
+            stagger_ticks: u64::MAX,
+            ..sessions(3)
+        };
+        let r = vod(&c, origin(), load).edge.load;
+        assert_eq!((r.sessions, r.completed), (3, 0));
+        assert_eq!(
+            r,
+            oracle::run(
+                &manifest(),
+                &load,
+                &Scenario::new(&c, origin(), load).params()
+            )
+            .0
+        );
     }
 
     #[test]
@@ -2615,27 +2639,81 @@ mod tests {
         assert_eq!(curve_knee(&curve, 0.05), knee);
     }
 
-    #[test]
-    fn bisecting_knee_equals_the_curve_scan_on_capacity_sweeps() {
-        // The bisect probes O(log n) counts; on the monotone sweeps the
-        // BENCH tables use it must land on exactly the curve-scan knee
-        // — for the single-origin, edge-tier, and live shapes alike.
-        let c = catalog();
-        let counts = [50usize, 200, 400, 800, 1_600, 3_200];
+    /// Stall tolerances the knee tests run at: none, the BENCH bar, and
+    /// everyone, with points between that probes cross early and late.
+    const TOLERANCES: [f64; 5] = [0.0, 0.01, 0.05, 0.2, 1.0];
+
+    /// The sweep shapes the knee tests probe: single origin, edge tier,
+    /// and live, plus a slower VOD origin and a slower live origin
+    /// whose stall fractions climb through every tolerance.
+    fn knee_scenarios(c: &Catalog) -> [Scenario<'_>; 5] {
         let tier = flat(EdgeTierConfig::default());
-        for (cdn, live) in [
+        let live = Some(LiveConfig::default());
+        [
             (origin(), None),
             (tier, None),
-            (tier, Some(LiveConfig::default())),
-        ] {
-            let s = Scenario {
-                live,
-                ..Scenario::new(&c, cdn, LoadConfig::default())
-            };
-            let scan = curve_knee(&sweep(&s, &counts, None), 0.05);
-            assert!(scan.is_some() || live.is_some());
-            assert_eq!(knee(&s, &counts, 0.05), scan);
+            (tier, live),
+            (origin_at(3_000.0, 100.0), None),
+            (origin_at(1_000.0, 100.0), live),
+        ]
+        .map(|(cdn, live)| Scenario {
+            live,
+            ..Scenario::new(c, cdn, LoadConfig::default())
+        })
+    }
+
+    const KNEE_COUNTS: [usize; 6] = [50, 200, 400, 800, 1_600, 3_200];
+
+    #[test]
+    fn bisecting_knee_equals_the_curve_scan_on_capacity_sweeps() {
+        // The bisect probes O(log n) counts, each stopped once its
+        // verdict is certain; on the monotone sweeps the BENCH tables
+        // use it must land on exactly the curve-scan knee of full runs
+        // — for the single-origin, edge-tier, and live shapes alike, at
+        // every tolerance.
+        let c = catalog();
+        for s in knee_scenarios(&c) {
+            let curve = sweep(&s, &KNEE_COUNTS, None);
+            assert!(curve_knee(&curve, 0.05).is_some() || s.live.is_some());
+            for tol in TOLERANCES {
+                let scan = curve_knee(&curve, tol);
+                assert_eq!(knee(&s, &KNEE_COUNTS, tol), scan, "tolerance {tol}");
+            }
         }
+    }
+
+    #[test]
+    fn a_stopped_probe_reaches_the_full_runs_verdict() {
+        // A probe stops once its stalled sessions exceed the tolerance.
+        // Its verdict must equal the full run's, and its stall fraction
+        // can only be lower. The sweeps include probes that cross their
+        // tolerance before the middle of the run and probes that cross
+        // it past the middle.
+        let c = catalog();
+        let (mut early, mut late) = (0, 0);
+        for s in knee_scenarios(&c) {
+            for sessions in KNEE_COUNTS {
+                let s = s.with_sessions(sessions);
+                let full = run_cohorts(&s, None).unwrap();
+                let f = full.report.rebuffer_fraction;
+                assert_eq!(full.report, simulate(&s).edge.load);
+                for tol in TOLERANCES {
+                    let stopped = run_cohorts(&s, Some(tol)).unwrap();
+                    let r = stopped.report.rebuffer_fraction;
+                    assert_eq!(r <= tol, f <= tol, "{sessions} sessions at {tol}");
+                    assert!(r <= f);
+                    let quanta = (stopped.engine.quanta, full.engine.quanta);
+                    if f <= tol {
+                        assert_eq!(stopped.report, full.report, "a passing probe runs out");
+                    } else if quanta.0 * 2 < quanta.1 {
+                        early += 1;
+                    } else if quanta.0 < quanta.1 {
+                        late += 1;
+                    }
+                }
+            }
+        }
+        assert!(early > 0 && late > 0, "{early} early and {late} late stops");
     }
 
     #[test]
