@@ -21,10 +21,21 @@
 //!   become equal again, and a sweep for equal classes cost more than
 //!   the rare merge saved. Members differ only in when (if ever) they
 //!   churn away, kept as [`MemberGroup`]s.
-//! * **The calendar.** A binary-heap [`EventCalendar`] keyed on each
-//!   cohort's discrete events (arrival, churn departure, publish wake)
-//!   drives the clock: departures, arrivals and wakes touch only the
-//!   cohort they name, and the *idle jump* moves the clock straight to
+//! * **Formation in one pass.** [`form_cohorts`] files each session
+//!   into its cohort as the arrival stream draws it, so no schedule of
+//!   the whole population is ever built. The cohort key is looked up in
+//!   a dense array when the config bounds the key space (a churn-free
+//!   load within `max(population, 2^16)` slots) and in a hash map
+//!   otherwise; per session it only bumps a compact count of members
+//!   that never depart, and each cohort's member groups are written
+//!   once, in first-arrival order.
+//! * **The calendar.** The [`EventCalendar`] orders each cohort's
+//!   discrete events (arrival, churn departure, publish wake) and the
+//!   fault actions, and drives the clock. Faults, arrivals and
+//!   departures sit on a binary heap; wakes sit in one cohort list per
+//!   publish tick, handed out in ascending id after the tick's heap
+//!   events. Departures, arrivals and wakes touch only the cohort they
+//!   name, and the *idle jump* moves the clock straight to
 //!   the quantum boundary of the next event when nothing can change
 //!   before it — no cohort is active, or every active cohort is parked
 //!   on a publish while no fill is in flight and no fault pressure
@@ -96,6 +107,15 @@
 //! so recency interleaving — and hence eviction victims — can legally
 //! differ; reports remain deterministic and within the behavioural
 //! tolerances the bounded-cache tests assert.
+//!
+//! **Stopping once decided.** A knee probe ([`crate::serve::knee`])
+//! passes `run_cohorts` a stall tolerance. A cohort's members count as
+//! stalled when its first rebuffer begins, on the full path or in a
+//! settle; every one of them later folds as a rebuffer session, so the
+//! count only grows toward the report's `rebuffer_sessions`. Once it
+//! exceeds the tolerance the verdict is final and the run stops; the
+//! partial report still exceeds the tolerance. `simulate` passes no
+//! tolerance and always runs to the end.
 //!
 //! One concern per submodule: `formation` forms [`Cohort`]s; `lanes`
 //! holds the [`RestSet`] and `settle`; `events` the [`EventCalendar`];

@@ -722,7 +722,7 @@ pub(crate) fn build_tier(
 /// The arrival stream: calls `arrive(start_tick, depart_at)` once per
 /// session that will actually simulate, in schedule order, and returns
 /// the count of *phantoms*. Cohort formation consumes it as it is
-/// drawn; the quantum oracle collects it ([`build_schedule`]), so both
+/// drawn; the quantum oracle collects it (`build_schedule`), so both
 /// engines see the identical RNG draw sequence.
 ///
 /// The base population draws exactly as the pre-churn engine did (zero
