@@ -18,67 +18,65 @@ const VACANT: u32 = u32::MAX;
 /// takes one lookup per *session*, so both indexes are cheap; neither
 /// decides anything but wall-clock time, because cohort order is
 /// arrival order, never index order.
-trait CohortIndex {
-    fn slot(&mut self, start_tick: u64, edge: usize, title: u32) -> &mut u32;
+pub(super) enum CohortIndex {
+    /// One slot per possible key, for a key space the config bounds:
+    /// arrival ticks times edges times titles.
+    Dense {
+        slots: Vec<u32>,
+        edges: usize,
+        titles: usize,
+    },
+    /// Any key space: the crate's cheap
+    /// [`WordHasher`](crate::edge::WordHasher) map over the keys that
+    /// occur.
+    Hashed(WordHashMap<(u64, usize, u32), u32>),
 }
 
-/// One slot per possible key, for a key space the config bounds:
-/// arrival ticks `0..ticks` times the edges times the titles.
-struct DenseIndex {
-    slots: Vec<u32>,
-    edges: usize,
-    titles: usize,
-}
+impl CohortIndex {
+    /// The index for `load` over `edges` and `titles`: dense when the
+    /// config alone bounds the key space within `max(population, 2^16)`
+    /// slots, hashed otherwise. Every arrival of a churn-free load
+    /// falls on a tick in `0..=max(stagger, flash_at + ramp)`; a churn
+    /// clock is drawn, so its span is not known before formation.
+    pub(super) fn for_load(load: &LoadConfig, edges: usize, titles: usize) -> Self {
+        let c = &load.churn;
+        let last = match (c.churn_sessions, c.flash_sessions) {
+            (0, 0) => Some(load.stagger_ticks),
+            (0, _) => {
+                (c.flash_at_tick.checked_add(c.flash_ramp_ticks)).map(|t| t.max(load.stagger_ticks))
+            }
+            _ => None,
+        };
+        let limit = load.population().max(1 << 16);
+        last.and_then(|t| Self::dense(t.checked_add(1)?, edges, titles, limit))
+            .unwrap_or_else(|| Self::Hashed(WordHashMap::default()))
+    }
 
-impl DenseIndex {
-    /// The index over `ticks × edges × titles` keys, or `None` when
-    /// that product overflows or exceeds `limit` slots.
-    fn new(ticks: u64, edges: usize, titles: usize, limit: usize) -> Option<Self> {
+    /// The dense index over `ticks × edges × titles` keys, or `None`
+    /// when that product overflows or exceeds `limit` slots.
+    fn dense(ticks: u64, edges: usize, titles: usize, limit: usize) -> Option<Self> {
         let len = usize::try_from(ticks)
             .ok()?
             .checked_mul(edges)?
             .checked_mul(titles)?;
-        (len <= limit).then(|| Self {
+        (len <= limit).then(|| Self::Dense {
             slots: vec![VACANT; len],
             edges,
             titles,
         })
     }
-}
 
-impl CohortIndex for DenseIndex {
     #[inline]
     fn slot(&mut self, start_tick: u64, edge: usize, title: u32) -> &mut u32 {
-        &mut self.slots[(start_tick as usize * self.edges + edge) * self.titles + title as usize]
+        match self {
+            Self::Dense {
+                slots,
+                edges,
+                titles,
+            } => &mut slots[(start_tick as usize * *edges + edge) * *titles + title as usize],
+            Self::Hashed(map) => map.entry((start_tick, edge, title)).or_insert(VACANT),
+        }
     }
-}
-
-/// Any key space: the crate's cheap [`WordHasher`](crate::edge::WordHasher)
-/// map over the keys that occur.
-type HashIndex = WordHashMap<(u64, usize, u32), u32>;
-
-impl CohortIndex for HashIndex {
-    #[inline]
-    fn slot(&mut self, start_tick: u64, edge: usize, title: u32) -> &mut u32 {
-        self.entry((start_tick, edge, title)).or_insert(VACANT)
-    }
-}
-
-/// The number of arrival ticks a dense index must cover, when the
-/// config alone fixes it: every arrival of a churn-free load falls in
-/// `0..=max(stagger, flash_at + ramp)`. `None` under churn (its clock
-/// is drawn) or when the span overflows.
-fn arrival_ticks(load: &LoadConfig) -> Option<u64> {
-    let c = &load.churn;
-    if c.churn_sessions > 0 {
-        return None;
-    }
-    let flash_end = if c.flash_sessions > 0 {
-        c.flash_at_tick.checked_add(c.flash_ramp_ticks)?
-    } else {
-        0
-    };
-    load.stagger_ticks.max(flash_end).checked_add(1)
 }
 
 /// The dynamic state every member of a cohort shares, bit for bit:
@@ -158,12 +156,11 @@ pub(crate) struct Cohort {
 /// title)` — the identity that fixes a session's entire deterministic
 /// trajectory — with member groups split by departure tick, in the
 /// order each departure tick first arrives. Each session is drawn and
-/// filed in one pass, with no schedule in between. The key space is
-/// indexed densely when the config bounds it within
-/// `max(population, 2^16)` slots, and hashed otherwise. Returns the
-/// cohorts in first-arrival order (deterministic: arrival order, never
-/// index order) and the count of phantom sessions.
+/// filed through `index` in one pass, with no schedule in between.
+/// Returns the cohorts in first-arrival order (deterministic: arrival
+/// order, never index order) and the count of phantom sessions.
 pub(super) fn form_cohorts(
+    mut index: CohortIndex,
     seg_counts: &[usize],
     load: &LoadConfig,
     p: &TierParams,
@@ -171,135 +168,97 @@ pub(super) fn form_cohorts(
     ring: Option<&HashRing>,
     sampler: Option<&ZipfSampler>,
 ) -> (Vec<Cohort>, usize) {
-    let limit = load.population().max(1 << 16);
-    let dense = arrival_ticks(load)
-        .and_then(|ticks| DenseIndex::new(ticks, p.edges, seg_counts.len(), limit));
-    let f = Formation {
-        seg_counts,
-        load,
-        p,
-        ring,
-        sampler,
-    };
-    match dense {
-        Some(index) => f.form(index, edges),
-        None => f.form(
-            HashIndex::with_capacity_and_hasher(1024, Default::default()),
-            edges,
-        ),
-    }
-}
-
-/// What forming a cohort reads besides its index.
-struct Formation<'a> {
-    seg_counts: &'a [usize],
-    load: &'a LoadConfig,
-    p: &'a TierParams,
-    ring: Option<&'a HashRing>,
-    sampler: Option<&'a ZipfSampler>,
-}
-
-impl Formation<'_> {
-    /// [`form_cohorts`] through `index`.
-    fn form(&self, mut index: impl CohortIndex, edges: &mut [FluidNode]) -> (Vec<Cohort>, usize) {
-        let (load, p) = (self.load, self.p);
-        let mut cohorts: Vec<Cohort> = Vec::new();
-        // Members per cohort that never depart: the one per-session
-        // write of a churn-free load, written into the cohort's
-        // placeholder group at the end.
-        let mut stay: Vec<u64> = Vec::new();
-        let mut i = 0;
-        let phantoms = arrivals(load, |start_tick, depart_at| {
-            let edge = shard_edge(load, p, i, self.ring);
-            let title = title_for(load, self.sampler, i);
-            i += 1;
-            edges[edge].assigned += 1;
-            let slot = index.slot(start_tick, edge, title);
-            if *slot == VACANT {
-                *slot = cohorts.len() as u32;
-                cohorts.push(self.cohort(start_tick, edge, title));
-                stay.push(0);
-            }
-            let cid = *slot as usize;
-            let members = &mut cohorts[cid].members;
-            if depart_at.is_none() {
-                if stay[cid] == 0 {
-                    members.push(MemberGroup {
-                        depart_at,
-                        count: 0,
-                    });
-                }
-                stay[cid] += 1;
-            } else if let Some(g) = members.iter_mut().find(|g| g.depart_at == depart_at) {
-                g.count += 1;
-            } else {
+    let fault_seed = p.faults.as_ref().map(|f| f.seed);
+    let mut cohorts: Vec<Cohort> = Vec::new();
+    // Members per cohort that never depart: the one per-session write
+    // of a churn-free load, written into the cohort's placeholder group
+    // at the end.
+    let mut stay: Vec<u64> = Vec::new();
+    let mut i = 0;
+    let phantoms = arrivals(load, |start_tick, depart_at| {
+        let edge = shard_edge(load, p, i, ring);
+        let title = title_for(load, sampler, i);
+        i += 1;
+        edges[edge].assigned += 1;
+        let slot = index.slot(start_tick, edge, title);
+        if *slot == VACANT {
+            *slot = cohorts.len() as u32;
+            let (join_seq, startup_after) =
+                join_point(p, load, start_tick, seg_counts[title as usize]);
+            cohorts.push(Cohort {
+                edge,
+                home_edge: edge,
+                title,
+                // The class fails over as one unit: its key mixes the
+                // plan seed with the cohort identity, so different
+                // plans spread a crashed edge's classes differently.
+                // Title 0 hashes exactly like the pre-catalog key, so
+                // single-title fault runs keep their golden layouts.
+                ring_key: fault_seed.map_or(0, |s| {
+                    let base = splitmix64(splitmix64(s ^ start_tick) ^ edge as u64);
+                    if title != 0 {
+                        splitmix64(base ^ u64::from(title))
+                    } else {
+                        base
+                    }
+                }),
+                n: 0,
+                members: Vec::new(),
+                state: CohortState {
+                    abr: AbrController::new(load.ewma_alpha, load.safety),
+                    start_tick,
+                    startup_ticks: 0,
+                    seg: join_seq,
+                    rung: 0,
+                    remaining_bytes: 0.0,
+                    fetch_start: start_tick,
+                    buffer_ticks: 0.0,
+                    fetched: 0,
+                    started: false,
+                    startup_after,
+                    waiting: false,
+                    pending_request: false,
+                    playing: false,
+                    in_rebuffer: false,
+                    rebuffer_events: 0,
+                    rung_switches: 0,
+                    rung_sum: 0,
+                    delivered_bits: 0,
+                    latency_sum: 0,
+                    latency_max: 0,
+                    fault_rebuffers: 0,
+                    fault_rebuffer_ticks: 0,
+                },
+                done: false,
+            });
+            stay.push(0);
+        }
+        let cid = *slot as usize;
+        let members = &mut cohorts[cid].members;
+        if depart_at.is_none() {
+            if stay[cid] == 0 {
                 members.push(MemberGroup {
                     depart_at,
-                    count: 1,
+                    count: 0,
                 });
             }
-        });
-        for (c, stay) in cohorts.iter_mut().zip(stay) {
-            if let Some(g) = c.members.iter_mut().find(|g| g.depart_at.is_none()) {
-                g.count = stay;
-            }
-            c.n = c.members.iter().map(|g| g.count).sum();
+            stay[cid] += 1;
+        } else if let Some(g) = members.iter_mut().find(|g| g.depart_at == depart_at) {
+            g.count += 1;
+        } else {
+            members.push(MemberGroup {
+                depart_at,
+                count: 1,
+            });
         }
-        (cohorts, phantoms)
-    }
-
-    /// The empty cohort of key `(start_tick, edge, title)`.
-    fn cohort(&self, start_tick: u64, edge: usize, title: u32) -> Cohort {
-        let (load, p) = (self.load, self.p);
-        let (join_seq, startup_after) =
-            join_point(p, load, start_tick, self.seg_counts[title as usize]);
-        Cohort {
-            edge,
-            home_edge: edge,
-            title,
-            // The class fails over as one unit: its key mixes the plan
-            // seed with the cohort identity, so different plans spread a
-            // crashed edge's classes differently. Title 0 hashes exactly
-            // like the pre-catalog key, so single-title fault runs keep
-            // their golden layouts.
-            ring_key: p.faults.as_ref().map_or(0, |f| {
-                let base = splitmix64(splitmix64(f.seed ^ start_tick) ^ edge as u64);
-                if title != 0 {
-                    splitmix64(base ^ u64::from(title))
-                } else {
-                    base
-                }
-            }),
-            n: 0,
-            members: Vec::new(),
-            state: CohortState {
-                abr: AbrController::new(load.ewma_alpha, load.safety),
-                start_tick,
-                startup_ticks: 0,
-                seg: join_seq,
-                rung: 0,
-                remaining_bytes: 0.0,
-                fetch_start: start_tick,
-                buffer_ticks: 0.0,
-                fetched: 0,
-                started: false,
-                startup_after,
-                waiting: false,
-                pending_request: false,
-                playing: false,
-                in_rebuffer: false,
-                rebuffer_events: 0,
-                rung_switches: 0,
-                rung_sum: 0,
-                delivered_bits: 0,
-                latency_sum: 0,
-                latency_max: 0,
-                fault_rebuffers: 0,
-                fault_rebuffer_ticks: 0,
-            },
-            done: false,
+    });
+    for (c, stay) in cohorts.iter_mut().zip(stay) {
+        if let Some(g) = c.members.iter_mut().find(|g| g.depart_at.is_none()) {
+            g.count = stay;
         }
+        c.n = c.members.iter().map(|g| g.count).sum();
     }
+    (cohorts, phantoms)
 }
 
 #[cfg(test)]
@@ -343,8 +302,16 @@ mod tests {
         };
         let p = params(&m, CdnConfig::single_origin(), None);
         let mut edges = tier(std::slice::from_ref(&m), &p);
-        let (cohorts, phantoms) =
-            form_cohorts(&[m.segment_count()], &load, &p, &mut edges, None, None);
+        let index = CohortIndex::for_load(&load, p.edges, 1);
+        let (cohorts, phantoms) = form_cohorts(
+            index,
+            &[m.segment_count()],
+            &load,
+            &p,
+            &mut edges,
+            None,
+            None,
+        );
         assert_eq!(phantoms, 0);
         assert_eq!(edges[0].assigned, 100);
         // The same grouping spelled out over the collected schedule:
@@ -386,7 +353,7 @@ mod tests {
 
     /// Forms `load` through the hash and the dense index and requires
     /// equal cohorts and edge assignments, field for field. Returns
-    /// whether [`form_cohorts`] itself would take the dense index.
+    /// whether [`CohortIndex::for_load`] takes the dense index.
     fn both_indexes_agree(catalog: &Catalog, cdn: CdnConfig, load: LoadConfig) -> bool {
         let plan = FaultPlan::new(0xF0A4).crash_edge(1, 50, None);
         let p = Scenario {
@@ -398,48 +365,46 @@ mod tests {
         let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
         let ring = build_ring(&load, &p);
         let sampler = (titles.len() > 1).then(|| ZipfSampler::new(titles.len(), p.zipf_s));
-        let f = Formation {
-            seg_counts: &seg_counts,
-            load: &load,
-            p: &p,
-            ring: ring.as_ref(),
-            sampler: sampler.as_ref(),
-        };
         let (schedule, _) = build_schedule(&load);
         let ticks = schedule.iter().map(|&(t, _)| t).max().unwrap() + 1;
-        let dense = DenseIndex::new(ticks, p.edges, titles.len(), usize::MAX).unwrap();
-        let (mut hash_edges, mut dense_edges) = (tier(titles, &p), tier(titles, &p));
-        let (hashed, hash_phantoms) = f.form(HashIndex::default(), &mut hash_edges);
-        let (densed, dense_phantoms) = f.form(dense, &mut dense_edges);
-        let fields = |c: &Cohort| {
-            (
-                c.edge,
-                c.home_edge,
-                c.title,
-                c.ring_key,
-                c.n,
-                c.members.clone(),
-                c.state.clone(),
-                c.done,
-            )
+        let dense = CohortIndex::dense(ticks, p.edges, titles.len(), usize::MAX).unwrap();
+        let hashed = CohortIndex::Hashed(WordHashMap::default());
+        let form = |index| {
+            let mut edges = tier(titles, &p);
+            let (cohorts, phantoms) = form_cohorts(
+                index,
+                &seg_counts,
+                &load,
+                &p,
+                &mut edges,
+                ring.as_ref(),
+                sampler.as_ref(),
+            );
+            let cohorts: Vec<_> = cohorts
+                .into_iter()
+                .map(|c| {
+                    let place = (c.edge, c.home_edge, c.title, c.ring_key);
+                    (place, c.n, c.members, c.state, c.done)
+                })
+                .collect();
+            let assigned: Vec<usize> = edges.iter().map(|n| n.assigned).collect();
+            (cohorts, phantoms, assigned)
         };
-        assert_eq!(hash_phantoms, dense_phantoms);
-        assert_eq!(hashed.len(), densed.len());
-        for (h, d) in hashed.iter().zip(&densed) {
-            assert_eq!(fields(h), fields(d));
-        }
-        assert!(hashed.iter().any(|c| c.ring_key != 0), "keys under a plan");
-        let assigned = |e: &[FluidNode]| e.iter().map(|n| n.assigned).collect::<Vec<_>>();
-        assert_eq!(assigned(&hash_edges), assigned(&dense_edges));
+        let (by_hash, by_array) = (form(hashed), form(dense));
+        assert_eq!(by_hash, by_array);
+        assert!(
+            by_hash.0.iter().any(|(place, ..)| place.3 != 0),
+            "keys under a plan"
+        );
         assert_eq!(
-            assigned(&hash_edges).iter().sum::<usize>(),
+            by_hash.2.iter().sum::<usize>(),
             schedule.len(),
             "every arrival is assigned once"
         );
-        let limit = load.population().max(1 << 16);
-        arrival_ticks(&load)
-            .and_then(|t| DenseIndex::new(t, p.edges, titles.len(), limit))
-            .is_some()
+        matches!(
+            CohortIndex::for_load(&load, p.edges, titles.len()),
+            CohortIndex::Dense { .. }
+        )
     }
 
     #[test]
@@ -477,18 +442,19 @@ mod tests {
         assert!(both_indexes_agree(&zipf, cdn, flash), "so are flash keys");
         assert!(!both_indexes_agree(&zipf, cdn, churn), "churn is hashed");
         // Past the bound the hash index takes over: 1,001 ticks × 16
-        // edges × 512 titles is ~8.2M keys for 14,000 viewers.
+        // edges × 512 titles is ~8.2M keys for 14,000 viewers. So does
+        // a span that overflows.
         let knee = LoadConfig {
             sessions: 14_000,
             ..Default::default()
         };
-        assert_eq!(arrival_ticks(&knee), Some(1_001));
-        assert!(DenseIndex::new(1_001, 16, 512, knee.population().max(1 << 16)).is_none());
-        // An overflowing span falls back to the hash index too.
         let unbounded = LoadConfig {
             stagger_ticks: u64::MAX,
-            ..knee
+            ..vod
         };
-        assert_eq!(arrival_ticks(&unbounded), None);
+        for (load, edges, titles) in [(knee, 16, 512), (unbounded, 1, 1)] {
+            let index = CohortIndex::for_load(&load, edges, titles);
+            assert!(matches!(index, CohortIndex::Hashed(_)));
+        }
     }
 }

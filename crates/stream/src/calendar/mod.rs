@@ -138,7 +138,7 @@ use crate::serve::{
 use crate::shield::{AdmissionPolicy, ObjKey};
 use events::{EventCalendar, EventKind};
 use faults::{rehome, FaultState};
-use formation::{form_cohorts, Cohort, CohortState, MemberGroup};
+use formation::{form_cohorts, Cohort, CohortIndex, CohortState, MemberGroup};
 use lanes::RestSet;
 
 /// Whether `c` is pending on a segment its live title has not
@@ -353,6 +353,7 @@ pub(crate) fn run_cohorts(
     let ring = build_ring(load, p);
     let sampler = (titles.len() > 1).then(|| ZipfSampler::new(titles.len(), p.zipf_s));
     let (mut cohorts, phantoms) = form_cohorts(
+        CohortIndex::for_load(load, p.edges, titles.len()),
         &seg_counts,
         load,
         p,
