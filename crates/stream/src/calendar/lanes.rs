@@ -86,9 +86,8 @@ struct Clock {
 }
 
 impl Clock {
-    /// Settles the quanta cohort `cid` (`c`) rested through before
-    /// `now`, all under `fault`, and restarts its rest at `now`. Returns
-    /// them.
+    /// Settles the quanta cohort `cid` rested through before `now`, all
+    /// under `fault`, and restarts its rest at `now`. Returns them.
     #[inline]
     fn settle(&mut self, cid: u32, c: &mut Cohort, now: u64, fault: bool) -> u64 {
         let j = (now - std::mem::replace(&mut self.since[cid as usize], now)) / self.q;

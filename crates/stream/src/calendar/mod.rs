@@ -333,7 +333,8 @@ fn request(
 ///
 /// With `stop_above`, the run ends early once the sessions already
 /// stalled exceed that fraction of the population: the report's
-/// `rebuffer_fraction` then exceeds it too, and is all that holds.
+/// `rebuffer_fraction` then exceeds it too, while its other fields
+/// describe the partial run.
 pub(crate) fn run_cohorts(
     titles: &[Manifest],
     load: &LoadConfig,

@@ -1439,8 +1439,9 @@ pub fn sweep(s: &Scenario, counts: &[usize], pool: Option<&WorkerPool>) -> Vec<C
 /// `stall_tolerance`, probing O(log n) populations instead of sweeping
 /// them all. Counts may be unsorted or repeat. Assumes stalling is
 /// monotone in load, where it equals [`curve_knee`] over the full
-/// [`sweep`]. `None` for an empty or NaN-tolerance search, or when even
-/// the smallest count stalls more.
+/// [`sweep`]. Each probe stops as soon as the sessions it has already
+/// stalled decide its verdict. `None` for an empty or NaN-tolerance
+/// search, or when even the smallest count stalls more.
 #[must_use]
 pub fn knee(s: &Scenario, counts: &[usize], stall_tolerance: f64) -> Option<usize> {
     if stall_tolerance.is_nan() {
