@@ -10,7 +10,7 @@
 //! gain) and a regular-pulse-excitation grid (every 3rd residual sample,
 //! best of 3 phases, block-max quantized). Bit layout quantities match the
 //! standard's order of magnitude (≈260 bits / 20 ms ≈ 13 kbit/s); the
-//! quantizer tables are simplified (DESIGN.md §5).
+//! quantizer tables are simplified.
 
 use signal::bits::{BitReader, BitWriter, OutOfBitsError};
 

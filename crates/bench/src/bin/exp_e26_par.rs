@@ -4,8 +4,9 @@
 //! seal → publish), consumed two ways and cross-checked, writing the
 //! machine-readable `BENCH_par.json`:
 //!
-//! * **Executed**: the ladder's per-rung encode work units run on the
-//!   `mmpool` worker pool at 1/2/4/8 workers for 3/5/7-rung ladders.
+//! * **Executed**: the ladder's per-rung encode work units run through
+//!   `mmpool::WorkerPool::map` (scoped host threads) at 1/2/4/8 workers
+//!   for 3/5/7-rung ladders.
 //!   Every pooled encode must be bit-identical to the sequential one
 //!   (asserted at every worker count). Where four threads measurably
 //!   run in parallel (a spin probe's 4-thread effective parallelism of
@@ -112,8 +113,8 @@ fn encode_source() -> Vec<Frame> {
 fn main() {
     banner(
         "E26: head-end on the MPSoC model + host parallelism (BENCH_par.json)",
-        "one staged head-end definition is executed on a hand-rolled \
-         worker pool (bit-identical to sequential at any worker count) \
+        "one staged head-end definition is executed on scoped host \
+         threads (bit-identical to sequential at any worker count) \
          and mapped onto MPSoC platform configurations (latency/energy \
          per PE count), and the 1M-session live sweep reruns in \
          parallel with exactly the sequential numbers",

@@ -1,8 +1,8 @@
 //! # `mmbench` — shared helpers for the experiment harness
 //!
-//! Every table and figure claim in DESIGN.md §3 has a runnable
-//! regenerator in `src/bin/exp_e*.rs`; the Criterion micro-benchmarks for
-//! the hot kernels live in `benches/`. This library holds the workload
+//! Every table and figure claim (README, *Experiments*) has a runnable
+//! regenerator in `src/bin/exp_e*.rs`, and the hot kernels are timed as
+//! rows of `exp_e19_perf` through [`perf`]. This library holds the workload
 //! constructors those binaries share, so every experiment uses the same
 //! seeds and sizes.
 

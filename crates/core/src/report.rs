@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment harnesses.
 //!
-//! Every `exp_*` binary prints its rows through this module so
-//! EXPERIMENTS.md and the bench logs share one format.
+//! Every `exp_*` binary prints its rows through this module, so every
+//! experiment's tables share one format.
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]

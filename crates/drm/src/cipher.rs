@@ -6,8 +6,8 @@
 //! DRM experiments need a real symmetric cipher in the playback path to
 //! measure its overhead and to make tampering detectable; XTEA (Needham &
 //! Wheeler, 1997) is implemented from scratch here. The point of the DRM
-//! crate is the *rights architecture*, not cryptographic novelty
-//! (DESIGN.md §5); do not reuse this module as a general-purpose security
+//! crate is the *rights architecture*, not cryptographic novelty; do
+//! not reuse this module as a general-purpose security
 //! library.
 //!
 //! Unsealing is the per-byte hot path of every protected viewer, so

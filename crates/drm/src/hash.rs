@@ -5,8 +5,8 @@
 //! in a Merkle–Damgård chain with length padding, plus an HMAC-style
 //! keyed construction. It is *deterministic and collision-resistant
 //! enough for the workspace's experiments*, not a vetted cryptographic
-//! hash — the DRM architecture, not the primitive, is the object of study
-//! (DESIGN.md §5).
+//! hash — the DRM architecture, not the primitive, is the object of
+//! study.
 
 /// A 256-bit digest.
 pub type Digest = [u8; 32];

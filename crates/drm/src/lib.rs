@@ -12,8 +12,8 @@
 //!   in-device decryption, and the analog-only output policy the paper
 //!   gives as its example countermeasure.
 //! * [`cipher`] / [`hash`] — from-scratch XTEA-CTR and a keyed MAC (the
-//!   *tools*; see DESIGN.md §5 for why clean-room primitives suffice
-//!   here).
+//!   *tools*; clean-room primitives suffice because the rights
+//!   architecture, not the cipher, is the object of study).
 //!
 //! # Example
 //!

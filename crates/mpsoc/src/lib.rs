@@ -16,8 +16,7 @@
 //! tables, and transfers contend on the interconnect. That is the right
 //! granularity for the paper's claims, which are about relative compute
 //! structure (where the cycles go, how many PEs a workload needs, when the
-//! interconnect saturates) rather than absolute silicon numbers. See
-//! DESIGN.md §5.
+//! interconnect saturates) rather than absolute silicon numbers.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! A simulated point-to-point link with loss, latency, and serialization
 //! delay.
 //!
-//! The workspace's substitute for a real access network (DESIGN.md §5):
+//! The workspace's substitute for a real access network:
 //! deterministic (seeded) loss so every experiment is reproducible, and
 //! discrete ticks so protocol behaviour (timeouts, retransmissions) is
 //! exactly replayable. Beyond the original i.i.d. drop draw the link now

@@ -24,8 +24,7 @@
 //! value): stamping at offer time made the tail of a window burst time
 //! out while still queued behind `tx_free_at`, spawning spurious
 //! retransmits that re-queued and compounded (the PR 10 storm bugfix).
-//! Deliberately still not TCP-conformant: no handshake, no SACK
-//! (DESIGN.md §5).
+//! Deliberately still not TCP-conformant: no handshake, no SACK.
 //!
 //! **Event stepping.** The engine's clock is a tick, and one loop
 //! iteration is one tick: the sender takes that tick's ACKs, fast- or

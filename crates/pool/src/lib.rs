@@ -1,32 +1,17 @@
-//! # `mmpool` — a hand-rolled spin/park worker pool with scoped joins
+//! # `mmpool` — a deterministic parallel `map` over `std::thread::scope`
 //!
 //! The host-parallelism counterpart to the `mpsoc` platform simulator:
 //! where `mpsoc` *models* a task graph spread across N processing
-//! elements, this crate *runs* the same staged work on N OS threads.
-//! ROADMAP item 2 asks for real core-count scaling curves (multi-rung
-//! ladder encode, simulator shard sweeps) next to the modeled
-//! PE-count curves, and this build environment has no registry access,
-//! so the pool is built from `std` alone:
+//! elements, this crate *runs* the same staged work (per-rung ladder
+//! encodes, capacity-sweep shards) on N OS threads, so the measured
+//! core-count curves sit next to the modeled PE-count ones.
 //!
-//! * **Spin, then park.** An idle worker first spins a bounded number
-//!   of times on a `try_lock` fast path (work usually arrives in
-//!   bursts when a scope fans out), then parks on a condvar until a
-//!   submitter wakes it. No busy-waiting while the pool is quiet.
-//! * **Scoped joins.** [`WorkerPool::scope`] lets jobs borrow from the
-//!   caller's stack, exactly like `std::thread::scope`: the scope
-//!   does not return until every spawned job has completed, so a job
-//!   may capture `&[Frame]` slices or `&Manifest` references without
-//!   any cloning. Internally the job's lifetime is erased to put it on
-//!   the shared queue; the join barrier is what makes that sound.
-//! * **Deterministic merges.** [`WorkerPool::map`] fans one closure
-//!   out over a slice and collects results *by input index*, not by
-//!   completion order — so any worker count and any completion
-//!   interleaving produce the same output. The delivery stack's
-//!   bit-identical parallel drivers are built on this.
-//!
-//! A job that panics does not kill the worker: the panic is caught,
-//! the pool keeps serving, and the owning scope re-raises the panic
-//! after all of its jobs drained.
+//! [`WorkerPool::map`] fans one closure out over a slice and returns
+//! the results **in input order**, whatever the worker count and
+//! whatever order the elements finished in; the delivery stack's
+//! bit-identical parallel drivers are built on this. Runners are scoped
+//! threads, so `f` may borrow from the caller's stack, and a `map`
+//! nested in another `map`, on the same pool or not, simply runs.
 //!
 //! # Example
 //!
@@ -38,343 +23,84 @@
 //! let squares = pool.map(&inputs, |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
-//!
-//! # Nesting
-//!
-//! Scopes may be entered from any thread, including concurrently from
-//! several threads, but a *job running on the pool* must not open a new
-//! scope on the same pool: with every worker blocked in a nested join
-//! there may be nobody left to run the nested jobs. This is enforced —
-//! worker threads carry a thread-local pool identity, and entering
-//! [`WorkerPool::scope`] from a job on the same pool panics instead of
-//! deadlocking silently. Fan out once, at the call site. (Scoping onto
-//! a *different* pool from a worker is allowed.)
 
-use std::cell::Cell;
-use std::collections::VecDeque;
+#![forbid(unsafe_code)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-thread_local! {
-    /// Identity (address of the `Shared` allocation) of the pool this
-    /// thread is a worker of; 0 on every non-worker thread. Lets
-    /// [`WorkerPool::scope`] turn the nested-scope deadlock (a pool
-    /// job joining a scope on its own pool, with every worker blocked
-    /// in that join) into an immediate panic.
-    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
-}
-
-/// A queued unit of work. Jobs are lifetime-erased closures; the scope
-/// that spawned one guarantees (by joining before it returns) that the
-/// borrows inside outlive the execution.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// How many `try_lock` attempts an idle worker makes before parking.
-/// Work arrives in bursts (a scope fanning out N jobs), so a short spin
-/// usually catches the next job without a syscall; past that, parking
-/// is cheaper than burning a core.
-const IDLE_SPINS: u32 = 64;
-
-/// Shared pool state: the job queue and the park/wake machinery.
-struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    /// Signalled when a job is pushed or shutdown begins.
-    work_ready: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    /// Non-blocking pop used on the spin fast path.
-    fn try_pop(&self) -> Option<Job> {
-        self.queue.try_lock().ok().and_then(|mut q| q.pop_front())
-    }
-}
-
-/// Book-keeping for one [`WorkerPool::scope`]: outstanding job count,
-/// the join condvar, and whether any job panicked.
-struct ScopeState {
-    pending: Mutex<usize>,
-    drained: Condvar,
-    panicked: AtomicBool,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        Self {
-            pending: Mutex::new(0),
-            drained: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }
-    }
-
-    /// Blocks until every job spawned on this scope has finished.
-    fn join(&self) {
-        let mut n = self.pending.lock().expect("scope lock poisoned");
-        while *n > 0 {
-            n = self.drained.wait(n).expect("scope lock poisoned");
-        }
-    }
-
-    /// Called by a worker when one of the scope's jobs finishes.
-    fn complete(&self, job_panicked: bool) {
-        if job_panicked {
-            self.panicked.store(true, Ordering::Release);
-        }
-        let mut n = self.pending.lock().expect("scope lock poisoned");
-        *n -= 1;
-        if *n == 0 {
-            self.drained.notify_all();
-        }
-    }
-}
-
-/// A fixed-size pool of spin/park worker threads.
-///
-/// Dropping the pool shuts it down: workers finish the jobs already
-/// queued (every scope joins before its jobs could be orphaned, so in
-/// practice the queue is empty) and exit.
+/// How many runners a [`WorkerPool::map`] uses at most.
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: usize,
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `workers` threads (clamped to at least 1).
+    /// A pool of `workers` concurrent runners (clamped to at least 1).
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("mmpool-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         Self {
-            shared,
-            workers: handles,
+            workers: workers.max(1),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of concurrent runners a `map` uses.
     #[must_use]
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
-    /// Runs `f` with a [`Scope`] on which jobs borrowing from the
-    /// caller's stack may be spawned. Returns only after every spawned
-    /// job has completed — the join is what makes the borrows sound.
+    /// Applies `f` to every element of `items` and returns the results
+    /// **in input order**.
+    ///
+    /// Runs `min(workers, items.len())` runners: the calling thread and
+    /// one fewer scoped threads (a 1-worker map spawns none). Each
+    /// runner claims the next unclaimed index from one shared counter,
+    /// so items of unequal cost still balance across the runners.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from `f` itself, or panics if any spawned job
-    /// panicked (after all jobs have drained, in both cases). Also
-    /// panics immediately when called from a job running on this same
-    /// pool: the nested join could block every worker with nobody left
-    /// to run the nested jobs, so the silent deadlock is rejected up
-    /// front. Scoping onto a *different* pool is fine.
-    pub fn scope<'env, F, T>(&'env self, f: F) -> T
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-    {
-        let pool_id = Arc::as_ptr(&self.shared) as usize;
-        assert!(
-            WORKER_OF.get() != pool_id,
-            "mmpool: scope() entered from a job running on the same pool — \
-             the nested join can deadlock with every worker blocked; \
-             fan out once, at the call site"
-        );
-        let state = Arc::new(ScopeState::new());
-        let scope = Scope {
-            pool: self,
-            state: Arc::clone(&state),
-            _scope: std::marker::PhantomData,
-        };
-        // Run the body, but *always* join before unwinding further: a
-        // spawned job may hold borrows into the body's stack frame.
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        state.join();
-        match result {
-            Err(payload) => resume_unwind(payload),
-            Ok(value) => {
-                assert!(
-                    !state.panicked.load(Ordering::Acquire),
-                    "a job spawned on this pool scope panicked"
-                );
-                value
-            }
-        }
-    }
-
-    /// Applies `f` to every element of `items` on the pool and returns
-    /// the results **in input order** — the deterministic-merge
-    /// primitive: any worker count, any completion interleaving, same
-    /// output `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` panicked for any element.
+    /// Re-raises the panic of the lowest-index element whose `f`
+    /// panicked, once every other element has run and every thread has
+    /// joined.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        self.scope(|s| {
-            for (item, slot) in items.iter().zip(&slots) {
-                let f = &f;
-                s.spawn(move || {
-                    *slot.lock().expect("result slot poisoned") = Some(f(item));
-                });
-            }
+        // Relaxed: it only hands out indexes; the joins order the results.
+        let next = AtomicUsize::new(0);
+        let run = || {
+            std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+                .map_while(|i| Some((i, items.get(i)?)))
+                .map(|(i, item)| (i, catch_unwind(AssertUnwindSafe(|| f(item)))))
+                .collect::<Vec<_>>()
+        };
+        let runs = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..self.workers.min(items.len()))
+                .map(|_| s.spawn(run))
+                .collect();
+            let mut runs = vec![run()];
+            runs.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+            );
+            runs
         });
-        slots
+        let mut results: Vec<_> = runs.into_iter().flatten().collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results
             .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("scope joined, so every slot is filled")
-            })
+            .map(|(_, r)| r.unwrap_or_else(|p| resume_unwind(p)))
             .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Set shutdown and notify *while holding the queue mutex*. A
-        // worker transitioning from spin to park checks `shutdown`
-        // under this lock right before `work_ready.wait`; storing the
-        // flag without the lock could land in that window — the worker
-        // has already seen `false`, the notification fires before it
-        // waits, and it parks forever (and `join` below hangs with
-        // it). Holding the lock serialises against that check: the
-        // worker either still holds the lock (our store waits until it
-        // does `wait`, which releases it, so `notify_all` reaches it)
-        // or is already parked (the notification wakes it).
-        {
-            let _queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            self.shared.shutdown.store(true, Ordering::Release);
-            self.shared.work_ready.notify_all();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl core::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-/// Spawn handle passed to the closure of [`WorkerPool::scope`].
-///
-/// `'scope` is the lifetime of the scope itself (data spawned jobs may
-/// borrow), `'env` the pool borrow enclosing it.
-pub struct Scope<'scope, 'env: 'scope> {
-    pool: &'env WorkerPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'scope`, exactly like `std::thread::Scope`: it
-    /// must be impossible to shorten the lifetime jobs may borrow at.
-    _scope: std::marker::PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Queues `f` on the pool. The closure may borrow anything that
-    /// outlives `'scope`; the owning [`WorkerPool::scope`] call joins
-    /// all jobs before returning. A panic inside `f` is caught on the
-    /// worker and re-raised by the scope.
-    pub fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        let state = Arc::clone(&self.state);
-        *state.pending.lock().expect("scope lock poisoned") += 1;
-        let state_for_job = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(f));
-            state_for_job.complete(outcome.is_err());
-        });
-        // SAFETY: the job only borrows data outliving 'scope, and
-        // `WorkerPool::scope` joins (waits for pending == 0) before it
-        // returns — even when its body panics — so the erased borrows
-        // are live for as long as the job can run.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(job)
-        };
-        let mut queue = self.pool.shared.queue.lock().expect("pool queue poisoned");
-        queue.push_back(job);
-        drop(queue);
-        self.pool.shared.work_ready.notify_one();
-    }
-}
-
-impl<'scope, 'env> core::fmt::Debug for Scope<'scope, 'env> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Scope")
-            .field("pending", &*self.state.pending.lock().expect("scope lock"))
-            .finish()
-    }
-}
-
-/// The worker body: spin briefly for bursty work, then park.
-fn worker_loop(shared: &Shared) {
-    WORKER_OF.set(shared as *const Shared as usize);
-    loop {
-        // Fast path: bounded spin on try_lock.
-        let mut spun = 0;
-        let job = loop {
-            if let Some(job) = shared.try_pop() {
-                break Some(job);
-            }
-            if shared.shutdown.load(Ordering::Acquire) || spun >= IDLE_SPINS {
-                break None;
-            }
-            spun += 1;
-            std::hint::spin_loop();
-        };
-        if let Some(job) = job {
-            job();
-            continue;
-        }
-        // Slow path: park until woken.
-        let mut queue = shared.queue.lock().expect("pool queue poisoned");
-        loop {
-            if let Some(job) = queue.pop_front() {
-                drop(queue);
-                job();
-                break;
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            queue = shared.work_ready.wait(queue).expect("pool queue poisoned");
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn map_returns_results_in_input_order() {
@@ -399,34 +125,13 @@ mod tests {
     }
 
     #[test]
-    fn scope_joins_before_returning() {
-        let pool = WorkerPool::new(3);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..50 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        // No synchronization needed: the scope has joined.
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
     fn jobs_may_borrow_stack_data() {
         let pool = WorkerPool::new(2);
         let data: Vec<u64> = (1..=32).collect();
-        let sums: Vec<Mutex<u64>> = (0..4).map(|_| Mutex::new(0)).collect();
-        pool.scope(|s| {
-            for (chunk, slot) in data.chunks(8).zip(&sums) {
-                s.spawn(move || {
-                    *slot.lock().unwrap() = chunk.iter().sum();
-                });
-            }
-        });
-        let total: u64 = sums.iter().map(|m| *m.lock().unwrap()).sum();
-        assert_eq!(total, 32 * 33 / 2);
+        let chunks: Vec<&[u64]> = data.chunks(8).collect();
+        let sums = pool.map(&chunks, |chunk| chunk.iter().sum::<u64>());
+        assert_eq!(sums.len(), 4);
+        assert_eq!(sums.iter().sum::<u64>(), 32 * 33 / 2);
     }
 
     #[test]
@@ -440,31 +145,11 @@ mod tests {
     fn pool_survives_a_panicking_job() {
         let pool = WorkerPool::new(2);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("job boom"));
-            });
+            pool.map(&[1], |_: &i32| -> i32 { panic!("job boom") });
         }));
-        assert!(outcome.is_err(), "scope must re-raise the job panic");
-        // The worker that caught the panic is still serving.
+        assert!(outcome.is_err(), "map must re-raise the element panic");
+        // The same pool keeps serving.
         assert_eq!(pool.map(&[10, 20], |&x: &i32| x / 2), vec![5, 10]);
-    }
-
-    #[test]
-    fn scope_body_panic_still_joins_spawned_jobs() {
-        let pool = WorkerPool::new(2);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran_in = Arc::clone(&ran);
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
-            pool.scope(|s| {
-                let ran = Arc::clone(&ran_in);
-                s.spawn(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-                panic!("body boom");
-            });
-        }));
-        assert!(outcome.is_err());
-        assert_eq!(ran.load(Ordering::SeqCst), 1, "job drained despite panic");
     }
 
     #[test]
@@ -484,36 +169,13 @@ mod tests {
 
     #[test]
     fn drop_right_after_work_does_not_hang() {
-        // Hammers the shutdown path in the exact window the lost-wakeup
-        // race lived in: a map just completed, so workers are mid
-        // spin-to-park transition when the pool is dropped. Without
-        // Drop taking the queue lock around the shutdown store, a
-        // worker could check shutdown, miss the notification, and park
-        // forever — hanging this test on join.
+        // Dropping a pool right after a map must not block: every
+        // runner has joined before `map` returns.
         for round in 0..200 {
             let pool = WorkerPool::new(4);
             let got = pool.map(&[round], |&r: &usize| r + 1);
             assert_eq!(got, vec![round + 1]);
-            drop(pool);
         }
-    }
-
-    #[test]
-    fn nested_scope_on_same_pool_panics_instead_of_deadlocking() {
-        let pool = WorkerPool::new(2);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let p = &pool;
-                s.spawn(move || {
-                    // Would deadlock with every worker blocked in the
-                    // nested join; must panic instead.
-                    p.scope(|_| {});
-                });
-            });
-        }));
-        assert!(outcome.is_err(), "nested same-pool scope must be rejected");
-        // The worker caught the panic and keeps serving.
-        assert_eq!(pool.map(&[1, 2], |&x: &i32| x * 3), vec![3, 6]);
     }
 
     #[test]
@@ -522,5 +184,63 @@ mod tests {
         let inner = WorkerPool::new(2);
         let got = outer.map(&[1u64, 2, 3], |&x| inner.map(&[x], |&y| y * 2)[0]);
         assert_eq!(got, vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn an_empty_slice_maps_to_an_empty_vec() {
+        for workers in [1, 4] {
+            let got = WorkerPool::new(workers).map(&[] as &[u8], |_| -> u8 { unreachable!() });
+            assert!(got.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_map_nested_on_the_same_pool_returns_the_right_results() {
+        let pool = WorkerPool::new(2);
+        let rows: Vec<Vec<u64>> = (0..6)
+            .map(|r| (0..5).map(|c| r * 10 + c).collect())
+            .collect();
+        let got = pool.map(&rows, |row| pool.map(row, |&x| x * x).iter().sum::<u64>());
+        let expect: Vec<u64> = rows
+            .iter()
+            .map(|row| row.iter().map(|&x| x * x).sum())
+            .collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn a_panicking_element_panics_map_after_the_others_ran() {
+        for workers in [1, 2, 4] {
+            let pool = WorkerPool::new(workers);
+            let ran = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..16).collect();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.map(&items, |&i| {
+                    assert_ne!(i, 3, "element boom");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(outcome.is_err(), "{workers} workers: map must panic");
+            assert_eq!(ran.load(Ordering::SeqCst), 15, "{workers} workers");
+            assert_eq!(pool.map(&items, |&i| i + 1), (1..=16).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn unequal_cost_items_come_back_in_input_order() {
+        // Item i spins for a cost that varies by two orders of
+        // magnitude, so runners finish them far out of input order.
+        let items: Vec<u64> = (0..24)
+            .map(|i| if i % 5 == 0 { 200_000 } else { 2_000 })
+            .collect();
+        let work = |&n: &u64| (0..n).fold(n, |acc, k| acc.rotate_left(5) ^ k);
+        let expect: Vec<u64> = items.iter().map(work).collect();
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(
+                WorkerPool::new(workers).map(&items, work),
+                expect,
+                "{workers} workers"
+            );
+        }
     }
 }

@@ -232,7 +232,7 @@ impl CacheNode {
         }
         let r = leg(through.as_ref().unwrap_or(&node.store), fill_ticks)?;
         node.stats.served_bytes += r.data.len() as u64;
-        Ok((r.data, fill_ticks + r.ticks))
+        Ok((r.data, fill_ticks.saturating_add(r.ticks)))
     }
 
     /// One fill: ask `parents` (or `origin`) for the object, pull it
@@ -294,7 +294,7 @@ impl CacheNode {
                 seed,
             )
         })?;
-        r.ticks += waited;
+        r.ticks = r.ticks.saturating_add(waited);
         Ok(r)
     }
 
@@ -434,5 +434,47 @@ pub(crate) mod tests {
             viewer_get(&mut [&mut root], &origin, "gone", Some(10), 3).unwrap_err(),
             FetchError::Server("not-found".to_string())
         );
+    }
+
+    #[test]
+    fn a_fill_after_a_maximal_backoff_saturates_its_ticks() {
+        use netstack::tcplite::TcpError;
+        let origin = origin_with("seg", 100);
+        let link = LinkConfig {
+            loss: 0.5,
+            ..LinkConfig::default()
+        };
+        let tcp = TcpConfig {
+            max_retransmits: 1,
+            ..TcpConfig::default()
+        };
+        let pull = |seed| fetch(&origin, "seg", tcp, link, seed);
+        // A parent-link seed whose first pull dies on the wire and whose
+        // retry (the next seed) lands.
+        let seed = (0..10_000u64)
+            .find(|&s| {
+                matches!(
+                    pull(s),
+                    Err(FetchError::Transport(TcpError::ConnectionTimedOut))
+                ) && pull(s + 1).is_ok()
+            })
+            .expect("a lossy link fails some pulls and not others");
+        let mut node = CacheNode::new(CacheConfig {
+            origin_tcp: tcp,
+            origin_link: link,
+            origin_seed: seed,
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base_backoff_ticks: u64::MAX,
+                max_backoff_ticks: u64::MAX,
+                jitter_ticks: 0,
+                seed: 0,
+            },
+            ..CacheConfig::default()
+        });
+        let (data, ticks) = viewer_get(&mut [&mut node], &origin, "seg", None, 1).unwrap();
+        assert_eq!(data, vec![1u8; 100]);
+        assert_eq!(ticks, u64::MAX);
+        assert_eq!(node.fill_ledger(), (1, 0, 0));
     }
 }

@@ -114,10 +114,10 @@ impl FaultState {
                     return false;
                 };
                 node.crash_tick = Some(tick);
-                let lost: Vec<ObjKey> = node.fills.iter().map(|(k, _)| k.0).collect();
+                let lost: Vec<ObjKey> = node.fills.iter().map(|(&k, _)| k).collect();
                 self.res.fills_lost += lost.len() as u64;
                 for k in lost {
-                    node.fills.fail(&k, 0);
+                    node.fills.fail(&k);
                 }
                 tier == Tier::Edge
             }

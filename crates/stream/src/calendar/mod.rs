@@ -628,8 +628,8 @@ pub(crate) fn run_cohorts(
                 }
                 let sh = &mut shields[si];
                 for (k, _) in e.fills.iter() {
-                    if !sh.lru.contains(&k.0) && !sh.fills.contains(&k.0, 0) {
-                        sh.refill(k.0, obj_bytes(titles, k.0) as f64);
+                    if !sh.lru.contains(k) && !sh.fills.contains(k) {
+                        sh.refill(*k, obj_bytes(titles, *k) as f64);
                         progressed = true;
                     }
                 }
@@ -660,7 +660,7 @@ pub(crate) fn run_cohorts(
                     draw[si] += e
                         .fills
                         .iter()
-                        .filter(|(k, _)| shields[si].lru.contains(&k.0))
+                        .filter(|(k, _)| shields[si].lru.contains(k))
                         .count();
                 }
             }
@@ -868,7 +868,7 @@ pub(crate) fn run_cohorts(
                             s.waiting = false;
                             s.remaining_bytes += bytes;
                         } else {
-                            if !e.fills.contains(&key, 0) {
+                            if !e.fills.contains(&key) {
                                 // The filled object was evicted before
                                 // this class could download it — or the
                                 // class was just re-homed onto an edge

@@ -263,85 +263,68 @@ impl<K: Hash + Eq + Clone + fmt::Debug> fmt::Debug for Lru<K> {
     }
 }
 
-/// In-flight origin fills, keyed by `(key, generation)`. Concurrent
-/// misses for the same generation of the same object coalesce onto one
-/// fill — the thundering-herd defence for a just-published live-edge
-/// segment — and a *failed* fill clears its slot, so the next request
-/// starts exactly one fresh fill instead of piling a second origin
-/// round trip onto a doomed one (or replaying its failure forever).
-///
-/// The generation distinguishes versions of a *mutable* object (the
-/// live manifest): waiters never coalesce onto a fill of a stale
-/// generation. Immutable objects use generation 0.
+/// In-flight parent fills, keyed by object. Concurrent misses for the
+/// same object coalesce onto one fill — the thundering-herd defence
+/// for a just-published live-edge segment — and a fill that lands or
+/// fails clears its slot, so the next request starts exactly one fresh
+/// fill instead of piling a second round trip onto a doomed one (or
+/// replaying its failure forever).
 ///
 /// `V` is whatever the owner needs to track per fill (the fluid
 /// simulator stores remaining bytes; `()` works for pure coalescing).
 #[derive(Debug, Clone, Default)]
-pub struct FillTable<K: Ord + Clone, V> {
-    inflight: BTreeMap<(K, u64), V>,
-    started: u64,
-    joined: u64,
-    failed: u64,
+pub struct FillTable<K, V> {
+    inflight: BTreeMap<K, V>,
 }
 
-impl<K: Ord + Clone, V> FillTable<K, V> {
+impl<K: Ord, V> FillTable<K, V> {
     /// An empty table.
     #[must_use]
     pub fn new() -> Self {
         Self {
             inflight: BTreeMap::new(),
-            started: 0,
-            joined: 0,
-            failed: 0,
         }
     }
 
-    /// One requester asks for `(key, generation)`: returns `true` when
-    /// this request *started* the fill (the payload is built lazily),
-    /// `false` when it joined one already in flight.
-    pub fn request(&mut self, key: K, generation: u64, payload: impl FnOnce() -> V) -> bool {
-        match self.inflight.entry((key, generation)) {
-            std::collections::btree_map::Entry::Occupied(_) => {
-                self.joined += 1;
-                false
-            }
+    /// One requester asks for `key`: returns `true` when this request
+    /// *started* the fill (the payload is built lazily), `false` when it
+    /// joined one already in flight.
+    pub fn request(&mut self, key: K, payload: impl FnOnce() -> V) -> bool {
+        match self.inflight.entry(key) {
+            std::collections::btree_map::Entry::Occupied(_) => false,
             std::collections::btree_map::Entry::Vacant(v) => {
                 v.insert(payload());
-                self.started += 1;
                 true
             }
         }
     }
 
-    /// Whether a fill for `(key, generation)` is in flight.
+    /// Whether a fill for `key` is in flight.
     #[must_use]
-    pub fn contains(&self, key: &K, generation: u64) -> bool {
-        self.inflight.contains_key(&(key.clone(), generation))
+    pub fn contains(&self, key: &K) -> bool {
+        self.inflight.contains_key(key)
     }
 
     /// The fill landed: clears the slot, returning its payload.
-    pub fn complete(&mut self, key: &K, generation: u64) -> Option<V> {
-        self.inflight.remove(&(key.clone(), generation))
+    pub fn complete(&mut self, key: &K) -> Option<V> {
+        self.inflight.remove(key)
     }
 
     /// The fill failed: clears the slot so a retry starts fresh.
-    pub fn fail(&mut self, key: &K, generation: u64) -> Option<V> {
-        let gone = self.inflight.remove(&(key.clone(), generation));
-        if gone.is_some() {
-            self.failed += 1;
-        }
-        gone
+    pub fn fail(&mut self, key: &K) -> Option<V> {
+        self.complete(key)
     }
 
-    /// Mutable walk over in-flight fills (the fluid engine drains
-    /// remaining bytes this way).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&(K, u64), &mut V)> {
+    /// Mutable walk over in-flight fills in key order (the fluid engine
+    /// drains remaining bytes this way).
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
         self.inflight.iter_mut()
     }
 
-    /// Read-only walk over in-flight fills (the shield tier inspects an
-    /// edge's fills to decide which can drain from the shield cache).
-    pub fn iter(&self) -> impl Iterator<Item = (&(K, u64), &V)> {
+    /// Read-only walk over in-flight fills in key order (the shield
+    /// tier inspects an edge's fills to decide which can drain from the
+    /// shield cache).
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.inflight.iter()
     }
 
@@ -355,33 +338,6 @@ impl<K: Ord + Clone, V> FillTable<K, V> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.inflight.is_empty()
-    }
-
-    /// Fills ever started (each one origin round trip).
-    #[must_use]
-    pub fn started(&self) -> u64 {
-        self.started
-    }
-
-    /// Requests that coalesced onto an in-flight fill.
-    #[must_use]
-    pub fn joined(&self) -> u64 {
-        self.joined
-    }
-
-    /// Account `n` extra requesters coalescing onto an in-flight fill
-    /// in one call — the counted form of [`FillTable::request`]
-    /// returning `false` `n` times. The cohort engine attaches a whole
-    /// counted session class to a fill with a single request, so this
-    /// keeps the `joined` ledger identical to the per-session engine's.
-    pub fn join_many(&mut self, n: u64) {
-        self.joined += n;
-    }
-
-    /// Fills that failed (and freed their slot).
-    #[must_use]
-    pub fn failed(&self) -> u64 {
-        self.failed
     }
 }
 
@@ -872,24 +828,30 @@ mod tests {
         let mut fills: FillTable<&'static str, u64> = FillTable::new();
         assert!(fills.is_empty());
         // First request starts the fill; the burst joins it.
-        assert!(fills.request("seg9", 0, || 100));
+        assert!(fills.request("seg9", || 100));
         for _ in 0..5 {
-            assert!(!fills.request("seg9", 0, || unreachable!("must coalesce")));
+            assert!(!fills.request("seg9", || unreachable!("must coalesce")));
         }
-        assert_eq!((fills.started(), fills.joined()), (1, 5));
         assert_eq!(fills.len(), 1);
-        // A different generation of the same key is a different fill.
-        assert!(fills.request("seg9", 1, || 100));
-        assert_eq!(fills.started(), 2);
+        // A different key is a different fill.
+        assert!(fills.request("seg10", || 7));
+        assert_eq!(fills.len(), 2);
         // Failure clears the slot; the retry starts exactly one fresh
         // fill.
-        assert_eq!(fills.fail(&"seg9", 0), Some(100));
-        assert_eq!(fills.fail(&"seg9", 0), None, "already cleared");
-        assert!(fills.request("seg9", 0, || 42));
-        assert_eq!(fills.complete(&"seg9", 0), Some(42));
-        assert!(!fills.contains(&"seg9", 0));
-        assert!(fills.contains(&"seg9", 1));
-        assert_eq!((fills.started(), fills.joined(), fills.failed()), (3, 5, 1));
+        assert_eq!(fills.fail(&"seg9"), Some(100));
+        assert_eq!(fills.fail(&"seg9"), None, "already cleared");
+        assert!(fills.request("seg9", || 42));
+        assert!(!fills.request("seg9", || unreachable!("must coalesce")));
+        // Completion clears it too, and re-arms it the same way.
+        assert_eq!(fills.complete(&"seg9"), Some(42));
+        assert!(!fills.contains(&"seg9"));
+        assert!(fills.contains(&"seg10"));
+        assert!(fills.request("seg9", || 1));
+        assert_eq!(
+            fills.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
+            vec![("seg10", 7), ("seg9", 1)],
+            "walked in key order"
+        );
     }
 
     #[test]

@@ -377,7 +377,8 @@ impl RetryPolicy {
 
     /// The wait before the next attempt, given `failures` failures so
     /// far (so `failures >= 1`). `None` means the budget is spent:
-    /// give up and surface the error. Deterministic in `(self, failures)`.
+    /// give up and surface the error. Deterministic in `(self, failures)`;
+    /// saturates at `u64::MAX` ticks.
     #[must_use]
     pub fn backoff_before(&self, failures: u32) -> Option<u64> {
         if failures >= self.max_attempts.max(1) {
@@ -387,12 +388,14 @@ impl RetryPolicy {
             .base_backoff_ticks
             .saturating_mul(1u64.checked_shl(failures - 1).unwrap_or(u64::MAX))
             .min(self.max_backoff_ticks);
-        let jitter = if self.jitter_ticks == 0 {
-            0
-        } else {
-            splitmix64(self.seed ^ u64::from(failures)) % (self.jitter_ticks + 1)
-        };
-        Some(exp + jitter)
+        let draw = splitmix64(self.seed ^ u64::from(failures));
+        // `0..=jitter_ticks` spans all of `u64` when `jitter_ticks + 1`
+        // overflows: the draw itself is then the jitter.
+        let jitter = self
+            .jitter_ticks
+            .checked_add(1)
+            .map_or(draw, |span| draw % span);
+        Some(exp.saturating_add(jitter))
     }
 
     /// Runs `attempt(failures, waited)` until it succeeds, retrying
@@ -411,7 +414,7 @@ impl RetryPolicy {
                 Ok(v) => return Ok((v, failures, waited)),
                 Err(e @ FetchError::Transport(_)) => {
                     failures += 1;
-                    waited += self.backoff_before(failures).ok_or(e)?;
+                    waited = waited.saturating_add(self.backoff_before(failures).ok_or(e)?);
                 }
                 Err(e) => return Err(e),
             }
@@ -661,6 +664,59 @@ mod tests {
             ..RetryPolicy::standard(1)
         };
         assert_eq!(p.backoff_before(1), None);
+    }
+
+    /// A policy whose every backoff is the largest representable wait.
+    fn huge(max_attempts: u32, jitter_ticks: u64) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_backoff_ticks: u64::MAX,
+            max_backoff_ticks: u64::MAX,
+            jitter_ticks,
+            seed: 0x5EED,
+        }
+    }
+
+    #[test]
+    fn full_range_jitter_draws_without_overflowing() {
+        // `jitter_ticks + 1` overflows: the jitter spans all of `u64`,
+        // so the draw itself is the jitter.
+        let p = RetryPolicy {
+            base_backoff_ticks: 0,
+            max_backoff_ticks: 0,
+            ..huge(4, u64::MAX)
+        };
+        for failures in 1..4 {
+            assert_eq!(
+                p.backoff_before(failures),
+                Some(splitmix64(p.seed ^ u64::from(failures)))
+            );
+        }
+    }
+
+    #[test]
+    fn a_maximal_backoff_plus_jitter_saturates() {
+        let p = huge(8, 16);
+        for failures in 1..8 {
+            assert_eq!(
+                p.backoff_before(failures),
+                Some(u64::MAX),
+                "failure {failures}"
+            );
+        }
+    }
+
+    #[test]
+    fn waits_summed_across_retries_saturate() {
+        use netstack::tcplite::TcpError;
+        let got = huge(3, 0).run(|failures, _| {
+            if failures < 2 {
+                Err(FetchError::Transport(TcpError::Timeout))
+            } else {
+                Ok("landed")
+            }
+        });
+        assert_eq!(got, Ok(("landed", 2, u64::MAX)));
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //!   encode → mux → seal → publish pipeline across MPSoC platform
 //!   configurations, yielding latency/energy per PE count.
 //! * **Executed**: the same per-rung stages run as
-//!   [`crate::ladder::encode_rung`] work units on an `mmpool`
-//!   worker pool ([`crate::ladder::encode_ladder_on`]), yielding
-//!   measured core-count scaling on the host.
+//!   [`crate::ladder::encode_rung`] work units across host threads
+//!   through `mmpool::WorkerPool::map`
+//!   ([`crate::ladder::encode_ladder_on`]), yielding measured
+//!   core-count scaling on the host.
 //!
 //! Because the spec is derived from a really-encoded ladder, the graph
 //! the simulator schedules carries *measured* op counts and byte
-//! volumes, not guesses — closing ROADMAP item 2's loop between the
-//! paper's platform model and the streaming stack built around it.
+//! volumes, not guesses — closing the loop between the paper's
+//! platform model and the streaming stack built around it.
 
 use mpsoc::headend::{EncodeTally, HeadendSpec};
 use video::Frame;

@@ -23,9 +23,9 @@
 //!   `mpsoc::headend::HeadendSpec` whose task graph maps the
 //!   capture → per-rung encode → mux → seal → publish pipeline across
 //!   MPSoC platforms, while the same per-rung stages execute as
-//!   [`ladder::encode_rung`] work units on an `mmpool` worker pool
-//!   ([`ladder::encode_ladder_on`], bit-identical to the sequential
-//!   encode for any worker count).
+//!   [`ladder::encode_rung`] work units across host threads through
+//!   `mmpool::WorkerPool::map` ([`ladder::encode_ladder_on`],
+//!   bit-identical to the sequential encode for any worker count).
 //! * [`session`] — a viewer: manifest/license fetch, segment fetches
 //!   over `netstack::fetch`/`tcplite` across lossy links, a playout
 //!   buffer, and a throughput-driven ABR controller; reports startup
@@ -57,7 +57,7 @@
 //!   [`EdgeTierConfig`], so serving capacity (and the knee) scales with
 //!   edge count instead of being pinned to one uplink.
 //! * [`shield`] — the fluid regional mid-tier of the hierarchical CDN
-//!   (edge → shield → origin, with generation-keyed fill coalescing),
+//!   (edge → shield → origin, with per-object fill coalescing),
 //!   TinyLFU cache admission (`AdmissionPolicy::TinyLfu`, one fixed
 //!   16Ki-counter sizing) over a 4-bit count-min [`FreqSketch`], and
 //!   the per-tier [`TierStats`] rollup separating edge-local from

@@ -525,8 +525,8 @@ impl TierParams {
 
 /// One fluid cache node, edge or shield: an LRU over `(title, rung,
 /// seq)` keys plus the coalescing table of in-flight parent fills
-/// (fluid segments are immutable once published, so every fill is
-/// generation 0). An edge fills from its shield, or from the origin in
+/// (fluid segments are immutable once published, so a fill is keyed on
+/// the object alone). An edge fills from its shield, or from the origin in
 /// a flat tier; a shield fills from the origin. What a node does on a
 /// request, a re-request and a landed fill is defined here once for
 /// both tiers.
@@ -565,7 +565,7 @@ impl FluidNode {
         if self.lru.touch(&key) {
             self.stats.hits += 1;
             Req::Hit
-        } else if self.fills.request(key, 0, || bytes) {
+        } else if self.fills.request(key, || bytes) {
             self.stats.misses += 1;
             Req::Wait(true)
         } else {
@@ -593,13 +593,11 @@ impl FluidNode {
         if self.lru.touch(&key) {
             self.stats.hits += n;
             Req::Hit
-        } else if self.fills.request(key, 0, || bytes) {
-            self.fills.join_many(n - 1);
+        } else if self.fills.request(key, || bytes) {
             self.stats.misses += 1;
             self.stats.coalesced += n - 1;
             Req::Wait(true)
         } else {
-            self.fills.join_many(n - 1);
             self.stats.coalesced += n;
             Req::Wait(false)
         }
@@ -612,7 +610,7 @@ impl FluidNode {
     #[inline]
     pub(crate) fn refill(&mut self, key: ObjKey, bytes: f64) {
         self.stats.misses += 1;
-        self.fills.request(key, 0, || bytes);
+        self.fills.request(key, || bytes);
     }
 
     /// One quantum of this node's in-flight fills: each one `ready`
@@ -628,15 +626,15 @@ impl FluidNode {
         landed: &mut Vec<ObjKey>,
     ) {
         landed.clear();
-        landed.extend(self.fills.iter_mut().filter_map(|(k, rem)| {
-            if !ready(&k.0) {
+        landed.extend(self.fills.iter_mut().filter_map(|(&k, rem)| {
+            if !ready(&k) {
                 return None;
             }
             *rem -= dec;
-            (*rem <= completion_eps(obj_bytes(titles, k.0) as f64)).then_some(k.0)
+            (*rem <= completion_eps(obj_bytes(titles, k) as f64)).then_some(k)
         }));
         for &k in landed.iter() {
-            self.fills.complete(&k, 0);
+            self.fills.complete(&k);
             let bytes = obj_bytes(titles, k);
             self.stats.origin_bytes += bytes as u64;
             if !admit_insert(&mut self.lru, &self.adm, k, bytes) {
@@ -986,13 +984,13 @@ pub(crate) mod oracle {
                         .iter_mut()
                         .filter_map(|(k, rem)| {
                             *rem -= fill_rate * step;
-                            let total = manifest.rungs[k.0 .1 as usize].segments[k.0 .2 as usize]
-                                .bytes as f64;
-                            (*rem <= completion_eps(total)).then_some(k.0)
+                            let total =
+                                manifest.rungs[k.1 as usize].segments[k.2 as usize].bytes as f64;
+                            (*rem <= completion_eps(total)).then_some(*k)
                         })
                         .collect();
                     for k in done {
-                        e.fills.complete(&k, 0);
+                        e.fills.complete(&k);
                         let bytes = manifest.rungs[k.1 as usize].segments[k.2 as usize].bytes;
                         e.stats.origin_bytes += bytes as u64;
                         e.lru.insert(k, bytes);
@@ -1114,11 +1112,11 @@ pub(crate) mod oracle {
                         s.waiting = false;
                         s.remaining_bytes += bytes;
                     } else {
-                        if !e.fills.contains(&key, 0) {
+                        if !e.fills.contains(&key) {
                             // The filled object was evicted before this
                             // session could download it: re-request.
                             e.stats.misses += 1;
-                            e.fills.request(key, 0, || bytes);
+                            e.fills.request(key, || bytes);
                             progressed = true;
                         }
                         continue;

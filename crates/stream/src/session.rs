@@ -566,12 +566,15 @@ where
     /// Wall time passes: the clock advances and, once playing, the
     /// buffer drains; running dry is a rebuffer.
     fn wait(&mut self, ticks: u64) {
-        self.clock += ticks;
+        self.clock = self.clock.saturating_add(ticks);
         if self.playing {
-            self.buffer_ticks -= ticks as i64;
+            self.buffer_ticks = self.buffer_ticks.saturating_sub_unsigned(ticks);
             if self.buffer_ticks < 0 {
                 self.report.rebuffer_events += 1;
-                self.report.rebuffer_ticks += (-self.buffer_ticks) as u64;
+                self.report.rebuffer_ticks = self
+                    .report
+                    .rebuffer_ticks
+                    .saturating_add(self.buffer_ticks.unsigned_abs());
                 self.buffer_ticks = 0;
             }
         }
@@ -587,13 +590,13 @@ where
             let attempt = self
                 .leg
                 .wrapping_add(u64::from(failures).wrapping_mul(ATTEMPT_SALT));
-            (self.fetch)(name, attempt, self.clock + waited)
+            (self.fetch)(name, attempt, self.clock.saturating_add(waited))
         })?;
         self.leg += 1;
         self.report.fetch_retries += failures;
-        self.report.retry_backoff_ticks += waited;
+        self.report.retry_backoff_ticks = self.report.retry_backoff_ticks.saturating_add(waited);
         self.report.delivered_bits += (bytes.len() * 8) as u64;
-        self.wait(ticks + waited);
+        self.wait(ticks.saturating_add(waited));
         Ok((bytes, ticks))
     }
 
@@ -1097,6 +1100,48 @@ mod tests {
                 "every attempt must re-salt the leg: {legs:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_maximal_retry_backoff_saturates_the_session_clock() {
+        use netstack::tcplite::TcpError;
+
+        let (server, _) = published(false);
+        let cfg = SessionConfig {
+            max_rung: Some(0),
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base_backoff_ticks: u64::MAX,
+                max_backoff_ticks: u64::MAX,
+                jitter_ticks: 0,
+                seed: 0,
+            },
+            ..Default::default()
+        };
+        // Fetches run manifest, then segments 0, 1, 2. The last
+        // segment's first attempt dies on the wire once playback has
+        // started; its retry lands after the longest wait there is.
+        let mut calls = 0;
+        let report = run_session_with(
+            |name, leg, _now| {
+                calls += 1;
+                if calls == 4 {
+                    return Err(FetchError::Transport(TcpError::Timeout));
+                }
+                let r = fetch_traced(&server, name, cfg.tcp, cfg.link, None, 0, leg)?;
+                Ok((r.data, r.ticks))
+            },
+            "movie",
+            &cfg,
+        )
+        .expect("the retry carries the session through");
+        assert_eq!(report.segments.len(), 3);
+        assert_eq!(
+            (report.fetch_retries, report.retry_backoff_ticks),
+            (1, u64::MAX)
+        );
+        assert_eq!(report.total_ticks, u64::MAX);
+        assert_eq!(report.rebuffer_events, 1, "the buffer ran dry");
     }
 
     #[test]

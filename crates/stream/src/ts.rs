@@ -2,7 +2,7 @@
 //!
 //! Wolf §7 frames consumer MPSoCs as networked media devices; the wire
 //! format between the encoder and a viewer is this module. It is
-//! *TS-shaped*, not ISO 13818-1 conformant (DESIGN.md §5 spirit): the
+//! *TS-shaped*, not ISO 13818-1 conformant: the
 //! fixed 188-byte packet, 13-bit PIDs, a payload-unit-start flag, and a
 //! 4-bit continuity counter are kept, while the adaptation-field zoo is
 //! replaced by an explicit payload length, stuffing bytes, and a CRC-32

@@ -7,7 +7,7 @@
 //! the buffer→quantizer feedback arrow.
 //!
 //! The encoder is deliberately a *clean-room MPEG-shaped* codec, not a
-//! standard-conformant one (DESIGN.md §5): 16×16 macroblock motion, 8×8
+//! standard-conformant one: 16×16 macroblock motion, 8×8
 //! DCT, zig-zag + run-length + canonical Huffman entropy coding, I/P GOP
 //! structure, 4:2:0 chroma with halved motion vectors.
 

@@ -17,8 +17,8 @@
 //! * [`wavelet`] — the 5/3 JPEG2000 kernel for the §3 wavelet comparison.
 //! * [`transcode`] — generation-loss measurement (§3's transcoding
 //!   problem).
-//! * [`synth`] — synthetic sequences and broadcasts (DESIGN.md §5
-//!   substitution for real footage).
+//! * [`synth`] — synthetic sequences and broadcasts (the substitute for
+//!   real footage).
 //!
 //! # Example
 //!

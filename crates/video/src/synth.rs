@@ -1,5 +1,5 @@
 //! Synthetic video generation — the workspace's substitute for camera and
-//! broadcast material (DESIGN.md §5).
+//! broadcast material.
 //!
 //! Provides textured frames with controllable motion for codec tests,
 //! multi-scene sequences with hard cuts for shot detection (§5), and a

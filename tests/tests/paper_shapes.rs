@@ -1,9 +1,9 @@
-//! Paper-shape regression tests: every DESIGN.md §3 expected shape,
-//! asserted automatically (small workloads — the exp_* binaries run the
+//! Paper-shape regression tests: every expected shape the `exp_e*`
+//! binaries regenerate (README, *Experiments*), asserted automatically (small workloads — the exp_* binaries run the
 //! full-size versions).
 //!
 //! If an implementation change breaks one of the paper's qualitative
-//! claims, this file fails before EXPERIMENTS.md goes stale.
+//! claims, this file fails before the README's claims go stale.
 
 use mmsoc::{
     audio_encoder_pipeline, video_decoder_pipeline, video_encoder_pipeline, VideoPipelineSpec,
@@ -181,7 +181,7 @@ fn e17_device_ordering() {
 }
 
 /// E18: the wavelet shows less block-boundary error at moderate budgets
-/// (at starvation budgets global thresholding loses — see EXPERIMENTS.md).
+/// (at starvation budgets global thresholding loses).
 #[test]
 fn e18_wavelet_less_blocking() {
     use video::dct::Dct2d;
