@@ -6,7 +6,7 @@ use signal::rng::splitmix64;
 use crate::edge::HashRing;
 use crate::fault::{FaultAction, ResilienceStats, Tier};
 use crate::serve::{FluidNode, RING_VNODES, SHIELD_KEY_SALT, SHIELD_RING_SALT};
-use crate::shield::{shield_home, ObjKey};
+use crate::shield::shield_home;
 
 use super::formation::Cohort;
 
@@ -114,7 +114,7 @@ impl FaultState {
                     return false;
                 };
                 node.crash_tick = Some(tick);
-                let lost: Vec<ObjKey> = node.fills.iter().map(|(&k, _)| k).collect();
+                let lost: Vec<u32> = node.fills.iter().map(|(&k, _)| k).collect();
                 self.res.fills_lost += lost.len() as u64;
                 for k in lost {
                     node.fills.fail(&k);
@@ -129,7 +129,7 @@ impl FaultState {
                     self.restore_sum += tick - t0;
                 }
                 if cold {
-                    node.lru.clear();
+                    node.cache.clear();
                 }
                 // A cold edge counts its fills as re-warm traffic until
                 // it caches an object again.

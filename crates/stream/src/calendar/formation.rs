@@ -274,7 +274,7 @@ mod tests {
     /// The tier `p` builds over `titles`, before any session arrives.
     fn tier(titles: &[Manifest], p: &TierParams) -> Vec<FluidNode> {
         build_tier(
-            titles,
+            &std::sync::Arc::new(crate::catalog::ObjectTable::new(titles)),
             p.edges,
             p.cache_capacity_bytes,
             p.prewarm,

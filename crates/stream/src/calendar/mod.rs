@@ -128,14 +128,14 @@ mod faults;
 mod formation;
 mod lanes;
 
-use crate::catalog::ZipfSampler;
+use crate::catalog::{Catalog, ZipfSampler};
 use crate::fault::{FaultAction, ResilienceStats};
 use crate::ladder::Manifest;
 use crate::serve::{
-    build_ring, build_tier, completion_eps, obj_bytes, EngineStats, FluidNode, LiveSim, LiveStats,
-    LoadConfig, LoadReport, Req, TierParams,
+    build_ring, build_tier, completion_eps, EngineStats, FluidNode, LiveSim, LiveStats, LoadConfig,
+    LoadReport, Req, TierParams,
 };
-use crate::shield::{AdmissionPolicy, ObjKey};
+use crate::shield::AdmissionPolicy;
 use events::{EventCalendar, EventKind};
 use faults::{rehome, FaultState};
 use formation::{form_cohorts, Cohort, CohortIndex, CohortState, MemberGroup};
@@ -303,9 +303,9 @@ fn request(
     rewarm: bool,
     rewarm_fills: &mut u64,
 ) -> bool {
-    let key = (title, s.rung as u32, s.seg as u32);
+    let key = edge.cache.objects().id(title, s.rung as u32, s.seg as u32);
     let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
-    match edge.request_n(key, bytes, n) {
+    match edge.request_n(key, n) {
         Req::Hit => {
             s.remaining_bytes += bytes;
             false
@@ -315,7 +315,7 @@ fn request(
             s.remaining_bytes = 0.0;
             if new_fill {
                 if let Some(sh) = shield {
-                    sh.request_n(key, bytes, 1);
+                    sh.request_n(key, 1);
                 }
                 *rewarm_fills += u64::from(rewarm);
             }
@@ -327,8 +327,8 @@ fn request(
 /// The cohort fluid engine (see the module doc): the per-session
 /// quantum engine (`serve::oracle`) run at cohort granularity, with the
 /// same DVR maintenance, origin-fill drain, max-min downlink sharing,
-/// ABR, playout and live gates per quantum. Cache objects are keyed by
-/// `(title, rung, seg)`; with `p.shields > 0` edge fills drain from
+/// ABR, playout and live gates per quantum. Cache objects are the
+/// catalog's dense ids; with `p.shields > 0` edge fills drain from
 /// shield caches and only shield misses cross the origin link.
 ///
 /// With `stop_above`, the run ends early once the sessions already
@@ -336,16 +336,17 @@ fn request(
 /// `rebuffer_fraction` then exceeds it too, while its other fields
 /// describe the partial run.
 pub(crate) fn run_cohorts(
-    titles: &[Manifest],
+    catalog: &Catalog,
     load: &LoadConfig,
     p: &TierParams,
     stop_above: Option<f64>,
 ) -> CohortRun {
+    let (titles, objects) = (catalog.titles(), catalog.objects());
     let seg_counts: Vec<usize> = titles.iter().map(Manifest::segment_count).collect();
     let q = load.tick_quantum.max(1);
 
     let mut edges = build_tier(
-        titles,
+        objects,
         p.edges,
         p.cache_capacity_bytes,
         p.prewarm,
@@ -377,7 +378,7 @@ pub(crate) fn run_cohorts(
     // shields always admit.
     let shields_on = p.shields > 0;
     let mut shields = build_tier(
-        titles,
+        objects,
         p.shields,
         p.shield_cache_capacity_bytes,
         p.prewarm,
@@ -429,7 +430,7 @@ pub(crate) fn run_cohorts(
     let mut downloading = vec![0u64; p.edges];
     let mut lane_dec = vec![0.0f64; p.edges];
     let mut draw = vec![0usize; p.shields];
-    let mut landed: Vec<ObjKey> = Vec::new();
+    let mut landed: Vec<u32> = Vec::new();
 
     // Graceful degradation folds into every rung pick: once fault
     // pressure has made a class rebuffer, it pins to the lowest rung
@@ -595,9 +596,9 @@ pub(crate) fn run_cohorts(
                 let first = l.first_seq(now, seg_counts[ti]);
                 for seq in last_first_seq[ti]..first {
                     for ri in 0..m.rungs.len() {
-                        let key = (ti as u32, ri as u32, seq as u32);
+                        let id = objects.id(ti as u32, ri as u32, seq as u32);
                         for node in edges.iter_mut().chain(shields.iter_mut()) {
-                            if node.lru.remove(&key).is_some() {
+                            if node.cache.remove(id) {
                                 node.stats.invalidations += 1;
                             }
                         }
@@ -627,9 +628,9 @@ pub(crate) fn run_cohorts(
                     continue;
                 }
                 let sh = &mut shields[si];
-                for (k, _) in e.fills.iter() {
-                    if !sh.lru.contains(k) && !sh.fills.contains(k) {
-                        sh.refill(*k, obj_bytes(titles, *k) as f64);
+                for (&k, _) in e.fills.iter() {
+                    if !sh.cache.contains(k) && !sh.fills.contains(&k) {
+                        sh.refill(k);
                         progressed = true;
                     }
                 }
@@ -640,7 +641,7 @@ pub(crate) fn run_cohorts(
         if total_fills > 0 && !origin_down && p.origin_capacity > 0.0 {
             let fill_rate = p.origin_capacity * fs.scale[p.edges] / total_fills as f64;
             for (i, node) in upstream.iter_mut().enumerate() {
-                node.drain_fills(titles, fill_rate * step, |_| true, &mut landed);
+                node.drain_fills(fill_rate * step, |_| true, &mut landed);
                 // The wiped cache holds an object again: later fills
                 // are ordinary demand fills, not re-warm.
                 if !shields_on && !landed.is_empty() {
@@ -660,7 +661,7 @@ pub(crate) fn run_cohorts(
                     draw[si] += e
                         .fills
                         .iter()
-                        .filter(|(k, _)| shields[si].lru.contains(k))
+                        .filter(|(&k, _)| shields[si].cache.contains(k))
                         .count();
                 }
             }
@@ -671,10 +672,10 @@ pub(crate) fn run_cohorts(
                 }
                 let rate = p.shield_capacity / draw[si] as f64;
                 let sh = &mut shields[si];
-                e.drain_fills(titles, rate * step, |k| sh.lru.contains(k), &mut landed);
+                e.drain_fills(rate * step, |k| sh.cache.contains(k), &mut landed);
                 for &k in &landed {
-                    sh.lru.touch(&k);
-                    sh.stats.served_bytes += obj_bytes(titles, k) as u64;
+                    sh.cache.touch(k);
+                    sh.stats.served_bytes += objects.bytes(k) as u64;
                 }
                 if !landed.is_empty() {
                     fs.rewarming[ei] = false;
@@ -705,12 +706,12 @@ pub(crate) fn run_cohorts(
                 s.seg as u64 <= l.live_seq(now, seg_counts[c.title as usize]) && {
                     let rung = pick_rung(s, &titles[c.title as usize]);
                     edges[c.edge]
-                        .lru
-                        .contains(&(c.title, rung as u32, s.seg as u32))
+                        .cache
+                        .contains(objects.id(c.title, rung as u32, s.seg as u32))
                 }
             } else if s.waiting {
-                let key = (c.title, s.rung as u32, s.seg as u32);
-                edges[c.edge].lru.contains(&key) || edges[c.edge].pass.contains(&key)
+                let key = objects.id(c.title, s.rung as u32, s.seg as u32);
+                edges[c.edge].cache.contains(key) || edges[c.edge].pass.contains(&key)
             } else {
                 true
             };
@@ -855,9 +856,9 @@ pub(crate) fn run_cohorts(
                         }
                     }
                     if s.waiting {
-                        let key = (title, s.rung as u32, s.seg as u32);
+                        let key = objects.id(title, s.rung as u32, s.seg as u32);
                         let bytes = m.rungs[s.rung].segments[s.seg].bytes as f64;
-                        if e.lru.touch(&key) || e.pass.contains(&key) {
+                        if e.cache.touch(key) || e.pass.contains(&key) {
                             // The fill landed (cached, or
                             // admission-rejected but passed through):
                             // start the edge-leg download, with
@@ -875,9 +876,9 @@ pub(crate) fn run_cohorts(
                                 // with no fill in flight: re-request
                                 // (one fill restarts no matter how many
                                 // members wait).
-                                e.refill(key, bytes);
+                                e.refill(key);
                                 if let Some(sh) = sh.as_deref_mut() {
-                                    sh.request_n(key, bytes, 1);
+                                    sh.request_n(key, 1);
                                 }
                                 progressed = true;
                                 fs.res.rewarm_fills += u64::from(rewarm);
@@ -1087,7 +1088,7 @@ mod tests {
     /// live stats exact. Valid for unbounded caches — under bounded-
     /// cache *eviction* the engines may legally pick different victims.
     fn assert_matches_oracle(manifest: &Manifest, load: &LoadConfig, p: &TierParams) {
-        let c = run_cohorts(std::slice::from_ref(manifest), load, p, None);
+        let c = run_cohorts(&Catalog::single(manifest.clone()), load, p, None);
         let (o, o_edges, o_live) = oracle::run(manifest, load, p);
         let r = &c.report;
         assert_eq!(
@@ -1224,7 +1225,7 @@ mod tests {
             ..Default::default()
         };
         let p = params(&m, CdnConfig::single_origin(), None);
-        let e = run_cohorts(std::slice::from_ref(&m), &load, &p, None).engine;
+        let e = run_cohorts(&Catalog::single(m.clone()), &load, &p, None).engine;
         assert!(e.cohorts > 1 && e.peak_active <= e.cohorts, "{e:?}");
         assert_eq!(
             e.full_path_steps,
@@ -1296,7 +1297,7 @@ mod tests {
             let mut cdn = CdnConfig::single_origin();
             cdn.tier.edge_capacity_bytes_per_tick = 30.0;
             let p = params(&m, cdn, None);
-            let run = run_cohorts(std::slice::from_ref(&m), &load, &p, None);
+            let run = run_cohorts(&Catalog::single(m.clone()), &load, &p, None);
             let e = run.engine;
             // Both settle branches: some buffers ran dry, some held.
             let rebuffered = run.report.rebuffer_sessions;
@@ -1333,7 +1334,7 @@ mod tests {
             ..Default::default()
         };
         let p = params(&m, CdnConfig::flat(EdgeTierConfig::default()), None);
-        let run = run_cohorts(std::slice::from_ref(&m), &load, &p, None);
+        let run = run_cohorts(&Catalog::single(m.clone()), &load, &p, None);
         assert!(run.report.departed > 0, "config must actually churn");
         assert_matches_oracle(&m, &load, &p);
     }

@@ -15,7 +15,10 @@
 //! *no extra RNG* for single-title catalogs, which keeps the one-title
 //! configuration bit-identical to the pre-catalog engine.
 
+use std::sync::Arc;
+
 use crate::ladder::Manifest;
+use crate::shield::ObjKey;
 
 /// A seeded Zipf(s) popularity sampler over `n` ranks: rank `k`
 /// (0-based) is drawn with probability `(k+1)^-s / H_{n,s}`. Sampling
@@ -82,12 +85,98 @@ impl ZipfSampler {
     }
 }
 
+/// Dense `u32` ids for every cache object of a list of titles, with
+/// each object's size. Ids number objects in [`ObjKey`] order — title,
+/// then rung, then segment — so a map keyed by id iterates exactly as
+/// one keyed by `ObjKey` does. Every title's rungs hold the same number
+/// of segments (a [`Manifest`] invariant).
+#[derive(Debug, Clone)]
+pub(crate) struct ObjectTable {
+    /// Index into `rung_first` of each title's rung 0.
+    title_rung0: Vec<u32>,
+    /// The id of segment 0 of each rung, titles in order.
+    rung_first: Vec<u32>,
+    /// Each id's key.
+    keys: Vec<ObjKey>,
+    /// Each id's size in bytes.
+    bytes: Vec<usize>,
+    /// The sum of `bytes`, saturating.
+    total_bytes: usize,
+}
+
+impl ObjectTable {
+    /// The table over `titles`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the titles hold more than `u32::MAX` objects.
+    pub(crate) fn new(titles: &[Manifest]) -> Self {
+        let mut t = Self {
+            title_rung0: Vec::with_capacity(titles.len()),
+            rung_first: Vec::new(),
+            keys: Vec::new(),
+            bytes: Vec::new(),
+            total_bytes: 0,
+        };
+        let id = |n: usize| u32::try_from(n).expect("object ids fit in u32");
+        for (ti, m) in titles.iter().enumerate() {
+            t.title_rung0.push(id(t.rung_first.len()));
+            for (ri, rung) in m.rungs.iter().enumerate() {
+                t.rung_first.push(id(t.keys.len()));
+                for (si, seg) in rung.segments.iter().enumerate() {
+                    t.keys.push((id(ti), id(ri), id(si)));
+                    t.bytes.push(seg.bytes);
+                    t.total_bytes = t.total_bytes.saturating_add(seg.bytes);
+                }
+            }
+        }
+        assert!(u32::try_from(t.keys.len()).is_ok(), "object ids fit in u32");
+        t
+    }
+
+    /// The id of segment `seg` of rung `rung` of title `title`.
+    #[inline]
+    pub(crate) fn id(&self, title: u32, rung: u32, seg: u32) -> u32 {
+        let first = self.rung_first[(self.title_rung0[title as usize] + rung) as usize];
+        debug_assert_eq!(
+            self.keys.get((first + seg) as usize),
+            Some(&(title, rung, seg))
+        );
+        first + seg
+    }
+
+    /// The key of object `id`.
+    pub(crate) fn key(&self, id: u32) -> ObjKey {
+        self.keys[id as usize]
+    }
+
+    /// The size of object `id` in bytes.
+    #[inline]
+    pub(crate) fn bytes(&self, id: u32) -> usize {
+        self.bytes[id as usize]
+    }
+
+    /// Objects in the table; ids run `0..len()`.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Every object's bytes summed (saturating): a cache at least this
+    /// large can never evict.
+    pub(crate) fn total_bytes(&self) -> usize {
+        self.total_bytes
+    }
+}
+
 /// A catalog of titles: per-title manifests (rank order *is*
 /// popularity order — title 0 is the head) and the Zipf exponent that
 /// spreads sessions across them.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     titles: Vec<Manifest>,
+    /// Dense ids over the titles' objects, built once: the titles never
+    /// change after construction.
+    objects: Arc<ObjectTable>,
     /// Zipf popularity exponent across titles. Ignored for a
     /// single-title catalog (there is nothing to sample).
     pub zipf_s: f64,
@@ -98,10 +187,7 @@ impl Catalog {
     /// engine's input.
     #[must_use]
     pub fn single(manifest: Manifest) -> Self {
-        Self {
-            titles: vec![manifest],
-            zipf_s: 1.0,
-        }
+        Self::new(vec![manifest], 1.0)
     }
 
     /// A catalog over explicit per-title manifests, most popular first.
@@ -113,7 +199,11 @@ impl Catalog {
     pub fn new(titles: Vec<Manifest>, zipf_s: f64) -> Self {
         assert!(!titles.is_empty(), "a catalog needs at least one title");
         assert!(zipf_s.is_finite(), "Zipf exponent must be finite");
-        Self { titles, zipf_s }
+        Self {
+            objects: Arc::new(ObjectTable::new(&titles)),
+            titles,
+            zipf_s,
+        }
     }
 
     /// A synthetic catalog of `titles` clones of `base`, renamed
@@ -176,6 +266,11 @@ impl Catalog {
             .sum()
     }
 
+    /// The dense object ids of every title's segments.
+    pub(crate) fn objects(&self) -> &Arc<ObjectTable> {
+        &self.objects
+    }
+
     /// The popularity sampler — `None` for a single-title catalog,
     /// where title choice is constant and must draw nothing (the
     /// bit-identity contract with the single-title engine).
@@ -186,27 +281,41 @@ impl Catalog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use signal::rng::splitmix64;
 
-    fn tiny_manifest(title: &str) -> Manifest {
+    /// A title whose rung `r` holds segments of `rungs[r]` bytes each,
+    /// four frames to a segment.
+    pub(crate) fn manifest_of(title: &str, rungs: &[&[usize]]) -> Manifest {
         use crate::ladder::{RungInfo, SegmentEntry};
         Manifest {
             title: title.to_string(),
             ticks_per_frame: 1,
             sealed: false,
             live: None,
-            rungs: vec![RungInfo {
-                target_bits_per_frame: 1000.0,
-                segments: vec![SegmentEntry {
-                    name: "seg0".to_string(),
-                    bytes: 100,
-                    frames: 4,
-                    nonce: 0,
-                }],
-            }],
+            rungs: rungs
+                .iter()
+                .enumerate()
+                .map(|(r, segs)| RungInfo {
+                    target_bits_per_frame: 1000.0 * (r + 1) as f64,
+                    segments: segs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &bytes)| SegmentEntry {
+                            name: format!("r{r}_seg{i}"),
+                            bytes,
+                            frames: 4,
+                            nonce: i as u32,
+                        })
+                        .collect(),
+                })
+                .collect(),
         }
+    }
+
+    fn tiny_manifest(title: &str) -> Manifest {
+        manifest_of(title, &[&[100]])
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The edge tier's shared parts: the byte-budgeted [`Lru`], the
-//! coalescing [`FillTable`], per-cache [`EdgeStats`] and the failover
+//! The edge tier's shared parts: the byte-budgeted [`Lru`] (and its
+//! dense-id twin for the fluid simulator, `FluidCache`), the coalescing
+//! [`FillTable`], per-cache [`EdgeStats`] and the failover
 //! [`HashRing`].
 //!
 //! The packet-level edge cache is a [`crate::cache::CacheNode`] at the
@@ -12,6 +13,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
+
+use crate::catalog::ObjectTable;
 
 /// The crate's one cheap deterministic hasher, for hash indexes whose
 /// iteration order nothing observes: [`Lru`]'s key index and the fluid
@@ -72,31 +76,22 @@ impl Hasher for WordHasher {
 pub(crate) type WordHashMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// A bounded, byte-budgeted LRU index. The cache tracks sizes and
-/// recency; the bytes themselves live wherever the owner keeps them
-/// (a [`crate::cache::CacheNode`]'s store, the manifest for the fluid
-/// simulator).
+/// recency; the bytes themselves live wherever the owner keeps them (a
+/// [`crate::cache::CacheNode`]'s store). The fluid simulator's nodes
+/// use a dense-id twin with the same semantics, `FluidCache`, which is
+/// property-tested against this type.
 ///
 /// **Layout.** One hash index (on the crate's cheap deterministic
 /// hasher) maps each key to its size and a recency stamp. Every touch
 /// and insert takes the next value of a private clock, so stamps are
-/// unique and "least recently used" is "smallest stamp". A touch — the
-/// hot operation, one per segment completion in the fluid engine — is
-/// one hash probe, where an ordered tree of thousands of prewarmed
-/// objects costs a descent of cache misses.
+/// unique and "least recently used" is "smallest stamp". A touch is one
+/// hash probe.
 ///
-/// **Eviction still scans.** Picking a victim ([`Lru::insert`] over
-/// budget, [`Lru::peek_victim`]) walks every entry for the minimum
-/// stamp. Because stamps are unique, the victim does not depend on the
-/// hash table's iteration order, and no method exposes that order, so
-/// every result is deterministic. Keeping an order structure instead
-/// moves cost onto every touch, which happens far more often than an
-/// eviction (the benchmarked knee searches run unbounded caches and
-/// never evict). Two such designs were measured on the fluid
-/// `cdn_knee` workload (2-vCPU x86-64 host) against the ordered tree
-/// this index replaced, and rejected: an intrusive doubly linked list in a slab (O(1)
-/// eviction, but each touch writes two random neighbours: +7%, where
-/// the plain hash index gave about +39%) and a lazy recency queue with
-/// stale-entry skipping (+15%, at 37% more peak memory).
+/// **Eviction scans.** Picking a victim ([`Lru::insert`] over budget,
+/// [`Lru::peek_victim`]) walks every entry for the minimum stamp.
+/// Because stamps are unique, the victim does not depend on the hash
+/// table's iteration order, and no method exposes that order, so every
+/// result is deterministic.
 #[derive(Clone, Default)]
 pub struct Lru<K: Hash + Eq + Clone> {
     capacity_bytes: usize,
@@ -260,6 +255,202 @@ impl<K: Hash + Eq + Clone + fmt::Debug> fmt::Debug for Lru<K> {
                     .collect::<Vec<_>>(),
             )
             .finish()
+    }
+}
+
+/// The fluid engine's cache: membership of a catalog's objects by
+/// dense id (see `ObjectTable`), sized from the shared table, with
+/// exactly [`Lru`]'s semantics — same hits, victims, eviction count,
+/// held bytes and length — pinned by a model-based property against
+/// `Lru<ObjKey>`.
+///
+/// **Layout.** Membership is one bit per catalog object. A cache whose
+/// capacity covers the catalog's total bytes can never evict, so it
+/// keeps no recency state at all: a touch is one bit test. A cache that
+/// can evict keeps its entries in a doubly linked list threaded through
+/// `prev`/`next` arrays indexed by id, least recently used at the head,
+/// so a touch, an insert and an eviction are each O(1) and the victim is
+/// the head — the entry [`Lru`]'s min-stamp scan finds, because both
+/// order entries by their last insert or hit. Those arrays cost 8 bytes
+/// per catalog object, whatever the capacity.
+#[derive(Debug, Clone)]
+pub(crate) struct FluidCache {
+    objects: Arc<ObjectTable>,
+    capacity_bytes: usize,
+    held_bytes: usize,
+    evictions: u64,
+    /// Bit `id` is set while object `id` is cached.
+    present: Vec<u64>,
+    /// `None` when the capacity covers every object.
+    order: Option<Recency>,
+}
+
+/// The recency list of a [`FluidCache`] that can evict.
+#[derive(Debug, Clone)]
+struct Recency {
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Least recently used, or [`NIL`] when empty.
+    head: u32,
+    /// Most recently used, or [`NIL`] when empty.
+    tail: u32,
+}
+
+/// The null link of a [`Recency`] list.
+const NIL: u32 = u32::MAX;
+
+impl Recency {
+    fn unlink(&mut self, id: u32) {
+        let (p, n) = (self.prev[id as usize], self.next[id as usize]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+    }
+
+    fn push_back(&mut self, id: u32) {
+        self.prev[id as usize] = self.tail;
+        self.next[id as usize] = NIL;
+        match self.tail {
+            NIL => self.head = id,
+            t => self.next[t as usize] = id,
+        }
+        self.tail = id;
+    }
+}
+
+impl FluidCache {
+    /// An empty cache over `objects` holding at most `capacity_bytes`.
+    pub(crate) fn new(objects: Arc<ObjectTable>, capacity_bytes: usize) -> Self {
+        let n = objects.len();
+        let order = (capacity_bytes < objects.total_bytes()).then(|| Recency {
+            prev: vec![NIL; n],
+            next: vec![NIL; n],
+            head: NIL,
+            tail: NIL,
+        });
+        Self {
+            objects,
+            capacity_bytes,
+            held_bytes: 0,
+            evictions: 0,
+            present: vec![0; n.div_ceil(64)],
+            order,
+        }
+    }
+
+    /// The table the ids index.
+    pub(crate) fn objects(&self) -> &ObjectTable {
+        &self.objects
+    }
+
+    /// Whether object `id` is cached, without touching recency.
+    #[inline]
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        self.present[(id >> 6) as usize] >> (id & 63) & 1 == 1
+    }
+
+    /// Marks `id` most recently used; `false` if it is not cached.
+    #[inline]
+    pub(crate) fn touch(&mut self, id: u32) -> bool {
+        let hit = self.contains(id);
+        if let Some(o) = self.order.as_mut().filter(|_| hit) {
+            o.unlink(id);
+            o.push_back(id);
+        }
+        hit
+    }
+
+    /// Inserts `id` as [`Lru::insert`] does, evicting least recently
+    /// used objects until it fits. An object larger than the whole
+    /// cache is not inserted, and a cached copy of it is dropped and
+    /// counted evicted.
+    pub(crate) fn insert(&mut self, id: u32) {
+        let bytes = self.objects.bytes(id);
+        if bytes > self.capacity_bytes {
+            if self.remove(id) {
+                self.evictions += 1;
+            }
+            return;
+        }
+        // A cached object keeps its size: a re-insert only refreshes
+        // its recency.
+        if self.touch(id) {
+            return;
+        }
+        self.present[(id >> 6) as usize] |= 1 << (id & 63);
+        self.held_bytes += bytes;
+        if let Some(o) = self.order.as_mut() {
+            o.push_back(id);
+        }
+        while self.held_bytes > self.capacity_bytes {
+            let victim = self
+                .peek_victim()
+                .expect("a cache over budget can evict, so it keeps recency");
+            self.remove(victim);
+            self.evictions += 1;
+        }
+    }
+
+    /// The object [`FluidCache::insert`] would evict first, without
+    /// evicting it: `None` when the cache is empty or can never evict.
+    #[must_use]
+    pub(crate) fn peek_victim(&self) -> Option<u32> {
+        self.order.as_ref().map(|o| o.head).filter(|&h| h != NIL)
+    }
+
+    /// Whether inserting object `id`, were it absent, would force at
+    /// least one eviction ([`Lru::would_evict`] of its size).
+    #[must_use]
+    pub(crate) fn would_evict(&self, id: u32) -> bool {
+        let bytes = self.objects.bytes(id);
+        bytes <= self.capacity_bytes && self.held_bytes + bytes > self.capacity_bytes
+    }
+
+    /// Drops `id` outright (an invalidation, not an eviction). Returns
+    /// whether it was cached.
+    pub(crate) fn remove(&mut self, id: u32) -> bool {
+        if !self.contains(id) {
+            return false;
+        }
+        self.present[(id >> 6) as usize] &= !(1 << (id & 63));
+        self.held_bytes -= self.objects.bytes(id);
+        if let Some(o) = self.order.as_mut() {
+            o.unlink(id);
+        }
+        true
+    }
+
+    /// Bytes currently held.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.held_bytes
+    }
+
+    /// Cached objects.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Evictions performed so far.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Empties the cache in place — a cold restart: the eviction
+    /// counter survives.
+    pub(crate) fn clear(&mut self) {
+        self.present.fill(0);
+        self.held_bytes = 0;
+        if let Some(o) = self.order.as_mut() {
+            o.head = NIL;
+            o.tail = NIL;
+        }
     }
 }
 
@@ -1094,6 +1285,133 @@ mod tests {
         assert!(
             buckets.iter().all(|&b| b > 150),
             "hash sharding should not starve an edge: {buckets:?}"
+        );
+    }
+
+    /// Three titles of two rungs: title `t` holds `segs[t]` segments a
+    /// rung, sized from `sizes` in id order.
+    fn object_table(segs: [usize; 3], sizes: &[usize]) -> Arc<ObjectTable> {
+        let mut next = sizes.iter().copied().cycle();
+        let titles: Vec<_> = segs
+            .iter()
+            .enumerate()
+            .map(|(t, &n)| {
+                let rungs: Vec<Vec<usize>> =
+                    (0..2).map(|_| next.by_ref().take(n).collect()).collect();
+                let rungs: Vec<&[usize]> = rungs.iter().map(Vec::as_slice).collect();
+                crate::catalog::tests::manifest_of(&format!("t{t}"), &rungs)
+            })
+            .collect();
+        Arc::new(ObjectTable::new(&titles))
+    }
+
+    /// Replays `ops` — `(op, id)` with op 0–1 insert, 2 touch, 3
+    /// remove, 4 ask `would_evict`, 5 clear — on a [`FluidCache`] and on
+    /// an `Lru<ObjKey>` of the same capacity, asserting after every step
+    /// that both hold the same objects at the same bytes, count the same
+    /// evictions and name the same victim.
+    fn check_fluid_cache_against_lru(
+        objects: &Arc<ObjectTable>,
+        capacity: usize,
+        ops: &[(u8, u32)],
+    ) {
+        use crate::shield::ObjKey;
+        let mut cache = FluidCache::new(Arc::clone(objects), capacity);
+        let mut lru: Lru<ObjKey> = Lru::new(capacity);
+        let n = objects.len() as u32;
+        let bounded = capacity < objects.total_bytes();
+        for &(op, id) in ops {
+            let id = id % n;
+            let (key, bytes) = (objects.key(id), objects.bytes(id));
+            match op {
+                0 | 1 => {
+                    let held: Vec<u32> = (0..n).filter(|&i| cache.contains(i)).collect();
+                    let mut victims = lru.insert(key, bytes);
+                    cache.insert(id);
+                    let mut gone: Vec<ObjKey> = held
+                        .into_iter()
+                        .filter(|&i| !cache.contains(i))
+                        .map(|i| objects.key(i))
+                        .collect();
+                    victims.sort_unstable();
+                    gone.sort_unstable();
+                    assert_eq!(gone, victims, "insert {key:?} ({bytes} B)");
+                }
+                2 => assert_eq!(cache.touch(id), lru.touch(&key), "touch {key:?}"),
+                3 => assert_eq!(
+                    cache.remove(id),
+                    lru.remove(&key).is_some(),
+                    "remove {key:?}"
+                ),
+                4 => assert_eq!(cache.would_evict(id), lru.would_evict(bytes), "{key:?}"),
+                _ => {
+                    cache.clear();
+                    lru.clear();
+                }
+            }
+            if bounded {
+                assert_eq!(
+                    cache.peek_victim().map(|v| objects.key(v)),
+                    lru.peek_victim().map(|(k, _)| *k),
+                    "victim after {op} {key:?}"
+                );
+            } else {
+                // A cache that holds the whole catalog never evicts: it
+                // names no victim, and admission never asks it for one
+                // (no absent object would evict).
+                assert_eq!(cache.peek_victim(), None);
+                assert!((0..n).all(|i| cache.contains(i) || !cache.would_evict(i)));
+            }
+            assert_eq!(
+                (cache.held_bytes(), cache.len(), cache.evictions()),
+                (lru.held_bytes(), lru.len(), lru.evictions()),
+                "after {op} {key:?}"
+            );
+            for i in 0..n {
+                assert_eq!(
+                    cache.contains(i),
+                    lru.contains(&objects.key(i)),
+                    "{:?}",
+                    objects.key(i)
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The fluid cache against `Lru<ObjKey>` at a capacity that
+        /// holds the whole catalog (no recency kept), one byte below it
+        /// (evicts only when nearly full) and far below it (evicts all
+        /// the time; some objects are larger than the whole cache).
+        #[test]
+        fn fluid_cache_matches_the_lru_oracle(
+            segs in (1usize..6, 1usize..6, 1usize..6),
+            sizes in proptest::collection::vec(1usize..41, 30),
+            far_below in 1usize..200,
+            ops in proptest::collection::vec((0u8..6, 0u32..64), 1..160),
+        ) {
+            let objects = object_table([segs.0, segs.1, segs.2], &sizes);
+            let total = objects.total_bytes();
+            for capacity in [total, total - 1, far_below.min(total / 4)] {
+                check_fluid_cache_against_lru(&objects, capacity, &ops);
+            }
+        }
+    }
+
+    #[test]
+    fn object_ids_number_objects_in_key_order() {
+        let objects = object_table([2, 1, 3], &[5, 6, 7]);
+        assert_eq!(objects.len(), 2 * (2 + 1 + 3));
+        let keys: Vec<_> = (0..objects.len() as u32).map(|i| objects.key(i)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        for (i, &(t, r, s)) in keys.iter().enumerate() {
+            assert_eq!(objects.id(t, r, s), i as u32);
+        }
+        assert_eq!(
+            objects.total_bytes(),
+            (0..12).map(|i| [5, 6, 7][i % 3]).sum::<usize>()
         );
     }
 }

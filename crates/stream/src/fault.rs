@@ -376,17 +376,21 @@ impl RetryPolicy {
     }
 
     /// The wait before the next attempt, given `failures` failures so
-    /// far (so `failures >= 1`). `None` means the budget is spent:
-    /// give up and surface the error. Deterministic in `(self, failures)`;
-    /// saturates at `u64::MAX` ticks.
+    /// far. `None` means the budget is spent: give up and surface the
+    /// error. With no failure yet (`failures == 0`) the first attempt is
+    /// always within budget and waits nothing: `Some(0)`. Deterministic
+    /// in `(self, failures)`; saturates at `u64::MAX` ticks.
     #[must_use]
     pub fn backoff_before(&self, failures: u32) -> Option<u64> {
         if failures >= self.max_attempts.max(1) {
             return None;
         }
+        let Some(doublings) = failures.checked_sub(1) else {
+            return Some(0);
+        };
         let exp = self
             .base_backoff_ticks
-            .saturating_mul(1u64.checked_shl(failures - 1).unwrap_or(u64::MAX))
+            .saturating_mul(1u64.checked_shl(doublings).unwrap_or(u64::MAX))
             .min(self.max_backoff_ticks);
         let draw = splitmix64(self.seed ^ u64::from(failures));
         // `0..=jitter_ticks` spans all of `u64` when `jitter_ticks + 1`
@@ -655,6 +659,19 @@ mod tests {
             seed: 0,
         };
         assert_eq!(p.backoff_before(200), Some(u64::MAX));
+    }
+
+    #[test]
+    fn no_failure_yet_waits_nothing() {
+        // `failures == 0` used to underflow `failures - 1`: a panic in a
+        // debug build, the capped backoff plus jitter in a release one.
+        for p in [
+            RetryPolicy::default(),
+            RetryPolicy::standard(1),
+            huge(u32::MAX, u64::MAX),
+        ] {
+            assert_eq!(p.backoff_before(0), Some(0), "{p:?}");
+        }
     }
 
     #[test]

@@ -32,18 +32,21 @@
 //! bit-identically.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mmpool::WorkerPool;
 use signal::rng::Xoroshiro128;
 
-use crate::catalog::{Catalog, ZipfSampler};
-use crate::edge::{splitmix64, EdgeStats, EdgeTierConfig, FillTable, HashRing, Lru, Sharding};
+use crate::catalog::{Catalog, ObjectTable, ZipfSampler};
+use crate::edge::{
+    splitmix64, EdgeStats, EdgeTierConfig, FillTable, FluidCache, HashRing, Sharding,
+};
 use crate::fault::{FaultPlan, FaultSchedule, ResilienceStats};
 use crate::ladder::Manifest;
 #[cfg(test)]
 use crate::session::AbrController;
 use crate::session::JoinMode;
-use crate::shield::{admit_insert, obj_key_hash, Admission, AdmissionPolicy, ObjKey, TierStats};
+use crate::shield::{admit_insert, obj_key_hash, Admission, AdmissionPolicy, TierStats};
 
 /// Virtual points per edge on the failover [`HashRing`]. Enough that
 /// per-edge load imbalance stays small at 8 edges without making ring
@@ -523,16 +526,16 @@ impl TierParams {
     }
 }
 
-/// One fluid cache node, edge or shield: an LRU over `(title, rung,
-/// seq)` keys plus the coalescing table of in-flight parent fills
-/// (fluid segments are immutable once published, so a fill is keyed on
-/// the object alone). An edge fills from its shield, or from the origin in
-/// a flat tier; a shield fills from the origin. What a node does on a
-/// request, a re-request and a landed fill is defined here once for
-/// both tiers.
+/// One fluid cache node, edge or shield: a [`FluidCache`] over the
+/// catalog's dense object ids plus the coalescing table of in-flight
+/// parent fills (fluid segments are immutable once published, so a fill
+/// is keyed on the object alone). An edge fills from its shield, or from
+/// the origin in a flat tier; a shield fills from the origin. What a
+/// node does on a request, a re-request and a landed fill is defined
+/// here once for both tiers.
 pub(crate) struct FluidNode {
-    pub(crate) lru: Lru<ObjKey>,
-    pub(crate) fills: FillTable<ObjKey, f64>,
+    pub(crate) cache: FluidCache,
+    pub(crate) fills: FillTable<u32, f64>,
     pub(crate) stats: EdgeStats,
     /// Sessions sharded onto an edge; child edges homed on a shield.
     pub(crate) assigned: usize,
@@ -543,7 +546,7 @@ pub(crate) struct FluidNode {
     /// their waiters still wake and download (serve-through without
     /// caching). Cleared every quantum; always empty under
     /// admit-always, so the legacy path never consults it.
-    pub(crate) pass: BTreeSet<ObjKey>,
+    pub(crate) pass: BTreeSet<u32>,
     /// The tick this node crashed, until it restarts.
     pub(crate) crash_tick: Option<u64>,
 }
@@ -557,15 +560,15 @@ pub(crate) enum Req {
 }
 
 impl FluidNode {
-    /// A session asks for one segment: cached → hit; fill in flight →
+    /// A session asks for object `id`: cached → hit; fill in flight →
     /// coalesce onto it; otherwise start a fill. Kept as the quantum
     /// oracle's per-session form of [`FluidNode::request_n`].
     #[cfg(test)]
-    fn request(&mut self, key: ObjKey, bytes: f64) -> Req {
-        if self.lru.touch(&key) {
+    fn request(&mut self, id: u32) -> Req {
+        if self.cache.touch(id) {
             self.stats.hits += 1;
             Req::Hit
-        } else if self.fills.request(key, || bytes) {
+        } else if self.start_fill(id) {
             self.stats.misses += 1;
             Req::Wait(true)
         } else {
@@ -574,7 +577,7 @@ impl FluidNode {
         }
     }
 
-    /// `n` identical sessions ask for one segment in a single counted
+    /// `n` identical sessions ask for object `id` in a single counted
     /// call — the cohort engine's form of [`FluidNode::request`]. Every
     /// stats ledger advances exactly as `n` per-session requests would
     /// (one fill started at most; the rest coalesce), so the per-edge
@@ -585,15 +588,15 @@ impl FluidNode {
     /// `#[inline]`, like [`FluidNode::refill`]: out of line, either one
     /// slowed the cohort engine's full path by ~20% (`live_flash`).
     #[inline]
-    pub(crate) fn request_n(&mut self, key: ObjKey, bytes: f64, n: u64) -> Req {
+    pub(crate) fn request_n(&mut self, id: u32, n: u64) -> Req {
         debug_assert!(n > 0, "a cohort request carries at least one session");
         if let Some(a) = self.adm.as_mut() {
-            a.record(obj_key_hash(key), n);
+            a.record(obj_key_hash(self.cache.objects().key(id)), n);
         }
-        if self.lru.touch(&key) {
+        if self.cache.touch(id) {
             self.stats.hits += n;
             Req::Hit
-        } else if self.fills.request(key, || bytes) {
+        } else if self.start_fill(id) {
             self.stats.misses += 1;
             self.stats.coalesced += n - 1;
             Req::Wait(true)
@@ -603,51 +606,53 @@ impl FluidNode {
         }
     }
 
-    /// Starts a fresh fill for `key` as one miss, without consulting
+    /// Starts a fresh fill for `id` as one miss, without consulting
     /// the cache or the admission sketch: the object a waiter's fill
     /// brought in was evicted before it could download, or the fill it
     /// waited on is gone.
     #[inline]
-    pub(crate) fn refill(&mut self, key: ObjKey, bytes: f64) {
+    pub(crate) fn refill(&mut self, id: u32) {
         self.stats.misses += 1;
-        self.fills.request(key, || bytes);
+        self.start_fill(id);
+    }
+
+    /// Starts a parent fill of `id`'s bytes unless one is in flight;
+    /// `true` when this call started it.
+    #[inline]
+    fn start_fill(&mut self, id: u32) -> bool {
+        let objects = self.cache.objects();
+        self.fills.request(id, || objects.bytes(id) as f64)
     }
 
     /// One quantum of this node's in-flight fills: each one `ready`
     /// admits drains by `dec` bytes, and those that finish land into
-    /// `landed`, in key order. A landed object counts as bytes pulled
+    /// `landed`, in id order. A landed object counts as bytes pulled
     /// from the parent and is cached subject to admission; a rejected
     /// one joins the pass set, so its waiters still wake.
     pub(crate) fn drain_fills(
         &mut self,
-        titles: &[Manifest],
         dec: f64,
-        ready: impl Fn(&ObjKey) -> bool,
-        landed: &mut Vec<ObjKey>,
+        ready: impl Fn(u32) -> bool,
+        landed: &mut Vec<u32>,
     ) {
+        let objects = self.cache.objects();
         landed.clear();
-        landed.extend(self.fills.iter_mut().filter_map(|(&k, rem)| {
-            if !ready(&k) {
+        landed.extend(self.fills.iter_mut().filter_map(|(&id, rem)| {
+            if !ready(id) {
                 return None;
             }
             *rem -= dec;
-            (*rem <= completion_eps(obj_bytes(titles, k) as f64)).then_some(k)
+            (*rem <= completion_eps(objects.bytes(id) as f64)).then_some(id)
         }));
-        for &k in landed.iter() {
-            self.fills.complete(&k);
-            let bytes = obj_bytes(titles, k);
-            self.stats.origin_bytes += bytes as u64;
-            if !admit_insert(&mut self.lru, &self.adm, k, bytes) {
-                self.pass.insert(k);
+        for &id in landed.iter() {
+            self.fills.complete(&id);
+            self.stats.origin_bytes += self.cache.objects().bytes(id) as u64;
+            if !admit_insert(&mut self.cache, &self.adm, id) {
+                self.pass.insert(id);
             }
-            self.stats.evictions = self.lru.evictions();
+            self.stats.evictions = self.cache.evictions();
         }
     }
-}
-
-/// The size of cache object `key` in `titles`.
-pub(crate) fn obj_bytes(titles: &[Manifest], key: ObjKey) -> usize {
-    titles[key.0 as usize].rungs[key.1 as usize].segments[key.2 as usize].bytes
 }
 
 /// The epsilon-stable download-completion threshold for a segment of
@@ -676,13 +681,18 @@ fn exp_ticks(rng: &mut Xoroshiro128, mean: f64) -> u64 {
     (-mean * (1.0 - rng.next_f64()).ln()).round() as u64
 }
 
-/// One tier of `count` fluid cache nodes of `capacity_bytes` each,
-/// prewarmed with every title's whole ladder (as far as capacity
-/// allows) when `prewarm` is set, each with its own `admission` state.
-/// Shared verbatim by the cohort engine and the quantum oracle, and by
-/// both tiers: every node of a tier starts from the identical state.
+/// One tier of `count` fluid cache nodes of `capacity_bytes` each over
+/// `objects`, prewarmed with every object when `prewarm` is set, each
+/// with its own `admission` state. Shared verbatim by the cohort engine
+/// and the quantum oracle, and by both tiers: every node of a tier
+/// starts from a copy of one prewarmed cache.
+///
+/// Prewarming inserts objects in id order — title 0 (the most popular)
+/// first — so a node too small for the catalog evicts the *head* as the
+/// tail arrives and starts out holding the last-inserted, least popular
+/// objects that fit.
 pub(crate) fn build_tier(
-    titles: &[Manifest],
+    objects: &Arc<ObjectTable>,
     count: usize,
     capacity_bytes: usize,
     prewarm: bool,
@@ -691,22 +701,18 @@ pub(crate) fn build_tier(
     if count == 0 {
         return Vec::new();
     }
-    let mut lru = Lru::new(capacity_bytes);
+    let mut cache = FluidCache::new(Arc::clone(objects), capacity_bytes);
     if prewarm {
-        for (ti, m) in titles.iter().enumerate() {
-            for (ri, rung) in m.rungs.iter().enumerate() {
-                for (si, seg) in rung.segments.iter().enumerate() {
-                    lru.insert((ti as u32, ri as u32, si as u32), seg.bytes);
-                }
-            }
+        for id in 0..objects.len() as u32 {
+            cache.insert(id);
         }
     }
     (0..count)
         .map(|_| FluidNode {
-            lru: lru.clone(),
+            cache: cache.clone(),
             fills: FillTable::new(),
             stats: EdgeStats {
-                evictions: lru.evictions(),
+                evictions: cache.evictions(),
                 ..EdgeStats::default()
             },
             assigned: 0,
@@ -849,8 +855,10 @@ pub(crate) mod oracle {
         let n_segments = manifest.segment_count();
         let q = load.tick_quantum.max(1);
 
+        let objects = Arc::new(ObjectTable::new(std::slice::from_ref(manifest)));
+        let id = |rung: usize, seg: usize| objects.id(0, rung as u32, seg as u32);
         let mut edges = build_tier(
-            std::slice::from_ref(manifest),
+            &objects,
             p.edges,
             p.cache_capacity_bytes,
             p.prewarm,
@@ -961,7 +969,7 @@ pub(crate) mod oracle {
                 for seq in last_first_seq..first {
                     for ri in 0..manifest.rungs.len() {
                         for e in edges.iter_mut() {
-                            if e.lru.remove(&(0, ri as u32, seq as u32)).is_some() {
+                            if e.cache.remove(id(ri, seq as usize)) {
                                 e.stats.invalidations += 1;
                             }
                         }
@@ -979,22 +987,19 @@ pub(crate) mod oracle {
             if total_fills > 0 && !origin_down && p.origin_capacity > 0.0 {
                 let fill_rate = p.origin_capacity / total_fills as f64;
                 for e in &mut edges {
-                    let done: Vec<ObjKey> = e
+                    let done: Vec<u32> = e
                         .fills
                         .iter_mut()
-                        .filter_map(|(k, rem)| {
+                        .filter_map(|(&k, rem)| {
                             *rem -= fill_rate * step;
-                            let total =
-                                manifest.rungs[k.1 as usize].segments[k.2 as usize].bytes as f64;
-                            (*rem <= completion_eps(total)).then_some(*k)
+                            (*rem <= completion_eps(objects.bytes(k) as f64)).then_some(k)
                         })
                         .collect();
                     for k in done {
                         e.fills.complete(&k);
-                        let bytes = manifest.rungs[k.1 as usize].segments[k.2 as usize].bytes;
-                        e.stats.origin_bytes += bytes as u64;
-                        e.lru.insert(k, bytes);
-                        e.stats.evictions = e.lru.evictions();
+                        e.stats.origin_bytes += objects.bytes(k) as u64;
+                        e.cache.insert(k);
+                        e.stats.evictions = e.cache.evictions();
                     }
                 }
                 progressed = true;
@@ -1019,11 +1024,9 @@ pub(crate) mod oracle {
                         s.abr.pick(manifest, s.seg, None)
                     };
                     s.seg as u64 <= l.live_seq(now, n_segments)
-                        && edges[s.edge].lru.contains(&(0, rung as u32, s.seg as u32))
+                        && edges[s.edge].cache.contains(id(rung, s.seg))
                 } else if s.waiting {
-                    edges[s.edge]
-                        .lru
-                        .contains(&(0, s.rung as u32, s.seg as u32))
+                    edges[s.edge].cache.contains(id(s.rung, s.seg))
                 } else {
                     true
                 };
@@ -1042,7 +1045,7 @@ pub(crate) mod oracle {
                         .map_or(true, |l| s.seg as u64 <= l.live_seq(now, n_segments));
                     if live_now {
                         let bytes = manifest.rungs[0].segments[s.seg].bytes as f64;
-                        match e.request((0, 0, s.seg as u32), bytes) {
+                        match e.request(id(0, s.seg)) {
                             Req::Hit => s.remaining_bytes += bytes,
                             Req::Wait(new_fill) => {
                                 s.waiting = true;
@@ -1089,7 +1092,7 @@ pub(crate) mod oracle {
                         s.rung = rung;
                         s.fetch_start = now;
                         let bytes = manifest.rungs[rung].segments[s.seg].bytes as f64;
-                        match e.request((0, rung as u32, s.seg as u32), bytes) {
+                        match e.request(id(rung, s.seg)) {
                             Req::Hit => s.remaining_bytes += bytes,
                             Req::Wait(new_fill) => {
                                 s.waiting = true;
@@ -1102,9 +1105,9 @@ pub(crate) mod oracle {
                     }
                 }
                 if s.waiting {
-                    let key = (0, s.rung as u32, s.seg as u32);
+                    let key = id(s.rung, s.seg);
                     let bytes = manifest.rungs[s.rung].segments[s.seg].bytes as f64;
-                    if e.lru.touch(&key) {
+                    if e.cache.touch(key) {
                         // The fill landed: start the edge-leg download, with
                         // `fetch_start` still at request time so the ABR
                         // sees the full wait. The fall-through download
@@ -1178,7 +1181,7 @@ pub(crate) mod oracle {
                 }
                 s.rung = next_rung;
                 let bytes = manifest.rungs[s.rung].segments[s.seg].bytes as f64;
-                match e.request((0, s.rung as u32, s.seg as u32), bytes) {
+                match e.request(id(s.rung, s.seg)) {
                     // A hit carries this quantum's download overshoot into
                     // the next segment, exactly like the single-origin path.
                     Req::Hit => s.remaining_bytes += bytes,
@@ -1416,7 +1419,7 @@ pub fn simulate(s: &Scenario) -> CdnLoadReport {
 fn run_cohorts(s: &Scenario, stop_above: Option<f64>) -> Option<crate::calendar::CohortRun> {
     let p = s.params();
     (!p.degenerate(s.catalog.titles(), &s.load))
-        .then(|| crate::calendar::run_cohorts(s.catalog.titles(), &s.load, &p, stop_above))
+        .then(|| crate::calendar::run_cohorts(s.catalog, &s.load, &p, stop_above))
 }
 
 /// Runs `s` once per base population in `counts`, in order. With a
@@ -2290,6 +2293,32 @@ mod tests {
             r.tier.coalesced
         );
         assert_eq!(r.load.completed, 200);
+    }
+
+    #[test]
+    fn a_bounded_prewarmed_tier_keeps_the_least_popular_objects() {
+        // Three titles of four 10-byte objects each, prewarmed into
+        // 50-byte caches: prewarming inserts title 0 (the head of the
+        // Zipf law) first, so the head is evicted as the tail arrives
+        // and every node starts out holding the last five objects. A
+        // model change may reorder this; it is pinned so that one shows.
+        let m = crate::catalog::tests::manifest_of("t", &[&[10, 10], &[10, 10]]);
+        let c = Catalog::new(vec![m.clone(), m.clone(), m], 1.0);
+        let objects = c.objects();
+        for node in build_tier(objects, 2, 50, true, AdmissionPolicy::AdmitAll) {
+            let held: Vec<_> = (0..objects.len() as u32)
+                .filter(|&id| node.cache.contains(id))
+                .map(|id| objects.key(id))
+                .collect();
+            assert_eq!(
+                held,
+                [(1, 1, 1), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)]
+            );
+            assert_eq!(
+                (node.stats.evictions, node.cache.peek_victim()),
+                (7, Some(7))
+            );
+        }
     }
 
     #[test]

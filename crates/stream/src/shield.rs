@@ -25,12 +25,13 @@
 //! bit-identical to the pre-admission engine.
 
 use crate::cache::{CacheConfig, CacheNode};
-use crate::edge::{EdgeStats, Lru};
+use crate::edge::{EdgeStats, FluidCache};
 use signal::rng::splitmix64;
 
-/// The fluid engine's object key: `(title, rung, segment)`. Title 0 is
-/// the single-title degenerate case, so pre-catalog keys `(rung, seg)`
-/// map to `(0, rung, seg)` with identical `BTreeMap` ordering.
+/// A catalog object's key: `(title, rung, segment)`. The fluid engine
+/// caches objects under dense ids numbered in this key's order (see
+/// `ObjectTable`); the key itself feeds the admission sketch. Title 0
+/// is the single-title degenerate case.
 pub(crate) type ObjKey = (u32, u32, u32);
 
 /// One canonical 64-bit hash of an [`ObjKey`] for sketch indexing.
@@ -190,29 +191,25 @@ impl Admission {
     }
 }
 
-/// Inserts `key` into `lru` subject to the cache's admission policy.
-/// Returns whether the object was cached: under admit-always (`adm` is
-/// `None`) this is a plain insert; under TinyLFU an insert that would
-/// force an eviction is dropped when the candidate's estimated
-/// frequency loses to the current LRU victim's. Re-inserts of an
-/// already-cached key and inserts that fit without evicting always
-/// land.
-pub(crate) fn admit_insert(
-    lru: &mut Lru<ObjKey>,
-    adm: &Option<Admission>,
-    key: ObjKey,
-    bytes: usize,
-) -> bool {
+/// Inserts object `id` into `cache` subject to the cache's admission
+/// policy. Returns whether the object was cached: under admit-always
+/// (`adm` is `None`) this is a plain insert; under TinyLFU an insert
+/// that would force an eviction is dropped when the candidate's
+/// estimated frequency loses to the current LRU victim's. Re-inserts of
+/// an already-cached object and inserts that fit without evicting
+/// always land.
+pub(crate) fn admit_insert(cache: &mut FluidCache, adm: &Option<Admission>, id: u32) -> bool {
     if let Some(a) = adm {
-        if !lru.contains(&key) && lru.would_evict(bytes) {
-            if let Some((victim, _)) = lru.peek_victim() {
-                if !a.admits(obj_key_hash(key), obj_key_hash(*victim)) {
+        if !cache.contains(id) && cache.would_evict(id) {
+            if let Some(victim) = cache.peek_victim() {
+                let key = |id| obj_key_hash(cache.objects().key(id));
+                if !a.admits(key(id), key(victim)) {
                     return false;
                 }
             }
         }
     }
-    lru.insert(key, bytes);
+    cache.insert(id);
     true
 }
 
@@ -407,35 +404,43 @@ mod tests {
         assert!(AdmissionPolicy::TinyLfu.build().is_some());
     }
 
+    /// A cache of `capacity` bytes over one title of three 100-byte
+    /// segments, ids 0, 1 and 2.
+    fn cache(capacity: usize) -> FluidCache {
+        let m = crate::catalog::tests::manifest_of("t", &[&[100, 100, 100]]);
+        let objects = crate::catalog::ObjectTable::new(std::slice::from_ref(&m));
+        FluidCache::new(std::sync::Arc::new(objects), capacity)
+    }
+
     #[test]
     fn tinylfu_rejects_cold_candidate_and_admits_hot_one() {
-        let mut lru: Lru<ObjKey> = Lru::new(100);
-        lru.insert((0, 0, 0), 100); // victim-to-be
+        let mut cache = cache(100);
+        cache.insert(0); // victim-to-be
         let mut adm = AdmissionPolicy::TinyLfu
             .build()
             .expect("tinylfu builds state");
         adm.record(obj_key_hash((0, 0, 0)), 5);
         // Cold candidate loses to the warm victim: not inserted.
-        assert!(!admit_insert(&mut lru, &Some(adm.clone()), (0, 0, 1), 100));
-        assert!(lru.contains(&(0, 0, 0)));
-        assert!(!lru.contains(&(0, 0, 1)));
+        assert!(!admit_insert(&mut cache, &Some(adm.clone()), 1));
+        assert!(cache.contains(0));
+        assert!(!cache.contains(1));
         // Now make the candidate hotter than the victim: admitted.
         adm.record(obj_key_hash((0, 0, 1)), 9);
-        assert!(admit_insert(&mut lru, &Some(adm), (0, 0, 1), 100));
-        assert!(lru.contains(&(0, 0, 1)));
-        assert!(!lru.contains(&(0, 0, 0)));
+        assert!(admit_insert(&mut cache, &Some(adm), 1));
+        assert!(cache.contains(1));
+        assert!(!cache.contains(0));
     }
 
     #[test]
     fn admit_insert_without_eviction_pressure_always_lands() {
-        let mut lru: Lru<ObjKey> = Lru::new(300);
-        lru.insert((0, 0, 0), 100);
+        let mut cache = cache(300);
+        cache.insert(0);
         let adm = AdmissionPolicy::TinyLfu.build();
         // Fits without evicting: admitted despite zero frequency.
-        assert!(admit_insert(&mut lru, &adm, (0, 0, 1), 100));
+        assert!(admit_insert(&mut cache, &adm, 1));
         // Admit-always: no sketch, always lands.
-        assert!(admit_insert(&mut lru, &None, (0, 0, 2), 100));
-        assert_eq!(lru.len(), 3);
+        assert!(admit_insert(&mut cache, &None, 2));
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
