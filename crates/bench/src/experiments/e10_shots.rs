@@ -2,19 +2,17 @@
 //!
 //! Shot-boundary detection over multi-scene sequences with increasing
 //! noise; reports precision/recall/F1 and the resulting segmentation.
+//! Asserted: F1 is at least 0.95 on clean cuts and at least 0.8 at
+//! every noise level. The sweep (sigma up to 15) never reaches the
+//! noise where the detector degrades: every level reads F1 = 1.
 
 use analysis::shots::ShotDetector;
-use mmbench::banner;
 use mmsoc::report::{f, Table};
 use video::synth::SequenceGen;
 
-fn main() {
-    banner(
-        "E10: scene segmentation (§5)",
-        "algorithms can parse television content into segments so a viewer can \
-         skip to the next part of the program",
-    );
-
+/// Prints the noise sweep and one segmentation, asserts the detector's
+/// shape and returns its F1 at noise sigma 0, 3, 6, 10 and 15.
+pub fn run() -> [f64; 5] {
     let mut table = Table::new(vec![
         "noise sigma",
         "cuts (truth)",
@@ -23,7 +21,7 @@ fn main() {
         "R",
         "F1",
     ]);
-    for noise in [0.0, 3.0, 6.0, 10.0, 15.0] {
+    let f1 = [0.0, 3.0, 6.0, 10.0, 15.0].map(|noise| {
         let mut g = SequenceGen::new(11);
         let (mut frames, truth) = g.scene_sequence(64, 48, &[9, 8, 10, 7, 9, 8]);
         for fr in &mut frames {
@@ -40,7 +38,8 @@ fn main() {
             f(score.recall(), 3),
             f(score.f1(), 3),
         ]);
-    }
+        score.f1()
+    });
     println!("{table}");
 
     // Show one segmentation explicitly.
@@ -56,5 +55,11 @@ fn main() {
             s.len()
         );
     }
-    println!("\nexpected shape: near-perfect on clean cuts, graceful degradation with noise.");
+    println!("\nexpected shape: near-perfect on clean cuts, no collapse up to sigma 15.");
+    assert!(f1[0] >= 0.95, "clean cuts must be found near-perfectly");
+    assert!(
+        f1.iter().all(|&x| x >= 0.8),
+        "noise must not collapse the detector"
+    );
+    f1
 }

@@ -27,12 +27,14 @@
 //!   codecs and psychoacoustic model, the FFT, filterbank, hash and
 //!   servo loop, and the MPSoC deployment strategies.
 
+use std::hint::black_box;
+
+use crate::perf::{matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport};
+use crate::{cif_spec, test_music, test_speech, test_video, SEED};
 use audio::encoder::{AudioConfig, AudioEncoder};
 use audio::filterbank::Filterbank;
 use audio::psycho::PsychoModel;
 use audio::rpeltp::RpeLtp;
-use mmbench::perf::{matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport};
-use mmbench::{banner, cif_spec, test_music, test_speech, test_video, SEED};
 use mmpool::WorkerPool;
 use mmsoc::deploy::{deploy, Strategy};
 use mmsoc::video_encoder_pipeline;
@@ -145,7 +147,6 @@ fn kernel_row(name: &str, calls: usize, oracle: impl FnMut(), kernel: impl FnMut
 /// The kernel rows, on the 8×8 blocks and 16×16 macroblocks of a QCIF
 /// frame pair.
 fn kernel_rows(report: &mut PerfReport, current: &Frame, reference: &Frame) {
-    use std::hint::black_box;
     println!("\ncodec kernels vs their scalar oracles (QCIF frame pair):");
 
     // 16-wide SAD: every macroblock against the interior candidates of
@@ -292,9 +293,7 @@ fn ladder_row(report: &mut PerfReport) {
         Ok(&ladder),
         "pooled ladder must equal the sequential one"
     );
-    let ns = median_ns_per_iter(|| {
-        std::hint::black_box(encode_ladder("e19", std::hint::black_box(&source), &config).unwrap());
-    });
+    let ns = median_ns_per_iter(|| encode_ladder("e19", black_box(&source), &config).unwrap());
     let sum = |f: fn(&RungCost) -> u64| ladder.rung_costs.iter().map(f).sum::<u64>() as f64;
     println!(
         "\nladder (5 rungs, QCIF, 48 frames, GOP 8): {:.1} ms ({:.0} source frames/s)",
@@ -315,8 +314,6 @@ fn ladder_row(report: &mut PerfReport) {
 /// One `wall_ns` row per call of each kernel outside the codec hot
 /// path above.
 fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
-    use std::hint::black_box;
-
     println!("\nother kernels (ns per call):");
     let mut row = |name: &str, ns: f64| {
         println!("  {name:<36}: {ns:>12.0}");
@@ -327,15 +324,11 @@ fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
     let coeffs = dct.forward(block);
     row(
         "dct8x8_direct",
-        median_ns_per_iter(|| {
-            black_box(forward_direct(black_box(&block[..])));
-        }),
+        median_ns_per_iter(|| forward_direct(black_box(&block[..]))),
     );
     row(
         "idct8x8_butterfly",
-        median_ns_per_iter(|| {
-            black_box(dct.inverse(black_box(&coeffs)));
-        }),
+        median_ns_per_iter(|| dct.inverse(black_box(&coeffs))),
     );
 
     let frames = test_video(176, 144, 6);
@@ -359,9 +352,7 @@ fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
         let enc = Encoder::new(config).expect("valid");
         row(
             name,
-            median_ns_per_iter(|| {
-                black_box(enc.encode(black_box(&frames)).expect("encode"));
-            }),
+            median_ns_per_iter(|| enc.encode(black_box(&frames)).expect("encode")),
         );
     }
 
@@ -370,37 +361,27 @@ fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
     let stream = enc.encode(&pcm).expect("encode");
     row(
         "audio_encoder_4frames",
-        median_ns_per_iter(|| {
-            black_box(enc.encode(black_box(&pcm)).expect("encode"));
-        }),
+        median_ns_per_iter(|| enc.encode(black_box(&pcm)).expect("encode")),
     );
     row(
         "audio_decoder_4frames",
-        median_ns_per_iter(|| {
-            black_box(audio::encoder::decode(black_box(&stream.bytes)).expect("decode"));
-        }),
+        median_ns_per_iter(|| audio::encoder::decode(black_box(&stream.bytes)).expect("decode")),
     );
     let speech = test_speech(10);
     let codec = RpeLtp::new();
     row(
         "rpeltp_encode_10frames",
-        median_ns_per_iter(|| {
-            black_box(codec.encode(black_box(&speech)).expect("encode"));
-        }),
+        median_ns_per_iter(|| codec.encode(black_box(&speech)).expect("encode")),
     );
     let model = PsychoModel::new();
     row(
         "psycho_model_frame",
-        median_ns_per_iter(|| {
-            black_box(model.analyse(black_box(&pcm[..1152])));
-        }),
+        median_ns_per_iter(|| model.analyse(black_box(&pcm[..1152]))),
     );
     let smr = model.analyse(&pcm[..1152]).smr_db();
     row(
         "bit_allocation_frame",
-        median_ns_per_iter(|| {
-            black_box(audio::alloc::psychoacoustic(black_box(&smr), 37, 4608, 0.0));
-        }),
+        median_ns_per_iter(|| audio::alloc::psychoacoustic(black_box(&smr), 37, 4608, 0.0)),
     );
 
     let mut rng = Xoroshiro128::new(1);
@@ -408,36 +389,24 @@ fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
     let fft = Fft::new(1024);
     row(
         "fft_1024",
-        median_ns_per_iter(|| {
-            black_box(fft.forward_real(black_box(&x)));
-        }),
+        median_ns_per_iter(|| fft.forward_real(black_box(&x))),
     );
     let fb = Filterbank::new();
     let frame: Vec<f64> = (0..1152).map(|_| rng.normal()).collect();
     row(
         "filterbank_analysis_1152",
-        median_ns_per_iter(|| {
-            black_box(fb.analysis(black_box(&frame)));
-        }),
+        median_ns_per_iter(|| fb.analysis(black_box(&frame))),
     );
     let data = vec![0u8; 65_536];
     row(
         "hash_64k",
-        median_ns_per_iter(|| {
-            black_box(drm::hash::hash(black_box(&data)));
-        }),
+        median_ns_per_iter(|| drm::hash::hash(black_box(&data))),
     );
     row(
         "servo_loop_50k_samples",
         median_ns_per_iter(|| {
             let mut pid = Pid::new(nominal_gains(), 50_000.0);
-            black_box(run_loop(
-                Mechanism::nominal(),
-                &mut pid,
-                50_000.0,
-                50_000,
-                1,
-            ));
+            run_loop(Mechanism::nominal(), &mut pid, 50_000.0, 50_000, 1)
         }),
     );
 
@@ -451,22 +420,14 @@ fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
         row(
             &format!("deploy_{s}"),
             median_ns_per_iter(|| {
-                black_box(deploy(black_box(&pipeline.graph), &platform, s, 16).expect("deploy"));
+                deploy(black_box(&pipeline.graph), &platform, s, 16).expect("deploy")
             }),
         );
     }
 }
 
-fn main() {
-    banner(
-        "E19: video hot-path perf (BENCH_video.json)",
-        "the encoder inner loop does no per-candidate heap allocation and \
-         abandons losing SAD candidates row-wise; the fixed-8 butterfly \
-         beats the generic matrix DCT",
-    );
-
-    let mut report = PerfReport::new("video_hot_path", "exp_e19_perf");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // ---- Workload: QCIF pan with noise, so no candidate is perfect and
     // early exit has real work to do.
     let mut gen = SequenceGen::new(5);
@@ -487,17 +448,10 @@ fn main() {
     );
 
     let baseline_ns = median_ns_per_iter(|| {
-        std::hint::black_box(full_search_alloc_baseline(
-            std::hint::black_box(&current),
-            std::hint::black_box(&reference),
-        ));
+        full_search_alloc_baseline(black_box(&current), black_box(&reference))
     }) / blocks;
-    let hot_ns = median_ns_per_iter(|| {
-        std::hint::black_box(me.estimate(
-            std::hint::black_box(&current),
-            std::hint::black_box(&reference),
-        ));
-    }) / blocks;
+    let hot_ns =
+        median_ns_per_iter(|| me.estimate(black_box(&current), black_box(&reference))) / blocks;
     let (effective_ops, exhaustive_ops) = full_search_effective_ops(&current, &reference);
     let speedup = baseline_ns / hot_ns;
 
@@ -530,12 +484,8 @@ fn main() {
     for kind in [SearchKind::ThreeStep, SearchKind::Diamond] {
         let fast = MotionEstimator::new(kind, RANGE);
         let field = fast.estimate(&current, &reference);
-        let ns = median_ns_per_iter(|| {
-            std::hint::black_box(fast.estimate(
-                std::hint::black_box(&current),
-                std::hint::black_box(&reference),
-            ));
-        }) / blocks;
+        let ns = median_ns_per_iter(|| fast.estimate(black_box(&current), black_box(&reference)))
+            / blocks;
         let name = kind.to_string();
         println!(
             "  {name:<20}: {ns:>10.0} ns/block   ({} SAD evals, total SAD {})",
@@ -559,12 +509,8 @@ fn main() {
     }
     let dct1d = Dct1d::new(8);
     let dct2d = video::dct::Dct2d::new();
-    let matrix_ns = median_ns_per_iter(|| {
-        std::hint::black_box(matrix_dct2d_forward(&dct1d, std::hint::black_box(&block)));
-    });
-    let butterfly_ns = median_ns_per_iter(|| {
-        std::hint::black_box(dct2d.forward(std::hint::black_box(&block[..])));
-    });
+    let matrix_ns = median_ns_per_iter(|| matrix_dct2d_forward(&dct1d, black_box(&block)));
+    let butterfly_ns = median_ns_per_iter(|| dct2d.forward(black_box(&block[..])));
     // Sanity: same transform.
     let a = matrix_dct2d_forward(&dct1d, &block);
     let b = dct2d.forward(&block);
@@ -574,9 +520,7 @@ fn main() {
     // One row transform for scale.
     let mut line = [0.0f64; 8];
     line.copy_from_slice(&block[..8]);
-    let fdct8_ns = median_ns_per_iter(|| {
-        std::hint::black_box(fdct8(std::hint::black_box(&line)));
-    });
+    let fdct8_ns = median_ns_per_iter(|| fdct8(black_box(&line)));
 
     println!("\n8x8 forward DCT:");
     println!("  matrix row-column   : {matrix_ns:>10.1} ns/block (64 muls per 1-D)");
@@ -598,9 +542,7 @@ fn main() {
     let frames = test_video(64, 48, 8);
     let enc = Encoder::new(EncoderConfig::default()).expect("default config is valid");
     let encoded = enc.encode(&frames).expect("encode succeeds");
-    let encode_ns = median_ns_per_iter(|| {
-        std::hint::black_box(enc.encode(std::hint::black_box(&frames)).unwrap());
-    });
+    let encode_ns = median_ns_per_iter(|| enc.encode(black_box(&frames)).unwrap());
     let ns_per_frame = encode_ns / frames.len() as f64;
     println!("\nencoder end-to-end (64x48, 8 frames, default config):");
     println!(
@@ -628,9 +570,7 @@ fn main() {
     let frames = test_video(176, 144, 8);
     let stream = enc.encode(&frames).expect("encode succeeds");
     let decoded = decode(&stream.bytes).expect("the encoder's stream decodes");
-    let decode_ns = median_ns_per_iter(|| {
-        std::hint::black_box(decode(std::hint::black_box(&stream.bytes)).unwrap());
-    });
+    let decode_ns = median_ns_per_iter(|| decode(black_box(&stream.bytes)).unwrap());
     let ns_per_frame = decode_ns / frames.len() as f64;
     println!("\ndecoder end-to-end (176x144, 8 frames, default-config stream):");
     println!(
@@ -651,15 +591,7 @@ fn main() {
             .metric("stream_bytes", stream.bytes.len() as f64),
     );
 
-    kernel_rows(&mut report, &current, &reference);
-    ladder_row(&mut report);
-    other_kernel_rows(&mut report, &block);
-
-    report
-        .write("BENCH_video.json")
-        .expect("write BENCH_video.json");
-    println!(
-        "\nwrote BENCH_video.json ({} entries)",
-        report.entries.len()
-    );
+    kernel_rows(report, &current, &reference);
+    ladder_row(report);
+    other_kernel_rows(report, &block);
 }

@@ -3,21 +3,17 @@
 //! Regenerates the paper's Figure 1 as an executable: encodes a CIF
 //! sequence through DCT → quantizer → VLC → buffer with the motion
 //! estimation/compensation feedback loop, and reports where the
-//! operations go. Expected shape: motion estimation dominates encode
-//! cost.
+//! operations go. Asserted shape: motion estimation is more than half
+//! of the encode operations.
 
-use mmbench::{banner, cif_spec, test_video, SEED};
+use crate::{cif_spec, test_video, SEED};
 use mmsoc::report::{count, f, Table};
 use mmsoc::video_encoder_pipeline;
 use video::encoder::Encoder;
 
-fn main() {
-    banner(
-        "E1: Figure 1 — video encoder structure",
-        "the encoder is DCT + quantizer + VLC + buffer with an ME/MC feedback loop; \
-         motion estimation is the dominant computation",
-    );
-
+/// Prints the stage table, asserts that motion estimation dominates and
+/// returns its share of the encoder's operations per frame.
+pub fn run() -> f64 {
     // Run the real encoder on a CIF-scale sequence (trimmed for runtime).
     let frames = test_video(352, 288, 12);
     let encoded = Encoder::new(cif_spec().config)
@@ -48,15 +44,12 @@ fn main() {
         .stage_ops
         .iter()
         .find(|(n, _)| n == "motion-estimator")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    println!(
-        "motion estimation share: {}% — {}",
-        f(100.0 * me as f64 / total as f64, 1),
-        if 2 * me > total {
-            "DOMINANT (matches the paper's compute story)"
-        } else {
-            "not dominant (UNEXPECTED)"
-        }
+        .map_or(0, |(_, v)| *v);
+    let share = me as f64 / total as f64;
+    println!("motion estimation share: {}%", f(100.0 * share, 1));
+    assert!(
+        2 * me > total,
+        "motion estimation must dominate the encoder"
     );
+    share
 }

@@ -22,11 +22,11 @@
 
 use std::hint::black_box;
 
+use crate::perf::{median_ns_per_iter, PerfEntry, PerfReport};
+use crate::{bench_ladder_config, bench_source};
 use drm::cipher::XteaCtr;
-use mmbench::banner;
-use mmbench::perf::{median_ns_per_iter, PerfEntry, PerfReport};
 use mmstream::catalog::Catalog;
-use mmstream::ladder::{encode_ladder, LadderConfig};
+use mmstream::ladder::encode_ladder;
 use mmstream::segment::{demux_segment, mux_segment_wire};
 use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::ts::{crc32, crc32_bytewise, TS_PACKET_LEN};
@@ -120,9 +120,7 @@ fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
     let run = || transfer(&data, tcp, link, 20).expect("the access-link transfer completes");
     let r = run();
     assert_eq!(r.data, data);
-    let ns = median_ns_per_iter(|| {
-        black_box(run());
-    });
+    let ns = median_ns_per_iter(run);
     println!(
         "  transfer_aimd_ge: {:.0} us per 64 KiB over {} simulated ticks ({} segments, {} retransmitted)",
         ns / 1e3,
@@ -140,16 +138,8 @@ fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
     );
 }
 
-fn main() {
-    banner(
-        "E20: streaming delivery perf (BENCH_stream.json)",
-        "the transport mux moves segments at memory-bound rates and one \
-         simulated segment server feeds >=1000 concurrent ABR sessions \
-         up to a measurable capacity knee",
-    );
-
-    let mut report = PerfReport::new("stream_delivery", "exp_e20_stream");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // ---- Workload: a QCIF-ish sequence, one GOP muxed as a segment.
     let frames = SequenceGen::new(11).panning_sequence(176, 144, 8, 2, 1);
     let seq = Encoder::new(EncoderConfig {
@@ -169,15 +159,8 @@ fn main() {
     assert_eq!(seg.audio_es.as_deref(), Some(audio.as_slice()));
 
     let payload_bytes = (seq.bytes.len() + audio.len()) as f64;
-    let mux_ns = median_ns_per_iter(|| {
-        std::hint::black_box(mux_segment_wire(
-            std::hint::black_box(&seq),
-            Some(std::hint::black_box(&audio)),
-        ));
-    });
-    let demux_ns = median_ns_per_iter(|| {
-        std::hint::black_box(demux_segment(std::hint::black_box(&wire)));
-    });
+    let mux_ns = median_ns_per_iter(|| mux_segment_wire(black_box(&seq), Some(black_box(&audio))));
+    let demux_ns = median_ns_per_iter(|| demux_segment(black_box(&wire)));
     let mux_mb_s = payload_bytes / (mux_ns / 1e9) / 1e6;
     let demux_mb_s = wire.len() as f64 / (demux_ns / 1e9) / 1e6;
     println!(
@@ -195,29 +178,16 @@ fn main() {
             .metric("demux_mb_per_s", demux_mb_s),
     );
 
-    viewer_rows(&mut report, &wire);
+    viewer_rows(report, &wire);
 
     // ---- Ladder encode (the head-end cost of one title). 32 frames at
     // GOP 4 give 8 segments per rung, so sessions spend most of their
     // life in steady-state fetch-while-playing — the regime where the
     // capacity knee is visible.
-    let source = SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1);
-    let cfg = LadderConfig {
-        targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
-        gop: 4,
-        ..Default::default()
-    };
+    let (source, cfg) = (bench_source(32), bench_ladder_config());
     let ladder = encode_ladder("bench", &source, &cfg).expect("ladder encodes");
-    let ladder_ns = median_ns_per_iter(|| {
-        std::hint::black_box(
-            encode_ladder(
-                "bench",
-                std::hint::black_box(&source),
-                std::hint::black_box(&cfg),
-            )
-            .unwrap(),
-        );
-    });
+    let ladder_ns =
+        median_ns_per_iter(|| encode_ladder("bench", black_box(&source), black_box(&cfg)).unwrap());
     println!(
         "ladder: 3 rungs x {} segments, {} wire bytes, {:.1} ms to encode",
         ladder.manifest.segment_count(),
@@ -296,9 +266,7 @@ fn main() {
     );
 
     // ---- Simulator wall rate: sessions per second at the 1000 level.
-    let sim_ns = median_ns_per_iter(|| {
-        std::hint::black_box(simulate(std::hint::black_box(&at_1k)));
-    });
+    let sim_ns = median_ns_per_iter(|| simulate(black_box(&at_1k)));
     let sessions_per_s = 1_000.0 / (sim_ns / 1e9);
     println!(
         "simulator: 1000-session run in {:.1} ms ({sessions_per_s:.0} sessions/s)",
@@ -310,13 +278,5 @@ fn main() {
             .metric("wall_ns_per_run", sim_ns)
             .metric("sessions_per_second", sessions_per_s)
             .metric("knee_sessions", knee.unwrap_or(0) as f64),
-    );
-
-    report
-        .write("BENCH_stream.json")
-        .expect("write BENCH_stream.json");
-    println!(
-        "\nwrote BENCH_stream.json ({} entries)",
-        report.entries.len()
     );
 }

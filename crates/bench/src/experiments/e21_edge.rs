@@ -15,40 +15,21 @@
 //!
 //! All numbers are seed-deterministic (asserted by re-running a level).
 
-use mmbench::banner;
-use mmbench::perf::{PerfEntry, PerfReport};
-use mmstream::catalog::Catalog;
+use crate::perf::{PerfEntry, PerfReport};
+use crate::{cold_tier, vod_catalog, warm_tier};
 use mmstream::edge::EdgeTierConfig;
-use mmstream::ladder::{encode_ladder, LadderConfig};
 use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
-use video::synth::SequenceGen;
 
-fn main() {
-    banner(
-        "E21: edge-cache delivery tier (BENCH_edge.json)",
-        "N edge caches in front of the origin multiply serving capacity: \
-         the capacity knee scales with edge count instead of being pinned \
-         to one uplink, and warm edges serve through an origin outage",
-    );
-
-    let mut report = PerfReport::new("edge_delivery", "exp_e21_edge");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // Same title as E20, so the knees are directly comparable.
-    let source = SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1);
-    let cfg = LadderConfig {
-        targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
-        gop: 4,
-        ..Default::default()
-    };
-    let ladder = encode_ladder("bench", &source, &cfg).expect("ladder encodes");
-    let manifest = &ladder.manifest;
-    let title_bytes: usize = manifest
+    let catalog = vod_catalog();
+    let title_bytes: usize = catalog.titles()[0]
         .rungs
         .iter()
         .flat_map(|r| r.segments.iter().map(|s| s.bytes))
         .sum();
     let base = LoadConfig::default();
-    let catalog = Catalog::single(manifest.clone());
     let flat = |tier, load| Scenario::new(&catalog, CdnConfig::flat(tier), load);
 
     // ---- Hit rate vs per-edge cache size (cold caches, 500 sessions).
@@ -70,10 +51,8 @@ fn main() {
         ("unbounded", usize::MAX),
     ] {
         let tier = EdgeTierConfig {
-            edges: 4,
             cache_capacity_bytes: cap,
-            prewarm: false,
-            ..Default::default()
+            ..cold_tier(4)
         };
         let r = simulate(&flat(tier, load_500)).edge;
         assert_eq!(r.load.completed, 500, "every session completes ({label})");
@@ -117,13 +96,7 @@ fn main() {
     println!("\ncapacity knee vs edge count (warm edges, 4,000 B/tick each):");
     let mut knee_4 = 0usize;
     for edges in [1usize, 2, 4, 8] {
-        let tier = EdgeTierConfig {
-            edges,
-            cache_capacity_bytes: usize::MAX,
-            prewarm: true,
-            ..Default::default()
-        };
-        let curve = sweep(&flat(tier, base), &counts, None);
+        let curve = sweep(&flat(warm_tier(edges), base), &counts, None);
         assert!(curve
             .iter()
             .map(|r| &r.edge.load)
@@ -163,12 +136,7 @@ fn main() {
     println!("\n4-edge knee {knee_4} >= 2x single-origin knee {single_knee}: ok");
 
     // ---- Warm edges make an origin outage invisible.
-    let warm = EdgeTierConfig {
-        edges: 4,
-        cache_capacity_bytes: usize::MAX,
-        prewarm: true,
-        ..Default::default()
-    };
+    let warm = warm_tier(4);
     let load_2k = LoadConfig {
         sessions: 2_000,
         ..base
@@ -198,9 +166,4 @@ fn main() {
         replay, up,
         "edge load simulation must be deterministic for identical seeds"
     );
-
-    report
-        .write("BENCH_edge.json")
-        .expect("write BENCH_edge.json");
-    println!("\nwrote BENCH_edge.json ({} entries)", report.entries.len());
 }

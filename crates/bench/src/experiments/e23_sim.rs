@@ -30,70 +30,53 @@
 
 use std::time::Instant;
 
-use mmbench::perf::{PerfEntry, PerfReport};
-use mmbench::{
-    banner, engine_line, engine_metrics, live_catalog, live_scenario, live_sweep,
-    ns_per_cohort_quantum,
+use crate::perf::{PerfEntry, PerfReport};
+use crate::{
+    cold_tier, engine_line, engine_metrics, flash_crowd_bar, live_catalog, live_scenario,
+    live_sweep, ns_per_cohort_quantum, vod_catalog, warm_tier,
 };
-use mmstream::catalog::Catalog;
-use mmstream::edge::EdgeTierConfig;
-use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{
-    curve_knee, knee, simulate, sweep, CdnConfig, ChurnConfig, LoadConfig, Scenario,
-};
-use video::synth::SequenceGen;
+use mmstream::serve::{curve_knee, knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
 
-fn main() {
-    banner(
-        "E23: event-calendar simulation core (BENCH_sim.json)",
-        "the cohort fluid engine reproduces every edge-tier capacity \
-         knee and the flash-crowd absorption bar of the per-session \
-         engine, then takes the same live workload to one million \
-         concurrent viewers in seconds",
+/// Finds the knee of `s` over `counts` by curve scan, asserts that the
+/// bisecting knee agrees, and records it as `{name}_{edges}_edges`.
+fn bisect_row(
+    report: &mut PerfReport,
+    name: &str,
+    edges: usize,
+    s: &Scenario,
+    counts: &[usize],
+) -> usize {
+    let scan = curve_knee(&sweep(s, counts, None), 0.05).expect("tier sustains some level");
+    let bisect = knee(s, counts, 0.05).expect("bisect finds the same level");
+    assert_eq!(
+        bisect, scan,
+        "bisecting knee must equal the curve scan ({name}, {edges} edges)"
     );
+    println!("  {edges} edges: knee {scan} sessions (bisect agrees)");
+    report.push(
+        PerfEntry::new(&format!("{name}_{edges}_edges"))
+            .metric("edges", edges as f64)
+            .metric("knee_sessions", scan as f64)
+            .metric("bisect_equals_scan", 1.0),
+    );
+    scan
+}
 
-    let mut report = PerfReport::new("sim_core", "exp_e23_sim");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // ---- The E21 VOD title: knees directly comparable to BENCH_edge.
-    let source = SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1);
-    let cfg = LadderConfig {
-        targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
-        gop: 4,
-        ..Default::default()
-    };
-    let manifest = encode_ladder("bench", &source, &cfg)
-        .expect("ladder encodes")
-        .manifest;
     let base = LoadConfig::default();
-    let catalog = Catalog::single(manifest.clone());
+    let catalog = vod_catalog();
 
     println!("knee reproduction vs BENCH_edge (warm edges, 4,000 B/tick each):");
     let counts = [200usize, 1_000, 2_000, 4_000, 8_000, 16_000];
     for edges in [1usize, 2, 4, 8] {
-        let tier = EdgeTierConfig {
-            edges,
-            cache_capacity_bytes: usize::MAX,
-            prewarm: true,
-            ..Default::default()
-        };
-        let s = Scenario::new(&catalog, CdnConfig::flat(tier), base);
-        let scan = curve_knee(&sweep(&s, &counts, None), 0.05).expect("tier sustains some level");
-        let bisect = knee(&s, &counts, 0.05).expect("bisect finds the same level");
+        let s = Scenario::new(&catalog, CdnConfig::flat(warm_tier(edges)), base);
+        let knee = bisect_row(report, "knee_bisect", edges, &s, &counts);
         assert_eq!(
-            bisect, scan,
-            "bisecting knee must equal the curve scan ({edges} edges)"
-        );
-        assert_eq!(
-            scan,
+            knee,
             1_000 * edges,
             "the {edges}-edge knee must reproduce the per-session engine's"
-        );
-        println!("  {edges} edges: knee {scan} sessions (bisect agrees)");
-        report.push(
-            PerfEntry::new(&format!("knee_bisect_{edges}_edges"))
-                .metric("edges", edges as f64)
-                .metric("knee_sessions", scan as f64)
-                .metric("bisect_equals_scan", 1.0),
         );
     }
 
@@ -104,61 +87,19 @@ fn main() {
     println!("\nlive knee: bisect vs curve scan (live-edge joins, cold edges):");
     let live_counts = [500usize, 1_000, 2_000, 4_000, 8_000];
     for edges in [1usize, 4] {
-        let tier = EdgeTierConfig {
-            edges,
-            prewarm: false,
-            ..Default::default()
-        };
-        let s = live(CdnConfig::flat(tier), base);
-        let scan = curve_knee(&sweep(&s, &live_counts, None), 0.05)
-            .expect("tier sustains some live level");
-        let bisect = knee(&s, &live_counts, 0.05).expect("bisect finds the same level");
-        assert_eq!(
-            bisect, scan,
-            "live bisecting knee must equal the curve scan ({edges} edges)"
-        );
-        println!("  {edges} edges: live knee {scan} sessions (bisect agrees)");
-        report.push(
-            PerfEntry::new(&format!("live_knee_bisect_{edges}_edges"))
-                .metric("edges", edges as f64)
-                .metric("knee_sessions", scan as f64)
-                .metric("bisect_equals_scan", 1.0),
-        );
+        let s = live(CdnConfig::flat(cold_tier(edges)), base);
+        bisect_row(report, "live_knee_bisect", edges, &s, &live_counts);
     }
 
     // ---- The flash-crowd absorption bar, regenerated.
     println!("\n10x flash crowd (300 steady viewers + 3,000 over a 1,000-tick ramp):");
-    let flashed = LoadConfig {
-        sessions: 300,
-        stagger_ticks: 1_000,
-        churn: ChurnConfig {
-            flash_sessions: 3_000,
-            flash_at_tick: 2_000,
-            flash_ramp_ticks: 1_000,
-            ..Default::default()
-        },
-        ..base
-    };
-    let single_flash = simulate(&live(CdnConfig::single_origin(), flashed)).edge;
-    let flash_tier = EdgeTierConfig {
-        edges: 4,
-        prewarm: false,
-        ..Default::default()
-    };
-    let edge_flash = simulate(&live(CdnConfig::flat(flash_tier), flashed));
+    let (single_flash, edge_flash) = flash_crowd_bar(&live_catalog);
+    let single_flash = single_flash.edge;
     println!(
         "  single origin: rebuffer {:>5.1}%   4-edge tier: rebuffer {:>5.1}% (hit rate {:.1}%)",
         100.0 * single_flash.load.rebuffer_fraction,
         100.0 * edge_flash.edge.load.rebuffer_fraction,
         100.0 * edge_flash.edge.hit_rate,
-    );
-    assert!(
-        single_flash.load.rebuffer_fraction > 0.05,
-        "the flash crowd must still drive a single origin past its knee"
-    );
-    assert!(
-        edge_flash.edge.load.rebuffer_fraction <= 0.05,
-        "the 4-edge tier must still absorb the flash crowd"
     );
     report.push(
         PerfEntry::new("flash_crowd_bar")
@@ -246,9 +187,4 @@ fn main() {
             .metric("sessions_per_second", rate_1m)
             .metric("speedup_vs_330k_baseline", rate_1m / 330_000.0),
     );
-
-    report
-        .write("BENCH_sim.json")
-        .expect("write BENCH_sim.json");
-    println!("\nwrote BENCH_sim.json ({} entries)", report.entries.len());
 }

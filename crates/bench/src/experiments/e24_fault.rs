@@ -22,47 +22,20 @@
 //! Everything is seed-deterministic; there is no wall clock anywhere
 //! in the measured quantities.
 
-use mmbench::banner;
-use mmbench::perf::{PerfEntry, PerfReport};
-use mmstream::catalog::Catalog;
-use mmstream::edge::{EdgeTierConfig, HashRing};
+use crate::perf::{PerfEntry, PerfReport};
+use crate::{flash_crowd, live_catalog, live_scenario, vod_catalog, warm_tier};
+use mmstream::edge::HashRing;
 use mmstream::fault::{FaultPlan, RestartMode};
-use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{knee, simulate, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario};
-use mmstream::session::JoinMode;
+use mmstream::serve::{knee, simulate, CdnConfig, LoadConfig, Scenario};
 use signal::rng::splitmix64;
-use video::synth::SequenceGen;
 
-fn main() {
-    banner(
-        "E24: fault injection, failover, and the resilience ledger (BENCH_fault.json)",
-        "a warm edge tier degrades gracefully as a fault plan takes \
-         edges away, survives a composed crash+flap+flash-crowd \
-         scenario with <5% of sessions impacted, and the failover \
-         ring re-homes only a crashed edge's keys",
-    );
-
-    let mut report = PerfReport::new("fault", "exp_e24_fault");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // ---- The E21/E23 VOD title: the intact 8-edge knee is directly
     // comparable to BENCH_sim's 8,000 sessions.
-    let source = SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1);
-    let cfg = LadderConfig {
-        targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
-        gop: 4,
-        ..Default::default()
-    };
-    let manifest = encode_ladder("bench", &source, &cfg)
-        .expect("ladder encodes")
-        .manifest;
     let base = LoadConfig::default();
-    let catalog = Catalog::single(manifest);
-    let tier = EdgeTierConfig {
-        edges: 8,
-        cache_capacity_bytes: usize::MAX,
-        prewarm: true,
-        ..Default::default()
-    };
+    let catalog = vod_catalog();
+    let tier = warm_tier(8);
 
     println!("knee vs edges lost (8 warm edges, crashes at tick 0, no restart):");
     let counts: Vec<usize> = (1..=16).map(|i| i * 500).collect();
@@ -105,40 +78,14 @@ fn main() {
     // restart) + origin flap, on the E22/E23 live title (16 segments,
     // 400-tick natural pace, ~6,400-tick event).
     println!("\ncomposed scenario (10x flash + edge 0 cold-crash + origin flap):");
-    let live_source = SequenceGen::new(12).panning_sequence(64, 48, 64, 1, 1);
-    let live_manifest = encode_ladder("bench", &live_source, &cfg)
-        .expect("ladder encodes")
-        .manifest;
-    let live = LiveConfig {
-        dvr_window_segments: 8,
-        join: JoinMode::LiveEdge,
-        ..Default::default()
-    };
-    let flash_tier = EdgeTierConfig {
-        edges: 4,
-        cache_capacity_bytes: usize::MAX,
-        prewarm: true,
-        ..Default::default()
-    };
-    let load = LoadConfig {
-        sessions: 200,
-        stagger_ticks: 1_000,
-        churn: ChurnConfig {
-            flash_sessions: 2_000,
-            flash_at_tick: 2_000,
-            flash_ramp_ticks: 1_000,
-            ..Default::default()
-        },
-        ..base
-    };
+    let load = flash_crowd(200, 2_000);
     let plan = FaultPlan::new(0xFA11)
         .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
         .flap_origin(2_400, 3_600);
-    let live_catalog = Catalog::single(live_manifest);
+    let live_catalog = live_catalog();
     let composed = Scenario {
-        live: Some(live),
         faults: &plan,
-        ..Scenario::new(&live_catalog, CdnConfig::flat(flash_tier), load)
+        ..live_scenario(&live_catalog, CdnConfig::flat(warm_tier(4)), load)
     };
     let r = simulate(&composed);
     let res = r.resilience;
@@ -242,13 +189,5 @@ fn main() {
             .metric("keys", keys.len() as f64)
             .metric("only_crashed_keys", only_crashed_keys)
             .metric("worst_remap_fraction", worst_fraction),
-    );
-
-    report
-        .write("BENCH_fault.json")
-        .expect("write BENCH_fault.json");
-    println!(
-        "\nwrote BENCH_fault.json ({} entries)",
-        report.entries.len()
     );
 }

@@ -31,42 +31,22 @@
 
 use std::time::Instant;
 
-use mmbench::perf::{PerfEntry, PerfReport};
-use mmbench::{banner, engine_line, engine_metrics};
+use crate::perf::{PerfEntry, PerfReport};
+use crate::{
+    cold_tier, engine_line, engine_metrics, flash_crowd, live_catalog, live_scenario, vod_catalog, warm_tier,
+};
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::fault::{FaultPlan, RestartMode};
-use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{knee, simulate, CdnConfig, ChurnConfig, LiveConfig, LoadConfig, Scenario};
-use mmstream::session::JoinMode;
+use mmstream::serve::{knee, simulate, CdnConfig, LoadConfig, Scenario};
 use mmstream::shield::AdmissionPolicy;
-use video::synth::SequenceGen;
 
-fn main() {
-    banner(
-        "E25: the hierarchical CDN — shields, TinyLFU, Zipf catalogs (BENCH_cdn.json)",
-        "a 4-shield tier in front of 64 edges serves a 512-title Zipf \
-         catalog to millions of burst sessions with >99.9% origin \
-         offload, TinyLFU admission matches or beats LRU at 1/8 \
-         working-set cache, the knee stays pro-rata as edges-per-shield \
-         grows, and the composed fault scenario survives a shield crash",
-    );
-
-    let mut report = PerfReport::new("cdn", "exp_e25_cdn");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // ---- The E21/E23 VOD title, synthesized into a 512-title Zipf
     // catalog (rank renames of the same ladder: identical sizes, so
     // capacity effects separate cleanly from popularity effects).
-    let source = SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1);
-    let cfg = LadderConfig {
-        targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
-        gop: 4,
-        ..Default::default()
-    };
-    let manifest = encode_ladder("bench", &source, &cfg)
-        .expect("ladder encodes")
-        .manifest;
-    let catalog = Catalog::synthesize(&manifest, 512, 1.0);
+    let catalog = Catalog::synthesize(&vod_catalog().titles()[0], 512, 1.0);
 
     // ---- Origin offload at scale: everything cold, arrivals in one
     // burst so the coalescing fan-in is maximal.
@@ -74,12 +54,9 @@ fn main() {
     let sessions = 4_000_000usize;
     let offload_cdn = CdnConfig {
         tier: EdgeTierConfig {
-            edges: 64,
-            cache_capacity_bytes: usize::MAX,
             edge_capacity_bytes_per_tick: (sessions / 64) as f64 * 100.0,
             origin_capacity_bytes_per_tick: 1_000_000.0,
-            prewarm: false,
-            ..Default::default()
+            ..cold_tier(64)
         },
         shields: 4,
         shield_cache_capacity_bytes: usize::MAX,
@@ -140,11 +117,9 @@ fn main() {
         .map(|m| m.rungs[0].segments.iter().map(|s| s.bytes).sum::<usize>())
         .sum();
     let small_tier = EdgeTierConfig {
-        edges: 4,
         cache_capacity_bytes: touched / 8,
         edge_capacity_bytes_per_tick: 40_000.0,
-        prewarm: false,
-        ..Default::default()
+        ..cold_tier(4)
     };
     let admission_load = LoadConfig {
         sessions: 20_000,
@@ -194,12 +169,7 @@ fn main() {
     println!("\ncapacity knee vs edges-per-shield (4 shields, warm tier):");
     for edges in [16usize, 32, 64] {
         let cdn = CdnConfig {
-            tier: EdgeTierConfig {
-                edges,
-                cache_capacity_bytes: usize::MAX,
-                prewarm: true,
-                ..Default::default()
-            },
+            tier: warm_tier(edges),
             shields: 4,
             shield_cache_capacity_bytes: usize::MAX,
             shield_capacity_bytes_per_tick: 100_000.0,
@@ -231,47 +201,21 @@ fn main() {
     // (10x flash + edge 0 cold-crash + origin flap) with a cold shield
     // crash layered on, run through a 2-shield tier.
     println!("\ncomposed scenario (flash + edge crash + origin flap + SHIELD crash):");
-    let live_source = SequenceGen::new(12).panning_sequence(64, 48, 64, 1, 1);
-    let live_manifest = encode_ladder("bench", &live_source, &cfg)
-        .expect("ladder encodes")
-        .manifest;
-    let live_catalog = Catalog::single(live_manifest);
-    let live = LiveConfig {
-        dvr_window_segments: 8,
-        join: JoinMode::LiveEdge,
-        ..Default::default()
-    };
     let flash_cdn = CdnConfig {
-        tier: EdgeTierConfig {
-            edges: 4,
-            cache_capacity_bytes: usize::MAX,
-            prewarm: true,
-            ..Default::default()
-        },
+        tier: warm_tier(4),
         shields: 2,
         shield_cache_capacity_bytes: usize::MAX,
         shield_capacity_bytes_per_tick: 16_000.0,
         admission: AdmissionPolicy::AdmitAll,
     };
-    let flash_load = LoadConfig {
-        sessions: 200,
-        stagger_ticks: 1_000,
-        churn: ChurnConfig {
-            flash_sessions: 2_000,
-            flash_at_tick: 2_000,
-            flash_ramp_ticks: 1_000,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
     let plan = FaultPlan::new(0xFA11)
         .crash_edge(0, 2_400, Some((4_400, RestartMode::Cold)))
         .flap_origin(2_400, 3_600)
         .crash_shield(0, 2_600, Some((4_600, RestartMode::Cold)));
+    let live_catalog = live_catalog();
     let composed = Scenario {
-        live: Some(live),
         faults: &plan,
-        ..Scenario::new(&live_catalog, flash_cdn, flash_load)
+        ..live_scenario(&live_catalog, flash_cdn, flash_crowd(200, 2_000))
     };
     let t0 = Instant::now();
     let r = simulate(&composed);
@@ -322,9 +266,4 @@ fn main() {
         replay, r,
         "the composed scenario must be seed-deterministic"
     );
-
-    report
-        .write("BENCH_cdn.json")
-        .expect("write BENCH_cdn.json");
-    println!("\nwrote BENCH_cdn.json ({} entries)", report.entries.len());
 }

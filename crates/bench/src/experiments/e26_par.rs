@@ -22,25 +22,23 @@
 //!   symmetric-bus platforms of 1/2/4/8 PEs — latency and energy per
 //!   rung count per PE count, with the multi-PE mappings required to
 //!   beat the single-PE makespan.
-//! * **Parallel simulation**: exp_e23's live 1M-session sweep re-run
+//! * **Parallel simulation**: e23_sim's live 1M-session sweep re-run
 //!   through `serve::sweep` on the pool (whole curve points sharded
 //!   across the workers). Every pooled report must equal the sequential
 //!   `serve::simulate` report at that count *exactly* — the merge is
 //!   deterministic by construction, and `mmbench::live_sweep` builds
-//!   the very scenarios exp_e23 records in `BENCH_sim.json`.
+//!   the very scenarios e23_sim records in `BENCH_sim.json`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use mmbench::perf::{PerfEntry, PerfReport};
-use mmbench::{banner, live_catalog, live_sweep};
+use crate::perf::{PerfEntry, PerfReport};
+use crate::{bench_source, live_catalog, live_sweep};
 use mmpool::WorkerPool;
 use mmstream::headend_spec;
 use mmstream::ladder::{encode_ladder, encode_ladder_on, Ladder, LadderConfig};
 use mmstream::serve::{simulate, sweep};
 use mpsoc::{Mapping, Platform, Simulator};
-use video::synth::SequenceGen;
-use video::Frame;
 
 /// Ascending per-frame rate targets spanning the 2k–18k band the other
 /// experiments use, at any rung count.
@@ -106,26 +104,13 @@ fn effective_parallelism(threads: usize, spin_ms: u64) -> f64 {
 /// 4-worker 2x bar is asserted.
 const PARALLEL_4_BAR: f64 = 3.5;
 
-fn encode_source() -> Vec<Frame> {
-    SequenceGen::new(12).panning_sequence(64, 48, 32, 1, 1)
-}
-
-fn main() {
-    banner(
-        "E26: head-end on the MPSoC model + host parallelism (BENCH_par.json)",
-        "one staged head-end definition is executed on scoped host \
-         threads (bit-identical to sequential at any worker count) \
-         and mapped onto MPSoC platform configurations (latency/energy \
-         per PE count), and the 1M-session live sweep reruns in \
-         parallel with exactly the sequential numbers",
-    );
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let parallel_4 = effective_parallelism(4, 200);
     let bar_checked = parallel_4 >= PARALLEL_4_BAR;
-    let mut report = PerfReport::new("par_headend", "exp_e26_par");
     report.push(
         PerfEntry::new("host")
             .metric("host_cpus", host_cpus as f64)
@@ -146,7 +131,7 @@ fn main() {
     );
 
     // ---- Executed: pooled ladder encode, core scaling.
-    let source = encode_source();
+    let source = bench_source(32);
     let rung_counts = [3usize, 5, 7];
     let worker_counts = [1usize, 2, 4, 8];
     let mut ladders: Vec<(usize, Ladder)> = Vec::new();
@@ -256,8 +241,8 @@ fn main() {
         println!();
     }
 
-    // ---- Parallel simulation: exp_e23's live sweep, pooled.
-    println!("\nparallel 1M-session live sweep (exp_e23 workload, 4 workers):");
+    // ---- Parallel simulation: e23_sim's live sweep, pooled.
+    println!("\nparallel 1M-session live sweep (e23_sim workload, 4 workers):");
     let catalog = live_catalog();
     let at_1m = live_sweep(&catalog, 1_000_000);
     let counts = [10_000usize, 100_000, 1_000_000];
@@ -298,9 +283,4 @@ fn main() {
             .metric("curve_wall_ms", curve_ms)
             .metric("workers", 4.0),
     );
-
-    report
-        .write("BENCH_par.json")
-        .expect("write BENCH_par.json");
-    println!("\nwrote BENCH_par.json ({} entries)", report.entries.len());
 }

@@ -22,8 +22,7 @@
 //! and through the handoff the hybrid rebuffers less than the buffer
 //! controller.
 
-use mmbench::banner;
-use mmbench::perf::{PerfEntry, PerfReport};
+use crate::perf::{PerfEntry, PerfReport};
 use mmstream::ladder::{encode_ladder, publish_ladder, LadderConfig};
 use mmstream::session::{run_session, SessionConfig, SessionReport};
 use mmstream::{AbrStrategy, RetryPolicy};
@@ -85,16 +84,8 @@ fn run_cell(server: &ContentServer, base: &SessionConfig, seeds: std::ops::Range
     aggregate(&reports, failed)
 }
 
-fn main() {
-    banner(
-        "E27: ABR controller shootout on real pipes (BENCH_abr.json)",
-        "AIMD beats a big fixed window on a bufferbloated link, and on a \
-         bursty channel the hybrid controller rebuffers no more than the \
-         throughput-only EWMA controller",
-    );
-
-    let mut report = PerfReport::new("abr_shootout", "exp_e27_abr");
-
+/// Runs the harness, filling `report`.
+pub fn run(report: &mut PerfReport) {
     // ---- Transport headline: congestion control vs bufferbloat.
     // A 2 KB drop-tail queue on a 20 B/tick link: a fixed 64-segment
     // window bursts straight through the bound, tail-drops, and waits
@@ -239,18 +230,21 @@ fn main() {
         "\nshootout: 3 controllers x 3 traces, 8 seeds per cell, AIMD transport\n  {:>8} {:>16} {:>9} {:>10} {:>9} {:>9} {:>7}",
         "ctrl", "trace", "startup", "rebuffer%", "switches", "meanrung", "failed"
     );
+    let cell = |abr: &AbrStrategy, link: LinkConfig, trace: &Option<LinkTrace>| {
+        let base = SessionConfig {
+            tcp,
+            link,
+            retry,
+            abr: abr.clone(),
+            trace: trace.clone(),
+            ..Default::default()
+        };
+        run_cell(&server, &base, 100..108)
+    };
     let mut cells: Vec<(String, String, CellQoe)> = Vec::new();
     for (trace_name, link, trace) in &traces {
         for (ctrl_name, strategy) in &controllers {
-            let base = SessionConfig {
-                tcp,
-                link: *link,
-                retry,
-                abr: strategy.clone(),
-                trace: trace.clone(),
-                ..Default::default()
-            };
-            let qoe = run_cell(&server, &base, 100..108);
+            let qoe = cell(strategy, *link, trace);
             println!(
                 "  {:>8} {:>16} {:>9.0} {:>9.2}% {:>9.2} {:>9.2} {:>7}",
                 ctrl_name,
@@ -285,18 +279,7 @@ fn main() {
     // exactly before any number is published.
     let (ctrl_name, strategy) = &controllers[2];
     let (trace_name, link, trace) = &traces[2];
-    let replay = run_cell(
-        &server,
-        &SessionConfig {
-            tcp,
-            link: *link,
-            retry,
-            abr: strategy.clone(),
-            trace: trace.clone(),
-            ..Default::default()
-        },
-        100..108,
-    );
+    let replay = cell(strategy, *link, trace);
     let original = cells
         .iter()
         .find(|(c, t, _)| c == ctrl_name && t == trace_name)
@@ -347,9 +330,4 @@ fn main() {
         100.0 * hybrid_handoff,
         100.0 * buffer_handoff
     );
-
-    report
-        .write("BENCH_abr.json")
-        .expect("write BENCH_abr.json");
-    println!("wrote BENCH_abr.json ({} entries)", report.entries.len());
 }

@@ -2,22 +2,19 @@
 //!
 //! Runs the real subband encoder (mapper → psychoacoustic model →
 //! quantizer/coder → frame packer) and reports the per-stage operation
-//! budget. Expected shape: the mapper (filterbank) and psychoacoustic
-//! model dominate.
+//! budget. Asserted shape: the mapper (filterbank) and psychoacoustic
+//! model are more than half of the operations.
 
+use crate::{test_music, SEED};
 use audio::encoder::{decode, AudioConfig, AudioEncoder};
-use mmbench::{banner, test_music, SEED};
 use mmsoc::audio_encoder_pipeline;
 use mmsoc::report::{count, f, Table};
 use signal::metrics::snr;
 
-fn main() {
-    banner(
-        "E2: Figure 2 — MPEG-1 audio encoder structure",
-        "the encoder is mapper + quantizer/coder + frame packer steered by a \
-         psychoacoustic model",
-    );
-
+/// Prints the stage table, asserts that the front end dominates and
+/// returns the mapper's and psychoacoustic model's share of the
+/// operations.
+pub fn run() -> f64 {
     let pcm = test_music(8);
     let encoder = AudioEncoder::new(AudioConfig::default());
     let stream = encoder.encode(&pcm).expect("encode");
@@ -48,13 +45,8 @@ fn main() {
         .filter(|(n, _)| n == "mapper" || n == "psychoacoustic-model")
         .map(|(_, v)| v)
         .sum();
-    println!(
-        "mapper + psychoacoustic share: {}% — {}",
-        f(100.0 * front as f64 / total as f64, 1),
-        if 2 * front > total {
-            "front end dominates (matches Figure 2's emphasis)"
-        } else {
-            "front end does not dominate (UNEXPECTED)"
-        }
-    );
+    let share = front as f64 / total as f64;
+    println!("mapper + psychoacoustic share: {}%", f(100.0 * share, 1));
+    assert!(2 * front > total, "the front end must dominate Figure 2");
+    share
 }

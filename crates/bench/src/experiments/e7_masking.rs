@@ -6,11 +6,12 @@
 //! masking-aware allocation beats the flat baseline at constrained
 //! budgets; (c) the psychoacoustic coder reaches its quality ceiling while
 //! *spending fewer bits* — the paper's "eliminate masked tones to reduce
-//! the amount of information that is sent to the decoder".
+//! the amount of information that is sent to the decoder". All three
+//! are asserted: (b) at 1,000 and 2,000 bits per frame, (c) as less
+//! than half the flat coder's bits at 4,000 and 8,000.
 
 use audio::encoder::{decode, AllocationMode, AudioConfig, AudioEncoder, FRAME_SAMPLES};
 use audio::psycho::PsychoModel;
-use mmbench::banner;
 use mmsoc::report::{f, Table};
 use signal::fft::Fft;
 use signal::gen::{SignalGen, ToneSpec};
@@ -47,13 +48,11 @@ fn audible_band_snr(original: &[f64], decoded: &[f64]) -> f64 {
     10.0 * (sig / err.max(1e-30)).log10()
 }
 
-fn main() {
-    banner(
-        "E7: masking in the psychoacoustic model (§4)",
-        "when one tone is heard, a nearby weaker tone cannot be heard; the \
-         encoder eliminates masked tones to reduce the information sent",
-    );
-
+/// Prints the masking and allocation tables, asserts all three probes
+/// and returns, per budget (1,000 to 8,000 bits per frame), the
+/// audible-band SNR (dB) and bits spent per frame of the
+/// psychoacoustic and the flat allocation.
+pub fn run() -> [[(f64, usize); 2]; 4] {
     // (a) Masking threshold demonstration.
     let fs = 32_000.0;
     let band_freq = |b: usize| (b as f64 + 0.5) / 64.0 * fs;
@@ -77,8 +76,12 @@ fn main() {
             fs,
             2048,
         );
-        let a = model.analyse(&x);
-        let smr = a.smr_db();
+        let smr = model.analyse(&x).smr_db();
+        assert_eq!(
+            smr[9] > 0.0,
+            amp9 > 0.1,
+            "only the strong neighbour may be audible ({name})"
+        );
         table.row(vec![
             name.to_string(),
             f(smr[8], 1),
@@ -111,7 +114,7 @@ fn main() {
         "psycho bits spent",
         "flat bits spent",
     ]);
-    for budget in [1000u64, 2000, 4000, 8000] {
+    let budgets = [1000u64, 2000, 4000, 8000].map(|budget| {
         let run = |mode: AllocationMode| {
             let cfg = AudioConfig {
                 budget_bits_per_frame: budget,
@@ -123,16 +126,16 @@ fn main() {
             let out = decode(&stream.bytes).expect("decode");
             (audible_band_snr(&pcm, &out.samples), bits)
         };
-        let (p_snr, p_bits) = run(AllocationMode::Psychoacoustic);
-        let (f_snr, f_bits) = run(AllocationMode::Flat);
+        let [psycho, flat] = [AllocationMode::Psychoacoustic, AllocationMode::Flat].map(run);
         table.row(vec![
             budget.to_string(),
-            f(p_snr, 1),
-            f(f_snr, 1),
-            p_bits.to_string(),
-            f_bits.to_string(),
+            f(psycho.0, 1),
+            f(flat.0, 1),
+            psycho.1.to_string(),
+            flat.1.to_string(),
         ]);
-    }
+        [psycho, flat]
+    });
     println!("{table}");
     println!(
         "expected shape: at constrained budgets the psychoacoustic allocation wins \
@@ -140,4 +143,11 @@ fn main() {
          psychoacoustic coder gets there spending far fewer bits (masked bands \
          transmit nothing)."
     );
+    for [psycho, flat] in &budgets[..2] {
+        assert!(psycho.0 > flat.0, "psycho must win at constrained budgets");
+    }
+    for [psycho, flat] in &budgets[2..] {
+        assert!(2 * psycho.1 < flat.1, "psycho must spend far fewer bits");
+    }
+    budgets
 }

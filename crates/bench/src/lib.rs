@@ -1,20 +1,24 @@
 //! # `mmbench` — shared helpers for the experiment harness
 //!
 //! Every table and figure claim (README, *Experiments*) has a runnable
-//! regenerator in `src/bin/exp_e*.rs`, and the hot kernels are timed as
-//! rows of `exp_e19_perf` through [`perf`]. This library holds the workload
-//! constructors those binaries share, so every experiment uses the same
-//! seeds and sizes.
+//! regenerator in [`experiments`], run by name through the `exp` binary
+//! (`exp e5_me`, `exp all`), and the hot kernels are timed as rows of
+//! `e19_perf` through [`perf`]. This library holds the workload
+//! constructors those experiments share, so every experiment uses the
+//! same seeds and sizes.
 
 use mmstream::catalog::Catalog;
 use mmstream::edge::EdgeTierConfig;
 use mmstream::ladder::{encode_ladder, LadderConfig};
-use mmstream::serve::{CdnConfig, EngineStats, LiveConfig, LoadConfig, Scenario};
+use mmstream::serve::{
+    simulate, CdnConfig, CdnLoadReport, ChurnConfig, EngineStats, LiveConfig, LoadConfig, Scenario,
+};
 use mmstream::session::JoinMode;
 use video::encoder::EncoderConfig;
 use video::frame::Frame;
 use video::synth::SequenceGen;
 
+pub mod experiments;
 pub mod perf;
 
 /// The canonical seed for every experiment workload.
@@ -50,22 +54,106 @@ pub fn test_speech(frames: usize) -> Vec<f64> {
         .0
 }
 
-/// The E22 live title (64 QCIF-quarter frames, 3 rungs, 4-frame GOPs:
-/// 16 segments) as a one-title catalog — the live workload of
-/// `exp_e23_sim` and `exp_e26_par`.
+/// The bench title's source: a `frames`-long 64x48 pan.
 #[must_use]
-pub fn live_catalog() -> Catalog {
-    let source = SequenceGen::new(12).panning_sequence(64, 48, 64, 1, 1);
-    let cfg = LadderConfig {
+pub fn bench_source(frames: usize) -> Vec<Frame> {
+    SequenceGen::new(12).panning_sequence(64, 48, frames, 1, 1)
+}
+
+/// The bench ladder's encoding: 3 rungs at 2k/6k/18k bits per frame,
+/// 4-frame GOPs.
+#[must_use]
+pub fn bench_ladder_config() -> LadderConfig {
+    LadderConfig {
         targets_bits_per_frame: vec![2_000.0, 6_000.0, 18_000.0],
         gop: 4,
         ..Default::default()
-    };
-    Catalog::single(
-        encode_ladder("bench", &source, &cfg)
-            .expect("ladder encodes")
-            .manifest,
-    )
+    }
+}
+
+/// The VOD bench title as a one-title catalog: 32 frames of
+/// [`bench_source`], 8 segments per rung — the title of every VOD knee
+/// (`e20_stream` to `e25_cdn`).
+#[must_use]
+pub fn vod_catalog() -> Catalog {
+    let ladder = encode_ladder("bench", &bench_source(32), &bench_ladder_config());
+    Catalog::single(ladder.expect("ladder encodes").manifest)
+}
+
+/// The live title (64 frames of [`bench_source`], 16 segments) as a
+/// one-title catalog — the live workload of `e22_live` to `e26_par`.
+#[must_use]
+pub fn live_catalog() -> Catalog {
+    let ladder = encode_ladder("bench", &bench_source(64), &bench_ladder_config());
+    Catalog::single(ladder.expect("ladder encodes").manifest)
+}
+
+/// `edges` warm edges with unbounded caches at the default 4,000
+/// B/tick per link.
+#[must_use]
+pub fn warm_tier(edges: usize) -> EdgeTierConfig {
+    EdgeTierConfig {
+        edges,
+        cache_capacity_bytes: usize::MAX,
+        prewarm: true,
+        ..Default::default()
+    }
+}
+
+/// `edges` cold edges (nothing prewarmed) with the default 4,000 B/tick
+/// per link and unbounded caches.
+#[must_use]
+pub fn cold_tier(edges: usize) -> EdgeTierConfig {
+    EdgeTierConfig {
+        edges,
+        prewarm: false,
+        ..Default::default()
+    }
+}
+
+/// A 10x flash crowd: `sessions` steady viewers over 1,000 ticks, then
+/// `flash` more over a 1,000-tick ramp from tick 2,000.
+#[must_use]
+pub fn flash_crowd(sessions: usize, flash: usize) -> LoadConfig {
+    LoadConfig {
+        sessions,
+        stagger_ticks: 1_000,
+        churn: ChurnConfig {
+            flash_sessions: flash,
+            flash_at_tick: 2_000,
+            flash_ramp_ticks: 1_000,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// The 10x flash-crowd bar on the live title: `flash_crowd(300,
+/// 3_000)` drives a single origin past 5% rebuffering, while a cold
+/// 4-edge tier holds it to at most 5%, because every just-published
+/// segment crosses the origin once per edge and the waiters coalesce.
+/// Returns the (single-origin, 4-edge) runs.
+///
+/// # Panics
+///
+/// Panics when either side of the bar fails.
+#[must_use]
+pub fn flash_crowd_bar(catalog: &Catalog) -> (CdnLoadReport, CdnLoadReport) {
+    let run = |cdn| simulate(&live_scenario(catalog, cdn, flash_crowd(300, 3_000)));
+    let single = run(CdnConfig::single_origin());
+    let edge = run(CdnConfig::flat(cold_tier(4)));
+    let rebuffer = |r: &CdnLoadReport| r.edge.load.rebuffer_fraction;
+    assert!(
+        rebuffer(&single) > 0.05,
+        "the flash crowd must drive a single origin past its knee: {}",
+        rebuffer(&single)
+    );
+    assert!(
+        rebuffer(&edge) <= 0.05,
+        "a cold 4-edge tier must hold <=5% rebuffering through the spike: {}",
+        rebuffer(&edge)
+    );
+    (single, edge)
 }
 
 /// A live scenario over `catalog`: viewers join at the live edge of an
@@ -82,17 +170,15 @@ pub fn live_scenario(catalog: &Catalog, cdn: CdnConfig, load: LoadConfig) -> Sce
     }
 }
 
-/// `exp_e23_sim`'s 1M-session live sweep at `sessions` viewers: four
+/// `e23_sim`'s 1M-session live sweep at `sessions` viewers: four
 /// edges provisioned for a million-viewer audience (each edge's
 /// downlink carries its 250k viewers at the full access-link rate),
 /// filled cold over the default 4,000 B/tick origin uplink.
 #[must_use]
 pub fn live_sweep(catalog: &Catalog, sessions: usize) -> Scenario<'_> {
     let tier = EdgeTierConfig {
-        edges: 4,
         edge_capacity_bytes_per_tick: 2.5e7,
-        prewarm: false,
-        ..Default::default()
+        ..cold_tier(4)
     };
     let load = LoadConfig {
         sessions,
@@ -133,13 +219,6 @@ pub fn engine_line(e: &EngineStats, wall_s: f64) -> String {
         e.full_path_steps,
         ns_per_cohort_quantum(e, wall_s),
     )
-}
-
-/// Prints the experiment banner every binary starts with.
-pub fn banner(id: &str, claim: &str) {
-    println!("=== {id} ===");
-    println!("paper claim: {claim}");
-    println!();
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Every perf-focused PR is judged against the repo's bench trajectory
 //! (`BENCH_*.json` at the workspace root). This module is the writer: a
 //! tiny dependency-free JSON emitter ([`PerfReport`]) plus a wall-clock
-//! measurement loop ([`median_ns_per_iter`]) shared by the `exp_e19_perf`
-//! binary and any future perf regenerators. The format is deliberately
+//! measurement loop ([`median_ns_per_iter`]) shared by the harness
+//! experiments, `e19_perf` to `e27_abr`. The format is deliberately
 //! flat — one named entry per kernel, each a map of metric name to
 //! number — so CI can smoke-parse it and humans can diff it.
 
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 /// The seed `Dct2d`: generic matrix 1-D transforms composed row–column.
 /// Kept here (not in `video`, which now runs the fixed-8 butterfly) as
-/// the baseline that `exp_e19_perf` measures the butterfly against.
+/// the baseline that `e19_perf` measures the butterfly against.
 ///
 /// # Panics
 ///
@@ -80,7 +80,8 @@ impl PerfEntry {
 pub struct PerfReport {
     /// Report name, e.g. `"video_hot_path"`.
     pub name: String,
-    /// The binary that generated it, e.g. `"exp_e19_perf"`.
+    /// What generated it, e.g. `"exp_e19_perf"` (the experiment's
+    /// original binary name, which every BENCH file keeps).
     pub generated_by: String,
     /// Measured kernels, in insertion order.
     pub entries: Vec<PerfEntry>,
@@ -184,8 +185,10 @@ fn json_number(v: f64) -> String {
 /// Median wall-clock nanoseconds of one invocation of `f`: double the
 /// iteration count until a sample lasts ~10 ms (or 40 ms of warm-up
 /// pass), then take the median of 7 samples of that many iterations.
-/// Every timed row of the `exp_e*` binaries goes through it.
-pub fn median_ns_per_iter<F: FnMut()>(mut f: F) -> f64 {
+/// Each result passes through [`std::hint::black_box`], so the work
+/// that makes it cannot be optimized away. Every timed row of the
+/// experiments goes through it.
+pub fn median_ns_per_iter<T, F: FnMut() -> T>(mut f: F) -> f64 {
     const SAMPLE_TARGET: Duration = Duration::from_millis(10);
     const WARMUP_TARGET: Duration = Duration::from_millis(40);
     const SAMPLES: usize = 7;
@@ -194,7 +197,7 @@ pub fn median_ns_per_iter<F: FnMut()>(mut f: F) -> f64 {
     loop {
         let t = Instant::now();
         for _ in 0..iters {
-            f();
+            std::hint::black_box(f());
         }
         if t.elapsed() >= SAMPLE_TARGET || warmup.elapsed() >= WARMUP_TARGET {
             break;
@@ -205,7 +208,7 @@ pub fn median_ns_per_iter<F: FnMut()>(mut f: F) -> f64 {
         .map(|_| {
             let t = Instant::now();
             for _ in 0..iters {
-                f();
+                std::hint::black_box(f());
             }
             t.elapsed().as_secs_f64() * 1e9 / iters as f64
         })

@@ -2,7 +2,7 @@
 //!
 //! All workload generators in the workspace draw from [`Xoroshiro128`], a
 //! small, fast, seedable PRNG (xoroshiro128++). Determinism matters here:
-//! every `exp_e*` experiment (README, *Experiments*) must regenerate the
+//! every `exp` experiment (README, *Experiments*) must regenerate the
 //! same workload from
 //! the same seed so that paper-shape comparisons are reproducible run to
 //! run, machine to machine.

@@ -108,7 +108,7 @@ impl AbrController {
 }
 
 /// How the session picks rungs — the controllers the PR 10 ABR
-/// shootout (`exp_e27_abr`) races on identical link traces.
+/// shootout (`exp e27_abr`) races on identical link traces.
 ///
 /// Every strategy shares the same [`AbrController`] throughput
 /// estimator underneath (it keeps observing downloads either way);

@@ -1,9 +1,11 @@
-//! Paper-shape regression tests: every expected shape the `exp_e*`
-//! binaries regenerate (README, *Experiments*), asserted automatically (small workloads — the exp_* binaries run the
-//! full-size versions).
+//! Paper-shape regression tests: nine of the paper's claims (E1–E3, E5,
+//! E6, E13, E16–E18) re-derived on small workloads. Every claim, these
+//! nine included, is asserted at full size by its experiment in the
+//! `exp` binary (`exp all`; README, *Experiments*); some are also pinned
+//! by unit tests in their crates.
 //!
-//! If an implementation change breaks one of the paper's qualitative
-//! claims, this file fails before the README's claims go stale.
+//! If an implementation change breaks one of these claims, this file
+//! fails in `cargo test` before the README's claims go stale.
 
 use mmsoc::{
     audio_encoder_pipeline, video_decoder_pipeline, video_encoder_pipeline, VideoPipelineSpec,
