@@ -137,17 +137,6 @@ impl Filterbank {
         let hops = samples / BANDS + 1;
         (hops * BANDS * WINDOW) as u64
     }
-
-    /// Centre frequency of band `b` as a fraction of the sample rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b >= 32`.
-    #[must_use]
-    pub fn band_center(b: usize) -> f64 {
-        assert!(b < BANDS, "band out of range");
-        (b as f64 + 0.5) / (2.0 * BANDS as f64)
-    }
 }
 
 #[cfg(test)]

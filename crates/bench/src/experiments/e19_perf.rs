@@ -138,10 +138,10 @@ fn kernel_row(name: &str, calls: usize, oracle: impl FnMut(), kernel: impl FnMut
     );
     PerfEntry::new(name)
         .metric("calls", n)
-        .metric("oracle_wall_ns", oracle_ns)
-        .metric("kernel_wall_ns", kernel_ns)
-        .metric("speedup_vs_oracle", oracle_ns / kernel_ns)
         .metric("bit_identical", 1.0)
+        .timing("oracle_wall_ns", oracle_ns)
+        .timing("kernel_wall_ns", kernel_ns)
+        .timing("speedup_vs_oracle", oracle_ns / kernel_ns)
 }
 
 /// The kernel rows, on the 8×8 blocks and 16×16 macroblocks of a QCIF
@@ -303,11 +303,11 @@ fn ladder_row(report: &mut PerfReport) {
     report.push(
         PerfEntry::new("ladder_qcif_5_rungs")
             .metric("frames", 48.0)
-            .metric("wall_ms", ns / 1e6)
             .metric("sad_evaluations", sum(|c| c.tally.me_sad_evaluations))
             .metric("dct_blocks", sum(|c| c.tally.dct_blocks))
             .metric("vlc_symbols", sum(|c| c.tally.vlc_symbols))
-            .metric("wire_bytes", ladder.total_bytes() as f64),
+            .metric("wire_bytes", ladder.total_bytes() as f64)
+            .timing("wall_ms", ns / 1e6),
     );
 }
 
@@ -317,7 +317,7 @@ fn other_kernel_rows(report: &mut PerfReport, block: &[f64; 64]) {
     println!("\nother kernels (ns per call):");
     let mut row = |name: &str, ns: f64| {
         println!("  {name:<36}: {ns:>12.0}");
-        report.push(PerfEntry::new(name).metric("wall_ns", ns));
+        report.push(PerfEntry::new(name).timing("wall_ns", ns));
     };
 
     let dct = Dct2d::new();
@@ -469,15 +469,15 @@ pub fn run(report: &mut PerfReport) {
         PerfEntry::new("me_full_qcif_range15")
             .metric("blocks", blocks)
             .metric("sad_evaluations", hot_field.total_evaluations() as f64)
-            .metric("baseline_wall_ns_per_block", baseline_ns)
-            .metric("wall_ns_per_block", hot_ns)
-            .metric("speedup_vs_alloc_copy", speedup)
             .metric("sad_pixel_ops_exhaustive", exhaustive_ops as f64)
             .metric("sad_pixel_ops_effective", effective_ops as f64)
             .metric(
                 "early_exit_op_fraction",
                 effective_ops as f64 / exhaustive_ops as f64,
-            ),
+            )
+            .timing("baseline_wall_ns_per_block", baseline_ns)
+            .timing("wall_ns_per_block", hot_ns)
+            .timing("speedup_vs_alloc_copy", speedup),
     );
 
     // ---- Fast searches on the same workload (predictor-seeded).
@@ -496,8 +496,8 @@ pub fn run(report: &mut PerfReport) {
             PerfEntry::new(&format!("me_{kind}_qcif_range15"))
                 .metric("blocks", blocks)
                 .metric("sad_evaluations", field.total_evaluations() as f64)
-                .metric("wall_ns_per_block", ns)
-                .metric("total_sad", field.total_sad() as f64),
+                .metric("total_sad", field.total_sad() as f64)
+                .timing("wall_ns_per_block", ns),
         );
     }
 
@@ -530,12 +530,12 @@ pub fn run(report: &mut PerfReport) {
     );
     report.push(
         PerfEntry::new("dct8x8_forward")
-            .metric("matrix_wall_ns_per_block", matrix_ns)
-            .metric("butterfly_wall_ns_per_block", butterfly_ns)
-            .metric("speedup_vs_matrix", matrix_ns / butterfly_ns)
             .metric("matrix_muls_per_1d", 64.0)
             .metric("butterfly_muls_per_1d", FAST8_MULS as f64)
-            .metric("fdct8_wall_ns", fdct8_ns),
+            .timing("matrix_wall_ns_per_block", matrix_ns)
+            .timing("butterfly_wall_ns_per_block", butterfly_ns)
+            .timing("speedup_vs_matrix", matrix_ns / butterfly_ns)
+            .timing("fdct8_wall_ns", fdct8_ns),
     );
 
     // ---- Encoder end-to-end.
@@ -555,15 +555,15 @@ pub fn run(report: &mut PerfReport) {
     report.push(
         PerfEntry::new("encoder_64x48_default")
             .metric("frames", frames.len() as f64)
-            .metric("wall_ns_per_frame", ns_per_frame)
-            .metric("frames_per_second", 1e9 / ns_per_frame)
             .metric(
                 "me_sad_evaluations",
                 encoded.tally.me_sad_evaluations as f64,
             )
             .metric("dct_blocks", encoded.tally.dct_blocks as f64)
             .metric("mean_psnr_db", encoded.mean_psnr_db())
-            .metric("total_bits", encoded.total_bits() as f64),
+            .metric("total_bits", encoded.total_bits() as f64)
+            .timing("wall_ns_per_frame", ns_per_frame)
+            .timing("frames_per_second", 1e9 / ns_per_frame),
     );
 
     // ---- Decoder end-to-end: one QCIF GOP-12 stream (1 I + 7 P frames).
@@ -584,11 +584,11 @@ pub fn run(report: &mut PerfReport) {
     report.push(
         PerfEntry::new("decoder_qcif")
             .metric("frames", frames.len() as f64)
-            .metric("wall_ns_per_frame", ns_per_frame)
-            .metric("frames_per_second", 1e9 / ns_per_frame)
             .metric("idct_blocks", decoded.idct_blocks as f64)
             .metric("mc_pixels", decoded.mc_pixels as f64)
-            .metric("stream_bytes", stream.bytes.len() as f64),
+            .metric("stream_bytes", stream.bytes.len() as f64)
+            .timing("wall_ns_per_frame", ns_per_frame)
+            .timing("frames_per_second", 1e9 / ns_per_frame),
     );
 
     kernel_rows(report, &current, &reference);

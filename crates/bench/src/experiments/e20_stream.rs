@@ -49,12 +49,12 @@ fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()
     );
     PerfEntry::new(name)
         .metric("bytes", bytes as f64)
-        .metric("oracle_wall_ns", oracle_ns)
-        .metric("fast_wall_ns", fast_ns)
-        .metric("oracle_mb_per_s", mb_s(oracle_ns))
-        .metric("fast_mb_per_s", mb_s(fast_ns))
-        .metric("speedup_vs_oracle", oracle_ns / fast_ns)
         .metric("bit_identical", 1.0)
+        .timing("oracle_wall_ns", oracle_ns)
+        .timing("fast_wall_ns", fast_ns)
+        .timing("oracle_mb_per_s", mb_s(oracle_ns))
+        .timing("fast_mb_per_s", mb_s(fast_ns))
+        .timing("speedup_vs_oracle", oracle_ns / fast_ns)
 }
 
 /// The viewer's per-segment work: unseal, TS CRC-32 and the transfer
@@ -134,7 +134,7 @@ fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
             .metric("sim_ticks", r.ticks as f64)
             .metric("segments_sent", r.segments_sent as f64)
             .metric("retransmissions", r.retransmissions as f64)
-            .metric("wall_ns", ns),
+            .timing("wall_ns", ns),
     );
 }
 
@@ -172,10 +172,10 @@ pub fn run(report: &mut PerfReport) {
         PerfEntry::new("ts_mux_demux_segment")
             .metric("payload_bytes", payload_bytes)
             .metric("wire_packets", (wire.len() / 188) as f64)
-            .metric("mux_wall_ns", mux_ns)
-            .metric("mux_mb_per_s", mux_mb_s)
-            .metric("demux_wall_ns", demux_ns)
-            .metric("demux_mb_per_s", demux_mb_s),
+            .timing("mux_wall_ns", mux_ns)
+            .timing("mux_mb_per_s", mux_mb_s)
+            .timing("demux_wall_ns", demux_ns)
+            .timing("demux_mb_per_s", demux_mb_s),
     );
 
     viewer_rows(report, &wire);
@@ -199,8 +199,8 @@ pub fn run(report: &mut PerfReport) {
             .metric("rungs", ladder.manifest.rungs.len() as f64)
             .metric("segments_per_rung", ladder.manifest.segment_count() as f64)
             .metric("total_wire_bytes", ladder.total_bytes() as f64)
-            .metric("wall_ns", ladder_ns)
-            .metric("wall_ms", ladder_ns / 1e6),
+            .timing("wall_ns", ladder_ns)
+            .timing("wall_ms", ladder_ns / 1e6),
     );
 
     // ---- Many-session load: capacity curve and knee.
@@ -275,8 +275,8 @@ pub fn run(report: &mut PerfReport) {
     report.push(
         PerfEntry::new("simulator_rate")
             .metric("sessions", 1_000.0)
-            .metric("wall_ns_per_run", sim_ns)
-            .metric("sessions_per_second", sessions_per_s)
-            .metric("knee_sessions", knee.unwrap_or(0) as f64),
+            .metric("knee_sessions", knee.unwrap_or(0) as f64)
+            .timing("wall_ns_per_run", sim_ns)
+            .timing("sessions_per_second", sessions_per_s),
     );
 }

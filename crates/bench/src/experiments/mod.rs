@@ -269,6 +269,7 @@ mod tests {
         assert_eq!(names, ["e5_me", "e1_video_pipeline"]);
     }
 
+    /// Also: no committed entry name holds host text (a `:` verdict).
     #[test]
     fn each_report_carries_its_committed_files_generator() {
         let mut harnesses = 0;
@@ -287,6 +288,17 @@ mod tests {
                 assert!(
                     committed.contains(&format!("\"{key}\": \"{value}\"")),
                     "{file} must carry {key} `{value}`"
+                );
+            }
+            let names: Vec<&str> = committed
+                .lines()
+                .filter_map(|l| l.trim_start().strip_prefix("\"name\": "))
+                .collect();
+            assert!(!names.is_empty(), "{file} has no entries");
+            for name in names {
+                assert!(
+                    !name.contains(':'),
+                    "{file}: entry name {name} holds host text"
                 );
             }
         }

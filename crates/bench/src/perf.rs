@@ -2,11 +2,24 @@
 //!
 //! Every perf-focused PR is judged against the repo's bench trajectory
 //! (`BENCH_*.json` at the workspace root). This module is the writer: a
-//! tiny dependency-free JSON emitter ([`PerfReport`]) plus a wall-clock
-//! measurement loop ([`median_ns_per_iter`]) shared by the harness
-//! experiments, `e19_perf` to `e27_abr`. The format is deliberately
-//! flat — one named entry per kernel, each a map of metric name to
-//! number — so CI can smoke-parse it and humans can diff it.
+//! tiny dependency-free JSON emitter ([`PerfReport`]) shared by the
+//! harness experiments, `e19_perf` to `e27_abr`. The format is
+//! deliberately flat — one named entry per kernel or scenario — so CI
+//! can diff it and humans can read it.
+//!
+//! Each entry keeps two maps apart:
+//!
+//! * `metrics` ([`PerfEntry::metric`]) hold results: op counts, knees,
+//!   ledgers, bit-identity flags and modeled makespans, which the same
+//!   code reproduces on any host. CI requires them to equal the
+//!   committed file's.
+//! * `timings` ([`PerfEntry::timing`]) hold what the host decides: wall
+//!   times, rates and speedups derived from them, and host readings
+//!   such as CPU counts. CI ignores them. Each is one reading, taken one
+//!   of three ways: the median of 7 samples from [`median_ns_per_iter`]
+//!   (`e19_perf`, `e20_stream`), one `Instant` span around a single run
+//!   (`e23_sim`'s sweep levels, `e26_par`'s pooled sweep), or the best
+//!   of 3 runs (`e26_par`'s encode grid). None carries a spread.
 
 use signal::dct1d::Dct1d;
 use std::time::{Duration, Instant};
@@ -42,13 +55,16 @@ pub fn matrix_dct2d_forward(dct: &Dct1d, block: &[f64]) -> [f64; 64] {
     out
 }
 
-/// One measured kernel: a name plus ordered `metric -> value` pairs.
+/// One measured kernel: a name plus ordered `name -> value` results and
+/// timings.
 #[derive(Debug, Clone)]
 pub struct PerfEntry {
     /// Kernel/scenario name, e.g. `"me_full_qcif"`.
     pub name: String,
-    /// Ordered metrics, e.g. `("wall_ns_per_block", 812.4)`.
+    /// Ordered host-independent results, e.g. `("sad_evaluations", 225.0)`.
     pub metrics: Vec<(String, f64)>,
+    /// Ordered host-dependent readings, e.g. `("wall_ns_per_block", 812.4)`.
+    pub timings: Vec<(String, f64)>,
 }
 
 impl PerfEntry {
@@ -58,10 +74,12 @@ impl PerfEntry {
         Self {
             name: name.to_string(),
             metrics: Vec::new(),
+            timings: Vec::new(),
         }
     }
 
-    /// Appends a metric (builder style).
+    /// Appends a result that the same code reproduces on any host
+    /// (builder style).
     ///
     /// # Panics
     ///
@@ -71,6 +89,19 @@ impl PerfEntry {
     pub fn metric(mut self, name: &str, value: f64) -> Self {
         assert!(value.is_finite(), "metric {name} is not finite: {value}");
         self.metrics.push((name.to_string(), value));
+        self
+    }
+
+    /// Appends a host-dependent reading: a wall time, a rate or speedup
+    /// derived from one, or a host property (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-finite values, as [`PerfEntry::metric`] does.
+    #[must_use]
+    pub fn timing(mut self, name: &str, value: f64) -> Self {
+        assert!(value.is_finite(), "timing {name} is not finite: {value}");
+        self.timings.push((name.to_string(), value));
         self
     }
 }
@@ -116,18 +147,12 @@ impl PerfReport {
         for (i, e) in self.entries.iter().enumerate() {
             out.push_str("    {\n");
             out.push_str(&format!("      \"name\": {},\n", json_string(&e.name)));
-            out.push_str("      \"metrics\": {");
-            for (j, (k, v)) in e.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n        {}: {}",
-                    json_string(k),
-                    json_number(*v)
-                ));
+            json_map(&mut out, "metrics", &e.metrics);
+            if !e.timings.is_empty() {
+                out.push_str(",\n");
+                json_map(&mut out, "timings", &e.timings);
             }
-            out.push_str("\n      }\n");
+            out.push('\n');
             out.push_str(if i + 1 < self.entries.len() {
                 "    },\n"
             } else {
@@ -154,6 +179,19 @@ impl PerfReport {
         }
         std::fs::write(path, self.to_json())
     }
+}
+
+/// Appends `"key": { ... }` at entry depth, without a trailing newline.
+fn json_map(out: &mut String, key: &str, values: &[(String, f64)]) {
+    let fields: Vec<String> = values
+        .iter()
+        .map(|(k, v)| format!("\n        {}: {}", json_string(k), json_number(*v)))
+        .collect();
+    out.push_str(&format!(
+        "      {}: {{{}\n      }}",
+        json_string(key),
+        fields.join(",")
+    ));
 }
 
 fn json_string(s: &str) -> String {
@@ -186,8 +224,8 @@ fn json_number(v: f64) -> String {
 /// iteration count until a sample lasts ~10 ms (or 40 ms of warm-up
 /// pass), then take the median of 7 samples of that many iterations.
 /// Each result passes through [`std::hint::black_box`], so the work
-/// that makes it cannot be optimized away. Every timed row of the
-/// experiments goes through it.
+/// that makes it cannot be optimized away. `e19_perf` and `e20_stream`
+/// time every kernel row with it.
 pub fn median_ns_per_iter<T, F: FnMut() -> T>(mut f: F) -> f64 {
     const SAMPLE_TARGET: Duration = Duration::from_millis(10);
     const WARMUP_TARGET: Duration = Duration::from_millis(40);
@@ -241,6 +279,34 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_without_timings_serializes_byte_exactly() {
+        let mut r = PerfReport::new("r", "exp_t");
+        r.push(PerfEntry::new("a").metric("n", 3.0).metric("x", 0.125));
+        r.push(PerfEntry::new("b"));
+        assert_eq!(
+            r.to_json(),
+            "{\n  \"report\": \"r\",\n  \"generated_by\": \"exp_t\",\n  \"entries\": [\n    \
+             {\n      \"name\": \"a\",\n      \"metrics\": {\n        \"n\": 3,\n        \
+             \"x\": 0.125\n      }\n    },\n    {\n      \"name\": \"b\",\n      \
+             \"metrics\": {\n      }\n    }\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn timings_serialize_after_metrics() {
+        let mut r = PerfReport::new("r", "exp_t");
+        r.push(
+            PerfEntry::new("a")
+                .timing("wall_ns", 812.375)
+                .metric("n", 3.0),
+        );
+        assert!(r.to_json().contains(
+            "      \"metrics\": {\n        \"n\": 3\n      },\n      \
+             \"timings\": {\n        \"wall_ns\": 812.375\n      }\n    }\n"
+        ));
+    }
+
+    #[test]
     fn an_empty_report_is_refused_and_writes_nothing() {
         let path = std::env::temp_dir().join(format!("empty_perf_{}.json", std::process::id()));
         let path = path.to_str().expect("temp path is UTF-8");
@@ -262,6 +328,12 @@ mod tests {
     #[should_panic(expected = "not finite")]
     fn non_finite_metric_panics() {
         let _ = PerfEntry::new("x").metric("bad", f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn non_finite_timing_panics() {
+        let _ = PerfEntry::new("x").timing("bad", f64::INFINITY);
     }
 
     #[test]

@@ -262,11 +262,6 @@ impl SignalGen {
             })
             .collect()
     }
-
-    /// Access to the underlying RNG for ad-hoc jitter.
-    pub fn rng_mut(&mut self) -> &mut Xoroshiro128 {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

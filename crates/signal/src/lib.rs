@@ -6,8 +6,7 @@
 //! [`dct1d`], the fast fixed-size [`dct8`] butterfly), [`window`]
 //! functions, digital [`filter`] primitives, quality
 //! [`metrics`] (PSNR/SNR, strided/bounded SAD), a deterministic [`rng`],
-//! descriptive [`stats`],
-//! fixed-point helpers ([`fixed`]) and parametric signal [`gen`]erators
+//! descriptive [`stats`] and parametric signal [`gen`]erators
 //! (tones, noise, the voiced/unvoiced speech model of the paper's §4, and
 //! harmonic "music").
 //!
@@ -39,7 +38,6 @@ pub mod dct1d;
 pub mod dct8;
 pub mod fft;
 pub mod filter;
-pub mod fixed;
 pub mod gen;
 pub mod metrics;
 pub mod rng;

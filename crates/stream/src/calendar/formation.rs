@@ -205,7 +205,7 @@ pub(super) fn form_cohorts(
                 n: 0,
                 members: Vec::new(),
                 state: CohortState {
-                    abr: AbrController::new(load.ewma_alpha, load.safety),
+                    abr: AbrController::default(),
                     start_tick,
                     startup_ticks: 0,
                     seg: join_seq,

@@ -171,10 +171,6 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Segments buffered before playback starts.
     pub startup_segments: usize,
-    /// ABR headroom.
-    pub safety: f64,
-    /// ABR throughput smoothing.
-    pub ewma_alpha: f64,
     /// Simulation step, ticks (larger = faster, coarser; 0 is treated
     /// as 1).
     pub tick_quantum: u64,
@@ -202,8 +198,6 @@ impl Default for LoadConfig {
             stagger_ticks: 1_000,
             seed: 7,
             startup_segments: 2,
-            safety: 0.7,
-            ewma_alpha: 0.4,
             tick_quantum: 4,
             max_ticks: 10_000_000,
             churn: ChurnConfig::default(),
@@ -877,7 +871,7 @@ pub(crate) mod oracle {
                     start_tick,
                     depart_at,
                     edge,
-                    abr: AbrController::new(load.ewma_alpha, load.safety),
+                    abr: AbrController::default(),
                     seg: join_seq,
                     rung: 0,
                     remaining_bytes: 0.0,

@@ -107,6 +107,14 @@ impl AbrController {
     }
 }
 
+impl Default for AbrController {
+    /// The controller every session and cohort runs: EWMA alpha 0.4,
+    /// safety 0.7.
+    fn default() -> Self {
+        Self::new(0.4, 0.7)
+    }
+}
+
 /// How the session picks rungs — the controllers the PR 10 ABR
 /// shootout (`exp e27_abr`) races on identical link traces.
 ///
@@ -235,10 +243,6 @@ pub struct SessionConfig {
     pub seed: u64,
     /// Segments buffered before playback starts (the jitter buffer).
     pub startup_segments: usize,
-    /// ABR headroom.
-    pub safety: f64,
-    /// ABR throughput smoothing.
-    pub ewma_alpha: f64,
     /// Cap (or pin, with `Some(0)`) the reachable rung.
     pub max_rung: Option<usize>,
     /// License verification key for sealed titles.
@@ -260,16 +264,14 @@ pub struct SessionConfig {
 }
 
 impl Default for SessionConfig {
-    /// Default transport and link, 2-segment jitter buffer, 0.7 safety,
-    /// 0.4 EWMA, free rung choice, no DRM, EWMA ABR, no trace.
+    /// Default transport and link, 2-segment jitter buffer, free rung
+    /// choice, no DRM, EWMA ABR, no trace.
     fn default() -> Self {
         Self {
             tcp: TcpConfig::default(),
             link: LinkConfig::default(),
             seed: 1,
             startup_segments: 2,
-            safety: 0.7,
-            ewma_alpha: 0.4,
             max_rung: None,
             verification_key: None,
             retry: RetryPolicy::default(),
@@ -537,7 +539,7 @@ where
             clock: start_tick,
             leg: 0,
             content_key: None,
-            abr: AbrController::new(config.ewma_alpha, config.safety),
+            abr: AbrController::default(),
             buffer_ticks: 0,
             playing: false,
             startup_after: 1,
