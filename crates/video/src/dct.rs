@@ -104,22 +104,6 @@ impl Dct2d {
         out
     }
 
-    /// Forward transform of a `u8` pixel block, level-shifted by −128 as in
-    /// JPEG/MPEG intra coding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pixels.len() != 64`.
-    #[must_use]
-    pub fn forward_pixels(&self, pixels: &[u8]) -> [f64; BLOCK * BLOCK] {
-        assert_eq!(pixels.len(), BLOCK * BLOCK, "expected an 8x8 block");
-        let mut shifted = [0.0; BLOCK * BLOCK];
-        for (s, &p) in shifted.iter_mut().zip(pixels) {
-            *s = p as f64 - 128.0;
-        }
-        self.forward(&shifted)
-    }
-
     /// Inverse transform back to clamped `u8` pixels (undoes the −128
     /// level shift).
     ///
@@ -223,7 +207,8 @@ mod tests {
     fn pixel_round_trip_exact_for_smooth_blocks() {
         let dct = Dct2d::new();
         let pixels: Vec<u8> = (0..64).map(|i| (100 + (i % 8) * 2) as u8).collect();
-        let back = dct.inverse_to_pixels(&dct.forward_pixels(&pixels));
+        let shifted: Vec<f64> = pixels.iter().map(|&p| p as f64 - 128.0).collect();
+        let back = dct.inverse_to_pixels(&dct.forward(&shifted));
         for (a, b) in pixels.iter().zip(back.iter()) {
             assert!((*a as i32 - *b as i32).abs() <= 1);
         }

@@ -1,18 +1,18 @@
 //! The video decoder: Figure 1 run in reverse.
 //!
 //! Variable-length decode → inverse quantizer → inverse DCT, plus the
-//! motion-compensated predictor fed by the decoded vectors. The encoder's
-//! reconstruction loop and this decoder share one reconstruction step
-//! ([`crate::encoder`]'s `reconstruct_block`), so decoder output is
-//! bit-identical to the encoder's internal reference frames.
+//! motion-compensated predictor fed by the decoded vectors. The frames
+//! are rebuilt by the encoder's own reconstruction loop
+//! ([`crate::encoder`]'s `reconstruct_frame`), so decoder output is
+//! bit-identical to the encoder's internal reference frames; this module
+//! only parses the stream: headers, vectors and each block's levels.
 
 use crate::bitstream::{read_amplitude, BitReader, OutOfBitsError};
 use crate::dct::{Dct2d, BLOCK};
-use crate::encoder::{reconstruct_block, FrameKind, INTRA_PREDICTION, MAGIC, MV_BITS};
+use crate::encoder::{padded_planes, reconstruct_frame, FrameKind, StageTally, MAGIC, MV_BITS};
 use crate::frame::Frame;
 use crate::huffman::{HuffmanCode, HuffmanError};
 use crate::me::{BlockMotion, MotionField, MotionVector};
-use crate::plane::Plane8;
 use crate::quant::{Quantizer, BASE_MATRIX, FLAT_MATRIX};
 use crate::rle::{self, RleEvent};
 use crate::zigzag;
@@ -118,8 +118,8 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
     let reserve = frame_count.min(r.remaining() / 8);
     let mut frames: Vec<Frame> = Vec::with_capacity(reserve);
     let mut kinds = Vec::with_capacity(reserve);
-    let mut idct_blocks = 0u64;
-    let mut mc_pixels = 0u64;
+    let mut tally = StageTally::default();
+    let mut events = [RleEvent::EndOfBlock; BLOCK * BLOCK];
 
     let mb_cols = w / 16;
     let mb_rows = h / 16;
@@ -127,26 +127,25 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
     for _ in 0..frame_count {
         let predicted = r.read_bit()?;
         let quality = r.read_bits(7)? as u8;
-        if quality == 0 || quality > 100 {
-            return Err(DecodeError::BadQuality(quality));
-        }
-        let kind = if predicted {
-            FrameKind::Predicted
+        let (kind, matrix) = if predicted {
+            (FrameKind::Predicted, &FLAT_MATRIX)
         } else {
-            FrameKind::Intra
+            (FrameKind::Intra, &BASE_MATRIX)
         };
-        // Motion vectors.
+        let quant = Quantizer::from_quality_with_matrix(quality, matrix)
+            .map_err(|e| DecodeError::BadQuality(e.0))?;
         let field = if predicted {
-            let mut blocks = Vec::with_capacity(mb_cols * mb_rows);
-            for _ in 0..mb_cols * mb_rows {
-                let dx = sign_extend_6(r.read_bits(MV_BITS)?);
-                let dy = sign_extend_6(r.read_bits(MV_BITS)?);
-                blocks.push(BlockMotion {
-                    mv: MotionVector::new(dx, dy),
-                    sad: 0,
-                    evaluations: 0,
-                });
-            }
+            let blocks = (0..mb_cols * mb_rows)
+                .map(|_| {
+                    let dx = sign_extend_6(r.read_bits(MV_BITS)?);
+                    let dy = sign_extend_6(r.read_bits(MV_BITS)?);
+                    Ok(BlockMotion {
+                        mv: MotionVector::new(dx, dy),
+                        sad: 0,
+                        evaluations: 0,
+                    })
+                })
+                .collect::<Result<_, OutOfBitsError>>()?;
             Some(MotionField {
                 cols: mb_cols,
                 rows: mb_rows,
@@ -155,105 +154,65 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
         } else {
             None
         };
-
-        let matrix = if predicted {
-            &FLAT_MATRIX
-        } else {
-            &BASE_MATRIX
+        // The previous frame, padded by the whole range of a 6-bit
+        // vector (32 luma samples), so no vector in the stream reaches
+        // past the padding.
+        let reference = match (field, frames.last()) {
+            (None, _) => None,
+            (Some(field), Some(prev)) => Some((padded_planes(prev, 1 << (MV_BITS - 1)), field)),
+            (Some(_), None) => return Err(DecodeError::BadBlock),
         };
-        let quant = Quantizer::from_quality_with_matrix(quality, matrix)
-            .map_err(|e| DecodeError::BadQuality(e.0))?;
 
-        // Borrowed views of the reference (previous) frame's planes.
-        let ref_planes = frames
-            .last()
-            .map(|f| [f.luma_plane(), f.cb_plane(), f.cr_plane()]);
-
-        let mut out_planes: Vec<Plane8> = Vec::with_capacity(3);
-        let mut pred = [0u8; BLOCK * BLOCK];
-        let mut rec = [0u8; BLOCK * BLOCK];
-        let mut events = [RleEvent::EndOfBlock; BLOCK * BLOCK];
-        for pi in 0..3 {
-            let (pw, ph) = if pi == 0 { (w, h) } else { (w / 2, h / 2) };
-            let chroma = pi > 0;
-            let (cols, rows) = (pw / BLOCK, ph / BLOCK);
-            let mut plane = Plane8::filled(pw, ph, 128);
-            let mut prev_dc = 0i16;
-            for by in 0..rows {
-                for bx in 0..cols {
-                    // DC: a size category of at most 15 keeps the amplitude
-                    // read within 32 bits and the difference within i16.
-                    let size = dc_code.decode(&mut r)? as u32;
-                    if size > 15 {
+        let mut prev_dc = [0i16; 3];
+        let frame = reconstruct_frame(
+            &dct,
+            &quant,
+            (w, h),
+            reference.as_ref(),
+            &mut tally,
+            |pi, _, _, _| {
+                // DC: a size category of at most 15 keeps the amplitude
+                // read within 32 bits and the difference within i16.
+                let size = dc_code.decode(&mut r)? as u32;
+                if size > 15 {
+                    return Err(DecodeError::BadBlock);
+                }
+                let diff = read_amplitude(&mut r, size)?;
+                let dc = prev_dc[pi]
+                    .checked_add(diff as i16)
+                    .ok_or(DecodeError::BadBlock)?;
+                prev_dc[pi] = dc;
+                // AC events until EOB or 63 coefficients; each event
+                // covers at least one, so at most 63 are stored.
+                let mut n_events = 0;
+                let mut coeffs_seen = 0usize;
+                loop {
+                    let sym = ac_code.decode(&mut r)?;
+                    let amp = match sym {
+                        0x00 | 0xF0 => 0,
+                        _ => read_amplitude(&mut r, (sym & 0x0F) as u32)?,
+                    };
+                    let ev = rle::event_from_symbol(sym, amp);
+                    events[n_events] = ev;
+                    n_events += 1;
+                    coeffs_seen += match ev {
+                        RleEvent::EndOfBlock => break,
+                        RleEvent::ZeroRunLength => 16,
+                        RleEvent::Run { run, .. } => run as usize + 1,
+                    };
+                    if coeffs_seen > 63 {
                         return Err(DecodeError::BadBlock);
                     }
-                    let diff = read_amplitude(&mut r, size)?;
-                    let dc = prev_dc
-                        .checked_add(diff as i16)
-                        .ok_or(DecodeError::BadBlock)?;
-                    prev_dc = dc;
-                    // AC events until EOB or 63 coefficients; each event
-                    // covers at least one, so at most 63 are stored.
-                    let mut n_events = 0;
-                    let mut coeffs_seen = 0usize;
-                    loop {
-                        let sym = ac_code.decode(&mut r)?;
-                        let amp = match sym {
-                            0x00 | 0xF0 => 0,
-                            _ => read_amplitude(&mut r, (sym & 0x0F) as u32)?,
-                        };
-                        let ev = rle::event_from_symbol(sym, amp);
-                        events[n_events] = ev;
-                        n_events += 1;
-                        coeffs_seen += match ev {
-                            RleEvent::EndOfBlock => break,
-                            RleEvent::ZeroRunLength => 16,
-                            RleEvent::Run { run, .. } => run as usize + 1,
-                        };
-                        if coeffs_seen > 63 {
-                            return Err(DecodeError::BadBlock);
-                        }
-                        if coeffs_seen == 63 {
-                            break;
-                        }
+                    if coeffs_seen == 63 {
+                        break;
                     }
-                    let mut scanned =
-                        rle::decode_ac(&events[..n_events]).map_err(|_| DecodeError::BadBlock)?;
-                    scanned[0] = dc;
-                    let levels = zigzag::unscan(&scanned);
-                    idct_blocks += 1;
-                    let prediction = if predicted {
-                        let rp = &ref_planes.as_ref().ok_or(DecodeError::BadBlock)?[pi];
-                        let f = field.as_ref().expect("field exists for P frames");
-                        let (mbx, mby) = if chroma { (bx, by) } else { (bx / 2, by / 2) };
-                        let mv = f.at(mbx.min(f.cols - 1), mby.min(f.rows - 1)).mv;
-                        let (dx, dy) = if chroma {
-                            (mv.dx / 2, mv.dy / 2)
-                        } else {
-                            (mv.dx, mv.dy)
-                        };
-                        rp.block_into(
-                            (bx * BLOCK) as i32 + dx,
-                            (by * BLOCK) as i32 + dy,
-                            BLOCK,
-                            &mut pred,
-                        );
-                        mc_pixels += (BLOCK * BLOCK) as u64;
-                        &pred
-                    } else {
-                        &INTRA_PREDICTION
-                    };
-                    reconstruct_block(&dct, &quant, &levels, prediction, &mut rec);
-                    plane.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
                 }
-            }
-            out_planes.push(plane);
-        }
-        let cr = out_planes.pop().expect("three planes");
-        let cb = out_planes.pop().expect("three planes");
-        let y = out_planes.pop().expect("three planes");
-        let frame = Frame::from_planes(w, h, y.into_data(), cb.into_data(), cr.into_data())
-            .map_err(|_| DecodeError::BadDimensions)?;
+                let mut scanned =
+                    rle::decode_ac(&events[..n_events]).map_err(|_| DecodeError::BadBlock)?;
+                scanned[0] = dc;
+                Ok(zigzag::unscan(&scanned))
+            },
+        )?;
         frames.push(frame);
         kinds.push(kind);
     }
@@ -261,8 +220,8 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
     Ok(DecodedSequence {
         frames,
         kinds,
-        idct_blocks,
-        mc_pixels,
+        idct_blocks: tally.idct_blocks,
+        mc_pixels: tally.mc_pixels,
     })
 }
 
@@ -383,9 +342,14 @@ mod tests {
         );
     }
 
-    /// A one-frame 16x16 intra stream with the given code tables, then
-    /// `payload(writer)` as the frame's block data.
-    fn crafted_stream(dc: Vec<u8>, ac: Vec<u8>, payload: impl Fn(&mut BitWriter)) -> Vec<u8> {
+    /// A one-frame 16x16 stream with the given code tables, then
+    /// `payload(writer)` as the frame's data after its kind and quality.
+    fn crafted_stream(
+        predicted: bool,
+        dc: Vec<u8>,
+        ac: Vec<u8>,
+        payload: impl Fn(&mut BitWriter),
+    ) -> Vec<u8> {
         let mut w = BitWriter::new();
         w.write_bits(MAGIC, 16);
         w.write_bits(1, 8);
@@ -393,10 +357,102 @@ mod tests {
         w.write_bits(1, 16);
         HuffmanCode::from_lengths(dc).unwrap().write_table(&mut w);
         HuffmanCode::from_lengths(ac).unwrap().write_table(&mut w);
-        w.write_bit(false);
+        w.write_bit(predicted);
         w.write_bits(75, 7);
         payload(&mut w);
         w.into_bytes()
+    }
+
+    #[test]
+    fn a_predicted_first_frame_is_a_typed_error() {
+        // A zero vector, then no block data: the missing reference is
+        // reported before the blocks are parsed.
+        let bytes = crafted_stream(true, vec![1], vec![1], |w| w.write_bits(0, 12));
+        assert_eq!(decode(&bytes).unwrap_err(), DecodeError::BadBlock);
+    }
+
+    #[test]
+    fn extreme_vectors_on_every_border_macroblock_decode() {
+        // An encoded 64x48 intra frame, followed by a P frame whose
+        // border macroblocks carry the extreme 6-bit vectors (-32 and +31
+        // in all four combinations) and whose residual is zero, so the P
+        // frame is the motion-compensated prediction alone. The two
+        // interior macroblocks carry odd negative components, whose
+        // chroma halves truncate toward zero.
+        let mut source = SequenceGen::new(13).textured_frame(64, 48);
+        let (cb, cr) = source.chroma_mut();
+        for (i, (b, r)) in cb.iter_mut().zip(cr.iter_mut()).enumerate() {
+            (*b, *r) = ((i * 37 % 256) as u8, (i * 11 % 200) as u8);
+        }
+        let intra = Encoder::new(EncoderConfig::default())
+            .unwrap()
+            .encode(&[source])
+            .unwrap();
+        let mut r = BitReader::new(&intra.bytes);
+        let mut w = BitWriter::new();
+        w.write_bits(r.read_bits(32).unwrap(), 32); // magic and dimensions
+        assert_eq!(r.read_bits(16).unwrap(), 1);
+        w.write_bits(2, 16); // two frames
+        let dc_code = HuffmanCode::read_table(&mut r).unwrap();
+        let ac_code = HuffmanCode::read_table(&mut r).unwrap();
+        dc_code.write_table(&mut w);
+        ac_code.write_table(&mut w);
+        assert_eq!(w.bit_len(), intra.header_bits);
+        for _ in 0..intra.frames[0].bits {
+            w.write_bit(r.read_bit().unwrap());
+        }
+        w.write_bit(true);
+        w.write_bits(75, 7);
+        let (cols, rows) = (4, 3);
+        let mut vectors = Vec::new();
+        for my in 0..rows {
+            for mx in 0..cols {
+                let border = mx == 0 || my == 0 || mx == cols - 1 || my == rows - 1;
+                let i = my * cols + mx;
+                let mv = match (border, i % 4) {
+                    (false, 1) => (-31, 17),
+                    (false, _) => (15, -17),
+                    (true, 0) => (-32, -32),
+                    (true, 1) => (31, -32),
+                    (true, 2) => (-32, 31),
+                    (true, _) => (31, 31),
+                };
+                w.write_bits((mv.0 & 0x3F) as u32, MV_BITS);
+                w.write_bits((mv.1 & 0x3F) as u32, MV_BITS);
+                vectors.push(mv);
+            }
+        }
+        for _ in 0..64 * 48 * 3 / 2 / 64 {
+            dc_code.encode(&mut w, 0).unwrap();
+            ac_code.encode(&mut w, 0x00).unwrap();
+        }
+
+        let dec = decode(&w.into_bytes()).unwrap();
+        assert_eq!(dec.kinds, [FrameKind::Intra, FrameKind::Predicted]);
+        let (i, p) = (&dec.frames[0], &dec.frames[1]);
+        // Every sample of the P frame is its macroblock's vector applied
+        // to the I frame through a clamped per-sample gather; chroma moves
+        // by the halved (truncated) vector.
+        for (plane, src, got, sub) in [
+            ("Y", i.luma(), p.luma(), 1),
+            ("Cb", i.cb(), p.cb(), 2),
+            ("Cr", i.cr(), p.cr(), 2),
+        ] {
+            let (pw, ph) = (64 / sub, 48 / sub);
+            for y in 0..ph {
+                for x in 0..pw {
+                    let (dx, dy) = vectors[(y * sub / 16) * cols + x * sub / 16];
+                    let (dx, dy) = (dx / sub as i32, dy / sub as i32);
+                    let sx = (x as i32 + dx).clamp(0, pw as i32 - 1) as usize;
+                    let sy = (y as i32 + dy).clamp(0, ph as i32 - 1) as usize;
+                    assert_eq!(
+                        got[y * pw + x],
+                        src[sy * pw + sx],
+                        "plane {plane} ({x},{y})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -405,7 +461,7 @@ mod tests {
         // its amplitude would ask for more than 32 bits.
         let mut dc = vec![0; 34];
         dc[33] = 1;
-        let bytes = crafted_stream(dc, vec![1], |w| w.write_bits(0, 8));
+        let bytes = crafted_stream(false, dc, vec![1], |w| w.write_bits(0, 8));
         assert_eq!(decode(&bytes).unwrap_err(), DecodeError::BadBlock);
     }
 
@@ -414,7 +470,7 @@ mod tests {
         // Two blocks each adding +32767 to the DC predictor overflow i16.
         let mut dc = vec![0; 16];
         dc[15] = 1;
-        let bytes = crafted_stream(dc, vec![1], |w| {
+        let bytes = crafted_stream(false, dc, vec![1], |w| {
             for _ in 0..2 {
                 w.write_bit(false); // DC size 15
                 w.write_bits(0x7FFF, 15); // +32767

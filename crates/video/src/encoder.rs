@@ -6,6 +6,13 @@
 //! prediction drift cannot accumulate. The optional rate controller closes
 //! the buffer→quantizer feedback arrow.
 //!
+//! As in the figure, the encoder contains the decoder: one block walk,
+//! the crate-private `reconstruct_frame`, predicts every block (flat for
+//! I frames, motion-compensated for P frames), takes its levels from a
+//! closure and reconstructs it. The encoder's closure codes the source
+//! block against the prediction; [`crate::decoder`]'s parses the levels
+//! from the stream. I and P frames take the same path through both.
+//!
 //! The encoder is deliberately a *clean-room MPEG-shaped* codec, not a
 //! standard-conformant one: 16×16 macroblock motion, 8×8
 //! DCT, zig-zag + run-length + canonical Huffman entropy coding, I/P GOP
@@ -17,10 +24,10 @@ use crate::bitstream::{size_category, write_amplitude, BitWriter};
 use crate::dct::{Dct2d, BLOCK};
 use crate::frame::Frame;
 use crate::huffman::{HuffmanCode, HuffmanError};
-use crate::me::{MotionEstimator, MotionField, SearchKind, MB};
-use crate::plane::{PaddedPlane, Plane8, PlaneRef};
+use crate::me::{MotionEstimator, MotionField, MotionVector, SearchKind, MB};
+use crate::plane::PaddedPlane;
 use crate::quant::{round_clamp, BadQualityError, Quantizer, BASE_MATRIX, FLAT_MATRIX};
-use crate::rate::{RateConfig, RateController};
+use crate::rate::{RateConfig, RateController, MIN_QUALITY};
 use crate::rle;
 use crate::zigzag;
 
@@ -290,14 +297,13 @@ pub(crate) const MV_BITS: u32 = 6;
 pub(crate) const DC_ALPHABET: usize = 16;
 pub(crate) const AC_ALPHABET: usize = 256;
 
-/// The flat prediction an intra block is reconstructed on: adding it is
-/// the +128 level shift that [`Dct2d::forward_pixels`] removed.
+/// The flat prediction an intra block is coded against: its residual is
+/// the sample minus 128, the level shift of JPEG/MPEG intra coding.
 pub(crate) const INTRA_PREDICTION: [u8; BLOCK * BLOCK] = [128; BLOCK * BLOCK];
 
-/// The reconstruction step of Figure 1's feedback loop, shared by the
-/// encoder's reference loop and the decoder so the two cannot drift:
-/// dequantize `levels` (row-major), inverse-DCT, add to `pred`, round and
-/// clamp into `out`. The rounding is [`round_clamp`], bit-identical to
+/// The reconstruction step of Figure 1's feedback loop: dequantize
+/// `levels` (row-major), inverse-DCT, add to `pred`, round and clamp into
+/// `out`. The rounding is [`round_clamp`], bit-identical to
 /// `(p + r).round().clamp(0.0, 255.0) as u8`.
 ///
 /// An all-zero block skips dequantize and IDCT. That is exact: its
@@ -320,6 +326,85 @@ pub(crate) fn reconstruct_block(
     }
 }
 
+/// `frame`'s planes padded for motion compensation: luma by `luma_pad`,
+/// chroma by half of it, as chroma blocks move by the halved vector.
+pub(crate) fn padded_planes(frame: &Frame, luma_pad: usize) -> [PaddedPlane; 3] {
+    [
+        PaddedPlane::new(frame.luma_plane(), luma_pad),
+        PaddedPlane::new(frame.cb_plane(), luma_pad / 2),
+        PaddedPlane::new(frame.cr_plane(), luma_pad / 2),
+    ]
+}
+
+/// Figure 1's reconstruction loop, run by the encoder and the decoder
+/// alike so the two cannot drift. Walks Y, then Cb, then Cr of a
+/// `width x height` frame as 8×8 blocks in bitstream order. Each block is
+/// predicted: flat 128 for an intra frame (`reference` is `None`),
+/// otherwise from the padded reference planes by the vector of its 16×16
+/// macroblock, halved (truncating) for chroma. Then
+/// `levels_of(plane, bx, by, &prediction)` supplies the block's quantized
+/// levels (row-major), and [`reconstruct_block`] rebuilds it into the
+/// returned frame. Tallies the IDCT blocks and MC pixels; stops at the
+/// first error `levels_of` returns.
+///
+/// # Panics
+///
+/// Panics if the dimensions are not multiples of 16, or a vector reaches
+/// past the reference's padding.
+pub(crate) fn reconstruct_frame<E>(
+    dct: &Dct2d,
+    quant: &Quantizer,
+    (width, height): (usize, usize),
+    reference: Option<&([PaddedPlane; 3], MotionField)>,
+    tally: &mut StageTally,
+    mut levels_of: impl FnMut(
+        usize,
+        usize,
+        usize,
+        &[u8; BLOCK * BLOCK],
+    ) -> Result<[i16; BLOCK * BLOCK], E>,
+) -> Result<Frame, E> {
+    let chroma_len = width * height / 4;
+    let mut planes = [
+        vec![0u8; width * height],
+        vec![0; chroma_len],
+        vec![0; chroma_len],
+    ];
+    let mut pred = [0u8; BLOCK * BLOCK];
+    let mut rec = [0u8; BLOCK * BLOCK];
+    for (pi, plane) in planes.iter_mut().enumerate() {
+        let pw = if pi == 0 { width } else { width / 2 };
+        for by in 0..plane.len() / pw / BLOCK {
+            for bx in 0..pw / BLOCK {
+                let (x, y) = (bx * BLOCK, by * BLOCK);
+                let prediction = match reference {
+                    None => &INTRA_PREDICTION,
+                    Some((padded, field)) => {
+                        let mv = if pi == 0 {
+                            field.at(bx / 2, by / 2).mv
+                        } else {
+                            let mv = field.at(bx, by).mv;
+                            MotionVector::new(mv.dx / 2, mv.dy / 2)
+                        };
+                        padded[pi].block_into(x as i32 + mv.dx, y as i32 + mv.dy, BLOCK, &mut pred);
+                        tally.mc_pixels += (BLOCK * BLOCK) as u64;
+                        &pred
+                    }
+                };
+                let levels = levels_of(pi, bx, by, prediction)?;
+                reconstruct_block(dct, quant, &levels, prediction, &mut rec);
+                tally.idct_blocks += 1;
+                for (row, src) in rec.chunks_exact(BLOCK).enumerate() {
+                    let at = (y + row) * pw + x;
+                    plane[at..at + BLOCK].copy_from_slice(src);
+                }
+            }
+        }
+    }
+    let [y, cb, cr] = planes;
+    Ok(Frame::from_planes(width, height, y, cb, cr).expect("plane sizes follow the frame's"))
+}
+
 /// One plane's quantized levels: a zig-zag-scanned `[i16; 64]` per 8×8
 /// block, row-major.
 type PlaneLevels = Vec<[i16; BLOCK * BLOCK]>;
@@ -329,7 +414,7 @@ struct FrameAnalysis {
     kind: FrameKind,
     quality: u8,
     field: Option<MotionField>,
-    planes: Vec<PlaneLevels>, // y, cb, cr
+    planes: [PlaneLevels; 3], // y, cb, cr
     psnr_luma_db: f64,
 }
 
@@ -424,10 +509,7 @@ impl Encoder {
 
         let mut tally = StageTally::default();
         let mut rate = self.config.rate.map(|cfg| {
-            RateController::new(
-                cfg,
-                self.config.quality.clamp(cfg.min_quality, cfg.max_quality),
-            )
+            RateController::new(cfg, self.config.quality.clamp(MIN_QUALITY, cfg.max_quality))
         });
 
         // ---- Pass 1: analyse every frame, producing levels + stats and
@@ -444,19 +526,9 @@ impl Encoder {
                 .as_ref()
                 .map(|r| r.quality())
                 .unwrap_or(self.config.quality);
-            let forced_intra = idx % self.config.gop == 0 || reference.is_none();
-            let analysis = if forced_intra {
-                self.analyse_intra(frame, quality, &mut tally, &mut reference)?
-            } else {
-                let reference_frame = reference.take().expect("reference exists for P frames");
-                self.analyse_predicted(
-                    frame,
-                    &reference_frame,
-                    quality,
-                    &mut tally,
-                    &mut reference,
-                )?
-            };
+            let predict_from = reference.as_ref().filter(|_| idx % self.config.gop != 0);
+            let (analysis, recon) = self.analyse(frame, predict_from, quality, &mut tally)?;
+            reference = Some(recon);
             let estimated_bits = symbols.frame(&analysis);
             if let Some(rc) = rate.as_mut() {
                 rc.frame_encoded(estimated_bits);
@@ -533,169 +605,67 @@ impl Encoder {
         })
     }
 
-    /// The frame's three planes, borrowed (no copies — the analysis loops
-    /// read source and reference samples in place).
-    fn planes_of(frame: &Frame) -> [PlaneRef<'_>; 3] {
-        [frame.luma_plane(), frame.cb_plane(), frame.cr_plane()]
-    }
-
-    fn frame_from_planes(w: usize, h: usize, planes: [Plane8; 3]) -> Frame {
-        let [y, cb, cr] = planes;
-        Frame::from_planes(w, h, y.into_data(), cb.into_data(), cr.into_data())
-            .expect("plane sizes are consistent by construction")
-    }
-
-    /// Intra analysis: transform-code every plane directly.
-    fn analyse_intra(
+    /// Analyses one frame: motion search against the reconstructed
+    /// `reference` for a P frame, then Figure 1's forward path for every
+    /// block (residual against the prediction, DCT, quantize, zig-zag)
+    /// inside the reconstruction loop the decoder runs. Returns the
+    /// analysis and the reconstruction, the next frame's reference.
+    fn analyse(
         &self,
         frame: &Frame,
+        reference: Option<&Frame>,
         quality: u8,
         tally: &mut StageTally,
-        reference: &mut Option<Frame>,
-    ) -> Result<FrameAnalysis, EncoderError> {
-        let quant = Quantizer::from_quality_with_matrix(quality, &BASE_MATRIX)?;
-        let mut planes = Vec::with_capacity(3);
-        let mut recon_planes = Vec::with_capacity(3);
-        // Per-block scratch, reused across every macroblock of the frame.
-        let mut px = [0u8; BLOCK * BLOCK];
-        let mut rec = [0u8; BLOCK * BLOCK];
-        for plane in Self::planes_of(frame) {
-            let (cols, rows) = plane.blocks(BLOCK);
-            let mut blocks = Vec::with_capacity(cols * rows);
-            let mut recon = Plane8::filled(plane.width(), plane.height(), 128);
-            for by in 0..rows {
-                for bx in 0..cols {
-                    plane.block_into((bx * BLOCK) as i32, (by * BLOCK) as i32, BLOCK, &mut px);
-                    let coeffs = self.dct.forward_pixels(&px);
-                    tally.dct_blocks += 1;
-                    let levels = quant.quantize(&coeffs);
-                    tally.quant_coeffs += 64;
-                    let scanned = zigzag::scan(&levels);
-                    blocks.push(scanned);
-                    // Reconstruction loop (decoder mirror).
-                    reconstruct_block(&self.dct, &quant, &levels, &INTRA_PREDICTION, &mut rec);
-                    tally.idct_blocks += 1;
-                    recon.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
-                }
-            }
-            planes.push(blocks);
-            recon_planes.push(recon);
-        }
-        let recon_frame = Self::frame_from_planes(
-            frame.width(),
-            frame.height(),
-            recon_planes.try_into().expect("exactly three planes"),
-        );
-        let psnr = psnr_u8(frame.luma(), recon_frame.luma()).expect("same dimensions");
-        *reference = Some(recon_frame);
-        Ok(FrameAnalysis {
-            kind: FrameKind::Intra,
-            quality,
-            field: None,
-            planes,
-            psnr_luma_db: psnr,
-        })
-    }
-
-    /// Predicted-frame analysis: motion estimation against the
-    /// reconstructed reference, residual transform coding, reconstruction.
-    fn analyse_predicted(
-        &self,
-        frame: &Frame,
-        reference: &Frame,
-        quality: u8,
-        tally: &mut StageTally,
-        new_reference: &mut Option<Frame>,
-    ) -> Result<FrameAnalysis, EncoderError> {
-        // The reference, padded once: luma by the search range, so every
-        // candidate of the motion search and every luma prediction block
-        // lies inside the padding; chroma by half of it, as chroma blocks
-        // move by the halved (truncated) vector.
-        let pad = self.config.search_range as usize;
-        let [y, u, v] = Self::planes_of(reference);
-        let ref_planes = [
-            PaddedPlane::new(y, pad),
-            PaddedPlane::new(u, pad / 2),
-            PaddedPlane::new(v, pad / 2),
-        ];
-        let me = MotionEstimator::new(self.config.search, self.config.search_range);
-        let field = me.estimate_padded(frame, &ref_planes[0]);
-        tally.me_sad_evaluations += field.total_evaluations();
-        tally.me_pixel_ops += field.total_evaluations() * (MB * MB) as u64;
-
-        let quant = Quantizer::from_quality_with_matrix(quality, &FLAT_MATRIX)?;
-        let cur_planes = Self::planes_of(frame);
-        let mut planes = Vec::with_capacity(3);
-        let mut recon_planes = Vec::with_capacity(3);
-        // Per-block scratch, reused across every macroblock of the frame —
-        // the analysis loop heap-allocates only the per-plane outputs.
-        let mut pred = [0u8; BLOCK * BLOCK];
-        let mut cur_blk = [0u8; BLOCK * BLOCK];
+    ) -> Result<(FrameAnalysis, Frame), EncoderError> {
+        // The reference, padded by the search range: every candidate of
+        // the motion search and every prediction block lies inside it.
+        let predicted = reference.map(|r| {
+            let padded = padded_planes(r, self.config.search_range as usize);
+            let me = MotionEstimator::new(self.config.search, self.config.search_range);
+            let field = me.estimate_padded(frame, &padded[0]);
+            tally.me_sad_evaluations += field.total_evaluations();
+            tally.me_pixel_ops += field.total_evaluations() * (MB * MB) as u64;
+            (padded, field)
+        });
+        let (kind, matrix) = if predicted.is_some() {
+            (FrameKind::Predicted, &FLAT_MATRIX)
+        } else {
+            (FrameKind::Intra, &BASE_MATRIX)
+        };
+        let quant = Quantizer::from_quality_with_matrix(quality, matrix)?;
+        let source = [frame.luma_plane(), frame.cb_plane(), frame.cr_plane()];
+        let mut planes: [PlaneLevels; 3] = Default::default();
+        let mut cur = [0u8; BLOCK * BLOCK];
         let mut residual = [0.0f64; BLOCK * BLOCK];
-        let mut rec = [0u8; BLOCK * BLOCK];
-
-        for (pi, (cur, rp)) in cur_planes.iter().zip(ref_planes.iter()).enumerate() {
-            let chroma = pi > 0;
-            let (cols, rows) = cur.blocks(BLOCK);
-            let mut blocks = Vec::with_capacity(cols * rows);
-            let mut recon = Plane8::filled(cur.width(), cur.height(), 128);
-            for by in 0..rows {
-                for bx in 0..cols {
-                    // The governing 16x16 luma macroblock for this 8x8 block.
-                    let (mbx, mby) = if chroma { (bx, by) } else { (bx / 2, by / 2) };
-                    let mv = field
-                        .at(mbx.min(field.cols - 1), mby.min(field.rows - 1))
-                        .mv;
-                    let (dx, dy) = if chroma {
-                        (mv.dx / 2, mv.dy / 2)
-                    } else {
-                        (mv.dx, mv.dy)
-                    };
-                    rp.block_into(
-                        (bx * BLOCK) as i32 + dx,
-                        (by * BLOCK) as i32 + dy,
-                        BLOCK,
-                        &mut pred,
-                    );
-                    tally.mc_pixels += (BLOCK * BLOCK) as u64;
-                    cur.block_into(
-                        (bx * BLOCK) as i32,
-                        (by * BLOCK) as i32,
-                        BLOCK,
-                        &mut cur_blk,
-                    );
-                    // Residual (no level shift: it is already signed).
-                    for (r, (&c, &p)) in residual.iter_mut().zip(cur_blk.iter().zip(&pred)) {
-                        *r = c as f64 - p as f64;
-                    }
-                    let coeffs = self.dct.forward(&residual);
-                    tally.dct_blocks += 1;
-                    let levels = quant.quantize(&coeffs);
-                    tally.quant_coeffs += 64;
-                    blocks.push(zigzag::scan(&levels));
-                    // Reconstruction.
-                    reconstruct_block(&self.dct, &quant, &levels, &pred, &mut rec);
-                    tally.idct_blocks += 1;
-                    recon.set_block(bx * BLOCK, by * BLOCK, BLOCK, &rec);
+        let mut coded = 0u64;
+        let recon = reconstruct_frame(
+            &self.dct,
+            &quant,
+            (frame.width(), frame.height()),
+            predicted.as_ref(),
+            tally,
+            |pi, bx, by, pred| {
+                let (x, y) = ((bx * BLOCK) as i32, (by * BLOCK) as i32);
+                source[pi].block_into(x, y, BLOCK, &mut cur);
+                for (r, (&c, &p)) in residual.iter_mut().zip(cur.iter().zip(pred)) {
+                    *r = c as f64 - p as f64;
                 }
-            }
-            planes.push(blocks);
-            recon_planes.push(recon);
-        }
-        let recon_frame = Self::frame_from_planes(
-            frame.width(),
-            frame.height(),
-            recon_planes.try_into().expect("exactly three planes"),
-        );
-        let psnr = psnr_u8(frame.luma(), recon_frame.luma()).expect("same dimensions");
-        *new_reference = Some(recon_frame);
-        Ok(FrameAnalysis {
-            kind: FrameKind::Predicted,
+                let levels = quant.quantize(&self.dct.forward(&residual));
+                coded += 1;
+                planes[pi].push(zigzag::scan(&levels));
+                Ok::<_, EncoderError>(levels)
+            },
+        )?;
+        tally.dct_blocks += coded;
+        tally.quant_coeffs += coded * (BLOCK * BLOCK) as u64;
+        let analysis = FrameAnalysis {
+            kind,
             quality,
-            field: Some(field),
+            field: predicted.map(|(_, field)| field),
             planes,
-            psnr_luma_db: psnr,
-        })
+            psnr_luma_db: psnr_u8(frame.luma(), recon.luma()).expect("same dimensions"),
+        };
+        Ok((analysis, recon))
     }
 }
 

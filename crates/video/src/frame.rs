@@ -8,7 +8,9 @@
 //! [`crate::plane`] — [`Frame::luma_plane`] / [`Frame::luma_view`] /
 //! [`Frame::luma_block_into`] — which resolve stride and edge replication
 //! without copying; the allocating accessors ([`Frame::luma_block`],
-//! [`Frame::luma_block_at`]) remain for convenience and tests.
+//! [`Frame::luma_block_at`]) remain for convenience and tests. The
+//! codec's reconstruction loop, shared by the encoder and the decoder,
+//! fills three whole planes and hands them to [`Frame::from_planes`].
 
 use crate::plane::{BlockView, PlaneRef};
 

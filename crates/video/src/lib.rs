@@ -12,8 +12,9 @@
 //! * [`me`] / [`mc`] — motion estimation (full, three-step, diamond
 //!   searches) and motion-compensated prediction.
 //! * [`rate`] — the buffer→quantizer feedback arrow.
-//! * [`encoder`] / [`decoder`] — the full loop, including the inverse-DCT
-//!   reconstruction feedback that keeps encoder and decoder in lockstep.
+//! * [`encoder`] / [`decoder`] — the full loop. The inverse-DCT
+//!   reconstruction feedback is one block walk for I and P frames, run by
+//!   both, which keeps encoder and decoder in lockstep.
 //! * [`wavelet`] — the 5/3 JPEG2000 kernel for the §3 wavelet comparison.
 //! * [`transcode`] — generation-loss measurement (§3's transcoding
 //!   problem).

@@ -2,9 +2,8 @@
 //!
 //! Paper §3: *"Motion compensation at the receiver then applies that
 //! motion vector to reconstruct the frame."* Given a reference frame and a
-//! motion field, [`predict`] builds the predicted frame; [`residual`] and
-//! [`add_residual`] convert between frames and the residual signal the
-//! transform path actually codes.
+//! motion field, [`predict`] builds the predicted frame, and [`residual`]
+//! gives the residual signal the transform path actually codes.
 
 use crate::frame::Frame;
 use crate::me::{MotionField, MB};
@@ -37,68 +36,23 @@ pub fn predict(reference: &Frame, field: &MotionField) -> Frame {
     out
 }
 
-/// Per-pixel residual `current - predicted`, as `i16`.
-///
-/// Allocates a fresh buffer per call; hot paths should reuse one via
-/// [`residual_into`].
+/// Per-pixel luma residual `current - predicted`, as `i16`.
 ///
 /// # Panics
 ///
-/// Panics if dimensions differ.
+/// Panics if the frames' dimensions differ.
 #[must_use]
 pub fn residual(current: &Frame, predicted: &Frame) -> Vec<i16> {
-    let mut out = vec![0i16; current.luma().len()];
-    residual_into(current, predicted, &mut out);
-    out
-}
-
-/// Writes the per-pixel residual `current - predicted` into a
-/// caller-provided buffer (no allocation).
-///
-/// # Panics
-///
-/// Panics if the frames' dimensions differ or `out` is shorter than the
-/// luma plane.
-pub fn residual_into(current: &Frame, predicted: &Frame, out: &mut [i16]) {
     assert!(
         current.width() == predicted.width() && current.height() == predicted.height(),
         "frame dimensions differ"
     );
-    assert!(
-        out.len() >= current.luma().len(),
-        "residual buffer too short"
-    );
-    for (o, (&c, &p)) in out
-        .iter_mut()
-        .zip(current.luma().iter().zip(predicted.luma()))
-    {
-        *o = c as i16 - p as i16;
-    }
-}
-
-/// Reconstructs a frame by adding a residual onto a prediction, clamping
-/// to 8 bits.
-///
-/// # Panics
-///
-/// Panics if the residual length does not match the frame.
-#[must_use]
-pub fn add_residual(predicted: &Frame, residual: &[i16]) -> Frame {
-    assert_eq!(
-        residual.len(),
-        predicted.luma().len(),
-        "residual length mismatch"
-    );
-    let mut out = predicted.clone();
-    for (o, (&p, &r)) in out
-        .luma_mut()
-        .iter_mut()
-        .zip(predicted.luma().iter().zip(residual))
-    {
-        let _ = p;
-        *o = (*o as i16 + r).clamp(0, 255) as u8;
-    }
-    out
+    current
+        .luma()
+        .iter()
+        .zip(predicted.luma())
+        .map(|(&c, &p)| c as i16 - p as i16)
+        .collect()
 }
 
 /// Sum of absolute residual values — the "bits to spend" proxy used by
@@ -139,29 +93,13 @@ mod tests {
         let a = g.textured_frame(32, 32);
         let b = g.textured_frame(32, 32);
         let r = residual(&a, &b);
-        let back = add_residual(&b, &r);
-        assert_eq!(back.luma(), a.luma());
-    }
-
-    #[test]
-    fn residual_into_reuses_buffer() {
-        let mut g = SequenceGen::new(46);
-        let a = g.textured_frame(32, 32);
-        let b = g.textured_frame(32, 32);
-        let mut buf = vec![99i16; 32 * 32];
-        residual_into(&a, &b, &mut buf);
-        assert_eq!(buf, residual(&a, &b));
-        // Reuse for the reverse direction without reallocating.
-        residual_into(&b, &a, &mut buf);
-        assert!(buf.iter().zip(residual(&a, &b)).all(|(&x, y)| x == -y));
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer too short")]
-    fn residual_into_short_buffer_panics() {
-        let f = Frame::grey(16, 16).unwrap();
-        let mut buf = vec![0i16; 10];
-        residual_into(&f, &f, &mut buf);
+        let back: Vec<u8> = b
+            .luma()
+            .iter()
+            .zip(&r)
+            .map(|(&p, &d)| (p as i16 + d) as u8)
+            .collect();
+        assert_eq!(back, a.luma());
     }
 
     #[test]
@@ -195,13 +133,5 @@ mod tests {
         let mut g = SequenceGen::new(45);
         let f = g.textured_frame(32, 32);
         assert_eq!(residual_energy(&residual(&f, &f)), 0);
-    }
-
-    #[test]
-    fn add_residual_clamps() {
-        let bright = Frame::filled(16, 16, 250, 128, 128).unwrap();
-        let r = vec![100i16; 16 * 16];
-        let out = add_residual(&bright, &r);
-        assert!(out.luma().iter().all(|&v| v == 255));
     }
 }

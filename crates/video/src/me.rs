@@ -36,10 +36,6 @@
 //! neighbour vectors** (H.263-style, absent neighbours count as zero),
 //! and a block whose zero-motion SAD is at or below
 //! [`ZERO_MV_EXIT_SAD`] terminates immediately with the zero vector.
-//! [`MotionEstimator::estimate_block`] evaluates one block with no
-//! neighbour context (zero predictor) but applies the same zero-motion
-//! early exit, so a near-static block may now return the zero vector
-//! where the seed implementation refined further.
 //!
 //! Every searcher counts its SAD evaluations ([`BlockMotion::evaluations`]
 //! is exact — one count per candidate, whether or not the bounded SAD
@@ -239,22 +235,6 @@ impl MotionEstimator {
         })
     }
 
-    /// The reference implementation [`MotionEstimator::estimate_padded`]
-    /// is pinned to: the same searches, with each candidate read from the
-    /// unpadded reference — as a strided slice when it is interior, via a
-    /// clamping gather into stack scratch when it touches an edge.
-    #[cfg(test)]
-    fn estimate_clamped(&self, current: &Frame, reference: &Frame) -> MotionField {
-        assert!(
-            current.width() == reference.width() && current.height() == reference.height(),
-            "frame dimensions differ"
-        );
-        let mut scratch = [0u8; MB * MB];
-        self.estimate_with(current, |target, x, y, cutoff| {
-            clamped_sad(reference, target, x, y, cutoff, &mut scratch)
-        })
-    }
-
     /// The frame loop shared by both estimators. `sad(target, x, y,
     /// cutoff)` is the bounded SAD of the 16×16 `target` against the
     /// reference window whose top-left is at pixel `(x, y)`.
@@ -277,40 +257,6 @@ impl MotionEstimator {
             }
         }
         MotionField { cols, rows, blocks }
-    }
-
-    /// Estimates motion for one macroblock in isolation (zero predictor —
-    /// no neighbour context is available through this entry point; the
-    /// fast searches still zero-motion-early-exit at
-    /// [`ZERO_MV_EXIT_SAD`]). Reads the unpadded reference, through a
-    /// clamping gather for edge candidates: one block does not pay for
-    /// padding a whole plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block coordinates are out of range.
-    #[must_use]
-    pub fn estimate_block(
-        &self,
-        current: &Frame,
-        reference: &Frame,
-        bx: usize,
-        by: usize,
-    ) -> BlockMotion {
-        let mut target = [0u8; MB * MB];
-        current.luma_block_into(bx, by, MB, &mut target);
-        let (x0, y0) = ((bx * MB) as i32, (by * MB) as i32);
-        let mut scratch = [0u8; MB * MB];
-        self.search_block(MotionVector::default(), |mv, cutoff| {
-            clamped_sad(
-                reference,
-                &target,
-                x0 + mv.dx,
-                y0 + mv.dy,
-                cutoff,
-                &mut scratch,
-            )
-        })
     }
 
     /// H.263-style motion-vector predictor: the component-wise median of
@@ -509,32 +455,33 @@ impl MotionEstimator {
     }
 }
 
-/// Bounded SAD of the 16×16 `target` against the window of `reference`
-/// luma at `(x, y)`, read straight from the plane when the window is
-/// interior and through a clamping gather into `scratch` otherwise.
-fn clamped_sad(
-    reference: &Frame,
-    target: &[u8],
-    x: i32,
-    y: i32,
-    cutoff: u64,
-    scratch: &mut [u8; MB * MB],
-) -> u64 {
-    let view = reference.luma_view(x, y, MB);
-    match view.interior() {
-        Some((cand, stride)) => sad_u8_bounded(target, MB, cand, stride, MB, MB, cutoff),
-        None => {
-            view.gather_into(scratch);
-            sad_u8_bounded(target, MB, &scratch[..], MB, MB, MB, cutoff)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::SequenceGen;
     use proptest::prelude::*;
+
+    /// The reference implementation [`MotionEstimator::estimate_padded`]
+    /// is pinned to: the same searches, with each candidate read from the
+    /// unpadded reference — as a strided slice when it is interior, via a
+    /// clamping gather into stack scratch when it touches an edge.
+    fn estimate_clamped(me: &MotionEstimator, current: &Frame, reference: &Frame) -> MotionField {
+        assert!(
+            current.width() == reference.width() && current.height() == reference.height(),
+            "frame dimensions differ"
+        );
+        let mut scratch = [0u8; MB * MB];
+        me.estimate_with(current, |target, x, y, cutoff| {
+            let view = reference.luma_view(x, y, MB);
+            match view.interior() {
+                Some((cand, stride)) => sad_u8_bounded(target, MB, cand, stride, MB, MB, cutoff),
+                None => {
+                    view.gather_into(&mut scratch);
+                    sad_u8_bounded(target, MB, &scratch[..], MB, MB, MB, cutoff)
+                }
+            }
+        })
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -560,7 +507,7 @@ mod tests {
             let mut current = gen.shift_frame(&reference, dx, dy);
             gen.add_noise(&mut current, noise);
             let me = MotionEstimator::new(kind, range);
-            prop_assert_eq!(me.estimate(&current, &reference), me.estimate_clamped(&current, &reference));
+            prop_assert_eq!(me.estimate(&current, &reference), estimate_clamped(&me, &current, &reference));
         }
     }
 
@@ -589,7 +536,7 @@ mod tests {
     fn full_search_evaluation_count_is_window_size() {
         let (current, reference) = shifted_pair(0, 0);
         let me = MotionEstimator::new(SearchKind::Full, 7);
-        let b = me.estimate_block(&current, &reference, 1, 1);
+        let b = *me.estimate(&current, &reference).at(1, 1);
         assert_eq!(b.evaluations, 15 * 15);
     }
 
@@ -608,7 +555,7 @@ mod tests {
         let (current, reference) = shifted_pair(2, 2);
         for kind in [SearchKind::ThreeStep, SearchKind::Diamond] {
             let me = MotionEstimator::new(kind, 15);
-            let b = me.estimate_block(&current, &reference, 2, 2);
+            let b = *me.estimate(&current, &reference).at(2, 2);
             assert_eq!(b.mv, MotionVector::new(-2, -2), "{kind}");
             assert_eq!(b.sad, 0, "{kind}");
         }

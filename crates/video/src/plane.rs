@@ -1,160 +1,28 @@
 //! Generic 8-bit sample planes.
 //!
-//! The encoder treats luma and both chroma planes uniformly through this
-//! type: block extraction/insertion and clamped access for
-//! motion-compensated prediction at arbitrary offsets.
+//! The codec treats luma and both chroma planes uniformly through these
+//! views: block extraction and clamped access for motion-compensated
+//! prediction at arbitrary offsets.
 //!
-//! Four views of a plane, allocation-cheapest first:
+//! Three views of a plane, allocation-cheapest first:
 //!
 //! * [`BlockView`] — a borrowed `bs x bs` window at an *arbitrary* pixel
 //!   position, with stride and edge replication resolved without copying.
 //!   When the window lies fully inside the plane it exposes a strided
 //!   slice directly into the samples ([`BlockView::interior`]); otherwise
 //!   [`BlockView::gather_into`] fills a caller-provided scratch buffer.
-//!   The decoder's motion compensation reads its reference this way — no
-//!   heap allocation per block.
 //! * [`PlaneRef`] — a borrowed `(data, width, height)` triple, so the
 //!   encoder can walk a [`crate::frame::Frame`]'s planes without copying
-//!   them into owned [`Plane8`]s first.
-//! * [`Plane8`] — the owned plane, still used wherever a plane is built
-//!   up (reconstruction, decoding).
+//!   them.
 //! * `PaddedPlane` (crate-private) — an owned, edge-replicated copy of a
 //!   plane with a margin on every side, built once per reference frame.
 //!   Every window that reaches at most the margin past an edge is then a
-//!   strided slice of it, with no per-candidate clamping. The encoder's
-//!   motion search and motion compensation read their reference through
-//!   it.
+//!   strided slice of it, with no per-candidate clamping. The motion
+//!   search and the motion compensation of the encoder and the decoder
+//!   read their reference through it.
 
-/// An 8-bit sample plane of arbitrary (positive) dimensions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Plane8 {
-    width: usize,
-    height: usize,
-    data: Vec<u8>,
-}
-
-impl Plane8 {
-    /// Creates a plane from raw samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != width * height` or either dimension is 0.
-    #[must_use]
-    pub fn new(width: usize, height: usize, data: Vec<u8>) -> Self {
-        assert!(width > 0 && height > 0, "plane must be non-empty");
-        assert_eq!(data.len(), width * height, "plane size mismatch");
-        Self {
-            width,
-            height,
-            data,
-        }
-    }
-
-    /// A plane filled with one value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is 0.
-    #[must_use]
-    pub fn filled(width: usize, height: usize, value: u8) -> Self {
-        Self::new(width, height, vec![value; width * height])
-    }
-
-    /// Plane width.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Plane height.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// The samples, row-major.
-    #[must_use]
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Consumes the plane, returning its samples.
-    #[must_use]
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
-    }
-
-    /// Sample at `(x, y)` with edge clamping for out-of-range coordinates.
-    #[must_use]
-    pub fn at_clamped(&self, x: i32, y: i32) -> u8 {
-        let px = x.clamp(0, self.width as i32 - 1) as usize;
-        let py = y.clamp(0, self.height as i32 - 1) as usize;
-        self.data[py * self.width + px]
-    }
-
-    /// Extracts a `bs x bs` block whose top-left is at pixel `(x, y)`,
-    /// clamping at the edges.
-    #[must_use]
-    pub fn block_at(&self, x: i32, y: i32, bs: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(bs * bs);
-        for r in 0..bs as i32 {
-            for c in 0..bs as i32 {
-                out.push(self.at_clamped(x + c, y + r));
-            }
-        }
-        out
-    }
-
-    /// Writes a `bs x bs` block at pixel `(x, y)` (must be fully inside).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block does not fit or `data` is too short.
-    pub fn set_block(&mut self, x: usize, y: usize, bs: usize, data: &[u8]) {
-        assert!(
-            x + bs <= self.width && y + bs <= self.height,
-            "block outside plane"
-        );
-        assert!(data.len() >= bs * bs, "block data too short");
-        for r in 0..bs {
-            let dst = (y + r) * self.width + x;
-            self.data[dst..dst + bs].copy_from_slice(&data[r * bs..(r + 1) * bs]);
-        }
-    }
-
-    /// Number of `bs x bs` blocks horizontally and vertically (dimensions
-    /// must divide evenly — guaranteed for 8 with frame dims multiple of
-    /// 16).
-    #[must_use]
-    pub fn blocks(&self, bs: usize) -> (usize, usize) {
-        (self.width / bs, self.height / bs)
-    }
-
-    /// A borrowed view of this plane (no copy).
-    #[must_use]
-    pub fn borrowed(&self) -> PlaneRef<'_> {
-        PlaneRef::new(&self.data, self.width, self.height)
-    }
-
-    /// A borrowed, clamping `bs x bs` window at pixel `(x, y)`.
-    #[must_use]
-    pub fn view(&self, x: i32, y: i32, bs: usize) -> BlockView<'_> {
-        BlockView::new(&self.data, self.width, self.height, x, y, bs)
-    }
-
-    /// Zero-allocation [`Plane8::block_at`]: writes the edge-replicated
-    /// `bs x bs` block into `out` instead of allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() < bs * bs`.
-    pub fn block_into(&self, x: i32, y: i32, bs: usize, out: &mut [u8]) {
-        self.view(x, y, bs).gather_into(out);
-    }
-}
-
-/// A borrowed 8-bit plane: the same geometry as [`Plane8`] over samples
-/// owned elsewhere (typically a [`crate::frame::Frame`]'s planes).
+/// A borrowed 8-bit plane: row-major samples owned elsewhere (typically
+/// a [`crate::frame::Frame`]'s planes) with their dimensions.
 #[derive(Debug, Clone, Copy)]
 pub struct PlaneRef<'a> {
     data: &'a [u8],
@@ -222,11 +90,11 @@ impl<'a> PlaneRef<'a> {
 /// A borrowed `bs x bs` window of a plane at an arbitrary (possibly
 /// partially outside) pixel position.
 ///
-/// The motion-search hot path resolves every candidate through this type:
-/// interior candidates — the overwhelming majority — are compared straight
-/// out of the plane via [`BlockView::interior`]'s strided slice, and only
-/// edge-clamped candidates fall back to an explicit gather into a
-/// caller-provided scratch buffer. Neither path heap-allocates.
+/// An interior window is read straight out of the plane via
+/// [`BlockView::interior`]'s strided slice; only a window that touches an
+/// edge falls back to an explicit gather into a caller-provided scratch
+/// buffer. Neither path heap-allocates. [`crate::mc::predict`] reads its
+/// reference this way; the codec's own loops read padded copies instead.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockView<'a> {
     data: &'a [u8],
@@ -415,46 +283,65 @@ impl PaddedPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Frame;
+
+    /// The clamped per-sample gather every windowed read is pinned to.
+    fn block_at(p: PlaneRef<'_>, x: i32, y: i32, bs: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(bs * bs);
+        for r in 0..bs as i32 {
+            for c in 0..bs as i32 {
+                let px = (x + c).clamp(0, p.width() as i32 - 1) as usize;
+                let py = (y + r).clamp(0, p.height() as i32 - 1) as usize;
+                out.push(p.data()[py * p.width() + px]);
+            }
+        }
+        out
+    }
 
     #[test]
     fn construction_and_access() {
-        let p = Plane8::new(4, 2, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(p.at_clamped(2, 1), 6);
-        assert_eq!(p.at_clamped(-5, 0), 0, "clamps left");
-        assert_eq!(p.at_clamped(99, 99), 7, "clamps bottom-right");
+        let data = [0, 1, 2, 3, 4, 5, 6, 7];
+        let p = PlaneRef::new(&data, 4, 2);
+        assert_eq!(p.view(2, 1, 1).at(0, 0), 6);
+        assert_eq!(p.view(-5, 0, 1).at(0, 0), 0, "clamps left");
+        assert_eq!(p.view(99, 99, 1).at(0, 0), 7, "clamps bottom-right");
     }
 
     #[test]
     fn block_round_trip() {
-        let mut p = Plane8::filled(16, 16, 0);
-        let data: Vec<u8> = (0..64).collect();
-        p.set_block(8, 8, 8, &data);
-        assert_eq!(p.block_at(8, 8, 8), data);
+        let mut data = vec![0u8; 16 * 16];
+        let block: Vec<u8> = (0..64).collect();
+        for (r, row) in block.chunks(8).enumerate() {
+            let at = (8 + r) * 16 + 8;
+            data[at..at + 8].copy_from_slice(row);
+        }
+        let mut back = [0u8; 64];
+        PlaneRef::new(&data, 16, 16).block_into(8, 8, 8, &mut back);
+        assert_eq!(back.to_vec(), block);
     }
 
     #[test]
     fn block_at_edge_replicates() {
-        let p = Plane8::new(2, 2, vec![1, 2, 3, 4]);
-        let b = p.block_at(1, 1, 2);
-        assert_eq!(b, vec![4, 4, 4, 4]);
+        let mut b = [0u8; 4];
+        PlaneRef::new(&[1, 2, 3, 4], 2, 2).block_into(1, 1, 2, &mut b);
+        assert_eq!(b, [4, 4, 4, 4]);
     }
 
     #[test]
     fn blocks_count() {
-        let p = Plane8::filled(32, 16, 0);
-        assert_eq!(p.blocks(8), (4, 2));
+        assert_eq!(PlaneRef::new(&[0; 32 * 16], 32, 16).blocks(8), (4, 2));
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn wrong_data_length_panics() {
-        let _ = Plane8::new(3, 3, vec![0; 8]);
+        let _ = PlaneRef::new(&[0; 8], 3, 3);
     }
 
     #[test]
     fn view_interior_exposes_strided_slice() {
         let data: Vec<u8> = (0..64).collect();
-        let p = Plane8::new(8, 8, data);
+        let p = PlaneRef::new(&data, 8, 8);
         let v = p.view(2, 3, 4);
         let (slice, stride) = v.interior().expect("fully inside");
         assert_eq!(stride, 8);
@@ -465,55 +352,51 @@ mod tests {
 
     #[test]
     fn view_outside_has_no_interior_and_gathers_clamped() {
-        let p = Plane8::new(4, 4, (0..16).collect());
+        let data: Vec<u8> = (0..16).collect();
+        let p = PlaneRef::new(&data, 4, 4);
         for (x, y) in [(-1, 0), (0, -1), (2, 0), (0, 2), (5, 5)] {
             let v = p.view(x, y, 3);
             assert!(v.interior().is_none(), "({x},{y}) needs clamping");
             let mut got = [0u8; 9];
             v.gather_into(&mut got);
-            assert_eq!(got.to_vec(), p.block_at(x, y, 3), "view at ({x},{y})");
+            assert_eq!(got.to_vec(), block_at(p, x, y, 3), "view at ({x},{y})");
         }
         assert!(p.view(1, 1, 3).interior().is_some(), "(1,1) is interior");
     }
 
     #[test]
     fn gather_matches_block_at_everywhere() {
-        let p = Plane8::new(5, 4, (0..20).collect());
+        let data: Vec<u8> = (0..20).collect();
+        let p = PlaneRef::new(&data, 5, 4);
         let mut scratch = [0u8; 4];
         for y in -3..6 {
             for x in -3..7 {
                 p.block_into(x, y, 2, &mut scratch);
-                assert_eq!(scratch.to_vec(), p.block_at(x, y, 2), "({x},{y})");
+                assert_eq!(scratch.to_vec(), block_at(p, x, y, 2), "({x},{y})");
             }
         }
     }
 
     #[test]
     fn plane_ref_mirrors_plane() {
-        let p = Plane8::new(8, 8, (0..64).collect());
-        let r = p.borrowed();
-        assert_eq!((r.width(), r.height()), (8, 8));
-        assert_eq!(r.blocks(4), (2, 2));
-        let mut a = [0u8; 16];
-        let mut b = [0u8; 16];
-        p.block_into(-2, 5, 4, &mut a);
-        r.block_into(-2, 5, 4, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(r.data(), p.data());
+        let f = Frame::filled(32, 16, 7, 8, 9).unwrap();
+        for (r, data) in [(f.luma_plane(), f.luma()), (f.cb_plane(), f.cb())] {
+            assert_eq!(r.data(), data);
+            assert_eq!(r.width() * r.height(), data.len());
+        }
+        assert_eq!(f.cr_plane().blocks(8), (2, 1));
     }
 
     #[test]
     fn padded_windows_match_clamped_gathers() {
-        let p = Plane8::new(5, 4, (0..20).collect());
-        let pad = 3;
-        let padded = PaddedPlane::new(p.borrowed(), pad);
-        let mut want = [0u8; 4];
+        let data: Vec<u8> = (0..20).collect();
+        let p = PlaneRef::new(&data, 5, 4);
+        let padded = PaddedPlane::new(p, 3);
         let mut got = [0u8; 4];
         for y in -3..=5 {
             for x in -3..=6 {
-                p.block_into(x, y, 2, &mut want);
                 padded.block_into(x, y, 2, &mut got);
-                assert_eq!(got, want, "({x},{y})");
+                assert_eq!(got.to_vec(), block_at(p, x, y, 2), "({x},{y})");
             }
         }
     }
@@ -521,15 +404,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "past the padding")]
     fn windows_beyond_the_padding_panic() {
-        let p = Plane8::filled(4, 4, 0);
-        let _ = PaddedPlane::new(p.borrowed(), 2).window(-3, 0, 2);
+        let _ = PaddedPlane::new(PlaneRef::new(&[0; 16], 4, 4), 2).window(-3, 0, 2);
     }
 
     #[test]
     #[should_panic(expected = "scratch buffer too short")]
     fn short_scratch_panics() {
-        let p = Plane8::filled(4, 4, 0);
         let mut out = [0u8; 3];
-        p.block_into(0, 0, 2, &mut out);
+        PlaneRef::new(&[0; 16], 4, 4).block_into(0, 0, 2, &mut out);
     }
 }

@@ -5,22 +5,24 @@
 //! neither overflows (bits dropped) nor underflows (channel idle). This is
 //! exactly the dashed feedback arrow in the paper's encoder diagram.
 
+/// The channel buffer's capacity, in frames' worth of target bits.
+pub const BUFFER_FRAMES: f64 = 4.0;
+
+/// The lowest quality the controller selects.
+pub const MIN_QUALITY: u8 = 5;
+
 /// Rate controller configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateConfig {
     /// Channel drain per frame, in bits.
     pub target_bits_per_frame: f64,
-    /// Buffer capacity in bits.
-    pub buffer_bits: f64,
-    /// Lowest quality the controller may select.
-    pub min_quality: u8,
     /// Highest quality the controller may select.
     pub max_quality: u8,
 }
 
 impl RateConfig {
-    /// A configuration for the given per-frame bit budget with a buffer of
-    /// four frames' worth of bits and quality limits 5..=95.
+    /// A configuration for the given per-frame bit budget with quality
+    /// limits [`MIN_QUALITY`]..=95.
     ///
     /// # Panics
     ///
@@ -33,14 +35,14 @@ impl RateConfig {
         );
         Self {
             target_bits_per_frame,
-            buffer_bits: 4.0 * target_bits_per_frame,
-            min_quality: 5,
             max_quality: 95,
         }
     }
 }
 
-/// The buffer-feedback rate controller.
+/// The buffer-feedback rate controller: a buffer of [`BUFFER_FRAMES`]
+/// frames' worth of target bits, steering quality within
+/// [`MIN_QUALITY`]`..=max_quality`.
 ///
 /// # Example
 ///
@@ -74,12 +76,9 @@ impl RateController {
     /// or the range is inverted.
     #[must_use]
     pub fn new(config: RateConfig, initial_quality: u8) -> Self {
+        assert!(MIN_QUALITY <= config.max_quality, "inverted quality range");
         assert!(
-            config.min_quality <= config.max_quality,
-            "inverted quality range"
-        );
-        assert!(
-            (config.min_quality..=config.max_quality).contains(&initial_quality),
+            (MIN_QUALITY..=config.max_quality).contains(&initial_quality),
             "initial quality outside range"
         );
         Self {
@@ -100,7 +99,7 @@ impl RateController {
     /// Buffer occupancy as a fraction of capacity (0..=1).
     #[must_use]
     pub fn occupancy(&self) -> f64 {
-        (self.occupancy_bits / self.config.buffer_bits).clamp(0.0, 1.0)
+        (self.occupancy_bits / self.buffer_bits()).clamp(0.0, 1.0)
     }
 
     /// Times the buffer would have overflowed (bits discarded).
@@ -119,8 +118,8 @@ impl RateController {
     /// the buffer model and picks the next quality.
     pub fn frame_encoded(&mut self, bits: f64) {
         self.occupancy_bits += bits.max(0.0) - self.config.target_bits_per_frame;
-        if self.occupancy_bits > self.config.buffer_bits {
-            self.occupancy_bits = self.config.buffer_bits;
+        if self.occupancy_bits > self.buffer_bits() {
+            self.occupancy_bits = self.buffer_bits();
             self.overflow_events += 1;
         }
         if self.occupancy_bits < 0.0 {
@@ -141,10 +140,12 @@ impl RateController {
         } else {
             q
         };
-        self.quality = next.clamp(
-            self.config.min_quality as i32,
-            self.config.max_quality as i32,
-        ) as u8;
+        self.quality = next.clamp(MIN_QUALITY as i32, self.config.max_quality as i32) as u8;
+    }
+
+    /// Buffer capacity in bits.
+    fn buffer_bits(&self) -> f64 {
+        BUFFER_FRAMES * self.config.target_bits_per_frame
     }
 }
 
