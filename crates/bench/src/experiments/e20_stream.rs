@@ -9,10 +9,12 @@
 //! * **Viewer hot path**: each fast kernel a viewer runs per segment
 //!   against the oracle it must equal, with `bit_identical` asserted in
 //!   the binary over every timed input: the lane-parallel XTEA-CTR
-//!   unseal vs the per-block loop on 64 KiB, and the slicing-by-8 TS
-//!   CRC-32 vs the byte-wise loop on every packet of the segment. Then
-//!   the event-stepped TCP-lite engine: wall time and simulated ticks of
-//!   a 64 KiB AIMD transfer over the `viewer_fleet` access link.
+//!   unseal vs the per-block loop on 64 KiB, the slicing-by-8 TS CRC-32
+//!   vs the byte-wise loop on every packet of the segment, and the
+//!   deferred-carry packet checksum vs the per-word fold on a 1,500-byte
+//!   frame. Then the event-stepped TCP-lite engine: wall time and
+//!   simulated ticks of a 64 KiB AIMD transfer over the `viewer_fleet`
+//!   access link.
 //! * **Ladder encode**: wall time to produce a 3-rung ABR ladder.
 //! * **Load simulator rate**: simulated sessions per wall second.
 //! * **Capacity curve**: sessions vs per-session delivered bitrate,
@@ -31,6 +33,7 @@ use mmstream::segment::{demux_segment, mux_segment_wire};
 use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::ts::{crc32, crc32_bytewise, TS_PACKET_LEN};
 use netstack::link::{LinkConfig, LossModel};
+use netstack::packet::{checksum, checksum_per_word, Addr, Packet, Protocol, HEADER_LEN};
 use netstack::tcplite::{transfer, CongestionControl, TcpConfig};
 use video::encoder::{Encoder, EncoderConfig};
 use video::synth::SequenceGen;
@@ -57,8 +60,8 @@ fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()
         .timing("speedup_vs_oracle", oracle_ns / fast_ns)
 }
 
-/// The viewer's per-segment work: unseal, TS CRC-32 and the transfer
-/// that delivers the bytes.
+/// The viewer's per-segment work: unseal, TS CRC-32, the packet checksum
+/// and the transfer that delivers the bytes.
 fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
     println!("\nviewer hot path (fast kernel vs the oracle it must equal):");
     // Unseal: CTR is an involution, so each pass XORs the same
@@ -97,6 +100,34 @@ fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
             for p in packets() {
                 black_box(crc32(black_box(p)));
             }
+        },
+    ));
+
+    // The packet checksum, computed by the sender and again by the
+    // receiver of every frame, over one 1,500-byte frame.
+    let frame = Packet {
+        src: Addr(0x0A00_0001),
+        dst: Addr(0x0A00_0002),
+        protocol: Protocol::Tcp,
+        id: 7,
+        frag_offset: 0,
+        more_fragments: false,
+        payload: (0..1_500 - HEADER_LEN).map(|i| (i * 131) as u8).collect(),
+    }
+    .encode();
+    assert_eq!(
+        checksum(&frame),
+        checksum_per_word(&frame),
+        "the deferred-carry checksum must equal the per-word fold"
+    );
+    report.push(oracle_row(
+        "ip_checksum",
+        frame.len(),
+        || {
+            black_box(checksum_per_word(black_box(&frame)));
+        },
+        || {
+            black_box(checksum(black_box(&frame)));
         },
     ));
 

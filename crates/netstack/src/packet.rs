@@ -4,6 +4,21 @@
 //! that have been developed over the past several years". This is such a
 //! stack's network layer: a compact fixed header with a 16-bit ones'-
 //! complement checksum, MTU fragmentation, and in-memory reassembly.
+//!
+//! Every viewer packet is checksummed twice (once by the sender, once by
+//! the receiver), so [`checksum`] uses the three liberties RFC 1071 grants
+//! a ones'-complement sum. It defers the carry: words add into a `u64`,
+//! and the carries fold back into 16 bits once at the end. It sums in
+//! parallel: one 32-bit word holds two 16-bit words, and since
+//! 2^16 ≡ 1 (mod 0xFFFF) the fold gives the same sum. It is byte-order
+//! independent: the words are read little-endian, which costs no byte
+//! swap per word on a little-endian host, and the folded sum is swapped
+//! once. Every step keeps the sum congruent modulo 0xFFFF and zero only
+//! when every byte is, so the result equals [`checksum_per_word`], the
+//! big-endian per-word fold kept as the oracle, for every input.
+//! [`Packet::decode`] verifies a frame in place by summing the bytes on
+//! either side of the checksum field, so it copies nothing to zero that
+//! field.
 
 /// A 32-bit host address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,9 +105,47 @@ impl core::fmt::Display for PacketError {
 
 impl std::error::Error for PacketError {}
 
-/// RFC-1071-style 16-bit ones'-complement checksum.
+/// RFC 1071 16-bit ones'-complement checksum, with the carry deferred to
+/// one fold at the end. Equal to [`checksum_per_word`] for every input.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u16 {
+    !fold(swapped_sum(bytes)).swap_bytes()
+}
+
+/// The ones'-complement sum of `bytes` as byte-swapped (little-endian)
+/// 16-bit words, an odd last byte padded with a zero. Each 1 GiB part is
+/// folded on its own (its 2^28 32-bit words stay below 2^60), so no `u64`
+/// here overflows; the parts' sum is left for the caller to fold.
+fn swapped_sum(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks(1 << 30)
+        .map(|part| {
+            let mut quads = part.chunks_exact(4);
+            let sum: u64 = quads
+                .by_ref()
+                .map(|q| u64::from(u32::from_le_bytes([q[0], q[1], q[2], q[3]])))
+                .sum();
+            let tail: u64 = (quads.remainder().iter().enumerate())
+                .map(|(i, &b)| u64::from(b) << (8 * (i % 2)))
+                .sum();
+            u64::from(fold(sum + tail))
+        })
+        .sum()
+}
+
+/// Folds the carries of a word sum back into 16 bits.
+fn fold(mut sum: u64) -> u16 {
+    while sum > 0xFFFF {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    sum as u16
+}
+
+/// The checksum with the carry folded after every word: the oracle that
+/// [`checksum`] must equal, public so benchmarks can time the two side by
+/// side.
+#[must_use]
+pub fn checksum_per_word(bytes: &[u8]) -> u16 {
     let mut sum = 0u32;
     for chunk in bytes.chunks(2) {
         let word = if chunk.len() == 2 {
@@ -143,12 +196,11 @@ impl Packet {
         if total != bytes.len() {
             return Err(PacketError::BadLength);
         }
-        // Verify checksum by zeroing the field.
-        let mut copy = bytes.to_vec();
-        copy[16] = 0;
-        copy[17] = 0;
+        // Sum around the checksum field, as if it were zero. The header
+        // part is 16 bytes long, so the words after the field stay aligned.
+        let sum = swapped_sum(&bytes[..16]) + swapped_sum(&bytes[18..]);
         let expect = u16::from_be_bytes([bytes[16], bytes[17]]);
-        if checksum(&copy) != expect {
+        if !fold(sum).swap_bytes() != expect {
             return Err(PacketError::BadChecksum);
         }
         let protocol = Protocol::from_byte(bytes[8]).ok_or(PacketError::BadProtocol(bytes[8]))?;
@@ -384,6 +436,75 @@ mod tests {
         let mut with = data.clone();
         with.extend_from_slice(&ck.to_be_bytes());
         assert_eq!(checksum(&with), 0);
+    }
+
+    #[test]
+    fn deferred_carry_equals_the_per_word_fold() {
+        // Every length 0..=4,096, odd ones included, over random bytes,
+        // over constant runs of 0x00 and 0xFF (the sums that fold to
+        // zero and to 0xFFFF), and over random mixes of such runs.
+        let mut rng = Xoroshiro128::new(92);
+        let random: Vec<u8> = (0..4_096).map(|_| rng.next_u32() as u8).collect();
+        for data in [random, vec![0x00; 4_096], vec![0xFF; 4_096]] {
+            for len in 0..=data.len() {
+                let bytes = &data[..len];
+                assert_eq!(checksum(bytes), checksum_per_word(bytes), "len {len}");
+            }
+        }
+        for case in 0..256 {
+            let len = rng.below(4_097) as usize;
+            let mut bytes = Vec::with_capacity(len);
+            while bytes.len() < len {
+                let run = (rng.below(64) as usize + 1).min(len - bytes.len());
+                let fill = match rng.below(3) {
+                    0 => Some(0x00),
+                    1 => Some(0xFF),
+                    _ => None,
+                };
+                bytes.extend((0..run).map(|_| fill.unwrap_or_else(|| rng.next_u32() as u8)));
+            }
+            assert_eq!(
+                checksum(&bytes),
+                checksum_per_word(&bytes),
+                "case {case} len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_a_typed_error() {
+        // A flip in the length field disagrees with the buffer, and one
+        // in the checksum field changes the expected sum; anywhere else
+        // it moves the word sum by ±2^k, never a multiple of 0xFFFF, so
+        // the checksum catches it.
+        let mut rng = Xoroshiro128::new(93);
+        for case in 0..48 {
+            let len = rng.below(300) as usize;
+            let mut p = sample(len);
+            p.payload = match case % 3 {
+                0 => vec![0x00; len],
+                1 => vec![0xFF; len],
+                _ => (0..len).map(|_| rng.next_u32() as u8).collect(),
+            };
+            p.src = Addr(rng.next_u32());
+            p.id = rng.next_u32() as u16;
+            p.protocol = if rng.below(2) == 0 {
+                Protocol::Udp
+            } else {
+                Protocol::Tcp
+            };
+            let wire = p.encode();
+            assert_eq!(Packet::decode(&wire), Ok(p));
+            for bit in 0..wire.len() * 8 {
+                let mut bad = wire.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    Packet::decode(&bad).is_err(),
+                    "case {case}: flipping bit {bit} of {} bytes decoded Ok",
+                    wire.len()
+                );
+            }
+        }
     }
 
     #[test]

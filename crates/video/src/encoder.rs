@@ -108,7 +108,8 @@ impl EncoderConfig {
 pub enum EncoderError {
     /// No frames supplied.
     Empty,
-    /// Quality outside 1..=100.
+    /// Quality outside 1..=100, or a rate-control `max_quality` outside
+    /// [`MIN_QUALITY`]`..=100`.
     BadQuality(BadQualityError),
     /// GOP length of zero.
     ZeroGop,
@@ -473,9 +474,15 @@ impl Encoder {
     ///
     /// # Errors
     ///
-    /// Returns [`EncoderError`] for invalid quality, GOP, or search range.
+    /// Returns [`EncoderError`] for invalid quality, rate-control quality
+    /// ceiling, GOP, or search range.
     pub fn new(config: EncoderConfig) -> Result<Self, EncoderError> {
         Quantizer::from_quality(config.quality)?;
+        if let Some(rate) = config.rate {
+            if !(MIN_QUALITY..=100).contains(&rate.max_quality) {
+                return Err(BadQualityError(rate.max_quality).into());
+            }
+        }
         if config.gop == 0 {
             return Err(EncoderError::ZeroGop);
         }
@@ -753,6 +760,31 @@ mod tests {
             }),
             Err(EncoderError::BadSearchRange(32))
         ));
+    }
+
+    #[test]
+    fn a_rate_ceiling_outside_the_controller_range_is_rejected() {
+        // A ceiling below MIN_QUALITY used to pass `new` and panic in
+        // `encode` (an inverted `clamp`); one above 100 has no quantizer.
+        let config = |max_quality| EncoderConfig {
+            rate: Some(RateConfig {
+                max_quality,
+                ..RateConfig::for_target(1000.0)
+            }),
+            ..Default::default()
+        };
+        for max_quality in [0, 1, MIN_QUALITY - 1, 101, u8::MAX] {
+            assert_eq!(
+                Encoder::new(config(max_quality)).err(),
+                Some(EncoderError::BadQuality(BadQualityError(max_quality))),
+                "max_quality {max_quality}"
+            );
+        }
+        let frames = SequenceGen::new(3).panning_sequence(16, 16, 2, 1, 0);
+        for max_quality in [MIN_QUALITY, 100] {
+            let encoder = Encoder::new(config(max_quality)).expect("the ceiling is in range");
+            assert!(encoder.encode(&frames).is_ok(), "max_quality {max_quality}");
+        }
     }
 
     #[test]
