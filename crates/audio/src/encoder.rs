@@ -207,7 +207,7 @@ impl AudioEncoder {
     ///
     /// Returns [`AudioError::BadLength`] otherwise.
     pub fn encode(&self, pcm: &[f64]) -> Result<EncodedAudio, AudioError> {
-        if pcm.is_empty() || pcm.len() % FRAME_SAMPLES != 0 {
+        if pcm.is_empty() || !pcm.len().is_multiple_of(FRAME_SAMPLES) {
             return Err(AudioError::BadLength(pcm.len()));
         }
         let n_frames = pcm.len() / FRAME_SAMPLES;

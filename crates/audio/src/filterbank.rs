@@ -76,7 +76,7 @@ impl Filterbank {
     #[must_use]
     pub fn analysis(&self, x: &[f64]) -> Vec<Granule> {
         assert!(
-            !x.is_empty() && x.len() % BANDS == 0,
+            !x.is_empty() && x.len().is_multiple_of(BANDS),
             "input length must be a positive multiple of 32"
         );
         let hops = x.len() / BANDS + 1;

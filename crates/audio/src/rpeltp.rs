@@ -209,7 +209,7 @@ impl RpeLtp {
     ///
     /// Returns [`SpeechError::BadLength`] otherwise.
     pub fn encode(&self, pcm: &[f64]) -> Result<EncodedSpeech, SpeechError> {
-        if pcm.is_empty() || pcm.len() % FRAME != 0 {
+        if pcm.is_empty() || !pcm.len().is_multiple_of(FRAME) {
             return Err(SpeechError::BadLength(pcm.len()));
         }
         let mut w = BitWriter::new();

@@ -9,12 +9,15 @@
 //! * **Viewer hot path**: each fast kernel a viewer runs per segment
 //!   against the oracle it must equal, with `bit_identical` asserted in
 //!   the binary over every timed input: the lane-parallel XTEA-CTR
-//!   unseal vs the per-block loop on 64 KiB, the slicing-by-8 TS CRC-32
-//!   vs the byte-wise loop on every packet of the segment, and the
-//!   deferred-carry packet checksum vs the per-word fold on a 1,500-byte
-//!   frame. Then the event-stepped TCP-lite engine: wall time and
-//!   simulated ticks of a 64 KiB AIMD transfer over the `viewer_fleet`
-//!   access link.
+//!   unseal vs the per-block loop on 64 KiB and on the segment's wire
+//!   bytes (a length that ends in a partial lane group), the
+//!   slicing-by-8 TS CRC-32 vs the byte-wise loop on every packet of the
+//!   segment, and the deferred-carry packet checksum vs the per-word
+//!   fold on a 1,500-byte frame. The unseal and the checksum are each
+//!   built in two copies (see [`signal::simd`]); their rows record the
+//!   width of the copy that ran and time the baseline copy too. Then the
+//!   event-stepped TCP-lite engine: wall time and simulated ticks of a
+//!   64 KiB AIMD transfer over the `viewer_fleet` access link.
 //! * **Ladder encode**: wall time to produce a 3-rung ABR ladder.
 //! * **Load simulator rate**: simulated sessions per wall second.
 //! * **Capacity curve**: sessions vs per-session delivered bitrate,
@@ -33,17 +36,24 @@ use mmstream::segment::{demux_segment, mux_segment_wire};
 use mmstream::serve::{curve_knee, simulate, sweep, CdnConfig, LoadConfig, Scenario};
 use mmstream::ts::{crc32, crc32_bytewise, TS_PACKET_LEN};
 use netstack::link::{LinkConfig, LossModel};
-use netstack::packet::{checksum, checksum_per_word, Addr, Packet, Protocol, HEADER_LEN};
+use netstack::packet::{
+    checksum, checksum_baseline, checksum_per_word, Addr, Packet, Protocol, HEADER_LEN,
+};
 use netstack::tcplite::{transfer, CongestionControl, TcpConfig};
 use video::encoder::{Encoder, EncoderConfig};
 use video::synth::SequenceGen;
+
+/// MB/s of a pass over `bytes` bytes that takes `ns` nanoseconds.
+fn mb_s(bytes: usize, ns: f64) -> f64 {
+    bytes as f64 / (ns / 1e9) / 1e6
+}
 
 /// A fast-kernel row: the oracle's and the fast kernel's median ns per
 /// pass over `bytes` bytes whose outputs the caller asserted equal.
 fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()) -> PerfEntry {
     let oracle_ns = median_ns_per_iter(oracle);
     let fast_ns = median_ns_per_iter(fast);
-    let mb_s = |ns: f64| bytes as f64 / (ns / 1e9) / 1e6;
+    let mb_s = |ns: f64| mb_s(bytes, ns);
     println!(
         "  {name:<13}: oracle {:>8.1} MB/s, fast {:>8.1} MB/s ({:.2}x), bit-identical over {bytes} bytes",
         mb_s(oracle_ns),
@@ -60,24 +70,62 @@ fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()
         .timing("speedup_vs_oracle", oracle_ns / fast_ns)
 }
 
+/// An [`oracle_row`] for a kernel built in two copies (see
+/// [`signal::simd`]): `fast` runs the copy dispatched on this host and
+/// `baseline` the baseline copy, forced. Adds the dispatched copy's
+/// vector width and the baseline copy's median ns.
+fn multiversioned_row(
+    name: &str,
+    bytes: usize,
+    oracle: impl FnMut(),
+    baseline: impl FnMut(),
+    fast: impl FnMut(),
+) -> PerfEntry {
+    // The baseline copy goes first, so no wide copy has just run.
+    let baseline_ns = median_ns_per_iter(baseline);
+    let row = oracle_row(name, bytes, oracle, fast);
+    let bits = signal::simd::vector_bits();
+    println!(
+        "  {:<13}  baseline copy {:>8.1} MB/s; the fast copy ran at {bits} bits",
+        "",
+        mb_s(bytes, baseline_ns)
+    );
+    row.timing("vector_bits", f64::from(bits))
+        .timing("baseline_wall_ns", baseline_ns)
+}
+
+/// The XTEA-CTR row over `len` bytes: the dispatched and baseline copies
+/// of the lane path against the per-block oracle.
+fn xtea_row(name: &str, len: usize) -> PerfEntry {
+    // CTR is an involution, so each pass XORs the same keystream into
+    // the buffer; every path must agree on it.
+    let ctr = XteaCtr::new(&[7u8; 16], 0x5EA1);
+    let mut fast = vec![0u8; len];
+    let mut baseline = fast.clone();
+    let mut oracle = fast.clone();
+    ctr.apply(&mut fast);
+    ctr.apply_baseline(&mut baseline);
+    ctr.apply_blockwise(&mut oracle);
+    assert_eq!(fast, oracle, "XTEA-CTR lanes must equal the per-block loop");
+    assert_eq!(baseline, oracle, "the baseline copy must equal the per-block loop");
+    multiversioned_row(
+        name,
+        len,
+        || ctr.apply_blockwise(black_box(&mut oracle)),
+        || ctr.apply_baseline(black_box(&mut baseline)),
+        || ctr.apply(black_box(&mut fast)),
+    )
+}
+
 /// The viewer's per-segment work: unseal, TS CRC-32, the packet checksum
 /// and the transfer that delivers the bytes.
 fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
     println!("\nviewer hot path (fast kernel vs the oracle it must equal):");
-    // Unseal: CTR is an involution, so each pass XORs the same
-    // keystream into the buffer; both paths must agree on it.
-    let ctr = XteaCtr::new(&[7u8; 16], 0x5EA1);
-    let mut fast = vec![0u8; 65_536];
-    let mut oracle = fast.clone();
-    ctr.apply(&mut fast);
-    ctr.apply_blockwise(&mut oracle);
-    assert_eq!(fast, oracle, "XTEA-CTR lanes must equal the per-block loop");
-    report.push(oracle_row(
-        "xtea_ctr_64k",
-        fast.len(),
-        || ctr.apply_blockwise(black_box(&mut oracle)),
-        || ctr.apply(black_box(&mut fast)),
-    ));
+    report.push(xtea_row("xtea_ctr_64k", 65_536));
+    // The A/V segment's wire length ends in a partial lane group, so
+    // this row also times the tail.
+    assert_ne!(wire.len() % 256, 0, "the segment row must time the tail");
+    report.push(xtea_row("xtea_ctr_segment", wire.len()));
 
     // The demux's per-packet CRC over every packet of the A/V segment.
     let packets = || wire.chunks_exact(TS_PACKET_LEN);
@@ -115,16 +163,25 @@ fn viewer_rows(report: &mut PerfReport, wire: &[u8]) {
         payload: (0..1_500 - HEADER_LEN).map(|i| (i * 131) as u8).collect(),
     }
     .encode();
+    let oracle = checksum_per_word(&frame);
     assert_eq!(
         checksum(&frame),
-        checksum_per_word(&frame),
+        oracle,
         "the deferred-carry checksum must equal the per-word fold"
     );
-    report.push(oracle_row(
+    assert_eq!(
+        checksum_baseline(&frame),
+        oracle,
+        "the baseline copy must equal the per-word fold"
+    );
+    report.push(multiversioned_row(
         "ip_checksum",
         frame.len(),
         || {
             black_box(checksum_per_word(black_box(&frame)));
+        },
+        || {
+            black_box(checksum_baseline(black_box(&frame)));
         },
         || {
             black_box(checksum(black_box(&frame)));

@@ -31,6 +31,8 @@
 //! assert!(protected_play(&mut device, &authority, title, b"media", 1, 0).is_err());
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod cipher;
 pub mod hash;
 pub mod license;

@@ -29,6 +29,8 @@
 //! # Ok::<(), netstack::tcplite::TcpError>(())
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod fetch;
 pub mod link;
 pub mod packet;

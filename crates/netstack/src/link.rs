@@ -353,9 +353,7 @@ impl Link {
         }
         let deliver_at = tx_complete + self.config.latency_ticks;
         debug_assert!(
-            self.queue
-                .back()
-                .map_or(true, |f| f.deliver_at <= deliver_at),
+            self.queue.back().is_none_or(|f| f.deliver_at <= deliver_at),
             "the in-flight queue must stay in arrival order"
         );
         self.queue.push_back(InFlight {

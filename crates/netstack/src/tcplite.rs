@@ -618,7 +618,7 @@ pub fn transfer_over(
             // is counted and ignored, never mis-slotted.
             let seq = seq as usize;
             let s = seq / config.mss;
-            let valid = seq % config.mss == 0
+            let valid = seq.is_multiple_of(config.mss)
                 && s < n_segments
                 && payload.len() == config.mss.min(data.len() - s * config.mss);
             if !valid {
@@ -871,7 +871,7 @@ pub(crate) mod oracle {
                 // is counted and ignored, never mis-slotted.
                 let seq = seq as usize;
                 let s = seq / config.mss;
-                let valid = seq % config.mss == 0
+                let valid = seq.is_multiple_of(config.mss)
                     && s < n_segments
                     && payload.len() == config.mss.min(data.len() - s * config.mss);
                 if !valid {

@@ -8,7 +8,7 @@
 //! [`metrics`] (PSNR/SNR, strided/bounded SAD), a deterministic [`rng`],
 //! descriptive [`stats`] and parametric signal [`gen`]erators
 //! (tones, noise, the voiced/unvoiced speech model of the paper's §4, and
-//! harmonic "music").
+//! harmonic "music"), and the run-time vector-width choice of [`simd`].
 //!
 //! Everything here is implemented from scratch; no external DSP crates are
 //! used, so the whole codec stack above it is auditable end to end.
@@ -33,6 +33,8 @@
 //! assert_eq!(peak, 32);
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod bits;
 pub mod dct1d;
 pub mod dct8;
@@ -41,6 +43,7 @@ pub mod filter;
 pub mod gen;
 pub mod metrics;
 pub mod rng;
+pub mod simd;
 pub mod stats;
 pub mod window;
 

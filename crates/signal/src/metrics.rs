@@ -218,7 +218,7 @@ pub fn sad_u8_bounded_ops(
     cutoff: u64,
 ) -> (u64, u64) {
     #[cfg(target_arch = "x86_64")]
-    if w % 16 == 0 {
+    if w.is_multiple_of(16) {
         return bounded_rows((a, a_stride), (b, b_stride), w, h, cutoff, |ra, rb| {
             ra.chunks_exact(16)
                 .zip(rb.chunks_exact(16))

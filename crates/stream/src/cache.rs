@@ -258,9 +258,8 @@ impl CacheNode {
         let (data, ticks) = Self::fetch(parents, origin, name, mutable, |source, _| {
             self.pull(source, name)
         })
-        .map_err(|e| {
+        .inspect_err(|_| {
             self.fills_failed += 1;
-            e
         })?;
         self.stats.misses += 1;
         self.stats.origin_bytes += data.len() as u64;

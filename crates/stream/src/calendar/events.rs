@@ -79,7 +79,7 @@ impl EventCalendar {
         let wake = self.next_wake();
         match self.heap.peek() {
             // A tick's heap events all sort before its wakes.
-            Some(&Reverse((t, ..))) if wake.map_or(true, |w| t <= w) => {
+            Some(&Reverse((t, ..))) if wake.is_none_or(|w| t <= w) => {
                 if t > now {
                     return None;
                 }

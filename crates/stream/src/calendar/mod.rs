@@ -817,9 +817,7 @@ pub(crate) fn run_cohorts(
                     }
                     if !s.started {
                         s.started = true;
-                        if p.live
-                            .map_or(true, |l| s.seg as u64 <= l.live_seq(now, nseg))
-                        {
+                        if p.live.is_none_or(|l| s.seg as u64 <= l.live_seq(now, nseg)) {
                             let sh = sh.as_deref_mut();
                             progressed |=
                                 request(e, sh, m, title, s, n, rewarm, &mut fs.res.rewarm_fills);

@@ -294,7 +294,7 @@ impl FaultPlan {
                 } => {
                     if until > from
                         && capacity_scale.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
-                        && !edge.is_some_and(|e| e >= n_edges)
+                        && edge.is_none_or(|e| e < n_edges)
                     {
                         out.push((from, FaultAction::DegradeStart(edge, capacity_scale)));
                         out.push((until, FaultAction::DegradeEnd(edge, capacity_scale)));

@@ -1036,7 +1036,7 @@ pub(crate) mod oracle {
                     s.started = true;
                     let live_now = p
                         .live
-                        .map_or(true, |l| s.seg as u64 <= l.live_seq(now, n_segments));
+                        .is_none_or(|l| s.seg as u64 <= l.live_seq(now, n_segments));
                     if live_now {
                         let bytes = manifest.rungs[0].segments[s.seg].bytes as f64;
                         match e.request(id(0, s.seg)) {

@@ -102,7 +102,7 @@ impl FreqSketch {
             self.bump(slot);
         }
         self.recorded += 1;
-        if self.recorded % self.halve_every == 0 {
+        if self.recorded.is_multiple_of(self.halve_every) {
             self.halve();
         }
     }

@@ -108,9 +108,10 @@ impl EncoderConfig {
 pub enum EncoderError {
     /// No frames supplied.
     Empty,
-    /// Quality outside 1..=100, or a rate-control `max_quality` outside
-    /// [`MIN_QUALITY`]`..=100`.
+    /// Quality outside 1..=100.
     BadQuality(BadQualityError),
+    /// A rate-control `max_quality` outside [`MIN_QUALITY`]`..=100`.
+    BadRateCeiling(u8),
     /// GOP length of zero.
     ZeroGop,
     /// Search range outside 1..=31 (the bitstream stores 6-bit vectors).
@@ -126,6 +127,10 @@ impl core::fmt::Display for EncoderError {
         match self {
             EncoderError::Empty => f.write_str("no frames to encode"),
             EncoderError::BadQuality(e) => write!(f, "{e}"),
+            EncoderError::BadRateCeiling(q) => write!(
+                f,
+                "rate-control max_quality {q} outside {MIN_QUALITY}..=100"
+            ),
             EncoderError::ZeroGop => f.write_str("gop length must be at least 1"),
             EncoderError::BadSearchRange(r) => write!(f, "search range {r} outside 1..=31"),
             EncoderError::MixedDimensions => f.write_str("frames have differing dimensions"),
@@ -480,7 +485,7 @@ impl Encoder {
         Quantizer::from_quality(config.quality)?;
         if let Some(rate) = config.rate {
             if !(MIN_QUALITY..=100).contains(&rate.max_quality) {
-                return Err(BadQualityError(rate.max_quality).into());
+                return Err(EncoderError::BadRateCeiling(rate.max_quality));
             }
         }
         if config.gop == 0 {
@@ -774,10 +779,16 @@ mod tests {
             ..Default::default()
         };
         for max_quality in [0, 1, MIN_QUALITY - 1, 101, u8::MAX] {
+            let err = Encoder::new(config(max_quality)).err();
             assert_eq!(
-                Encoder::new(config(max_quality)).err(),
-                Some(EncoderError::BadQuality(BadQualityError(max_quality))),
+                err,
+                Some(EncoderError::BadRateCeiling(max_quality)),
                 "max_quality {max_quality}"
+            );
+            // The message names the bound the ceiling broke.
+            assert_eq!(
+                err.map(|e| e.to_string()).as_deref(),
+                Some(format!("rate-control max_quality {max_quality} outside 5..=100").as_str())
             );
         }
         let frames = SequenceGen::new(3).panning_sequence(16, 16, 2, 1, 0);

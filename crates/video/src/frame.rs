@@ -71,7 +71,7 @@ impl Frame {
         cb: u8,
         cr: u8,
     ) -> Result<Self, BadDimensionsError> {
-        if width == 0 || height == 0 || width % 16 != 0 || height % 16 != 0 {
+        if width == 0 || height == 0 || !width.is_multiple_of(16) || !height.is_multiple_of(16) {
             return Err(BadDimensionsError { width, height });
         }
         Ok(Self {
@@ -116,8 +116,8 @@ impl Frame {
     ) -> Result<Self, BadDimensionsError> {
         if width == 0
             || height == 0
-            || width % 16 != 0
-            || height % 16 != 0
+            || !width.is_multiple_of(16)
+            || !height.is_multiple_of(16)
             || y.len() != width * height
             || cb.len() != width * height / 4
             || cr.len() != width * height / 4

@@ -211,9 +211,9 @@ impl PaddedPlane {
         for py in 0..height + 2 * pad {
             let y = py.saturating_sub(pad).min(height - 1);
             let row = &plane.data()[y * width..(y + 1) * width];
-            data.extend(core::iter::repeat(row[0]).take(pad));
+            data.extend(std::iter::repeat_n(row[0], pad));
             data.extend_from_slice(row);
-            data.extend(core::iter::repeat(row[width - 1]).take(pad));
+            data.extend(std::iter::repeat_n(row[width - 1], pad));
         }
         Self {
             data,

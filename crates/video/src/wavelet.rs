@@ -19,7 +19,7 @@
 #[must_use]
 pub fn forward_1d(x: &[i32]) -> Vec<i32> {
     assert!(
-        !x.is_empty() && x.len() % 2 == 0,
+        !x.is_empty() && x.len().is_multiple_of(2),
         "length must be even and nonzero"
     );
     let n = x.len();
@@ -61,7 +61,7 @@ pub fn forward_1d(x: &[i32]) -> Vec<i32> {
 #[must_use]
 pub fn inverse_1d(x: &[i32]) -> Vec<i32> {
     assert!(
-        !x.is_empty() && x.len() % 2 == 0,
+        !x.is_empty() && x.len().is_multiple_of(2),
         "length must be even and nonzero"
     );
     let n = x.len();
@@ -123,7 +123,7 @@ impl Wavelet2d {
     pub fn forward(&self, img: &[i32], size: usize) -> Vec<i32> {
         assert_eq!(img.len(), size * size, "image size mismatch");
         assert!(
-            size % (1 << self.levels) == 0,
+            size.is_multiple_of(1 << self.levels),
             "size must be divisible by 2^levels"
         );
         let mut out = img.to_vec();
