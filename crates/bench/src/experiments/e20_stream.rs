@@ -53,11 +53,10 @@ fn mb_s(bytes: usize, ns: f64) -> f64 {
 fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()) -> PerfEntry {
     let oracle_ns = median_ns_per_iter(oracle);
     let fast_ns = median_ns_per_iter(fast);
-    let mb_s = |ns: f64| mb_s(bytes, ns);
     println!(
         "  {name:<13}: oracle {:>8.1} MB/s, fast {:>8.1} MB/s ({:.2}x), bit-identical over {bytes} bytes",
-        mb_s(oracle_ns),
-        mb_s(fast_ns),
+        mb_s(bytes, oracle_ns),
+        mb_s(bytes, fast_ns),
         oracle_ns / fast_ns
     );
     PerfEntry::new(name)
@@ -65,8 +64,8 @@ fn oracle_row(name: &str, bytes: usize, oracle: impl FnMut(), fast: impl FnMut()
         .metric("bit_identical", 1.0)
         .timing("oracle_wall_ns", oracle_ns)
         .timing("fast_wall_ns", fast_ns)
-        .timing("oracle_mb_per_s", mb_s(oracle_ns))
-        .timing("fast_mb_per_s", mb_s(fast_ns))
+        .timing("oracle_mb_per_s", mb_s(bytes, oracle_ns))
+        .timing("fast_mb_per_s", mb_s(bytes, fast_ns))
         .timing("speedup_vs_oracle", oracle_ns / fast_ns)
 }
 
@@ -81,7 +80,7 @@ fn multiversioned_row(
     baseline: impl FnMut(),
     fast: impl FnMut(),
 ) -> PerfEntry {
-    // The baseline copy goes first, so no wide copy has just run.
+    // Timed before this row's wide copy runs.
     let baseline_ns = median_ns_per_iter(baseline);
     let row = oracle_row(name, bytes, oracle, fast);
     let bits = signal::simd::vector_bits();
