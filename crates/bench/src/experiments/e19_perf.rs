@@ -22,6 +22,10 @@
 //! * **Ladder**: ms per 5-rung QCIF GOP-8 ladder (48 frames, the
 //!   benchmark's `vod_pipeline` configuration), whose pooled encode is
 //!   asserted equal to the sequential one.
+//! * **Block walk**: encode and decode of a QCIF frame pair with the
+//!   walk at the host's vector width and forced to the baseline copy,
+//!   timed interleaved. This row, the ladder and the decoder record the
+//!   width that ran (`vector_bits`).
 //! * **Other kernels**: ns per call (`wall_ns`) of the direct DCT and
 //!   the butterfly IDCT, the QCIF encoder per configuration, the audio
 //!   codecs and psychoacoustic model, the FFT, filterbank, hash and
@@ -29,7 +33,9 @@
 
 use std::hint::black_box;
 
-use crate::perf::{matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport};
+use crate::perf::{
+    interleaved_medians_ns, matrix_dct2d_forward, median_ns_per_iter, PerfEntry, PerfReport,
+};
 use crate::{cif_spec, test_music, test_speech, test_video, SEED};
 use audio::encoder::{AudioConfig, AudioEncoder};
 use audio::filterbank::Filterbank;
@@ -49,7 +55,7 @@ use signal::fft::Fft;
 use signal::metrics::{sad_u8, sad_u8_bounded_ops, sad_u8_bounded_ops_scalar};
 use signal::rng::Xoroshiro128;
 use video::dct::{forward_direct, Dct2d, BLOCK};
-use video::decoder::decode;
+use video::decoder::{decode, decode_baseline};
 use video::encoder::{Encoder, EncoderConfig};
 use video::frame::Frame;
 use video::me::{MotionEstimator, MotionVector, SearchKind, MB};
@@ -307,7 +313,60 @@ fn ladder_row(report: &mut PerfReport) {
             .metric("dct_blocks", sum(|c| c.tally.dct_blocks))
             .metric("vlc_symbols", sum(|c| c.tally.vlc_symbols))
             .metric("wire_bytes", ladder.total_bytes() as f64)
-            .timing("wall_ms", ns / 1e6),
+            .timing("wall_ms", ns / 1e6)
+            .timing("vector_bits", f64::from(signal::simd::vector_bits())),
+    );
+}
+
+/// Figure 1's block walk in its two copies over one QCIF frame pair (an
+/// I and a P frame, diamond search ±7): the encode and the decode with
+/// the walk dispatched to the host's widest copy, and forced to the
+/// baseline copy. Each pair of copies is timed in one process,
+/// interleaved, and asserted bit-identical first.
+fn walk_row(report: &mut PerfReport, pair: &[Frame]) {
+    let enc = Encoder::new(EncoderConfig::symmetric_conference()).expect("the preset is valid");
+    let encoded = enc.encode(pair).expect("encode succeeds");
+    let baseline = enc.encode_baseline(pair).expect("encode succeeds");
+    assert_eq!(encoded.bytes, baseline.bytes, "both copies must code the same stream");
+    assert_eq!(encoded.tally, baseline.tally, "both copies must do the same work");
+    let decoded = decode(&encoded.bytes).expect("the encoder's stream decodes");
+    let decoded_baseline = decode_baseline(&encoded.bytes).expect("the stream decodes");
+    assert_eq!(decoded.frames, decoded_baseline.frames, "both copies must decode the same frames");
+    let (encode_ns, encode_baseline_ns) = interleaved_medians_ns(
+        || enc.encode(black_box(pair)).unwrap(),
+        || enc.encode_baseline(black_box(pair)).unwrap(),
+    );
+    let (decode_ns, decode_baseline_ns) = interleaved_medians_ns(
+        || decode(black_box(&encoded.bytes)).unwrap(),
+        || decode_baseline(black_box(&encoded.bytes)).unwrap(),
+    );
+    let bits = signal::simd::vector_bits();
+    println!(
+        "\nblock walk, QCIF I + P pair (dispatched {bits}-bit vs baseline 128-bit, interleaved):"
+    );
+    let sides = [
+        ("encode", encode_ns, encode_baseline_ns),
+        ("decode", decode_ns, decode_baseline_ns),
+    ];
+    for (side, wide, base) in sides {
+        println!(
+            "  {side}: {:>8.0} us dispatched, {:>8.0} us baseline ({:.2}x)",
+            wide / 1e3,
+            base / 1e3,
+            base / wide
+        );
+    }
+    report.push(
+        PerfEntry::new("walk_qcif_frame_pair")
+            .metric("frames", pair.len() as f64)
+            .metric("idct_blocks", decoded.idct_blocks as f64)
+            .metric("stream_bytes", encoded.bytes.len() as f64)
+            .metric("bit_identical", 1.0)
+            .timing("vector_bits", f64::from(bits))
+            .timing("encode_wall_us", encode_ns / 1e3)
+            .timing("encode_baseline_wall_us", encode_baseline_ns / 1e3)
+            .timing("decode_wall_us", decode_ns / 1e3)
+            .timing("decode_baseline_wall_us", decode_baseline_ns / 1e3),
     );
 }
 
@@ -588,10 +647,12 @@ pub fn run(report: &mut PerfReport) {
             .metric("mc_pixels", decoded.mc_pixels as f64)
             .metric("stream_bytes", stream.bytes.len() as f64)
             .timing("wall_ns_per_frame", ns_per_frame)
-            .timing("frames_per_second", 1e9 / ns_per_frame),
+            .timing("frames_per_second", 1e9 / ns_per_frame)
+            .timing("vector_bits", f64::from(signal::simd::vector_bits())),
     );
 
     kernel_rows(report, &current, &reference);
     ladder_row(report);
+    walk_row(report, &[reference, current]);
     other_kernel_rows(report, &block);
 }

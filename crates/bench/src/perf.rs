@@ -17,6 +17,7 @@
 //!   times, rates and speedups derived from them, and host readings
 //!   such as CPU counts. CI ignores them. Each is one reading, taken one
 //!   of three ways: the median of 7 samples from [`median_ns_per_iter`]
+//!   or, for two copies compared in one row, [`interleaved_medians_ns`]
 //!   (`e19_perf`, `e20_stream`), one `Instant` span around a single run
 //!   (`e23_sim`'s sweep levels, `e26_par`'s pooled sweep), or the best
 //!   of 3 runs (`e26_par`'s encode grid). None carries a spread.
@@ -220,6 +221,10 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// Samples per reading of [`median_ns_per_iter`] and
+/// [`interleaved_medians_ns`].
+const SAMPLES: usize = 7;
+
 /// Median wall-clock nanoseconds of one invocation of `f`: double the
 /// iteration count until a sample lasts ~10 ms (or 40 ms of warm-up
 /// pass), then take the median of 7 samples of that many iterations.
@@ -227,9 +232,40 @@ fn json_number(v: f64) -> String {
 /// that makes it cannot be optimized away. `e19_perf` and `e20_stream`
 /// time every kernel row with it.
 pub fn median_ns_per_iter<T, F: FnMut() -> T>(mut f: F) -> f64 {
+    let iters = calibrate(&mut f);
+    let mut per_iter: Vec<f64> = (0..SAMPLES).map(|_| sample_ns(&mut f, iters)).collect();
+    median(&mut per_iter)
+}
+
+/// Median nanoseconds per call of `a` and of `b`, read in one process
+/// with their samples interleaved: the iteration count is calibrated on
+/// `a` as in [`median_ns_per_iter`], then each of 7 rounds takes one
+/// sample of both, in alternating order. A drift of the host during the
+/// reading then lands on both alike, so their ratio compares the code,
+/// which rows timed one after the other do less well.
+pub fn interleaved_medians_ns<A, B>(
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64) {
+    let iters = calibrate(&mut a);
+    let (mut a_ns, mut b_ns) = (Vec::new(), Vec::new());
+    for round in 0..SAMPLES {
+        if round % 2 == 0 {
+            a_ns.push(sample_ns(&mut a, iters));
+            b_ns.push(sample_ns(&mut b, iters));
+        } else {
+            b_ns.push(sample_ns(&mut b, iters));
+            a_ns.push(sample_ns(&mut a, iters));
+        }
+    }
+    (median(&mut a_ns), median(&mut b_ns))
+}
+
+/// The iteration count whose sample lasts ~10 ms, found by doubling
+/// (40 ms of doubling at most, which also warms `f` up).
+fn calibrate<T>(f: &mut impl FnMut() -> T) -> u64 {
     const SAMPLE_TARGET: Duration = Duration::from_millis(10);
     const WARMUP_TARGET: Duration = Duration::from_millis(40);
-    const SAMPLES: usize = 7;
     let mut iters: u64 = 1;
     let warmup = Instant::now();
     loop {
@@ -238,21 +274,24 @@ pub fn median_ns_per_iter<T, F: FnMut() -> T>(mut f: F) -> f64 {
             std::hint::black_box(f());
         }
         if t.elapsed() >= SAMPLE_TARGET || warmup.elapsed() >= WARMUP_TARGET {
-            break;
+            return iters;
         }
         iters = iters.saturating_mul(2);
     }
-    let mut per_iter: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            t.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    per_iter[SAMPLES / 2]
+}
+
+/// Nanoseconds per call over one sample of `iters` calls of `f`.
+fn sample_ns<T>(f: &mut impl FnMut() -> T, iters: u64) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    t.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 #[cfg(test)]

@@ -69,24 +69,58 @@ pub fn psnr(reference: &[f64], test: &[f64], peak: f64) -> Result<f64, LengthMis
 
 /// PSNR between two 8-bit pixel buffers (peak 255).
 ///
+/// Returns `f64::INFINITY` for identical buffers.
+///
+/// The squared errors are summed as integers, at the host's vector width
+/// ([`crate::simd::dispatch`]): a `u32` per chunk of 2^15 samples, which
+/// holds at most 2^15 · 255² < 2^31, added into a `u64`. That equals the
+/// `f64` sum of the squares, in any order, bit for bit while the sum stays
+/// below 2^53: every term is an integer of at most 65,025, and every
+/// partial sum is then an integer a double holds exactly. The sum stays
+/// below 2^53 for every buffer shorter than 2^53 / 65,025 ≈ 1.4 · 10^11
+/// samples.
+///
 /// # Errors
 ///
 /// Returns [`LengthMismatchError`] if lengths differ or are zero.
 pub fn psnr_u8(reference: &[u8], test: &[u8]) -> Result<f64, LengthMismatchError> {
     check(reference.len(), test.len())?;
-    let sum: f64 = reference
-        .iter()
-        .zip(test)
-        .map(|(&a, &b)| {
-            let d = a as f64 - b as f64;
-            d * d
-        })
-        .sum();
-    let m = sum / reference.len() as f64;
+    let sum = crate::simd::dispatch(
+        #[inline(always)]
+        || squared_error_sum(reference, test),
+    );
+    Ok(psnr_of_sum(sum, reference.len()))
+}
+
+/// The PSNR of `len` 8-bit samples whose squared errors sum to `sum`.
+fn psnr_of_sum(sum: u64, len: usize) -> f64 {
+    let m = sum as f64 / len as f64;
     if m == 0.0 {
-        return Ok(f64::INFINITY);
+        return f64::INFINITY;
     }
-    Ok(10.0 * (255.0 * 255.0 / m).log10())
+    10.0 * (255.0 * 255.0 / m).log10()
+}
+
+/// Samples per `u32` partial sum in [`squared_error_sum`].
+const SSE_CHUNK: usize = 1 << 15;
+
+/// The sum of `(a[i] - b[i])²`: the body of both copies of [`psnr_u8`].
+#[inline(always)]
+fn squared_error_sum(a: &[u8], b: &[u8]) -> u64 {
+    a.chunks(SSE_CHUNK)
+        .zip(b.chunks(SSE_CHUNK))
+        .map(|(a, b)| {
+            let chunk: u32 = a
+                .iter()
+                .zip(b)
+                .map(|(&x, &y)| {
+                    let d = i32::from(x) - i32::from(y);
+                    (d * d) as u32
+                })
+                .sum();
+            u64::from(chunk)
+        })
+        .sum()
 }
 
 /// Signal-to-noise ratio in dB: signal energy over error energy.
@@ -376,6 +410,107 @@ mod tests {
         let b = vec![101u8; 64];
         let p = psnr_u8(&a, &b).unwrap();
         assert!((p - 48.1308).abs() < 1e-3, "psnr {p}");
+    }
+
+    /// The `f64` fold [`psnr_u8`] replaced, kept as its oracle.
+    fn psnr_u8_f64(reference: &[u8], test: &[u8]) -> Result<f64, LengthMismatchError> {
+        check(reference.len(), test.len())?;
+        let sum: f64 = reference
+            .iter()
+            .zip(test)
+            .map(|(&a, &b)| {
+                let d = a as f64 - b as f64;
+                d * d
+            })
+            .sum();
+        let m = sum / reference.len() as f64;
+        if m == 0.0 {
+            return Ok(f64::INFINITY);
+        }
+        Ok(10.0 * (255.0 * 255.0 / m).log10())
+    }
+
+    /// `psnr_u8` and its oracle agree bit for bit (or on the error), and
+    /// so does the baseline copy's integer sum.
+    fn assert_psnr_u8_is_the_f64_fold(a: &[u8], b: &[u8]) {
+        let (fast, oracle) = (psnr_u8(a, b), psnr_u8_f64(a, b));
+        assert_eq!(
+            fast.map(f64::to_bits),
+            oracle.map(f64::to_bits),
+            "lengths {} and {}",
+            a.len(),
+            b.len()
+        );
+        if let Ok(oracle) = oracle {
+            let baseline = psnr_of_sum(squared_error_sum(a, b), a.len());
+            assert_eq!(baseline.to_bits(), oracle.to_bits(), "baseline copy");
+        }
+    }
+
+    #[test]
+    fn psnr_u8_equals_the_f64_fold_at_the_chunk_edges_and_the_worst_case() {
+        println!(
+            "psnr_u8 copies checked: baseline 128-bit, dispatched {}-bit",
+            crate::simd::vector_bits()
+        );
+        let mut rng = crate::rng::Xoroshiro128::new(61);
+        for len in [
+            1,
+            SSE_CHUNK - 1,
+            SSE_CHUNK,
+            SSE_CHUNK + 1,
+            2 * SSE_CHUNK + 1,
+        ] {
+            // All 0 against all 255: every term is 65,025, the largest.
+            let (zeros, full) = (vec![0u8; len], vec![255u8; len]);
+            assert_psnr_u8_is_the_f64_fold(&zeros, &full);
+            assert_psnr_u8_is_the_f64_fold(&full, &zeros);
+            let a: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            let b: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            assert_psnr_u8_is_the_f64_fold(&a, &b);
+            assert_eq!(psnr_u8(&a, &a), Ok(f64::INFINITY));
+        }
+        assert_eq!(
+            squared_error_sum(&vec![0; 2 * SSE_CHUNK + 1], &vec![255; 2 * SSE_CHUNK + 1]),
+            65_025 * (2 * SSE_CHUNK as u64 + 1)
+        );
+        for (a, b) in [(0, 0), (0, 3), (3, 0), (4, 5)] {
+            let err = psnr_u8(&vec![1; a], &vec![1; b]).unwrap_err();
+            assert_eq!(
+                err,
+                LengthMismatchError {
+                    reference: a,
+                    test: b
+                }
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random lengths and contents, from identical buffers to ones
+        /// with any error, and a length that may differ.
+        #[test]
+        fn psnr_u8_equals_the_f64_fold(
+            len in 0usize..5_000,
+            other in 0usize..5_000,
+            same_len in any::<bool>(),
+            spread in 0u32..=256,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = crate::rng::Xoroshiro128::new(seed);
+            let a: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            let b_len = if same_len { len } else { other };
+            let b: Vec<u8> = (0..b_len)
+                .map(|i| {
+                    let base = a.get(i).copied().unwrap_or(0);
+                    let noise = if spread == 0 { 0 } else { rng.below(u64::from(spread)) as u8 };
+                    base.wrapping_add(noise)
+                })
+                .collect();
+            assert_psnr_u8_is_the_f64_fold(&a, &b);
+        }
     }
 
     #[test]

@@ -13,6 +13,20 @@
 //! copy on any host, which tests and benchmarks use to check and time
 //! both copies.
 //!
+//! Its users, each with a forced baseline copy that tests check against
+//! the dispatched one:
+//!
+//! * `drm`'s `XteaCtr::apply`, the XTEA-CTR lane loop that unseals
+//!   segments (`XteaCtr::apply_baseline`);
+//! * `netstack`'s `packet::checksum`, the deferred-carry packet checksum
+//!   (`packet::checksum_baseline`);
+//! * `video`'s block walk, Figure 1's reconstruction loop with the
+//!   encoder's forward path or the decoder's parse inside it, one
+//!   dispatch per frame (`Encoder::encode_baseline`,
+//!   `decoder::decode_baseline`);
+//! * [`crate::metrics::psnr_u8`]'s integer sum of squared errors, which
+//!   the encoder measures every frame with.
+//!
 //! There is no AVX2 copy. The measured host has AVX-512F, so an AVX2
 //! copy would not run there; a CPU with AVX2 but no AVX-512F runs the
 //! baseline copy.

@@ -53,6 +53,7 @@ impl Dct2d {
     ///
     /// Panics if `block.len() != 64`.
     #[must_use]
+    #[inline(always)]
     pub fn forward(&self, block: &[f64]) -> [f64; BLOCK * BLOCK] {
         assert_eq!(block.len(), BLOCK * BLOCK, "expected an 8x8 block");
         let mut tmp = [0.0; BLOCK * BLOCK];
@@ -82,6 +83,7 @@ impl Dct2d {
     ///
     /// Panics if `coeffs.len() != 64`.
     #[must_use]
+    #[inline(always)]
     pub fn inverse(&self, coeffs: &[f64]) -> [f64; BLOCK * BLOCK] {
         assert_eq!(coeffs.len(), BLOCK * BLOCK, "expected an 8x8 block");
         let mut tmp = [0.0; BLOCK * BLOCK];

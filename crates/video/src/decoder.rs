@@ -9,7 +9,9 @@
 
 use crate::bitstream::{read_amplitude, BitReader, OutOfBitsError};
 use crate::dct::{Dct2d, BLOCK};
-use crate::encoder::{padded_planes, reconstruct_frame, FrameKind, StageTally, MAGIC, MV_BITS};
+use crate::encoder::{
+    padded_planes, reconstruct_frame, FrameKind, StageTally, Walk, MAGIC, MV_BITS,
+};
 use crate::frame::Frame;
 use crate::huffman::{HuffmanCode, HuffmanError};
 use crate::me::{BlockMotion, MotionField, MotionVector};
@@ -98,6 +100,21 @@ pub struct DecodedSequence {
 /// # Ok::<(), video::decoder::DecodeError>(())
 /// ```
 pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
+    decode_with(bytes, Walk::Dispatched)
+}
+
+/// [`decode`] with the block walk forced to its baseline copy, which
+/// runs on any host: public so tests and benchmarks can check and time
+/// both copies. The frames are the same sample for sample.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_baseline(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
+    decode_with(bytes, Walk::Baseline)
+}
+
+fn decode_with(bytes: &[u8], walk: Walk) -> Result<DecodedSequence, DecodeError> {
     let mut r = BitReader::new(bytes);
     let magic = r.read_bits(16)?;
     if magic != MAGIC {
@@ -165,11 +182,13 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSequence, DecodeError> {
 
         let mut prev_dc = [0i16; 3];
         let frame = reconstruct_frame(
+            walk,
             &dct,
             &quant,
             (w, h),
             reference.as_ref(),
             &mut tally,
+            #[inline(always)]
             |pi, _, _, _| {
                 // DC: a size category of at most 15 keeps the amplitude
                 // read within 32 bits and the difference within i16.

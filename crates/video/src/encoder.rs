@@ -11,12 +11,23 @@
 //! I frames, motion-compensated for P frames), takes its levels from a
 //! closure and reconstructs it. The encoder's closure codes the source
 //! block against the prediction; [`crate::decoder`]'s parses the levels
-//! from the stream. I and P frames take the same path through both.
+//! from the stream. I and P frames take the same path through both. The
+//! walk, its closure included, runs at the host's vector width: one
+//! [`signal::simd::dispatch`] per frame.
+//!
+//! The Huffman tables need the whole sequence's symbol counts, so coding
+//! takes two passes. Pass 1 turns each block's levels, as they are made,
+//! into tokens (DC size and difference, run-length symbols and
+//! amplitudes) in one buffer per `encode` call. The symbol counts, the
+//! rate controller's size estimate and pass 2, which only looks up codes
+//! and writes bits, read those tokens.
 //!
 //! The encoder is deliberately a *clean-room MPEG-shaped* codec, not a
 //! standard-conformant one: 16×16 macroblock motion, 8×8
 //! DCT, zig-zag + run-length + canonical Huffman entropy coding, I/P GOP
 //! structure, 4:2:0 chroma with halved motion vectors.
+
+use core::ops::Range;
 
 use signal::metrics::psnr_u8;
 
@@ -315,6 +326,7 @@ pub(crate) const INTRA_PREDICTION: [u8; BLOCK * BLOCK] = [128; BLOCK * BLOCK];
 /// An all-zero block skips dequantize and IDCT. That is exact: its
 /// residual is all (signed) zeros, and adding a zero leaves every
 /// prediction sample as it is.
+#[inline(always)]
 pub(crate) fn reconstruct_block(
     dct: &Dct2d,
     quant: &Quantizer,
@@ -342,12 +354,44 @@ pub(crate) fn padded_planes(frame: &Frame, luma_pad: usize) -> [PaddedPlane; 3] 
     ]
 }
 
+/// The copy of the block walk a coder runs. [`Walk::Dispatched`] is the
+/// widest copy this CPU supports (see [`signal::simd`]); [`Walk::Baseline`]
+/// runs on any host, so tests and benchmarks can check and time both.
+#[derive(Clone, Copy)]
+pub(crate) enum Walk {
+    Baseline,
+    Dispatched,
+}
+
 /// Figure 1's reconstruction loop, run by the encoder and the decoder
-/// alike so the two cannot drift. Walks Y, then Cb, then Cr of a
-/// `width x height` frame as 8×8 blocks in bitstream order. Each block is
-/// predicted: flat 128 for an intra frame (`reference` is `None`),
-/// otherwise from the padded reference planes by the vector of its 16×16
-/// macroblock, halved (truncating) for chroma. Then
+/// alike so the two cannot drift: [`walk_frame`] as the copy `walk`
+/// names. The dispatched copy builds the whole walk, `levels_of`
+/// included, at the host's vector width, so the forward path
+/// (residual, DCT, quantize, zig-zag) and the reconstruction (dequantize,
+/// IDCT, round) run in its registers.
+pub(crate) fn reconstruct_frame<E>(
+    walk: Walk,
+    dct: &Dct2d,
+    quant: &Quantizer,
+    size: (usize, usize),
+    reference: Option<&([PaddedPlane; 3], MotionField)>,
+    tally: &mut StageTally,
+    levels_of: impl FnMut(usize, usize, usize, &[u8; BLOCK * BLOCK]) -> Result<[i16; BLOCK * BLOCK], E>,
+) -> Result<Frame, E> {
+    match walk {
+        Walk::Baseline => walk_frame(dct, quant, size, reference, tally, levels_of),
+        Walk::Dispatched => signal::simd::dispatch(
+            #[inline(always)]
+            || walk_frame(dct, quant, size, reference, tally, levels_of),
+        ),
+    }
+}
+
+/// The body of both copies of [`reconstruct_frame`]. Walks Y, then Cb,
+/// then Cr of a `width x height` frame as 8×8 blocks in bitstream order.
+/// Each block is predicted: flat 128 for an intra frame (`reference` is
+/// `None`), otherwise from the padded reference planes by the vector of
+/// its 16×16 macroblock, halved (truncating) for chroma. Then
 /// `levels_of(plane, bx, by, &prediction)` supplies the block's quantized
 /// levels (row-major), and [`reconstruct_block`] rebuilds it into the
 /// returned frame. Tallies the IDCT blocks and MC pixels; stops at the
@@ -357,7 +401,8 @@ pub(crate) fn padded_planes(frame: &Frame, luma_pad: usize) -> [PaddedPlane; 3] 
 ///
 /// Panics if the dimensions are not multiples of 16, or a vector reaches
 /// past the reference's padding.
-pub(crate) fn reconstruct_frame<E>(
+#[inline(always)]
+pub(crate) fn walk_frame<E>(
     dct: &Dct2d,
     quant: &Quantizer,
     (width, height): (usize, usize),
@@ -411,16 +456,25 @@ pub(crate) fn reconstruct_frame<E>(
     Ok(Frame::from_planes(width, height, y, cb, cr).expect("plane sizes follow the frame's"))
 }
 
-/// One plane's quantized levels: a zig-zag-scanned `[i16; 64]` per 8×8
-/// block, row-major.
-type PlaneLevels = Vec<[i16; BLOCK * BLOCK]>;
+/// One entropy-coded symbol, made as its block's levels are: a DC size
+/// category and difference, or an AC run-length event's symbol and level
+/// (`size` 0 and `value` 0 for EOB and ZRL). Pass 2 writes `symbol` with
+/// the DC or AC code, then `value` in `size` amplitude bits.
+#[derive(Clone, Copy)]
+struct Token {
+    ac: bool,
+    symbol: u8,
+    size: u8,
+    value: i16,
+}
 
 /// Analysis result for one frame.
 struct FrameAnalysis {
     kind: FrameKind,
     quality: u8,
     field: Option<MotionField>,
-    planes: [PlaneLevels; 3], // y, cb, cr
+    /// The frame's tokens in the `encode` call's token buffer.
+    tokens: Range<usize>,
     psnr_luma_db: f64,
 }
 
@@ -432,24 +486,20 @@ struct SymbolCounts {
 }
 
 impl SymbolCounts {
-    /// Counts `a`'s symbols in one walk over its blocks and returns the
-    /// rate controller's estimate of its size, available before entropy
-    /// coding: 8 header bits, 12 bits per motion vector, and 5 bits per
-    /// symbol plus its amplitude bits.
-    fn frame(&mut self, a: &FrameAnalysis) -> f64 {
-        let mut bits = 8 + a.field.as_ref().map_or(0, |f| 12 * f.blocks.len() as u64);
-        for plane in &a.planes {
-            let mut prev_dc = 0i16;
-            for blk in plane {
-                let size = size_category((blk[0] - prev_dc) as i32);
-                prev_dc = blk[0];
-                self.dc[size as usize] += 1;
-                bits += 5 + u64::from(size);
-                for ev in rle::ac_events(blk) {
-                    self.ac[rle::event_symbol(&ev) as usize] += 1;
-                    bits += 5 + rle::event_amplitude(&ev).map_or(0, |(_, s)| u64::from(s));
-                }
-            }
+    /// Tallies a frame's `tokens` and returns the rate controller's
+    /// estimate of its size, available before entropy coding: 8 header
+    /// bits, 12 bits per motion vector, and 5 bits per symbol plus its
+    /// amplitude bits.
+    fn frame(&mut self, field: Option<&MotionField>, tokens: &[Token]) -> f64 {
+        let mut bits = 8 + field.map_or(0, |f| 12 * f.blocks.len() as u64);
+        for t in tokens {
+            let counts = if t.ac {
+                &mut self.ac[..]
+            } else {
+                &mut self.dc[..]
+            };
+            counts[usize::from(t.symbol)] += 1;
+            bits += 5 + u64::from(t.size);
         }
         bits as f64
     }
@@ -513,6 +563,21 @@ impl Encoder {
     /// Returns [`EncoderError::Empty`] for an empty slice and
     /// [`EncoderError::MixedDimensions`] if frame sizes differ.
     pub fn encode(&self, frames: &[Frame]) -> Result<EncodedSequence, EncoderError> {
+        self.encode_with(frames, Walk::Dispatched)
+    }
+
+    /// [`Encoder::encode`] with the block walk forced to its baseline
+    /// copy, which runs on any host: public so tests and benchmarks can
+    /// check and time both copies. The stream is the same byte for byte.
+    ///
+    /// # Errors
+    ///
+    /// As [`Encoder::encode`].
+    pub fn encode_baseline(&self, frames: &[Frame]) -> Result<EncodedSequence, EncoderError> {
+        self.encode_with(frames, Walk::Baseline)
+    }
+
+    fn encode_with(&self, frames: &[Frame], walk: Walk) -> Result<EncodedSequence, EncoderError> {
         let first = frames.first().ok_or(EncoderError::Empty)?;
         let (w, h) = (first.width(), first.height());
         if frames.iter().any(|f| f.width() != w || f.height() != h) {
@@ -524,10 +589,11 @@ impl Encoder {
             RateController::new(cfg, self.config.quality.clamp(MIN_QUALITY, cfg.max_quality))
         });
 
-        // ---- Pass 1: analyse every frame, producing levels + stats and
-        // maintaining the reconstruction loop of Figure 1, and count the
-        // symbols the entropy codes are built from.
+        // ---- Pass 1: analyse every frame, producing tokens (two or more
+        // per block) and stats and maintaining the reconstruction loop of
+        // Figure 1, and count the symbols the entropy codes are built from.
         let mut analyses = Vec::with_capacity(frames.len());
+        let mut tokens = Vec::with_capacity(frames.len() * w * h * 3 / 2 / (BLOCK * BLOCK) * 2);
         let mut reference: Option<Frame> = None;
         let mut symbols = SymbolCounts {
             dc: [0; DC_ALPHABET],
@@ -539,9 +605,11 @@ impl Encoder {
                 .map(|r| r.quality())
                 .unwrap_or(self.config.quality);
             let predict_from = reference.as_ref().filter(|_| idx % self.config.gop != 0);
-            let (analysis, recon) = self.analyse(frame, predict_from, quality, &mut tally)?;
+            let (analysis, recon) =
+                self.analyse(walk, frame, predict_from, quality, &mut tally, &mut tokens)?;
             reference = Some(recon);
-            let estimated_bits = symbols.frame(&analysis);
+            let estimated_bits =
+                symbols.frame(analysis.field.as_ref(), &tokens[analysis.tokens.clone()]);
             if let Some(rc) = rate.as_mut() {
                 rc.frame_encoded(estimated_bits);
             }
@@ -581,24 +649,12 @@ impl Encoder {
                     tally.vlc_symbols += 2;
                 }
             }
-            for plane in &a.planes {
-                let mut prev_dc = 0i16;
-                for blk in plane {
-                    let diff = (blk[0] - prev_dc) as i32;
-                    prev_dc = blk[0];
-                    let size = size_category(diff);
-                    dc_code.encode(&mut writer, size as u16)?;
-                    write_amplitude(&mut writer, diff, size);
-                    tally.vlc_symbols += 1;
-                    for ev in rle::ac_events(blk) {
-                        ac_code.encode(&mut writer, rle::event_symbol(&ev))?;
-                        if let Some((v, s)) = rle::event_amplitude(&ev) {
-                            write_amplitude(&mut writer, v, s);
-                        }
-                        tally.vlc_symbols += 1;
-                    }
-                }
+            for t in &tokens[a.tokens.clone()] {
+                let code = if t.ac { &ac_code } else { &dc_code };
+                code.encode(&mut writer, t.symbol.into())?;
+                write_amplitude(&mut writer, t.value.into(), t.size.into());
             }
+            tally.vlc_symbols += a.tokens.len() as u64;
             stats.push(FrameStats {
                 kind: a.kind,
                 quality: a.quality,
@@ -620,14 +676,17 @@ impl Encoder {
     /// Analyses one frame: motion search against the reconstructed
     /// `reference` for a P frame, then Figure 1's forward path for every
     /// block (residual against the prediction, DCT, quantize, zig-zag)
-    /// inside the reconstruction loop the decoder runs. Returns the
-    /// analysis and the reconstruction, the next frame's reference.
+    /// inside the reconstruction loop the decoder runs, pushing each
+    /// block's DC and AC tokens onto `tokens`. Returns the analysis and
+    /// the reconstruction, the next frame's reference.
     fn analyse(
         &self,
+        walk: Walk,
         frame: &Frame,
         reference: Option<&Frame>,
         quality: u8,
         tally: &mut StageTally,
+        tokens: &mut Vec<Token>,
     ) -> Result<(FrameAnalysis, Frame), EncoderError> {
         // The reference, padded by the search range: every candidate of
         // the motion search and every prediction block lies inside it.
@@ -646,16 +705,19 @@ impl Encoder {
         };
         let quant = Quantizer::from_quality_with_matrix(quality, matrix)?;
         let source = [frame.luma_plane(), frame.cb_plane(), frame.cr_plane()];
-        let mut planes: [PlaneLevels; 3] = Default::default();
+        let first_token = tokens.len();
+        let mut prev_dc = [0i16; 3];
         let mut cur = [0u8; BLOCK * BLOCK];
         let mut residual = [0.0f64; BLOCK * BLOCK];
         let mut coded = 0u64;
         let recon = reconstruct_frame(
+            walk,
             &self.dct,
             &quant,
             (frame.width(), frame.height()),
             predicted.as_ref(),
             tally,
+            #[inline(always)]
             |pi, bx, by, pred| {
                 let (x, y) = ((bx * BLOCK) as i32, (by * BLOCK) as i32);
                 source[pi].block_into(x, y, BLOCK, &mut cur);
@@ -664,7 +726,25 @@ impl Encoder {
                 }
                 let levels = quant.quantize(&self.dct.forward(&residual));
                 coded += 1;
-                planes[pi].push(zigzag::scan(&levels));
+                let scanned = zigzag::scan(&levels);
+                let diff = scanned[0] - prev_dc[pi];
+                prev_dc[pi] = scanned[0];
+                let size = size_category(diff.into()) as u8;
+                tokens.push(Token {
+                    ac: false,
+                    symbol: size,
+                    size,
+                    value: diff,
+                });
+                tokens.extend(rle::ac_events(&scanned).map(|ev| {
+                    let (value, size) = rle::event_amplitude(&ev).unwrap_or((0, 0));
+                    Token {
+                        ac: true,
+                        symbol: rle::event_symbol(&ev) as u8,
+                        size: size as u8,
+                        value: value as i16,
+                    }
+                }));
                 Ok::<_, EncoderError>(levels)
             },
         )?;
@@ -674,7 +754,7 @@ impl Encoder {
             kind,
             quality,
             field: predicted.map(|(_, field)| field),
-            planes,
+            tokens: first_token..tokens.len(),
             psnr_luma_db: psnr_u8(frame.luma(), recon.luma()).expect("same dimensions"),
         };
         Ok((analysis, recon))
@@ -739,6 +819,139 @@ mod tests {
         // Intra: the unskipped path's level shift gives the 128 fill.
         reconstruct_block(&dct, &quant, &zeros, &INTRA_PREDICTION, &mut out);
         assert_eq!(out, dct.inverse_to_pixels(&quant.dequantize(&zeros)));
+    }
+
+    /// A frame of uniform noise: no block is flat or predicted well.
+    fn noise_frame(rng: &mut signal::rng::Xoroshiro128, (w, h): (usize, usize)) -> Frame {
+        let mut plane = |len: usize| (0..len).map(|_| rng.below(256) as u8).collect::<Vec<_>>();
+        let (y, cb, cr) = (plane(w * h), plane(w * h / 4), plane(w * h / 4));
+        Frame::from_planes(w, h, y, cb, cr).unwrap()
+    }
+
+    #[test]
+    fn both_copies_of_the_walk_make_the_same_frames() {
+        // The baseline copy (the body, called directly) and the copy
+        // `reconstruct_frame` dispatches to (AVX-512F where the CPU has
+        // it) over random levels: all-zero blocks, levels saturated at
+        // ±2047 and sparse ones, intra and predicted by vectors that
+        // reach the padding's edge.
+        println!(
+            "block walk copies checked: baseline 128-bit, dispatched {}-bit",
+            signal::simd::vector_bits()
+        );
+        let mut rng = signal::rng::Xoroshiro128::new(32);
+        let dct = Dct2d::new();
+        let size = (48, 32);
+        let pad = 16i32;
+        for case in 0..24 {
+            let quality = [1, 50, 100][case % 3];
+            let reference = (case % 2 == 1).then(|| {
+                let field = MotionField {
+                    cols: size.0 / MB,
+                    rows: size.1 / MB,
+                    blocks: (0..size.0 * size.1 / (MB * MB))
+                        .map(|_| {
+                            let mut coord = || match rng.below(3) {
+                                0 => -pad,
+                                1 => pad,
+                                _ => rng.range_i64(i64::from(-pad), i64::from(pad)) as i32,
+                            };
+                            let mv = MotionVector::new(coord(), coord());
+                            crate::me::BlockMotion {
+                                mv,
+                                sad: 0,
+                                evaluations: 0,
+                            }
+                        })
+                        .collect(),
+                };
+                (
+                    padded_planes(&noise_frame(&mut rng, size), pad as usize),
+                    field,
+                )
+            });
+            let matrix = if reference.is_some() {
+                &FLAT_MATRIX
+            } else {
+                &BASE_MATRIX
+            };
+            let quant = Quantizer::from_quality_with_matrix(quality, matrix).unwrap();
+            let levels: Vec<[i16; BLOCK * BLOCK]> = (0..size.0 * size.1 * 3 / 2 / 64)
+                .map(|_| {
+                    let mode = rng.below(3);
+                    core::array::from_fn(|_| match mode {
+                        0 => 0,
+                        1 => [-2047, 2047][rng.below(2) as usize],
+                        _ if rng.chance(0.2) => rng.range_i64(-2047, 2047) as i16,
+                        _ => 0,
+                    })
+                })
+                .collect();
+            let copies = [Walk::Baseline, Walk::Dispatched];
+            let [(base, base_tally), (wide, wide_tally)] = copies.map(|walk| {
+                let mut tally = StageTally::default();
+                let mut next = levels.iter();
+                let levels_of = |_, _, _, _: &_| Ok::<_, ()>(*next.next().unwrap());
+                let frame = match walk {
+                    Walk::Baseline => walk_frame(
+                        &dct,
+                        &quant,
+                        size,
+                        reference.as_ref(),
+                        &mut tally,
+                        levels_of,
+                    ),
+                    Walk::Dispatched => reconstruct_frame(
+                        walk,
+                        &dct,
+                        &quant,
+                        size,
+                        reference.as_ref(),
+                        &mut tally,
+                        levels_of,
+                    ),
+                };
+                (frame.unwrap(), tally)
+            });
+            assert_eq!(base, wide, "case {case}: frames");
+            assert_eq!(base_tally, wide_tally, "case {case}: tallies");
+        }
+
+        // The encoder's and the decoder's closures, through both copies:
+        // noise and panning sequences, every search, intra and predicted.
+        let mut sequences = vec![SequenceGen::new(5).panning_sequence(48, 32, 4, 3, -2)];
+        sequences.push((0..4).map(|_| noise_frame(&mut rng, size)).collect());
+        for (frames, quality, search) in sequences.iter().flat_map(|f| {
+            [
+                (f, 1, SearchKind::Full),
+                (f, 60, SearchKind::Diamond),
+                (f, 100, SearchKind::ThreeStep),
+            ]
+        }) {
+            let config = EncoderConfig {
+                quality,
+                gop: 3,
+                search,
+                search_range: 31,
+                rate: None,
+            };
+            let encoder = Encoder::new(config).unwrap();
+            let (wide, base) = (
+                encoder.encode(frames).unwrap(),
+                encoder.encode_baseline(frames).unwrap(),
+            );
+            assert_eq!(wide.bytes, base.bytes, "{config:?}: stream");
+            assert_eq!(wide.frames, base.frames, "{config:?}: frame stats");
+            assert_eq!(wide.tally, base.tally, "{config:?}: tally");
+            let wide = crate::decoder::decode(&wide.bytes).unwrap();
+            let base = crate::decoder::decode_baseline(&base.bytes).unwrap();
+            assert_eq!(wide.frames, base.frames, "{config:?}: decoded frames");
+            assert_eq!(
+                (wide.idct_blocks, wide.mc_pixels),
+                (base.idct_blocks, base.mc_pixels),
+                "{config:?}: decoder tallies"
+            );
+        }
     }
 
     #[test]

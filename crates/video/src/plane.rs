@@ -272,6 +272,7 @@ impl PaddedPlane {
     ///
     /// Panics if the window reaches past the margin or `out` is shorter
     /// than `bs * bs`.
+    #[inline(always)]
     pub(crate) fn block_into(&self, x: i32, y: i32, bs: usize, out: &mut [u8]) {
         let (src, stride) = self.window(x, y, bs);
         for (r, dst) in out[..bs * bs].chunks_exact_mut(bs).enumerate() {

@@ -171,6 +171,7 @@ impl Quantizer {
     ///
     /// Panics if `coeffs.len() != 64`.
     #[must_use]
+    #[inline(always)]
     pub fn quantize(&self, coeffs: &[f64]) -> [i16; BLOCK * BLOCK] {
         let coeffs: &[f64; BLOCK * BLOCK] = coeffs.try_into().expect("expected an 8x8 block");
         let mut out = [0i16; BLOCK * BLOCK];
@@ -204,6 +205,7 @@ impl Quantizer {
     ///
     /// Panics if `levels.len() != 64`.
     #[must_use]
+    #[inline(always)]
     pub fn dequantize(&self, levels: &[i16]) -> [f64; BLOCK * BLOCK] {
         assert_eq!(levels.len(), BLOCK * BLOCK, "expected an 8x8 block");
         let mut out = [0.0; BLOCK * BLOCK];

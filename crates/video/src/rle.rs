@@ -6,11 +6,13 @@
 //! DC coefficient is differentially coded by the encoder layer and is not
 //! handled here.
 //!
-//! The encoder walks each block's events twice — once to count symbols
-//! for its Huffman tables and estimate the frame's size for rate control,
-//! once to emit them — through [`ac_events`], an iterator that allocates
-//! nothing. [`encode_ac`] collects the same events into a `Vec` and stays
-//! as the iterator's test oracle.
+//! The encoder walks each block's events once, through [`ac_events`], an
+//! iterator that allocates nothing, as the block's levels are made: it
+//! turns them into tokens ([`event_symbol`] and [`event_amplitude`]) in
+//! one buffer per `encode` call. Counting the symbols for the Huffman
+//! tables, estimating each frame's size for rate control and emitting
+//! the codes then read those tokens. The decoder rebuilds the events with
+//! [`event_from_symbol`] and the block with [`decode_ac`].
 
 use crate::bitstream::size_category;
 use crate::dct::BLOCK;
@@ -53,7 +55,7 @@ impl std::error::Error for RleError {}
 
 /// The run-length events of a scanned block's 63 AC coefficients
 /// (`scanned[1..]`), in order and without allocating: exactly the
-/// sequence [`encode_ac`] collects.
+/// sequence of the zero-counting walk its tests pin it to.
 ///
 /// The iterator keeps a 64-bit mask of the nonzero AC positions and
 /// jumps from one to the next with `trailing_zeros`, so its cost scales
@@ -109,46 +111,6 @@ impl Iterator for AcEvents<'_> {
             level: self.scanned[at as usize],
         })
     }
-}
-
-/// Encodes the 63 AC coefficients of a scanned block (`scanned[1..]`) into
-/// run-length events: the straightforward zero-counting walk
-/// [`ac_events`] is pinned to.
-///
-/// # Panics
-///
-/// Panics if `scanned.len() != 64`.
-#[must_use]
-pub fn encode_ac(scanned: &[i16]) -> Vec<RleEvent> {
-    assert_eq!(
-        scanned.len(),
-        BLOCK * BLOCK,
-        "expected an 8x8 scanned block"
-    );
-    let ac = &scanned[1..];
-    let mut events = Vec::new();
-    let mut run = 0u8;
-    let last_nonzero = ac.iter().rposition(|&v| v != 0);
-    let Some(last) = last_nonzero else {
-        events.push(RleEvent::EndOfBlock);
-        return events;
-    };
-    for &v in &ac[..=last] {
-        if v == 0 {
-            run += 1;
-            if run == 16 {
-                events.push(RleEvent::ZeroRunLength);
-                run = 0;
-            }
-        } else {
-            events.push(RleEvent::Run { run, level: v });
-            run = 0;
-        }
-    }
-    if last < ac.len() - 1 {
-        events.push(RleEvent::EndOfBlock);
-    }
-    events
 }
 
 /// Decodes run-length events back into the 63 AC coefficients, returning a
@@ -226,6 +188,45 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use signal::rng::Xoroshiro128;
+
+    /// Encodes the 63 AC coefficients of a scanned block (`scanned[1..]`) into
+    /// run-length events: the straightforward zero-counting walk
+    /// [`ac_events`] is pinned to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scanned.len() != 64`.
+    fn encode_ac(scanned: &[i16]) -> Vec<RleEvent> {
+        assert_eq!(
+            scanned.len(),
+            BLOCK * BLOCK,
+            "expected an 8x8 scanned block"
+        );
+        let ac = &scanned[1..];
+        let mut events = Vec::new();
+        let mut run = 0u8;
+        let last_nonzero = ac.iter().rposition(|&v| v != 0);
+        let Some(last) = last_nonzero else {
+            events.push(RleEvent::EndOfBlock);
+            return events;
+        };
+        for &v in &ac[..=last] {
+            if v == 0 {
+                run += 1;
+                if run == 16 {
+                    events.push(RleEvent::ZeroRunLength);
+                    run = 0;
+                }
+            } else {
+                events.push(RleEvent::Run { run, level: v });
+                run = 0;
+            }
+        }
+        if last < ac.len() - 1 {
+            events.push(RleEvent::EndOfBlock);
+        }
+        events
+    }
 
     #[test]
     fn all_zero_block_is_just_eob() {

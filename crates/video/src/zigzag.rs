@@ -20,6 +20,7 @@ pub const ZIGZAG: [usize; BLOCK * BLOCK] = [
 ///
 /// Panics if `block.len() != 64`.
 #[must_use]
+#[inline(always)]
 pub fn scan(block: &[i16]) -> [i16; BLOCK * BLOCK] {
     assert_eq!(block.len(), BLOCK * BLOCK, "expected an 8x8 block");
     let mut out = [0i16; BLOCK * BLOCK];
@@ -35,6 +36,7 @@ pub fn scan(block: &[i16]) -> [i16; BLOCK * BLOCK] {
 ///
 /// Panics if `scanned.len() != 64`.
 #[must_use]
+#[inline(always)]
 pub fn unscan(scanned: &[i16]) -> [i16; BLOCK * BLOCK] {
     assert_eq!(scanned.len(), BLOCK * BLOCK, "expected an 8x8 block");
     let mut out = [0i16; BLOCK * BLOCK];
